@@ -3,8 +3,10 @@
 Every subcommand writes one fixed-schema report (check, pass, max_deviation,
 details, provenance) to --out, or to stdout when --out is omitted.  Exit
 status: 0 when the report passes, 1 when it fails, 2 on usage errors; usage
-errors never produce a report file.  Randomness flows from --seed, falling
-back to the SLPLAB_SEED environment variable, then to 0.
+errors never produce a report file.  Argument ranges are checked when the
+arguments are parsed, so an out-of-range size is a usage error, never a
+failed check.  Randomness flows from --seed, falling back to the SLPLAB_SEED
+environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -66,23 +68,27 @@ def _finish(report: Report, args: argparse.Namespace, seed: int) -> int:
     return 0 if report.passed else 1
 
 
-def _random_algebra(entities: int, relations: int, density: float, rng):
-    """Seeded base relations, one redraw per degenerate draw, then closure."""
-    entity_set = EntitySet.of_size(entities)
+def _random_algebra(args: argparse.Namespace, rng, parser):
+    """Seeded base relations, one redraw per degenerate draw, then closure.
+
+    A second degenerate draw is a usage error: the requested entity count and
+    density make a relation that is neither empty nor full unlikely.
+    """
+    entity_set = EntitySet.of_size(args.entities)
     base = []
-    for i in range(relations):
-        rel = random_relation(entity_set, rng, density, name=f"r{i}")
+    for i in range(args.relations):
+        rel = random_relation(entity_set, rng, args.density, name=f"r{i}")
         if rel.is_empty() or rel.is_full():
-            rel = random_relation(entity_set, rng, density, name=f"r{i}")
+            rel = random_relation(entity_set, rng, args.density, name=f"r{i}")
         if rel.is_empty() or rel.is_full():
-            raise ValueError(f"relation r{i} degenerate after one redraw")
+            parser.error(f"relation r{i} degenerate after one redraw")
         base.append(rel)
     return close_unary(base)
 
 
-def _build_from_args(args: argparse.Namespace, seed: int):
+def _build_from_args(args: argparse.Namespace, seed: int, parser):
     rng = np.random.default_rng(seed)
-    algebra = _random_algebra(args.entities, args.relations, args.density, rng)
+    algebra = _random_algebra(args, rng, parser)
     n_families = len(compute_families(algebra))
     context_dim = args.context_dim
     if context_dim is None:
@@ -144,7 +150,7 @@ def _cmd_relalg_laws(args, parser) -> int:
 def _cmd_families(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     rng = np.random.default_rng(seed)
-    algebra = _random_algebra(args.entities, args.relations, args.density, rng)
+    algebra = _random_algebra(args, rng, parser)
     families = compute_families(algebra)
     partition = families_to_json(families)
     sizes = sorted({len(f.members) for f in families})
@@ -162,7 +168,7 @@ def _cmd_families(args, parser) -> int:
 
 def _cmd_build_slp(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed)
+    algebra, built = _build_from_args(args, seed, parser)
     families = compute_families(algebra)
     equiv = check_logical_equivariance(built.feature_map, families, algebra)
     rank = check_slp(built.feature_map, families)
@@ -199,7 +205,7 @@ def _cmd_verify_slp(args, parser) -> int:
 
 def _cmd_factorize(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed)
+    algebra, built = _build_from_args(args, seed, parser)
     form = verify_factorized_form(built)
     split = negation_split(built)
     passed = form.passed and split.plus_dim == 0
@@ -209,6 +215,7 @@ def _cmd_factorize(args, parser) -> int:
                  "negation_split": {"plus_dim": split.plus_dim,
                                     "minus_dim": split.minus_dim,
                                     "span_dim": split.span_dim},
+                 "lift_rank": built.feature_map.spectrum().span_margin(),
                  "redrawn": built.redrawn},
     )
     return _finish(report, args, seed)
@@ -218,13 +225,14 @@ def _cmd_isotypic(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     if args.entities > 5:
         parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
-    algebra, built = _build_from_args(args, seed)
+    algebra, built = _build_from_args(args, seed, parser)
     projectors, props = isotypic_decompose(built)
     worst = max(props["idempotence"], props["annihilation"],
                 props["completeness_on_span"], props["commutation"])
     report = Report(
         check="isotypic", passed=worst <= args.tol, max_deviation=worst,
         details={"tol": args.tol, "properties": props,
+                 "lift_rank": built.feature_map.spectrum().span_margin(),
                  "irreps": [{"partition": list(p.irrep), "dim": p.irrep_dim,
                              "image_dim": p.image_dim} for p in projectors]},
     )
@@ -233,7 +241,7 @@ def _cmd_isotypic(args, parser) -> int:
 
 def _cmd_parity(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed)
+    algebra, built = _build_from_args(args, seed, parser)
     inv = parity_involution(algebra)
     try:
         decomp = parity_decompose(built, tol=args.tol)
@@ -380,7 +388,7 @@ def _cmd_gradlab(args, parser) -> int:
 
 def _cmd_audit(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed)
+    algebra, built = _build_from_args(args, seed, parser)
     families = compute_families(algebra)
     if not 0 <= args.family < len(families):
         parser.error(f"--family must be in [0, {len(families)})")
@@ -391,6 +399,34 @@ def _cmd_audit(args, parser) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than `lo`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
+def _density(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly between 0 and 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: SLPLAB_SEED env, then 0)")
@@ -399,13 +435,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_build_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--entities", type=int, default=3)
-    sub.add_argument("--relations", type=int, default=2,
+    sub.add_argument("--entities", type=_at_least(2), default=3)
+    sub.add_argument("--relations", type=_at_least(1), default=2,
                      help="number of random base relations")
-    sub.add_argument("--density", type=float, default=0.5)
-    sub.add_argument("--context-dim", type=int, default=None,
+    sub.add_argument("--density", type=_density, default=0.5)
+    sub.add_argument("--context-dim", type=_at_least(1), default=None,
                      help="feature width (default: one per family)")
-    sub.add_argument("--terms", type=int, default=None,
+    sub.add_argument("--terms", type=_at_least(1), default=None,
                      help="raw samples per block (default: fewest that can "
                           "reach full representative rank)")
     sub.add_argument("--parity", choices=["+", "-", "both"], default="both")
@@ -419,18 +455,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("relalg-laws", help="negation/converse/composition laws")
-    sub.add_argument("--entities", type=int, default=3)
+    sub.add_argument("--entities", type=_at_least(1), default=3)
     sub.add_argument("--exhaustive", action="store_true",
                      help="run unary laws over every relation")
-    sub.add_argument("--pairs", type=int, default=10000)
-    sub.add_argument("--triples", type=int, default=1000)
+    sub.add_argument("--pairs", type=_at_least(0), default=10000)
+    sub.add_argument("--triples", type=_at_least(0), default=1000)
     _add_common(sub)
     sub.set_defaults(func=_cmd_relalg_laws)
 
     sub = subs.add_parser("families", help="logical family partition as JSON")
-    sub.add_argument("--entities", type=int, default=3)
-    sub.add_argument("--relations", type=int, default=2)
-    sub.add_argument("--density", type=float, default=0.5)
+    sub.add_argument("--entities", type=_at_least(2), default=3)
+    sub.add_argument("--relations", type=_at_least(1), default=2)
+    sub.add_argument("--density", type=_density, default=0.5)
     _add_common(sub)
     sub.set_defaults(func=_cmd_families)
 
@@ -469,24 +505,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("kernel-stability",
                           help="conjunction kernel stability on a worlds model")
-    sub.add_argument("--atoms", type=int, default=3)
-    sub.add_argument("--worlds", type=int, default=8)
-    sub.add_argument("--depth", type=int, default=2)
+    sub.add_argument("--atoms", type=_at_least(1), default=3)
+    sub.add_argument("--worlds", type=_at_least(1), default=8)
+    sub.add_argument("--depth", type=_at_least(1), default=2)
     _add_common(sub)
     sub.set_defaults(func=_cmd_kernel_stability)
 
     sub = subs.add_parser("fit-bilinear",
                           help="symmetric bilinear fit on a worlds model")
-    sub.add_argument("--atoms", type=int, default=3)
-    sub.add_argument("--worlds", type=int, default=8)
-    sub.add_argument("--depth", type=int, default=2)
+    sub.add_argument("--atoms", type=_at_least(1), default=3)
+    sub.add_argument("--worlds", type=_at_least(1), default=8)
+    sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=float, default=1e-9)
     _add_common(sub)
     sub.set_defaults(func=_cmd_fit_bilinear)
 
     sub = subs.add_parser("collapse", help="idempotence-vs-sign-flip certificate")
-    sub.add_argument("--atoms", type=int, default=1)
-    sub.add_argument("--dim", type=int, default=4)
+    sub.add_argument("--atoms", type=_at_least(1), default=1)
+    sub.add_argument("--dim", type=_at_least(1), default=4)
     sub.add_argument("--neg-equiv", action=argparse.BooleanOptionalAction,
                      default=True)
     sub.add_argument("--tolerance", type=float, default=1e-8)

@@ -121,20 +121,6 @@ def assemble_rows(blocks: Sequence[TensorBlock],
     return np.concatenate([_block_rows(b, queries) for b in blocks], axis=1)
 
 
-def _relation_orbits(algebra: RelationAlgebra) -> list[list[int]]:
-    """Orbits of the closed relations under complement and converse."""
-    seen: set[int] = set()
-    orbits = []
-    for i in range(algebra.size):
-        if i in seen:
-            continue
-        orbit = sorted({i, algebra.neg(i), algebra.conv(i),
-                        algebra.neg(algebra.conv(i))})
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
-
-
 def _sample_v(algebra: RelationAlgebra, parity: str, rng) -> np.ndarray:
     """Relation factor with v(not r) = -v(r) and v(conv r) = (parity) v(r).
 

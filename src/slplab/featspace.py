@@ -8,13 +8,17 @@ feature per logical family.  On maps with both properties, entity renamings
 acting on query coordinates descend to well-defined linear operators on the
 feature span; the lift is computed by minimum-norm least squares, which fixes
 the operator to zero off the span.
+
+A FeatureMap holds a read-only copy of its matrix and caches its query index
+and one SVD (`numerics.Spectrum`) per relative tolerance, so the kernel, the
+span basis and every lift of one map read a single factorization.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import numerics
 from .queryspace import (GroupElementH, LogicalFamily, LogicalOp, Query,
-                         apply_logical, apply_renaming, enumerate_queries)
+                         apply_logical, apply_renaming)
 from .relalg import EntitySet, Relation, RelationAlgebra, close_unary
 from .reports import Report
 
@@ -37,22 +41,38 @@ class FeatureMap:
 
     queries: tuple[Query, ...]
     matrix: np.ndarray
+    _index: dict = field(init=False, repr=False, compare=False)
+    _spectra: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.matrix
+        m = np.array(self.matrix)   # a copy: the caches below depend on it
         if m.ndim != 2 or m.shape[0] != len(self.queries):
             raise ValueError("matrix shape does not match the query index")
         if m.shape[1] < 1:
             raise ValueError("feature dimension must be at least 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite feature entries")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_index",
+                           {q: i for i, q in enumerate(self.queries)})
+        object.__setattr__(self, "_spectra", {})
 
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
 
     def index(self) -> dict[Query, int]:
-        return {q: i for i, q in enumerate(self.queries)}
+        """Query -> row position; the cached dict, not to be modified."""
+        return self._index
+
+    def spectrum(self, rel_tol: float = numerics.REL_TOL) -> numerics.Spectrum:
+        """The matrix's SVD at `rel_tol`, computed on first use."""
+        spec = self._spectra.get(rel_tol)
+        if spec is None:
+            spec = self._spectra[rel_tol] = numerics.Spectrum(self.matrix,
+                                                              rel_tol)
+        return spec
 
     def row(self, q: Query) -> np.ndarray:
         return self.matrix[self.index()[q]]
@@ -131,15 +151,13 @@ def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily],
     rep_rank = int(np.sum(sv > threshold))
     full_rank = numerics.rank(fmap.matrix, rel_tol)
     n_fam = len(families)
-    kept = float(sv[rep_rank - 1]) if rep_rank > 0 else 0.0
-    rejected = float(sv[rep_rank]) if rep_rank < len(sv) else 0.0
     return Report(
         check="slp_rank",
         passed=rep_rank == n_fam,
         max_deviation=float(n_fam - rep_rank),
         details={"rep_rank": rep_rank, "n_families": n_fam,
-                 "full_rank": full_rank, "threshold": threshold,
-                 "smallest_kept_sv": kept, "largest_rejected_sv": rejected},
+                 "full_rank": full_rank,
+                 **numerics.rank_margin(sv, threshold)},
     )
 
 
@@ -150,11 +168,10 @@ def kernel(fmap: FeatureMap, rel_tol: float = numerics.REL_TOL) -> KernelBasis:
     of the feature matrix, so kernel vectors are coefficient vectors over
     queries whose weighted feature sum vanishes.
     """
-    basis = numerics.nullspace(fmap.matrix.T, rel_tol)
-    tol = numerics.rank_threshold(fmap.matrix, rel_tol)
-    for v in basis:
-        if np.linalg.norm(fmap.matrix.T @ v) > tol:
-            raise AssertionError("kernel basis vector fails the residual bound")
+    spec = fmap.spectrum(rel_tol)
+    basis, tol = spec.kernel_basis, spec.span_threshold
+    if np.any(spec.kernel_residuals > tol):
+        raise AssertionError("kernel basis vector fails the residual bound")
     return KernelBasis(basis, tol)
 
 
@@ -209,15 +226,15 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     """
     perm = _query_permutation(fmap, g, algebra)
     ker = kernel(fmap, rel_tol)
-    for v in ker.basis:
-        moved = np.zeros_like(v)
-        moved[perm] = v
-        if float(np.linalg.norm(fmap.matrix.T @ moved)) > ker.tol:
-            raise KernelNotInvariantError(
-                f"renaming {g} does not preserve the kernel")
+    # row i of `moved` is kernel vector i carried along the renaming
+    moved = np.empty_like(ker.basis)
+    moved[:, perm] = ker.basis
+    if np.any(np.linalg.norm(moved @ fmap.matrix, axis=1) > ker.tol):
+        raise KernelNotInvariantError(
+            f"renaming {g} does not preserve the kernel")
     targets = fmap.matrix[perm]
     # min-norm solution of  matrix @ X = targets, lifted operator is X^T
-    x = numerics.minnorm_lstsq(fmap.matrix, targets)
+    x = fmap.spectrum(rel_tol).pinv @ targets
     residual = float(np.max(np.abs(fmap.matrix @ x - targets))) if targets.size else 0.0
     return LiftedOperator(source=g, matrix=x.T, residual=residual)
 
@@ -331,8 +348,4 @@ def load_feature_map(path: str | Path,
 def feature_span_basis(fmap: FeatureMap,
                        rel_tol: float = numerics.REL_TOL) -> np.ndarray:
     """Orthonormal basis (rows) of the feature span."""
-    return numerics.row_space_basis(fmap.matrix, rel_tol)
-
-
-def full_query_map(algebra: RelationAlgebra, matrix: np.ndarray) -> FeatureMap:
-    return FeatureMap(enumerate_queries(algebra), matrix)
+    return fmap.spectrum(rel_tol).span_basis

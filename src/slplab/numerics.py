@@ -1,14 +1,18 @@
 """Shared tolerances and dense linear-algebra helpers.
 
-All rank and null-space decisions in the package go through these functions so
+All rank and null-space decisions in the package go through this module, so
 that the tolerance convention is stated once: singular values are compared
-against REL_TOL times the largest Euclidean row norm of the matrix under
-inspection.
+against REL_TOL times a reference scale of the matrix under inspection.  The
+scale is the largest Euclidean row norm of the matrix that is decomposed
+(`rank_threshold`).  A feature map's kernel is the null space of the
+transposed map, so its rank is decided at the largest column norm; see
+`Spectrum` for the two thresholds a feature map uses.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +63,76 @@ def nullspace(matrix: np.ndarray, rel_tol: float = REL_TOL) -> np.ndarray:
     return vt[r:]
 
 
-def row_space_basis(matrix: np.ndarray, rel_tol: float = REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the row space, shape (rank, ncols)."""
-    m = np.asarray(matrix, dtype=float)
-    _, sv, vt = np.linalg.svd(m, full_matrices=False)
-    tol = rank_threshold(m, rel_tol)
-    r = int(np.sum(sv > tol))
-    return vt[:r]
+def rank_margin(sv: np.ndarray, threshold: float) -> dict:
+    """The singular values on either side of a rank decision at `threshold`.
+
+    `sv` is in descending order.  A side with no singular value reads 0.0.
+    """
+    r = int(np.sum(sv > threshold))
+    return {"threshold": threshold,
+            "smallest_kept_sv": float(sv[r - 1]) if r > 0 else 0.0,
+            "largest_rejected_sv": float(sv[r]) if r < len(sv) else 0.0}
+
+
+class Spectrum:
+    """One full SVD m = u @ diag(sv) @ vt, read by every spectral consumer.
+
+    The factors come from a single np.linalg.svd(m, full_matrices=True); the
+    bases and the pseudo-inverse are derived from them on first use.  Two
+    thresholds decide the rank, the same two that the per-caller SVDs used:
+
+    - `kernel_threshold` is rank_threshold(m.T), rel_tol times the largest
+      column norm of m.  It decides `kernel_rank`, and with it
+      `kernel_basis`, the null space of m.T.
+    - `span_threshold` is rank_threshold(m), rel_tol times the largest row
+      norm of m.  It decides `span_rank`, and with it `span_basis` and
+      `pinv`; it also bounds the residual of every kernel vector.
+
+    The matrix is not copied, so it must not be written to afterwards.  The
+    factors and the pseudo-inverse are read-only, so no basis or lift handed
+    out can write into them.
+    """
+
+    def __init__(self, matrix: np.ndarray, rel_tol: float = REL_TOL) -> None:
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.u, self.sv, self.vt = np.linalg.svd(self.matrix,
+                                                 full_matrices=True)
+        for factor in (self.u, self.sv, self.vt):
+            factor.flags.writeable = False
+        self.kernel_threshold = rank_threshold(self.matrix.T, rel_tol)
+        self.span_threshold = rank_threshold(self.matrix, rel_tol)
+        self.kernel_rank = int(np.sum(self.sv > self.kernel_threshold))
+        self.span_rank = int(np.sum(self.sv > self.span_threshold))
+
+    def span_margin(self) -> dict:
+        return rank_margin(self.sv, self.span_threshold)
+
+    @property
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal null space of m.T, one vector per row: u[:, r:].T."""
+        return self.u[:, self.kernel_rank:].T
+
+    @cached_property
+    def kernel_residuals(self) -> np.ndarray:
+        """|m.T @ v| for every kernel vector v, in basis order."""
+        return np.linalg.norm(self.kernel_basis @ self.matrix, axis=1)
+
+    @property
+    def span_basis(self) -> np.ndarray:
+        """Orthonormal basis (rows) of the row space of m: vt[:r]."""
+        return self.vt[:self.span_rank]
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """Pseudo-inverse truncated at `span_rank`.
+
+        pinv @ b is the minimum-norm least-squares solution of m @ x = b with
+        the singular values at or below `span_threshold` taken as zero.
+        """
+        r = self.span_rank
+        pinv = (self.vt[:r].T / self.sv[:r]) @ self.u[:, :r].T
+        pinv.flags.writeable = False
+        return pinv
 
 
 def projector_trace_dim(matrix: np.ndarray, tol: float = PROJECTOR_TOL) -> int:

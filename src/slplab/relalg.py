@@ -172,12 +172,6 @@ class RelationAlgebra:
     def size(self) -> int:
         return len(self.closed)
 
-    def index_of(self, r: Relation) -> int:
-        for i, c in enumerate(self.closed):
-            if c.bits == r.bits:
-                return i
-        raise KeyError("relation not in the closed set")
-
     def neg(self, i: int) -> int:
         return self.negation[i]
 

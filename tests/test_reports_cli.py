@@ -111,6 +111,13 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("verify-slp",),                               # --load required
         ("isotypic", "--entities", "6", "--out", str(out_path)),
         ("audit", "--family", "99", "--out", str(out_path)),
+        ("families", "--entities", "1", "--out", str(out_path)),
+        ("families", "--entities", "0", "--out", str(out_path)),
+        ("build-slp", "--density", "1.5", "--out", str(out_path)),
+        ("collapse", "--atoms", "0", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "0", "--out", str(out_path)),
+        ("isotypic", "--context-dim", "0", "--out", str(out_path)),
+        ("relalg-laws", "--pairs", "-5", "--out", str(out_path)),
     ]
     for argv in cases:
         code = main(list(argv))
