@@ -33,7 +33,7 @@ from .gradlab import (alignment_experiment, edit_step, generate_kb, make_mlp,
                       make_slp_linear, train)
 from .queryspace import compute_families, families_to_json
 from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
-                     negate, random_relation)
+                     negate, random_base_relations, random_relation)
 from .reports import Report, emit_report, render_report
 
 
@@ -44,9 +44,9 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError:
-        parser.error(f"SLPLAB_SEED must be an integer, got {env!r}")
+        return _at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"SLPLAB_SEED: {exc}")
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -69,20 +69,16 @@ def _finish(report: Report, args: argparse.Namespace, seed: int) -> int:
 
 
 def _random_algebra(args: argparse.Namespace, rng, parser):
-    """Seeded base relations, one redraw per degenerate draw, then closure.
+    """Seeded base relations and their closure.
 
-    A second degenerate draw is a usage error: the requested entity count and
-    density make a relation that is neither empty nor full unlikely.
+    A second degenerate draw of one relation is a usage error: the requested
+    entity count and density make a proper relation unlikely.
     """
-    entity_set = EntitySet.of_size(args.entities)
-    base = []
-    for i in range(args.relations):
-        rel = random_relation(entity_set, rng, args.density, name=f"r{i}")
-        if rel.is_empty() or rel.is_full():
-            rel = random_relation(entity_set, rng, args.density, name=f"r{i}")
-        if rel.is_empty() or rel.is_full():
-            parser.error(f"relation r{i} degenerate after one redraw")
-        base.append(rel)
+    try:
+        base = random_base_relations(EntitySet.of_size(args.entities), rng,
+                                     args.relations, args.density)
+    except ValueError as exc:
+        parser.error(str(exc))
     return close_unary(base)
 
 
@@ -428,7 +424,7 @@ def _density(text: str) -> float:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_at_least(0), default=None,
                      help="RNG seed (default: SLPLAB_SEED env, then 0)")
     sub.add_argument("--out", type=Path, default=None,
                      help="report path (default: stdout)")

@@ -174,38 +174,33 @@ class ConjFeatureAssignment:
         return np.stack([self.features[p] for p in self.order])
 
 
-def assignment_kernel(assignment: ConjFeatureAssignment,
-                      rel_tol: float = numerics.REL_TOL) -> np.ndarray:
+def assignment_kernel(assignment: ConjFeatureAssignment) -> np.ndarray:
     """Kernel vectors (rows) over the support, coefficients of vanishing sums."""
-    return numerics.nullspace(assignment.matrix().T, rel_tol)
+    return numerics.nullspace(assignment.matrix().T)
 
 
-def check_kernel_stability(assignment: ConjFeatureAssignment,
-                           contexts: Sequence[CompoundQuery] | None = None,
-                           rel_tol: float = numerics.REL_TOL) -> Report:
+def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     """Conjunction-with-a-context must map the kernel into the kernel.
 
-    For context q, the substitution operator sends the unit vector of p to
-    the unit vector of normalize(p AND q).  A context is skipped when any
-    support element's image leaves the truncated support (the skip is
-    reported, never silently ignored).  For every checked context, every
-    kernel vector's image must map to zero features.
+    Every support element serves as a context.  For context q, the
+    substitution operator sends the unit vector of p to the unit vector of
+    normalize(p AND q).  A context is skipped when any support element's
+    image leaves the truncated support (the skip is reported, never silently
+    ignored).  For every checked context, every kernel vector's image must
+    map to zero features.
     """
     order = assignment.order
     index = {p: i for i, p in enumerate(order)}
     matrix = assignment.matrix()
-    kernel = assignment_kernel(assignment, rel_tol)
-    tol = numerics.rank_threshold(matrix, rel_tol)
-    if contexts is None:
-        contexts = order
+    kernel = assignment_kernel(assignment)
+    tol = numerics.rank_threshold(matrix)
     worst = 0.0
     violations = []
     skipped_contexts = 0
     skipped_pairs = 0
     checked = 0
-    for q in contexts:
+    for q in order:
         images = np.empty(len(order), dtype=int)
-        in_support = True
         missing = 0
         for i, p in enumerate(order):
             img = conj(p, q)
@@ -231,7 +226,7 @@ def check_kernel_stability(assignment: ConjFeatureAssignment,
         passed=not violations,
         max_deviation=worst,
         details={"kernel_dim": int(kernel.shape[0]),
-                 "contexts_checked": len(contexts) - skipped_contexts,
+                 "contexts_checked": len(order) - skipped_contexts,
                  "contexts_skipped": skipped_contexts,
                  "pairs_skipped": skipped_pairs,
                  "pairs_checked": checked,
@@ -286,8 +281,7 @@ class FitResult:
     n_pairs_skipped: int
 
 
-def fit_bilinear(assignment: ConjFeatureAssignment,
-                 rel_tol: float = numerics.REL_TOL) -> FitResult:
+def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     """Least-squares symmetric bilinear operator matching realized pairs.
 
     Constraints run over unordered support pairs (p, q) whose normalized

@@ -2,7 +2,8 @@
 
 Every feature row decomposes blockwise as sum_k u_k(h,t) * v_k(r), with the
 relation factors v_k flipping sign under relation complement.  Because the
-sign group has only one-dimensional real irreducibles, rel_dim is 1.
+sign group has only one-dimensional real irreducibles, each relation factor
+is a single vector over the closed relations.
 
 Reversal invariance forces matched parity between the two factors: u may be
 symmetric in (h,t) while v is converse-even, or antisymmetric while v is
@@ -28,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import characters, numerics
-from .featspace import (FeatureMap, LiftedOperator, feature_span_basis,
-                        lift_renaming)
+from .featspace import (FeatureMap, LiftedOperator, check_slp,
+                        feature_span_basis, lift_renaming)
 from .queryspace import (GroupElementH, Query, compute_families,
                          enumerate_queries, symmetric_group)
 from .relalg import RelationAlgebra
@@ -73,12 +74,8 @@ class Term:
 class TensorBlock:
     context_dim: int
     terms: tuple[Term, ...]
-    rel_dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.rel_dim != 1:
-            raise ValueError("sign-group irreducibles are one-dimensional; "
-                             "rel_dim must be 1")
         for t in self.terms:
             if t.u.shape[2] != self.context_dim:
                 raise ValueError("term context dimension mismatch")
@@ -166,7 +163,7 @@ def _sample_block(algebra: RelationAlgebra, spec: BlockSpec, rng) -> TensorBlock
 
 
 def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
-                  seed: int, redraw: bool = True) -> FactorizedMap:
+                  seed: int) -> FactorizedMap:
     """Seeded generic build; one redraw on a measure-zero rank failure.
 
     The map is exactly logically equivariant by construction.  Whether it
@@ -183,13 +180,10 @@ def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
 
     built = draw()
     fmap = FeatureMap(queries, assemble_rows(built, queries))
-    redrawn = False
-    if redraw:
-        from .featspace import check_slp
-        if not check_slp(fmap, families).passed:
-            built = draw()
-            fmap = FeatureMap(queries, assemble_rows(built, queries))
-            redrawn = True
+    redrawn = not check_slp(fmap, families).passed
+    if redrawn:
+        built = draw()
+        fmap = FeatureMap(queries, assemble_rows(built, queries))
     return FactorizedMap(algebra, built, fmap, redrawn)
 
 
@@ -233,12 +227,11 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
     )
 
 
-def involution_split(mat: np.ndarray,
-                     tol: float = numerics.PROJECTOR_TOL) -> tuple[np.ndarray, np.ndarray]:
+def involution_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenprojectors (I +- M)/2 of an involution, with the identity checked."""
     eye = np.eye(mat.shape[0])
     dev = float(np.max(np.abs(mat @ mat - eye)))
-    if dev > tol:
+    if dev > numerics.PROJECTOR_TOL:
         raise ValueError(f"matrix is not an involution (deviation {dev})")
     return (eye + mat) / 2.0, (eye - mat) / 2.0
 
@@ -255,8 +248,7 @@ class NegationSplit:
     lift: LiftedOperator
 
 
-def negation_split(f: FactorizedMap,
-                   rel_tol: float = numerics.REL_TOL) -> NegationSplit:
+def negation_split(f: FactorizedMap) -> NegationSplit:
     """Split the feature span by the lifted relation-complement operator.
 
     On a structured-linear map the lift is minus the identity on the span,
@@ -266,8 +258,8 @@ def negation_split(f: FactorizedMap,
     algebra = f.algebra
     n = algebra.entity_set.n
     g = GroupElementH(tuple(range(n)), -1)
-    lift = lift_renaming(f.feature_map, g, algebra, rel_tol)
-    basis = feature_span_basis(f.feature_map, rel_tol)
+    lift = lift_renaming(f.feature_map, g, algebra)
+    basis = feature_span_basis(f.feature_map)
     m_span = basis @ lift.matrix @ basis.T
     p_plus_span, p_minus_span = involution_split(m_span)
     p_plus = basis.T @ p_plus_span @ basis
@@ -314,8 +306,7 @@ def isotypic_projectors_from_rep(perms: Sequence[tuple[int, ...]],
     return out
 
 
-def isotypic_decompose(f: FactorizedMap,
-                       rel_tol: float = numerics.REL_TOL) -> tuple[list[IsotypicProjector], dict]:
+def isotypic_decompose(f: FactorizedMap) -> tuple[list[IsotypicProjector], dict]:
     """Isotypic pieces of the renaming action lifted to the feature span.
 
     Returns the ambient-coordinate projectors plus a property report dict:
@@ -327,11 +318,11 @@ def isotypic_decompose(f: FactorizedMap,
     if n > 5:
         raise ValueError("isotypic decomposition materializes Sym(n); n <= 5 only")
     perms = symmetric_group(n)
-    lifts = [lift_renaming(f.feature_map, GroupElementH(p, 1), algebra, rel_tol)
+    lifts = [lift_renaming(f.feature_map, GroupElementH(p, 1), algebra)
              for p in perms]
     mats = [l.matrix for l in lifts]
     projectors = isotypic_projectors_from_rep(perms, mats)
-    basis = feature_span_basis(f.feature_map, rel_tol)
+    basis = feature_span_basis(f.feature_map)
     span_eye = basis @ basis.T  # projector onto the span, ambient coordinates
 
     idem = max(float(np.max(np.abs(p.matrix @ p.matrix - p.matrix)))
@@ -365,41 +356,26 @@ def group_average(mats: Sequence[np.ndarray]) -> np.ndarray:
 def pair_space_representation(n: int,
                               perms: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """Renaming action on the n^2-dimensional pair space e_(h,t)."""
-    mats = []
-    for perm in perms:
-        mat = np.zeros((n * n, n * n))
-        for h in range(n):
-            for t in range(n):
-                mat[perm[h] * n + perm[t], h * n + t] = 1.0
-        mats.append(mat)
-    return mats
+    return [characters.permutation_matrix(
+                tuple(p[h] * n + p[t] for h in range(n) for t in range(n)))
+            for p in perms]
 
 
 def relation_sign_representation(algebra: RelationAlgebra) -> list[np.ndarray]:
     """The two-element sign action on the relation space: identity and complement."""
-    size = algebra.size
-    neg = np.zeros((size, size))
-    for r in range(size):
-        neg[algebra.neg(r), r] = 1.0
-    return [np.eye(size), neg]
+    return [np.eye(algebra.size),
+            characters.permutation_matrix(algebra.negation)]
 
 
 def pair_swap_matrix(n: int) -> np.ndarray:
     """The involution e_(h,t) -> e_(t,h) on the pair space."""
-    mat = np.zeros((n * n, n * n))
-    for h in range(n):
-        for t in range(n):
-            mat[t * n + h, h * n + t] = 1.0
-    return mat
+    return characters.permutation_matrix(
+        tuple(t * n + h for h in range(n) for t in range(n)))
 
 
 def relation_converse_matrix(algebra: RelationAlgebra) -> np.ndarray:
     """The involution e_r -> e_(conv r) on the relation space."""
-    size = algebra.size
-    mat = np.zeros((size, size))
-    for r in range(size):
-        mat[algebra.conv(r), r] = 1.0
-    return mat
+    return characters.permutation_matrix(algebra.converse_)
 
 
 @dataclass(frozen=True)
@@ -443,13 +419,6 @@ class ParityDecomposition:
     max_cross_residual: float
 
 
-def _conv_permuted(v: np.ndarray, algebra: RelationAlgebra) -> np.ndarray:
-    out = np.empty_like(v)
-    for r in range(algebra.size):
-        out[r] = v[algebra.conv(r)]
-    return out
-
-
 def parity_decompose(f: FactorizedMap,
                      tol: float = 0.0) -> ParityDecomposition:
     """Split every term into matched-parity components.
@@ -484,7 +453,7 @@ def parity_decompose(f: FactorizedMap,
         for term in block.terms:
             u_plus = (term.u + term.u.transpose(1, 0, 2)) / 2.0
             u_minus = (term.u - term.u.transpose(1, 0, 2)) / 2.0
-            v_conv = _conv_permuted(term.v, algebra)
+            v_conv = term.v[list(algebra.converse_)]
             v_plus = (term.v + v_conv) / 2.0
             v_minus = (term.v - v_conv) / 2.0
             pairs.append(ParityTermPair(Term(u_plus, v_plus, "+"),
@@ -498,8 +467,7 @@ def parity_decompose(f: FactorizedMap,
 
 
 def commutant_hom_dimension(source_mats: Sequence[np.ndarray],
-                            target_mats: Sequence[np.ndarray],
-                            rel_tol: float = numerics.REL_TOL) -> int:
+                            target_mats: Sequence[np.ndarray]) -> int:
     """dim Hom_G(source, target): null space of X rho_V(g) - rho_C(g) X.
 
     Unknown X has shape (dim target, dim source); with row-major vec the
@@ -512,7 +480,7 @@ def commutant_hom_dimension(source_mats: Sequence[np.ndarray],
         rows.append(np.kron(np.eye(dc), np.asarray(mv, dtype=float).T) -
                     np.kron(np.asarray(mc, dtype=float), np.eye(dv)))
     stacked = np.concatenate(rows, axis=0)
-    return stacked.shape[1] - numerics.rank(stacked, rel_tol)
+    return stacked.shape[1] - numerics.rank(stacked)
 
 
 def hom_dimension_check(ctx_rep: Sequence[np.ndarray],

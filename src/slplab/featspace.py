@@ -10,8 +10,8 @@ feature span; the lift is computed by minimum-norm least squares, which fixes
 the operator to zero off the span.
 
 A FeatureMap holds a read-only copy of its matrix and caches its query index
-and one SVD (`numerics.Spectrum`) per relative tolerance, so the kernel, the
-span basis and every lift of one map read a single factorization.
+and one SVD (`numerics.Spectrum`), so the kernel, the span basis and every
+lift of one map read a single factorization.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class FeatureMap:
     queries: tuple[Query, ...]
     matrix: np.ndarray
     _index: dict = field(init=False, repr=False, compare=False)
-    _spectra: dict = field(init=False, repr=False, compare=False)
+    _spectrum: numerics.Spectrum | None = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix)   # a copy: the caches below depend on it
@@ -56,7 +57,7 @@ class FeatureMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_index",
                            {q: i for i, q in enumerate(self.queries)})
-        object.__setattr__(self, "_spectra", {})
+        object.__setattr__(self, "_spectrum", None)
 
     @property
     def dim(self) -> int:
@@ -66,13 +67,12 @@ class FeatureMap:
         """Query -> row position; the cached dict, not to be modified."""
         return self._index
 
-    def spectrum(self, rel_tol: float = numerics.REL_TOL) -> numerics.Spectrum:
-        """The matrix's SVD at `rel_tol`, computed on first use."""
-        spec = self._spectra.get(rel_tol)
-        if spec is None:
-            spec = self._spectra[rel_tol] = numerics.Spectrum(self.matrix,
-                                                              rel_tol)
-        return spec
+    def spectrum(self) -> numerics.Spectrum:
+        """The matrix's SVD, computed on first use."""
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum",
+                               numerics.Spectrum(self.matrix))
+        return self._spectrum
 
     def row(self, q: Query) -> np.ndarray:
         return self.matrix[self.index()[q]]
@@ -138,8 +138,7 @@ def representative_matrix(fmap: FeatureMap,
     return fmap.matrix[[idx[f.representative] for f in families]]
 
 
-def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily],
-              rel_tol: float = numerics.REL_TOL) -> Report:
+def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily]) -> Report:
     """Rank of the representative submatrix must equal the family count.
 
     Also reports the rank of the full orbit matrix (equal under equivariance)
@@ -147,9 +146,9 @@ def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily],
     """
     reps = representative_matrix(fmap, families)
     sv = numerics.singular_values(reps)
-    threshold = numerics.rank_threshold(reps, rel_tol)
+    threshold = numerics.rank_threshold(reps)
     rep_rank = int(np.sum(sv > threshold))
-    full_rank = numerics.rank(fmap.matrix, rel_tol)
+    full_rank = numerics.rank(fmap.matrix)
     n_fam = len(families)
     return Report(
         check="slp_rank",
@@ -161,14 +160,14 @@ def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily],
     )
 
 
-def kernel(fmap: FeatureMap, rel_tol: float = numerics.REL_TOL) -> KernelBasis:
+def kernel(fmap: FeatureMap) -> KernelBasis:
     """Null space of the map from query coordinates to feature space.
 
     The map sends the unit vector of q to row(q); its matrix is the transpose
     of the feature matrix, so kernel vectors are coefficient vectors over
     queries whose weighted feature sum vanishes.
     """
-    spec = fmap.spectrum(rel_tol)
+    spec = fmap.spectrum()
     basis, tol = spec.kernel_basis, spec.span_threshold
     if np.any(spec.kernel_residuals > tol):
         raise AssertionError("kernel basis vector fails the residual bound")
@@ -177,25 +176,25 @@ def kernel(fmap: FeatureMap, rel_tol: float = numerics.REL_TOL) -> KernelBasis:
 
 def check_family_kernel_decomposition(fmap: FeatureMap,
                                       families: Sequence[LogicalFamily],
-                                      algebra: RelationAlgebra,
-                                      rel_tol: float = numerics.REL_TOL) -> Report:
-    """Each kernel vector's restriction to a single family must stay in the kernel."""
+                                      algebra: RelationAlgebra) -> Report:
+    """Each kernel vector's restriction to a single family must stay in the kernel.
+
+    Restrictions that are all zero are skipped; the rest are checked one
+    family at a time, all kernel vectors in one matmul.
+    """
     idx = fmap.index()
-    ker = kernel(fmap, rel_tol)
+    ker = kernel(fmap)
     tol = ker.tol
     worst = 0.0
     violations = 0
-    for v in ker.basis:
-        for fam in families:
-            block = np.zeros_like(v)
-            for q in fam.members:
-                block[idx[q]] = v[idx[q]]
-            if not np.any(block):
-                continue
-            dev = float(np.linalg.norm(fmap.matrix.T @ block))
-            worst = max(worst, dev)
-            if dev > tol:
-                violations += 1
+    for fam in families:
+        rows = [idx[q] for q in fam.members]
+        restricted = ker.basis[:, rows]
+        devs = np.linalg.norm(restricted @ fmap.matrix[rows], axis=1)
+        devs = devs[np.any(restricted != 0.0, axis=1)]
+        if devs.size:
+            worst = max(worst, float(np.max(devs)))
+        violations += int(np.sum(devs > tol))
     return Report(
         check="family_kernel_decomposition",
         passed=violations == 0,
@@ -215,8 +214,7 @@ def _query_permutation(fmap: FeatureMap, g: GroupElementH,
 
 
 def lift_renaming(fmap: FeatureMap, g: GroupElementH,
-                  algebra: RelationAlgebra,
-                  rel_tol: float = numerics.REL_TOL) -> LiftedOperator:
+                  algebra: RelationAlgebra) -> LiftedOperator:
     """Descend a renaming to feature space; min-norm, zero off the span.
 
     Requires the renaming to preserve the kernel of the coordinate-to-feature
@@ -225,7 +223,7 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     or rank-deficient map).
     """
     perm = _query_permutation(fmap, g, algebra)
-    ker = kernel(fmap, rel_tol)
+    ker = kernel(fmap)
     # row i of `moved` is kernel vector i carried along the renaming
     moved = np.empty_like(ker.basis)
     moved[:, perm] = ker.basis
@@ -234,7 +232,7 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
             f"renaming {g} does not preserve the kernel")
     targets = fmap.matrix[perm]
     # min-norm solution of  matrix @ X = targets, lifted operator is X^T
-    x = fmap.spectrum(rel_tol).pinv @ targets
+    x = fmap.spectrum().pinv @ targets
     residual = float(np.max(np.abs(fmap.matrix @ x - targets))) if targets.size else 0.0
     return LiftedOperator(source=g, matrix=x.T, residual=residual)
 
@@ -345,7 +343,6 @@ def load_feature_map(path: str | Path,
     return FeatureMap(queries, matrix), algebra
 
 
-def feature_span_basis(fmap: FeatureMap,
-                       rel_tol: float = numerics.REL_TOL) -> np.ndarray:
+def feature_span_basis(fmap: FeatureMap) -> np.ndarray:
     """Orthonormal basis (rows) of the feature span."""
-    return fmap.spectrum(rel_tol).span_basis
+    return fmap.spectrum().span_basis

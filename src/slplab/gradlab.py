@@ -31,7 +31,8 @@ import numpy as np
 from . import numerics
 from .factorize import BlockSpec, FactorizedMap, build_slp_map
 from .queryspace import LogicalOp, Query, apply_logical
-from .relalg import EntitySet, RelationAlgebra, close_unary, random_relation
+from .relalg import (EntitySet, RelationAlgebra, close_unary,
+                     random_base_relations)
 
 BLOCK_NAMES = ("emb", "hidden", "head", "all")
 
@@ -70,16 +71,8 @@ def generate_kb(entity_count: int, base_relations: int, density: float,
     if not 0.0 < density < 1.0:
         raise ValueError("density must be strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    entity_set = EntitySet.of_size(entity_count)
-    relations = []
-    for i in range(base_relations):
-        rel = random_relation(entity_set, rng, density, name=f"r{i}")
-        if rel.is_empty() or rel.is_full():
-            rel = random_relation(entity_set, rng, density, name=f"r{i}")
-        if rel.is_empty() or rel.is_full():
-            raise ValueError(f"relation r{i} degenerate after one redraw; "
-                             "adjust density or entity count")
-        relations.append(rel)
+    relations = random_base_relations(EntitySet.of_size(entity_count), rng,
+                                      base_relations, density)
     algebra = close_unary(relations)
     facts = []
     partners = []
@@ -152,10 +145,9 @@ def make_mlp(kb: SyntheticKB, hidden: int, embed_dim: int, seed: int) -> ScorerM
     return ScorerModel("mlp", params, kb.algebra, coding, len(reps))
 
 
-def make_slp_linear(kb: SyntheticKB, context_dim: int, seed: int,
-                    terms: int = 1) -> ScorerModel:
-    """Linear scorer over a seeded equivariant feature build."""
-    fmap = build_slp_map(kb.algebra, [BlockSpec(context_dim, terms, None)], seed)
+def make_slp_linear(kb: SyntheticKB, context_dim: int, seed: int) -> ScorerModel:
+    """Linear scorer over a seeded equivariant feature build of one term."""
+    fmap = build_slp_map(kb.algebra, [BlockSpec(context_dim)], seed)
     rng = np.random.default_rng(seed + 1)
     d = fmap.feature_map.dim
     params = {"theta": rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=d)}
@@ -242,25 +234,12 @@ class TrainResult:
     accuracy: float
 
 
-def train(model: ScorerModel, kb: SyntheticKB, epochs: int, lr: float,
-          seed: int | None = None) -> TrainResult:
+def train(model: ScorerModel, kb: SyntheticKB, epochs: int,
+          lr: float) -> TrainResult:
     """Deterministic full-batch gradient descent on the logistic loss.
 
-    `seed` re-initializes the parameters with the standard seeded scheme
-    before training; omit it to continue from the model's current state.
+    Training continues from the model's current parameters.
     """
-    if seed is not None:
-        if model.arch == "mlp":
-            rng = np.random.default_rng(seed)
-            hidden = model.params["hidden_w"].shape[0]
-            embed_dim = model.params["emb"].shape[0]
-            model = replace(model, params=_init_mlp_params(
-                model.input_dim, embed_dim, hidden, rng))
-        else:
-            rng = np.random.default_rng(seed)
-            d = model.params["theta"].shape[0]
-            model = replace(model, params={
-                "theta": rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=d)})
     data = kb.training_set()
     queries = [q for q, _ in data]
     y = np.array([1.0 if label else -1.0 for _, label in data])
@@ -446,9 +425,10 @@ def edit_step(model: ScorerModel, q: Query, eta: float,
     )
 
 
-def finite_difference_gradient(model: ScorerModel, q: Query, block: str,
-                               step: float = numerics.FD_STEP) -> np.ndarray:
+def finite_difference_gradient(model: ScorerModel, q: Query,
+                               block: str) -> np.ndarray:
     """Central-difference oracle over the block's flattened parameters."""
+    step = numerics.FD_STEP
     g = gradient(model, q, block)
     out = np.zeros_like(g)
     unit = np.zeros_like(g)

@@ -1,12 +1,15 @@
 """Shared tolerances and dense linear-algebra helpers.
 
-All rank and null-space decisions in the package go through this module, so
-that the tolerance convention is stated once: singular values are compared
-against REL_TOL times a reference scale of the matrix under inspection.  The
-scale is the largest Euclidean row norm of the matrix that is decomposed
-(`rank_threshold`).  A feature map's kernel is the null space of the
-transposed map, so its rank is decided at the largest column norm; see
-`Spectrum` for the two thresholds a feature map uses.
+The constants below are the package's numerical tolerances, and no rank,
+null-space, projector or finite-difference helper takes another.  All rank
+and null-space decisions go through this module: singular values are
+compared against REL_TOL times a reference scale of the matrix under
+inspection.  The scale is the largest Euclidean row norm of the matrix that
+is decomposed (`rank_threshold`).  A feature map's kernel is the null space
+of the transposed map, so its rank is decided at the largest column norm;
+see `Spectrum` for the two thresholds a feature map uses.  Projector
+identities are checked to PROJECTOR_TOL and finite-difference gradients
+step by FD_STEP.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ def row_scale(matrix: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(m, axis=1)))
 
 
-def rank_threshold(matrix: np.ndarray, rel_tol: float = REL_TOL) -> float:
-    return rel_tol * max(row_scale(matrix), 1e-300)
+def rank_threshold(matrix: np.ndarray) -> float:
+    return REL_TOL * max(row_scale(matrix), 1e-300)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -41,13 +44,13 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(matrix: np.ndarray, rel_tol: float = REL_TOL) -> int:
+def rank(matrix: np.ndarray) -> int:
     """Numerical rank at the package-wide relative threshold."""
     sv = singular_values(matrix)
-    return int(np.sum(sv > rank_threshold(matrix, rel_tol)))
+    return int(np.sum(sv > rank_threshold(matrix)))
 
 
-def nullspace(matrix: np.ndarray, rel_tol: float = REL_TOL) -> np.ndarray:
+def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space, one vector per row.
 
     Returns an array of shape (nullity, ncols); empty (0, ncols) when the
@@ -58,7 +61,7 @@ def nullspace(matrix: np.ndarray, rel_tol: float = REL_TOL) -> np.ndarray:
         ncols = m.shape[1] if m.ndim == 2 else 0
         return np.eye(ncols)
     _, sv, vt = np.linalg.svd(m, full_matrices=True)
-    tol = rank_threshold(m, rel_tol)
+    tol = rank_threshold(m)
     r = int(np.sum(sv > tol))
     return vt[r:]
 
@@ -81,10 +84,10 @@ class Spectrum:
     bases and the pseudo-inverse are derived from them on first use.  Two
     thresholds decide the rank, the same two that the per-caller SVDs used:
 
-    - `kernel_threshold` is rank_threshold(m.T), rel_tol times the largest
+    - `kernel_threshold` is rank_threshold(m.T), REL_TOL times the largest
       column norm of m.  It decides `kernel_rank`, and with it
       `kernel_basis`, the null space of m.T.
-    - `span_threshold` is rank_threshold(m), rel_tol times the largest row
+    - `span_threshold` is rank_threshold(m), REL_TOL times the largest row
       norm of m.  It decides `span_rank`, and with it `span_basis` and
       `pinv`; it also bounds the residual of every kernel vector.
 
@@ -93,14 +96,14 @@ class Spectrum:
     out can write into them.
     """
 
-    def __init__(self, matrix: np.ndarray, rel_tol: float = REL_TOL) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = np.asarray(matrix, dtype=float)
         self.u, self.sv, self.vt = np.linalg.svd(self.matrix,
                                                  full_matrices=True)
         for factor in (self.u, self.sv, self.vt):
             factor.flags.writeable = False
-        self.kernel_threshold = rank_threshold(self.matrix.T, rel_tol)
-        self.span_threshold = rank_threshold(self.matrix, rel_tol)
+        self.kernel_threshold = rank_threshold(self.matrix.T)
+        self.span_threshold = rank_threshold(self.matrix)
         self.kernel_rank = int(np.sum(self.sv > self.kernel_threshold))
         self.span_rank = int(np.sum(self.sv > self.span_threshold))
 
@@ -135,17 +138,17 @@ class Spectrum:
         return pinv
 
 
-def projector_trace_dim(matrix: np.ndarray, tol: float = PROJECTOR_TOL) -> int:
+def projector_trace_dim(matrix: np.ndarray) -> int:
     """Image dimension of an (approximate) projector: its rounded trace.
 
     A self-scaled rank threshold misreads a numerically-zero projector as
     full rank, so projector dimensions go through the trace, which equals the
-    rank exactly for true projectors.  The trace must sit within tol of an
-    integer.
+    rank exactly for true projectors.  The trace must sit within
+    PROJECTOR_TOL of an integer.
     """
     tr = float(np.trace(np.asarray(matrix, dtype=float)))
     dim = round(tr)
-    if abs(tr - dim) > tol:
+    if abs(tr - dim) > PROJECTOR_TOL:
         raise ValueError(f"trace {tr} is not near an integer; not a projector")
     return int(dim)
 

@@ -177,24 +177,14 @@ def family_index(families: Iterable[LogicalFamily]) -> dict[Query, int]:
     return idx
 
 
-def symmetric_group(n: int, sample: int | None = None,
-                    rng=None) -> list[tuple[int, ...]]:
-    """Entity permutations: materialized for n <= 5, seeded sample above.
+def symmetric_group(n: int) -> list[tuple[int, ...]]:
+    """All entity permutations, materialized; n <= 5 only.
 
-    For n > 5 the full group is too large for exhaustive sweeps, so `sample`
-    and `rng` are required and that many draws (with the identity prepended)
-    are returned.
+    Above n = 5 the group is too large for the exhaustive sweeps that use it.
     """
-    if n <= 5:
-        return [tuple(p) for p in itertools.permutations(range(n))]
-    if sample is None or rng is None:
-        raise ValueError("n > 5 requires sample and rng")
-    perms = [tuple(range(n))]
-    for _ in range(sample):
-        p = list(range(n))
-        rng.shuffle(p)
-        perms.append(tuple(p))
-    return perms
+    if n > 5:
+        raise ValueError("symmetric_group materializes Sym(n); n <= 5 only")
+    return [tuple(p) for p in itertools.permutations(range(n))]
 
 
 def families_to_json(families: Iterable[LogicalFamily]) -> list[dict]:

@@ -233,6 +233,25 @@ def random_relation(entity_set: EntitySet, rng, density: float = 0.5,
     return Relation(entity_set, bits, name)
 
 
+def random_base_relations(entity_set: EntitySet, rng, count: int,
+                          density: float) -> list[Relation]:
+    """Seeded relations r0 .. r(count-1), none of them empty or full.
+
+    A degenerate draw is redrawn once.  A second degenerate draw raises
+    ValueError: the entity count and density make a proper relation unlikely.
+    """
+    relations = []
+    for i in range(count):
+        rel = random_relation(entity_set, rng, density, name=f"r{i}")
+        if rel.is_empty() or rel.is_full():
+            rel = random_relation(entity_set, rng, density, name=f"r{i}")
+        if rel.is_empty() or rel.is_full():
+            raise ValueError(f"relation r{i} degenerate after one redraw; "
+                             "adjust density or entity count")
+        relations.append(rel)
+    return relations
+
+
 def load_relations(source: str | Path | dict) -> tuple[EntitySet, list[Relation]]:
     """Read {"entities": [...], "relations": {name: [[h, t], ...]}} JSON.
 

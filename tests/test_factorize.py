@@ -154,6 +154,37 @@ def test_pair_space_rep_is_permutation_homomorphism():
             assert np.array_equal(table[p] @ table[q], table[composed])
 
 
+def test_permutation_matrices_equal_the_entrywise_construction():
+    # reference: each 0/1 matrix written entry by entry from its definition
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4):
+        perms = symmetric_group(n)
+        for perm, mat in zip(perms, pair_space_representation(n, perms)):
+            ref = np.zeros((n * n, n * n))
+            for h, t in itertools.product(range(n), repeat=2):
+                ref[perm[h] * n + perm[t], h * n + t] = 1.0
+            assert np.array_equal(mat, ref)
+        ref = np.zeros((n * n, n * n))
+        for h, t in itertools.product(range(n), repeat=2):
+            ref[t * n + h, h * n + t] = 1.0
+        assert np.array_equal(pair_swap_matrix(n), ref)
+        if n < 2:
+            continue
+        for n_rel in (1, 2):
+            entity_set = EntitySet.of_size(n)
+            algebra = close_unary([random_proper_relation(entity_set, rng)
+                                   for _ in range(n_rel)])
+            size = algebra.size
+            neg_ref, conv_ref = np.zeros((size, size)), np.zeros((size, size))
+            for r in range(size):
+                neg_ref[algebra.neg(r), r] = 1.0
+                conv_ref[algebra.conv(r), r] = 1.0
+            eye, neg = relation_sign_representation(algebra)
+            assert np.array_equal(eye, np.eye(size))
+            assert np.array_equal(neg, neg_ref)
+            assert np.array_equal(relation_converse_matrix(algebra), conv_ref)
+
+
 # -------------------------------------------------------------- parity split
 
 def test_pair_swap_split_dims_n2():

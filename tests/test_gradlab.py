@@ -280,17 +280,6 @@ def test_training_is_deterministic(kb, mlp):
         assert np.array_equal(a.model.params[key], b.model.params[key])
 
 
-def test_train_seed_reinitializes(kb):
-    # two differently initialized models, trained with the same seed, agree
-    m1 = make_mlp(kb, hidden=8, embed_dim=8, seed=100)
-    m2 = make_mlp(kb, hidden=8, embed_dim=8, seed=200)
-    r1 = train(m1, kb, epochs=10, lr=0.5, seed=7)
-    r2 = train(m2, kb, epochs=10, lr=0.5, seed=7)
-    assert r1.losses == r2.losses
-    for key in r1.model.params:
-        assert np.array_equal(r1.model.params[key], r2.model.params[key])
-
-
 def test_both_architectures_fit_the_kb(kb, mlp, slp):
     res_mlp = train(mlp, kb, epochs=300, lr=0.5)
     assert res_mlp.losses[-1] < res_mlp.losses[0]

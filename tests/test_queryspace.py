@@ -192,16 +192,6 @@ def test_symmetric_group_materializes_small_n():
         symmetric_group(6)
 
 
-def test_symmetric_group_sampled_above_5():
-    import numpy as np
-    rng = np.random.default_rng(0)
-    sample = symmetric_group(6, sample=10, rng=rng)
-    assert len(sample) == 11  # identity prepended to the draws
-    assert sample[0] == tuple(range(6))
-    for p in sample:
-        assert sorted(p) == list(range(6))
-
-
 def test_families_to_json_shape(algebra_2):
     families = compute_families(algebra_2)
     doc = families_to_json(families)

@@ -1,12 +1,18 @@
 """Report schema round trips and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slplab.cli import main
 from slplab.reports import Report, emit_report, parse_report, render_report
@@ -118,12 +124,85 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("fit-bilinear", "--atoms", "0", "--out", str(out_path)),
         ("isotypic", "--context-dim", "0", "--out", str(out_path)),
         ("relalg-laws", "--pairs", "-5", "--out", str(out_path)),
+        # both draws of r0 are empty at this density: a usage error
+        ("families", "--entities", "2", "--density", "0.01",
+         "--out", str(out_path)),
+        ("collapse", "--seed", "-1", "--out", str(out_path)),
     ]
     for argv in cases:
         code = main(list(argv))
         capsys.readouterr()
         assert code == 2, argv
         assert not out_path.exists(), argv
+
+
+def _required(flag, values):
+    """The flag with one of `values`."""
+    return st.sampled_from(values).map(lambda v: (flag, str(v)))
+
+
+def _option(flag, values):
+    """Either no flag or the flag with one of `values`."""
+    return st.one_of(st.just(()), _required(flag, values))
+
+
+def _switch(*flags):
+    return st.sampled_from([()] + [(f,) for f in flags])
+
+
+def _command(name, *parts):
+    return st.tuples(st.just((name,)), *parts).map(
+        lambda groups: tuple(arg for group in groups for arg in group))
+
+
+_SIZES = range(-1, 4)
+_DENSITIES = (-0.5, 0.0, 0.01, 0.3, 0.5, 0.9, 1.0, 1.5, "x")
+_SEEDS = (-1, 0, 1, 2)
+
+CLI_ARGVS = st.one_of(
+    _command("families", _option("--entities", range(-1, 5)),
+             _option("--relations", _SIZES), _option("--density", _DENSITIES),
+             _option("--seed", _SEEDS)),
+    # the default 10^4 pairs would take a second; both counts are always set
+    _command("relalg-laws", _option("--entities", _SIZES),
+             _required("--pairs", range(-2, 30)),
+             _required("--triples", range(-2, 10)), _switch("--exhaustive"),
+             _option("--seed", _SEEDS)),
+    _command("collapse", _option("--atoms", range(-1, 5)),
+             _option("--dim", range(-1, 6)),
+             _switch("--neg-equiv", "--no-neg-equiv"),
+             _option("--tolerance", (0.0, 1e-8, 1.0)),
+             _option("--seed", _SEEDS)),
+    _command("build-slp", _option("--entities", _SIZES),
+             _option("--relations", range(-1, 3)),
+             _option("--density", _DENSITIES),
+             _option("--context-dim", range(-1, 12)),
+             _option("--terms", range(-1, 3)),
+             _option("--parity", ("+", "-", "both", "x")),
+             _option("--fmt", ("json", "csv")),
+             _option("--save", ("map.out",)), _option("--seed", _SEEDS)),
+    _command("kernel-stability", _option("--atoms", _SIZES),
+             _option("--worlds", range(-1, 9)),
+             _option("--depth", _SIZES), _option("--seed", _SEEDS)),
+)
+
+
+@given(argv=CLI_ARGVS)
+@settings(max_examples=150)
+def test_exit_code_contract_over_argument_ranges(argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        out_path = Path(scratch) / "report.json"
+        argv = [Path(scratch, a).as_posix() if a == "map.out" else a
+                for a in argv]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            code = main([*argv, "--out", str(out_path)])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert os.listdir(scratch) == [], argv
+        else:
+            assert out_path.exists(), argv
 
 
 def test_version_flag(capsys):
@@ -151,11 +230,12 @@ def test_explicit_seed_beats_environment(capsys, monkeypatch):
 
 
 def test_garbage_environment_seed_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SLPLAB_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "families", "--entities", "3",
-                           "--relations", "1")
-    assert code == 2
-    assert "SLPLAB_SEED" in err
+    for garbage in ("not-a-number", "-3"):
+        monkeypatch.setenv("SLPLAB_SEED", garbage)
+        code, _, err = run_cli(capsys, "families", "--entities", "3",
+                               "--relations", "1")
+        assert code == 2
+        assert "SLPLAB_SEED" in err
 
 
 def test_same_seed_gives_byte_identical_reports(capsys, tmp_path):
