@@ -22,7 +22,7 @@ from .factorize import (BlockSpec, ConverseInvarianceError, FactorizedMap,
                         Term, TensorBlock, build_slp_map, hom_dimension_check,
                         isotypic_decompose, negation_split, parity_decompose,
                         parity_involution, verify_factorized_form)
-from .conjunction import (Atom, Conj, ConjFeatureAssignment, Neg, atom,
+from .conjunction import (Compound, ConjFeatureAssignment, atom,
                           check_kernel_stability, close_conjunction,
                           collapse_certificate, conj, fit_bilinear, neg,
                           possible_worlds_assignment, unique_witness_reduce)
@@ -44,7 +44,7 @@ __all__ = [
     "TensorBlock", "build_slp_map", "hom_dimension_check",
     "isotypic_decompose", "negation_split", "parity_decompose",
     "parity_involution", "verify_factorized_form",
-    "Atom", "Conj", "ConjFeatureAssignment", "Neg", "atom",
+    "Compound", "ConjFeatureAssignment", "atom",
     "check_kernel_stability", "close_conjunction", "collapse_certificate",
     "conj", "fit_bilinear", "neg", "possible_worlds_assignment",
     "unique_witness_reduce",

@@ -186,7 +186,7 @@ def _cmd_verify_slp(args, parser) -> int:
     families = compute_families(algebra)
     equiv = check_logical_equivariance(fmap, families, algebra, tol=args.tol)
     rank = check_slp(fmap, families)
-    blocks = check_family_kernel_decomposition(fmap, families, algebra)
+    blocks = check_family_kernel_decomposition(fmap, families)
     report = Report(
         check="verify_slp",
         passed=equiv.passed and rank.passed and blocks.passed,
@@ -312,6 +312,28 @@ def _cmd_collapse(args, parser) -> int:
 
 _GRADLAB_KEYS = {"entity_count", "relations", "density", "arch", "hidden",
                  "epochs", "lr", "eta", "seed", "block"}
+# smallest accepted value of each integer key
+_GRADLAB_MINIMA = {"entity_count": 2, "relations": 1, "hidden": 1,
+                   "epochs": 0, "seed": 0}
+
+
+def _check_gradlab_values(config: dict, parser) -> None:
+    """Type and range of every gradlab config value; a bad one is a usage error."""
+    for key, low in _GRADLAB_MINIMA.items():
+        value = config.get(key)
+        if key == "seed" and value is None:
+            continue
+        if type(value) is not int or value < low:
+            parser.error(f"{key} must be an integer >= {low}, got {value!r}")
+    for key in ("density", "lr", "eta"):
+        value = config[key]
+        # rejects bools, strings, NaN, infinities and ints beyond float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            parser.error(f"{key} must be a finite number, got {value!r}")
+    if not 0 < config["density"] < 1:
+        parser.error(f"density must be in (0, 1), got {config['density']!r}")
+    if not config["lr"] > 0:
+        parser.error(f"lr must be positive, got {config['lr']!r}")
 
 
 def _cmd_gradlab(args, parser) -> int:
@@ -319,6 +341,8 @@ def _cmd_gradlab(args, parser) -> int:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {args.config}: {exc}")
+    if not isinstance(config, dict):
+        parser.error("config must be a JSON object")
     unknown = set(config) - _GRADLAB_KEYS
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
@@ -329,6 +353,7 @@ def _cmd_gradlab(args, parser) -> int:
         parser.error(f"arch must be mlp or slp_linear, got {config['arch']!r}")
     if config["block"] not in ("emb", "hidden", "head", "all"):
         parser.error(f"unknown block {config['block']!r}")
+    _check_gradlab_values(config, parser)
     if config.get("seed") is not None and args.seed is not None:
         parser.error("seed given both in config and on the command line")
     seed = config.get("seed")

@@ -1,11 +1,13 @@
 """Conjunctive compounds over atomic queries, and the collapse mechanism.
 
-Compound queries are kept in a normal form that hard-codes the lattice laws:
-conjunct lists are flattened (associativity), sorted under a fixed total
-order (commutativity), deduplicated (idempotence, so p AND p normalizes to
-p), and double negation is eliminated.  Negation is enumerated on atoms only;
-with flattening, every normal form is a literal or a flat conjunction of
-literals, so the closure stabilizes at nesting depth 2.
+A compound query has one normal form, a sorted tuple of distinct literals
+(negated, atom), which hard-codes the lattice laws: conjunction is the union
+of literal sets (associative, commutative, and idempotent, so p AND p
+normalizes to p), and negation flips the sign of one literal, so double
+negation is eliminated.  Negation applies to literals only, so the closure
+of a set of atoms is every nonempty set of its literals and stabilizes at
+depth 2.  Inside a check, each literal of the support gets one bit, and the
+conjunction of two support elements is the bitwise OR of their codes.
 
 The central object downstream is a symmetric bilinear conjunction operator F
 with F(feature(p), feature(q)) = feature(p AND q) on realized pairs.  Fitting
@@ -33,106 +35,64 @@ from .relalg import RelationAlgebra, witnesses
 from .reports import Report
 
 
-@dataclass(frozen=True)
-class Atom:
-    query: Query
+@dataclass(frozen=True, order=True)
+class Compound:
+    """A literal or a conjunction, as a sorted tuple of distinct literals.
 
-    def key(self) -> tuple:
-        return (0, self.query.head, self.query.rel, self.query.tail)
+    A literal is (negated, query).  The field order makes the dataclass
+    order put atoms before negated atoms, literals before conjunctions, and
+    conjunctions in lexicographic order of their literals.
+    """
 
-    @property
-    def depth(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "CompoundQuery"
-
-    def key(self) -> tuple:
-        return (1, self.child.key())
-
-    @property
-    def depth(self) -> int:
-        return self.child.depth
+    is_conj: bool
+    literals: tuple[tuple[bool, Query], ...]
 
 
-@dataclass(frozen=True)
-class Conj:
-    children: tuple["CompoundQuery", ...]
-
-    def key(self) -> tuple:
-        return (2, tuple(c.key() for c in self.children))
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(c.depth for c in self.children)
+def atom(q: Query) -> Compound:
+    return Compound(False, ((False, q),))
 
 
-CompoundQuery = Atom | Neg | Conj
+def neg(x: Compound) -> Compound:
+    """Flip the sign of a literal; negating twice gives the literal back."""
+    if x.is_conj:
+        raise ValueError("negation applies to literals only")
+    ((negated, q),) = x.literals
+    return Compound(False, ((not negated, q),))
 
 
-def atom(q: Query) -> Atom:
-    return Atom(q)
-
-
-def neg(x: CompoundQuery) -> CompoundQuery:
-    """Negation with double-negation elimination."""
-    if isinstance(x, Neg):
-        return x.child
-    return Neg(x)
-
-
-def conj(*items: CompoundQuery) -> CompoundQuery:
-    """Normalized conjunction: flatten, sort, dedup, collapse singletons."""
-    flat: list[CompoundQuery] = []
-    for item in items:
-        if isinstance(item, Conj):
-            flat.extend(item.children)
-        else:
-            flat.append(item)
-    if not flat:
+def conj(*items: Compound) -> Compound:
+    """Normalized conjunction: the sorted union of the inputs' literals."""
+    literals = tuple(sorted({lit for x in items for lit in x.literals}))
+    if not literals:
         raise ValueError("conjunction needs at least one conjunct")
-    unique = {c.key(): c for c in flat}
-    ordered = tuple(unique[k] for k in sorted(unique))
-    if len(ordered) == 1:
-        return ordered[0]
-    return Conj(ordered)
+    return Compound(len(literals) > 1, literals)
 
 
-def is_literal(x: CompoundQuery) -> bool:
-    return isinstance(x, Atom) or (isinstance(x, Neg) and isinstance(x.child, Atom))
+def is_literal(x: Compound) -> bool:
+    return not x.is_conj
 
 
-def close_conjunction(atoms: Sequence[Query], depth: int = 2) -> tuple[CompoundQuery, ...]:
+def close_conjunction(atoms: Sequence[Query], depth: int = 2) -> tuple[Compound, ...]:
     """Normal-form closure of the atoms under negation and conjunction.
 
     Level 1 holds the literals (atoms and negated atoms); level 2 holds all
-    flat conjunctions of two or more distinct literals.  Because normal forms
-    flatten nested conjunctions, any depth bound >= 2 closes to the same set;
-    the bound is still honored literally for depth 1.
+    conjunctions of two or more distinct literals.  Because a conjunction of
+    conjunctions is again a literal set, any depth bound >= 2 closes to the
+    same set; the bound is still honored literally for depth 1.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    seen_atoms: dict[tuple, Query] = {}
-    for q in atoms:
-        seen_atoms.setdefault((q.head, q.rel, q.tail), q)
-    literals: list[CompoundQuery] = []
-    for q in seen_atoms.values():
-        literals.append(atom(q))
-        literals.append(neg(atom(q)))
-    literals.sort(key=lambda x: x.key())
-    out = list(literals)
+    literals = sorted({(negated, q) for q in atoms for negated in (False, True)})
+    out = [Compound(False, (lit,)) for lit in literals]
     if depth >= 2:
-        for size in range(2, len(literals) + 1):
-            for combo in itertools.combinations(literals, size):
-                out.append(conj(*combo))
-    out.sort(key=lambda x: x.key())
+        out += [Compound(True, combo) for size in range(2, len(literals) + 1)
+                for combo in itertools.combinations(literals, size)]
+    out.sort()
     return tuple(out)
 
 
 def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
-                          head: int, tail: int) -> tuple[CompoundQuery | None, int]:
+                          head: int, tail: int) -> tuple[Compound | None, int]:
     """Rewrite a composed query as a conjunction when the witness is unique.
 
     (head, r;s, tail) holds through a middle entity b; with exactly one such
@@ -144,6 +104,24 @@ def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
         return None, len(mids)
     b = next(iter(mids))
     return conj(atom(Query(head, rel_r, b)), atom(Query(b, rel_s, tail))), 1
+
+
+def _pair_images(order: Sequence[Compound], a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """Support index of conj(order[a], order[b]), or -1 outside the support.
+
+    Each distinct literal of the support gets one bit, so a compound is an
+    int64 code and a conjunction is the bitwise OR of two codes.
+    """
+    literals = sorted({lit for x in order for lit in x.literals})
+    bits = {lit: 1 << i for i, lit in enumerate(literals)}
+    codes = np.array([sum(bits[lit] for lit in x.literals) for x in order],
+                     dtype=np.int64)
+    sorter = np.argsort(codes)
+    want = codes[a] | codes[b]
+    pos = np.minimum(np.searchsorted(codes, want, sorter=sorter), len(codes) - 1)
+    found = sorter[pos]
+    return np.where(codes[found] == want, found, -1)
 
 
 @dataclass(frozen=True)
@@ -164,11 +142,13 @@ class ConjFeatureAssignment:
         for k, v in clean.items():
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite feature for {k}")
+        if len({lit for x in clean for lit in x.literals}) > 63:
+            raise ValueError("a support holds at most 63 distinct literals")
         return cls(clean, next(iter(dims))[0])
 
     @property
-    def order(self) -> tuple[CompoundQuery, ...]:
-        return tuple(sorted(self.features, key=lambda x: x.key()))
+    def order(self) -> tuple[Compound, ...]:
+        return tuple(sorted(self.features))
 
     def matrix(self) -> np.ndarray:
         return np.stack([self.features[p] for p in self.order])
@@ -190,37 +170,25 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     map to zero features.
     """
     order = assignment.order
-    index = {p: i for i, p in enumerate(order)}
     matrix = assignment.matrix()
     kernel = assignment_kernel(assignment)
     tol = numerics.rank_threshold(matrix)
+    index = np.arange(len(order))
+    images = _pair_images(order, index[:, None], index)
+    missing = np.count_nonzero(images < 0, axis=1)
+    skipped_contexts = int(np.count_nonzero(missing))
+    skipped_pairs = int(missing.sum())
     worst = 0.0
     violations = []
-    skipped_contexts = 0
-    skipped_pairs = 0
     checked = 0
-    for q in order:
-        images = np.empty(len(order), dtype=int)
-        missing = 0
-        for i, p in enumerate(order):
-            img = conj(p, q)
-            j = index.get(img, -1)
-            if j < 0:
-                missing += 1
-            images[i] = j
-        if missing:
-            skipped_contexts += 1
-            skipped_pairs += missing
-            continue
-        mapped = np.zeros_like(kernel)
-        for i in range(len(order)):
-            mapped[:, images[i]] += kernel[:, i]
-        residuals = np.linalg.norm(mapped @ matrix, axis=1)
+    for c in np.flatnonzero(missing == 0):
+        # kernel @ substitution @ matrix, the substitution applied as a row gather
+        residuals = np.linalg.norm(kernel @ matrix[images[c]], axis=1)
         checked += kernel.shape[0]
         dev = float(np.max(residuals)) if residuals.size else 0.0
         worst = max(worst, dev)
         if dev > tol:
-            violations.append({"context": repr(q), "residual": dev})
+            violations.append({"context": repr(order[c]), "residual": dev})
     return Report(
         check="kernel_stability",
         passed=not violations,
@@ -266,9 +234,8 @@ def _triangle_design(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def _triangle_tensor(x: np.ndarray, d: int) -> np.ndarray:
     rows_idx, cols_idx = np.triu_indices(d)
     tensor = np.zeros((d, d, d))
-    for c in range(d):
-        tensor[c, rows_idx, cols_idx] = x[:, c]
-        tensor[c, cols_idx, rows_idx] = x[:, c]
+    tensor[:, rows_idx, cols_idx] = x.T
+    tensor[:, cols_idx, rows_idx] = x.T
     return tensor
 
 
@@ -291,21 +258,13 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     fit whose predictions must agree on every realized pair.
     """
     order = assignment.order
-    index = {p: i for i, p in enumerate(order)}
     matrix = assignment.matrix()
-    ii, jj, kk = [], [], []
-    skipped = 0
-    for a in range(len(order)):
-        for b in range(a, len(order)):
-            img = conj(order[a], order[b])
-            k = index.get(img, -1)
-            if k < 0:
-                skipped += 1
-                continue
-            ii.append(a)
-            jj.append(b)
-            kk.append(k)
-    if not ii:
+    aa, bb = np.triu_indices(len(order))
+    images = _pair_images(order, aa, bb)
+    realized = images >= 0
+    ii, jj, kk = aa[realized], bb[realized], images[realized]
+    skipped = len(aa) - len(ii)
+    if not ii.size:
         raise ValueError("no realized conjunction pairs inside the support")
     us, vs, ws = matrix[ii], matrix[jj], matrix[kk]
     d = assignment.dim
@@ -318,7 +277,7 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     # independent parameterization: full d*d coefficients, symmetrized after
     design_full = (us[:, :, None] * vs[:, None, :]).reshape(len(ii), d * d)
     x_full = numerics.minnorm_lstsq(design_full, ws)
-    tensor_full = np.stack([x_full[:, c].reshape(d, d) for c in range(d)])
+    tensor_full = x_full.T.reshape(d, d, d)
     tensor_full = (tensor_full + tensor_full.transpose(0, 2, 1)) / 2.0
     other = BilinearOperator(tensor_full)
     gap = float(np.max(np.abs(operator.apply_batch(us, vs) -
@@ -395,14 +354,10 @@ def possible_worlds_assignment(n_atoms: int, n_worlds: int, seed: int,
     atoms = tuple(Query(0, i, 0) for i in range(n_atoms))
     truth = rng.integers(0, 2, size=(n_atoms, n_worlds)).astype(float)
 
-    def evaluate(x: CompoundQuery) -> np.ndarray:
-        if isinstance(x, Atom):
-            return truth[x.query.rel]
-        if isinstance(x, Neg):
-            return 1.0 - evaluate(x.child)
+    def evaluate(x: Compound) -> np.ndarray:
         prod = np.ones(n_worlds)
-        for child in x.children:
-            prod = prod * evaluate(child)
+        for negated, q in x.literals:
+            prod = prod * (1.0 - truth[q.rel] if negated else truth[q.rel])
         return prod
 
     closure = close_conjunction(atoms, depth)

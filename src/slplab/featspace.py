@@ -175,8 +175,7 @@ def kernel(fmap: FeatureMap) -> KernelBasis:
 
 
 def check_family_kernel_decomposition(fmap: FeatureMap,
-                                      families: Sequence[LogicalFamily],
-                                      algebra: RelationAlgebra) -> Report:
+                                      families: Sequence[LogicalFamily]) -> Report:
     """Each kernel vector's restriction to a single family must stay in the kernel.
 
     Restrictions that are all zero are skipped; the rest are checked one

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slplab.conjunction import (Atom, Conj, ConjFeatureAssignment, Neg, atom,
-                                check_kernel_stability, close_conjunction,
-                                collapse_certificate, conj, fit_bilinear,
-                                is_literal, neg, possible_worlds_assignment,
+from slplab.conjunction import (Compound, ConjFeatureAssignment, _pair_images,
+                                atom, check_kernel_stability,
+                                close_conjunction, collapse_certificate, conj,
+                                fit_bilinear, is_literal, neg,
+                                possible_worlds_assignment,
                                 unique_witness_reduce)
 from slplab.queryspace import Query
 from slplab.relalg import EntitySet, Relation, close_unary
@@ -54,14 +55,20 @@ def test_conj_requires_a_conjunct():
 @given(literal_strategy(), literal_strategy(), literal_strategy())
 def test_normal_forms_are_flat_sorted_literal_lists(a, b, c):
     x = conj(a, b, c)
-    if isinstance(x, Conj):
-        keys = [child.key() for child in x.children]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-        assert all(is_literal(child) for child in x.children)
-        assert x.depth == 2
-    else:
-        assert is_literal(x)
+    assert isinstance(x, Compound)
+    assert list(x.literals) == sorted(set(x.literals))
+    assert set(x.literals) == set(a.literals + b.literals + c.literals)
+    assert all(isinstance(negated, bool) and isinstance(q, Query)
+               for negated, q in x.literals)
+    assert x.is_conj == (len(x.literals) > 1) == (not is_literal(x))
+
+
+def test_neg_of_a_conjunction_raises():
+    p, q = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
+    with pytest.raises(ValueError):
+        neg(conj(p, q))
+    with pytest.raises(ValueError):
+        neg(conj(p, neg(p)))
 
 
 # -------------------------------------------------------------------- closure
@@ -88,7 +95,8 @@ def test_depth_two_already_closed():
     two = close_conjunction(atoms, depth=2)
     assert close_conjunction(atoms, depth=3) == two
     assert close_conjunction(atoms, depth=5) == two
-    assert all(x.depth <= 2 for x in two)
+    # flat: a literal holds one literal, a conjunction two or more
+    assert all(x.is_conj == (len(x.literals) > 1) for x in two)
     closed_under_conj = {conj(p, q) for p, q in itertools.product(two, two)}
     assert closed_under_conj <= set(two)
 
@@ -105,6 +113,38 @@ def test_depth_one_keeps_literals_only():
 def test_duplicate_atoms_collapse_in_closure():
     p = Query(0, 0, 0)
     assert close_conjunction([p, p]) == close_conjunction([p])
+
+
+def test_closure_order_at_two_atoms():
+    a, b = Query(0, 0, 0), Query(0, 1, 0)
+    A, B, nA, nB = (False, a), (False, b), (True, a), (True, b)
+    expected = [
+        (A,), (B,), (nA,), (nB,),
+        (A, B), (A, B, nA), (A, B, nA, nB), (A, B, nB),
+        (A, nA), (A, nA, nB), (A, nB),
+        (B, nA), (B, nA, nB), (B, nB),
+        (nA, nB),
+    ]
+    closure = close_conjunction([b, a])
+    assert [x.literals for x in closure] == expected
+    assert [x.is_conj for x in closure] == [False] * 4 + [True] * 11
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_images_match_the_closure_index(k):
+    order = list(close_conjunction([Query(0, i, 0) for i in range(k)]))
+    n = len(order)
+    a, b = np.divmod(np.arange(n * n), n)
+    images = _pair_images(order, a, b)
+    assert images.tolist() == [order.index(conj(order[i], order[j]))
+                               for i, j in zip(a, b)]
+
+
+def test_pair_images_outside_the_support_are_minus_one():
+    p, q = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
+    order = [p, q, neg(p)]
+    images = _pair_images(order, np.array([0, 0, 0, 1]), np.array([0, 1, 2, 1]))
+    assert images.tolist() == [0, -1, -1, 1]
 
 
 # ------------------------------------------------------------ witness rewrite
@@ -238,6 +278,19 @@ def test_assignment_validation():
         ConjFeatureAssignment.build({p: np.array([np.nan, 0.0])})
     with pytest.raises(ValueError):
         ConjFeatureAssignment.build({p: np.eye(2)})
+
+
+def test_assignment_rejects_more_than_63_literals():
+    atoms = [atom(Query(0, i, 0)) for i in range(32)]
+    literals = atoms + [neg(x) for x in atoms]
+    assert len(literals) == 64
+    with pytest.raises(ValueError, match="63"):
+        ConjFeatureAssignment.build({x: np.ones(1) for x in literals})
+    assignment = ConjFeatureAssignment.build(
+        {x: np.ones(1) for x in literals[:63]})
+    # the 63rd literal takes the top bit of a positive int64 code
+    index = np.arange(63)
+    assert _pair_images(assignment.order, index, index).tolist() == list(range(63))
 
 
 # ----------------------------------------------------------------- collapse

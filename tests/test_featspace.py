@@ -165,7 +165,7 @@ def test_kernel_vectors_annihilate_features(algebra_3):
 def test_family_kernel_decomposition_holds_for_slp(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 5).feature_map
-    report = check_family_kernel_decomposition(fmap, families, algebra_3)
+    report = check_family_kernel_decomposition(fmap, families)
     assert report.passed
     assert report.details["kernel_dim"] == len(fmap.queries) - len(families)
 
@@ -182,7 +182,7 @@ def test_family_kernel_decomposition_detects_cross_family_dependency(algebra_3):
                        if fam_a.signs[p] == fam_b.signs[q])
         matrix[idx[q]] = 0.5 * matrix[idx[partner]]
     broken = FeatureMap(fmap.queries, matrix)
-    report = check_family_kernel_decomposition(broken, families, algebra_3)
+    report = check_family_kernel_decomposition(broken, families)
     assert not report.passed
     assert report.details["violations"] > 0 or report.max_deviation > 0
 
@@ -191,7 +191,7 @@ def test_empty_kernel_vacuous_pass():
     queries = tuple(Query(0, r, 0) for r in range(3))
     fmap = FeatureMap(queries, np.eye(3))
     families = ()  # no families consulted when the kernel is empty
-    report = check_family_kernel_decomposition(fmap, families, None)
+    report = check_family_kernel_decomposition(fmap, families)
     assert report.passed and report.details["kernel_dim"] == 0
 
 

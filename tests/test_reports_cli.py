@@ -129,6 +129,20 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--out", str(out_path)),
         ("collapse", "--seed", "-1", "--out", str(out_path)),
     ]
+    bad_configs = [
+        {"epochs": "ten"}, {"epochs": -3}, {"epochs": 2.0}, {"epochs": True},
+        {"entity_count": 1}, {"relations": 0}, {"hidden": 0}, {"seed": -1},
+        {"seed": "0"}, {"density": 0.0}, {"density": 1.0}, {"density": None},
+        {"lr": 0.0}, {"lr": -0.1}, {"lr": float("inf")}, {"lr": "0.1"},
+        {"eta": float("nan")}, {"eta": False}, {"eta": 10 ** 400},
+    ]
+    for i, overrides in enumerate(bad_configs):
+        config = write_config(tmp_path / f"bad{i}", **overrides)
+        cases.append(("gradlab", "--config", str(config), "--out", str(out_path)))
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    cases.append(("gradlab", "--config", str(not_an_object),
+                  "--out", str(out_path)))
     for argv in cases:
         code = main(list(argv))
         capsys.readouterr()
@@ -358,6 +372,7 @@ def write_config(tmp_path, **overrides):
               "eta": 0.1, "block": "all"}
     config.update(overrides)
     config = {k: v for k, v in config.items() if v is not ...}
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
