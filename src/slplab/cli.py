@@ -85,19 +85,19 @@ def _random_algebra(args: argparse.Namespace, rng, parser):
 def _build_from_args(args: argparse.Namespace, seed: int, parser):
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
-    n_families = len(compute_families(algebra))
+    families = compute_families(algebra)
     context_dim = args.context_dim
     if context_dim is None:
         # smallest shape that can reach full representative rank
-        context_dim = n_families
+        context_dim = len(families)
     terms = args.terms
     if terms is None:
         # one raw sample spans at most |E|^2 row directions
-        terms = max(1, -(-n_families // args.entities ** 2))
+        terms = max(1, -(-len(families) // args.entities ** 2))
     parity = None if args.parity == "both" else args.parity
     spec = BlockSpec(context_dim, terms, parity)
     built = build_slp_map(algebra, [spec], seed)
-    return algebra, built
+    return algebra, families, built
 
 
 # ---------------------------------------------------------------- subcommands
@@ -164,8 +164,7 @@ def _cmd_families(args, parser) -> int:
 
 def _cmd_build_slp(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed, parser)
-    families = compute_families(algebra)
+    algebra, families, built = _build_from_args(args, seed, parser)
     equiv = check_logical_equivariance(built.feature_map, families, algebra)
     rank = check_slp(built.feature_map, families)
     if args.save:
@@ -182,7 +181,10 @@ def _cmd_build_slp(args, parser) -> int:
 
 def _cmd_verify_slp(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    fmap, algebra = load_feature_map(args.load, args.fmt)
+    try:
+        fmap, algebra = load_feature_map(args.load, args.fmt)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        parser.error(f"cannot load {args.load}: {type(exc).__name__}: {exc}")
     families = compute_families(algebra)
     equiv = check_logical_equivariance(fmap, families, algebra, tol=args.tol)
     rank = check_slp(fmap, families)
@@ -201,7 +203,7 @@ def _cmd_verify_slp(args, parser) -> int:
 
 def _cmd_factorize(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed, parser)
+    algebra, _, built = _build_from_args(args, seed, parser)
     form = verify_factorized_form(built)
     split = negation_split(built)
     passed = form.passed and split.plus_dim == 0
@@ -221,7 +223,7 @@ def _cmd_isotypic(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     if args.entities > 5:
         parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
-    algebra, built = _build_from_args(args, seed, parser)
+    algebra, _, built = _build_from_args(args, seed, parser)
     projectors, props = isotypic_decompose(built)
     worst = max(props["idempotence"], props["annihilation"],
                 props["completeness_on_span"], props["commutation"])
@@ -237,7 +239,7 @@ def _cmd_isotypic(args, parser) -> int:
 
 def _cmd_parity(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed, parser)
+    algebra, _, built = _build_from_args(args, seed, parser)
     inv = parity_involution(algebra)
     try:
         decomp = parity_decompose(built, tol=args.tol)
@@ -409,8 +411,7 @@ def _cmd_gradlab(args, parser) -> int:
 
 def _cmd_audit(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    algebra, built = _build_from_args(args, seed, parser)
-    families = compute_families(algebra)
+    algebra, families, built = _build_from_args(args, seed, parser)
     if not 0 <= args.family < len(families):
         parser.error(f"--family must be in [0, {len(families)})")
     report = propagation_audit(built.feature_map, families, algebra,

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import characters, numerics
 from .featspace import (FeatureMap, LiftedOperator, check_slp,
-                        feature_span_basis, lift_renaming)
+                        feature_span_basis, grid_rows, lift_renaming)
 from .queryspace import (GroupElementH, Query, compute_families,
-                         enumerate_queries, symmetric_group)
+                         enumerate_queries, logical_images, symmetric_group)
 from .relalg import RelationAlgebra
 from .reports import Report
 
@@ -391,11 +391,13 @@ class ParityInvolution:
 
     @property
     def pair_dims(self) -> tuple[int, int]:
-        return numerics.rank(self.pair_plus), numerics.rank(self.pair_minus)
+        return (numerics.projector_trace_dim(self.pair_plus),
+                numerics.projector_trace_dim(self.pair_minus))
 
     @property
     def rel_dims(self) -> tuple[int, int]:
-        return numerics.rank(self.rel_plus), numerics.rank(self.rel_minus)
+        return (numerics.projector_trace_dim(self.rel_plus),
+                numerics.projector_trace_dim(self.rel_minus))
 
 
 def parity_involution(algebra: RelationAlgebra) -> ParityInvolution:
@@ -424,32 +426,26 @@ def parity_decompose(f: FactorizedMap,
     """Split every term into matched-parity components.
 
     Requires reversal invariance of the assembled map (checked first; the
-    offending query is reported otherwise).  Each term (u, v) splits into
-    (u+, v+) and (u-, v-); the cross-parity components u+ x v- and u- x v+
-    must cancel blockwise on every query, and their residual is reported.
+    first query with the largest deviation is reported otherwise).  Each term
+    (u, v) splits into (u+, v+) and (u-, v-); the cross-parity components
+    u+ x v- and u- x v+ must cancel blockwise on every query, and their
+    residual, assembled as one block of cross terms, is reported.
     """
     fmap = f.feature_map
-    idx = fmap.index()
     algebra = f.algebra
-    worst_q, worst_dev = None, 0.0
-    for q in fmap.queries:
-        rev_q = Query(q.tail, algebra.conv(q.rel), q.head)
-        dev = float(np.max(np.abs(fmap.matrix[idx[rev_q]] - fmap.matrix[idx[q]])))
-        if dev > worst_dev:
-            worst_q, worst_dev = q, dev
-    if worst_dev > tol:
-        raise ConverseInvarianceError(worst_q, worst_dev)
-
-    queries = fmap.queries
-    heads = np.fromiter((q.head for q in queries), dtype=int, count=len(queries))
-    rels = np.fromiter((q.rel for q in queries), dtype=int, count=len(queries))
-    tails = np.fromiter((q.tail for q in queries), dtype=int, count=len(queries))
+    rows = grid_rows(fmap, algebra)
+    _, _, rev, _ = logical_images(algebra)  # rows follow LogicalOp order
+    dev = np.max(np.abs(rows[rev] - rows), axis=1)
+    worst = int(np.argmax(dev))
+    if dev[worst] > tol:
+        raise ConverseInvarianceError(enumerate_queries(algebra)[worst],
+                                      float(dev[worst]))
 
     blocks_out = []
     max_cross = 0.0
     for block in f.blocks:
         pairs = []
-        cross = np.zeros((len(queries), block.context_dim))
+        cross_terms = []
         for term in block.terms:
             u_plus = (term.u + term.u.transpose(1, 0, 2)) / 2.0
             u_minus = (term.u - term.u.transpose(1, 0, 2)) / 2.0
@@ -458,8 +454,9 @@ def parity_decompose(f: FactorizedMap,
             v_minus = (term.v - v_conv) / 2.0
             pairs.append(ParityTermPair(Term(u_plus, v_plus, "+"),
                                         Term(u_minus, v_minus, "-")))
-            cross += u_plus[heads, tails, :] * v_minus[rels][:, None]
-            cross += u_minus[heads, tails, :] * v_plus[rels][:, None]
+            cross_terms += [Term(u_plus, v_minus), Term(u_minus, v_plus)]
+        cross = _block_rows(TensorBlock(block.context_dim, tuple(cross_terms)),
+                            fmap.queries)
         if cross.size:
             max_cross = max(max_cross, float(np.max(np.abs(cross))))
         blocks_out.append(tuple(pairs))

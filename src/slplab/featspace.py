@@ -26,7 +26,8 @@ import numpy as np
 
 from . import numerics
 from .queryspace import (GroupElementH, LogicalFamily, LogicalOp, Query,
-                         apply_logical, apply_renaming)
+                         apply_logical, apply_renaming, enumerate_queries,
+                         logical_images)
 from .relalg import EntitySet, Relation, RelationAlgebra, close_unary
 from .reports import Report
 
@@ -107,29 +108,31 @@ def check_logical_equivariance(fmap: FeatureMap,
 
     `tol` defaults to exact zero, the right bound for maps built by
     construction; loaded or learned maps should pass a scaled tolerance.
+    `families` must be the partition `compute_families(algebra)`.
     """
-    idx = fmap.index()
-    worst = 0.0
-    failing = 0
-    for fam in families:
-        fam_dev = 0.0
-        for q in fam.members:
-            row = fmap.matrix[idx[q]]
-            neg_row = fmap.matrix[idx[apply_logical(LogicalOp.NEG, q, algebra)]]
-            rev_row = fmap.matrix[idx[apply_logical(LogicalOp.REV, q, algebra)]]
-            neg_dev = float(np.max(np.abs(neg_row + row)))
-            rev_dev = float(np.max(np.abs(rev_row - row)))
-            fam_dev = max(fam_dev, neg_dev, rev_dev)
-        if fam_dev > tol:
-            failing += 1
-        worst = max(worst, fam_dev)
+    rows = grid_rows(fmap, algebra)
+    images = logical_images(algebra)
+    _, neg, rev, _ = images  # rows follow LogicalOp order
+    row_dev = np.maximum(np.max(np.abs(rows[neg] + rows), axis=1),
+                         np.max(np.abs(rows[rev] - rows), axis=1))
+    n, size = algebra.entity_set.n, algebra.size
+    reps = [(h * size + r) * n + t for h, r, t in
+            (f.representative for f in families)]
+    fam_dev = np.max(row_dev[images[:, reps]], axis=0)
+    worst = float(np.max(fam_dev, initial=0.0))
     return Report(
         check="logical_equivariance",
         passed=worst <= tol,
         max_deviation=worst,
         details={"tol": tol, "n_families": len(families),
-                 "families_failing": failing},
+                 "families_failing": int(np.sum(fam_dev > tol))},
     )
+
+
+def grid_rows(fmap: FeatureMap, algebra: RelationAlgebra) -> np.ndarray:
+    """The map's rows in `enumerate_queries(algebra)` order."""
+    return fmap.matrix[list(map(fmap.index().__getitem__,
+                                enumerate_queries(algebra)))]
 
 
 def representative_matrix(fmap: FeatureMap,
@@ -179,7 +182,8 @@ def check_family_kernel_decomposition(fmap: FeatureMap,
     """Each kernel vector's restriction to a single family must stay in the kernel.
 
     Restrictions that are all zero are skipped; the rest are checked one
-    family at a time, all kernel vectors in one matmul.
+    family at a time, all kernel vectors in one matmul.  `kernel_rank` holds
+    the singular values on either side of the kernel's rank decision.
     """
     idx = fmap.index()
     ker = kernel(fmap)
@@ -198,7 +202,8 @@ def check_family_kernel_decomposition(fmap: FeatureMap,
         check="family_kernel_decomposition",
         passed=violations == 0,
         max_deviation=worst,
-        details={"kernel_dim": ker.dim, "violations": violations, "tol": tol},
+        details={"kernel_dim": ker.dim, "violations": violations, "tol": tol,
+                 "kernel_rank": fmap.spectrum().kernel_margin()},
     )
 
 
@@ -334,11 +339,8 @@ def load_feature_map(path: str | Path,
             for rec in sidecar["base_relations"]]
     algebra = close_unary(base)
     queries = tuple(Query(*q) for q in sidecar["queries"])
-    for q in queries:
-        if not (0 <= q.rel < algebra.size):
-            raise ValueError(f"query {q} indexes a relation outside the closure")
-        if not (0 <= q.head < entity_set.n and 0 <= q.tail < entity_set.n):
-            raise ValueError(f"query {q} indexes an entity outside the set")
+    if sorted(queries) != list(enumerate_queries(algebra)):
+        raise ValueError("queries must be each query of the closure once")
     return FeatureMap(queries, matrix), algebra
 
 

@@ -110,6 +110,9 @@ class Spectrum:
     def span_margin(self) -> dict:
         return rank_margin(self.sv, self.span_threshold)
 
+    def kernel_margin(self) -> dict:
+        return rank_margin(self.sv, self.kernel_threshold)
+
     @property
     def kernel_basis(self) -> np.ndarray:
         """Orthonormal null space of m.T, one vector per row: u[:, r:].T."""

@@ -6,6 +6,10 @@ logical operations isomorphic to Z2 x Z2; its orbits partition the query
 space into logical families whose members carry signs (+1 under identity and
 reversal, -1 under negation and negated reversal).  Entity renamings act
 separately, by permuting head and tail and optionally negating the relation.
+
+`logical_images` tabulates the group's action on the whole query space as
+positions in `enumerate_queries` order; the family partition, the
+equivariance check and the parity scan read that one table.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .relalg import RelationAlgebra
 
@@ -25,31 +31,21 @@ class Query(NamedTuple):
 
 
 class LogicalOp(Enum):
+    """Position bits in enumeration order: 1 negates, 2 reverses."""
+
     ID = "id"
     NEG = "neg"
     REV = "rev"
     NEGREV = "negrev"
 
     def __mul__(self, other: "LogicalOp") -> "LogicalOp":
-        return _COMPOSE[(self, other)]
+        ops = list(LogicalOp)  # composition XORs the position bits
+        return ops[ops.index(self) ^ ops.index(other)]
 
     @property
     def sign(self) -> int:
         """Character value: -1 for the operations that negate the relation."""
         return -1 if self in (LogicalOp.NEG, LogicalOp.NEGREV) else 1
-
-
-_COMPOSE = {}
-for _a in LogicalOp:
-    for _b in LogicalOp:
-        _neg = (_a in (LogicalOp.NEG, LogicalOp.NEGREV)) ^ \
-               (_b in (LogicalOp.NEG, LogicalOp.NEGREV))
-        _rev = (_a in (LogicalOp.REV, LogicalOp.NEGREV)) ^ \
-               (_b in (LogicalOp.REV, LogicalOp.NEGREV))
-        _COMPOSE[(_a, _b)] = {(False, False): LogicalOp.ID,
-                              (True, False): LogicalOp.NEG,
-                              (False, True): LogicalOp.REV,
-                              (True, True): LogicalOp.NEGREV}[(_neg, _rev)]
 
 
 def apply_logical(op: LogicalOp, q: Query, algebra: RelationAlgebra) -> Query:
@@ -106,10 +102,8 @@ def apply_renaming(g: GroupElementH, q: Query,
 def enumerate_queries(algebra: RelationAlgebra) -> tuple[Query, ...]:
     """All queries over the closed relation set, ordered by (head, rel, tail)."""
     n = algebra.entity_set.n
-    return tuple(Query(h, r, t)
-                 for h in range(n)
-                 for r in range(algebra.size)
-                 for t in range(n))
+    return tuple(itertools.starmap(Query, itertools.product(
+        range(n), range(algebra.size), range(n))))
 
 
 @dataclass(frozen=True)
@@ -131,50 +125,52 @@ class LogicalFamily:
             raise ValueError(f"orbit size {len(self.members)} is impossible")
 
 
-def orbit(q: Query, algebra: RelationAlgebra) -> dict[LogicalOp, Query]:
-    return {op: apply_logical(op, q, algebra) for op in LogicalOp}
+def logical_images(algebra: RelationAlgebra) -> np.ndarray:
+    """Positions of every query's four logical images, shape (4, N).
 
-
-def make_family(q: Query, algebra: RelationAlgebra) -> LogicalFamily:
-    images = orbit(q, algebra)
-    rep = min(images.values())
-    rep_images = orbit(rep, algebra)
-    sign_sets: dict[Query, set[int]] = {}
-    for op, p in rep_images.items():
-        sign_sets.setdefault(p, set()).add(op.sign)
-    for p, signs in sign_sets.items():
-        if len(signs) != 1:
-            raise AssertionError(f"inconsistent sign for {p} in orbit of {rep}")
-    members = tuple(sorted(sign_sets))
-    return LogicalFamily(rep, members, {p: signs.pop()
-                                        for p, signs in sign_sets.items()})
+    Entry [k, i] is the position of the k-th LogicalOp applied to query i in
+    `enumerate_queries(algebra)`, where (h, r, t) sits at (h*size + r)*n + t.
+    """
+    n, size = algebra.entity_set.n, algebra.size
+    h, r, t = np.indices((n, size, n)).reshape(3, -1)
+    neg = np.asarray(algebra.negation, dtype=int)
+    conv = np.asarray(algebra.converse_, dtype=int)
+    return np.stack([(h * size + r) * n + t,
+                     (h * size + neg[r]) * n + t,
+                     (t * size + conv[r]) * n + h,
+                     (t * size + neg[conv[r]]) * n + h])
 
 
 def compute_families(algebra: RelationAlgebra) -> tuple[LogicalFamily, ...]:
-    """Partition of the full query space into logical families."""
-    seen: set[Query] = set()
-    families: list[LogicalFamily] = []
-    for q in enumerate_queries(algebra):
-        if q in seen:
-            continue
-        fam = make_family(q, algebra)
-        if seen.intersection(fam.members):
-            raise AssertionError("orbits failed to partition the query space")
-        seen.update(fam.members)
-        families.append(fam)
-    families.sort(key=lambda f: f.representative)
-    total = sum(len(f.members) for f in families)
-    if total != algebra.entity_set.n ** 2 * algebra.size:
-        raise AssertionError("family partition does not cover the query space")
-    return tuple(families)
+    """Partition of the full query space into logical families.
+
+    A representative is the minimum of its column of `logical_images`, the
+    lexicographic minimum of its orbit.  Families come in representative
+    order, members sorted, each signed by the operation that reaches it.
+    """
+    queries = enumerate_queries(algebra)
+    images = logical_images(algebra)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(len(queries)))
+    orbits = images[:, reps]  # [k, j]: op k applied to representative j
+    op_signs = np.array([[op.sign] for op in LogicalOp])
+    sign, family = np.zeros(len(queries), dtype=int), np.full(len(queries), -1)
+    sign[orbits], family[orbits] = op_signs, np.arange(len(reps))
+    # a member written twice with different values reads back only one
+    if np.any(sign[orbits] != op_signs):
+        raise AssertionError("inconsistent signs within an orbit")
+    if np.any(family < 0) or np.any(family[orbits] != np.arange(len(reps))):
+        raise AssertionError("orbits failed to partition the query space")
+    order = np.argsort(family, kind="stable")
+    members = list(map(queries.__getitem__, order.tolist()))
+    signs = sign[order].tolist()
+    ends = np.cumsum(np.bincount(family)).tolist()
+    return tuple(LogicalFamily(queries[rep], tuple(members[a:b]),
+                               dict(zip(members[a:b], signs[a:b])))
+                 for rep, a, b in zip(reps.tolist(), [0] + ends, ends))
 
 
 def family_index(families: Iterable[LogicalFamily]) -> dict[Query, int]:
-    idx: dict[Query, int] = {}
-    for i, fam in enumerate(families):
-        for q in fam.members:
-            idx[q] = i
-    return idx
+    return {q: i for i, fam in enumerate(families) for q in fam.members}
 
 
 def symmetric_group(n: int) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               relation_sign_representation,
                               verify_factorized_form)
 from slplab.featspace import FeatureMap, check_slp, lift_renaming
-from slplab.numerics import PROJECTOR_TOL
+from slplab.numerics import PROJECTOR_TOL, rank
 from slplab.queryspace import (GroupElementH, Query, compute_families,
                                enumerate_queries, symmetric_group)
 from slplab.relalg import EntitySet, Relation, close_unary
@@ -203,6 +203,9 @@ def test_pair_swap_split_dims_formula(n, expected):
     assert inv.pair_dims == expected
     assert inv.pair_dims == (n * (n + 1) // 2, n * (n - 1) // 2)
     assert sum(inv.rel_dims) == algebra.size
+    # the trace reads the same dimensions as a rank decision
+    assert inv.pair_dims == (rank(inv.pair_plus), rank(inv.pair_minus))
+    assert inv.rel_dims == (rank(inv.rel_plus), rank(inv.rel_minus))
 
 
 def test_swap_and_converse_matrices_are_involutions():
@@ -256,6 +259,61 @@ def test_mismatched_parity_term_raises(algebra_3):
     rev_q = Query(q.tail, algebra_3.conv(q.rel), q.head)
     dev = np.max(np.abs(fmap.matrix[idx[rev_q]] - fmap.matrix[idx[q]]))
     assert dev == excinfo.value.deviation
+
+
+def mismatched_map(algebra, seed):
+    """Reversal-breaking map: an antisymmetric context factor paired with a
+    relation factor that is a random mix of both converse parities."""
+    rng = np.random.default_rng(seed)
+    n = algebra.entity_set.n
+    terms = []
+    for _ in range(3):
+        raw = rng.uniform(-1.0, 1.0, size=(n, n, 3))
+        terms += [Term(raw - raw.transpose(1, 0, 2),
+                       rng.uniform(-1.0, 1.0, algebra.size)),
+                  Term(raw, rng.uniform(-1.0, 1.0, algebra.size))]
+    block = TensorBlock(3, tuple(terms))
+    queries = enumerate_queries(algebra)
+    fmap = FeatureMap(queries, assemble_rows((block,), queries))
+    return FactorizedMap(algebra, (block,), fmap)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_converse_failure_names_first_worst_query(seed):
+    rng = np.random.default_rng(100 + seed)
+    entity_set = EntitySet.of_size(2 + seed % 3)
+    algebra = close_unary([random_proper_relation(entity_set, rng)
+                           for _ in range(1 + seed % 2)])
+    mismatched = mismatched_map(algebra, seed)
+    fmap = mismatched.feature_map
+    idx = fmap.index()
+    worst_q, worst_dev = None, -1.0
+    for q in enumerate_queries(algebra):
+        rev_q = Query(q.tail, algebra.conv(q.rel), q.head)
+        dev = float(np.max(np.abs(fmap.row(rev_q) - fmap.matrix[idx[q]])))
+        if dev > worst_dev:
+            worst_q, worst_dev = q, dev
+    with pytest.raises(ConverseInvarianceError) as excinfo:
+        parity_decompose(mismatched)
+    assert excinfo.value.query == worst_q
+    assert excinfo.value.deviation == worst_dev
+    # a tolerance at the worst deviation lets the split through
+    parity_decompose(mismatched, tol=worst_dev)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cross_residual_is_the_direct_cross_sum(algebra_3x2, seed):
+    mismatched = mismatched_map(algebra_3x2, seed)
+    decomp = parity_decompose(mismatched, tol=np.inf)
+    queries = mismatched.feature_map.queries
+    heads, rels, tails = np.array(queries).T
+    cross = np.zeros((len(queries), 3))
+    for pair in decomp.blocks[0]:
+        cross += pair.plus.u[heads, tails] * pair.minus.v[rels][:, None]
+        cross += pair.minus.u[heads, tails] * pair.plus.v[rels][:, None]
+    # summed in this order, term by term, the residual is bitwise the same
+    assert decomp.max_cross_residual == float(np.max(np.abs(cross)))
+    assert decomp.max_cross_residual > 0.1
 
 
 def test_single_parity_builds(algebra_3):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from slplab import numerics
 from slplab.factorize import BlockSpec, build_slp_map
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
@@ -49,6 +50,48 @@ def test_sign_fault_detected_with_exact_deviation(algebra_3):
     expected = 2.0 * float(np.max(np.abs(matrix[idx[victim]])))
     assert report.max_deviation == expected
     assert report.details["families_failing"] >= 1
+
+
+def test_families_failing_counts_families_not_faults(algebra_3):
+    families = compute_families(algebra_3)
+    fmap = build(algebra_3, 9, 0).feature_map
+    idx = fmap.index()
+
+    def broken(*faulty):
+        matrix = fmap.matrix.copy()
+        for q in faulty:
+            matrix[idx[q]] += 1.0
+        return check_logical_equivariance(FeatureMap(fmap.queries, matrix),
+                                          families, algebra_3)
+
+    a, b = [f for f in families if len(f.members) == 4][:2]
+
+    def far(fam):
+        # negated reversal: neither partner of the representative
+        return apply_logical(LogicalOp.NEGREV, fam.representative, algebra_3)
+
+    two_families = broken(far(a), far(b))
+    assert two_families.details["families_failing"] == 2
+    one_family = broken(a.representative, far(a))
+    assert one_family.details["families_failing"] == 1
+    for report in (two_families, one_family):
+        assert not report.passed
+        assert report.details["n_families"] == len(families)
+
+
+def test_equivariance_report_independent_of_row_order(algebra_3):
+    families = compute_families(algebra_3)
+    rng = np.random.default_rng(3)
+    fmap = build(algebra_3, 9, 1).feature_map
+    matrix = fmap.matrix.copy()
+    matrix[5] += 0.25
+    matrix[17] -= 0.5
+    grid = FeatureMap(fmap.queries, matrix)
+    perm = rng.permutation(len(fmap.queries))
+    shuffled = FeatureMap(tuple(fmap.queries[i] for i in perm), matrix[perm])
+    expected = check_logical_equivariance(grid, families, algebra_3)
+    assert not expected.passed
+    assert check_logical_equivariance(shuffled, families, algebra_3) == expected
 
 
 def test_random_maps_fail_equivariance_20_seeds(algebra_3):
@@ -168,6 +211,13 @@ def test_family_kernel_decomposition_holds_for_slp(algebra_3):
     report = check_family_kernel_decomposition(fmap, families)
     assert report.passed
     assert report.details["kernel_dim"] == len(fmap.queries) - len(families)
+    # the margin of the kernel's rank decision, read off the cached spectrum
+    margin = report.details["kernel_rank"]
+    spec = fmap.spectrum()
+    assert margin == numerics.rank_margin(spec.sv, spec.kernel_threshold)
+    assert margin["smallest_kept_sv"] > margin["threshold"] \
+        >= margin["largest_rejected_sv"]
+    assert np.sum(spec.sv > margin["threshold"]) == len(families)
 
 
 def test_family_kernel_decomposition_detects_cross_family_dependency(algebra_3):

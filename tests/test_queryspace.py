@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import proper_relation_strategy
-from slplab.queryspace import (GroupElementH, LogicalOp, Query, apply_logical,
-                               apply_renaming, compute_families,
-                               enumerate_queries, families_to_json,
-                               family_index, make_family, orbit,
+from slplab.queryspace import (GroupElementH, LogicalFamily, LogicalOp,
+                               Query, apply_logical, apply_renaming,
+                               compute_families, enumerate_queries,
+                               families_to_json, family_index, logical_images,
                                symmetric_group)
-from slplab.relalg import EntitySet, Relation, close_unary, converse
+from slplab.relalg import (EntitySet, Relation, RelationAlgebra, close_unary,
+                           converse)
+
+# one or two proper base relations on 2 to 4 entities
+small_bases = st.integers(2, 4).flatmap(
+    lambda n: st.lists(proper_relation_strategy(n), min_size=1, max_size=2))
 
 
 def brute_orbit(q, algebra):
@@ -31,6 +36,27 @@ def brute_orbit(q, algebra):
                 seen.add(image)
                 frontier.append(image)
     return seen
+
+
+def families_by_query(algebra):
+    """The partition worked out one query at a time: each query's orbit, its
+    minimum as representative, and signs from the representative's orbit."""
+    def orbit(q):
+        return {op: apply_logical(op, q, algebra) for op in LogicalOp}
+
+    families = {}
+    for q in enumerate_queries(algebra):
+        rep = min(orbit(q).values())
+        if rep in families:
+            continue
+        sign_sets = {}
+        for op, p in orbit(rep).items():
+            sign_sets.setdefault(p, set()).add(op.sign)
+        assert all(len(signs) == 1 for signs in sign_sets.values())
+        families[rep] = LogicalFamily(
+            rep, tuple(sorted(sign_sets)),
+            {p: signs.pop() for p, signs in sign_sets.items()})
+    return tuple(families[rep] for rep in sorted(families))
 
 
 # -------------------------------------------------------------- group table
@@ -64,15 +90,38 @@ def test_apply_logical_matches_composition(r, h, t):
 
 # ------------------------------------------------------------------- orbits
 
-@given(proper_relation_strategy(3), st.integers(0, 2), st.integers(0, 2))
-def test_orbit_matches_brute_closure(r, h, t):
-    algebra = close_unary([r])
-    q = Query(h, 0, t)
-    assert set(orbit(q, algebra).values()) == brute_orbit(q, algebra)
+@given(small_bases)
+def test_logical_images_match_apply_logical(base):
+    algebra = close_unary(base)
+    queries = enumerate_queries(algebra)
+    images = logical_images(algebra)
+    assert images.shape == (4, len(queries))
+    assert images.dtype.kind == "i"
+    for k, op in enumerate(LogicalOp):
+        assert [queries[p] for p in images[k]] == \
+            [apply_logical(op, q, algebra) for q in queries]
+
+
+@given(small_bases)
+def test_orbit_matches_brute_closure(base):
+    algebra = close_unary(base)
+    queries = enumerate_queries(algebra)
+    for i, column in enumerate(logical_images(algebra).T):
+        assert {queries[p] for p in column} == brute_orbit(queries[i], algebra)
+
+
+@given(small_bases)
+def test_families_match_query_by_query_partition(base):
+    algebra = close_unary(base)
+    assert compute_families(algebra) == families_by_query(algebra)
+
+
+def family_of(q, algebra):
+    return next(f for f in compute_families(algebra) if q in f.members)
 
 
 def test_orbit_size_4_for_asymmetric_offdiagonal(algebra_3):
-    fam = make_family(Query(0, 0, 1), algebra_3)
+    fam = family_of(Query(0, 0, 1), algebra_3)
     assert len(fam.members) == 4
 
 
@@ -81,8 +130,31 @@ def test_orbit_size_2_for_symmetric_diagonal():
     sym = Relation.from_pairs(entity_set, [(0, 1), (1, 0)], "sym")
     algebra = close_unary([sym])
     assert converse(sym) == sym
-    fam = make_family(Query(1, 0, 1), algebra)
+    fam = family_of(Query(1, 0, 1), algebra)
     assert len(fam.members) == 2
+    assert compute_families(algebra) == families_by_query(algebra)
+
+
+def hand_built_algebra(negation, converse_):
+    """One entity and hand-set partner tables; only their lengths and
+    entries matter to the query space."""
+    entity_set = EntitySet.of_size(1)
+    r = Relation(entity_set, 1)
+    return RelationAlgebra(entity_set, (r,), (r,) * len(negation),
+                           tuple(negation), tuple(converse_))
+
+
+def test_sign_clash_is_an_assertion():
+    # negation fixes every relation, so q and its negation coincide
+    with pytest.raises(AssertionError, match="inconsistent sign"):
+        compute_families(hand_built_algebra((0, 1), (0, 1)))
+
+
+def test_partition_gap_is_an_assertion():
+    # converse is no involution: relations 2 and 3 reach the orbit {0, 1}
+    # but no representative's orbit reaches them
+    with pytest.raises(AssertionError, match="partition"):
+        compute_families(hand_built_algebra((1, 0, 3, 2), (0, 1, 0, 3)))
 
 
 @given(proper_relation_strategy(4))

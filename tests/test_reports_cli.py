@@ -108,6 +108,67 @@ def test_failing_check_exits_one_but_still_reports(capsys, tmp_path):
     assert report.max_deviation > 0.1
 
 
+def malformed_maps(directory, fmt):
+    """A rewritten intact map, and maps each broken in one way that makes
+    them unreadable."""
+    directory.mkdir()
+    good = directory / f"good.{fmt}"
+    assert main(["build-slp", "--entities", "3", "--relations", "1",
+                 "--seed", "3", "--save", str(good), "--fmt", fmt,
+                 "--out", str(directory / "build.json")]) == 0
+    if fmt == "json":
+        doc = json.loads(good.read_text())
+        sidecar, matrix = doc, doc.pop("matrix")
+    else:
+        sidecar = json.loads(Path(f"{good}.index.json").read_text())
+        matrix = [[float(x) for x in line.split(",")]
+                  for line in good.read_text().splitlines()]
+    queries = sidecar["queries"]
+
+    def edit(name, queries=queries, matrix=matrix, drop=None):
+        doc = {k: v for k, v in sidecar.items() if k != drop}
+        if drop != "queries":
+            doc["queries"] = queries
+        path = directory / f"{name}.{fmt}"
+        if fmt == "json":
+            path.write_text(json.dumps({**doc, "matrix": matrix}))
+        else:
+            path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                    for row in matrix))
+            Path(f"{path}.index.json").write_text(json.dumps(doc))
+        return path
+
+    truncated = edit("truncated")
+    text_file = truncated if fmt == "json" else Path(f"{truncated}.index.json")
+    text_file.write_text(text_file.read_text()[:-40])
+    maps = [
+        directory / f"missing.{fmt}",
+        truncated,
+        edit("dropped_query", queries[1:], matrix[1:]),
+        edit("duplicate_replaces", [queries[0]] + queries[:-1]),
+        edit("short_matrix", matrix=matrix[:-1]),
+        edit("no_queries", drop="queries"),
+        edit("duplicate_extra_row", queries + [queries[0]],
+             matrix + [matrix[0]]),
+        edit("query_not_a_triple", [queries[0][:2]] + queries[1:]),
+    ]
+    if fmt == "csv":
+        no_sidecar = edit("no_sidecar")
+        Path(f"{no_sidecar}.index.json").unlink()
+        maps.append(no_sidecar)
+    return edit("intact"), maps
+
+
+def test_malformed_map_edits_are_the_only_fault(capsys, tmp_path):
+    """The rewriting itself breaks nothing: an unedited rewrite passes."""
+    for fmt in ("json", "csv"):
+        intact, _ = malformed_maps(tmp_path / fmt, fmt)
+        code = main(["verify-slp", "--load", str(intact), "--fmt", fmt,
+                     "--out", str(tmp_path / f"verify-{fmt}.json")])
+        capsys.readouterr()
+        assert code == 0
+
+
 def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
     out_path = tmp_path / "never.json"
     cases = [
@@ -143,6 +204,10 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
     not_an_object.write_text("[1, 2]")
     cases.append(("gradlab", "--config", str(not_an_object),
                   "--out", str(out_path)))
+    for fmt in ("json", "csv"):
+        for path in malformed_maps(tmp_path / fmt, fmt)[1]:
+            cases.append(("verify-slp", "--load", str(path), "--fmt", fmt,
+                          "--out", str(out_path)))
     for argv in cases:
         code = main(list(argv))
         capsys.readouterr()
