@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,8 @@ from .conjunction import (check_kernel_stability, collapse_certificate,
 from .factorize import (BlockSpec, ConverseInvarianceError, build_slp_map,
                         isotypic_decompose, negation_split, parity_decompose,
                         parity_involution, verify_factorized_form)
-from .featspace import (check_family_kernel_decomposition,
+from .featspace import (KernelNotInvariantError,
+                        check_family_kernel_decomposition,
                         check_logical_equivariance, check_slp,
                         load_feature_map, propagation_audit, save_feature_map)
 from .gradlab import (alignment_experiment, edit_step, generate_kb, make_mlp,
@@ -224,16 +226,25 @@ def _cmd_isotypic(args, parser) -> int:
     if args.entities > 5:
         parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
     algebra, _, built = _build_from_args(args, seed, parser)
-    projectors, props = isotypic_decompose(built)
-    worst = max(props["idempotence"], props["annihilation"],
-                props["completeness_on_span"], props["commutation"])
-    report = Report(
-        check="isotypic", passed=worst <= args.tol, max_deviation=worst,
-        details={"tol": args.tol, "properties": props,
-                 "lift_rank": built.feature_map.spectrum().span_margin(),
-                 "irreps": [{"partition": list(p.irrep), "dim": p.irrep_dim,
-                             "image_dim": p.image_dim} for p in projectors]},
-    )
+    details = {"tol": args.tol,
+               "lift_rank": built.feature_map.spectrum().span_margin()}
+    try:
+        projectors, props = isotypic_decompose(built)
+    except KernelNotInvariantError as exc:
+        g = exc.renaming
+        details.update(error="renaming does not preserve the kernel",
+                       renaming={"perm": list(g.perm), "sign": g.sign})
+        report = Report(check="isotypic", passed=False,
+                        max_deviation=exc.deviation, details=details)
+        return _finish(report, args, seed)
+    worst = max(props[k] for k in ("idempotence", "annihilation",
+                                   "completeness_on_span", "commutation",
+                                   "orthogonality"))
+    details.update(properties=props, irreps=[
+        {"partition": list(p.irrep), "dim": p.irrep_dim,
+         "image_dim": p.image_dim} for p in projectors])
+    report = Report(check="isotypic", passed=worst <= args.tol,
+                    max_deviation=worst, details=details)
     return _finish(report, args, seed)
 
 
@@ -436,17 +447,24 @@ def _at_least(lo: int):
     return parse
 
 
-def _density(text: str) -> float:
-    """argparse type: a float strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must lie strictly between 0 and 1, got {value}")
-    return value
+def _float_where(ok, what: str):
+    """argparse type: a float for which `ok` holds; `what` says which."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    return parse
+
+
+_density = _float_where(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+# every check's pass bound: rejects NaN, infinities and negative values
+_tolerance = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_finite = _float_where(math.isfinite, "finite")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -503,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify-slp", help="re-check a stored feature map")
     sub.add_argument("--load", type=Path, required=True)
     sub.add_argument("--fmt", choices=["json", "csv"], default="json")
-    sub.add_argument("--tol", type=float, default=numerics.REL_TOL,
+    sub.add_argument("--tol", type=_tolerance, default=numerics.REL_TOL,
                      help="equivariance tolerance for loaded maps")
     _add_common(sub)
     sub.set_defaults(func=_cmd_verify_slp)
@@ -515,13 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("isotypic", help="isotypic projector properties")
     _add_build_flags(sub)
-    sub.add_argument("--tol", type=float, default=numerics.PROJECTOR_TOL)
+    sub.add_argument("--tol", type=_tolerance, default=numerics.PROJECTOR_TOL)
     _add_common(sub)
     sub.set_defaults(func=_cmd_isotypic)
 
     sub = subs.add_parser("parity", help="matched-parity decomposition audit")
     _add_build_flags(sub)
-    sub.add_argument("--tol", type=float, default=0.0)
+    sub.add_argument("--tol", type=_tolerance, default=0.0)
     _add_common(sub)
     sub.set_defaults(func=_cmd_parity)
 
@@ -538,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--atoms", type=_at_least(1), default=3)
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(sub)
     sub.set_defaults(func=_cmd_fit_bilinear)
 
@@ -547,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dim", type=_at_least(1), default=4)
     sub.add_argument("--neg-equiv", action=argparse.BooleanOptionalAction,
                      default=True)
-    sub.add_argument("--tolerance", type=float, default=1e-8)
+    sub.add_argument("--tolerance", type=_tolerance, default=1e-8)
     _add_common(sub)
     sub.set_defaults(func=_cmd_collapse)
 
@@ -562,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("audit", help="rank-one edit propagation audit")
     _add_build_flags(sub)
     sub.add_argument("--family", type=int, default=0)
-    sub.add_argument("--eta", type=float, default=0.1)
+    sub.add_argument("--eta", type=_finite, default=0.1)
     _add_common(sub)
     sub.set_defaults(func=_cmd_audit)
 

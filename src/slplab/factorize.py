@@ -13,24 +13,26 @@ pair (u+ x v+) + (u- x v-) derived from one raw sample; each stored term is
 then exactly (bitwise) equivariant, and parity-constrained builds keep a
 single component.
 
-On the feature span, entity renamings lift to linear operators forming a
+On the feature span, entity renamings lift to orthogonal r x r matrices in
+the span coordinates of the map's SVD (`featspace.lift_renaming`), forming a
 representation of the symmetric group; combined with the central sign flip
-this gives a product-group action whose isotypic pieces are computed here via
-explicit character projectors.  Hom-space dimensions multiply across the two
-factors, checked numerically with a commutant null-space solver.
+this gives a product-group action.  Its negation split and isotypic pieces
+are computed here in those coordinates, the latter via character projectors
+formed from one sum of lifts per conjugacy class.  Hom-space dimensions
+multiply across the two factors, checked numerically with a commutant
+null-space solver.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import characters, numerics
-from .featspace import (FeatureMap, LiftedOperator, check_slp,
-                        feature_span_basis, grid_rows, lift_renaming)
+from .featspace import (FeatureMap, LiftedOperator, check_slp, grid_rows,
+                        lift_renaming)
 from .queryspace import (GroupElementH, Query, compute_families,
                          enumerate_queries, logical_images, symmetric_group)
 from .relalg import RelationAlgebra
@@ -238,7 +240,10 @@ def involution_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class NegationSplit:
-    """Central sign-flip eigensplit of the feature span."""
+    """Central sign-flip eigensplit of the feature span.
+
+    The projectors are r x r, in the span coordinates the lift acts on.
+    """
 
     plus_projector: np.ndarray
     minus_projector: np.ndarray
@@ -251,97 +256,78 @@ class NegationSplit:
 def negation_split(f: FactorizedMap) -> NegationSplit:
     """Split the feature span by the lifted relation-complement operator.
 
-    On a structured-linear map the lift is minus the identity on the span,
-    so the plus eigenspace is zero; the general construction restricts the
-    lift to an orthonormal span basis where it is an exact involution.
+    In span coordinates the lift is an orthogonal involution; on a
+    structured-linear map it is minus the identity, so the plus eigenspace
+    is zero.
     """
-    algebra = f.algebra
-    n = algebra.entity_set.n
-    g = GroupElementH(tuple(range(n)), -1)
-    lift = lift_renaming(f.feature_map, g, algebra)
-    basis = feature_span_basis(f.feature_map)
-    m_span = basis @ lift.matrix @ basis.T
-    p_plus_span, p_minus_span = involution_split(m_span)
-    p_plus = basis.T @ p_plus_span @ basis
-    p_minus = basis.T @ p_minus_span @ basis
-    plus_dim = numerics.projector_trace_dim(p_plus_span)
-    minus_dim = numerics.projector_trace_dim(p_minus_span)
-    if plus_dim + minus_dim != basis.shape[0]:
+    n = f.algebra.entity_set.n
+    lift = lift_renaming(f.feature_map, GroupElementH(tuple(range(n)), -1),
+                         f.algebra)
+    p_plus, p_minus = involution_split(lift.span)
+    plus_dim = numerics.projector_trace_dim(p_plus)
+    minus_dim = numerics.projector_trace_dim(p_minus)
+    span_dim = lift.span.shape[0]
+    if plus_dim + minus_dim != span_dim:
         raise AssertionError("eigensplit dimensions do not add up to the span")
     return NegationSplit(
         plus_projector=p_plus, minus_projector=p_minus,
         plus_dim=plus_dim, minus_dim=minus_dim,
-        span_dim=basis.shape[0], lift=lift,
+        span_dim=span_dim, lift=lift,
     )
 
 
 @dataclass(frozen=True)
 class IsotypicProjector:
+    """One irrep's projector, r x r in the span coordinates of the lifts."""
+
     irrep: tuple[int, ...]
     irrep_dim: int
     matrix: np.ndarray
     image_dim: int
 
 
-def isotypic_projectors_from_rep(perms: Sequence[tuple[int, ...]],
-                                 mats: Sequence[np.ndarray]) -> list[IsotypicProjector]:
-    """Character projectors (dim/|G|) sum chi(s) rho(s) for a full Sym(n) rep.
-
-    `perms` must enumerate all of Sym(n) and `mats[i]` represent `perms[i]`.
-    """
-    n = len(perms[0])
-    if len(perms) != math.factorial(n):
-        raise ValueError("need the full symmetric group to form projectors")
-    out = []
-    for lam in characters.partitions(n):
-        dim = characters.irrep_dimension(lam)
-        acc = np.zeros_like(np.asarray(mats[0], dtype=float))
-        for perm, mat in zip(perms, mats):
-            chi = characters.mn_character(lam, characters.cycle_type(perm))
-            if chi != 0:
-                acc = acc + chi * np.asarray(mat, dtype=float)
-        proj = (dim / len(perms)) * acc
-        out.append(IsotypicProjector(lam, dim, proj,
-                                     numerics.projector_trace_dim(proj)))
-    return out
-
-
 def isotypic_decompose(f: FactorizedMap) -> tuple[list[IsotypicProjector], dict]:
     """Isotypic pieces of the renaming action lifted to the feature span.
 
-    Returns the ambient-coordinate projectors plus a property report dict:
-    idempotence, mutual annihilation, completeness on the span, and
-    commutation with every lifted renaming, all as max deviations.
+    In span coordinates every lift rho(g) is orthogonal.  Each irrep's r x r
+    projector is (dim / |G|) sum_mu chi(mu) C_mu over the class sums C_mu of
+    the lifts (Serre, Linear Representations of Finite Groups, 2.6).  Also
+    returns a property dict of max deviations: idempotence, mutual
+    annihilation, completeness against I_r, and commutation with and
+    orthogonality of every lift.
     """
-    algebra = f.algebra
-    n = algebra.entity_set.n
+    n = f.algebra.entity_set.n
     if n > 5:
         raise ValueError("isotypic decomposition materializes Sym(n); n <= 5 only")
     perms = symmetric_group(n)
-    lifts = [lift_renaming(f.feature_map, GroupElementH(p, 1), algebra)
-             for p in perms]
-    mats = [l.matrix for l in lifts]
-    projectors = isotypic_projectors_from_rep(perms, mats)
-    basis = feature_span_basis(f.feature_map)
-    span_eye = basis @ basis.T  # projector onto the span, ambient coordinates
+    rhos = np.stack([lift_renaming(f.feature_map, GroupElementH(p, 1),
+                                   f.algebra).span for p in perms])
+    class_sums: dict[tuple[int, ...], np.ndarray] = {}
+    for perm, rho in zip(perms, rhos):
+        mu = characters.cycle_type(perm)
+        class_sums[mu] = class_sums.get(mu, 0.0) + rho
+    projectors = []
+    for lam in characters.partitions(n):
+        dim = characters.irrep_dimension(lam)
+        proj = (dim / len(perms)) * sum(
+            characters.mn_character(lam, mu) * c for mu, c in class_sums.items())
+        projectors.append(IsotypicProjector(lam, dim, proj,
+                                            numerics.projector_trace_dim(proj)))
 
-    idem = max(float(np.max(np.abs(p.matrix @ p.matrix - p.matrix)))
-               for p in projectors)
-    annih = 0.0
-    for i, p in enumerate(projectors):
-        for q in projectors[i + 1:]:
-            annih = max(annih, float(np.max(np.abs(p.matrix @ q.matrix))))
-    total = sum(p.matrix for p in projectors)
-    complete = float(np.max(np.abs(total - span_eye)))
-    commute = 0.0
-    for mat in mats:
-        for p in projectors:
-            commute = max(commute,
-                          float(np.max(np.abs(p.matrix @ mat - mat @ p.matrix))))
-    props = {"idempotence": idem, "annihilation": annih,
-             "completeness_on_span": complete, "commutation": commute,
-             "span_dim": int(basis.shape[0]),
-             "image_dims": {str(list(p.irrep)): p.image_dim for p in projectors}}
+    def worst(dev: np.ndarray) -> float:
+        return float(np.max(np.abs(dev), initial=0.0))
+
+    mats = np.stack([p.matrix for p in projectors])
+    eye = np.eye(rhos.shape[1])
+    pairs = mats[:, None] @ mats[None]
+    props = {
+        "idempotence": worst(pairs[np.diag_indices(len(mats))] - mats),
+        "annihilation": worst(pairs[np.triu_indices(len(mats), 1)]),
+        "completeness_on_span": worst(mats.sum(axis=0) - eye),
+        "commutation": max(worst(mats @ rho - rho @ mats) for rho in rhos),
+        "orthogonality": worst(rhos @ rhos.transpose(0, 2, 1) - eye),
+        "span_dim": int(eye.shape[0]),
+        "image_dims": {str(list(p.irrep)): p.image_dim for p in projectors}}
     return projectors, props
 
 

@@ -6,8 +6,8 @@ the structured-linear property: logical equivariance (negation flips the
 feature, reversal preserves it) and linear independence of one representative
 feature per logical family.  On maps with both properties, entity renamings
 acting on query coordinates descend to well-defined linear operators on the
-feature span; the lift is computed by minimum-norm least squares, which fixes
-the operator to zero off the span.
+feature span: orthogonal matrices in the span coordinates of the map's SVD,
+whose feature-coordinate forms vanish off the span.
 
 A FeatureMap holds a read-only copy of its matrix and caches its query index
 and one SVD (`numerics.Spectrum`), so the kernel, the span basis and every
@@ -34,6 +34,12 @@ from .reports import Report
 
 class KernelNotInvariantError(RuntimeError):
     """Renaming does not preserve the kernel; no lifted operator exists."""
+
+    def __init__(self, renaming: GroupElementH, deviation: float) -> None:
+        super().__init__(f"renaming {renaming} does not preserve the kernel "
+                         f"(orthogonality deviation {deviation})")
+        self.renaming = renaming
+        self.deviation = deviation
 
 
 @dataclass(frozen=True)
@@ -93,9 +99,12 @@ class KernelBasis:
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """Matrix acting on feature coordinates, zero off the feature span."""
+    """A renaming on the feature span: the orthogonal r x r `span` matrix in
+    span coordinates, and `matrix`, the same operator on feature coordinates
+    (zero off the span)."""
 
     source: GroupElementH
+    span: np.ndarray
     matrix: np.ndarray
     residual: float
 
@@ -219,26 +228,27 @@ def _query_permutation(fmap: FeatureMap, g: GroupElementH,
 
 def lift_renaming(fmap: FeatureMap, g: GroupElementH,
                   algebra: RelationAlgebra) -> LiftedOperator:
-    """Descend a renaming to feature space; min-norm, zero off the span.
+    """Descend a renaming to the feature span.
 
-    Requires the renaming to preserve the kernel of the coordinate-to-feature
-    map; otherwise no linear operator can satisfy M row(q) = row(g q) and a
-    KernelNotInvariantError is raised (the usual cause is a non-equivariant
-    or rank-deficient map).
+    With M = U_r S V_r^T on the span (r = span_rank), the lift is rho =
+    U_r[perm]^T U_r in span coordinates and V_r S rho S^-1 V_r^T on feature
+    coordinates, so matrix @ row(q) = row(g q).  rho is orthogonal exactly
+    when the renaming preserves the kernel; otherwise no lift exists and a
+    KernelNotInvariantError names g and max |rho rho^T - I| (the usual cause
+    is a non-equivariant or rank-deficient map).
     """
     perm = _query_permutation(fmap, g, algebra)
-    ker = kernel(fmap)
-    # row i of `moved` is kernel vector i carried along the renaming
-    moved = np.empty_like(ker.basis)
-    moved[:, perm] = ker.basis
-    if np.any(np.linalg.norm(moved @ fmap.matrix, axis=1) > ker.tol):
-        raise KernelNotInvariantError(
-            f"renaming {g} does not preserve the kernel")
-    targets = fmap.matrix[perm]
-    # min-norm solution of  matrix @ X = targets, lifted operator is X^T
-    x = fmap.spectrum().pinv @ targets
-    residual = float(np.max(np.abs(fmap.matrix @ x - targets))) if targets.size else 0.0
-    return LiftedOperator(source=g, matrix=x.T, residual=residual)
+    spec = fmap.spectrum()
+    r = spec.span_rank
+    u_r, v_rt, s_r = spec.u[:, :r], spec.vt[:r], spec.sv[:r]
+    rho = u_r[perm].T @ u_r
+    deviation = float(np.max(np.abs(rho @ rho.T - np.eye(r)), initial=0.0))
+    if deviation > numerics.PROJECTOR_TOL:
+        raise KernelNotInvariantError(g, deviation)
+    matrix = (v_rt.T * s_r) @ rho @ (v_rt / s_r[:, None])
+    residual = float(np.max(np.abs(fmap.matrix @ matrix.T - fmap.matrix[perm]),
+                            initial=0.0))
+    return LiftedOperator(source=g, span=rho, matrix=matrix, residual=residual)
 
 
 def propagation_audit(fmap: FeatureMap, families: Sequence[LogicalFamily],
@@ -342,8 +352,3 @@ def load_feature_map(path: str | Path,
     if sorted(queries) != list(enumerate_queries(algebra)):
         raise ValueError("queries must be each query of the closure once")
     return FeatureMap(queries, matrix), algebra
-
-
-def feature_span_basis(fmap: FeatureMap) -> np.ndarray:
-    """Orthonormal basis (rows) of the feature span."""
-    return fmap.spectrum().span_basis

@@ -81,19 +81,20 @@ class Spectrum:
     """One full SVD m = u @ diag(sv) @ vt, read by every spectral consumer.
 
     The factors come from a single np.linalg.svd(m, full_matrices=True); the
-    bases and the pseudo-inverse are derived from them on first use.  Two
-    thresholds decide the rank, the same two that the per-caller SVDs used:
+    bases are slices of them.  Two thresholds decide the rank, the same two
+    that the per-caller SVDs used:
 
     - `kernel_threshold` is rank_threshold(m.T), REL_TOL times the largest
       column norm of m.  It decides `kernel_rank`, and with it
       `kernel_basis`, the null space of m.T.
     - `span_threshold` is rank_threshold(m), REL_TOL times the largest row
-      norm of m.  It decides `span_rank`, and with it `span_basis` and
-      `pinv`; it also bounds the residual of every kernel vector.
+      norm of m.  It decides `span_rank`, and with it `span_basis` and the
+      span coordinates u[:, :span_rank] that renaming lifts act on; it also
+      bounds the residual of every kernel vector.
 
     The matrix is not copied, so it must not be written to afterwards.  The
-    factors and the pseudo-inverse are read-only, so no basis or lift handed
-    out can write into them.
+    factors are read-only, so no basis or lift handed out can write into
+    them.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -127,18 +128,6 @@ class Spectrum:
     def span_basis(self) -> np.ndarray:
         """Orthonormal basis (rows) of the row space of m: vt[:r]."""
         return self.vt[:self.span_rank]
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        """Pseudo-inverse truncated at `span_rank`.
-
-        pinv @ b is the minimum-norm least-squares solution of m @ x = b with
-        the singular values at or below `span_threshold` taken as zero.
-        """
-        r = self.span_rank
-        pinv = (self.vt[:r].T / self.sv[:r]) @ self.u[:, :r].T
-        pinv.flags.writeable = False
-        return pinv
 
 
 def projector_trace_dim(matrix: np.ndarray) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_proper_relation
+from slplab import characters
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
                               assemble_rows, build_slp_map,
@@ -91,10 +92,23 @@ def test_negation_split_is_minus_identity_sector(algebra_3):
     assert split.plus_dim == 0
     assert split.minus_dim == len(families)
     assert split.span_dim == len(families)
-    # ambient projectors: minus projector acts as identity on every row
-    rows = built.feature_map.matrix
-    assert np.max(np.abs(rows @ split.minus_projector.T - rows)) <= 1e-9
-    assert np.max(np.abs(rows @ split.plus_projector.T)) <= 1e-9
+    # span-coordinate projectors: the minus sector is the whole span
+    eye = np.eye(split.span_dim)
+    assert split.minus_projector.shape == eye.shape
+    assert np.max(np.abs(split.minus_projector - eye)) <= 1e-9
+    assert np.max(np.abs(split.plus_projector)) <= 1e-9
+
+
+def test_negation_split_on_a_wide_map_is_r_by_r(algebra_3):
+    """Four features beyond the span: the projectors stay 9 x 9, not 13 x 13."""
+    families = compute_families(algebra_3)
+    built = build(algebra_3, len(families) + 4, 1)
+    split = negation_split(built)
+    assert built.dim == split.span_dim + 4
+    assert split.minus_projector.shape == (split.span_dim, split.span_dim)
+    assert np.max(np.abs(split.minus_projector
+                         - np.eye(split.span_dim))) <= 1e-9
+    assert split.plus_dim == 0 and split.minus_dim == len(families)
 
 
 def test_involution_split_validates():
@@ -129,10 +143,39 @@ def test_trivial_isotypic_piece_matches_group_average(algebra_3):
     perms = symmetric_group(3)
     lifts = [lift_renaming(built.feature_map, GroupElementH(p, 1), algebra_3)
              for p in perms]
-    avg = group_average([l.matrix for l in lifts])
+    avg = group_average([l.span for l in lifts])
     projectors, _ = isotypic_decompose(built)
     trivial = next(p for p in projectors if p.irrep == (3,))
     assert np.max(np.abs(trivial.matrix - avg)) <= 1e-9
+
+
+def test_class_sum_projectors_match_the_element_sum():
+    """Second witness: (dim / |G|) sum over all 24 elements of chi(g) rho(g)."""
+    rng = np.random.default_rng(4)
+    algebra = close_unary([random_proper_relation(EntitySet.of_size(4), rng,
+                                                  name="r0")])
+    built = build(algebra, len(compute_families(algebra)), 4)
+    perms = symmetric_group(4)
+    rhos = [lift_renaming(built.feature_map, GroupElementH(p, 1), algebra).span
+            for p in perms]
+    projectors, props = isotypic_decompose(built)
+    for proj in projectors:
+        ref = sum(characters.mn_character(proj.irrep, characters.cycle_type(p))
+                  * rho for p, rho in zip(perms, rhos)) * proj.irrep_dim / 24
+        assert np.max(np.abs(proj.matrix - ref)) <= 1e-12
+    assert props["orthogonality"] <= PROJECTOR_TOL
+
+
+def test_isotypic_on_a_wide_map_stays_in_span_coordinates(algebra_3):
+    """Eleven features beyond the span of 9: every projector is 9 x 9."""
+    built = build(algebra_3, 20, 1)
+    projectors, props = isotypic_decompose(built)
+    assert props["span_dim"] == 9
+    assert all(p.matrix.shape == (9, 9) for p in projectors)
+    assert sum(p.image_dim for p in projectors) == 9
+    assert max(props[k] for k in ("idempotence", "annihilation",
+                                  "completeness_on_span", "commutation",
+                                  "orthogonality")) <= PROJECTOR_TOL
 
 
 def test_isotypic_rejects_large_groups():

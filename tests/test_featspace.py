@@ -10,7 +10,7 @@ from slplab.factorize import BlockSpec, build_slp_map
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
                               check_logical_equivariance, check_slp,
-                              feature_span_basis, kernel, lift_renaming,
+                              kernel, lift_renaming,
                               load_feature_map, propagation_audit,
                               representative_matrix, save_feature_map)
 from slplab.queryspace import (GroupElementH, LogicalOp, Query, apply_logical,
@@ -305,10 +305,38 @@ def test_lift_rejects_non_invariant_kernel(algebra_3):
         lift_renaming(fmap, GroupElementH((1, 0, 2), 1), algebra_3)
 
 
+def test_span_lifts_are_orthogonal_and_compose(algebra_3):
+    fmap = build(algebra_3, 13, 10).feature_map
+    spec = fmap.spectrum()
+    r = spec.span_rank
+    elements = [GroupElementH(p, s) for p in symmetric_group(3)
+                for s in (1, -1)]
+    lifts = {g: lift_renaming(fmap, g, algebra_3) for g in elements}
+    v_r, s_r = spec.vt[:r].T, spec.sv[:r]
+    for g, lift in lifts.items():
+        assert lift.span.shape == (r, r) and r < fmap.dim
+        assert np.max(np.abs(lift.span @ lift.span.T - np.eye(r))) <= 1e-12
+        ambient = v_r @ np.diag(s_r) @ lift.span @ np.diag(1 / s_r) @ v_r.T
+        assert np.max(np.abs(lift.matrix - ambient)) <= 1e-12
+    for g1, g2 in itertools.product(elements, elements):
+        gap = np.max(np.abs(lifts[g1].span @ lifts[g2].span
+                            - lifts[g1.compose(g2)].span))
+        assert gap <= 1e-12
+
+
+def test_kernel_not_invariant_names_renaming_and_deviation(algebra_3):
+    fmap = build(algebra_3, 4, 3).feature_map   # 4 < 9 families
+    g = GroupElementH((1, 0, 2), 1)
+    with pytest.raises(KernelNotInvariantError) as info:
+        lift_renaming(fmap, g, algebra_3)
+    assert info.value.renaming == g
+    assert info.value.deviation > numerics.PROJECTOR_TOL
+
+
 def test_lift_range_and_kernel_follow_span(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families) + 4, 12).feature_map
-    basis = feature_span_basis(fmap)
+    basis = fmap.spectrum().span_basis
     off_span = np.eye(fmap.dim) - basis.T @ basis
     lift = lift_renaming(fmap, GroupElementH((1, 2, 0), -1), algebra_3)
     # min-norm lift vanishes off the span and maps into it

@@ -189,6 +189,15 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("families", "--entities", "2", "--density", "0.01",
          "--out", str(out_path)),
         ("collapse", "--seed", "-1", "--out", str(out_path)),
+        # tolerances are finite and non-negative, --eta finite
+        ("isotypic", "--tol", "nan", "--out", str(out_path)),
+        ("isotypic", "--tol", "1e400", "--out", str(out_path)),
+        ("parity", "--tol", "-1", "--out", str(out_path)),
+        ("fit-bilinear", "--tol", "inf", "--out", str(out_path)),
+        ("collapse", "--tolerance", "nan", "--out", str(out_path)),
+        ("collapse", "--tolerance", "-1e-8", "--out", str(out_path)),
+        ("audit", "--eta", "nan", "--out", str(out_path)),
+        ("audit", "--eta", "-inf", "--out", str(out_path)),
     ]
     bad_configs = [
         {"epochs": "ten"}, {"epochs": -3}, {"epochs": 2.0}, {"epochs": True},
@@ -205,9 +214,13 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
     cases.append(("gradlab", "--config", str(not_an_object),
                   "--out", str(out_path)))
     for fmt in ("json", "csv"):
-        for path in malformed_maps(tmp_path / fmt, fmt)[1]:
+        intact, malformed = malformed_maps(tmp_path / fmt, fmt)
+        for path in malformed:
             cases.append(("verify-slp", "--load", str(path), "--fmt", fmt,
                           "--out", str(out_path)))
+        for tol in ("nan", "-1"):
+            cases.append(("verify-slp", "--load", str(intact), "--fmt", fmt,
+                          "--tol", tol, "--out", str(out_path)))
     for argv in cases:
         code = main(list(argv))
         capsys.readouterr()
@@ -237,6 +250,7 @@ def _command(name, *parts):
 _SIZES = range(-1, 4)
 _DENSITIES = (-0.5, 0.0, 0.01, 0.3, 0.5, 0.9, 1.0, 1.5, "x")
 _SEEDS = (-1, 0, 1, 2)
+_TOLS = (-1.0, -1e-12, 0.0, 1e-8, 1.0, "nan", "inf", "-inf", "1e400", "x")
 
 CLI_ARGVS = st.one_of(
     _command("families", _option("--entities", range(-1, 5)),
@@ -250,7 +264,7 @@ CLI_ARGVS = st.one_of(
     _command("collapse", _option("--atoms", range(-1, 5)),
              _option("--dim", range(-1, 6)),
              _switch("--neg-equiv", "--no-neg-equiv"),
-             _option("--tolerance", (0.0, 1e-8, 1.0)),
+             _option("--tolerance", _TOLS),
              _option("--seed", _SEEDS)),
     _command("build-slp", _option("--entities", _SIZES),
              _option("--relations", range(-1, 3)),
@@ -263,16 +277,42 @@ CLI_ARGVS = st.one_of(
     _command("kernel-stability", _option("--atoms", _SIZES),
              _option("--worlds", range(-1, 9)),
              _option("--depth", _SIZES), _option("--seed", _SEEDS)),
+    # narrow maps (context-dim < 9 at n = 3) fail; wide ones pass
+    _command("isotypic", _option("--entities", _SIZES),
+             _option("--relations", range(-1, 3)),
+             _option("--context-dim", range(-1, 21)),
+             _option("--tol", _TOLS), _option("--seed", _SEEDS)),
+    _command("parity", _option("--entities", _SIZES),
+             _option("--parity", ("+", "-", "both")),
+             _option("--tol", _TOLS), _option("--seed", _SEEDS)),
+    _command("fit-bilinear", _option("--atoms", _SIZES),
+             _option("--worlds", range(-1, 5)),
+             _option("--tol", _TOLS), _option("--seed", _SEEDS)),
+    _command("audit", _option("--entities", _SIZES),
+             _option("--family", range(-1, 12)),
+             _option("--eta", (-0.5, 0.0, 0.1) + _TOLS[5:]),
+             _option("--seed", _SEEDS)),
+    _command("verify-slp", _required("--load", ("map.in",)),
+             _option("--tol", _TOLS)),
 )
 
 
+@pytest.fixture(scope="module")
+def stored_map(tmp_path_factory):
+    """A built map for the verify-slp draws, outside each draw's scratch."""
+    path = tmp_path_factory.mktemp("stored") / "map.json"
+    assert main(["build-slp", "--save", str(path),
+                 "--out", str(path.with_name("build.json"))]) == 0
+    return path
+
+
 @given(argv=CLI_ARGVS)
-@settings(max_examples=150)
-def test_exit_code_contract_over_argument_ranges(argv):
+@settings(max_examples=300)
+def test_exit_code_contract_over_argument_ranges(stored_map, argv):
     with tempfile.TemporaryDirectory() as scratch:
         out_path = Path(scratch) / "report.json"
-        argv = [Path(scratch, a).as_posix() if a == "map.out" else a
-                for a in argv]
+        argv = [Path(scratch, a).as_posix() if a == "map.out" else
+                str(stored_map) if a == "map.in" else a for a in argv]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
@@ -386,6 +426,21 @@ def test_isotypic_image_dims_fill_the_span(capsys):
     dims = [entry["image_dim"] for entry in report.details["irreps"]]
     assert sum(dims) == report.details["properties"]["span_dim"]
     assert report.max_deviation <= 1e-8
+
+
+@pytest.mark.parametrize("context_dim", ["1", "2", "4"])
+def test_isotypic_on_a_narrow_map_names_the_renaming(capsys, context_dim):
+    """Below 9 features at n = 3 the span is not renaming-invariant."""
+    code, out, err = run_cli(capsys, "isotypic", "--entities", "3",
+                             "--relations", "1", "--context-dim",
+                             context_dim, "--seed", "1")
+    assert code == 1 and "Traceback" not in err
+    report = parse_report(out)
+    assert report.passed is False
+    renaming = report.details["renaming"]
+    assert sorted(renaming["perm"]) == [0, 1, 2]
+    assert renaming["perm"] != [0, 1, 2] and renaming["sign"] == 1
+    assert report.max_deviation > 1e-8
 
 
 def test_parity_cross_residual_is_zero_for_builds(capsys):

@@ -3,8 +3,9 @@
 A seeded ladder runs every subcommand at small sizes and compares the exit
 code with each integer, boolean and string leaf of the report against
 `verdict_pins.json`.  Floats are left out because their last digits depend
-on the BLAS; the verdicts and dimensions must not.  The ladder avoids the
-isotypic seeds that fail on ill-conditioned maps.
+on the BLAS; the verdicts and dimensions must not.  The ladder includes
+two ill-conditioned isotypic maps (cond(S) about 2e5) and one whose feature
+width exceeds its span.
 
 The ladder runs in a scratch directory with relative paths, so the saved
 map and config names, and with them the config hashes, do not depend on
@@ -50,6 +51,12 @@ LADDER = (
      "--parity", "-"),
     ("isotypic", "--entities", "3", "--relations", "2", "--seed", "5"),
     ("isotypic", "--entities", "4", "--relations", "1", "--seed", "6"),
+    ("isotypic", "--entities", "3", "--relations", "1", "--context-dim",
+     "20", "--seed", "1"),
+    ("isotypic", "--entities", "5", "--relations", "1", "--seed",
+     "1657719116"),
+    ("isotypic", "--entities", "4", "--relations", "2", "--seed",
+     "1492217472"),
     ("parity", "--entities", "3", "--relations", "2", "--seed", "7"),
     ("parity", "--entities", "3", "--relations", "1", "--seed", "8",
      "--parity", "+"),
