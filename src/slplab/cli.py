@@ -464,7 +464,9 @@ def _float_where(ok, what: str):
 _density = _float_where(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 # every check's pass bound: rejects NaN, infinities and negative values
 _tolerance = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-_finite = _float_where(math.isfinite, "finite")
+# a zero edit makes every response 0.0, so the audit would pass vacuously
+_edit_step = _float_where(lambda v: math.isfinite(v) and v != 0.0,
+                         "finite and nonzero")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -580,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("audit", help="rank-one edit propagation audit")
     _add_build_flags(sub)
     sub.add_argument("--family", type=int, default=0)
-    sub.add_argument("--eta", type=_finite, default=0.1)
+    sub.add_argument("--eta", type=_edit_step, default=0.1)
     _add_common(sub)
     sub.set_defaults(func=_cmd_audit)
 

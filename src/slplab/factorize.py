@@ -19,8 +19,10 @@ representation of the symmetric group; combined with the central sign flip
 this gives a product-group action.  Its negation split and isotypic pieces
 are computed here in those coordinates, the latter via character projectors
 formed from one sum of lifts per conjugacy class.  Hom-space dimensions
-multiply across the two factors, checked numerically with a commutant
-null-space solver.
+multiply across the two factors.  Each dimension has two witnesses: a
+commutant null-space solve, which decides the rank of the stacked constraint
+system one connected component of its sparsity graph at a time and never
+forms it densely, and the character inner product of the given matrices.
 """
 
 from __future__ import annotations
@@ -449,21 +451,111 @@ def parity_decompose(f: FactorizedMap,
     return ParityDecomposition(tuple(blocks_out), max_cross)
 
 
+def _constraint_triples(mv: np.ndarray, mc: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros (row, col, value) of kron(I, mv^T) - kron(mc, I).
+
+    Row and column (a, b) stand for a * dim(mv) + b.  The two Kronecker
+    terms meet only on the diagonal, where the value is the one subtraction
+    mv[b, b] - mc[a, a]; off it each term stands alone, so every value is
+    bitwise the dense entry.  Exact zeros are dropped.
+    """
+    dv, dc = mv.shape[0], mc.shape[0]
+    cell = np.arange(dc * dv).reshape(dc, dv)
+    j, b = np.nonzero(mv)
+    off = j != b
+    j, b = j[off], b[off]
+    a, i = np.nonzero(mc)
+    off = a != i
+    a, i = a[off], i[off]
+    rows = np.concatenate([cell.ravel(), cell[:, b].ravel(),
+                           cell[a].ravel()])
+    cols = np.concatenate([cell.ravel(), cell[:, j].ravel(),
+                           cell[i].ravel()])
+    vals = np.concatenate([
+        (np.diag(mv)[None, :] - np.diag(mc)[:, None]).ravel(),
+        np.broadcast_to(mv[j, b], (dc, len(b))).ravel(),
+        np.broadcast_to(-mc[a, i][:, None], (len(a), dv)).ravel()])
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _column_components(rows: np.ndarray, cols: np.ndarray,
+                       ncols: int) -> np.ndarray:
+    """Label each column by the smallest column of its connected component.
+
+    Two columns are connected when one row touches both.  Min-label
+    propagation through the rows, with pointer jumping, until a fixpoint.
+    """
+    label = np.arange(ncols)
+    nrows = int(rows.max()) + 1
+    while True:
+        row_min = np.full(nrows, ncols)
+        np.minimum.at(row_min, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, row_min[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def commutant_hom_dimension(source_mats: Sequence[np.ndarray],
                             target_mats: Sequence[np.ndarray]) -> int:
     """dim Hom_G(source, target): null space of X rho_V(g) - rho_C(g) X.
 
     Unknown X has shape (dim target, dim source); with row-major vec the
-    constraint for g is kron(I, rho_V(g)^T) - kron(rho_C(g), I).
+    constraint for g is kron(I, rho_V(g)^T) - kron(rho_C(g), I), one block
+    per given element.  The stacked system is never formed densely: its
+    nonzeros split the columns into connected components, and permuting
+    rows and columns makes it block-diagonal with one block per component.
+    A block-diagonal matrix's singular values are the union of its blocks',
+    so the rank is the sum of the block ranks, each from one SVD at the
+    threshold of `numerics.rank` on the whole system (REL_TOL times its
+    largest row norm).  A column that no row touches is free.
     """
     dv = source_mats[0].shape[0]
     dc = target_mats[0].shape[0]
-    rows = []
-    for mv, mc in zip(source_mats, target_mats):
-        rows.append(np.kron(np.eye(dc), np.asarray(mv, dtype=float).T) -
-                    np.kron(np.asarray(mc, dtype=float), np.eye(dv)))
-    stacked = np.concatenate(rows, axis=0)
-    return stacked.shape[1] - numerics.rank(stacked)
+    ncols = dc * dv
+    parts = [_constraint_triples(np.asarray(mv, dtype=float),
+                                 np.asarray(mc, dtype=float))
+             for mv, mc in zip(source_mats, target_mats)]
+    rows = np.concatenate([r + k * ncols for k, (r, _, _) in enumerate(parts)])
+    cols = np.concatenate([c for _, c, _ in parts])
+    vals = np.concatenate([v for _, _, v in parts])
+    if not len(vals):
+        return ncols
+    threshold = numerics.scaled_threshold(
+        float(np.sqrt(np.max(np.bincount(rows, weights=vals * vals)))))
+    comp = _column_components(rows, cols, ncols)[cols]
+    order = np.argsort(comp, kind="stable")
+    rank = 0
+    for part in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+        # number the component's rows and columns from zero
+        _, r = np.unique(rows[part], return_inverse=True)
+        _, c = np.unique(cols[part], return_inverse=True)
+        block = np.zeros((r.max() + 1, c.max() + 1))
+        block[r, c] = vals[part]
+        sv = np.linalg.svd(block, compute_uv=False)
+        rank += int(np.sum(sv > threshold))
+    return ncols - rank
+
+
+def character_hom_dim(source_mats: Sequence[np.ndarray],
+                      target_mats: Sequence[np.ndarray]) -> int:
+    """dim Hom_G(source, target) = (1/|G|) sum_g chi_V(g) chi_W(g).
+
+    Real characters from the traces of the given matrices (Serre, Linear
+    Representations of Finite Groups, 2.3).  Raises ValueError when the
+    inner product is not within PROJECTOR_TOL of an integer, which means the
+    matrices are not aligned representations of one group.
+    """
+    value = sum(float(np.trace(a)) * float(np.trace(b))
+                for a, b in zip(source_mats, target_mats)) / len(source_mats)
+    dim = round(value)
+    if abs(value - dim) > numerics.PROJECTOR_TOL:
+        raise ValueError(f"character inner product {value} is not an integer")
+    return dim
 
 
 def hom_dimension_check(ctx_rep: Sequence[np.ndarray],
@@ -474,19 +566,29 @@ def hom_dimension_check(ctx_rep: Sequence[np.ndarray],
 
     ctx_* are aligned over the renaming group's elements, rel_* over the
     two-element sign group; the product group's matrices are Kronecker
-    products over all element pairs.
+    products over all element pairs.  Each of the three dimensions has two
+    witnesses, the commutant solve and the character inner product; the
+    check fails when the product law fails on the commutant dims or when
+    the witnesses disagree, and `witness_mismatch` names each dim that does.
     """
-    dim_ctx = commutant_hom_dimension(ctx_rep, ctx_target)
-    dim_rel = commutant_hom_dimension(rel_rep, rel_target)
     prod_source = [np.kron(a, b) for a in ctx_rep for b in rel_rep]
     prod_target = [np.kron(a, b) for a in ctx_target for b in rel_target]
-    dim_prod = commutant_hom_dimension(prod_source, prod_target)
-    passed = dim_ctx * dim_rel == dim_prod
+    pairs = {"context": (ctx_rep, ctx_target),
+             "relation": (rel_rep, rel_target),
+             "product": (prod_source, prod_target)}
+    commutant = {k: commutant_hom_dimension(*v) for k, v in pairs.items()}
+    character = {k: character_hom_dim(*v) for k, v in pairs.items()}
+    mismatch = [k for k in pairs if commutant[k] != character[k]]
+    dim_ctx, dim_rel, dim_prod = commutant.values()
+    law_dev = abs(dim_ctx * dim_rel - dim_prod)
     return Report(
         check="hom_dimension_product",
-        passed=passed,
-        max_deviation=float(abs(dim_ctx * dim_rel - dim_prod)),
+        passed=law_dev == 0 and not mismatch,
+        max_deviation=float(max(law_dev, *(abs(commutant[k] - character[k])
+                                           for k in pairs))),
         details={"dim_hom_context": dim_ctx, "dim_hom_relation": dim_rel,
                  "dim_hom_product": dim_prod,
+                 "character_dims": character,
+                 "witness_mismatch": mismatch,
                  "product_law": f"{dim_ctx} * {dim_rel} == {dim_prod}"},
     )

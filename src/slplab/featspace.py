@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -101,12 +102,26 @@ class KernelBasis:
 class LiftedOperator:
     """A renaming on the feature span: the orthogonal r x r `span` matrix in
     span coordinates, and `matrix`, the same operator on feature coordinates
-    (zero off the span)."""
+    (zero off the span).  `matrix` and `residual`, max |M matrix^T - M[perm]|
+    over the map M, are computed on first read."""
 
     source: GroupElementH
     span: np.ndarray
-    matrix: np.ndarray
-    residual: float
+    fmap: FeatureMap = field(repr=False)
+    perm: np.ndarray = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        spec = self.fmap.spectrum()
+        r = spec.span_rank
+        v_rt, s_r = spec.vt[:r], spec.sv[:r]
+        return (v_rt.T * s_r) @ self.span @ (v_rt / s_r[:, None])
+
+    @cached_property
+    def residual(self) -> float:
+        m = self.fmap.matrix
+        return float(np.max(np.abs(m @ self.matrix.T - m[self.perm]),
+                            initial=0.0))
 
 
 def check_logical_equivariance(fmap: FeatureMap,
@@ -240,15 +255,12 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     perm = _query_permutation(fmap, g, algebra)
     spec = fmap.spectrum()
     r = spec.span_rank
-    u_r, v_rt, s_r = spec.u[:, :r], spec.vt[:r], spec.sv[:r]
+    u_r = spec.u[:, :r]
     rho = u_r[perm].T @ u_r
     deviation = float(np.max(np.abs(rho @ rho.T - np.eye(r)), initial=0.0))
     if deviation > numerics.PROJECTOR_TOL:
         raise KernelNotInvariantError(g, deviation)
-    matrix = (v_rt.T * s_r) @ rho @ (v_rt / s_r[:, None])
-    residual = float(np.max(np.abs(fmap.matrix @ matrix.T - fmap.matrix[perm]),
-                            initial=0.0))
-    return LiftedOperator(source=g, span=rho, matrix=matrix, residual=residual)
+    return LiftedOperator(source=g, span=rho, fmap=fmap, perm=perm)
 
 
 def propagation_audit(fmap: FeatureMap, families: Sequence[LogicalFamily],

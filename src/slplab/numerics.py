@@ -34,7 +34,12 @@ def row_scale(matrix: np.ndarray) -> float:
 
 
 def rank_threshold(matrix: np.ndarray) -> float:
-    return REL_TOL * max(row_scale(matrix), 1e-300)
+    return scaled_threshold(row_scale(matrix))
+
+
+def scaled_threshold(scale: float) -> float:
+    """The rank threshold of a matrix whose largest row norm is `scale`."""
+    return REL_TOL * max(scale, 1e-300)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

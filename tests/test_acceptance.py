@@ -199,9 +199,11 @@ def test_criterion_06_parity_exactness_and_fault():
 
 
 def test_criterion_07_hom_dimension_product_law():
+    perms4 = symmetric_group(4)
     perms3 = symmetric_group(3)
     perms2 = symmetric_group(2)
     algebra = seeded_algebra(3, 1, 0)
+    pair4 = pair_space_representation(4, perms4)
     pair3 = pair_space_representation(3, perms3)
     pair2 = pair_space_representation(2, perms2)
     rel_reg = relation_sign_representation(algebra)
@@ -213,13 +215,15 @@ def test_criterion_07_hom_dimension_product_law():
         ("pair2/pair2 x sign/sign", pair2, pair2, sign1, sign1),
         ("pair3/trivial x reg/trivial", pair3, triv3, rel_reg,
          [np.eye(1), np.eye(1)]),
+        ("pair4/pair4 x reg/reg", pair4, pair4, rel_reg, rel_reg),
     ]
     laws = []
     for name, ctx, ctx_t, rel, rel_t in configs:
         report = hom_dimension_check(ctx, ctx_t, rel, rel_t)
         assert report.passed, (name, report.details)
+        assert report.details["witness_mismatch"] == [], name
         laws.append(f"{name}: {report.details['product_law']}")
-    record(7, "; ".join(laws))
+    record(7, "; ".join(laws) + " (commutant and character witnesses agree)")
 
 
 def test_criterion_08_possible_worlds_feasible_regime():

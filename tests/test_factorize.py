@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_proper_relation
-from slplab import characters
+from slplab import characters, factorize
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
                               assemble_rows, build_slp_map,
-                              commutant_hom_dimension, group_average,
+                              character_hom_dim, commutant_hom_dimension,
+                              group_average,
                               hom_dimension_check, involution_split,
                               isotypic_decompose, negation_split,
                               pair_space_representation, pair_swap_matrix,
@@ -382,28 +383,90 @@ def test_converse_fixed_relation_forces_zero_odd_factor():
 
 # ------------------------------------------------------------------ Hom law
 
-def character_hom_dim(source_mats, target_mats):
-    """Independent oracle: dim Hom = (1/|G|) sum of character products."""
-    total = sum(float(np.trace(a)) * float(np.trace(b))
-                for a, b in zip(source_mats, target_mats))
-    value = total / len(source_mats)
-    assert np.isclose(value, round(value))
-    return round(value)
+def dense_commutant_hom_dim(source_mats, target_mats):
+    """Oracle: the stacked commutant system built densely, one SVD of it all."""
+    dv = source_mats[0].shape[0]
+    dc = target_mats[0].shape[0]
+    stacked = np.concatenate([
+        np.kron(np.eye(dc), np.asarray(mv, dtype=float).T) -
+        np.kron(np.asarray(mc, dtype=float), np.eye(dv))
+        for mv, mc in zip(source_mats, target_mats)], axis=0)
+    return stacked.shape[1] - rank(stacked)
 
 
-def _sign_rep_1d(order=2):
-    return [np.eye(1), -np.eye(1)][:order]
+def _signed_permutation_rep(perms):
+    """e_i -> sgn(g) e_g(i): a signed-permutation representation."""
+    return [characters.perm_sign(p) * characters.permutation_matrix(p)
+            for p in perms]
 
 
-def test_commutant_matches_character_oracle():
+def _conjugated(mats, seed):
+    """The same representation in a random orthonormal basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(mats[0].shape[0],) * 2))
+    return [q @ m @ q.T for m in mats]
+
+
+def _hom_witness_cases():
+    cases = []
     for n in (2, 3):
         perms = symmetric_group(n)
         pair_rep = pair_space_representation(n, perms)
+        signed = _signed_permutation_rep(perms)
         trivial = [np.eye(1) for _ in perms]
-        for source, target in [(pair_rep, pair_rep), (trivial, pair_rep),
-                               (pair_rep, trivial)]:
-            assert commutant_hom_dimension(source, target) == \
-                character_hom_dim(source, target)
+        cases += [(f"pair{n}-pair{n}", pair_rep, pair_rep),
+                  (f"trivial-pair{n}", trivial, pair_rep),
+                  (f"pair{n}-trivial", pair_rep, trivial),
+                  (f"signed{n}-signed{n}", signed, signed),
+                  (f"signed{n}-pair{n}", signed, pair_rep)]
+    perms3 = symmetric_group(3)
+    std = characters.irrep_matrices("standard", perms3, 3)
+    perm3 = [characters.permutation_matrix(p) for p in perms3]
+    pair3 = pair_space_representation(3, perms3)
+    cases += [("standard-standard", std, std),
+              ("standard-perm3", std, perm3)]
+    for seed in range(5):
+        cases.append((f"orthogonal-perm3-standard-{seed}",
+                      _conjugated(perm3, seed), _conjugated(std, seed + 10)))
+    cases.append(("orthogonal-pair3-perm3",
+                  _conjugated(pair3, 20), _conjugated(perm3, 21)))
+    # every constraint cancels to zero: no nonzero at all
+    sign1 = [np.eye(1), -np.eye(1)]
+    cases += [("sign-sign", sign1, sign1),
+              ("sign-trivial", sign1, [np.eye(1), np.eye(1)])]
+    # Sym(2) x Z2 on pair2 (x) relation space, the product-law shape
+    pair2 = pair_space_representation(2, symmetric_group(2))
+    reg4 = [np.eye(4), characters.permutation_matrix((1, 0, 3, 2))]
+    prod = [np.kron(a, b) for a in pair2 for b in reg4]
+    prod_sign = [np.kron(a, b) for a in pair2 for b in sign1]
+    cases += [("pair2xreg-pair2xreg", prod, prod),
+              ("pair2xreg-pair2xsign", prod, prod_sign)]
+    return cases
+
+
+_HOM_CASES = [pytest.param(source, target, id=name)
+              for name, source, target in _hom_witness_cases()]
+
+
+@pytest.mark.parametrize("source,target", _HOM_CASES)
+def test_commutant_matches_dense_oracle_and_characters(source, target):
+    dim = commutant_hom_dimension(source, target)
+    assert dim == dense_commutant_hom_dim(source, target)
+    assert dim == character_hom_dim(source, target)
+
+
+@pytest.mark.parametrize("source,target", _HOM_CASES)
+def test_constraint_triples_are_the_dense_nonzeros_bitwise(source, target):
+    for mv, mc in zip(source, target):
+        mv, mc = np.asarray(mv, dtype=float), np.asarray(mc, dtype=float)
+        dense = (np.kron(np.eye(mc.shape[0]), mv.T) -
+                 np.kron(mc, np.eye(mv.shape[0])))
+        rows, cols, vals = factorize._constraint_triples(mv, mc)
+        assert np.all(vals != 0.0)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(vals)
+        rebuilt = np.zeros_like(dense)
+        rebuilt[rows, cols] = vals
+        assert np.array_equal(rebuilt, dense)
 
 
 def test_standard_rep_self_hom_is_one():
@@ -413,9 +476,17 @@ def test_standard_rep_self_hom_is_one():
     assert commutant_hom_dimension(std, std) == 1
 
 
-def test_hom_dimension_product_law_three_configs(algebra_3):
+def test_character_hom_dim_rejects_non_integer_products():
+    with pytest.raises(ValueError, match="not an integer"):
+        character_hom_dim([np.eye(1), -np.eye(1)],
+                          [np.eye(1), 0.5 * np.eye(1)])
+
+
+def test_hom_dimension_product_law_at_n3_and_n4(algebra_3):
+    perms4 = symmetric_group(4)
     perms3 = symmetric_group(3)
     perms2 = symmetric_group(2)
+    pair4 = pair_space_representation(4, perms4)
     pair3 = pair_space_representation(3, perms3)
     pair2 = pair_space_representation(2, perms2)
     rel_reg = relation_sign_representation(algebra_3)
@@ -426,6 +497,7 @@ def test_hom_dimension_product_law_three_configs(algebra_3):
         (pair3, pair3, rel_reg, sign1),
         (pair2, pair2, sign1, sign1),
         (pair3, [np.eye(1) for _ in perms3], rel_reg, triv1),
+        (pair4, pair4, rel_reg, rel_reg),
     ]
     for ctx_rep, ctx_target, rel_rep, rel_target in configs:
         report = hom_dimension_check(ctx_rep, ctx_target, rel_rep, rel_target)
@@ -433,9 +505,33 @@ def test_hom_dimension_product_law_three_configs(algebra_3):
         d = report.details
         assert d["dim_hom_context"] * d["dim_hom_relation"] == \
             d["dim_hom_product"]
-        # cross-check every factor against the character oracle
+        # the second witness is computed and agrees on every dim
+        assert d["witness_mismatch"] == []
+        assert d["character_dims"] == {
+            "context": d["dim_hom_context"],
+            "relation": d["dim_hom_relation"],
+            "product": d["dim_hom_product"]}
         assert d["dim_hom_context"] == character_hom_dim(ctx_rep, ctx_target)
         assert d["dim_hom_relation"] == character_hom_dim(rel_rep, rel_target)
+    # the last config is pair4 x reg, with reg the 4-dim relation space
+    assert (d["dim_hom_context"], d["dim_hom_relation"],
+            d["dim_hom_product"]) == (15, 8, 120)
+
+
+def test_hom_check_names_the_dim_whose_witnesses_disagree(monkeypatch):
+    real = factorize.commutant_hom_dimension
+    # off by one on the two-element relation group only
+    monkeypatch.setattr(factorize, "commutant_hom_dimension",
+                        lambda s, t: real(s, t) + (len(s) == 2))
+    pair3 = pair_space_representation(3, symmetric_group(3))
+    sign1 = [np.eye(1), -np.eye(1)]
+    report = hom_dimension_check(pair3, pair3, sign1, sign1)
+    assert not report.passed
+    assert report.details["witness_mismatch"] == ["relation"]
+    assert report.details["dim_hom_relation"] == 2
+    assert report.details["character_dims"]["relation"] == 1
+    # the law itself now fails too: 14 * 2 != 14
+    assert report.max_deviation == 14.0
 
 
 def test_relation_sign_representation_is_z2_action(algebra_3):

@@ -189,7 +189,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("families", "--entities", "2", "--density", "0.01",
          "--out", str(out_path)),
         ("collapse", "--seed", "-1", "--out", str(out_path)),
-        # tolerances are finite and non-negative, --eta finite
+        # tolerances are finite and non-negative, --eta finite and nonzero
         ("isotypic", "--tol", "nan", "--out", str(out_path)),
         ("isotypic", "--tol", "1e400", "--out", str(out_path)),
         ("parity", "--tol", "-1", "--out", str(out_path)),
@@ -198,6 +198,8 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("collapse", "--tolerance", "-1e-8", "--out", str(out_path)),
         ("audit", "--eta", "nan", "--out", str(out_path)),
         ("audit", "--eta", "-inf", "--out", str(out_path)),
+        ("audit", "--eta", "0", "--out", str(out_path)),
+        ("audit", "--eta", "-0.0", "--out", str(out_path)),
     ]
     bad_configs = [
         {"epochs": "ten"}, {"epochs": -3}, {"epochs": 2.0}, {"epochs": True},
