@@ -273,10 +273,44 @@ def _cmd_parity(args, parser) -> int:
     return _finish(report, args, seed)
 
 
-def _cmd_kernel_stability(args, parser) -> int:
+# Cell budget of the largest array a conjunction command builds: 2^25
+# float64s, 268 MB.  It admits kernel-stability at 6 atoms and fit-bilinear
+# at 5 atoms and 8 worlds; larger sizes exit 2 before any work.
+MAX_CELLS = 1 << 25
+
+
+def _support_size(atoms: int) -> int:
+    """N = 4^atoms - 1 compounds in the depth-2 closure, which bounds every
+    depth; past 31 atoms every count is over budget, so the power is capped."""
+    return 4 ** min(atoms, 32) - 1
+
+
+def _stability_cells(atoms: int, worlds: int) -> int:
+    """The N x N pair table, or an N x worlds feature gather if larger."""
+    n = _support_size(atoms)
+    return n * max(n, worlds)
+
+
+def _fit_cells(atoms: int, worlds: int) -> int:
+    """The P x worlds^2 outer products of P = N(N+1)/2 pairs, or the
+    worlds^2 x worlds coefficients of the full fit if larger."""
+    n = _support_size(atoms)
+    return max(n * (n + 1) // 2, worlds) * worlds ** 2
+
+
+def _worlds_assignment(args, parser, cells: int):
+    if cells > MAX_CELLS:
+        parser.error(f"--atoms {args.atoms} --worlds {args.worlds} needs more "
+                     f"than the {MAX_CELLS}-cell budget in one array")
     seed = _resolve_seed(args, parser)
     assignment, _ = possible_worlds_assignment(args.atoms, args.worlds, seed,
                                                args.depth)
+    return assignment, seed
+
+
+def _cmd_kernel_stability(args, parser) -> int:
+    assignment, seed = _worlds_assignment(
+        args, parser, _stability_cells(args.atoms, args.worlds))
     report = check_kernel_stability(assignment)
     report.details["atoms"] = args.atoms
     report.details["worlds"] = args.worlds
@@ -285,9 +319,8 @@ def _cmd_kernel_stability(args, parser) -> int:
 
 
 def _cmd_fit_bilinear(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    assignment, _ = possible_worlds_assignment(args.atoms, args.worlds, seed,
-                                               args.depth)
+    assignment, seed = _worlds_assignment(
+        args, parser, _fit_cells(args.atoms, args.worlds))
     fit = fit_bilinear(assignment)
     report = Report(
         check="fit_bilinear", passed=fit.max_residual <= args.tol,
@@ -547,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("kernel-stability",
                           help="conjunction kernel stability on a worlds model")
-    sub.add_argument("--atoms", type=_at_least(1), default=3)
+    sub.add_argument("--atoms", type=_at_least(1), default=3,
+                     help="at most 6: the N x N pair table of N = 4^atoms - 1 "
+                          f"compounds must fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     _add_common(sub)
@@ -555,7 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("fit-bilinear",
                           help="symmetric bilinear fit on a worlds model")
-    sub.add_argument("--atoms", type=_at_least(1), default=3)
+    sub.add_argument("--atoms", type=_at_least(1), default=3,
+                     help="at most 5 at 8 worlds: the P x worlds^2 outer "
+                          "products of P = N(N+1)/2 pairs must fit in "
+                          f"{MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -9,22 +9,26 @@ of a set of atoms is every nonempty set of its literals and stabilizes at
 depth 2.  Inside a check, each literal of the support gets one bit, and the
 conjunction of two support elements is the bitwise OR of their codes.
 
-The central object downstream is a symmetric bilinear conjunction operator F
-with F(feature(p), feature(q)) = feature(p AND q) on realized pairs.  Fitting
-F is a linear least-squares problem; idempotence makes F(u, u) = u for every
-literal feature u, and if negation also flips feature signs then F(u, u)
-must simultaneously equal u and -u, which is impossible unless u = 0.  The
-collapse certificate measures exactly that obstruction: the minimum total
-squared violation is 2 * sum of squared feature norms, attained at F = 0.
-A possible-worlds assignment (0/1 truth values per world, conjunction =
-elementwise product, negation = 1 - x) satisfies consistency without sign
-equivariance and keeps the feasible regime honest.
+Conjunction with a context is well defined on features only if it maps the
+kernel of the support -> feature map into itself, i.e. if the substituted
+feature matrix keeps its columns in the span of the feature matrix's
+columns (`check_kernel_stability`).  Then it is a symmetric bilinear
+operator F with F(feature(p), feature(q)) = feature(p AND q) on realized
+pairs.  Fitting F is a linear least-squares problem; idempotence makes
+F(u, u) = u for every literal feature u, and if negation also flips feature
+signs then F(u, u) must simultaneously equal u and -u, which is impossible
+unless u = 0.  The collapse certificate measures exactly that obstruction:
+the minimum total squared violation is 2 * sum of squared feature norms,
+attained at F = 0.  A possible-worlds assignment (0/1 truth values per
+world, conjunction = elementwise product, negation = 1 - x) satisfies
+consistency without sign equivariance and keeps the feasible regime honest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,17 +110,12 @@ def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
     return conj(atom(Query(head, rel_r, b)), atom(Query(b, rel_s, tail))), 1
 
 
-def _pair_images(order: Sequence[Compound], a: np.ndarray,
-                 b: np.ndarray) -> np.ndarray:
+def _pair_images(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Support index of conj(order[a], order[b]), or -1 outside the support.
 
-    Each distinct literal of the support gets one bit, so a compound is an
-    int64 code and a conjunction is the bitwise OR of two codes.
+    `codes` is `ConjFeatureAssignment.codes`: a conjunction is the bitwise
+    OR of two codes, looked up by binary search.
     """
-    literals = sorted({lit for x in order for lit in x.literals})
-    bits = {lit: 1 << i for i, lit in enumerate(literals)}
-    codes = np.array([sum(bits[lit] for lit in x.literals) for x in order],
-                     dtype=np.int64)
     sorter = np.argsort(codes)
     want = codes[a] | codes[b]
     pos = np.minimum(np.searchsorted(codes, want, sorter=sorter), len(codes) - 1)
@@ -146,58 +145,67 @@ class ConjFeatureAssignment:
             raise ValueError("a support holds at most 63 distinct literals")
         return cls(clean, next(iter(dims))[0])
 
-    @property
+    @cached_property
     def order(self) -> tuple[Compound, ...]:
         return tuple(sorted(self.features))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """One int64 per support element, the OR of one bit per literal."""
+        literals = sorted({lit for x in self.order for lit in x.literals})
+        bits = {lit: 1 << i for i, lit in enumerate(literals)}
+        return np.array([sum(bits[lit] for lit in x.literals)
+                         for x in self.order], dtype=np.int64)
 
     def matrix(self) -> np.ndarray:
         return np.stack([self.features[p] for p in self.order])
 
 
-def assignment_kernel(assignment: ConjFeatureAssignment) -> np.ndarray:
-    """Kernel vectors (rows) over the support, coefficients of vanishing sums."""
-    return numerics.nullspace(assignment.matrix().T)
-
-
 def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     """Conjunction-with-a-context must map the kernel into the kernel.
 
-    Every support element serves as a context.  For context q, the
-    substitution operator sends the unit vector of p to the unit vector of
-    normalize(p AND q).  A context is skipped when any support element's
+    Every support element serves as a context.  For context c, the
+    substitution operator S_c sends the unit vector of p to the unit vector
+    of normalize(p AND c).  A context is skipped when any support element's
     image leaves the truncated support (the skip is reported, never silently
-    ignored).  For every checked context, every kernel vector's image must
-    map to zero features.
+    ignored).  The kernel of the support -> feature map is the orthogonal
+    complement of col(matrix), so S_c preserves it exactly when every column
+    of G = matrix[images[c]] lies in col(matrix).  One thin SVD gives the
+    span basis B at the kernel threshold rank_threshold(matrix.T), whose
+    margin is `kernel_rank`; a context's deviation is the largest column
+    norm of G - B (B.T G).  `pairs_checked` counts kernel vectors times
+    checked contexts.
     """
     order = assignment.order
     matrix = assignment.matrix()
-    kernel = assignment_kernel(assignment)
+    u, sv, _ = np.linalg.svd(matrix, full_matrices=False)
+    threshold = numerics.rank_threshold(matrix.T)
+    basis = u[:, :int(np.sum(sv > threshold))]
+    kernel_dim = len(order) - basis.shape[1]
     tol = numerics.rank_threshold(matrix)
     index = np.arange(len(order))
-    images = _pair_images(order, index[:, None], index)
+    images = _pair_images(assignment.codes, index[:, None], index)
     missing = np.count_nonzero(images < 0, axis=1)
-    skipped_contexts = int(np.count_nonzero(missing))
-    skipped_pairs = int(missing.sum())
     worst = 0.0
     violations = []
-    checked = 0
     for c in np.flatnonzero(missing == 0):
-        # kernel @ substitution @ matrix, the substitution applied as a row gather
-        residuals = np.linalg.norm(kernel @ matrix[images[c]], axis=1)
-        checked += kernel.shape[0]
-        dev = float(np.max(residuals)) if residuals.size else 0.0
+        gathered = matrix[images[c]]  # S_c applied as a row gather
+        outside = gathered - basis @ (basis.T @ gathered)
+        dev = float(np.max(np.linalg.norm(outside, axis=0), initial=0.0))
         worst = max(worst, dev)
         if dev > tol:
             violations.append({"context": repr(order[c]), "residual": dev})
+    contexts_checked = int(np.count_nonzero(missing == 0))
     return Report(
         check="kernel_stability",
         passed=not violations,
         max_deviation=worst,
-        details={"kernel_dim": int(kernel.shape[0]),
-                 "contexts_checked": len(order) - skipped_contexts,
-                 "contexts_skipped": skipped_contexts,
-                 "pairs_skipped": skipped_pairs,
-                 "pairs_checked": checked,
+        details={"kernel_dim": kernel_dim,
+                 "kernel_rank": numerics.rank_margin(sv, threshold),
+                 "contexts_checked": contexts_checked,
+                 "contexts_skipped": len(order) - contexts_checked,
+                 "pairs_skipped": int(missing.sum()),
+                 "pairs_checked": kernel_dim * contexts_checked,
                  "violations": violations, "tol": tol},
     )
 
@@ -211,22 +219,16 @@ class BilinearOperator:
     def apply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("cab,a,b->c", self.tensor, u, v)
 
-    def apply_batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return np.einsum("cab,pa,pb->pc", self.tensor, us, vs)
 
-
-def _triangle_design(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+def _triangle_design(outer: np.ndarray) -> np.ndarray:
     """Rows of the least-squares system for a symmetric bilinear unknown.
 
     Unknowns are the upper-triangle tensor entries T[c, a, b] with a <= b;
-    the coefficient of T[., a, b] in F(u, v) is u_a v_b + u_b v_a off the
-    diagonal and u_a v_a on it.
+    given outer products u v^T, the coefficient of T[., a, b] in F(u, v) is
+    u_a v_b + u_b v_a off the diagonal and u_a v_a on it.
     """
-    d = us.shape[1]
-    outer = us[:, :, None] * vs[:, None, :]
-    sym = outer + outer.transpose(0, 2, 1)
-    rows_idx, cols_idx = np.triu_indices(d)
-    design = sym[:, rows_idx, cols_idx]
+    rows_idx, cols_idx = np.triu_indices(outer.shape[1])
+    design = outer[:, rows_idx, cols_idx] + outer[:, cols_idx, rows_idx]
     design[:, rows_idx == cols_idx] /= 2.0
     return design
 
@@ -253,35 +255,37 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
 
     Constraints run over unordered support pairs (p, q) whose normalized
     conjunction stays in the support (p = q included, which encodes
-    idempotence).  The operator is only determined on the realized span;
-    uniqueness there is certified by an independently parameterized second
-    fit whose predictions must agree on every realized pair.
+    idempotence).  One outer product u v^T per pair feeds the triangle
+    design and an independent second fit over all d*d coefficients.  The
+    operator is only determined on the realized span, so `uniqueness_gap`
+    compares the two fits there: both are read through the triangle design,
+    the second after symmetrizing.
     """
     order = assignment.order
     matrix = assignment.matrix()
     aa, bb = np.triu_indices(len(order))
-    images = _pair_images(order, aa, bb)
+    images = _pair_images(assignment.codes, aa, bb)
     realized = images >= 0
     ii, jj, kk = aa[realized], bb[realized], images[realized]
     skipped = len(aa) - len(ii)
     if not ii.size:
         raise ValueError("no realized conjunction pairs inside the support")
-    us, vs, ws = matrix[ii], matrix[jj], matrix[kk]
+    ws = matrix[kk]
     d = assignment.dim
+    outer = matrix[ii][:, :, None] * matrix[jj][:, None, :]
 
-    design = _triangle_design(us, vs)
+    design = _triangle_design(outer)
     x = numerics.minnorm_lstsq(design, ws)
     operator = BilinearOperator(_triangle_tensor(x, d))
-    max_residual = float(np.max(np.abs(design @ x - ws)))
+    predicted = design @ x
+    max_residual = float(np.max(np.abs(predicted - ws)))
 
-    # independent parameterization: full d*d coefficients, symmetrized after
-    design_full = (us[:, :, None] * vs[:, None, :]).reshape(len(ii), d * d)
-    x_full = numerics.minnorm_lstsq(design_full, ws)
+    x_full = numerics.minnorm_lstsq(outer.reshape(len(ii), d * d), ws)
     tensor_full = x_full.T.reshape(d, d, d)
-    tensor_full = (tensor_full + tensor_full.transpose(0, 2, 1)) / 2.0
-    other = BilinearOperator(tensor_full)
-    gap = float(np.max(np.abs(operator.apply_batch(us, vs) -
-                              other.apply_batch(us, vs))))
+    rows_idx, cols_idx = np.triu_indices(d)
+    x_other = (tensor_full[:, rows_idx, cols_idx] +
+               tensor_full[:, cols_idx, rows_idx]).T / 2.0
+    gap = float(np.max(np.abs(predicted - design @ x_other)))
     return FitResult(operator, max_residual, gap, len(ii), skipped)
 
 
@@ -323,7 +327,7 @@ def collapse_certificate(atom_features: Sequence[np.ndarray],
     if any(u.shape != (d,) for u in feats):
         raise ValueError("atom features must share one dimension")
     us = np.stack(feats)
-    design_rows = _triangle_design(us, us)
+    design_rows = _triangle_design(us[:, :, None] * us[:, None, :])
     targets = us
     if enforce_neg_equiv:
         design_rows = np.concatenate([design_rows, design_rows], axis=0)

@@ -1,8 +1,8 @@
 """Shared tolerances and dense linear-algebra helpers.
 
 The constants below are the package's numerical tolerances, and no rank,
-null-space, projector or finite-difference helper takes another.  All rank
-and null-space decisions go through this module: singular values are
+kernel, projector or finite-difference helper takes another.  All rank and
+kernel decisions go through this module: singular values are
 compared against REL_TOL times a reference scale of the matrix under
 inspection.  The scale is the largest Euclidean row norm of the matrix that
 is decomposed (`rank_threshold`).  A feature map's kernel is the null space
@@ -53,22 +53,6 @@ def rank(matrix: np.ndarray) -> int:
     """Numerical rank at the package-wide relative threshold."""
     sv = singular_values(matrix)
     return int(np.sum(sv > rank_threshold(matrix)))
-
-
-def nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the right null space, one vector per row.
-
-    Returns an array of shape (nullity, ncols); empty (0, ncols) when the
-    matrix has full column rank.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        ncols = m.shape[1] if m.ndim == 2 else 0
-        return np.eye(ncols)
-    _, sv, vt = np.linalg.svd(m, full_matrices=True)
-    tol = rank_threshold(m)
-    r = int(np.sum(sv > tol))
-    return vt[r:]
 
 
 def rank_margin(sv: np.ndarray, threshold: float) -> dict:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slplab.conjunction import (Compound, ConjFeatureAssignment, _pair_images,
-                                atom, check_kernel_stability,
-                                close_conjunction, collapse_certificate, conj,
+from slplab import numerics
+from slplab.conjunction import (BilinearOperator, Compound,
+                                ConjFeatureAssignment, _pair_images, atom,
+                                check_kernel_stability, close_conjunction, collapse_certificate, conj,
                                 fit_bilinear, is_literal, neg,
                                 possible_worlds_assignment,
                                 unique_witness_reduce)
@@ -132,19 +133,35 @@ def test_closure_order_at_two_atoms():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pair_images_match_the_closure_index(k):
-    order = list(close_conjunction([Query(0, i, 0) for i in range(k)]))
+    closure = close_conjunction([Query(0, i, 0) for i in range(k)])
+    assignment = ConjFeatureAssignment.build({x: np.ones(1) for x in closure})
+    order = list(assignment.order)
+    assert order == list(closure)
     n = len(order)
     a, b = np.divmod(np.arange(n * n), n)
-    images = _pair_images(order, a, b)
+    images = _pair_images(assignment.codes, a, b)
     assert images.tolist() == [order.index(conj(order[i], order[j]))
                                for i, j in zip(a, b)]
 
 
 def test_pair_images_outside_the_support_are_minus_one():
     p, q = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
-    order = [p, q, neg(p)]
-    images = _pair_images(order, np.array([0, 0, 0, 1]), np.array([0, 1, 2, 1]))
+    assignment = ConjFeatureAssignment.build(
+        {x: np.ones(1) for x in (p, q, neg(p))})
+    assert assignment.order == (p, q, neg(p))
+    images = _pair_images(assignment.codes, np.array([0, 0, 0, 1]),
+                          np.array([0, 1, 2, 1]))
     assert images.tolist() == [0, -1, -1, 1]
+
+
+def test_codes_and_order_are_derived_once():
+    assignment, _ = possible_worlds_assignment(2, 3, seed=0)
+    assert assignment.codes is assignment.codes
+    assert assignment.order is assignment.order
+    assert assignment.codes.dtype == np.int64
+    # the four literals take one bit each, so every code has one bit per literal
+    assert [bin(int(c)).count("1") for c in assignment.codes] == \
+        [len(x.literals) for x in assignment.order]
 
 
 # ------------------------------------------------------------ witness rewrite
@@ -212,6 +229,28 @@ def test_fitted_operator_matches_elementwise_product_oracle():
         assert np.max(np.abs(predicted - feats[p] * feats[q])) <= 1e-9
 
 
+def test_uniqueness_gap_matches_per_pair_predictions():
+    # random features are not conjunction-consistent, so the two fits
+    # disagree on realized pairs and the gap is far from round-off
+    closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
+    rng = np.random.default_rng(4)
+    assignment = ConjFeatureAssignment.build(
+        {x: rng.standard_normal(3) for x in closure})
+    result = fit_bilinear(assignment)
+    feats, order = assignment.features, assignment.order
+    pairs = list(itertools.combinations_with_replacement(order, 2))
+    targets = np.stack([feats[conj(p, q)] for p, q in pairs])
+    design_full = np.stack([np.outer(feats[p], feats[q]).ravel()
+                            for p, q in pairs])
+    tensor = numerics.minnorm_lstsq(design_full, targets).T.reshape(3, 3, 3)
+    other = BilinearOperator((tensor + tensor.transpose(0, 2, 1)) / 2.0)
+    gap = max(np.max(np.abs(result.operator.apply(feats[p], feats[q]) -
+                            other.apply(feats[p], feats[q])))
+              for p, q in pairs)
+    assert gap > 1e-3
+    assert abs(result.uniqueness_gap - gap) <= 1e-12 * max(1.0, gap)
+
+
 def test_fitted_operator_is_symmetric():
     assignment, _ = possible_worlds_assignment(2, 4, seed=1)
     tensor = fit_bilinear(assignment).operator.tensor
@@ -267,6 +306,78 @@ def test_contexts_outside_support_are_skipped_not_ignored():
     assert report.passed  # nothing checked, nothing violated
 
 
+def kernel_basis_stability(assignment):
+    """Second witness: the kernel-basis form of the check, with conj() images.
+
+    A full SVD's null space of matrix.T is multiplied into every context's
+    gathered features, and a context violates when some kernel vector's
+    image has a norm above rank_threshold(matrix).
+    """
+    order = assignment.order
+    matrix = assignment.matrix()
+    _, sv, vt = np.linalg.svd(matrix.T, full_matrices=True)
+    kernel = vt[int(np.sum(sv > numerics.rank_threshold(matrix.T))):]
+    tol = numerics.rank_threshold(matrix)
+    index = {x: i for i, x in enumerate(order)}
+    checked, skipped, violating = 0, 0, []
+    for context in order:
+        images = [index.get(conj(p, context)) for p in order]
+        if None in images:
+            skipped += 1
+            continue
+        checked += 1
+        norms = np.linalg.norm(kernel @ matrix[images], axis=1)
+        if norms.size and norms.max() > tol:
+            violating.append(repr(context))
+    return {"passed": not violating, "kernel_dim": kernel.shape[0],
+            "contexts_checked": checked, "contexts_skipped": skipped,
+            "violating": violating}
+
+
+def span_stability(assignment):
+    report = check_kernel_stability(assignment)
+    return {"passed": report.passed, **{key: report.details[key] for key in (
+        "kernel_dim", "contexts_checked", "contexts_skipped")},
+        "violating": [v["context"] for v in report.details["violations"]]}
+
+
+@pytest.mark.parametrize("n_atoms,n_worlds", [(1, 1), (1, 3), (2, 2), (2, 5),
+                                              (3, 4), (3, 8), (4, 6)])
+def test_span_check_matches_the_kernel_basis_witness(n_atoms, n_worlds):
+    assignment, _ = possible_worlds_assignment(n_atoms, n_worlds, seed=n_worlds)
+    expected = kernel_basis_stability(assignment)
+    assert span_stability(assignment) == expected
+    assert expected["passed"] and expected["kernel_dim"] > 0
+
+
+@pytest.mark.parametrize("n_atoms,n_worlds,row,n_violating", [
+    (1, 1, 2, 3), (1, 2, 0, 0), (2, 3, 3, 7), (2, 4, 9, 7), (3, 4, 36, 3)])
+def test_span_check_matches_the_witness_on_a_perturbed_row(n_atoms, n_worlds,
+                                                            row, n_violating):
+    assignment, _ = possible_worlds_assignment(n_atoms, n_worlds, seed=row)
+    features = dict(assignment.features)
+    moved = assignment.order[row]
+    features[moved] = features[moved] + \
+        0.5 * np.random.default_rng(row).standard_normal(n_worlds)
+    perturbed = ConjFeatureAssignment.build(features)
+    expected = kernel_basis_stability(perturbed)
+    assert span_stability(perturbed) == expected
+    assert len(expected["violating"]) == n_violating
+
+
+def test_kernel_stability_reports_the_kernel_rank_margin():
+    assignment, _ = possible_worlds_assignment(3, 4, seed=2)
+    report = check_kernel_stability(assignment)
+    matrix = assignment.matrix()
+    sv = np.linalg.svd(matrix, full_matrices=False)[1]
+    threshold = numerics.rank_threshold(matrix.T)
+    margin = report.details["kernel_rank"]
+    assert margin == numerics.rank_margin(sv, threshold)
+    assert margin["smallest_kept_sv"] > threshold >= margin["largest_rejected_sv"]
+    assert report.details["kernel_dim"] == \
+        len(assignment.order) - int(np.sum(sv > threshold))
+
+
 def test_assignment_validation():
     p = atom(Query(0, 0, 0))
     with pytest.raises(ValueError):
@@ -290,7 +401,7 @@ def test_assignment_rejects_more_than_63_literals():
         {x: np.ones(1) for x in literals[:63]})
     # the 63rd literal takes the top bit of a positive int64 code
     index = np.arange(63)
-    assert _pair_images(assignment.order, index, index).tolist() == list(range(63))
+    assert _pair_images(assignment.codes, index, index).tolist() == list(range(63))
 
 
 # ----------------------------------------------------------------- collapse

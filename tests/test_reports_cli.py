@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slplab.cli import main
+from slplab.cli import MAX_CELLS, _fit_cells, _stability_cells, main
 from slplab.reports import Report, emit_report, parse_report, render_report
 
 
@@ -183,6 +183,14 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("build-slp", "--density", "1.5", "--out", str(out_path)),
         ("collapse", "--atoms", "0", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "0", "--out", str(out_path)),
+        # the first sizes over the conjunction cell budget
+        ("kernel-stability", "--atoms", "7", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "6", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "5", "--worlds", "9", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "1", "--worlds", "400", "--out", str(out_path)),
+        # 64 literals, one past the bit codes' 63
+        ("kernel-stability", "--atoms", "32", "--depth", "1",
+         "--out", str(out_path)),
         ("isotypic", "--context-dim", "0", "--out", str(out_path)),
         ("relalg-laws", "--pairs", "-5", "--out", str(out_path)),
         # both draws of r0 are empty at this density: a usage error
@@ -454,6 +462,18 @@ def test_parity_cross_residual_is_zero_for_builds(capsys):
     n = 3
     assert report.details["pair_space_dims"] == \
         [n * (n + 1) // 2, n * (n - 1) // 2]
+
+
+def test_conjunction_cell_budget_admits_six_and_five_atoms():
+    # sizes are compared, never run: the largest accepted ones take seconds
+    assert _stability_cells(6, 8) == 4095 ** 2 <= MAX_CELLS
+    assert _stability_cells(7, 8) > MAX_CELLS
+    assert _stability_cells(1, 10 ** 8) == 3 * 10 ** 8 > MAX_CELLS
+    assert _fit_cells(5, 8) == 1023 * 1024 // 2 * 64 <= MAX_CELLS
+    assert _fit_cells(5, 9) > MAX_CELLS
+    assert _fit_cells(6, 8) > MAX_CELLS
+    assert _fit_cells(1, 400) == 400 ** 3 > MAX_CELLS
+    assert _stability_cells(10 ** 9, 1) > MAX_CELLS
 
 
 def test_kernel_stability_and_fit_bilinear(capsys):

@@ -24,13 +24,20 @@ def seeded_map(n, seed):
     return algebra, build_slp_map(algebra, [BlockSpec(dim)], seed)
 
 
+def nullspace(matrix):
+    """Reference null space: rows of a full SVD's vt past the numerical rank."""
+    m = np.asarray(matrix, dtype=float)
+    _, sv, vt = np.linalg.svd(m, full_matrices=True)
+    return vt[int(np.sum(sv > numerics.rank_threshold(m))):]
+
+
 def reference_lift(fmap, g, algebra):
     """The per-call construction: own kernel SVD, own least-squares solve."""
     m = np.array(fmap.matrix)
     idx = {q: i for i, q in enumerate(fmap.queries)}
     perm = np.array([idx[apply_renaming(g, q, algebra)] for q in fmap.queries])
     tol = numerics.rank_threshold(m)
-    for v in numerics.nullspace(m.T):
+    for v in nullspace(m.T):
         moved = np.zeros_like(v)
         moved[perm] = v
         residual = float(np.linalg.norm(m.T @ moved))
@@ -59,7 +66,7 @@ def test_kernel_projector_matches_per_call_reference(n, seed):
     _, built = seeded_map(n, seed)
     fmap = built.feature_map
     ker = kernel(fmap)
-    ref = numerics.nullspace(np.array(fmap.matrix).T)
+    ref = nullspace(np.array(fmap.matrix).T)
     assert ker.dim == ref.shape[0] > 0
     assert ker.tol == numerics.rank_threshold(fmap.matrix)
     assert np.max(np.abs(ker.basis.T @ ker.basis - ref.T @ ref)) <= 1e-10
