@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from slplab.gradlab import (alignment_experiment, generate_kb, make_mlp,
-                            make_slp_linear, train)
+from slplab.cli import _at_least
+from slplab.gradlab import (BLOCK_NAMES, alignment_experiment, generate_kb,
+                            make_mlp, make_slp_linear, train)
 from slplab.queryspace import compute_families
 
 
@@ -52,7 +53,7 @@ def run_seed(seed: int, args: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=20,
+    parser.add_argument("--seeds", type=_at_least(1), default=20,
                         help="number of seeds, run as 0..n-1 (default 20)")
     parser.add_argument("--entities", type=int, default=6)
     parser.add_argument("--relations", type=int, default=2)
@@ -61,8 +62,7 @@ def main(argv=None) -> int:
     parser.add_argument("--embed-dim", type=int, default=16)
     parser.add_argument("--epochs", type=int, default=500)
     parser.add_argument("--lr", type=float, default=0.5)
-    parser.add_argument("--block", default="all",
-                        choices=("emb", "hidden", "head", "all"))
+    parser.add_argument("--block", default="all", choices=BLOCK_NAMES)
     parser.add_argument("--out", type=Path, default=None,
                         help="write per-seed rows as JSON")
     args = parser.parse_args(argv)

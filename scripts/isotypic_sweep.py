@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from slplab.cli import main as slplab_main
+from slplab.cli import _at_least, main as slplab_main
 
 CONFIGS = ((4, 1), (4, 2), (5, 1), (5, 2))
 
@@ -37,7 +37,7 @@ def run_seed(entities: int, relations: int, seed: int) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=20,
+    parser.add_argument("--seeds", type=_at_least(1), default=20,
                         help="seeds per (entities, relations) pair")
     parser.add_argument("--entropy", type=int, default=None,
                         help="seed of the seed generator (default: fresh)")

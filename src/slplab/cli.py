@@ -31,8 +31,8 @@ from .featspace import (KernelNotInvariantError,
                         check_family_kernel_decomposition,
                         check_logical_equivariance, check_slp,
                         load_feature_map, propagation_audit, save_feature_map)
-from .gradlab import (alignment_experiment, edit_step, generate_kb, make_mlp,
-                      make_slp_linear, train)
+from .gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
+                      generate_kb, make_mlp, make_slp_linear, train)
 from .queryspace import compute_families, families_to_json
 from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
                      negate, random_base_relations, random_relation)
@@ -57,17 +57,61 @@ def _config_dict(args: argparse.Namespace) -> dict:
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _finish(report: Report, args: argparse.Namespace, seed: int) -> int:
+def _write(parser, path, write, *write_args) -> None:
+    """Call `write(*write_args)`; an unwritable path is a usage error, never
+    a failed check."""
+    try:
+        write(*write_args)
+    except OSError as exc:
+        # emit_report wraps the OSError of open() in its own
+        parser.error(f"cannot write {path}: {exc.__cause__ or exc}")
+
+
+def _finish(report: Report, args: argparse.Namespace, seed: int,
+            parser) -> int:
     config = _config_dict(args)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
     report.provenance = {"config_hash": digest, "seed": seed,
                          "version": __version__}
     if getattr(args, "out", None):
-        emit_report(report, args.out)
+        _write(parser, args.out, emit_report, report, args.out)
     else:
         sys.stdout.write(render_report(report))
     return 0 if report.passed else 1
+
+
+# Cell budget of the largest array one command builds: 2^25 float64s,
+# 268 MB.  It admits kernel-stability at 6 atoms, fit-bilinear at 5 atoms
+# and 8 worlds, collapse up to --dim 406 at 1 atom, default-width builds at
+# 32 entities and families at 1024 entities (both at 2 relations); larger
+# sizes exit 2 before any draw or other work.
+MAX_CELLS = 1 << 25
+
+
+def _within_budget(cells: int, flags: str, parser) -> None:
+    if cells > MAX_CELLS:
+        parser.error(f"{flags} needs more than the {MAX_CELLS}-cell budget "
+                     "in one array")
+
+
+def _closure_queries(entities: int, relations: int) -> int:
+    """N = entities^2 * 4 * relations: a closure holds at most four
+    relations per base relation, as close_unary asserts."""
+    return entities ** 2 * 4 * relations
+
+
+def _build_cells(entities: int, relations: int, context_dim) -> int:
+    """The N x width feature matrix; the default width of one column per
+    family is at most N/2, since every family holds a query and its
+    negation."""
+    n = _closure_queries(entities, relations)
+    return n * (n // 2 if context_dim is None else context_dim)
+
+
+def _families_cells(entities: int, relations: int) -> int:
+    """The (4, N) table of every query's logical images."""
+    return 4 * _closure_queries(entities, relations)
 
 
 def _random_algebra(args: argparse.Namespace, rng, parser):
@@ -85,6 +129,11 @@ def _random_algebra(args: argparse.Namespace, rng, parser):
 
 
 def _build_from_args(args: argparse.Namespace, seed: int, parser):
+    flags = f"--entities {args.entities} --relations {args.relations}"
+    if args.context_dim is not None:
+        flags += f" --context-dim {args.context_dim}"
+    _within_budget(_build_cells(args.entities, args.relations,
+                                args.context_dim), flags, parser)
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
     families = compute_families(algebra)
@@ -150,10 +199,13 @@ def _cmd_relalg_laws(args, parser) -> int:
                  "pairs": args.pairs, "triples": args.triples,
                  "failures": failures},
     )
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_families(args, parser) -> int:
+    _within_budget(_families_cells(args.entities, args.relations),
+                   f"--entities {args.entities} --relations {args.relations}",
+                   parser)
     seed = _resolve_seed(args, parser)
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
@@ -166,10 +218,11 @@ def _cmd_families(args, parser) -> int:
         details={"n_families": len(families), "n_queries": n_queries,
                  "orbit_sizes": sizes, "families": partition},
     )
+    code = _finish(report, args, seed, parser)
     if args.out:
         # the partition itself is the subcommand's stdout product
         sys.stdout.write(json.dumps(partition, sort_keys=True) + "\n")
-    return _finish(report, args, seed)
+    return code
 
 
 def _cmd_build_slp(args, parser) -> int:
@@ -178,7 +231,8 @@ def _cmd_build_slp(args, parser) -> int:
     equiv = check_logical_equivariance(built.feature_map, families, algebra)
     rank = check_slp(built.feature_map, families)
     if args.save:
-        save_feature_map(built.feature_map, algebra, args.save, args.fmt)
+        _write(parser, args.save, save_feature_map, built.feature_map, algebra,
+               args.save, args.fmt)
     report = Report(
         check="build_slp", passed=equiv.passed and rank.passed,
         max_deviation=max(equiv.max_deviation, rank.max_deviation),
@@ -186,7 +240,7 @@ def _cmd_build_slp(args, parser) -> int:
                  "redrawn": built.redrawn, "dim": built.dim,
                  "saved": str(args.save) if args.save else None},
     )
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_verify_slp(args, parser) -> int:
@@ -208,7 +262,7 @@ def _cmd_verify_slp(args, parser) -> int:
                  "kernel_decomposition": blocks.to_dict(),
                  "loaded": str(args.load)},
     )
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_factorize(args, parser) -> int:
@@ -226,7 +280,7 @@ def _cmd_factorize(args, parser) -> int:
                  "lift_rank": built.feature_map.spectrum().span_margin(),
                  "redrawn": built.redrawn},
     )
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_isotypic(args, parser) -> int:
@@ -244,7 +298,7 @@ def _cmd_isotypic(args, parser) -> int:
                        renaming={"perm": list(g.perm), "sign": g.sign})
         report = Report(check="isotypic", passed=False,
                         max_deviation=exc.deviation, details=details)
-        return _finish(report, args, seed)
+        return _finish(report, args, seed, parser)
     worst = max(props[k] for k in ("idempotence", "annihilation",
                                    "completeness_on_span", "commutation",
                                    "orthogonality"))
@@ -253,7 +307,7 @@ def _cmd_isotypic(args, parser) -> int:
          "image_dim": p.image_dim} for p in projectors])
     report = Report(check="isotypic", passed=worst <= args.tol,
                     max_deviation=worst, details=details)
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_parity(args, parser) -> int:
@@ -268,7 +322,7 @@ def _cmd_parity(args, parser) -> int:
             details={"error": "converse invariance failed",
                      "query": list(exc.query), "tol": args.tol},
         )
-        return _finish(report, args, seed)
+        return _finish(report, args, seed, parser)
     report = Report(
         check="parity", passed=decomp.max_cross_residual <= args.tol,
         max_deviation=decomp.max_cross_residual,
@@ -278,14 +332,7 @@ def _cmd_parity(args, parser) -> int:
                  "pair_space_dims": list(inv.pair_dims),
                  "relation_space_dims": list(inv.rel_dims)},
     )
-    return _finish(report, args, seed)
-
-
-# Cell budget of the largest array a conjunction command builds: 2^25
-# float64s, 268 MB.  It admits kernel-stability at 6 atoms, fit-bilinear at
-# 5 atoms and 8 worlds, and collapse up to --dim 406 at 1 atom; larger sizes
-# exit 2 before any work.
-MAX_CELLS = 1 << 25
+    return _finish(report, args, seed, parser)
 
 
 def _support_size(atoms: int) -> int:
@@ -308,9 +355,8 @@ def _fit_cells(atoms: int, worlds: int) -> int:
 
 
 def _worlds_assignment(args, parser, cells: int):
-    if cells > MAX_CELLS:
-        parser.error(f"--atoms {args.atoms} --worlds {args.worlds} needs more "
-                     f"than the {MAX_CELLS}-cell budget in one array")
+    _within_budget(cells, f"--atoms {args.atoms} --worlds {args.worlds}",
+                   parser)
     seed = _resolve_seed(args, parser)
     assignment, _ = possible_worlds_assignment(args.atoms, args.worlds, seed,
                                                args.depth)
@@ -324,7 +370,7 @@ def _cmd_kernel_stability(args, parser) -> int:
     report.details["atoms"] = args.atoms
     report.details["worlds"] = args.worlds
     report.details["depth"] = args.depth
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_fit_bilinear(args, parser) -> int:
@@ -340,7 +386,7 @@ def _cmd_fit_bilinear(args, parser) -> int:
                  "n_pairs_skipped": fit.n_pairs_skipped,
                  "atoms": args.atoms, "worlds": args.worlds},
     )
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _collapse_cells(atoms: int, dim: int) -> int:
@@ -352,9 +398,8 @@ def _collapse_cells(atoms: int, dim: int) -> int:
 
 
 def _cmd_collapse(args, parser) -> int:
-    if _collapse_cells(args.atoms, args.dim) > MAX_CELLS:
-        parser.error(f"--atoms {args.atoms} --dim {args.dim} needs more than "
-                     f"the {MAX_CELLS}-cell budget in one array")
+    _within_budget(_collapse_cells(args.atoms, args.dim),
+                   f"--atoms {args.atoms} --dim {args.dim}", parser)
     seed = _resolve_seed(args, parser)
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((args.atoms, args.dim))
@@ -373,7 +418,7 @@ def _cmd_collapse(args, parser) -> int:
         passed = cert.verdict == "feasible"
     report = Report(check="collapse_certificate", passed=passed,
                     max_deviation=deviation, details=details)
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 _GRADLAB_KEYS = {"entity_count", "relations", "density", "arch", "hidden",
@@ -400,6 +445,9 @@ def _check_gradlab_values(config: dict, parser) -> None:
         parser.error(f"density must be in (0, 1), got {config['density']!r}")
     if not config["lr"] > 0:
         parser.error(f"lr must be positive, got {config['lr']!r}")
+    edit_ok, edit_what = _EDIT_STEP_RULE
+    if not edit_ok(config["eta"]):
+        parser.error(f"eta must be {edit_what}, got {config['eta']!r}")
 
 
 def _cmd_gradlab(args, parser) -> int:
@@ -417,7 +465,7 @@ def _cmd_gradlab(args, parser) -> int:
         parser.error(f"missing config keys: {sorted(missing)}")
     if config["arch"] not in ("mlp", "slp_linear"):
         parser.error(f"arch must be mlp or slp_linear, got {config['arch']!r}")
-    if config["block"] not in ("emb", "hidden", "head", "all"):
+    if config["block"] not in BLOCK_NAMES:
         parser.error(f"unknown block {config['block']!r}")
     _check_gradlab_values(config, parser)
     if config.get("seed") is not None and args.seed is not None:
@@ -441,7 +489,7 @@ def _cmd_gradlab(args, parser) -> int:
     except RuntimeError as exc:
         report = Report(check="gradlab", passed=False, max_deviation=0.0,
                         details={"error": str(exc), "config": config})
-        return _finish(report, args, seed)
+        return _finish(report, args, seed, parser)
     alignment = alignment_experiment(
         result.model, kb, config["block"],
         hyperparams={**config, "seed": seed})
@@ -457,8 +505,8 @@ def _cmd_gradlab(args, parser) -> int:
         # measurement, not an assertion: magnitude is seed-dependent
         passed, deviation = True, 0.0
     if args.histogram:
-        Path(args.histogram).write_text(alignment.histogram_csv(),
-                                        encoding="utf-8")
+        _write(parser, args.histogram, args.histogram.write_text,
+               alignment.histogram_csv(), "utf-8")
     report = Report(
         check="gradlab", passed=passed, max_deviation=deviation,
         details={"alignment": alignment.to_dict(),
@@ -470,7 +518,7 @@ def _cmd_gradlab(args, parser) -> int:
                                "first_order": edit.first_order_delta},
                  "histogram_csv": str(args.histogram) if args.histogram else None},
     )
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_audit(args, parser) -> int:
@@ -480,7 +528,7 @@ def _cmd_audit(args, parser) -> int:
         parser.error(f"--family must be in [0, {len(families)})")
     report = propagation_audit(built.feature_map, families, algebra,
                                args.family, args.eta)
-    return _finish(report, args, seed)
+    return _finish(report, args, seed, parser)
 
 
 # -------------------------------------------------------------------- parser
@@ -517,9 +565,11 @@ def _float_where(ok, what: str):
 _density = _float_where(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 # every check's pass bound: rejects NaN, infinities and negative values
 _tolerance = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-# a zero edit makes every response 0.0, so the audit would pass vacuously
-_edit_step = _float_where(lambda v: math.isfinite(v) and v != 0.0,
-                         "finite and nonzero")
+# a zero edit makes every response 0.0, so the audit and gradlab's edit step
+# would pass vacuously
+_EDIT_STEP_RULE = (lambda v: math.isfinite(v) and v != 0.0,
+                   "finite and nonzero")
+_edit_step = _float_where(*_EDIT_STEP_RULE)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -530,12 +580,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_build_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--entities", type=_at_least(2), default=3)
+    sub.add_argument("--entities", type=_at_least(2), default=3,
+                     help="the N x width feature matrix of N = entities^2 * "
+                          "4 * relations queries must fit in "
+                          f"{MAX_CELLS} cells")
     sub.add_argument("--relations", type=_at_least(1), default=2,
                      help="number of random base relations")
     sub.add_argument("--density", type=_density, default=0.5)
     sub.add_argument("--context-dim", type=_at_least(1), default=None,
-                     help="feature width (default: one per family)")
+                     help="feature width (default: one per family, at most "
+                          "N/2)")
     sub.add_argument("--terms", type=_at_least(1), default=None,
                      help="raw samples per block (default: fewest that can "
                           "reach full representative rank)")
@@ -560,7 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_relalg_laws)
 
     sub = subs.add_parser("families", help="logical family partition as JSON")
-    sub.add_argument("--entities", type=_at_least(2), default=3)
+    sub.add_argument("--entities", type=_at_least(2), default=3,
+                     help="the (4, N) image table of N = entities^2 * 4 * "
+                          f"relations queries must fit in {MAX_CELLS} cells")
     sub.add_argument("--relations", type=_at_least(1), default=2)
     sub.add_argument("--density", type=_density, default=0.5)
     _add_common(sub)

@@ -16,8 +16,11 @@ label).  Two scorers are compared:
   have exactly opposite gradients (cosine exactly -1) while reversed queries
   match exactly (+1).
 
-Training is deterministic full-batch gradient descent on the logistic loss;
-runs abort on non-finite loss with the offending epoch.
+Each scorer has one forward and one backward pass, shared by scores,
+per-query gradients, training and block edits; one table lays out the
+parameter blocks for gradients and edits alike.  Training is deterministic
+full-batch gradient descent on the logistic loss; runs abort on non-finite
+loss with the offending epoch.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ from .queryspace import LogicalOp, Query, apply_logical
 from .relalg import (EntitySet, RelationAlgebra, close_unary,
                      random_base_relations)
 
-BLOCK_NAMES = ("emb", "hidden", "head", "all")
+# The arrays of each mlp parameter block, in the order the block's gradient
+# concatenates them; slp_linear's single vector stands for every block.
+_BLOCKS = {"emb": ("emb",), "hidden": ("hidden_w", "hidden_b"),
+           "head": ("head_w", "head_b")}
+_BLOCKS["all"] = _BLOCKS["emb"] + _BLOCKS["hidden"] + _BLOCKS["head"]
+BLOCK_NAMES = tuple(_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -169,12 +177,41 @@ def encode_queries(model: ScorerModel, queries: Sequence[Query]) -> np.ndarray:
     return x
 
 
-def _mlp_forward(params: dict, x: np.ndarray):
+def _inputs(model: ScorerModel, queries: Sequence[Query]) -> np.ndarray:
+    """Input rows: one-hot encodings (mlp) or feature rows (slp_linear)."""
+    if model.arch == "mlp":
+        return encode_queries(model, queries)
+    fm = model.feature_map.feature_map
+    idx = fm.index()
+    return fm.matrix[[idx[q] for q in queries]]
+
+
+def _forward(model: ScorerModel, params: dict, x: np.ndarray):
+    """Scores of the input rows, plus what `_backward` reads."""
+    if model.arch == "slp_linear":
+        return x @ params["theta"], None
     emb = x @ params["emb"].T
-    z = emb @ params["hidden_w"].T + params["hidden_b"]
-    a = np.tanh(z)
-    s = a @ params["head_w"] + params["head_b"][0]
-    return s, a, z, emb
+    a = np.tanh(emb @ params["hidden_w"].T + params["hidden_b"])
+    return a @ params["head_w"] + params["head_b"][0], (emb, a)
+
+
+def _backward(model: ScorerModel, params: dict, x: np.ndarray, cache,
+              ds: np.ndarray) -> dict:
+    """Gradient of sum_i ds[i] * score(x[i]) with respect to each array."""
+    if model.arch == "slp_linear":
+        return {"theta": x.T @ ds}
+    emb, a = cache
+    dz = np.outer(ds, params["head_w"]) * (1.0 - a * a)
+    return {"emb": (dz @ params["hidden_w"]).T @ x, "hidden_w": dz.T @ emb,
+            "hidden_b": dz.sum(axis=0), "head_w": a.T @ ds,
+            "head_b": np.array([np.sum(ds)])}
+
+
+def _block_arrays(model: ScorerModel, block: str) -> tuple[str, ...]:
+    """Names of the block's arrays, in the order its gradient is laid out."""
+    if block not in _BLOCKS:
+        raise ValueError(f"unknown block {block!r}")
+    return ("theta",) if model.arch == "slp_linear" else _BLOCKS[block]
 
 
 def score(model: ScorerModel, q: Query) -> float:
@@ -182,49 +219,23 @@ def score(model: ScorerModel, q: Query) -> float:
 
 
 def scores(model: ScorerModel, queries: Sequence[Query]) -> np.ndarray:
-    if model.arch == "mlp":
-        x = encode_queries(model, queries)
-        s, _, _, _ = _mlp_forward(model.params, x)
-        return s
-    fm = model.feature_map.feature_map
-    idx = fm.index()
-    rows = fm.matrix[[idx[q] for q in queries]]
-    return rows @ model.params["theta"]
+    return _forward(model, model.params, _inputs(model, queries))[0]
 
 
 def gradient(model: ScorerModel, q: Query, block: str = "head") -> np.ndarray:
     """Analytic score gradient restricted to one parameter block.
 
-    mlp blocks: 'emb' is the flattened embedding matrix; 'hidden' is the
-    flattened hidden weights followed by the hidden bias; 'head' is the head
-    weights followed by the head bias; 'all' concatenates the three in that
-    order.  slp_linear has a single parameter vector, returned for any block
-    name: the gradient is the query's feature row.
+    mlp blocks are the `_BLOCKS` arrays flattened and concatenated: 'emb' is
+    the embedding matrix, 'hidden' the hidden weights then bias, 'head' the
+    head weights then bias, and 'all' the three in that order.  slp_linear
+    has a single parameter vector, returned for any block name: the gradient
+    is the query's feature row.
     """
-    if block not in BLOCK_NAMES:
-        raise ValueError(f"unknown block {block!r}")
-    if model.arch == "slp_linear":
-        fm = model.feature_map.feature_map
-        return fm.matrix[fm.index()[q]].copy()
-    x = encode_queries(model, [q])[0]
-    params = model.params
-    emb = params["emb"] @ x
-    z = params["hidden_w"] @ emb + params["hidden_b"]
-    a = np.tanh(z)
-    sech2 = 1.0 - a * a
-    g_hidden_pre = params["head_w"] * sech2          # ds/dz
-    parts = {}
-    if block in ("head", "all"):
-        parts["head"] = np.concatenate([a, [1.0]])
-    if block in ("hidden", "all"):
-        dw = np.outer(g_hidden_pre, emb)
-        parts["hidden"] = np.concatenate([dw.ravel(), g_hidden_pre])
-    if block in ("emb", "all"):
-        de = np.outer(params["hidden_w"].T @ g_hidden_pre, x)
-        parts["emb"] = de.ravel()
-    if block == "all":
-        return np.concatenate([parts["emb"], parts["hidden"], parts["head"]])
-    return parts[block]
+    names = _block_arrays(model, block)
+    x = _inputs(model, [q])
+    _, cache = _forward(model, model.params, x)
+    grads = _backward(model, model.params, x, cache, np.ones(1))
+    return np.concatenate([grads[k].ravel() for k in names])
 
 
 @dataclass(frozen=True)
@@ -241,54 +252,23 @@ def train(model: ScorerModel, kb: SyntheticKB, epochs: int,
     Training continues from the model's current parameters.
     """
     data = kb.training_set()
-    queries = [q for q, _ in data]
+    x = _inputs(model, [q for q, _ in data])
     y = np.array([1.0 if label else -1.0 for _, label in data])
-
-    if model.arch == "slp_linear":
-        fm = model.feature_map.feature_map
-        idx = fm.index()
-        feats = fm.matrix[[idx[q] for q in queries]]
-        theta = model.params["theta"].copy()
-        losses = []
-        for epoch in range(epochs):
-            s = feats @ theta
-            margin = y * s
-            loss = float(np.mean(np.logaddexp(0.0, -margin)))
-            if not np.isfinite(loss):
-                raise RuntimeError(f"training diverged at epoch {epoch}")
-            losses.append(loss)
-            dloss_ds = -y / (1.0 + np.exp(margin)) / len(y)
-            theta -= lr * (feats.T @ dloss_ds)
-        final = replace(model, params={"theta": theta})
-        acc = float(np.mean((feats @ theta > 0) == (y > 0)))
-        return TrainResult(final, tuple(losses), acc)
-
-    x = encode_queries(model, queries)
     params = {k: v.copy() for k, v in model.params.items()}
     losses = []
     for epoch in range(epochs):
-        s, a, _, emb = _mlp_forward(params, x)
+        s, cache = _forward(model, params, x)
         margin = y * s
         loss = float(np.mean(np.logaddexp(0.0, -margin)))
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}")
         losses.append(loss)
         ds = -y / (1.0 + np.exp(margin)) / len(y)
-        da = np.outer(ds, params["head_w"])
-        dz = da * (1.0 - a * a)
-        grads = {
-            "head_w": a.T @ ds,
-            "head_b": np.array([np.sum(ds)]),
-            "hidden_w": dz.T @ emb,
-            "hidden_b": dz.sum(axis=0),
-            "emb": (dz @ params["hidden_w"]).T @ x,
-        }
-        for k in params:
-            params[k] = params[k] - lr * grads[k]
-    final = replace(model, params=params)
-    s, _, _, _ = _mlp_forward(params, x)
+        grads = _backward(model, params, x, cache, ds)
+        params = {k: v - lr * grads[k] for k, v in params.items()}
+    s, _ = _forward(model, params, x)
     acc = float(np.mean((s > 0) == (y > 0)))
-    return TrainResult(final, tuple(losses), acc)
+    return TrainResult(replace(model, params=params), tuple(losses), acc)
 
 
 @dataclass(frozen=True)
@@ -356,38 +336,15 @@ def alignment_experiment(model: ScorerModel, kb: SyntheticKB,
 
 def _apply_block_update(model: ScorerModel, delta: np.ndarray,
                         block: str) -> ScorerModel:
+    """A copy of the model with `delta`, laid out as the block's gradient,
+    added to the block's arrays."""
     params = {k: v.copy() for k, v in model.params.items()}
-    if model.arch == "slp_linear":
-        params["theta"] = params["theta"] + delta
-        return replace(model, params=params)
-    sizes = {
-        "emb": params["emb"].size,
-        "hidden": params["hidden_w"].size + params["hidden_b"].size,
-        "head": params["head_w"].size + 1,
-    }
-    def put_emb(d):
-        params["emb"] = params["emb"] + d.reshape(params["emb"].shape)
-    def put_hidden(d):
-        wsize = params["hidden_w"].size
-        params["hidden_w"] = params["hidden_w"] + d[:wsize].reshape(
-            params["hidden_w"].shape)
-        params["hidden_b"] = params["hidden_b"] + d[wsize:]
-    def put_head(d):
-        params["head_w"] = params["head_w"] + d[:-1]
-        params["head_b"] = params["head_b"] + d[-1:]
-    if block == "all":
-        e, h = sizes["emb"], sizes["hidden"]
-        put_emb(delta[:e])
-        put_hidden(delta[e:e + h])
-        put_head(delta[e + h:])
-    elif block == "emb":
-        put_emb(delta)
-    elif block == "hidden":
-        put_hidden(delta)
-    elif block == "head":
-        put_head(delta)
-    else:
-        raise ValueError(f"unknown block {block!r}")
+    start = 0
+    for name in _block_arrays(model, block):
+        size = params[name].size
+        params[name] = params[name] + delta[start:start + size].reshape(
+            params[name].shape)
+        start += size
     return replace(model, params=params)
 
 

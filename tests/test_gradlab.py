@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from slplab import numerics
-from slplab.gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
-                            encode_queries, finite_difference_gradient,
-                            generate_kb, gradient, make_mlp, make_slp_linear,
-                            score, scores, train)
+from slplab.gradlab import (BLOCK_NAMES, _apply_block_update,
+                            alignment_experiment, edit_step, encode_queries,
+                            finite_difference_gradient, generate_kb, gradient,
+                            make_mlp, make_slp_linear, score, scores, train)
 from slplab.queryspace import LogicalOp, Query, apply_logical, compute_families
 
 
@@ -163,6 +163,62 @@ def test_trained_mlp_gradient_still_matches_fd(kb, mlp):
         g = gradient(trained, q, block)
         fd = finite_difference_gradient(trained, q, block)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def test_all_block_is_the_other_blocks_concatenated(kb, mlp):
+    # compared as bit patterns, so that a signed zero counts too
+    for q, _ in kb.training_set()[::5]:
+        parts = [gradient(mlp, q, block) for block in ("emb", "hidden", "head")]
+        assert np.array_equal(gradient(mlp, q, "all").view(np.int64),
+                              np.concatenate(parts).view(np.int64))
+
+
+def test_block_update_touches_only_its_block(kb, mlp, slp):
+    arrays = {"emb": {"emb"}, "hidden": {"hidden_w", "hidden_b"},
+              "head": {"head_w", "head_b"}}
+    arrays["all"] = set(mlp.params)
+    q = kb.facts[0][0]
+    rng = np.random.default_rng(0)
+    for block in BLOCK_NAMES:
+        delta = rng.standard_normal(gradient(mlp, q, block).size)
+        edited = _apply_block_update(mlp, delta, block)
+        for name, value in mlp.params.items():
+            assert edited.params[name] is not value
+            assert edited.params[name].shape == value.shape
+            if name in arrays[block]:
+                assert not np.array_equal(edited.params[name], value), block
+            else:
+                assert np.array_equal(edited.params[name], value), block
+        # the delta lands in the block's arrays in gradient order
+        moved = np.concatenate([edited.params[name].ravel()
+                                - mlp.params[name].ravel()
+                                for name in ("emb", "hidden_w", "hidden_b",
+                                             "head_w", "head_b")
+                                if name in arrays[block]])
+        assert np.allclose(moved, delta, rtol=0.0, atol=1e-12)
+    for model in (mlp, slp):
+        with pytest.raises(ValueError, match="unknown block"):
+            _apply_block_update(model, np.zeros(1), "nope")
+
+
+@pytest.mark.parametrize("arch", ["mlp", "slp_linear"])
+def test_one_epoch_moves_parameters_by_summed_query_gradients(kb, mlp, slp,
+                                                              arch):
+    """The batched backward pass of `train` against per-query gradients."""
+    model = mlp if arch == "mlp" else slp
+    lr = 0.3
+    data = kb.training_set()
+    y = np.array([1.0 if label else -1.0 for _, label in data])
+    margin = y * scores(model, [q for q, _ in data])
+    ds = -y / (1.0 + np.exp(margin)) / len(y)
+    step = sum(d * gradient(model, q, "all") for d, (q, _) in zip(ds, data))
+    expected = _apply_block_update(model, -lr * step, "all")
+    trained = train(model, kb, epochs=1, lr=lr).model
+    assert set(trained.params) == set(model.params)
+    for name, value in trained.params.items():
+        assert not np.array_equal(value, model.params[name]), name
+        assert np.allclose(value, expected.params[name], rtol=0.0,
+                           atol=1e-12), name
 
 
 def test_scalar_model_gradient_closed_form(kb):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slplab.cli import (MAX_CELLS, _collapse_cells, _fit_cells,
+from slplab.cli import (MAX_CELLS, _build_cells, _closure_queries,
+                        _collapse_cells, _families_cells, _fit_cells,
                         _stability_cells, main)
 from slplab.reports import Report, emit_report, parse_report, render_report
 
@@ -172,6 +173,7 @@ def test_malformed_map_edits_are_the_only_fault(capsys, tmp_path):
 
 def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
     out_path = tmp_path / "never.json"
+    missing_dir = tmp_path / "missing"
     cases = [
         ("no-such-command",),
         ("relalg-laws", "--no-such-flag"),
@@ -213,6 +215,31 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("audit", "--eta", "-inf", "--out", str(out_path)),
         ("audit", "--eta", "0", "--out", str(out_path)),
         ("audit", "--eta", "-0.0", "--out", str(out_path)),
+        # an unwritable output path is a usage error, not a failed check
+        ("families", "--out", str(missing_dir / "r.json")),
+        ("build-slp", "--save", str(missing_dir / "m.json"),
+         "--out", str(out_path)),
+        ("build-slp", "--save", str(missing_dir / "m.csv"), "--fmt", "csv",
+         "--out", str(out_path)),
+        ("gradlab", "--config", str(write_config(tmp_path / "good")),
+         "--histogram", str(missing_dir / "h.csv"), "--out", str(out_path)),
+        # the first sizes over the build and families cell budget, checked
+        # before any draw
+        ("build-slp", "--entities", "3", "--relations", "1",
+         "--context-dim", "932068", "--out", str(out_path)),
+        ("build-slp", "--entities", "3", "--relations", "1",
+         "--context-dim", "100000000000", "--out", str(out_path)),
+        ("build-slp", "--entities", "33", "--out", str(out_path)),
+        ("factorize", "--entities", "46", "--relations", "1",
+         "--out", str(out_path)),
+        ("isotypic", "--entities", "3", "--relations", "1",
+         "--context-dim", "932068", "--out", str(out_path)),
+        ("parity", "--entities", "33", "--out", str(out_path)),
+        ("audit", "--entities", "33", "--out", str(out_path)),
+        ("families", "--entities", "1025", "--out", str(out_path)),
+        ("families", "--entities", "1449", "--relations", "1",
+         "--out", str(out_path)),
+        ("families", "--entities", "100000", "--out", str(out_path)),
     ]
     bad_configs = [
         {"epochs": "ten"}, {"epochs": -3}, {"epochs": 2.0}, {"epochs": True},
@@ -220,6 +247,8 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         {"seed": "0"}, {"density": 0.0}, {"density": 1.0}, {"density": None},
         {"lr": 0.0}, {"lr": -0.1}, {"lr": float("inf")}, {"lr": "0.1"},
         {"eta": float("nan")}, {"eta": False}, {"eta": 10 ** 400},
+        # a zero edit step passes the slp_linear verdict vacuously
+        {"eta": 0}, {"eta": -0.0},
     ]
     for i, overrides in enumerate(bad_configs):
         config = write_config(tmp_path / f"bad{i}", **overrides)
@@ -241,6 +270,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         capsys.readouterr()
         assert code == 2, argv
         assert not out_path.exists(), argv
+        assert not missing_dir.exists(), argv
 
 
 def _required(flag, values):
@@ -487,6 +517,33 @@ def test_collapse_cell_budget_admits_dim_406_at_one_atom():
     assert _collapse_cells(1, 407) > MAX_CELLS
     assert _collapse_cells(2 ** 22, 2) == 2 * 2 ** 22 * 3 <= MAX_CELLS
     assert _collapse_cells(2 ** 22, 3) == 2 * 2 ** 22 * 6 > MAX_CELLS
+
+
+def test_build_and_families_cell_budget_bound_the_closure():
+    # sizes are compared, never run
+    assert _closure_queries(3, 1) == 36
+    assert _build_cells(3, 1, 932067) == 36 * 932067 <= MAX_CELLS
+    assert _build_cells(3, 1, 932068) > MAX_CELLS
+    # default width: one column per family, at most N/2
+    assert _build_cells(32, 2, None) == 8192 * 4096 == MAX_CELLS
+    assert _build_cells(33, 2, None) > MAX_CELLS
+    assert _build_cells(45, 1, None) == 8100 * 4050 <= MAX_CELLS
+    assert _build_cells(46, 1, None) > MAX_CELLS
+    assert _families_cells(1024, 2) == 4 * 1024 ** 2 * 8 == MAX_CELLS
+    assert _families_cells(1025, 2) > MAX_CELLS
+    assert _families_cells(1448, 1) <= MAX_CELLS < _families_cells(1449, 1)
+    # the largest benchmark build is far inside the budget
+    assert _build_cells(6, 3, None) == 432 * 216
+
+
+def test_default_width_is_at_most_half_the_closure(capsys):
+    for entities, relations in ((2, 1), (3, 2), (4, 1)):
+        code, out, _ = run_cli(capsys, "build-slp", "--entities",
+                               str(entities), "--relations", str(relations),
+                               "--seed", "0")
+        assert code == 0
+        dim = json.loads(out)["details"]["dim"]
+        assert dim <= _closure_queries(entities, relations) // 2
 
 
 def test_kernel_stability_and_fit_bilinear(capsys):

@@ -1,0 +1,26 @@
+"""Argument checks of the experiment scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["alignment_sweep", "isotypic_sweep"])
+@pytest.mark.parametrize("seeds", ["0", "-1", "two"])
+def test_sweeps_reject_fewer_than_one_seed(capsys, name, seeds):
+    # zero seeds would crash on an empty mean or pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(["--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
