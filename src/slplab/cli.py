@@ -85,14 +85,14 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # 268 MB.  It admits kernel-stability at 6 atoms, fit-bilinear at 5 atoms
 # and 8 worlds, collapse up to --dim 406 at 1 atom, default-width builds at
 # 32 entities and families at 1024 entities (both at 2 relations); larger
-# sizes exit 2 before any draw or other work.
+# sizes exit 2 before any draw or other work.  It also bounds the terms a
+# build keeps, all of them together, and kernel-stability's work.
 MAX_CELLS = 1 << 25
 
 
 def _within_budget(cells: int, flags: str, parser) -> None:
     if cells > MAX_CELLS:
-        parser.error(f"{flags} needs more than the {MAX_CELLS}-cell budget "
-                     "in one array")
+        parser.error(f"{flags} needs more than the {MAX_CELLS}-cell budget")
 
 
 def _closure_queries(entities: int, relations: int) -> int:
@@ -107,6 +107,16 @@ def _build_cells(entities: int, relations: int, context_dim) -> int:
     negation."""
     n = _closure_queries(entities, relations)
     return n * (n // 2 if context_dim is None else context_dim)
+
+
+def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
+    """The kept entities x entities x width factors, two per term.  A default
+    term count is at most 2 * relations, since a closure holds at most N/2
+    families, so with default terms this never exceeds `_build_cells`."""
+    n = _closure_queries(entities, relations)
+    width = n // 2 if context_dim is None else context_dim
+    count = 2 * relations if terms is None else terms
+    return 2 * count * entities ** 2 * width
 
 
 def _families_cells(entities: int, relations: int) -> int:
@@ -132,8 +142,13 @@ def _build_from_args(args: argparse.Namespace, seed: int, parser):
     flags = f"--entities {args.entities} --relations {args.relations}"
     if args.context_dim is not None:
         flags += f" --context-dim {args.context_dim}"
-    _within_budget(_build_cells(args.entities, args.relations,
-                                args.context_dim), flags, parser)
+    if args.terms is not None:
+        flags += f" --terms {args.terms}"
+    _within_budget(max(_build_cells(args.entities, args.relations,
+                                    args.context_dim),
+                       _term_cells(args.entities, args.relations,
+                                   args.context_dim, args.terms)),
+                   flags, parser)
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
     families = compute_families(algebra)
@@ -210,19 +225,15 @@ def _cmd_families(args, parser) -> int:
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
     families = compute_families(algebra)
-    partition = families_to_json(families)
     sizes = sorted({len(f.members) for f in families})
     n_queries = sum(len(f.members) for f in families)
     report = Report(
         check="families", passed=True, max_deviation=0.0,
         details={"n_families": len(families), "n_queries": n_queries,
-                 "orbit_sizes": sizes, "families": partition},
+                 "orbit_sizes": sizes,
+                 "families": families_to_json(families)},
     )
-    code = _finish(report, args, seed, parser)
-    if args.out:
-        # the partition itself is the subcommand's stdout product
-        sys.stdout.write(json.dumps(partition, sort_keys=True) + "\n")
-    return code
+    return _finish(report, args, seed, parser)
 
 
 def _cmd_build_slp(args, parser) -> int:
@@ -342,7 +353,9 @@ def _support_size(atoms: int) -> int:
 
 
 def _stability_cells(atoms: int, worlds: int) -> int:
-    """The N x N pair table, or an N x worlds feature gather if larger."""
+    """Work, not an array: N contexts each gather N feature rows, or one
+    N x worlds gather if larger.  No array the check builds is larger than
+    the N x worlds features and the 2^(2 atoms) = N + 1-entry image table."""
     n = _support_size(atoms)
     return n * max(n, worlds)
 
@@ -428,8 +441,25 @@ _GRADLAB_MINIMA = {"entity_count": 2, "relations": 1, "hidden": 1,
                    "epochs": 0, "seed": 0}
 
 
+def _gradlab_cells(arch: str, entities: int, relations: int,
+                   hidden: int) -> int:
+    """The largest array a gradlab run builds.  slp_linear builds the
+    N x hidden feature matrix of N = entities^2 * 4 * relations queries,
+    which bounds its kept terms and its gathered training rows.  The mlp's
+    T = 2 * relations * entities^2 training rows are encoded as T x input
+    one-hot rows, input = 2 * entities + classes + 1 with at most
+    2 * relations complement classes, and pass through T x hidden
+    activations; its weights are hidden x input and hidden x hidden."""
+    if arch == "slp_linear":
+        return _closure_queries(entities, relations) * hidden
+    rows = 2 * relations * entities ** 2
+    inputs = 2 * entities + 2 * relations + 1
+    return max(rows, hidden) * max(inputs, hidden)
+
+
 def _check_gradlab_values(config: dict, parser) -> None:
-    """Type and range of every gradlab config value; a bad one is a usage error."""
+    """Type, range and size of every gradlab config value; a bad one is a
+    usage error."""
     for key, low in _GRADLAB_MINIMA.items():
         value = config.get(key)
         if key == "seed" and value is None:
@@ -448,6 +478,10 @@ def _check_gradlab_values(config: dict, parser) -> None:
     edit_ok, edit_what = _EDIT_STEP_RULE
     if not edit_ok(config["eta"]):
         parser.error(f"eta must be {edit_what}, got {config['eta']!r}")
+    sizes = (config["entity_count"], config["relations"], config["hidden"])
+    _within_budget(_gradlab_cells(config["arch"], *sizes),
+                   "an {} run at entity_count {}, relations {}, hidden {}"
+                   .format(config["arch"], *sizes), parser)
 
 
 def _cmd_gradlab(args, parser) -> int:
@@ -592,7 +626,9 @@ def _add_build_flags(sub: argparse.ArgumentParser) -> None:
                           "N/2)")
     sub.add_argument("--terms", type=_at_least(1), default=None,
                      help="raw samples per block (default: fewest that can "
-                          "reach full representative rank)")
+                          "reach full representative rank); the 2 * terms * "
+                          "entities^2 * width cells of the kept terms must "
+                          f"fit in {MAX_CELLS} cells")
     sub.add_argument("--parity", choices=["+", "-", "both"], default="both")
 
 
@@ -658,8 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("kernel-stability",
                           help="conjunction kernel stability on a worlds model")
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 6: the N x N pair table of N = 4^atoms - 1 "
-                          f"compounds must fit in {MAX_CELLS} cells")
+                     help="at most 6: N contexts times N gathered rows, of "
+                          "N = 4^atoms - 1 compounds, must fit in "
+                          f"{MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     _add_common(sub)

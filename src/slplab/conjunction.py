@@ -7,7 +7,7 @@ normalizes to p), and negation flips the sign of one literal, so double
 negation is eliminated.  Negation applies to literals only, so the closure
 of a set of atoms is every nonempty set of its literals and stabilizes at
 depth 2.  Inside a check, each literal of the support gets one bit, and the
-conjunction of two support elements is the bitwise OR of their codes.
+image of a pair is the support element whose code is the OR of theirs.
 
 Conjunction with a context is well defined on features only if it maps the
 kernel of the support -> feature map into itself, i.e. if the substituted
@@ -72,10 +72,6 @@ def conj(*items: Compound) -> Compound:
     return Compound(len(literals) > 1, literals)
 
 
-def is_literal(x: Compound) -> bool:
-    return not x.is_conj
-
-
 def close_conjunction(atoms: Sequence[Query], depth: int = 2) -> tuple[Compound, ...]:
     """Normal-form closure of the atoms under negation and conjunction.
 
@@ -110,19 +106,6 @@ def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
     return conj(atom(Query(head, rel_r, b)), atom(Query(b, rel_s, tail))), 1
 
 
-def _pair_images(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Support index of conj(order[a], order[b]), or -1 outside the support.
-
-    `codes` is `ConjFeatureAssignment.codes`: a conjunction is the bitwise
-    OR of two codes, looked up by binary search.
-    """
-    sorter = np.argsort(codes)
-    want = codes[a] | codes[b]
-    pos = np.minimum(np.searchsorted(codes, want, sorter=sorter), len(codes) - 1)
-    found = sorter[pos]
-    return np.where(codes[found] == want, found, -1)
-
-
 @dataclass(frozen=True)
 class ConjFeatureAssignment:
     """Feature vectors over a finite set of normal-form compounds."""
@@ -141,8 +124,8 @@ class ConjFeatureAssignment:
         for k, v in clean.items():
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite feature for {k}")
-        if len({lit for x in clean for lit in x.literals}) > 63:
-            raise ValueError("a support holds at most 63 distinct literals")
+        if len({lit for x in clean for lit in x.literals}) > 25:
+            raise ValueError("a support holds at most 25 distinct literals")
         return cls(clean, next(iter(dims))[0])
 
     @cached_property
@@ -157,6 +140,14 @@ class ConjFeatureAssignment:
         return np.array([sum(bits[lit] for lit in x.literals)
                          for x in self.order], dtype=np.int64)
 
+    @cached_property
+    def lookup(self) -> np.ndarray:
+        """Support index of each of the 2^k literal codes (k <= 25), -1
+        outside the support; a pair's image is lookup[codes[a] | codes[b]]."""
+        table = np.full(int(np.bitwise_or.reduce(self.codes)) + 1, -1)
+        table[self.codes] = np.arange(len(self.codes))
+        return table
+
     def matrix(self) -> np.ndarray:
         return np.stack([self.features[p] for p in self.order])
 
@@ -170,7 +161,7 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     image leaves the truncated support (the skip is reported, never silently
     ignored).  The kernel of the support -> feature map is the orthogonal
     complement of col(matrix), so S_c preserves it exactly when every column
-    of G = matrix[images[c]] lies in col(matrix).  The matrix's thin SVD
+    of G = matrix[images] lies in col(matrix).  The matrix's thin SVD
     (`numerics.Spectrum`) gives the span basis B = u[:, :kernel_rank] at the
     kernel threshold rank_threshold(matrix.T), whose margin is `kernel_rank`;
     a context's deviation is the largest column norm of G - B (B.T G),
@@ -183,19 +174,21 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     basis = spec.u[:, :spec.kernel_rank]
     kernel_dim = len(order) - spec.kernel_rank
     tol = spec.span_threshold
-    index = np.arange(len(order))
-    images = _pair_images(assignment.codes, index[:, None], index)
-    missing = np.count_nonzero(images < 0, axis=1)
     worst = 0.0
     violations = []
-    for c in np.flatnonzero(missing == 0):
-        gathered = matrix[images[c]]  # S_c applied as a row gather
+    missing = []
+    for c, code in enumerate(assignment.codes):
+        images = assignment.lookup[assignment.codes | code]
+        missing.append(int(np.count_nonzero(images < 0)))
+        if missing[-1]:
+            continue
+        gathered = matrix[images]  # S_c applied as a row gather
         outside = gathered - basis @ (basis.T @ gathered)
         dev = float(np.max(np.linalg.norm(outside, axis=0), initial=0.0))
         worst = max(worst, dev)
         if dev > tol:
             violations.append({"context": repr(order[c]), "residual": dev})
-    contexts_checked = int(np.count_nonzero(missing == 0))
+    contexts_checked = missing.count(0)
     return Report(
         check="kernel_stability",
         passed=not violations,
@@ -204,7 +197,7 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
                  "kernel_rank": spec.kernel_margin(),
                  "contexts_checked": contexts_checked,
                  "contexts_skipped": len(order) - contexts_checked,
-                 "pairs_skipped": int(missing.sum()),
+                 "pairs_skipped": sum(missing),
                  "pairs_checked": kernel_dim * contexts_checked,
                  "violations": violations, "tol": tol},
     )
@@ -264,7 +257,7 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     order = assignment.order
     matrix = assignment.matrix()
     aa, bb = np.triu_indices(len(order))
-    images = _pair_images(assignment.codes, aa, bb)
+    images = assignment.lookup[assignment.codes[aa] | assignment.codes[bb]]
     realized = images >= 0
     ii, jj, kk = aa[realized], bb[realized], images[realized]
     skipped = len(aa) - len(ii)

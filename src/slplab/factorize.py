@@ -333,14 +333,6 @@ def isotypic_decompose(f: FactorizedMap) -> tuple[list[IsotypicProjector], dict]
     return projectors, props
 
 
-def group_average(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """(1/|G|) sum of the representation matrices; the trivial projector."""
-    acc = np.zeros_like(np.asarray(mats[0], dtype=float))
-    for m in mats:
-        acc = acc + np.asarray(m, dtype=float)
-    return acc / len(mats)
-
-
 def pair_space_representation(n: int,
                               perms: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """Renaming action on the n^2-dimensional pair space e_(h,t)."""

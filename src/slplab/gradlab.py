@@ -25,7 +25,6 @@ loss with the offending epoch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -55,18 +54,6 @@ class SyntheticKB:
 
     def training_set(self) -> tuple[tuple[Query, int], ...]:
         return self.facts + self.partners
-
-    def to_json(self) -> str:
-        doc = {
-            "entities": list(self.algebra.entity_set.labels),
-            "base_relations": {
-                (r.name or f"r{i}"): sorted(r.pairs())
-                for i, r in enumerate(self.algebra.base)
-            },
-            "facts": [[list(q), label] for q, label in self.facts],
-            "partners": [[list(q), label] for q, label in self.partners],
-        }
-        return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def generate_kb(entity_count: int, base_relations: int, density: float,

@@ -2,16 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slplab import numerics
+from slplab.cli import MAX_CELLS
 from slplab.conjunction import (BilinearOperator, Compound,
-                                ConjFeatureAssignment, _pair_images, atom,
+                                ConjFeatureAssignment, atom,
                                 check_kernel_stability, close_conjunction, collapse_certificate, conj,
-                                fit_bilinear, is_literal, neg,
+                                fit_bilinear, neg,
                                 possible_worlds_assignment,
                                 unique_witness_reduce)
 from slplab.queryspace import Query
@@ -61,7 +63,7 @@ def test_normal_forms_are_flat_sorted_literal_lists(a, b, c):
     assert set(x.literals) == set(a.literals + b.literals + c.literals)
     assert all(isinstance(negated, bool) and isinstance(q, Query)
                for negated, q in x.literals)
-    assert x.is_conj == (len(x.literals) > 1) == (not is_literal(x))
+    assert x.is_conj == (len(x.literals) > 1)
 
 
 def test_neg_of_a_conjunction_raises():
@@ -106,7 +108,7 @@ def test_depth_one_keeps_literals_only():
     atoms = [Query(0, i, 0) for i in range(2)]
     one = close_conjunction(atoms, depth=1)
     assert len(one) == 4
-    assert all(is_literal(x) for x in one)
+    assert not any(x.is_conj for x in one)
     with pytest.raises(ValueError):
         close_conjunction(atoms, depth=0)
 
@@ -139,9 +141,11 @@ def test_pair_images_match_the_closure_index(k):
     assert order == list(closure)
     n = len(order)
     a, b = np.divmod(np.arange(n * n), n)
-    images = _pair_images(assignment.codes, a, b)
+    images = assignment.lookup[assignment.codes[a] | assignment.codes[b]]
     assert images.tolist() == [order.index(conj(order[i], order[j]))
                                for i, j in zip(a, b)]
+    # 2k literals give 4^k codes: every nonempty one is in the closure
+    assert sorted(assignment.lookup.tolist()) == [-1] + list(range(n))
 
 
 def test_pair_images_outside_the_support_are_minus_one():
@@ -149,15 +153,30 @@ def test_pair_images_outside_the_support_are_minus_one():
     assignment = ConjFeatureAssignment.build(
         {x: np.ones(1) for x in (p, q, neg(p))})
     assert assignment.order == (p, q, neg(p))
-    images = _pair_images(assignment.codes, np.array([0, 0, 0, 1]),
-                          np.array([0, 1, 2, 1]))
+    a, b = np.array([0, 0, 0, 1]), np.array([0, 1, 2, 1])
+    images = assignment.lookup[assignment.codes[a] | assignment.codes[b]]
     assert images.tolist() == [0, -1, -1, 1]
+
+
+@given(st.sets(st.integers(0, 62), min_size=1))
+@settings(max_examples=40)
+def test_lookup_matches_conj_on_truncated_supports(keep):
+    closure = close_conjunction([Query(0, i, 0) for i in range(3)])
+    assignment = ConjFeatureAssignment.build(
+        {closure[i]: np.ones(1) for i in keep})
+    order = list(assignment.order)
+    for i, j in itertools.product(range(len(order)), repeat=2):
+        image = conj(order[i], order[j])
+        expected = order.index(image) if image in order else -1
+        assert assignment.lookup[assignment.codes[i] | assignment.codes[j]] \
+            == expected
 
 
 def test_codes_and_order_are_derived_once():
     assignment, _ = possible_worlds_assignment(2, 3, seed=0)
     assert assignment.codes is assignment.codes
     assert assignment.order is assignment.order
+    assert assignment.lookup is assignment.lookup
     assert assignment.codes.dtype == np.int64
     # the four literals take one bit each, so every code has one bit per literal
     assert [bin(int(c)).count("1") for c in assignment.codes] == \
@@ -304,6 +323,16 @@ def test_contexts_outside_support_are_skipped_not_ignored():
     assert report.details["contexts_skipped"] == 2
     assert report.details["contexts_checked"] == 0
     assert report.passed  # nothing checked, nothing violated
+    # with a kernel, an image outside the support must never stand in for
+    # another element's features: wrapped to the last row, context p would
+    # send (1, 0, 0) outside the span
+    support = {p: np.array([1.0, 0.0]), q: np.array([1.0, 0.0]),
+               neg(p): np.array([0.0, 1.0])}
+    report = check_kernel_stability(ConjFeatureAssignment.build(support))
+    assert report.details["kernel_dim"] == 1
+    assert report.details["contexts_skipped"] == 3
+    assert report.details["pairs_skipped"] == 6
+    assert report.passed and report.max_deviation == 0.0
 
 
 def kernel_basis_stability(assignment):
@@ -391,17 +420,32 @@ def test_assignment_validation():
         ConjFeatureAssignment.build({p: np.eye(2)})
 
 
-def test_assignment_rejects_more_than_63_literals():
-    atoms = [atom(Query(0, i, 0)) for i in range(32)]
+def test_assignment_rejects_more_than_25_literals():
+    atoms = [atom(Query(0, i, 0)) for i in range(13)]
     literals = atoms + [neg(x) for x in atoms]
-    assert len(literals) == 64
-    with pytest.raises(ValueError, match="63"):
+    assert len(literals) == 26
+    with pytest.raises(ValueError, match="25"):
         ConjFeatureAssignment.build({x: np.ones(1) for x in literals})
     assignment = ConjFeatureAssignment.build(
-        {x: np.ones(1) for x in literals[:63]})
-    # the 63rd literal takes the top bit of a positive int64 code
-    index = np.arange(63)
-    assert _pair_images(assignment.codes, index, index).tolist() == list(range(63))
+        {x: np.ones(1) for x in literals[:25]})
+    # the 25th literal takes the top bit, so the lookup table would hold
+    # exactly the CLI's cell budget; it is not built here (268 MB)
+    assert int(np.bitwise_or.reduce(assignment.codes)) + 1 == 2 ** 25 \
+        == MAX_CELLS
+
+
+def test_kernel_stability_forms_no_pair_table():
+    assignment, _ = possible_worlds_assignment(5, 8, seed=0)
+    n = len(assignment.order)
+    tracemalloc.start()
+    try:
+        report = check_kernel_stability(assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.details["contexts_checked"] == n == 1023
+    # one N x N int64 table alone takes 8.4 MB
+    assert peak < n * n * 8 / 8, peak
 
 
 # ----------------------------------------------------------------- collapse

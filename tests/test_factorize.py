@@ -11,7 +11,6 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
                               assemble_rows, build_slp_map,
                               character_hom_dim, commutant_hom_dimension,
-                              group_average,
                               hom_dimension_check, involution_split,
                               isotypic_decompose, negation_split,
                               pair_space_representation, pair_swap_matrix,
@@ -144,7 +143,7 @@ def test_trivial_isotypic_piece_matches_group_average(algebra_3):
     perms = symmetric_group(3)
     lifts = [lift_renaming(built.feature_map, GroupElementH(p, 1), algebra_3)
              for p in perms]
-    avg = group_average([l.span for l in lifts])
+    avg = np.mean([l.span for l in lifts], axis=0)
     projectors, _ = isotypic_decompose(built)
     trivial = next(p for p in projectors if p.irrep == (3,))
     assert np.max(np.abs(trivial.matrix - avg)) <= 1e-9

@@ -52,12 +52,13 @@ def test_kb_multiple_relations_counted():
     assert rels == {0, 1}
 
 
-def test_kb_json_is_deterministic():
-    a = generate_kb(4, 2, 0.5, seed=3).to_json()
-    b = generate_kb(4, 2, 0.5, seed=3).to_json()
-    assert a == b
-    c = generate_kb(4, 2, 0.5, seed=4).to_json()
-    assert a != c
+def test_kb_draw_is_deterministic():
+    def draw(seed):
+        kb = generate_kb(4, 2, 0.5, seed=seed)
+        return kb.facts, kb.partners
+
+    assert draw(3) == draw(3)
+    assert draw(3) != draw(4)
 
 
 def test_kb_validation():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from slplab.cli import (MAX_CELLS, _build_cells, _closure_queries,
                         _collapse_cells, _families_cells, _fit_cells,
-                        _stability_cells, main)
+                        _gradlab_cells, _stability_cells, _term_cells, main)
 from slplab.reports import Report, emit_report, parse_report, render_report
 
 
@@ -195,7 +196,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         # 2^25 relations held at once
         ("relalg-laws", "--entities", "5", "--exhaustive",
          "--out", str(out_path)),
-        # 64 literals, one past the bit codes' 63
+        # 64 literals: over the cell budget, and past the 25-literal cap
         ("kernel-stability", "--atoms", "32", "--depth", "1",
          "--out", str(out_path)),
         ("isotypic", "--context-dim", "0", "--out", str(out_path)),
@@ -240,6 +241,10 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("families", "--entities", "1449", "--relations", "1",
          "--out", str(out_path)),
         ("families", "--entities", "100000", "--out", str(out_path)),
+        # the kept terms of every build command share the budget
+        ("audit", "--entities", "3", "--relations", "1", "--terms", "207127",
+         "--context-dim", "9", "--out", str(out_path)),
+        ("isotypic", "--terms", str(10 ** 18), "--out", str(out_path)),
     ]
     bad_configs = [
         {"epochs": "ten"}, {"epochs": -3}, {"epochs": 2.0}, {"epochs": True},
@@ -249,6 +254,11 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         {"eta": float("nan")}, {"eta": False}, {"eta": 10 ** 400},
         # a zero edit step passes the slp_linear verdict vacuously
         {"eta": 0}, {"eta": -0.0},
+        # each size alone over the cell budget, for both scorers
+        {"hidden": 10 ** 9}, {"entity_count": 10 ** 6}, {"relations": 10 ** 9},
+        {"arch": "mlp", "hidden": 10 ** 9},
+        {"arch": "mlp", "entity_count": 10 ** 4},
+        {"arch": "mlp", "relations": 10 ** 7},
     ]
     for i, overrides in enumerate(bad_configs):
         config = write_config(tmp_path / f"bad{i}", **overrides)
@@ -296,6 +306,25 @@ _SIZES = range(-1, 4)
 _DENSITIES = (-0.5, 0.0, 0.01, 0.3, 0.5, 0.9, 1.0, 1.5, "x")
 _SEEDS = (-1, 0, 1, 2)
 _TOLS = (-1.0, -1e-12, 0.0, 1e-8, 1.0, "nan", "inf", "-inf", "1e400", "x")
+# every value past 2 is over the cell budget at any size
+_TERMS = (-1, 0, 1, 2, 10 ** 9, 10 ** 18)
+# gradlab configs, drawn as JSON text that the test writes to a file: a
+# valid config with up to two sizes or values replaced by out-of-range ones
+# or ones over the cell budget
+_GRADLAB_CONFIGS = st.tuples(
+    st.fixed_dictionaries({
+        "entity_count": st.sampled_from((2, 3)),
+        "relations": st.sampled_from((1, 2)),
+        "hidden": st.sampled_from((1, 9)),
+        "arch": st.sampled_from(("mlp", "slp_linear")),
+        "density": st.just(0.5), "epochs": st.sampled_from((0, 3)),
+        "lr": st.just(0.1), "eta": st.just(0.1),
+        "block": st.sampled_from(("all", "head"))}),
+    st.lists(st.sampled_from((
+        ("entity_count", 1), ("entity_count", 10 ** 6), ("relations", 0),
+        ("relations", 10 ** 9), ("hidden", 0), ("hidden", 10 ** 9),
+        ("density", 0.0), ("epochs", -1), ("eta", 0))), max_size=2),
+).map(lambda drawn: json.dumps({**drawn[0], **dict(drawn[1])}))
 
 CLI_ARGVS = st.one_of(
     _command("families", _option("--entities", range(-1, 5)),
@@ -315,7 +344,7 @@ CLI_ARGVS = st.one_of(
              _option("--relations", range(-1, 3)),
              _option("--density", _DENSITIES),
              _option("--context-dim", range(-1, 12)),
-             _option("--terms", range(-1, 3)),
+             _option("--terms", _TERMS),
              _option("--parity", ("+", "-", "both", "x")),
              _option("--fmt", ("json", "csv")),
              _option("--save", ("map.out",)), _option("--seed", _SEEDS)),
@@ -329,6 +358,7 @@ CLI_ARGVS = st.one_of(
              _option("--tol", _TOLS), _option("--seed", _SEEDS)),
     _command("parity", _option("--entities", _SIZES),
              _option("--parity", ("+", "-", "both")),
+             _option("--terms", _TERMS),
              _option("--tol", _TOLS), _option("--seed", _SEEDS)),
     _command("fit-bilinear", _option("--atoms", _SIZES),
              _option("--worlds", range(-1, 5)),
@@ -339,6 +369,8 @@ CLI_ARGVS = st.one_of(
              _option("--seed", _SEEDS)),
     _command("verify-slp", _required("--load", ("map.in",)),
              _option("--tol", _TOLS)),
+    _command("gradlab", _GRADLAB_CONFIGS.map(lambda text: ("--config", text)),
+             _option("--seed", _SEEDS)),
 )
 
 
@@ -354,10 +386,22 @@ def stored_map(tmp_path_factory):
 @given(argv=CLI_ARGVS)
 @settings(max_examples=300)
 def test_exit_code_contract_over_argument_ranges(stored_map, argv):
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, \
+            tempfile.TemporaryDirectory() as inputs:
         out_path = Path(scratch) / "report.json"
-        argv = [Path(scratch, a).as_posix() if a == "map.out" else
-                str(stored_map) if a == "map.in" else a for a in argv]
+
+        def place(arg):
+            if arg == "map.out":
+                return Path(scratch, arg).as_posix()
+            if arg == "map.in":
+                return str(stored_map)
+            if arg.startswith("{"):  # a gradlab config, kept out of scratch
+                config = Path(inputs, "config.json")
+                config.write_text(arg)
+                return str(config)
+            return arg
+
+        argv = [place(a) for a in argv]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
@@ -417,15 +461,15 @@ def test_same_seed_gives_byte_identical_reports(capsys, tmp_path):
 
 # ------------------------------------------------------------- subcommands
 
-def test_families_prints_partition_when_report_goes_to_file(capsys, tmp_path):
+def test_families_report_holds_the_partition(capsys, tmp_path):
     out_path = tmp_path / "families.json"
     code, out, _ = run_cli(capsys, "families", "--entities", "3",
                            "--relations", "1", "--seed", "0",
                            "--out", str(out_path))
     assert code == 0
-    partition = json.loads(out)
+    assert out == ""  # the report file is the one product
     report = parse_report(out_path)
-    assert report.details["families"] == partition
+    partition = report.details["families"]
     assert report.details["n_families"] == len(partition)
     for family in partition:
         members = [m["query"] for m in family["members"]]
@@ -534,6 +578,52 @@ def test_build_and_families_cell_budget_bound_the_closure():
     assert _families_cells(1448, 1) <= MAX_CELLS < _families_cells(1449, 1)
     # the largest benchmark build is far inside the budget
     assert _build_cells(6, 3, None) == 432 * 216
+
+
+def test_kept_terms_share_the_build_budget():
+    # sizes are compared, never run
+    for entities, relations in ((2, 1), (3, 2), (32, 2), (45, 1), (33, 2)):
+        for width in (None, 1, 9, 4096):
+            # default terms never reject a size the feature matrix admits
+            assert _term_cells(entities, relations, width, None) == \
+                _build_cells(entities, relations, width)
+    assert _term_cells(3, 1, 9, 207126) == 2 * 207126 * 81 <= MAX_CELLS
+    assert _term_cells(3, 1, 9, 207127) > MAX_CELLS
+    assert _term_cells(2, 1, 1, 10 ** 9) > MAX_CELLS
+
+
+def test_huge_terms_exit_two_before_any_draw(capsys, tmp_path):
+    out_path = tmp_path / "never.json"
+    for command in ("build-slp", "factorize"):
+        start = time.perf_counter()
+        code = main([command, "--terms", "1000000000", "--out", str(out_path)])
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code == 2 and not out_path.exists(), command
+        # drawing the terms would run for hours
+        assert elapsed < 5.0, (command, elapsed)
+
+
+def test_gradlab_cell_budget_bounds_each_size():
+    # sizes are compared, never run
+    assert _gradlab_cells("mlp", 6, 2, 16) == 144 * 17
+    assert _gradlab_cells("slp_linear", 3, 1, 9) == 36 * 9
+    # slp_linear: the N x hidden features, N = 36 at 3 entities, 1 relation
+    assert _gradlab_cells("slp_linear", 3, 1, 932067) <= MAX_CELLS
+    assert _gradlab_cells("slp_linear", 3, 1, 932068) > MAX_CELLS
+    # mlp: hidden x hidden weights once hidden passes the row count
+    assert _gradlab_cells("mlp", 3, 1, 5792) == 5792 ** 2 <= MAX_CELLS
+    assert _gradlab_cells("mlp", 3, 1, 5793) > MAX_CELLS
+    # mlp: T x input encodings, T = 2 * relations * entities^2
+    assert _gradlab_cells("mlp", 2, 2 ** 21, 1) == \
+        2 ** 24 * (2 ** 22 + 5) > MAX_CELLS
+    for key, size in (("entity_count", 10 ** 6), ("relations", 10 ** 9),
+                      ("hidden", 10 ** 9)):
+        sizes = {"entity_count": 3, "relations": 1, "hidden": 9, key: size}
+        for arch in ("mlp", "slp_linear"):
+            assert _gradlab_cells(arch, sizes["entity_count"],
+                                  sizes["relations"], sizes["hidden"]) \
+                > MAX_CELLS, (arch, key)
 
 
 def test_default_width_is_at_most_half_the_closure(capsys):
@@ -666,4 +756,4 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = parse_report(out_path)
     assert report.check == "families" and report.passed
-    json.loads(proc.stdout)  # the partition goes to stdout
+    assert proc.stdout == ""  # the report goes to --out only
