@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, numerics
-from .conjunction import (check_kernel_stability, collapse_certificate,
-                          fit_bilinear, possible_worlds_assignment)
+from .conjunction import (PAIR_BLOCK, check_kernel_stability,
+                          collapse_certificate, fit_bilinear,
+                          possible_worlds_assignment)
 from .factorize import (BlockSpec, ConverseInvarianceError, build_slp_map,
                         isotypic_decompose, negation_split, parity_decompose,
                         parity_involution, verify_factorized_form)
@@ -82,11 +83,12 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
-# 268 MB.  It admits kernel-stability at 6 atoms, fit-bilinear at 5 atoms
-# and 8 worlds, collapse up to --dim 406 at 1 atom, default-width builds at
+# 268 MB.  It admits kernel-stability and fit-bilinear at 6 atoms and 8
+# worlds, collapse up to --dim 406 at 1 atom, default-width builds at
 # 32 entities and families at 1024 entities (both at 2 relations); larger
 # sizes exit 2 before any draw or other work.  It also bounds the terms a
-# build keeps, all of them together, and kernel-stability's work.
+# build keeps, all of them together, and the work of kernel-stability and
+# of fit-bilinear's pair walk.
 MAX_CELLS = 1 << 25
 
 
@@ -109,14 +111,29 @@ def _build_cells(entities: int, relations: int, context_dim) -> int:
     return n * (n // 2 if context_dim is None else context_dim)
 
 
+# Cells charged per raw sample of an explicit --terms count, at least: its
+# two Term objects and four array headers, held twice while a redraw keeps
+# two draws.  At 2 entities, 1 relation and width 1 under Python 3.11 that
+# is 1,650 bytes with tracemalloc and about 1.9 KB of peak RSS, so 2 KB of
+# 8-byte cells.
+SAMPLE_OBJECT_CELLS = 256
+
+
 def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
-    """The kept entities x entities x width factors, two per term.  A default
-    term count is at most 2 * relations, since a closure holds at most N/2
-    families, so with default terms this never exceeds `_build_cells`."""
+    """The kept factors: per raw sample, two entities x entities x width u
+    factors, or, if more, its Python objects plus the v factors of up to
+    4 * relations cells of its two terms, both held twice during a redraw.
+
+    A default term count is at most 2 * relations, since a closure holds at
+    most N/2 families, and is charged its u factors alone, so with default
+    terms this never exceeds `_build_cells`.
+    """
     n = _closure_queries(entities, relations)
     width = n // 2 if context_dim is None else context_dim
-    count = 2 * relations if terms is None else terms
-    return 2 * count * entities ** 2 * width
+    u_cells = 2 * entities ** 2 * width
+    if terms is None:
+        return 2 * relations * u_cells
+    return terms * max(u_cells, SAMPLE_OBJECT_CELLS + 16 * relations)
 
 
 def _families_cells(entities: int, relations: int) -> int:
@@ -361,10 +378,19 @@ def _stability_cells(atoms: int, worlds: int) -> int:
 
 
 def _fit_cells(atoms: int, worlds: int) -> int:
-    """The P x worlds^2 outer products of P = N(N+1)/2 pairs, or the
-    worlds^2 x worlds coefficients of the full fit if larger."""
+    """The largest array fit_bilinear builds, or its pair walk if larger.
+
+    Its arrays: one block of at most max(N, PAIR_BLOCK) candidate pairs,
+    gathered one world at a time; the (m^2, worlds) group sums and
+    predictions of its m <= min(N, 2^worlds) distinct feature rows; the
+    ordered-group full design of at most m^2 x worlds^2 cells; and the
+    worlds^2 x worlds coefficients of the full fit.  Work, not an array:
+    each of its two walks visits the P = N(N+1)/2 pairs.
+    """
     n = _support_size(atoms)
-    return max(n * (n + 1) // 2, worlds) * worlds ** 2
+    m = min(n, 2 ** min(worlds, 64))
+    return max(n * (n + 1) // 2, max(n, PAIR_BLOCK),
+               m * m * worlds ** 2, worlds ** 3)
 
 
 def _worlds_assignment(args, parser, cells: int):
@@ -390,6 +416,7 @@ def _cmd_fit_bilinear(args, parser) -> int:
     assignment, seed = _worlds_assignment(
         args, parser, _fit_cells(args.atoms, args.worlds))
     fit = fit_bilinear(assignment)
+    p, q, image = fit.worst_pair
     report = Report(
         check="fit_bilinear", passed=fit.max_residual <= args.tol,
         max_deviation=fit.max_residual,
@@ -397,6 +424,10 @@ def _cmd_fit_bilinear(args, parser) -> int:
                  "uniqueness_gap": fit.uniqueness_gap,
                  "n_constraints": fit.n_constraints,
                  "n_pairs_skipped": fit.n_pairs_skipped,
+                 "n_groups": fit.n_groups,
+                 "worst_pair": {"p": repr(p), "q": repr(q),
+                                "image": repr(image),
+                                "residual": fit.max_residual},
                  "atoms": args.atoms, "worlds": args.worlds},
     )
     return _finish(report, args, seed, parser)
@@ -705,9 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("fit-bilinear",
                           help="symmetric bilinear fit on a worlds model")
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 5 at 8 worlds: the P x worlds^2 outer "
-                          "products of P = N(N+1)/2 pairs must fit in "
-                          f"{MAX_CELLS} cells")
+                     help="at most 6 at 8 worlds: the N(N+1)/2 pairs it "
+                          "walks, and its design of at most m^2 x worlds^2 "
+                          "cells for m <= min(N, 2^worlds) distinct feature "
+                          f"rows, must fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -241,6 +241,31 @@ class FitResult:
     uniqueness_gap: float
     n_constraints: int
     n_pairs_skipped: int
+    n_groups: int
+    worst_pair: tuple[Compound, Compound, Compound]
+
+
+# Candidate pairs per block of support rows (one row at least, if a row
+# holds more): the pair walk's arrays are at most this many pairs long.
+PAIR_BLOCK = 1 << 16
+
+
+def _pair_blocks(assignment: ConjFeatureAssignment):
+    """Realized pairs a <= b with their images, in np.triu_indices order.
+
+    Yields (a, b, image, skipped) per block of support rows, where skipped
+    counts the block's triangle pairs whose image leaves the support.
+    """
+    codes = assignment.codes
+    n = len(codes)
+    step = max(1, PAIR_BLOCK // n)
+    cols = np.arange(n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        images = assignment.lookup[codes[rows, None] | codes]
+        aa, bb = np.nonzero((cols >= rows[:, None]) & (images >= 0))
+        kk = images[aa, bb]
+        yield aa + start, bb, kk, int(np.sum(n - rows)) - len(kk)
 
 
 def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
@@ -248,38 +273,85 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
 
     Constraints run over unordered support pairs (p, q) whose normalized
     conjunction stays in the support (p = q included, which encodes
-    idempotence).  One outer product u v^T per pair feeds the triangle
-    design and an independent second fit over all d*d coefficients.  The
-    operator is only determined on the realized span, so `uniqueness_gap`
-    compares the two fits there: both are read through the triangle design,
-    the second after symmetrizing.
+    idempotence), each asking F(u, v) = w for the features u, v of p, q
+    and w of their image.  Pairs whose feature rows are equal give equal
+    design rows, so the solve runs over groups of pairs, never over pairs:
+    the rows of `matrix` get ids from np.unique, and one walk over the
+    pairs in blocks of support rows (`PAIR_BLOCK`) sums each group's count
+    c and targets into direct-address arrays over the m^2 ordered row-id
+    pairs.  A group enters as one design row and target mean, both scaled
+    by sqrt(c); that changes the pair objective only by a constant, so the
+    normal equations, and with them the minimum-norm solution, are the
+    pairs' own (weighted least squares).
+
+    The triangle design is symmetric in u and v, so the symmetric fit
+    groups unordered row-id pairs (`n_groups`).  An independent second fit
+    over all d*d coefficients sees u v^T, which is not symmetric, so it
+    groups ordered ones.  The operator is only determined on the realized
+    span, so `uniqueness_gap` compares the two fits there: both are read
+    through the triangle design, the second after symmetrizing, on every
+    distinct triangle row, which is the maximum over all pairs.  A second
+    walk takes `max_residual` over every pair, not over group means, and
+    `worst_pair` names the first pair (p, q, image) that reaches it.
     """
     order = assignment.order
     matrix = assignment.matrix()
-    aa, bb = np.triu_indices(len(order))
-    images = assignment.lookup[assignment.codes[aa] | assignment.codes[bb]]
-    realized = images >= 0
-    ii, jj, kk = aa[realized], bb[realized], images[realized]
-    skipped = len(aa) - len(ii)
-    if not ii.size:
-        raise ValueError("no realized conjunction pairs inside the support")
-    ws = matrix[kk]
     d = assignment.dim
-    outer = matrix[ii][:, :, None] * matrix[jj][:, None, :]
+    values, row_id = np.unique(matrix, axis=0, return_inverse=True)
+    row_id = row_id.reshape(-1)
+    m = len(values)
+    columns = np.ascontiguousarray(matrix.T)  # one gather per world
+    counts = np.zeros(m * m, dtype=np.int64)
+    sums = np.zeros((d, m * m))
+    n_constraints = skipped = 0
+    for aa, bb, kk, missed in _pair_blocks(assignment):
+        keys = row_id[aa] * m + row_id[bb]
+        counts += np.bincount(keys, minlength=m * m)
+        for total, column in zip(sums, columns):
+            total += np.bincount(keys, weights=column[kk], minlength=m * m)
+        n_constraints += len(kk)
+        skipped += missed
+    if not n_constraints:
+        raise ValueError("no realized conjunction pairs inside the support")
+    counts = counts.reshape(m, m)
+    sums = sums.T.reshape(m, m, d)
 
-    design = _triangle_design(outer)
-    x = numerics.minnorm_lstsq(design, ws)
+    gi, gj = np.nonzero(np.triu(counts + counts.T))
+    off = gi != gj  # an off-diagonal group gathers both orders
+    weight = np.sqrt(counts[gi, gj] + off * counts[gj, gi])[:, None]
+    target_sums = sums[gi, gj] + off[:, None] * sums[gj, gi]
+    design = _triangle_design(values[gi][:, :, None] * values[gj][:, None, :])
+    x = numerics.minnorm_lstsq(design * weight, target_sums / weight)
     operator = BilinearOperator(_triangle_tensor(x, d))
     predicted = design @ x
-    max_residual = float(np.max(np.abs(predicted - ws)))
 
-    x_full = numerics.minnorm_lstsq(outer.reshape(len(ii), d * d), ws)
+    oi, oj = np.nonzero(counts)
+    weight_full = np.sqrt(counts[oi, oj])[:, None]
+    outer = (values[oi][:, :, None] * values[oj][:, None, :]).reshape(-1, d * d)
+    outer *= weight_full
+    x_full = numerics.minnorm_lstsq(outer, sums[oi, oj] / weight_full)
     tensor_full = x_full.T.reshape(d, d, d)
     rows_idx, cols_idx = np.triu_indices(d)
     x_other = (tensor_full[:, rows_idx, cols_idx] +
                tensor_full[:, cols_idx, rows_idx]).T / 2.0
     gap = float(np.max(np.abs(predicted - design @ x_other)))
-    return FitResult(operator, max_residual, gap, len(ii), skipped)
+
+    table = np.zeros((d, m, m))
+    table[:, gi, gj] = predicted.T
+    table[:, gj, gi] = predicted.T
+    table = table.reshape(d, m * m)
+    max_residual, worst = -1.0, (0, 0, 0)
+    for aa, bb, kk, _ in _pair_blocks(assignment):  # each holds (a, a)
+        keys = row_id[aa] * m + row_id[bb]
+        residual = np.zeros(len(kk))
+        for fitted, column in zip(table, columns):
+            np.maximum(residual, np.abs(fitted[keys] - column[kk]),
+                       out=residual)
+        i = int(np.argmax(residual))
+        if residual[i] > max_residual:
+            max_residual, worst = float(residual[i]), (aa[i], bb[i], kk[i])
+    return FitResult(operator, max_residual, gap, n_constraints, skipped,
+                     len(gi), tuple(order[i] for i in worst))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slplab import numerics
+from slplab import conjunction, numerics
 from slplab.cli import MAX_CELLS
 from slplab.conjunction import (BilinearOperator, Compound,
-                                ConjFeatureAssignment, atom,
+                                ConjFeatureAssignment, _triangle_design,
+                                _triangle_tensor, atom,
                                 check_kernel_stability, close_conjunction, collapse_certificate, conj,
                                 fit_bilinear, neg,
                                 possible_worlds_assignment,
@@ -278,6 +279,148 @@ def test_fitted_operator_is_symmetric():
     u, v = rng.normal(size=4), rng.normal(size=4)
     op = fit_bilinear(assignment).operator
     assert np.allclose(op.apply(u, v), op.apply(v, u))
+
+
+# ------------------------------------------- grouped fit vs. one row per pair
+
+def reference_fit(assignment):
+    """The ungrouped dense fit: one outer-product design row per realized
+    pair a <= b, both least-squares solves over all of them.
+
+    Returns (tensor, max_residual, uniqueness_gap, n_constraints,
+    n_pairs_skipped, per-pair residuals, pairs (a, b, image)).
+    """
+    matrix = assignment.matrix()
+    aa, bb = np.triu_indices(len(assignment.order))
+    images = assignment.lookup[assignment.codes[aa] | assignment.codes[bb]]
+    realized = images >= 0
+    ii, jj, kk = aa[realized], bb[realized], images[realized]
+    ws = matrix[kk]
+    d = assignment.dim
+    outer = matrix[ii][:, :, None] * matrix[jj][:, None, :]
+    design = _triangle_design(outer)
+    x = numerics.minnorm_lstsq(design, ws)
+    predicted = design @ x
+    residuals = np.max(np.abs(predicted - ws), axis=1)
+    x_full = numerics.minnorm_lstsq(outer.reshape(len(ii), d * d), ws)
+    tensor_full = x_full.T.reshape(d, d, d)
+    rows_idx, cols_idx = np.triu_indices(d)
+    x_other = (tensor_full[:, rows_idx, cols_idx] +
+               tensor_full[:, cols_idx, rows_idx]).T / 2.0
+    gap = float(np.max(np.abs(predicted - design @ x_other)))
+    return (_triangle_tensor(x, d), float(np.max(residuals)), gap, len(ii),
+            len(aa) - len(ii), residuals, (ii, jj, kk))
+
+
+def shared_row_assignment():
+    """Two atoms' 15 compounds on three unit feature rows, by support index.
+
+    Many pairs share one row pair, hence one design row, while their images
+    sit on different rows: the targets of a group conflict, so the fit can
+    only reach each group's mean target.
+    """
+    closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
+    return ConjFeatureAssignment.build(
+        {x: np.eye(3)[i % 3] for i, x in enumerate(closure)})
+
+
+def assert_matches_reference(result, assignment):
+    tensor, res, gap, n_constraints, skipped, _, _ = reference_fit(assignment)
+    scale = max(1.0, float(np.max(np.abs(tensor))))
+    assert np.max(np.abs(result.operator.tensor - tensor)) <= 1e-10 * scale
+    assert abs(result.max_residual - res) <= 1e-10 * max(1.0, res)
+    assert abs(result.uniqueness_gap - gap) <= 1e-10 * max(1.0, gap)
+    assert result.n_constraints == n_constraints
+    assert result.n_pairs_skipped == skipped
+
+
+@pytest.mark.parametrize("n_atoms,n_worlds,depth",
+                         [(2, 3, 2), (2, 4, 1), (3, 5, 2), (3, 8, 1),
+                          (4, 6, 2)])
+def test_grouped_fit_matches_ungrouped_reference(n_atoms, n_worlds, depth):
+    assignment, _ = possible_worlds_assignment(n_atoms, n_worlds, seed=7,
+                                               depth=depth)
+    result = fit_bilinear(assignment)
+    assert_matches_reference(result, assignment)
+    # depth 1 realizes only p AND p, one pair per distinct row
+    assert result.n_groups <= result.n_constraints
+    if depth > 1:
+        assert result.n_groups < result.n_constraints
+
+
+def test_grouped_fit_reaches_each_groups_mean_target():
+    assignment = shared_row_assignment()
+    result = fit_bilinear(assignment)
+    assert_matches_reference(result, assignment)
+    feats, order = assignment.features, assignment.order
+    # a row pair's group is every pair p <= q on it, in either order
+    groups = {}
+    for p, q in itertools.combinations_with_replacement(order, 2):
+        key = tuple(sorted((int(np.argmax(feats[p])), int(np.argmax(feats[q])))))
+        groups.setdefault(key, []).append(feats[conj(p, q)])
+    assert result.n_groups == len(groups) == 6
+    conflicting = [key for key, targets in groups.items()
+                   if len({t.tobytes() for t in targets}) > 1]
+    assert len(conflicting) >= 3, conflicting
+    eye = np.eye(3)
+    for (i, j), targets in groups.items():
+        fitted = result.operator.apply(eye[i], eye[j])
+        assert np.max(np.abs(fitted - np.mean(targets, axis=0))) <= 1e-12
+    # the conflicting targets leave a residual, and its first pair is named
+    assert result.max_residual > 0.5
+    p, q, image = result.worst_pair
+    assert order.index(p) <= order.index(q) and image == conj(p, q)
+    own = np.max(np.abs(result.operator.apply(feats[p], feats[q]) -
+                        feats[image]))
+    assert abs(own - result.max_residual) <= 1e-12
+
+
+def test_worst_pair_is_the_first_pair_at_the_maximum():
+    # random features: every pair's residual differs well beyond round-off
+    closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
+    rng = np.random.default_rng(11)
+    assignment = ConjFeatureAssignment.build(
+        {x: rng.standard_normal(4) for x in closure})
+    result = fit_bilinear(assignment)
+    assert_matches_reference(result, assignment)
+    *_, residuals, (ii, jj, kk) = reference_fit(assignment)
+    first = int(np.argmax(residuals))
+    order = assignment.order
+    assert result.worst_pair == (order[ii[first]], order[jj[first]],
+                                 order[kk[first]])
+    assert result.n_groups == result.n_constraints
+
+
+@pytest.mark.parametrize("make", [
+    lambda: possible_worlds_assignment(3, 6, seed=4)[0],
+    lambda: possible_worlds_assignment(3, 4, seed=5, depth=1)[0],
+    shared_row_assignment,
+])
+def test_pair_blocks_do_not_change_the_fit(make, monkeypatch):
+    one_block = fit_bilinear(make())
+    n = len(make().order)
+    # blocks of 4 support rows; the last block is shorter
+    monkeypatch.setattr(conjunction, "PAIR_BLOCK", 4 * n)
+    assert n % 4
+    blocked = fit_bilinear(make())
+    assert np.array_equal(blocked.operator.tensor, one_block.operator.tensor)
+    for field in ("max_residual", "uniqueness_gap", "n_constraints",
+                  "n_pairs_skipped", "n_groups", "worst_pair"):
+        assert getattr(blocked, field) == getattr(one_block, field), field
+
+
+def test_fit_forms_no_pair_sized_array():
+    assignment, _ = possible_worlds_assignment(5, 8, seed=0)
+    assignment.lookup
+    tracemalloc.start()
+    try:
+        result = fit_bilinear(assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_constraints == 1023 * 1024 // 2
+    # one P x worlds float64 array of its P pairs alone takes 33.5 MB
+    assert peak < result.n_constraints * 8 * 8 / 4, peak
 
 
 # ----------------------------------------------------------- kernel stability

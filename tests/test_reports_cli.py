@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slplab.cli import (MAX_CELLS, _build_cells, _closure_queries,
-                        _collapse_cells, _families_cells, _fit_cells,
-                        _gradlab_cells, _stability_cells, _term_cells, main)
+from slplab.cli import (MAX_CELLS, SAMPLE_OBJECT_CELLS, _build_cells,
+                        _closure_queries, _collapse_cells, _families_cells,
+                        _fit_cells, _gradlab_cells, _stability_cells,
+                        _term_cells, main)
+from slplab.conjunction import PAIR_BLOCK
 from slplab.reports import Report, emit_report, parse_report, render_report
 
 
@@ -189,8 +191,10 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("fit-bilinear", "--atoms", "0", "--out", str(out_path)),
         # the first sizes over the conjunction cell budget
         ("kernel-stability", "--atoms", "7", "--out", str(out_path)),
-        ("fit-bilinear", "--atoms", "6", "--out", str(out_path)),
-        ("fit-bilinear", "--atoms", "5", "--worlds", "9", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "7", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "6", "--worlds", "10", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "5", "--worlds", "10", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "4", "--worlds", "23", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "1", "--worlds", "400", "--out", str(out_path)),
         ("collapse", "--atoms", "1", "--dim", "407", "--out", str(out_path)),
         # 2^25 relations held at once
@@ -242,7 +246,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--out", str(out_path)),
         ("families", "--entities", "100000", "--out", str(out_path)),
         # the kept terms of every build command share the budget
-        ("audit", "--entities", "3", "--relations", "1", "--terms", "207127",
+        ("audit", "--entities", "3", "--relations", "1", "--terms", "123362",
          "--context-dim", "9", "--out", str(out_path)),
         ("isotypic", "--terms", str(10 ** 18), "--out", str(out_path)),
     ]
@@ -548,10 +552,22 @@ def test_conjunction_cell_budget_admits_six_and_five_atoms():
     assert _stability_cells(6, 8) == 4095 ** 2 <= MAX_CELLS
     assert _stability_cells(7, 8) > MAX_CELLS
     assert _stability_cells(1, 10 ** 8) == 3 * 10 ** 8 > MAX_CELLS
-    assert _fit_cells(5, 8) == 1023 * 1024 // 2 * 64 <= MAX_CELLS
-    assert _fit_cells(5, 9) > MAX_CELLS
-    assert _fit_cells(6, 8) > MAX_CELLS
+    # fit-bilinear: the walk over P = N(N+1)/2 pairs, or the ordered-group
+    # design of m^2 x worlds^2 cells, m = min(N, 2^worlds) distinct rows
+    assert _fit_cells(6, 8) == 4095 * 4096 // 2 <= MAX_CELLS
+    assert _fit_cells(6, 9) == 512 ** 2 * 81 <= MAX_CELLS
+    assert _fit_cells(6, 10) == 1024 ** 2 * 100 > MAX_CELLS
+    assert _fit_cells(7, 8) == 16383 * 16384 // 2 > MAX_CELLS
+    assert _fit_cells(5, 9) == 512 ** 2 * 81 <= MAX_CELLS
+    assert _fit_cells(5, 10) == 1023 ** 2 * 100 > MAX_CELLS
+    assert _fit_cells(5, 16) == 1023 ** 2 * 256 > MAX_CELLS
+    assert _fit_cells(4, 22) == 255 ** 2 * 22 ** 2 <= MAX_CELLS
+    assert _fit_cells(4, 23) > MAX_CELLS
+    # one pair block, never less: PAIR_BLOCK candidate pairs
+    assert _fit_cells(2, 4) == PAIR_BLOCK
+    assert _fit_cells(1, 322) == 322 ** 3 <= MAX_CELLS
     assert _fit_cells(1, 400) == 400 ** 3 > MAX_CELLS
+    assert _fit_cells(1, 10 ** 8) > MAX_CELLS
     assert _stability_cells(10 ** 9, 1) > MAX_CELLS
 
 
@@ -587,9 +603,32 @@ def test_kept_terms_share_the_build_budget():
             # default terms never reject a size the feature matrix admits
             assert _term_cells(entities, relations, width, None) == \
                 _build_cells(entities, relations, width)
-    assert _term_cells(3, 1, 9, 207126) == 2 * 207126 * 81 <= MAX_CELLS
-    assert _term_cells(3, 1, 9, 207127) > MAX_CELLS
+    # an explicit count charges the two u factors of each raw sample ...
+    assert _term_cells(3, 1, 100, 18641) == 2 * 18641 * 900 <= MAX_CELLS
+    assert _term_cells(3, 1, 100, 18642) > MAX_CELLS
+    # ... or, if more, its objects and v factors, held twice in a redraw
+    per_sample = SAMPLE_OBJECT_CELLS + 16
+    assert _term_cells(3, 1, 9, 123361) == 123361 * per_sample <= MAX_CELLS
+    assert _term_cells(3, 1, 9, 123362) > MAX_CELLS
+    assert _term_cells(2, 1, 1, 123361) <= MAX_CELLS
+    assert _term_cells(2, 1, 1, 123362) > MAX_CELLS
     assert _term_cells(2, 1, 1, 10 ** 9) > MAX_CELLS
+    # the admitted maximum's objects fit the budget's 268 MB
+    assert 123361 * 1650 < MAX_CELLS * 8
+
+
+def test_old_term_maximum_exits_two_before_any_draw(capsys, tmp_path):
+    # 4,194,304 raw samples passed the u-factor count alone (8 cells each),
+    # but their objects would need about 7 GB
+    out_path = tmp_path / "never.json"
+    start = time.perf_counter()
+    code = main(["build-slp", "--entities", "2", "--relations", "1",
+                 "--context-dim", "1", "--terms", "4194304",
+                 "--out", str(out_path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 2 and not out_path.exists()
+    assert elapsed < 5.0, elapsed
 
 
 def test_huge_terms_exit_two_before_any_draw(capsys, tmp_path):
