@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slplab.cli import _at_least
+from slplab.cli import _at_least, _density, _positive
 from slplab.gradlab import (BLOCK_NAMES, alignment_experiment, generate_kb,
                             make_mlp, make_slp_linear, train)
 from slplab.queryspace import compute_families
@@ -55,13 +55,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_at_least(1), default=20,
                         help="number of seeds, run as 0..n-1 (default 20)")
-    parser.add_argument("--entities", type=int, default=6)
-    parser.add_argument("--relations", type=int, default=2)
-    parser.add_argument("--density", type=float, default=0.5)
-    parser.add_argument("--hidden", type=int, default=16)
-    parser.add_argument("--embed-dim", type=int, default=16)
-    parser.add_argument("--epochs", type=int, default=500)
-    parser.add_argument("--lr", type=float, default=0.5)
+    parser.add_argument("--entities", type=_at_least(2), default=6)
+    parser.add_argument("--relations", type=_at_least(1), default=2)
+    parser.add_argument("--density", type=_density, default=0.5)
+    parser.add_argument("--hidden", type=_at_least(1), default=16)
+    parser.add_argument("--embed-dim", type=_at_least(1), default=16)
+    # each row reports the final training loss
+    parser.add_argument("--epochs", type=_at_least(1), default=500)
+    parser.add_argument("--lr", type=_positive, default=0.5)
     parser.add_argument("--block", default="all", choices=BLOCK_NAMES)
     parser.add_argument("--out", type=Path, default=None,
                         help="write per-seed rows as JSON")

@@ -7,11 +7,16 @@ errors never produce a report file.  Argument ranges are checked when the
 arguments are parsed, so an out-of-range size is a usage error, never a
 failed check.  Randomness flows from --seed, falling back to the SLPLAB_SEED
 environment variable, then to 0.
+
+Each subcommand is a function `(args, seed, parser) -> Report`.  `main`
+does the rest for every one of them: it charges the size the subcommand
+declares against the cell budget, resolves the seed, and writes the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -40,563 +45,7 @@ from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
 from .reports import Report, emit_report, render_report
 
 
-def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SLPLAB_SEED")
-    if env is None:
-        return 0
-    try:
-        return _at_least(0)(env)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"SLPLAB_SEED: {exc}")
-
-
-def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "out", "seed"}
-    return {k: (str(v) if isinstance(v, Path) else v)
-            for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _write(parser, path, write, *write_args) -> None:
-    """Call `write(*write_args)`; an unwritable path is a usage error, never
-    a failed check."""
-    try:
-        write(*write_args)
-    except OSError as exc:
-        # emit_report wraps the OSError of open() in its own
-        parser.error(f"cannot write {path}: {exc.__cause__ or exc}")
-
-
-def _finish(report: Report, args: argparse.Namespace, seed: int,
-            parser) -> int:
-    config = _config_dict(args)
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
-    report.provenance = {"config_hash": digest, "seed": seed,
-                         "version": __version__}
-    if getattr(args, "out", None):
-        _write(parser, args.out, emit_report, report, args.out)
-    else:
-        sys.stdout.write(render_report(report))
-    return 0 if report.passed else 1
-
-
-# Cell budget of the largest array one command builds: 2^25 float64s,
-# 268 MB.  It admits kernel-stability and fit-bilinear at 6 atoms and 8
-# worlds, collapse up to --dim 406 at 1 atom, default-width builds at
-# 32 entities and families at 1024 entities (both at 2 relations); larger
-# sizes exit 2 before any draw or other work.  It also bounds the terms a
-# build keeps, all of them together, and the work of kernel-stability and
-# of fit-bilinear's pair walk.
-MAX_CELLS = 1 << 25
-
-
-def _within_budget(cells: int, flags: str, parser) -> None:
-    if cells > MAX_CELLS:
-        parser.error(f"{flags} needs more than the {MAX_CELLS}-cell budget")
-
-
-def _closure_queries(entities: int, relations: int) -> int:
-    """N = entities^2 * 4 * relations: a closure holds at most four
-    relations per base relation, as close_unary asserts."""
-    return entities ** 2 * 4 * relations
-
-
-def _build_cells(entities: int, relations: int, context_dim) -> int:
-    """The N x width feature matrix; the default width of one column per
-    family is at most N/2, since every family holds a query and its
-    negation."""
-    n = _closure_queries(entities, relations)
-    return n * (n // 2 if context_dim is None else context_dim)
-
-
-# Cells charged per raw sample of an explicit --terms count, at least: its
-# two Term objects and four array headers, held twice while a redraw keeps
-# two draws.  At 2 entities, 1 relation and width 1 under Python 3.11 that
-# is 1,650 bytes with tracemalloc and about 1.9 KB of peak RSS, so 2 KB of
-# 8-byte cells.
-SAMPLE_OBJECT_CELLS = 256
-
-
-def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
-    """The kept factors: per raw sample, two entities x entities x width u
-    factors, or, if more, its Python objects plus the v factors of up to
-    4 * relations cells of its two terms, both held twice during a redraw.
-
-    A default term count is at most 2 * relations, since a closure holds at
-    most N/2 families, and is charged its u factors alone, so with default
-    terms this never exceeds `_build_cells`.
-    """
-    n = _closure_queries(entities, relations)
-    width = n // 2 if context_dim is None else context_dim
-    u_cells = 2 * entities ** 2 * width
-    if terms is None:
-        return 2 * relations * u_cells
-    return terms * max(u_cells, SAMPLE_OBJECT_CELLS + 16 * relations)
-
-
-def _families_cells(entities: int, relations: int) -> int:
-    """The (4, N) table of every query's logical images."""
-    return 4 * _closure_queries(entities, relations)
-
-
-def _random_algebra(args: argparse.Namespace, rng, parser):
-    """Seeded base relations and their closure.
-
-    A second degenerate draw of one relation is a usage error: the requested
-    entity count and density make a proper relation unlikely.
-    """
-    try:
-        base = random_base_relations(EntitySet.of_size(args.entities), rng,
-                                     args.relations, args.density)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return close_unary(base)
-
-
-def _build_from_args(args: argparse.Namespace, seed: int, parser):
-    flags = f"--entities {args.entities} --relations {args.relations}"
-    if args.context_dim is not None:
-        flags += f" --context-dim {args.context_dim}"
-    if args.terms is not None:
-        flags += f" --terms {args.terms}"
-    _within_budget(max(_build_cells(args.entities, args.relations,
-                                    args.context_dim),
-                       _term_cells(args.entities, args.relations,
-                                   args.context_dim, args.terms)),
-                   flags, parser)
-    rng = np.random.default_rng(seed)
-    algebra = _random_algebra(args, rng, parser)
-    families = compute_families(algebra)
-    context_dim = args.context_dim
-    if context_dim is None:
-        # smallest shape that can reach full representative rank
-        context_dim = len(families)
-    terms = args.terms
-    if terms is None:
-        # one raw sample spans at most |E|^2 row directions
-        terms = max(1, -(-len(families) // args.entities ** 2))
-    parity = None if args.parity == "both" else args.parity
-    spec = BlockSpec(context_dim, terms, parity)
-    built = build_slp_map(algebra, [spec], seed)
-    return algebra, families, built
-
-
-# ---------------------------------------------------------------- subcommands
-
-# --exhaustive holds all 2^(n^2) relations at once: 65,536 at 4 entities,
-# 33.5M at 5, so more entities than this exit 2 before any work.
-MAX_EXHAUSTIVE_ENTITIES = 4
-
-
-def _cmd_relalg_laws(args, parser) -> int:
-    if args.exhaustive and args.entities > MAX_EXHAUSTIVE_ENTITIES:
-        parser.error(f"--exhaustive takes at most {MAX_EXHAUSTIVE_ENTITIES} "
-                     f"entities, got {args.entities}")
-    seed = _resolve_seed(args, parser)
-    entity_set = EntitySet.of_size(args.entities)
-    rng = np.random.default_rng(seed)
-    failures = {"double_negation": 0, "double_converse": 0,
-                "negate_converse_commute": 0, "converse_of_composition": 0,
-                "associativity": 0}
-    if args.exhaustive:
-        unary_pool = list(all_relations(entity_set))
-    else:
-        unary_pool = [random_relation(entity_set, rng)
-                      for _ in range(args.pairs)]
-    for r in unary_pool:
-        if negate(negate(r)) != r:
-            failures["double_negation"] += 1
-        if converse(converse(r)) != r:
-            failures["double_converse"] += 1
-        if negate(converse(r)) != converse(negate(r)):
-            failures["negate_converse_commute"] += 1
-    for _ in range(args.pairs):
-        r = random_relation(entity_set, rng)
-        s = random_relation(entity_set, rng)
-        if converse(compose(r, s)) != compose(converse(s), converse(r)):
-            failures["converse_of_composition"] += 1
-    for _ in range(args.triples):
-        r = random_relation(entity_set, rng)
-        s = random_relation(entity_set, rng)
-        t = random_relation(entity_set, rng)
-        if compose(compose(r, s), t) != compose(r, compose(s, t)):
-            failures["associativity"] += 1
-    total = sum(failures.values())
-    report = Report(
-        check="relalg_laws", passed=total == 0, max_deviation=float(total),
-        details={"entities": args.entities, "exhaustive": bool(args.exhaustive),
-                 "unary_relations_checked": len(unary_pool),
-                 "pairs": args.pairs, "triples": args.triples,
-                 "failures": failures},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_families(args, parser) -> int:
-    _within_budget(_families_cells(args.entities, args.relations),
-                   f"--entities {args.entities} --relations {args.relations}",
-                   parser)
-    seed = _resolve_seed(args, parser)
-    rng = np.random.default_rng(seed)
-    algebra = _random_algebra(args, rng, parser)
-    families = compute_families(algebra)
-    sizes = sorted({len(f.members) for f in families})
-    n_queries = sum(len(f.members) for f in families)
-    report = Report(
-        check="families", passed=True, max_deviation=0.0,
-        details={"n_families": len(families), "n_queries": n_queries,
-                 "orbit_sizes": sizes,
-                 "families": families_to_json(families)},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_build_slp(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    algebra, families, built = _build_from_args(args, seed, parser)
-    equiv = check_logical_equivariance(built.feature_map, families, algebra)
-    rank = check_slp(built.feature_map, families)
-    if args.save:
-        _write(parser, args.save, save_feature_map, built.feature_map, algebra,
-               args.save, args.fmt)
-    report = Report(
-        check="build_slp", passed=equiv.passed and rank.passed,
-        max_deviation=max(equiv.max_deviation, rank.max_deviation),
-        details={"equivariance": equiv.to_dict(), "slp_rank": rank.to_dict(),
-                 "redrawn": built.redrawn, "dim": built.dim,
-                 "saved": str(args.save) if args.save else None},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_verify_slp(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    try:
-        fmap, algebra = load_feature_map(args.load, args.fmt)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        parser.error(f"cannot load {args.load}: {type(exc).__name__}: {exc}")
-    families = compute_families(algebra)
-    equiv = check_logical_equivariance(fmap, families, algebra, tol=args.tol)
-    rank = check_slp(fmap, families)
-    blocks = check_family_kernel_decomposition(fmap, families)
-    report = Report(
-        check="verify_slp",
-        passed=equiv.passed and rank.passed and blocks.passed,
-        max_deviation=max(equiv.max_deviation, rank.max_deviation,
-                          blocks.max_deviation),
-        details={"equivariance": equiv.to_dict(), "slp_rank": rank.to_dict(),
-                 "kernel_decomposition": blocks.to_dict(),
-                 "loaded": str(args.load)},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_factorize(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    algebra, _, built = _build_from_args(args, seed, parser)
-    form = verify_factorized_form(built)
-    split = negation_split(built)
-    passed = form.passed and split.plus_dim == 0
-    report = Report(
-        check="factorize", passed=passed, max_deviation=form.max_deviation,
-        details={"form": form.to_dict(),
-                 "negation_split": {"plus_dim": split.plus_dim,
-                                    "minus_dim": split.minus_dim,
-                                    "span_dim": split.span_dim},
-                 "lift_rank": built.feature_map.spectrum().span_margin(),
-                 "redrawn": built.redrawn},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_isotypic(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    if args.entities > 5:
-        parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
-    algebra, _, built = _build_from_args(args, seed, parser)
-    details = {"tol": args.tol,
-               "lift_rank": built.feature_map.spectrum().span_margin()}
-    try:
-        projectors, props = isotypic_decompose(built)
-    except KernelNotInvariantError as exc:
-        g = exc.renaming
-        details.update(error="renaming does not preserve the kernel",
-                       renaming={"perm": list(g.perm), "sign": g.sign})
-        report = Report(check="isotypic", passed=False,
-                        max_deviation=exc.deviation, details=details)
-        return _finish(report, args, seed, parser)
-    worst = max(props[k] for k in ("idempotence", "annihilation",
-                                   "completeness_on_span", "commutation",
-                                   "orthogonality"))
-    details.update(properties=props, irreps=[
-        {"partition": list(p.irrep), "dim": p.irrep_dim,
-         "image_dim": p.image_dim} for p in projectors])
-    report = Report(check="isotypic", passed=worst <= args.tol,
-                    max_deviation=worst, details=details)
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_parity(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    algebra, _, built = _build_from_args(args, seed, parser)
-    inv = parity_involution(algebra)
-    try:
-        decomp = parity_decompose(built, tol=args.tol)
-    except ConverseInvarianceError as exc:
-        report = Report(
-            check="parity", passed=False, max_deviation=exc.deviation,
-            details={"error": "converse invariance failed",
-                     "query": list(exc.query), "tol": args.tol},
-        )
-        return _finish(report, args, seed, parser)
-    report = Report(
-        check="parity", passed=decomp.max_cross_residual <= args.tol,
-        max_deviation=decomp.max_cross_residual,
-        details={"tol": args.tol,
-                 "cross_residual": decomp.max_cross_residual,
-                 "n_term_pairs": sum(len(b) for b in decomp.blocks),
-                 "pair_space_dims": list(inv.pair_dims),
-                 "relation_space_dims": list(inv.rel_dims)},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _support_size(atoms: int) -> int:
-    """N = 4^atoms - 1 compounds in the depth-2 closure, which bounds every
-    depth; past 31 atoms every count is over budget, so the power is capped."""
-    return 4 ** min(atoms, 32) - 1
-
-
-def _stability_cells(atoms: int, worlds: int) -> int:
-    """Work, not an array: N contexts each gather N feature rows, or one
-    N x worlds gather if larger.  No array the check builds is larger than
-    the N x worlds features and the 2^(2 atoms) = N + 1-entry image table."""
-    n = _support_size(atoms)
-    return n * max(n, worlds)
-
-
-def _fit_cells(atoms: int, worlds: int) -> int:
-    """The largest array fit_bilinear builds, or its pair walk if larger.
-
-    Its arrays: one block of at most max(N, PAIR_BLOCK) candidate pairs,
-    gathered one world at a time; the (m^2, worlds) group sums and
-    predictions of its m <= min(N, 2^worlds) distinct feature rows; the
-    ordered-group full design of at most m^2 x worlds^2 cells; and the
-    worlds^2 x worlds coefficients of the full fit.  Work, not an array:
-    each of its two walks visits the P = N(N+1)/2 pairs.
-    """
-    n = _support_size(atoms)
-    m = min(n, 2 ** min(worlds, 64))
-    return max(n * (n + 1) // 2, max(n, PAIR_BLOCK),
-               m * m * worlds ** 2, worlds ** 3)
-
-
-def _worlds_assignment(args, parser, cells: int):
-    _within_budget(cells, f"--atoms {args.atoms} --worlds {args.worlds}",
-                   parser)
-    seed = _resolve_seed(args, parser)
-    assignment, _ = possible_worlds_assignment(args.atoms, args.worlds, seed,
-                                               args.depth)
-    return assignment, seed
-
-
-def _cmd_kernel_stability(args, parser) -> int:
-    assignment, seed = _worlds_assignment(
-        args, parser, _stability_cells(args.atoms, args.worlds))
-    report = check_kernel_stability(assignment)
-    report.details["atoms"] = args.atoms
-    report.details["worlds"] = args.worlds
-    report.details["depth"] = args.depth
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_fit_bilinear(args, parser) -> int:
-    assignment, seed = _worlds_assignment(
-        args, parser, _fit_cells(args.atoms, args.worlds))
-    fit = fit_bilinear(assignment)
-    p, q, image = fit.worst_pair
-    report = Report(
-        check="fit_bilinear", passed=fit.max_residual <= args.tol,
-        max_deviation=fit.max_residual,
-        details={"tol": args.tol, "max_residual": fit.max_residual,
-                 "uniqueness_gap": fit.uniqueness_gap,
-                 "n_constraints": fit.n_constraints,
-                 "n_pairs_skipped": fit.n_pairs_skipped,
-                 "n_groups": fit.n_groups,
-                 "worst_pair": {"p": repr(p), "q": repr(q),
-                                "image": repr(image),
-                                "residual": fit.max_residual},
-                 "atoms": args.atoms, "worlds": args.worlds},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _collapse_cells(atoms: int, dim: int) -> int:
-    """The 2 atoms x P design of P = dim(dim+1)/2 unknowns per output, or the
-    P x dim solution if larger; the atoms x dim^2 outer products are never
-    larger than the design."""
-    p = dim * (dim + 1) // 2
-    return max(2 * atoms * p, p * dim)
-
-
-def _cmd_collapse(args, parser) -> int:
-    _within_budget(_collapse_cells(args.atoms, args.dim),
-                   f"--atoms {args.atoms} --dim {args.dim}", parser)
-    seed = _resolve_seed(args, parser)
-    rng = np.random.default_rng(seed)
-    feats = rng.standard_normal((args.atoms, args.dim))
-    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    cert = collapse_certificate([f for f in feats],
-                                enforce_neg_equiv=args.neg_equiv,
-                                tolerance=args.tolerance)
-    details = cert.to_dict()
-    if args.neg_equiv:
-        expected = 2.0 * sum(n * n for n in cert.feature_norms)
-        deviation = abs(cert.residual_sq - expected)
-        details["expected_residual_sq"] = expected
-        passed = deviation <= 1e-6 and cert.verdict == "infeasible"
-    else:
-        deviation = cert.residual
-        passed = cert.verdict == "feasible"
-    report = Report(check="collapse_certificate", passed=passed,
-                    max_deviation=deviation, details=details)
-    return _finish(report, args, seed, parser)
-
-
-_GRADLAB_KEYS = {"entity_count", "relations", "density", "arch", "hidden",
-                 "epochs", "lr", "eta", "seed", "block"}
-# smallest accepted value of each integer key
-_GRADLAB_MINIMA = {"entity_count": 2, "relations": 1, "hidden": 1,
-                   "epochs": 0, "seed": 0}
-
-
-def _gradlab_cells(arch: str, entities: int, relations: int,
-                   hidden: int) -> int:
-    """The largest array a gradlab run builds.  slp_linear builds the
-    N x hidden feature matrix of N = entities^2 * 4 * relations queries,
-    which bounds its kept terms and its gathered training rows.  The mlp's
-    T = 2 * relations * entities^2 training rows are encoded as T x input
-    one-hot rows, input = 2 * entities + classes + 1 with at most
-    2 * relations complement classes, and pass through T x hidden
-    activations; its weights are hidden x input and hidden x hidden."""
-    if arch == "slp_linear":
-        return _closure_queries(entities, relations) * hidden
-    rows = 2 * relations * entities ** 2
-    inputs = 2 * entities + 2 * relations + 1
-    return max(rows, hidden) * max(inputs, hidden)
-
-
-def _check_gradlab_values(config: dict, parser) -> None:
-    """Type, range and size of every gradlab config value; a bad one is a
-    usage error."""
-    for key, low in _GRADLAB_MINIMA.items():
-        value = config.get(key)
-        if key == "seed" and value is None:
-            continue
-        if type(value) is not int or value < low:
-            parser.error(f"{key} must be an integer >= {low}, got {value!r}")
-    for key in ("density", "lr", "eta"):
-        value = config[key]
-        # rejects bools, strings, NaN, infinities and ints beyond float range
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            parser.error(f"{key} must be a finite number, got {value!r}")
-    if not 0 < config["density"] < 1:
-        parser.error(f"density must be in (0, 1), got {config['density']!r}")
-    if not config["lr"] > 0:
-        parser.error(f"lr must be positive, got {config['lr']!r}")
-    edit_ok, edit_what = _EDIT_STEP_RULE
-    if not edit_ok(config["eta"]):
-        parser.error(f"eta must be {edit_what}, got {config['eta']!r}")
-    sizes = (config["entity_count"], config["relations"], config["hidden"])
-    _within_budget(_gradlab_cells(config["arch"], *sizes),
-                   "an {} run at entity_count {}, relations {}, hidden {}"
-                   .format(config["arch"], *sizes), parser)
-
-
-def _cmd_gradlab(args, parser) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    if not isinstance(config, dict):
-        parser.error("config must be a JSON object")
-    unknown = set(config) - _GRADLAB_KEYS
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
-    missing = _GRADLAB_KEYS - set(config) - {"seed"}
-    if missing:
-        parser.error(f"missing config keys: {sorted(missing)}")
-    if config["arch"] not in ("mlp", "slp_linear"):
-        parser.error(f"arch must be mlp or slp_linear, got {config['arch']!r}")
-    if config["block"] not in BLOCK_NAMES:
-        parser.error(f"unknown block {config['block']!r}")
-    _check_gradlab_values(config, parser)
-    if config.get("seed") is not None and args.seed is not None:
-        parser.error("seed given both in config and on the command line")
-    seed = config.get("seed")
-    if seed is None:
-        seed = _resolve_seed(args, parser)
-
-    try:
-        kb = generate_kb(config["entity_count"], config["relations"],
-                         config["density"], seed)
-        if config["arch"] == "mlp":
-            model = make_mlp(kb, hidden=config["hidden"],
-                             embed_dim=config["hidden"], seed=seed)
-        else:
-            model = make_slp_linear(kb, context_dim=config["hidden"], seed=seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        result = train(model, kb, epochs=config["epochs"], lr=config["lr"])
-    except RuntimeError as exc:
-        report = Report(check="gradlab", passed=False, max_deviation=0.0,
-                        details={"error": str(exc), "config": config})
-        return _finish(report, args, seed, parser)
-    alignment = alignment_experiment(
-        result.model, kb, config["block"],
-        hyperparams={**config, "seed": seed})
-    rep_query = kb.facts[0][0]
-    edit = edit_step(result.model, rep_query, config["eta"], config["block"])
-    neg_gap = abs(edit.exact_delta["neg"] + edit.exact_delta["id"])
-    if config["arch"] == "slp_linear":
-        exact = (all(c == -1.0 for c in alignment.cosines)
-                 and alignment.excluded == 0 and neg_gap == 0.0)
-        passed, deviation = exact, max(
-            [abs(c + 1.0) for c in alignment.cosines] + [neg_gap], default=0.0)
-    else:
-        # measurement, not an assertion: magnitude is seed-dependent
-        passed, deviation = True, 0.0
-    if args.histogram:
-        _write(parser, args.histogram, args.histogram.write_text,
-               alignment.histogram_csv(), "utf-8")
-    report = Report(
-        check="gradlab", passed=passed, max_deviation=deviation,
-        details={"alignment": alignment.to_dict(),
-                 "final_loss": result.losses[-1] if result.losses else None,
-                 "accuracy": result.accuracy,
-                 "edit_step": {"query": list(rep_query),
-                               "eta": config["eta"],
-                               "exact": edit.exact_delta,
-                               "first_order": edit.first_order_delta},
-                 "histogram_csv": str(args.histogram) if args.histogram else None},
-    )
-    return _finish(report, args, seed, parser)
-
-
-def _cmd_audit(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    algebra, families, built = _build_from_args(args, seed, parser)
-    if not 0 <= args.family < len(families):
-        parser.error(f"--family must be in [0, {len(families)})")
-    report = propagation_audit(built.feature_map, families, algebra,
-                               args.family, args.eta)
-    return _finish(report, args, seed, parser)
-
-
-# -------------------------------------------------------------------- parser
+# ------------------------------------------------------------- argument types
 
 def _at_least(lo: int):
     """argparse type: an integer no smaller than `lo`."""
@@ -632,23 +81,557 @@ _density = _float_where(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 _tolerance = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 # a zero edit makes every response 0.0, so the audit and gradlab's edit step
 # would pass vacuously
-_EDIT_STEP_RULE = (lambda v: math.isfinite(v) and v != 0.0,
-                   "finite and nonzero")
-_edit_step = _float_where(*_EDIT_STEP_RULE)
+_edit_step = _float_where(lambda v: math.isfinite(v) and v != 0.0,
+                          "finite and nonzero")
+_positive = _float_where(lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+# ------------------------------------------------------------ seeds, reports
+
+def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("SLPLAB_SEED")
+    if env is None:
+        return 0
+    try:
+        return _at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"SLPLAB_SEED: {exc}")
+
+
+def _config_dict(args: argparse.Namespace) -> dict:
+    skip = {"run", "size", "out", "seed"}
+    return {k: (str(v) if isinstance(v, Path) else v)
+            for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _write(parser, path, write, *write_args) -> None:
+    """Call `write(*write_args)`; an unwritable path is a usage error, never
+    a failed check."""
+    try:
+        write(*write_args)
+    except OSError as exc:
+        # emit_report wraps the OSError of open() in its own
+        parser.error(f"cannot write {path}: {exc.__cause__ or exc}")
+
+
+def _finish(report: Report, args: argparse.Namespace, seed: int,
+            parser) -> int:
+    config = _config_dict(args)
+    digest = hashlib.sha256(
+        json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    if report.provenance:
+        # a run whose input names its own seed, as a gradlab config may,
+        # reports the seed it used
+        seed = report.provenance["seed"]
+    report.provenance = {"config_hash": digest, "seed": seed,
+                         "version": __version__}
+    if args.out:
+        _write(parser, args.out, emit_report, report, args.out)
+    else:
+        sys.stdout.write(render_report(report))
+    return 0 if report.passed else 1
+
+
+# ---------------------------------------------------------------- cell budget
+
+# Cell budget of the largest array one command builds: 2^25 float64s,
+# 268 MB.  It admits kernel-stability and fit-bilinear at 6 atoms and 8
+# worlds, collapse up to --dim 406 at 1 atom, default-width builds at
+# 32 entities and families at 128 entities (both at 2 relations); larger
+# sizes exit 2 before any draw or other work.  It also bounds the Python
+# objects of a closure's queries and of a build's raw samples, the terms a
+# build keeps, all of them together, and the work of kernel-stability and
+# of fit-bilinear's pair walk.
+MAX_CELLS = 1 << 25
+
+
+def _within_budget(cells: int, flags: str, parser) -> None:
+    if cells > MAX_CELLS:
+        parser.error(f"{flags} needs more than the {MAX_CELLS}-cell budget")
+
+
+def _closure_queries(entities: int, relations: int) -> int:
+    """N = entities^2 * 4 * relations: a closure holds at most four
+    relations per base relation, as close_unary asserts."""
+    return entities ** 2 * 4 * relations
+
+
+# Cells charged per query of a closure, at least: its query and family
+# objects and, in `families`, its entry of the report.  `families` at 32 to
+# 128 entities and 2 relations under Python 3.11 holds 1,704-1,787 bytes per
+# query with tracemalloc and 1.87-2.15 KB of peak RSS, a width-1 build
+# 634-715 bytes and 0.75-1.14 KB, so 2 KB of 8-byte cells.
+QUERY_OBJECT_CELLS = 256
+
+# Cells charged per raw sample of a build, at least: its two Term objects
+# and four array headers, held twice while a redraw keeps two draws.  At 2
+# entities, 1 relation and width 1 under Python 3.11 that is 1,650 bytes
+# with tracemalloc and about 1.9 KB of peak RSS, so 2 KB of 8-byte cells.
+SAMPLE_OBJECT_CELLS = 256
+
+
+def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
+    """The kept factors: per raw sample, two entities x entities x width u
+    factors, or, if more, its Python objects plus the v factors of up to
+    4 * relations cells of its two terms, both held twice during a redraw.
+
+    A default term count is at most 2 * relations, since a closure holds at
+    most N/2 families, and is charged as that many.
+    """
+    n = _closure_queries(entities, relations)
+    width = n // 2 if context_dim is None else context_dim
+    if terms is None:
+        terms = 2 * relations
+    return terms * max(2 * entities ** 2 * width,
+                       SAMPLE_OBJECT_CELLS + 16 * relations)
+
+
+def _build_cells(entities: int, relations: int, context_dim, terms) -> int:
+    """Per query, its row of the N x width feature matrix or, if more, its
+    Python objects; or the kept terms, if more.  The default width of one
+    column per family is at most N/2, since every family holds a query and
+    its negation."""
+    n = _closure_queries(entities, relations)
+    width = n // 2 if context_dim is None else context_dim
+    return max(n * max(width, QUERY_OBJECT_CELLS),
+               _term_cells(entities, relations, context_dim, terms))
+
+
+def _families_cells(entities: int, relations: int) -> int:
+    """The Python objects of every query, which outweigh its four entries
+    of the (4, N) table of logical images."""
+    return QUERY_OBJECT_CELLS * _closure_queries(entities, relations)
+
+
+def _random_algebra(args: argparse.Namespace, rng, parser):
+    """Seeded base relations and their closure.
+
+    A second degenerate draw of one relation is a usage error: the requested
+    entity count and density make a proper relation unlikely.
+    """
+    try:
+        base = random_base_relations(EntitySet.of_size(args.entities), rng,
+                                     args.relations, args.density)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return close_unary(base)
+
+
+def _build(args: argparse.Namespace, seed: int, parser):
+    rng = np.random.default_rng(seed)
+    algebra = _random_algebra(args, rng, parser)
+    families = compute_families(algebra)
+    context_dim = args.context_dim
+    if context_dim is None:
+        # smallest shape that can reach full representative rank
+        context_dim = len(families)
+    terms = args.terms
+    if terms is None:
+        # one raw sample spans at most |E|^2 row directions
+        terms = max(1, -(-len(families) // args.entities ** 2))
+    parity = None if args.parity == "both" else args.parity
+    spec = BlockSpec(context_dim, terms, parity)
+    built = build_slp_map(algebra, [spec], seed)
+    return algebra, families, built
+
+
+# ---------------------------------------------------------------- subcommands
+
+# --exhaustive holds all 2^(n^2) relations at once: 65,536 at 4 entities,
+# 33.5M at 5, so more entities than this exit 2 before any work.
+MAX_EXHAUSTIVE_ENTITIES = 4
+
+
+def _cmd_relalg_laws(args, seed, parser) -> Report:
+    if args.exhaustive and args.entities > MAX_EXHAUSTIVE_ENTITIES:
+        parser.error(f"--exhaustive takes at most {MAX_EXHAUSTIVE_ENTITIES} "
+                     f"entities, got {args.entities}")
+    entity_set = EntitySet.of_size(args.entities)
+    rng = np.random.default_rng(seed)
+    failures = {"double_negation": 0, "double_converse": 0,
+                "negate_converse_commute": 0, "converse_of_composition": 0,
+                "associativity": 0}
+    if args.exhaustive:
+        unary_pool = list(all_relations(entity_set))
+    else:
+        unary_pool = [random_relation(entity_set, rng)
+                      for _ in range(args.pairs)]
+    for r in unary_pool:
+        if negate(negate(r)) != r:
+            failures["double_negation"] += 1
+        if converse(converse(r)) != r:
+            failures["double_converse"] += 1
+        if negate(converse(r)) != converse(negate(r)):
+            failures["negate_converse_commute"] += 1
+    for _ in range(args.pairs):
+        r = random_relation(entity_set, rng)
+        s = random_relation(entity_set, rng)
+        if converse(compose(r, s)) != compose(converse(s), converse(r)):
+            failures["converse_of_composition"] += 1
+    for _ in range(args.triples):
+        r = random_relation(entity_set, rng)
+        s = random_relation(entity_set, rng)
+        t = random_relation(entity_set, rng)
+        if compose(compose(r, s), t) != compose(r, compose(s, t)):
+            failures["associativity"] += 1
+    total = sum(failures.values())
+    return Report(
+        check="relalg_laws", passed=total == 0, max_deviation=float(total),
+        details={"entities": args.entities, "exhaustive": bool(args.exhaustive),
+                 "unary_relations_checked": len(unary_pool),
+                 "pairs": args.pairs, "triples": args.triples,
+                 "failures": failures},
+    )
+
+
+def _cmd_families(args, seed, parser) -> Report:
+    rng = np.random.default_rng(seed)
+    algebra = _random_algebra(args, rng, parser)
+    families = compute_families(algebra)
+    sizes = sorted({len(f.members) for f in families})
+    n_queries = sum(len(f.members) for f in families)
+    return Report(
+        check="families", passed=True, max_deviation=0.0,
+        details={"n_families": len(families), "n_queries": n_queries,
+                 "orbit_sizes": sizes,
+                 "families": families_to_json(families)},
+    )
+
+
+def _cmd_build_slp(args, seed, parser) -> Report:
+    algebra, families, built = _build(args, seed, parser)
+    equiv = check_logical_equivariance(built.feature_map, families, algebra)
+    rank = check_slp(built.feature_map, families)
+    if args.save:
+        _write(parser, args.save, save_feature_map, built.feature_map, algebra,
+               args.save, args.fmt)
+    return Report(
+        check="build_slp", passed=equiv.passed and rank.passed,
+        max_deviation=max(equiv.max_deviation, rank.max_deviation),
+        details={"equivariance": equiv.to_dict(), "slp_rank": rank.to_dict(),
+                 "redrawn": built.redrawn, "dim": built.dim,
+                 "saved": str(args.save) if args.save else None},
+    )
+
+
+def _cmd_verify_slp(args, seed, parser) -> Report:
+    try:
+        fmap, algebra = load_feature_map(args.load, args.fmt)
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        parser.error(f"cannot load {args.load}: {type(exc).__name__}: {exc}")
+    families = compute_families(algebra)
+    equiv = check_logical_equivariance(fmap, families, algebra, tol=args.tol)
+    rank = check_slp(fmap, families)
+    blocks = check_family_kernel_decomposition(fmap, families)
+    return Report(
+        check="verify_slp",
+        passed=equiv.passed and rank.passed and blocks.passed,
+        max_deviation=max(equiv.max_deviation, rank.max_deviation,
+                          blocks.max_deviation),
+        details={"equivariance": equiv.to_dict(), "slp_rank": rank.to_dict(),
+                 "kernel_decomposition": blocks.to_dict(),
+                 "loaded": str(args.load)},
+    )
+
+
+def _cmd_factorize(args, seed, parser) -> Report:
+    algebra, _, built = _build(args, seed, parser)
+    form = verify_factorized_form(built)
+    split = negation_split(built)
+    passed = form.passed and split.plus_dim == 0
+    return Report(
+        check="factorize", passed=passed, max_deviation=form.max_deviation,
+        details={"form": form.to_dict(),
+                 "negation_split": {"plus_dim": split.plus_dim,
+                                    "minus_dim": split.minus_dim,
+                                    "span_dim": split.span_dim},
+                 "lift_rank": built.feature_map.spectrum().span_margin(),
+                 "redrawn": built.redrawn},
+    )
+
+
+def _cmd_isotypic(args, seed, parser) -> Report:
+    if args.entities > 5:
+        parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
+    algebra, _, built = _build(args, seed, parser)
+    details = {"tol": args.tol,
+               "lift_rank": built.feature_map.spectrum().span_margin()}
+    try:
+        projectors, props = isotypic_decompose(built)
+    except KernelNotInvariantError as exc:
+        g = exc.renaming
+        details.update(error="renaming does not preserve the kernel",
+                       renaming={"perm": list(g.perm), "sign": g.sign})
+        return Report(check="isotypic", passed=False,
+                      max_deviation=exc.deviation, details=details)
+    worst = max(props[k] for k in ("idempotence", "annihilation",
+                                   "completeness_on_span", "commutation",
+                                   "orthogonality"))
+    details.update(properties=props, irreps=[
+        {"partition": list(p.irrep), "dim": p.irrep_dim,
+         "image_dim": p.image_dim} for p in projectors])
+    return Report(check="isotypic", passed=worst <= args.tol,
+                  max_deviation=worst, details=details)
+
+
+def _cmd_parity(args, seed, parser) -> Report:
+    algebra, _, built = _build(args, seed, parser)
+    inv = parity_involution(algebra)
+    try:
+        decomp = parity_decompose(built, tol=args.tol)
+    except ConverseInvarianceError as exc:
+        return Report(
+            check="parity", passed=False, max_deviation=exc.deviation,
+            details={"error": "converse invariance failed",
+                     "query": list(exc.query), "tol": args.tol},
+        )
+    return Report(
+        check="parity", passed=decomp.max_cross_residual <= args.tol,
+        max_deviation=decomp.max_cross_residual,
+        details={"tol": args.tol,
+                 "cross_residual": decomp.max_cross_residual,
+                 "n_term_pairs": sum(len(b) for b in decomp.blocks),
+                 "pair_space_dims": list(inv.pair_dims),
+                 "relation_space_dims": list(inv.rel_dims)},
+    )
+
+
+def _support_size(atoms: int) -> int:
+    """N = 4^atoms - 1 compounds in the depth-2 closure, which bounds every
+    depth; past 31 atoms every count is over budget, so the power is capped."""
+    return 4 ** min(atoms, 32) - 1
+
+
+def _stability_cells(atoms: int, worlds: int) -> int:
+    """Work, not an array: N contexts each gather N feature rows, or one
+    N x worlds gather if larger.  No array the check builds is larger than
+    the N x worlds features and the 2^(2 atoms) = N + 1-entry image table."""
+    n = _support_size(atoms)
+    return n * max(n, worlds)
+
+
+def _fit_cells(atoms: int, worlds: int) -> int:
+    """The largest array fit_bilinear builds, or its pair walk if larger.
+
+    Its arrays: one block of at most max(N, PAIR_BLOCK) candidate pairs,
+    gathered one world at a time; the (m^2, worlds) group sums and
+    predictions of its m <= min(N, 2^worlds) distinct feature rows; the
+    ordered-group full design of at most m^2 x worlds^2 cells; and the
+    worlds^2 x worlds coefficients of the full fit.  Work, not an array:
+    each of its two walks visits the P = N(N+1)/2 pairs.
+    """
+    n = _support_size(atoms)
+    m = min(n, 2 ** min(worlds, 64))
+    return max(n * (n + 1) // 2, max(n, PAIR_BLOCK),
+               m * m * worlds ** 2, worlds ** 3)
+
+
+def _cmd_kernel_stability(args, seed, parser) -> Report:
+    assignment, _ = possible_worlds_assignment(args.atoms, args.worlds, seed,
+                                               args.depth)
+    report = check_kernel_stability(assignment)
+    report.details.update(atoms=args.atoms, worlds=args.worlds,
+                          depth=args.depth)
+    return report
+
+
+def _cmd_fit_bilinear(args, seed, parser) -> Report:
+    assignment, _ = possible_worlds_assignment(args.atoms, args.worlds, seed,
+                                               args.depth)
+    fit = fit_bilinear(assignment)
+    p, q, image = fit.worst_pair
+    return Report(
+        check="fit_bilinear", passed=fit.max_residual <= args.tol,
+        max_deviation=fit.max_residual,
+        details={"tol": args.tol, "max_residual": fit.max_residual,
+                 "uniqueness_gap": fit.uniqueness_gap,
+                 "n_constraints": fit.n_constraints,
+                 "n_pairs_skipped": fit.n_pairs_skipped,
+                 "n_groups": fit.n_groups,
+                 "worst_pair": {"p": repr(p), "q": repr(q),
+                                "image": repr(image),
+                                "residual": fit.max_residual},
+                 "atoms": args.atoms, "worlds": args.worlds},
+    )
+
+
+def _collapse_cells(atoms: int, dim: int) -> int:
+    """The 2 atoms x P design of P = dim(dim+1)/2 unknowns per output, or the
+    P x dim solution if larger; the atoms x dim^2 outer products are never
+    larger than the design."""
+    p = dim * (dim + 1) // 2
+    return max(2 * atoms * p, p * dim)
+
+
+def _cmd_collapse(args, seed, parser) -> Report:
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((args.atoms, args.dim))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    cert = collapse_certificate([f for f in feats],
+                                enforce_neg_equiv=args.neg_equiv,
+                                tolerance=args.tolerance)
+    details = cert.to_dict()
+    if args.neg_equiv:
+        expected = 2.0 * sum(n * n for n in cert.feature_norms)
+        deviation = abs(cert.residual_sq - expected)
+        details["expected_residual_sq"] = expected
+        passed = deviation <= 1e-6 and cert.verdict == "infeasible"
+    else:
+        deviation = cert.residual
+        passed = cert.verdict == "feasible"
+    return Report(check="collapse_certificate", passed=passed,
+                  max_deviation=deviation, details=details)
+
+
+# the flag type that checks each number of a gradlab config, given the
+# value's JSON text: it rejects strings, bools, nulls, floats given for
+# integers, NaN and infinities
+_GRADLAB_VALUES = {"entity_count": _at_least(2), "relations": _at_least(1),
+                   "hidden": _at_least(1), "epochs": _at_least(0),
+                   "seed": _at_least(0), "density": _density,
+                   "lr": _positive, "eta": _edit_step}
+_GRADLAB_KEYS = {*_GRADLAB_VALUES, "arch", "block"}
+
+
+def _gradlab_cells(arch: str, entities: int, relations: int,
+                   hidden: int) -> int:
+    """The largest array a gradlab run builds.  slp_linear builds the
+    N x hidden feature matrix of N = entities^2 * 4 * relations queries,
+    which bounds its kept terms and its gathered training rows.  The mlp's
+    T = 2 * relations * entities^2 training rows are encoded as T x input
+    one-hot rows, input = 2 * entities + classes + 1 with at most
+    2 * relations complement classes, and pass through T x hidden
+    activations; its weights are hidden x input and hidden x hidden."""
+    if arch == "slp_linear":
+        return _closure_queries(entities, relations) * hidden
+    rows = 2 * relations * entities ** 2
+    inputs = 2 * entities + 2 * relations + 1
+    return max(rows, hidden) * max(inputs, hidden)
+
+
+def _read_gradlab_config(args, parser) -> dict:
+    """The keys, types, ranges and size of a gradlab config; a bad one is a
+    usage error."""
+    try:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError also covers bad UTF-8 and integers past Python's
+        # int/str digit limit; RecursionError, arrays nested too deep
+        parser.error(f"cannot read config {args.config}: {exc}")
+    if not isinstance(config, dict):
+        parser.error("config must be a JSON object")
+    unknown = set(config) - _GRADLAB_KEYS
+    if unknown:
+        parser.error(f"unknown config keys: {sorted(unknown)}")
+    missing = _GRADLAB_KEYS - set(config) - {"seed"}
+    if missing:
+        parser.error(f"missing config keys: {sorted(missing)}")
+    if config["arch"] not in ("mlp", "slp_linear"):
+        parser.error(f"arch must be mlp or slp_linear, got {config['arch']!r}")
+    if config["block"] not in BLOCK_NAMES:
+        parser.error(f"unknown block {config['block']!r}")
+    for key, parse in _GRADLAB_VALUES.items():
+        if key != "seed" or config.get(key) is not None:
+            try:
+                parse(json.dumps(config[key]))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"config {key}: {exc}")
+    sizes = (config["entity_count"], config["relations"], config["hidden"])
+    _within_budget(_gradlab_cells(config["arch"], *sizes),
+                   "an {} run at entity_count {}, relations {}, hidden {}"
+                   .format(config["arch"], *sizes), parser)
+    return config
+
+
+def _cmd_gradlab(args, seed, parser) -> Report:
+    config = _read_gradlab_config(args, parser)
+    if config.get("seed") is not None:
+        if args.seed is not None:
+            parser.error("seed given both in config and on the command line")
+        seed = config["seed"]
+    try:
+        kb = generate_kb(config["entity_count"], config["relations"],
+                         config["density"], seed)
+        if config["arch"] == "mlp":
+            model = make_mlp(kb, hidden=config["hidden"],
+                             embed_dim=config["hidden"], seed=seed)
+        else:
+            model = make_slp_linear(kb, context_dim=config["hidden"], seed=seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        result = train(model, kb, epochs=config["epochs"], lr=config["lr"])
+    except RuntimeError as exc:
+        return Report(check="gradlab", passed=False, max_deviation=0.0,
+                      details={"error": str(exc), "config": config},
+                      provenance={"seed": seed})
+    alignment = alignment_experiment(
+        result.model, kb, config["block"],
+        hyperparams={**config, "seed": seed})
+    rep_query = kb.facts[0][0]
+    edit = edit_step(result.model, rep_query, config["eta"], config["block"])
+    neg_gap = abs(edit.exact_delta["neg"] + edit.exact_delta["id"])
+    if config["arch"] == "slp_linear":
+        exact = (all(c == -1.0 for c in alignment.cosines)
+                 and alignment.excluded == 0 and neg_gap == 0.0)
+        passed, deviation = exact, max(
+            [abs(c + 1.0) for c in alignment.cosines] + [neg_gap], default=0.0)
+    else:
+        # measurement, not an assertion: magnitude is seed-dependent
+        passed, deviation = True, 0.0
+    if args.histogram:
+        _write(parser, args.histogram, args.histogram.write_text,
+               alignment.histogram_csv(), "utf-8")
+    return Report(
+        check="gradlab", passed=passed, max_deviation=deviation,
+        details={"alignment": alignment.to_dict(),
+                 "final_loss": result.losses[-1] if result.losses else None,
+                 "accuracy": result.accuracy,
+                 "edit_step": {"query": list(rep_query),
+                               "eta": config["eta"],
+                               "exact": edit.exact_delta,
+                               "first_order": edit.first_order_delta},
+                 "histogram_csv": str(args.histogram) if args.histogram else None},
+        provenance={"seed": seed},
+    )
+
+
+def _cmd_audit(args, seed, parser) -> Report:
+    algebra, families, built = _build(args, seed, parser)
+    if not 0 <= args.family < len(families):
+        parser.error(f"--family must be in [0, {len(families)})")
+    return propagation_audit(built.feature_map, families, algebra,
+                             args.family, args.eta)
+
+
+# -------------------------------------------------------------------- parser
+
+def _command(subs, name: str, run, help: str, size=None):
+    """Register `run(args, seed, parser) -> Report` as subcommand `name`.
+
+    `size` is the (cells, flag dests) pair `main` charges against the cell
+    budget before anything runs: `cells` takes the value of each dest.
+    """
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--seed", type=_at_least(0), default=None,
                      help="RNG seed (default: SLPLAB_SEED env, then 0)")
     sub.add_argument("--out", type=Path, default=None,
                      help="report path (default: stdout)")
+    sub.set_defaults(run=run, size=size)
+    return sub
 
 
-def _add_build_flags(sub: argparse.ArgumentParser) -> None:
+def _build_command(subs, name: str, run, help: str):
+    """A subcommand that builds a feature map from the shared build flags."""
+    sub = _command(subs, name, run, help, size=(
+        _build_cells, ("entities", "relations", "context_dim", "terms")))
     sub.add_argument("--entities", type=_at_least(2), default=3,
                      help="the N x width feature matrix of N = entities^2 * "
-                          "4 * relations queries must fit in "
-                          f"{MAX_CELLS} cells")
+                          "4 * relations queries, and at least "
+                          f"{QUERY_OBJECT_CELLS} cells per query, must fit "
+                          f"in {MAX_CELLS} cells")
     sub.add_argument("--relations", type=_at_least(1), default=2,
                      help="number of random base relations")
     sub.add_argument("--density", type=_density, default=0.5)
@@ -661,80 +644,74 @@ def _add_build_flags(sub: argparse.ArgumentParser) -> None:
                           "entities^2 * width cells of the kept terms must "
                           f"fit in {MAX_CELLS} cells")
     sub.add_argument("--parity", choices=["+", "-", "both"], default="both")
+    return sub
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="slplab",
         description="verification suites for sign-linked-pair feature geometry")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("relalg-laws", help="negation/converse/composition laws")
+    sub = _command(subs, "relalg-laws", _cmd_relalg_laws,
+                   "negation/converse/composition laws")
     sub.add_argument("--entities", type=_at_least(1), default=3)
     sub.add_argument("--exhaustive", action="store_true",
                      help="run unary laws over every relation; at most "
                           f"{MAX_EXHAUSTIVE_ENTITIES} entities")
     sub.add_argument("--pairs", type=_at_least(0), default=10000)
     sub.add_argument("--triples", type=_at_least(0), default=1000)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_relalg_laws)
 
-    sub = subs.add_parser("families", help="logical family partition as JSON")
+    sub = _command(subs, "families", _cmd_families,
+                   "logical family partition as JSON",
+                   size=(_families_cells, ("entities", "relations")))
     sub.add_argument("--entities", type=_at_least(2), default=3,
-                     help="the (4, N) image table of N = entities^2 * 4 * "
-                          f"relations queries must fit in {MAX_CELLS} cells")
+                     help=f"{QUERY_OBJECT_CELLS} cells per query, of N = "
+                          "entities^2 * 4 * relations, must fit in "
+                          f"{MAX_CELLS} cells")
     sub.add_argument("--relations", type=_at_least(1), default=2)
     sub.add_argument("--density", type=_density, default=0.5)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_families)
 
-    sub = subs.add_parser("build-slp", help="seeded equivariant feature build")
-    _add_build_flags(sub)
+    sub = _build_command(subs, "build-slp", _cmd_build_slp,
+                         "seeded equivariant feature build")
     sub.add_argument("--save", type=Path, default=None,
                      help="persist the feature map")
     sub.add_argument("--fmt", choices=["json", "csv"], default="json")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_build_slp)
 
-    sub = subs.add_parser("verify-slp", help="re-check a stored feature map")
+    sub = _command(subs, "verify-slp", _cmd_verify_slp,
+                   "re-check a stored feature map")
     sub.add_argument("--load", type=Path, required=True)
     sub.add_argument("--fmt", choices=["json", "csv"], default="json")
     sub.add_argument("--tol", type=_tolerance, default=numerics.REL_TOL,
                      help="equivariance tolerance for loaded maps")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_verify_slp)
 
-    sub = subs.add_parser("factorize", help="factorized-form audit + negation split")
-    _add_build_flags(sub)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_factorize)
+    _build_command(subs, "factorize", _cmd_factorize,
+                   "factorized-form audit + negation split")
 
-    sub = subs.add_parser("isotypic", help="isotypic projector properties")
-    _add_build_flags(sub)
+    sub = _build_command(subs, "isotypic", _cmd_isotypic,
+                         "isotypic projector properties")
     sub.add_argument("--tol", type=_tolerance, default=numerics.PROJECTOR_TOL)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_isotypic)
 
-    sub = subs.add_parser("parity", help="matched-parity decomposition audit")
-    _add_build_flags(sub)
+    sub = _build_command(subs, "parity", _cmd_parity,
+                         "matched-parity decomposition audit")
     sub.add_argument("--tol", type=_tolerance, default=0.0)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_parity)
 
-    sub = subs.add_parser("kernel-stability",
-                          help="conjunction kernel stability on a worlds model")
+    sub = _command(subs, "kernel-stability", _cmd_kernel_stability,
+                   "conjunction kernel stability on a worlds model",
+                   size=(_stability_cells, ("atoms", "worlds")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
                      help="at most 6: N contexts times N gathered rows, of "
                           "N = 4^atoms - 1 compounds, must fit in "
                           f"{MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_kernel_stability)
 
-    sub = subs.add_parser("fit-bilinear",
-                          help="symmetric bilinear fit on a worlds model")
+    sub = _command(subs, "fit-bilinear", _cmd_fit_bilinear,
+                   "symmetric bilinear fit on a worlds model",
+                   size=(_fit_cells, ("atoms", "worlds")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
                      help="at most 6 at 8 worlds: the N(N+1)/2 pairs it "
                           "walks, and its design of at most m^2 x worlds^2 "
@@ -743,10 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_fit_bilinear)
 
-    sub = subs.add_parser("collapse", help="idempotence-vs-sign-flip certificate")
+    sub = _command(subs, "collapse", _cmd_collapse,
+                   "idempotence-vs-sign-flip certificate",
+                   size=(_collapse_cells, ("atoms", "dim")))
     sub.add_argument("--atoms", type=_at_least(1), default=1)
     sub.add_argument("--dim", type=_at_least(1), default=4,
                      help="at most 406 at 1 atom: the largest of the design "
@@ -755,23 +732,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--neg-equiv", action=argparse.BooleanOptionalAction,
                      default=True)
     sub.add_argument("--tolerance", type=_tolerance, default=1e-8)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_collapse)
 
-    sub = subs.add_parser("gradlab", help="gradient alignment experiment")
+    sub = _command(subs, "gradlab", _cmd_gradlab,
+                   "gradient alignment experiment")
     sub.add_argument("--config", type=Path, required=True,
                      help="JSON run config")
     sub.add_argument("--histogram", type=Path, default=None,
                      help="write the cosine histogram CSV here")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_gradlab)
 
-    sub = subs.add_parser("audit", help="rank-one edit propagation audit")
-    _add_build_flags(sub)
+    sub = _build_command(subs, "audit", _cmd_audit,
+                         "rank-one edit propagation audit")
     sub.add_argument("--family", type=int, default=0)
     sub.add_argument("--eta", type=_edit_step, default=0.1)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_audit)
 
     return parser
 
@@ -780,7 +752,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        if args.size is not None:
+            cells, dests = args.size
+            values = [getattr(args, dest) for dest in dests]
+            _within_budget(cells(*values), " ".join(
+                f"--{dest.replace('_', '-')} {value}"
+                for dest, value in zip(dests, values) if value is not None),
+                parser)
+        seed = _resolve_seed(args, parser)
+        return _finish(args.run(args, seed, parser), args, seed, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slplab.cli import (MAX_CELLS, SAMPLE_OBJECT_CELLS, _build_cells,
-                        _closure_queries, _collapse_cells, _families_cells,
-                        _fit_cells, _gradlab_cells, _stability_cells,
-                        _term_cells, main)
+from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
+                        _build_cells, _closure_queries, _collapse_cells,
+                        _families_cells, _fit_cells, _gradlab_cells,
+                        _stability_cells, _term_cells, build_parser, main)
 from slplab.conjunction import PAIR_BLOCK
 from slplab.reports import Report, emit_report, parse_report, render_report
 
@@ -241,10 +241,22 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--context-dim", "932068", "--out", str(out_path)),
         ("parity", "--entities", "33", "--out", str(out_path)),
         ("audit", "--entities", "33", "--out", str(out_path)),
-        ("families", "--entities", "1025", "--out", str(out_path)),
-        ("families", "--entities", "1449", "--relations", "1",
+        ("families", "--entities", "129", "--out", str(out_path)),
+        ("families", "--entities", "182", "--relations", "1",
          "--out", str(out_path)),
+        ("families", "--entities", "1024", "--out", str(out_path)),
         ("families", "--entities", "100000", "--out", str(out_path)),
+        # the Python objects of each query share the budget
+        ("build-slp", "--entities", "1024", "--relations", "8",
+         "--context-dim", "1", "--out", str(out_path)),
+        ("build-slp", "--entities", "5", "--relations", "3000",
+         "--context-dim", "1", "--out", str(out_path)),
+        ("build-slp", "--entities", "129", "--context-dim", "1",
+         "--out", str(out_path)),
+        # the v factors of the default terms: the first relation count
+        # over the budget at 3 entities and width 1
+        ("build-slp", "--entities", "3", "--relations", "1017",
+         "--context-dim", "1", "--out", str(out_path)),
         # the kept terms of every build command share the budget
         ("audit", "--entities", "3", "--relations", "1", "--terms", "123362",
          "--context-dim", "9", "--out", str(out_path)),
@@ -269,7 +281,16 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         cases.append(("gradlab", "--config", str(config), "--out", str(out_path)))
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
-    cases.append(("gradlab", "--config", str(not_an_object),
+    # json.loads refuses integers past Python's int/str digit limit
+    huge_int = tmp_path / "huge_int.json"
+    huge_int.write_text(write_config(tmp_path / "huge").read_text()
+                        .replace('"epochs": 5', '"epochs": ' + "9" * 5000))
+    too_deep = tmp_path / "too_deep.json"
+    too_deep.write_text("[" * 100000 + "]" * 100000)
+    for config in (not_an_object, huge_int, too_deep):
+        cases.append(("gradlab", "--config", str(config),
+                      "--out", str(out_path)))
+    cases.append(("verify-slp", "--load", str(too_deep),
                   "--out", str(out_path)))
     for fmt in ("json", "csv"):
         intact, malformed = malformed_maps(tmp_path / fmt, fmt)
@@ -415,6 +436,10 @@ def test_exit_code_contract_over_argument_ranges(stored_map, argv):
             assert os.listdir(scratch) == [], argv
         else:
             assert out_path.exists(), argv
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_version_flag(capsys):
@@ -582,27 +607,44 @@ def test_collapse_cell_budget_admits_dim_406_at_one_atom():
 def test_build_and_families_cell_budget_bound_the_closure():
     # sizes are compared, never run
     assert _closure_queries(3, 1) == 36
-    assert _build_cells(3, 1, 932067) == 36 * 932067 <= MAX_CELLS
-    assert _build_cells(3, 1, 932068) > MAX_CELLS
+    assert _build_cells(3, 1, 932067, None) == 36 * 932067 <= MAX_CELLS
+    assert _build_cells(3, 1, 932068, None) > MAX_CELLS
     # default width: one column per family, at most N/2
-    assert _build_cells(32, 2, None) == 8192 * 4096 == MAX_CELLS
-    assert _build_cells(33, 2, None) > MAX_CELLS
-    assert _build_cells(45, 1, None) == 8100 * 4050 <= MAX_CELLS
-    assert _build_cells(46, 1, None) > MAX_CELLS
-    assert _families_cells(1024, 2) == 4 * 1024 ** 2 * 8 == MAX_CELLS
-    assert _families_cells(1025, 2) > MAX_CELLS
-    assert _families_cells(1448, 1) <= MAX_CELLS < _families_cells(1449, 1)
+    assert _build_cells(32, 2, None, None) == 8192 * 4096 == MAX_CELLS
+    assert _build_cells(33, 2, None, None) > MAX_CELLS
+    assert _build_cells(45, 1, None, None) == 8100 * 4050 <= MAX_CELLS
+    assert _build_cells(46, 1, None, None) > MAX_CELLS
+    # each query's Python objects, when more than its row of features
+    assert _build_cells(128, 2, 1, None) == 131072 * QUERY_OBJECT_CELLS \
+        == MAX_CELLS
+    assert _build_cells(129, 2, 1, None) > MAX_CELLS
+    assert _build_cells(1024, 8, 1, None) > MAX_CELLS
+    assert _build_cells(5, 3000, 1, None) > MAX_CELLS
+    assert _families_cells(128, 2) == QUERY_OBJECT_CELLS * 128 ** 2 * 8 \
+        == MAX_CELLS
+    assert _families_cells(129, 2) > MAX_CELLS
+    assert _families_cells(181, 1) <= MAX_CELLS < _families_cells(182, 1)
     # the largest benchmark build is far inside the budget
-    assert _build_cells(6, 3, None) == 432 * 216
+    assert _build_cells(6, 3, None, None) == 432 * QUERY_OBJECT_CELLS
 
 
 def test_kept_terms_share_the_build_budget():
     # sizes are compared, never run
     for entities, relations in ((2, 1), (3, 2), (32, 2), (45, 1), (33, 2)):
         for width in (None, 1, 9, 4096):
-            # default terms never reject a size the feature matrix admits
+            # default terms are charged as 2 * relations explicit ones,
+            # whose u factors are the cells of the feature matrix
             assert _term_cells(entities, relations, width, None) == \
-                _build_cells(entities, relations, width)
+                _term_cells(entities, relations, width, 2 * relations)
+            n = _closure_queries(entities, relations)
+            assert _term_cells(entities, relations, width, None) >= \
+                n * (n // 2 if width is None else width)
+    # ... so their objects and v factors count too: at width 1 the
+    # query objects admit 3 entities at 1017 relations, the terms do not
+    assert _build_cells(3, 1016, 1, None) == \
+        2 * 1016 * (SAMPLE_OBJECT_CELLS + 16 * 1016) <= MAX_CELLS
+    assert _closure_queries(3, 1017) * QUERY_OBJECT_CELLS <= MAX_CELLS
+    assert _term_cells(3, 1017, 1, None) > MAX_CELLS
     # an explicit count charges the two u factors of each raw sample ...
     assert _term_cells(3, 1, 100, 18641) == 2 * 18641 * 900 <= MAX_CELLS
     assert _term_cells(3, 1, 100, 18642) > MAX_CELLS
@@ -629,6 +671,26 @@ def test_old_term_maximum_exits_two_before_any_draw(capsys, tmp_path):
     capsys.readouterr()
     assert code == 2 and not out_path.exists()
     assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("argv", [
+    # each query's objects: families ran 4.6 s at 128 entities, and 1,024
+    # entities hold 8.4M queries
+    ("families", "--entities", "1024", "--relations", "2"),
+    ("build-slp", "--entities", "1024", "--relations", "8",
+     "--context-dim", "1"),
+    # ran past 30 s before its objects counted
+    ("build-slp", "--entities", "5", "--relations", "3000",
+     "--context-dim", "1"),
+])
+def test_object_charges_exit_two_at_once(capsys, tmp_path, argv):
+    out_path = tmp_path / "never.json"
+    start = time.perf_counter()
+    code = main([*argv, "--out", str(out_path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 2 and not out_path.exists()
+    assert elapsed < 1.0, elapsed
 
 
 def test_huge_terms_exit_two_before_any_draw(capsys, tmp_path):

@@ -24,3 +24,14 @@ def test_sweeps_reject_fewer_than_one_seed(capsys, name, seeds):
     assert exc.value.code == 2
     assert "--seeds" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--entities", "1"), ("--hidden", "0"), ("--embed-dim", "0"),
+    ("--epochs", "0"), ("--density", "1.5"), ("--lr", "nan")])
+def test_alignment_sweep_rejects_out_of_range_sizes(capsys, flag, value):
+    # each ran into a traceback before the flags were typed
+    with pytest.raises(SystemExit) as exc:
+        load_script("alignment_sweep").main(["--seeds", "1", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
