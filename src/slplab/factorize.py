@@ -36,7 +36,8 @@ from . import characters, numerics
 from .featspace import (FeatureMap, LiftedOperator, check_slp, grid_rows,
                         lift_renaming)
 from .queryspace import (GroupElementH, Query, compute_families,
-                         enumerate_queries, logical_images, symmetric_group)
+                         enumerate_queries, logical_images, relation_images,
+                         symmetric_group)
 from .relalg import RelationAlgebra
 from .reports import Report
 
@@ -122,47 +123,39 @@ def assemble_rows(blocks: Sequence[TensorBlock],
     return np.concatenate([_block_rows(b, queries) for b in blocks], axis=1)
 
 
-def _sample_v(algebra: RelationAlgebra, parity: str, rng) -> np.ndarray:
+def _sample_v(images: np.ndarray, parity: str, rng) -> np.ndarray:
     """Relation factor with v(not r) = -v(r) and v(conv r) = (parity) v(r).
 
-    A converse-fixed relation with parity '-' forces its whole orbit to zero;
-    that is the correct degenerate case, not an error.
+    `images` is the algebra's `relation_images`.  Each orbit, represented by
+    its smallest relation, takes one uniform draw in representative order.
+    A converse-fixed relation with parity '-' forces its whole orbit to
+    zero; that is the correct degenerate case, not an error.
     """
     conv_sign = 1.0 if parity == "+" else -1.0
-    v = np.zeros(algebra.size)
-    assigned = [False] * algebra.size
-    for i in range(algebra.size):
-        if assigned[i]:
-            continue
-        value = rng.uniform(-1.0, 1.0)
-        if algebra.conv(i) == i and parity == "-":
-            value = 0.0
-        # propagate through the orbit with the promised signs
-        pending = [(i, value)]
-        while pending:
-            j, val = pending.pop()
-            if assigned[j]:
-                if v[j] != val:
-                    raise AssertionError("inconsistent sign propagation")
-                continue
-            v[j] = val
-            assigned[j] = True
-            pending.append((algebra.neg(j), -val))
-            pending.append((algebra.conv(j), conv_sign * val))
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(images.shape[1]))
+    value = rng.uniform(-1.0, 1.0, size=len(reps))
+    if parity == "-":
+        value[images[2, reps] == reps] = 0.0
+    v = np.empty(images.shape[1])
+    # a converse-fixed orbit is written twice; the id and neg rows go last,
+    # so a zeroed one reads +0.0 at the representative, -0.0 at its complement
+    for row, sign in ((2, conv_sign), (3, -conv_sign), (0, 1.0), (1, -1.0)):
+        v[images[row, reps]] = sign * value
     return v
 
 
 def _sample_block(algebra: RelationAlgebra, spec: BlockSpec, rng) -> TensorBlock:
     n = algebra.entity_set.n
+    images = relation_images(algebra)
     terms: list[Term] = []
     for _ in range(spec.m):
         raw = rng.uniform(-1.0, 1.0, size=(n, n, spec.context_dim))
         u_plus = (raw + raw.transpose(1, 0, 2)) / 2.0
         u_minus = (raw - raw.transpose(1, 0, 2)) / 2.0
         if spec.parity in (None, "+"):
-            terms.append(Term(u_plus, _sample_v(algebra, "+", rng), "+"))
+            terms.append(Term(u_plus, _sample_v(images, "+", rng), "+"))
         if spec.parity in (None, "-"):
-            terms.append(Term(u_minus, _sample_v(algebra, "-", rng), "-"))
+            terms.append(Term(u_minus, _sample_v(images, "-", rng), "-"))
     return TensorBlock(spec.context_dim, tuple(terms))
 
 
@@ -195,24 +188,25 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
     """Recompute rows from factors and audit the negation sign flip.
 
     Row agreement is exact (same assembly path); the sign law v(not r) =
-    -v(r) is checked per term per relation, and failures are located by
-    (block, term, relation).
+    -v(r) is checked per term as one array identity, and failures are
+    located by (block, term, relation).
     """
     queries = f.feature_map.queries
     rebuilt = assemble_rows(f.blocks, queries)
     rows_equal = np.array_equal(rebuilt, f.feature_map.matrix)
     row_dev = float(np.max(np.abs(rebuilt - f.feature_map.matrix))) \
         if rebuilt.size else 0.0
+    neg = relation_images(f.algebra)[1]
     sign_faults = []
-    worst_sign = 0.0
     for bi, block in enumerate(f.blocks):
         for ki, term in enumerate(block.terms):
-            for r in range(f.algebra.size):
-                dev = float(abs(term.v[f.algebra.neg(r)] + term.v[r]))
-                if dev != 0.0:
-                    sign_faults.append({"block": bi, "term": ki,
-                                        "relation": r, "deviation": dev})
-                    worst_sign = max(worst_sign, dev)
+            v = term.v[:f.algebra.size]  # dims_consistent flags a long v
+            dev = np.abs(v[neg] + v)
+            bad = np.flatnonzero(dev != 0.0)
+            sign_faults += [{"block": bi, "term": ki, "relation": r,
+                             "deviation": d}
+                            for r, d in zip(bad.tolist(), dev[bad].tolist())]
+    worst_sign = max([0.0] + [fault["deviation"] for fault in sign_faults])
     dims_ok = all(b.terms == () or
                   all(t.u.shape == (f.algebra.entity_set.n,
                                     f.algebra.entity_set.n, b.context_dim)
@@ -234,7 +228,7 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
 def involution_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenprojectors (I +- M)/2 of an involution, with the identity checked."""
     eye = np.eye(mat.shape[0])
-    dev = float(np.max(np.abs(mat @ mat - eye)))
+    dev = float(np.max(np.abs(mat @ mat - eye), initial=0.0))
     if dev > numerics.PROJECTOR_TOL:
         raise ValueError(f"matrix is not an involution (deviation {dev})")
     return (eye + mat) / 2.0, (eye - mat) / 2.0
@@ -421,6 +415,7 @@ def parity_decompose(f: FactorizedMap,
         raise ConverseInvarianceError(enumerate_queries(algebra)[worst],
                                       float(dev[worst]))
 
+    conv = relation_images(algebra)[2]
     blocks_out = []
     max_cross = 0.0
     for block in f.blocks:
@@ -429,7 +424,7 @@ def parity_decompose(f: FactorizedMap,
         for term in block.terms:
             u_plus = (term.u + term.u.transpose(1, 0, 2)) / 2.0
             u_minus = (term.u - term.u.transpose(1, 0, 2)) / 2.0
-            v_conv = term.v[list(algebra.converse_)]
+            v_conv = term.v[conv]
             v_plus = (term.v + v_conv) / 2.0
             v_minus = (term.v - v_conv) / 2.0
             pairs.append(ParityTermPair(Term(u_plus, v_plus, "+"),

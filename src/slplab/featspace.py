@@ -277,7 +277,7 @@ def propagation_audit(fmap: FeatureMap, families: Sequence[LogicalFamily],
         others[str(list(other.representative))] = float(
             np.dot(fmap.row(other.representative), delta))
     reps = representative_matrix(fmap, families)
-    gram_rank = numerics.rank(reps @ reps.T)
+    gram_rank = numerics.gram_rank(reps)
     return Report(
         check="propagation_audit",
         passed=worst == 0.0,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import numerics
 from .factorize import BlockSpec, FactorizedMap, build_slp_map
-from .queryspace import LogicalOp, Query, apply_logical
+from .queryspace import LogicalOp, Query, apply_logical, relation_images
 from .relalg import (EntitySet, RelationAlgebra, close_unary,
                      random_base_relations)
 
@@ -81,17 +81,17 @@ def generate_kb(entity_count: int, base_relations: int, density: float,
     return SyntheticKB(algebra, tuple(facts), tuple(partners))
 
 
-def _relation_classes(algebra: RelationAlgebra) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """Complement-pair classes; each relation gets (class id, negation flag)."""
-    reps = []
-    coding: dict[int, tuple[int, int]] = {}
-    for r in range(algebra.size):
-        rep = min(r, algebra.neg(r))
-        if rep not in reps:
-            reps.append(rep)
-        cls = reps.index(rep)
-        coding[r] = (cls, 0 if r == rep else 1)
-    return tuple(reps), coding
+def _relation_classes(algebra: RelationAlgebra) -> tuple[int, dict[int, tuple[int, int]]]:
+    """Complement-pair classes, numbered in order of their smaller member.
+
+    Returns the class count and each relation's (class id, negation flag).
+    """
+    r = np.arange(algebra.size)
+    rep = np.minimum(r, relation_images(algebra)[1])
+    reps = np.unique(rep)
+    flags = (rep != r).astype(int)
+    codes = zip(np.searchsorted(reps, rep).tolist(), flags.tolist())
+    return len(reps), dict(enumerate(codes))
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,11 @@ def make_mlp(kb: SyntheticKB, hidden: int, embed_dim: int, seed: int) -> ScorerM
         raise ValueError("hidden width must be at least 1")
     if embed_dim < 1:
         raise ValueError("embedding width must be at least 1")
-    reps, coding = _relation_classes(kb.algebra)
-    n = kb.algebra.entity_set.n
-    input_dim = 2 * n + len(reps) + 1
+    n_classes, coding = _relation_classes(kb.algebra)
+    input_dim = 2 * kb.algebra.entity_set.n + n_classes + 1
     rng = np.random.default_rng(seed)
     params = _init_mlp_params(input_dim, embed_dim, hidden, rng)
-    return ScorerModel("mlp", params, kb.algebra, coding, len(reps))
+    return ScorerModel("mlp", params, kb.algebra, coding, n_classes)
 
 
 def make_slp_linear(kb: SyntheticKB, context_dim: int, seed: int) -> ScorerModel:
@@ -146,8 +145,8 @@ def make_slp_linear(kb: SyntheticKB, context_dim: int, seed: int) -> ScorerModel
     rng = np.random.default_rng(seed + 1)
     d = fmap.feature_map.dim
     params = {"theta": rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=d)}
-    reps, coding = _relation_classes(kb.algebra)
-    return ScorerModel("slp_linear", params, kb.algebra, coding, len(reps),
+    n_classes, coding = _relation_classes(kb.algebra)
+    return ScorerModel("slp_linear", params, kb.algebra, coding, n_classes,
                        feature_map=fmap)
 
 

@@ -55,6 +55,21 @@ def rank(matrix: np.ndarray) -> int:
     return int(np.sum(sv > rank_threshold(matrix)))
 
 
+def gram_rank(matrix: np.ndarray) -> int:
+    """`rank(matrix @ matrix.T)`, without forming the Gram matrix.
+
+    With the thin SVD matrix = U S V^T the Gram is U S^2 U^T, so its
+    singular values are S^2 and, U having orthonormal columns, its row
+    norms are those of U S^2.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.size == 0:
+        return 0
+    u, sv, _ = np.linalg.svd(m, full_matrices=False)
+    gram_sv = sv * sv
+    return int(np.sum(gram_sv > scaled_threshold(row_scale(u * gram_sv))))
+
+
 def rank_margin(sv: np.ndarray, threshold: float) -> dict:
     """The singular values on either side of a rank decision at `threshold`.
 

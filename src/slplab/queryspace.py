@@ -7,9 +7,10 @@ space into logical families whose members carry signs (+1 under identity and
 reversal, -1 under negation and negated reversal).  Entity renamings act
 separately, by permuting head and tail and optionally negating the relation.
 
-`logical_images` tabulates the group's action on the whole query space as
-positions in `enumerate_queries` order; the family partition, the
-equivariance check and the parity scan read that one table.
+`relation_images` tabulates the group's action on the relations, and
+`logical_images` on the whole query space as positions in
+`enumerate_queries` order; the family partition, the equivariance check,
+the parity scan and every per-relation orbit computation read these tables.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ class LogicalFamily:
             raise ValueError(f"orbit size {len(self.members)} is impossible")
 
 
+def relation_images(algebra: RelationAlgebra) -> np.ndarray:
+    """Each relation's images under the four LogicalOps, shape (4, size)."""
+    neg = np.asarray(algebra.negation, dtype=int)
+    conv = np.asarray(algebra.converse_, dtype=int)
+    return np.stack([np.arange(algebra.size), neg, conv, neg[conv]])
+
+
 def logical_images(algebra: RelationAlgebra) -> np.ndarray:
     """Positions of every query's four logical images, shape (4, N).
 
@@ -132,13 +140,9 @@ def logical_images(algebra: RelationAlgebra) -> np.ndarray:
     `enumerate_queries(algebra)`, where (h, r, t) sits at (h*size + r)*n + t.
     """
     n, size = algebra.entity_set.n, algebra.size
-    h, r, t = np.indices((n, size, n)).reshape(3, -1)
-    neg = np.asarray(algebra.negation, dtype=int)
-    conv = np.asarray(algebra.converse_, dtype=int)
-    return np.stack([(h * size + r) * n + t,
-                     (h * size + neg[r]) * n + t,
-                     (t * size + conv[r]) * n + h,
-                     (t * size + neg[conv[r]]) * n + h])
+    h, r, t = np.indices((n, size, n)).reshape(3, -1)  # rev swaps h, t
+    return ((np.stack([h, h, t, t]) * size + relation_images(algebra)[:, r])
+            * n + np.stack([t, t, h, h]))
 
 
 def compute_families(algebra: RelationAlgebra) -> tuple[LogicalFamily, ...]:

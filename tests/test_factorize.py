@@ -21,8 +21,9 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
 from slplab.featspace import FeatureMap, check_slp, lift_renaming
 from slplab.numerics import PROJECTOR_TOL, rank
 from slplab.queryspace import (GroupElementH, Query, compute_families,
-                               enumerate_queries, symmetric_group)
-from slplab.relalg import EntitySet, Relation, close_unary
+                               enumerate_queries, relation_images,
+                               symmetric_group)
+from slplab.relalg import EntitySet, Relation, close_unary, converse
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
@@ -62,6 +63,98 @@ def test_injected_sign_fault_located(algebra_3):
     assert (0, 0, r) in located and (0, 0, algebra_3.neg(r)) in located
     expected = abs(2.0 * term.v[r])
     assert any(np.isclose(f["deviation"], expected) for f in faults)
+
+
+def per_relation_sign_faults(blocks, algebra):
+    """The sign audit one relation at a time, the oracle for its order."""
+    return [{"block": bi, "term": ki, "relation": r,
+             "deviation": float(abs(term.v[algebra.neg(r)] + term.v[r]))}
+            for bi, block in enumerate(blocks)
+            for ki, term in enumerate(block.terms)
+            for r in range(algebra.size)
+            if abs(term.v[algebra.neg(r)] + term.v[r]) != 0.0]
+
+
+def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
+    built = build_slp_map(algebra_3x2, [BlockSpec(4, 1, None),
+                                        BlockSpec(3, 1, None)], seed=2)
+    # break the law in both terms of the second block, and once in the first
+    breaks = {(0, 1): {0: 0.5}, (1, 0): {2: -0.25, 5: 0.75},
+              (1, 1): {algebra_3x2.neg(3): 0.125}}
+    blocks = []
+    for bi, block in enumerate(built.blocks):
+        terms = []
+        for ki, term in enumerate(block.terms):
+            v = term.v.copy()
+            for r, delta in breaks.get((bi, ki), {}).items():
+                v[r] += delta
+            terms.append(Term(term.u, v, term.parity))
+        blocks.append(TensorBlock(block.context_dim, tuple(terms)))
+    queries = built.feature_map.queries
+    broken = FactorizedMap(algebra_3x2, tuple(blocks),
+                           FeatureMap(queries, assemble_rows(blocks, queries)))
+    report = verify_factorized_form(broken)
+    expected = per_relation_sign_faults(blocks, algebra_3x2)
+    assert report.details["sign_faults"] == expected
+    assert {(f["block"], f["term"]) for f in expected} == set(breaks)
+    assert len(expected) == 2 * sum(map(len, breaks.values()))
+    assert report.max_deviation == max(f["deviation"] for f in expected)
+    assert not report.passed
+
+
+def walked_v(algebra, parity, rng):
+    """The orbit walk `_sample_v` replaced: one draw and one stack walk per
+    orbit, in order of the orbit's smallest relation."""
+    conv_sign = 1.0 if parity == "+" else -1.0
+    v = np.zeros(algebra.size)
+    assigned = [False] * algebra.size
+    for i in range(algebra.size):
+        if assigned[i]:
+            continue
+        value = rng.uniform(-1.0, 1.0)
+        if algebra.conv(i) == i and parity == "-":
+            value = 0.0
+        pending = [(i, value)]
+        while pending:
+            j, val = pending.pop()
+            if assigned[j]:
+                assert v[j] == val, "inconsistent sign propagation"
+                continue
+            v[j] = val
+            assigned[j] = True
+            pending.append((algebra.neg(j), -val))
+            pending.append((algebra.conv(j), conv_sign * val))
+    return v
+
+
+def algebras_with_symmetric_relations(count, seed):
+    """Random closures, most with a symmetric base relation r | conv(r)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        entity_set = EntitySet.of_size(int(rng.integers(2, 5)))
+        base = [random_proper_relation(entity_set, rng)
+                for _ in range(int(rng.integers(1, 3)))]
+        symmetric = base[0].bits | converse(base[0]).bits
+        if symmetric != entity_set.full_mask():
+            base.append(Relation(entity_set, symmetric))
+        yield close_unary(base)
+
+
+@pytest.mark.parametrize("parity", ["+", "-"])
+def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
+    fixed = signed_zeros = 0
+    for seed, algebra in enumerate(algebras_with_symmetric_relations(150, 7)):
+        images = relation_images(algebra)
+        fixed += int(np.sum(images[2] == np.arange(algebra.size)))
+        rng, walk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            v = factorize._sample_v(images, parity, rng)
+            assert v.tobytes() == walked_v(algebra, parity, walk_rng).tobytes()
+            signed_zeros += int(np.sum(np.signbit(v) & (v == 0.0)))
+        # both consumed the same number of draws
+        assert rng.random() == walk_rng.random()
+    assert fixed > 0
+    assert (signed_zeros > 0) == (parity == "-")
 
 
 def test_rows_recomputed_exactly_multi_block(algebra_3):
@@ -117,6 +210,9 @@ def test_involution_split_validates():
     plus, minus = involution_split(np.diag([1.0, -1.0, 1.0]))
     assert np.allclose(plus + minus, np.eye(3))
     assert np.allclose(plus @ minus, 0)
+    # a zero span, as on a map whose every factor is zero
+    plus, minus = involution_split(np.zeros((0, 0)))
+    assert plus.shape == minus.shape == (0, 0)
 
 
 # ----------------------------------------------------------------- isotypic

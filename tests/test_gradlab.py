@@ -8,7 +8,7 @@ import pytest
 
 from slplab import numerics
 from slplab.gradlab import (BLOCK_NAMES, _apply_block_update,
-                            alignment_experiment, edit_step, encode_queries,
+                            _relation_classes, alignment_experiment, edit_step, encode_queries,
                             finite_difference_gradient, generate_kb, gradient,
                             make_mlp, make_slp_linear, score, scores, train)
 from slplab.queryspace import LogicalOp, Query, apply_logical, compute_families
@@ -107,6 +107,18 @@ def test_converse_relations_are_encodable(kb, mlp):
         assert 0 <= cls < mlp.n_classes and flag in (0, 1)
         cls_neg, flag_neg = mlp.rel_coding[kb.algebra.neg(r)]
         assert cls_neg == cls and flag_neg == 1 - flag
+
+
+def test_relation_classes_number_pairs_by_first_appearance():
+    for seed in range(20):
+        algebra = generate_kb(3, 1 + seed % 3, 0.5, seed).algebra
+        reps, coding = [], {}
+        for r in range(algebra.size):
+            rep = min(r, algebra.neg(r))
+            if rep not in reps:
+                reps.append(rep)
+            coding[r] = (reps.index(rep), 0 if r == rep else 1)
+        assert _relation_classes(algebra) == (len(reps), coding)
 
 
 def test_make_model_validation(kb):

@@ -10,7 +10,7 @@ from slplab.queryspace import (GroupElementH, LogicalFamily, LogicalOp,
                                Query, apply_logical, apply_renaming,
                                compute_families, enumerate_queries,
                                families_to_json, family_index, logical_images,
-                               symmetric_group)
+                               relation_images, symmetric_group)
 from slplab.relalg import (EntitySet, Relation, RelationAlgebra, close_unary,
                            converse)
 
@@ -100,6 +100,17 @@ def test_logical_images_match_apply_logical(base):
     for k, op in enumerate(LogicalOp):
         assert [queries[p] for p in images[k]] == \
             [apply_logical(op, q, algebra) for q in queries]
+
+
+@given(small_bases)
+def test_relation_images_match_apply_logical(base):
+    algebra = close_unary(base)
+    images = relation_images(algebra)
+    assert images.shape == (4, algebra.size)
+    assert images.dtype.kind == "i"
+    for r in range(algebra.size):
+        assert images[:, r].tolist() == [
+            apply_logical(op, Query(0, r, 1), algebra).rel for op in LogicalOp]
 
 
 @given(small_bases)

@@ -1,6 +1,7 @@
 """The cached spectrum: one thin SVD per feature map, read by the rank check,
 the family kernel check and lifts."""
 
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from slplab.cli import main
 from slplab.factorize import BlockSpec, build_slp_map, isotypic_decompose
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
-                              lift_renaming)
+                              lift_renaming, representative_matrix)
 from slplab.queryspace import (GroupElementH, apply_renaming,
                                compute_families, symmetric_group)
 from slplab.relalg import EntitySet, close_unary
@@ -95,6 +96,24 @@ def test_isotypic_on_a_warm_map_is_bit_identical_to_a_cold_map():
     for a, b in zip(warm_proj, cold_proj):
         assert a.irrep == b.irrep and a.image_dim == b.image_dim
         assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_gram_rank_matches_the_rank_of_the_formed_gram():
+    for n, seed in itertools.product((2, 3, 4), range(6)):
+        algebra, built = seeded_map(n, seed)
+        reps = representative_matrix(built.feature_map,
+                                     compute_families(algebra))
+        assert numerics.gram_rank(reps) == numerics.rank(reps @ reps.T)
+    rng = np.random.default_rng(0)
+    for rows, cols, k in [(5, 3, 3), (8, 8, 4), (3, 9, 2), (6, 6, 1)]:
+        m = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+        assert numerics.gram_rank(m) == numerics.rank(m @ m.T) == k
+        # one large row lifts the threshold over the Gram's other directions
+        m[0] *= 1e6
+        assert numerics.gram_rank(m) == numerics.rank(m @ m.T)
+    for shape in [(0, 3), (3, 0), (4, 2)]:
+        m = np.zeros(shape)
+        assert numerics.gram_rank(m) == numerics.rank(m @ m.T) == 0
 
 
 def test_writes_to_the_source_array_do_not_reach_the_spectrum():
