@@ -20,8 +20,8 @@ from .featspace import (FeatureMap, KernelNotInvariantError,
                         propagation_audit, save_feature_map)
 from .factorize import (BlockSpec, ConverseInvarianceError, FactorizedMap,
                         Term, TensorBlock, build_slp_map, hom_dimension_check,
-                        isotypic_decompose, negation_split, parity_decompose,
-                        parity_involution, verify_factorized_form)
+                        involution_dims, isotypic_decompose, negation_split,
+                        parity_decompose, verify_factorized_form)
 from .conjunction import (Compound, ConjFeatureAssignment, atom,
                           check_kernel_stability, close_conjunction,
                           collapse_certificate, conj, fit_bilinear, neg,
@@ -42,8 +42,8 @@ __all__ = [
     "propagation_audit", "save_feature_map",
     "BlockSpec", "ConverseInvarianceError", "FactorizedMap", "Term",
     "TensorBlock", "build_slp_map", "hom_dimension_check",
-    "isotypic_decompose", "negation_split", "parity_decompose",
-    "parity_involution", "verify_factorized_form",
+    "involution_dims", "isotypic_decompose", "negation_split",
+    "parity_decompose", "verify_factorized_form",
     "Compound", "ConjFeatureAssignment", "atom",
     "check_kernel_stability", "close_conjunction", "collapse_certificate",
     "conj", "fit_bilinear", "neg", "possible_worlds_assignment",

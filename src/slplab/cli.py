@@ -31,15 +31,15 @@ from .conjunction import (PAIR_BLOCK, check_kernel_stability,
                           collapse_certificate, fit_bilinear,
                           possible_worlds_assignment)
 from .factorize import (BlockSpec, ConverseInvarianceError, build_slp_map,
-                        isotypic_decompose, negation_split, parity_decompose,
-                        parity_involution, verify_factorized_form)
+                        involution_dims, isotypic_decompose, negation_split,
+                        parity_decompose, verify_factorized_form)
 from .featspace import (KernelNotInvariantError,
                         check_family_kernel_decomposition,
                         check_logical_equivariance, check_slp,
                         load_feature_map, propagation_audit, save_feature_map)
 from .gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
                       generate_kb, make_mlp, make_slp_linear, train)
-from .queryspace import compute_families, families_to_json
+from .queryspace import compute_families, families_to_json, relation_images
 from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
                      negate, random_base_relations, random_relation)
 from .reports import Report, emit_report, render_report
@@ -239,15 +239,17 @@ def _build(args: argparse.Namespace, seed: int, parser):
 
 # ---------------------------------------------------------------- subcommands
 
-# --exhaustive holds all 2^(n^2) relations at once: 65,536 at 4 entities,
-# 33.5M at 5, so more entities than this exit 2 before any work.
-MAX_EXHAUSTIVE_ENTITIES = 4
+def _laws_cells(entities: int, exhaustive: bool, pairs: int,
+                triples: int) -> int:
+    """One cell per relation bit drawn or held: entities^2 bits for each
+    unary relation, pair and triple member.  --exhaustive holds all
+    2^(entities^2) relations at once, which admits at most 4 entities;
+    the power is capped past the budget."""
+    unary = 2 ** min(entities ** 2, 32) if exhaustive else pairs
+    return entities ** 2 * (unary + 2 * pairs + 3 * triples)
 
 
 def _cmd_relalg_laws(args, seed, parser) -> Report:
-    if args.exhaustive and args.entities > MAX_EXHAUSTIVE_ENTITIES:
-        parser.error(f"--exhaustive takes at most {MAX_EXHAUSTIVE_ENTITIES} "
-                     f"entities, got {args.entities}")
     entity_set = EntitySet.of_size(args.entities)
     rng = np.random.default_rng(seed)
     failures = {"double_negation": 0, "double_converse": 0,
@@ -378,7 +380,10 @@ def _cmd_isotypic(args, seed, parser) -> Report:
 
 def _cmd_parity(args, seed, parser) -> Report:
     algebra, _, built = _build(args, seed, parser)
-    inv = parity_involution(algebra)
+    n = algebra.entity_set.n
+    # (h, t) -> (t, h) on the pair space; r -> conv r on the relations
+    pair_dims = involution_dims(np.arange(n * n).reshape(n, n).T.ravel())
+    rel_dims = involution_dims(relation_images(algebra)[2])
     try:
         decomp = parity_decompose(built, tol=args.tol)
     except ConverseInvarianceError as exc:
@@ -393,8 +398,8 @@ def _cmd_parity(args, seed, parser) -> Report:
         details={"tol": args.tol,
                  "cross_residual": decomp.max_cross_residual,
                  "n_term_pairs": sum(len(b) for b in decomp.blocks),
-                 "pair_space_dims": list(inv.pair_dims),
-                 "relation_space_dims": list(inv.rel_dims)},
+                 "pair_space_dims": list(pair_dims),
+                 "relation_space_dims": list(rel_dims)},
     )
 
 
@@ -657,11 +662,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = _command(subs, "relalg-laws", _cmd_relalg_laws,
-                   "negation/converse/composition laws")
-    sub.add_argument("--entities", type=_at_least(1), default=3)
+                   "negation/converse/composition laws",
+                   size=(_laws_cells, ("entities", "exhaustive", "pairs",
+                                       "triples")))
+    sub.add_argument("--entities", type=_at_least(1), default=3,
+                     help="at most 31 at the default counts: entities^2 bits "
+                          "per unary relation, two per pair and three per "
+                          f"triple must fit in {MAX_CELLS} cells")
     sub.add_argument("--exhaustive", action="store_true",
-                     help="run unary laws over every relation; at most "
-                          f"{MAX_EXHAUSTIVE_ENTITIES} entities")
+                     help="run unary laws over every relation; at most 4 "
+                          "entities")
     sub.add_argument("--pairs", type=_at_least(0), default=10000)
     sub.add_argument("--triples", type=_at_least(0), default=1000)
 
@@ -742,7 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _build_command(subs, "audit", _cmd_audit,
                          "rank-one edit propagation audit")
-    sub.add_argument("--family", type=int, default=0)
+    sub.add_argument("--family", type=_at_least(0), default=0,
+                     help="family index, below the family count")
     sub.add_argument("--eta", type=_edit_step, default=0.1)
 
     return parser
@@ -756,9 +767,10 @@ def main(argv=None) -> int:
             cells, dests = args.size
             values = [getattr(args, dest) for dest in dests]
             _within_budget(cells(*values), " ".join(
-                f"--{dest.replace('_', '-')} {value}"
-                for dest, value in zip(dests, values) if value is not None),
-                parser)
+                f"--{dest.replace('_', '-')}"
+                + ("" if value is True else f" {value}")
+                for dest, value in zip(dests, values)
+                if value is not None and value is not False), parser)
         seed = _resolve_seed(args, parser)
         return _finish(args.run(args, seed, parser), args, seed, parser)
     except SystemExit as exc:

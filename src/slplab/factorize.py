@@ -107,20 +107,22 @@ class FactorizedMap:
         return self.feature_map.dim
 
 
-def _block_rows(block: TensorBlock, queries: Sequence[Query]) -> np.ndarray:
-    """Evaluate one block on all queries; term loop order is part of the format."""
-    heads = np.fromiter((q.head for q in queries), dtype=int, count=len(queries))
-    rels = np.fromiter((q.rel for q in queries), dtype=int, count=len(queries))
-    tails = np.fromiter((q.tail for q in queries), dtype=int, count=len(queries))
-    acc = np.zeros((len(queries), block.context_dim))
+def _block_rows(block: TensorBlock, n: int, size: int) -> np.ndarray:
+    """Evaluate one block on the (head, rel, tail) query grid, flattened in
+    `enumerate_queries` order; term loop order is part of the format."""
+    acc = np.zeros((n, size, n, block.context_dim))
     for term in block.terms:
-        acc += term.u[heads, tails, :] * term.v[rels][:, None]
-    return acc
+        # (n, 1, n, d) times (size, 1, 1); dims_consistent flags factors
+        # longer than the grid
+        acc += term.u[:n, None, :n] * term.v[:size, None, None]
+    return acc.reshape(n * size * n, block.context_dim)
 
 
 def assemble_rows(blocks: Sequence[TensorBlock],
-                  queries: Sequence[Query]) -> np.ndarray:
-    return np.concatenate([_block_rows(b, queries) for b in blocks], axis=1)
+                  algebra: RelationAlgebra) -> np.ndarray:
+    """The blocks' rows side by side, in `enumerate_queries(algebra)` order."""
+    n, size = algebra.entity_set.n, algebra.size
+    return np.concatenate([_block_rows(b, n, size) for b in blocks], axis=1)
 
 
 def _sample_v(images: np.ndarray, parity: str, rng) -> np.ndarray:
@@ -176,11 +178,11 @@ def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
         return tuple(_sample_block(algebra, spec, rng) for spec in blocks)
 
     built = draw()
-    fmap = FeatureMap(queries, assemble_rows(built, queries))
+    fmap = FeatureMap(queries, assemble_rows(built, algebra))
     redrawn = not check_slp(fmap, families).passed
     if redrawn:
         built = draw()
-        fmap = FeatureMap(queries, assemble_rows(built, queries))
+        fmap = FeatureMap(queries, assemble_rows(built, algebra))
     return FactorizedMap(algebra, built, fmap, redrawn)
 
 
@@ -191,11 +193,10 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
     -v(r) is checked per term as one array identity, and failures are
     located by (block, term, relation).
     """
-    queries = f.feature_map.queries
-    rebuilt = assemble_rows(f.blocks, queries)
-    rows_equal = np.array_equal(rebuilt, f.feature_map.matrix)
-    row_dev = float(np.max(np.abs(rebuilt - f.feature_map.matrix))) \
-        if rebuilt.size else 0.0
+    rebuilt = assemble_rows(f.blocks, f.algebra)
+    rows = grid_rows(f.feature_map, f.algebra)
+    rows_equal = np.array_equal(rebuilt, rows)
+    row_dev = float(np.max(np.abs(rebuilt - rows))) if rebuilt.size else 0.0
     neg = relation_images(f.algebra)[1]
     sign_faults = []
     for bi, block in enumerate(f.blocks):
@@ -232,6 +233,21 @@ def involution_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if dev > numerics.PROJECTOR_TOL:
         raise ValueError(f"matrix is not an involution (deviation {dev})")
     return (eye + mat) / 2.0, (eye - mat) / 2.0
+
+
+def involution_dims(perm: np.ndarray) -> tuple[int, int]:
+    """Dims (plus, minus) of the +-1 eigenspaces of an involution that
+    permutes a basis, given as its index permutation.
+
+    Each fixed point spans a +1 eigenvector and each swapped pair one +1 and
+    one -1, so the dims are the traces (len +- fixed) / 2 of (I +- M)/2.
+    """
+    perm = np.asarray(perm)
+    ids = np.arange(len(perm))
+    if not np.array_equal(perm[perm], ids):
+        raise ValueError("permutation is not an involution")
+    fixed = int(np.count_nonzero(perm == ids))
+    return (len(perm) + fixed) // 2, (len(perm) - fixed) // 2
 
 
 @dataclass(frozen=True)
@@ -341,48 +357,6 @@ def relation_sign_representation(algebra: RelationAlgebra) -> list[np.ndarray]:
             characters.permutation_matrix(algebra.negation)]
 
 
-def pair_swap_matrix(n: int) -> np.ndarray:
-    """The involution e_(h,t) -> e_(t,h) on the pair space."""
-    return characters.permutation_matrix(
-        tuple(t * n + h for h in range(n) for t in range(n)))
-
-
-def relation_converse_matrix(algebra: RelationAlgebra) -> np.ndarray:
-    """The involution e_r -> e_(conv r) on the relation space."""
-    return characters.permutation_matrix(algebra.converse_)
-
-
-@dataclass(frozen=True)
-class ParityInvolution:
-    """Pair-swap and relation-converse involutions with their eigensplits."""
-
-    pair_swap: np.ndarray
-    rel_converse: np.ndarray
-    pair_plus: np.ndarray
-    pair_minus: np.ndarray
-    rel_plus: np.ndarray
-    rel_minus: np.ndarray
-
-    @property
-    def pair_dims(self) -> tuple[int, int]:
-        return (numerics.projector_trace_dim(self.pair_plus),
-                numerics.projector_trace_dim(self.pair_minus))
-
-    @property
-    def rel_dims(self) -> tuple[int, int]:
-        return (numerics.projector_trace_dim(self.rel_plus),
-                numerics.projector_trace_dim(self.rel_minus))
-
-
-def parity_involution(algebra: RelationAlgebra) -> ParityInvolution:
-    n = algebra.entity_set.n
-    swap = pair_swap_matrix(n)
-    conv = relation_converse_matrix(algebra)
-    sp, sm = involution_split(swap)
-    cp, cm = involution_split(conv)
-    return ParityInvolution(swap, conv, sp, sm, cp, cm)
-
-
 @dataclass(frozen=True)
 class ParityTermPair:
     plus: Term
@@ -431,7 +405,7 @@ def parity_decompose(f: FactorizedMap,
                                         Term(u_minus, v_minus, "-")))
             cross_terms += [Term(u_plus, v_minus), Term(u_minus, v_plus)]
         cross = _block_rows(TensorBlock(block.context_dim, tuple(cross_terms)),
-                            fmap.queries)
+                            algebra.entity_set.n, algebra.size)
         if cross.size:
             max_cross = max(max_cross, float(np.max(np.abs(cross))))
         blocks_out.append(tuple(pairs))

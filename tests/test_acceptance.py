@@ -17,8 +17,8 @@ from slplab.conjunction import (check_kernel_stability, collapse_certificate,
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock, assemble_rows,
                               build_slp_map, hom_dimension_check,
-                              isotypic_decompose, pair_space_representation,
-                              parity_decompose, parity_involution,
+                              involution_dims, isotypic_decompose,
+                              pair_space_representation, parity_decompose,
                               relation_sign_representation,
                               verify_factorized_form)
 from slplab.featspace import (FeatureMap, check_logical_equivariance,
@@ -113,7 +113,7 @@ def test_criterion_03_twenty_builds_and_sign_fault():
     bad_block = TensorBlock(block.context_dim,
                             (Term(term.u, v_bad, term.parity),)
                             + block.terms[1:])
-    rows = assemble_rows((bad_block,), built.feature_map.queries)
+    rows = assemble_rows((bad_block,), algebra)
     broken = FactorizedMap(algebra, (bad_block,),
                            FeatureMap(built.feature_map.queries, rows))
     report = verify_factorized_form(broken)
@@ -157,8 +157,8 @@ def test_criterion_05_isotypic_projector_properties():
                     props["completeness_on_span"], props["commutation"])
         assert worst <= 1e-8, (n, props)
         worsts.append(worst)
-    two_entity = seeded_algebra(2, 1, 0)
-    assert parity_involution(two_entity).pair_dims == (3, 1)
+    # the (h, t) -> (t, h) swap on the 2-entity pair space, as an index map
+    assert involution_dims(np.arange(4).reshape(2, 2).T.ravel()) == (3, 1)
     record(5, f"projector properties within {max(worsts):.2e} <= 1e-8 at "
               f"|E| in {{2,3,4}}; n=2 pair split dims (3,1)")
 
@@ -171,12 +171,11 @@ def test_criterion_06_parity_exactness_and_fault():
                               [BlockSpec(len(families), 1, parity)], 6)
         decomp = parity_decompose(built, tol=0.0)  # raises unless exact
         assert decomp.max_cross_residual == 0.0
-        queries = built.feature_map.queries
         for original_block, pairs in zip(built.blocks, decomp.blocks):
             terms = tuple(t for pair in pairs for t in (pair.plus, pair.minus))
             rebuilt = assemble_rows((TensorBlock(original_block.context_dim,
-                                                 terms),), queries)
-            original = assemble_rows((original_block,), queries)
+                                                 terms),), algebra)
+            original = assemble_rows((original_block,), algebra)
             assert np.array_equal(rebuilt, original)
     rng = np.random.default_rng(2)
     raw = rng.uniform(-1.0, 1.0, size=(3, 3, 2))
@@ -189,7 +188,7 @@ def test_criterion_06_parity_exactness_and_fault():
     queries = enumerate_queries(algebra)
     mismatched = FactorizedMap(
         algebra, (block,),
-        FeatureMap(queries, assemble_rows((block,), queries)))
+        FeatureMap(queries, assemble_rows((block,), algebra)))
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0

@@ -11,15 +11,13 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
                               assemble_rows, build_slp_map,
                               character_hom_dim, commutant_hom_dimension,
-                              hom_dimension_check, involution_split,
-                              isotypic_decompose, negation_split,
-                              pair_space_representation, pair_swap_matrix,
-                              parity_decompose, parity_involution,
-                              relation_converse_matrix,
-                              relation_sign_representation,
+                              hom_dimension_check, involution_dims,
+                              involution_split, isotypic_decompose,
+                              negation_split, pair_space_representation,
+                              parity_decompose, relation_sign_representation,
                               verify_factorized_form)
 from slplab.featspace import FeatureMap, check_slp, lift_renaming
-from slplab.numerics import PROJECTOR_TOL, rank
+from slplab.numerics import PROJECTOR_TOL, projector_trace_dim, rank
 from slplab.queryspace import (GroupElementH, Query, compute_families,
                                enumerate_queries, relation_images,
                                symmetric_group)
@@ -51,7 +49,7 @@ def test_injected_sign_fault_located(algebra_3):
     bad_term = Term(term.u, v_bad, term.parity)
     bad_block = TensorBlock(block.context_dim,
                             (bad_term,) + block.terms[1:])
-    rows = assemble_rows((bad_block,), built.feature_map.queries)
+    rows = assemble_rows((bad_block,), algebra_3)
     broken = FactorizedMap(algebra_3, (bad_block,),
                            FeatureMap(built.feature_map.queries, rows))
     report = verify_factorized_form(broken)
@@ -90,9 +88,9 @@ def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
                 v[r] += delta
             terms.append(Term(term.u, v, term.parity))
         blocks.append(TensorBlock(block.context_dim, tuple(terms)))
-    queries = built.feature_map.queries
+    rows = assemble_rows(blocks, algebra_3x2)
     broken = FactorizedMap(algebra_3x2, tuple(blocks),
-                           FeatureMap(queries, assemble_rows(blocks, queries)))
+                           FeatureMap(built.feature_map.queries, rows))
     report = verify_factorized_form(broken)
     expected = per_relation_sign_faults(blocks, algebra_3x2)
     assert report.details["sign_faults"] == expected
@@ -161,8 +159,80 @@ def test_rows_recomputed_exactly_multi_block(algebra_3):
     built = build_slp_map(algebra_3, [BlockSpec(4, 2, None),
                                       BlockSpec(3, 1, "+")], seed=5)
     assert verify_factorized_form(built).passed
-    rebuilt = assemble_rows(built.blocks, built.feature_map.queries)
+    rebuilt = assemble_rows(built.blocks, algebra_3)
     assert np.array_equal(rebuilt, built.feature_map.matrix)
+
+
+def gathered_block_rows(block, queries):
+    """Reference: the block gathered through per-query index arrays, term by
+    term in order, as rows were assembled before the grid form."""
+    heads, rels, tails = np.array(queries, dtype=int).reshape(-1, 3).T
+    acc = np.zeros((len(queries), block.context_dim))
+    for term in block.terms:
+        acc += term.u[heads, tails, :] * term.v[rels][:, None]
+    return acc
+
+
+def grid_block_rows(block, algebra):
+    return factorize._block_rows(block, algebra.entity_set.n, algebra.size)
+
+
+def cross_block(pairs, context_dim):
+    """The cross-parity terms of one block, in `parity_decompose` order."""
+    return TensorBlock(context_dim, tuple(
+        t for p in pairs for t in (Term(p.plus.u, p.minus.v),
+                                   Term(p.minus.u, p.plus.v))))
+
+
+@pytest.mark.parametrize("parity", ["+", "-", None])
+def test_grid_rows_equal_the_query_gather_bitwise(parity):
+    checked = 0
+    for seed, algebra in enumerate(algebras_with_symmetric_relations(20, 3)):
+        queries = enumerate_queries(algebra)
+        built = build_slp_map(algebra, [BlockSpec(3, 2, parity),
+                                        BlockSpec(2, 1, parity)], seed)
+        for block in built.blocks:
+            assert grid_block_rows(block, algebra).tobytes() == \
+                gathered_block_rows(block, queries).tobytes()
+            checked += 1
+        assert assemble_rows(built.blocks, algebra).tobytes() == \
+            np.concatenate([gathered_block_rows(b, queries)
+                            for b in built.blocks], axis=1).tobytes()
+    assert checked == 40
+
+
+def test_grid_rows_of_an_empty_block_and_a_cross_block(algebra_3x2):
+    queries = enumerate_queries(algebra_3x2)
+    empty = TensorBlock(4, ())
+    assert grid_block_rows(empty, algebra_3x2).tobytes() == \
+        gathered_block_rows(empty, queries).tobytes()
+    for seed in range(4):
+        mismatched = mismatched_map(algebra_3x2, seed)
+        decomp = parity_decompose(mismatched, tol=np.inf)
+        cross = cross_block(decomp.blocks[0], 3)
+        rows = grid_block_rows(cross, algebra_3x2)
+        assert rows.tobytes() == gathered_block_rows(cross, queries).tobytes()
+        assert decomp.max_cross_residual == float(np.max(np.abs(rows)))
+
+
+def test_oversized_factors_fail_the_form_audit(algebra_3):
+    """A u over n + 1 entities and a v one relation too long are read on
+    the grid's corner, as the gather read them, and flagged, not raised."""
+    built = build(algebra_3, 9, 0)
+    term = built.blocks[0].terms[0]
+    u_big = np.zeros((4, 4, 9))
+    u_big[:3, :3] = term.u
+    v_long = np.append(term.v, 0.5)
+    block = TensorBlock(9, (Term(u_big, v_long, term.parity),)
+                        + built.blocks[0].terms[1:])
+    queries = built.feature_map.queries
+    rows = assemble_rows((block,), algebra_3)
+    assert rows.tobytes() == gathered_block_rows(block, queries).tobytes()
+    oversized = FactorizedMap(algebra_3, (block,), FeatureMap(queries, rows))
+    report = verify_factorized_form(oversized)
+    assert report.details["dims_consistent"] is False
+    assert report.details["rows_exact"] is True
+    assert report.passed is False
 
 
 def test_term_validation():
@@ -293,6 +363,22 @@ def test_pair_space_rep_is_permutation_homomorphism():
             assert np.array_equal(table[p] @ table[q], table[composed])
 
 
+def pair_swap_matrix(n):
+    """Reference: the involution e_(h,t) -> e_(t,h) on the pair space."""
+    return characters.permutation_matrix(
+        tuple(t * n + h for h in range(n) for t in range(n)))
+
+
+def relation_converse_matrix(algebra):
+    """Reference: the involution e_r -> e_(conv r) on the relation space."""
+    return characters.permutation_matrix(algebra.converse_)
+
+
+def pair_swap_perm(n):
+    """The pair swap as the index permutation the parity command reads."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
+
+
 def test_permutation_matrices_equal_the_entrywise_construction():
     # reference: each 0/1 matrix written entry by entry from its definition
     rng = np.random.default_rng(17)
@@ -307,6 +393,8 @@ def test_permutation_matrices_equal_the_entrywise_construction():
         for h, t in itertools.product(range(n), repeat=2):
             ref[t * n + h, h * n + t] = 1.0
         assert np.array_equal(pair_swap_matrix(n), ref)
+        assert np.array_equal(
+            characters.permutation_matrix(tuple(pair_swap_perm(n))), ref)
         if n < 2:
             continue
         for n_rel in (1, 2):
@@ -326,11 +414,14 @@ def test_permutation_matrices_equal_the_entrywise_construction():
 
 # -------------------------------------------------------------- parity split
 
+def trace_dims(mat):
+    """Reference: the traces of the eigenprojectors (I +- M)/2."""
+    plus, minus = involution_split(mat)
+    return projector_trace_dim(plus), projector_trace_dim(minus)
+
+
 def test_pair_swap_split_dims_n2():
-    algebra = close_unary([Relation.from_pairs(EntitySet.of_size(2),
-                                               [(0, 1)], "r0")])
-    inv = parity_involution(algebra)
-    assert inv.pair_dims == (3, 1)
+    assert involution_dims(pair_swap_perm(2)) == (3, 1)
 
 
 @pytest.mark.parametrize("n,expected", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
@@ -338,35 +429,62 @@ def test_pair_swap_split_dims_formula(n, expected):
     # (I +- swap)/2 project onto symmetric/antisymmetric pair combinations
     algebra = close_unary([Relation.from_pairs(EntitySet.of_size(n),
                                                [(0, 1)], "r0")])
-    inv = parity_involution(algebra)
-    assert inv.pair_dims == expected
-    assert inv.pair_dims == (n * (n + 1) // 2, n * (n - 1) // 2)
-    assert sum(inv.rel_dims) == algebra.size
-    # the trace reads the same dimensions as a rank decision
-    assert inv.pair_dims == (rank(inv.pair_plus), rank(inv.pair_minus))
-    assert inv.rel_dims == (rank(inv.rel_plus), rank(inv.rel_minus))
+    pair_dims = involution_dims(pair_swap_perm(n))
+    rel_dims = involution_dims(relation_images(algebra)[2])
+    assert pair_dims == expected
+    assert pair_dims == (n * (n + 1) // 2, n * (n - 1) // 2)
+    assert sum(rel_dims) == algebra.size
+    # the count reads the same dimensions as a rank decision
+    plus, minus = involution_split(pair_swap_matrix(n))
+    assert pair_dims == (rank(plus), rank(minus))
+    plus, minus = involution_split(relation_converse_matrix(algebra))
+    assert rel_dims == (rank(plus), rank(minus))
+
+
+def test_involution_dims_equal_the_projector_trace_dims():
+    for n in range(1, 7):
+        assert involution_dims(pair_swap_perm(n)) == \
+            trace_dims(pair_swap_matrix(n))
+    fixed = 0
+    for algebra in algebras_with_symmetric_relations(40, 11):
+        conv = relation_images(algebra)[2]
+        fixed += int(np.sum(conv == np.arange(algebra.size)))
+        assert involution_dims(conv) == \
+            trace_dims(relation_converse_matrix(algebra))
+    # symmetric base relations give the converse fixed points
+    assert fixed > 0
+
+
+def test_involution_dims_reject_a_non_involution():
+    for perm in ([1, 2, 0], [0, 0], [1, 0, 3, 4, 2]):
+        with pytest.raises(ValueError):
+            involution_dims(np.array(perm))
+    assert involution_dims(np.array([], dtype=int)) == (0, 0)
 
 
 def test_swap_and_converse_matrices_are_involutions():
     for n in (2, 3):
         swap = pair_swap_matrix(n)
         assert np.array_equal(swap @ swap, np.eye(n * n))
+        assert np.array_equal(pair_swap_perm(n)[pair_swap_perm(n)],
+                              np.arange(n * n))
     algebra = close_unary([Relation.from_pairs(EntitySet.of_size(3),
                                                [(0, 1), (1, 2)], "r0")])
     conv = relation_converse_matrix(algebra)
     assert np.array_equal(conv @ conv, np.eye(algebra.size))
+    images = relation_images(algebra)[2]
+    assert np.array_equal(images[images], np.arange(algebra.size))
 
 
 def test_parity_decompose_round_trip(algebra_3):
     built = build(algebra_3, 9, 3)
     decomp = parity_decompose(built)
     assert decomp.max_cross_residual == 0.0
-    queries = built.feature_map.queries
     for original_block, pairs in zip(built.blocks, decomp.blocks):
         terms = tuple(t for pair in pairs for t in (pair.plus, pair.minus))
         rebuilt_block = TensorBlock(original_block.context_dim, terms)
-        rebuilt = assemble_rows((rebuilt_block,), queries)
-        original = assemble_rows((original_block,), queries)
+        rebuilt = assemble_rows((rebuilt_block,), algebra_3)
+        original = assemble_rows((original_block,), algebra_3)
         assert np.max(np.abs(rebuilt - original)) <= 1e-12
         for pair in pairs:
             assert np.array_equal(pair.plus.u, pair.plus.u.transpose(1, 0, 2))
@@ -387,7 +505,7 @@ def test_mismatched_parity_term_raises(algebra_3):
     term = Term(u_antisym, v)
     block = TensorBlock(4, (term,))
     queries = enumerate_queries(algebra_3)
-    fmap = FeatureMap(queries, assemble_rows((block,), queries))
+    fmap = FeatureMap(queries, assemble_rows((block,), algebra_3))
     mismatched = FactorizedMap(algebra_3, (block,), fmap)
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
@@ -413,7 +531,7 @@ def mismatched_map(algebra, seed):
                   Term(raw, rng.uniform(-1.0, 1.0, algebra.size))]
     block = TensorBlock(3, tuple(terms))
     queries = enumerate_queries(algebra)
-    fmap = FeatureMap(queries, assemble_rows((block,), queries))
+    fmap = FeatureMap(queries, assemble_rows((block,), algebra))
     return FactorizedMap(algebra, (block,), fmap)
 
 

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _build_cells, _closure_queries, _collapse_cells,
                         _families_cells, _fit_cells, _gradlab_cells,
-                        _stability_cells, _term_cells, build_parser, main)
+                        _laws_cells, _stability_cells, _term_cells,
+                        build_parser, main)
 from slplab.conjunction import PAIR_BLOCK
 from slplab.reports import Report, emit_report, parse_report, render_report
 
@@ -205,6 +206,14 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--out", str(out_path)),
         ("isotypic", "--context-dim", "0", "--out", str(out_path)),
         ("relalg-laws", "--pairs", "-5", "--out", str(out_path)),
+        # the first relalg-laws sizes over the cell budget: 10^10 bits per
+        # relation, 10^12 pairs, and 32 entities at the default counts
+        ("relalg-laws", "--entities", "100000", "--pairs", "1",
+         "--triples", "1", "--out", str(out_path)),
+        ("relalg-laws", "--pairs", str(10 ** 12), "--out", str(out_path)),
+        ("relalg-laws", "--entities", "32", "--out", str(out_path)),
+        # rejected at parse time, before the build
+        ("audit", "--family", "-1", "--out", str(out_path)),
         # both draws of r0 are empty at this density: a usage error
         ("families", "--entities", "2", "--density", "0.01",
          "--out", str(out_path)),
@@ -605,6 +614,20 @@ def test_collapse_cell_budget_admits_dim_406_at_one_atom():
     assert _collapse_cells(1, 407) > MAX_CELLS
     assert _collapse_cells(2 ** 22, 2) == 2 * 2 ** 22 * 3 <= MAX_CELLS
     assert _collapse_cells(2 ** 22, 3) == 2 * 2 ** 22 * 6 > MAX_CELLS
+
+
+def test_relalg_laws_cell_budget_admits_31_entities_at_the_defaults():
+    # never run: 32 entities at the default counts took about a minute
+    defaults = (10000, 1000)
+    assert _laws_cells(3, False, *defaults) == 9 * 33000 == 297000
+    assert _laws_cells(31, False, *defaults) == 961 * 33000 <= MAX_CELLS
+    assert _laws_cells(32, False, *defaults) > MAX_CELLS
+    # --exhaustive holds all 2^(entities^2) relations: 4 entities, not 5
+    assert _laws_cells(4, True, *defaults) == 16 * (2 ** 16 + 23000)
+    assert _laws_cells(5, True, 0, 0) == 25 * 2 ** 25 > MAX_CELLS
+    assert _laws_cells(10 ** 5, True, 1, 1) > MAX_CELLS
+    assert _laws_cells(10 ** 5, False, 1, 1) == 6 * 10 ** 10 > MAX_CELLS
+    assert _laws_cells(1, False, 10 ** 12, 0) > MAX_CELLS
 
 
 def test_build_and_families_cell_budget_bound_the_closure():
