@@ -137,13 +137,13 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # ---------------------------------------------------------------- cell budget
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
-# 268 MB.  It admits kernel-stability and fit-bilinear at 6 atoms and 8
-# worlds, collapse up to --dim 406 at 1 atom, default-width builds at
-# 32 entities and families at 128 entities (both at 2 relations); larger
-# sizes exit 2 before any draw or other work.  It also bounds the Python
-# objects of a closure's queries and of a build's raw samples, the terms a
-# build keeps, all of them together, and the work of kernel-stability and
-# of fit-bilinear's pair walk.
+# 268 MB.  It admits kernel-stability at 8 atoms and fit-bilinear at 6
+# atoms, both at 8 worlds, collapse up to --dim 406 at 1 atom,
+# default-width builds at 32 entities and families at 128 entities (both at
+# 2 relations); larger sizes exit 2 before any draw or other work.  It also
+# bounds the Python objects of a closure's queries and of a build's raw
+# samples, the terms a build keeps, all of them together, and the work of
+# kernel-stability's generator gathers and of fit-bilinear's pair walk.
 MAX_CELLS = 1 << 25
 
 
@@ -233,7 +233,7 @@ def _build(args: argparse.Namespace, seed: int, parser):
         terms = max(1, -(-len(families) // args.entities ** 2))
     parity = None if args.parity == "both" else args.parity
     spec = BlockSpec(context_dim, terms, parity)
-    built = build_slp_map(algebra, [spec], seed)
+    built = build_slp_map(algebra, [spec], seed, families)
     return algebra, families, built
 
 
@@ -410,11 +410,11 @@ def _support_size(atoms: int) -> int:
 
 
 def _stability_cells(atoms: int, worlds: int) -> int:
-    """Work, not an array: N contexts each gather N feature rows, or one
-    N x worlds gather if larger.  No array the check builds is larger than
-    the N x worlds features and the 2^(2 atoms) = N + 1-entry image table."""
+    """Work: the full closure's 2 atoms generator contexts each gather the
+    N x worlds features.  Its arrays are no larger: the features, one
+    gather, and the 2^(2 atoms) = N + 1-entry image table."""
     n = _support_size(atoms)
-    return n * max(n, worlds)
+    return max(2 * atoms * n * worlds, n + 1)
 
 
 def _fit_cells(atoms: int, worlds: int) -> int:
@@ -713,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "conjunction kernel stability on a worlds model",
                    size=(_stability_cells, ("atoms", "worlds")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 6: N contexts times N gathered rows, of "
-                          "N = 4^atoms - 1 compounds, must fit in "
-                          f"{MAX_CELLS} cells")
+                     help="at most 8 at 8 worlds: 2 atoms gathers of the "
+                          "N x worlds features, of N = 4^atoms - 1 compounds, "
+                          f"must fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
 

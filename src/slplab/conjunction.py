@@ -6,27 +6,31 @@ of literal sets (associative, commutative, and idempotent, so p AND p
 normalizes to p), and negation flips the sign of one literal, so double
 negation is eliminated.  Negation applies to literals only, so the closure
 of a set of atoms is every nonempty set of its literals and stabilizes at
-depth 2.  Inside a check, each literal of the support gets one bit, and the
+depth 2.  Inside a check, a support is an int64 code array: each literal
+gets one bit, a compound's code is the OR of its literals' bits, and the
 image of a pair is the support element whose code is the OR of theirs.
+`Compound` objects are decoded from the codes only for names in a report.
 
 Conjunction with a context is well defined on features only if it maps the
 kernel of the support -> feature map into itself, i.e. if the substituted
 feature matrix keeps its columns in the span of the feature matrix's
-columns (`check_kernel_stability`).  Then it is a symmetric bilinear
-operator F with F(feature(p), feature(q)) = feature(p AND q) on realized
-pairs.  Fitting F is a linear least-squares problem; idempotence makes
-F(u, u) = u for every literal feature u, and if negation also flips feature
-signs then F(u, u) must simultaneously equal u and -u, which is impossible
-unless u = 0.  The collapse certificate measures exactly that obstruction:
-the minimum total squared violation is 2 * sum of squared feature norms,
-attained at F = 0.  A possible-worlds assignment (0/1 truth values per
-world, conjunction = elementwise product, negation = 1 - x) satisfies
-consistency without sign equivariance and keeps the feasible regime honest.
+columns (`check_kernel_stability`).  Substitutions compose as unions,
+S_{c OR c'} = S_{c'} S_c, so the check gathers only the generator contexts,
+the union-irreducible ones, which on a full closure are the 2k literals.
+Then conjunction is a symmetric bilinear operator F with
+F(feature(p), feature(q)) = feature(p AND q) on realized pairs.  Fitting F
+is a linear least-squares problem; idempotence makes F(u, u) = u for every
+literal feature u, and if negation also flips feature signs then F(u, u)
+must simultaneously equal u and -u, which is impossible unless u = 0.  The
+collapse certificate measures exactly that obstruction: the minimum total
+squared violation is 2 * sum of squared feature norms, attained at F = 0.
+A possible-worlds assignment (0/1 truth values per world, conjunction =
+elementwise product, negation = 1 - x) satisfies consistency without sign
+equivariance and keeps the feasible regime honest.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -72,23 +76,46 @@ def conj(*items: Compound) -> Compound:
     return Compound(len(literals) > 1, literals)
 
 
-def close_conjunction(atoms: Sequence[Query], depth: int = 2) -> tuple[Compound, ...]:
-    """Normal-form closure of the atoms under negation and conjunction.
-
-    Level 1 holds the literals (atoms and negated atoms); level 2 holds all
-    conjunctions of two or more distinct literals.  Because a conjunction of
-    conjunctions is again a literal set, any depth bound >= 2 closes to the
-    same set; the bound is still honored literally for depth 1.
-    """
+def closure_codes(n_literals: int, depth: int = 2) -> np.ndarray:
+    """Codes of the closure over literal bits 0 .. n_literals - 1, in
+    `Compound` order: the literal bits, then, from depth 2 on, every code of
+    two or more bits in lexicographic order of its bit indices.  A
+    conjunction of conjunctions is again a literal set, so any depth bound
+    >= 2 closes to the same codes; depth 1 keeps the literals only."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    literals = sorted({(negated, q) for q in atoms for negated in (False, True)})
-    out = [Compound(False, (lit,)) for lit in literals]
-    if depth >= 2:
-        out += [Compound(True, combo) for size in range(2, len(literals) + 1)
-                for combo in itertools.combinations(literals, size)]
-    out.sort()
-    return tuple(out)
+    literal_bits = np.left_shift(1, np.arange(n_literals, dtype=np.int64))
+    if depth < 2:
+        return literal_bits
+    # the nonempty subsets of bits b.. in lexicographic order: {b}, then {b}
+    # joined to each subset of bits b+1.., then the subsets of bits b+1..
+    subsets = np.zeros(0, dtype=np.int64)
+    for bit in literal_bits[::-1]:
+        subsets = np.concatenate([[bit], bit | subsets, subsets])
+    return np.concatenate([literal_bits,
+                           subsets[(subsets & (subsets - 1)) != 0]])
+
+
+def _literals(atoms: Sequence[Query]) -> tuple[tuple[bool, Query], ...]:
+    """The atoms' literals, sorted: bit i of a code names entry i."""
+    return tuple(sorted({(negated, q) for q in atoms
+                         for negated in (False, True)}))
+
+
+def _decode(literals: Sequence[tuple[bool, Query]], code: int) -> Compound:
+    found = tuple(lit for i, lit in enumerate(literals) if code >> i & 1)
+    return Compound(len(found) > 1, found)
+
+
+def close_conjunction(atoms: Sequence[Query],
+                      depth: int = 2) -> tuple[Compound, ...]:
+    """Normal-form closure of the atoms under negation and conjunction,
+    decoded from `closure_codes`: level 1 holds the literals (atoms and
+    negated atoms), level 2 all conjunctions of two or more distinct
+    literals."""
+    literals = _literals(atoms)
+    return tuple(_decode(literals, code)
+                 for code in closure_codes(len(literals), depth).tolist())
 
 
 def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
@@ -106,15 +133,31 @@ def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
     return conj(atom(Query(head, rel_r, b)), atom(Query(b, rel_s, tail))), 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjFeatureAssignment:
-    """Feature vectors over a finite set of normal-form compounds."""
+    """Feature rows over a support of normal-form compounds, held as codes.
 
-    features: dict
-    dim: int
+    Entry i of the sorted `literals` names bit i of a code.  `codes` holds
+    one int64 per support element in `Compound` order, and row i of `rows`
+    is element i's feature vector; `rows` is made read-only, since
+    `matrix()` hands it out uncopied.  Compounds are decoded from the codes
+    only where a name is read: `order`, `compound` and `features`.
+    """
+
+    literals: tuple[tuple[bool, Query], ...]
+    codes: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.codes):
+            raise ValueError("empty assignment")
+        if len(self.literals) > 25:
+            raise ValueError("a support holds at most 25 distinct literals")
+        self.rows.flags.writeable = False
 
     @classmethod
     def build(cls, features: Mapping) -> "ConjFeatureAssignment":
+        """The assignment of a hand-built {Compound: vector} support."""
         if not features:
             raise ValueError("empty assignment")
         dims = {np.asarray(v).shape for v in features.values()}
@@ -124,21 +167,29 @@ class ConjFeatureAssignment:
         for k, v in clean.items():
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite feature for {k}")
-        if len({lit for x in clean for lit in x.literals}) > 25:
-            raise ValueError("a support holds at most 25 distinct literals")
-        return cls(clean, next(iter(dims))[0])
+        order = sorted(clean)
+        literals = tuple(sorted({lit for x in order for lit in x.literals}))
+        bits = {lit: 1 << i for i, lit in enumerate(literals)}
+        codes = np.array([sum(bits[lit] for lit in x.literals) for x in order],
+                         dtype=np.int64)
+        return cls(literals, codes, np.stack([clean[x] for x in order]))
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    def compound(self, i: int) -> Compound:
+        """Support element i, decoded from its code."""
+        return _decode(self.literals, int(self.codes[i]))
 
     @cached_property
     def order(self) -> tuple[Compound, ...]:
-        return tuple(sorted(self.features))
+        return tuple(_decode(self.literals, code)
+                     for code in self.codes.tolist())
 
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """One int64 per support element, the OR of one bit per literal."""
-        literals = sorted({lit for x in self.order for lit in x.literals})
-        bits = {lit: 1 << i for i, lit in enumerate(literals)}
-        return np.array([sum(bits[lit] for lit in x.literals)
-                         for x in self.order], dtype=np.int64)
+    @property
+    def features(self) -> Mapping:
+        return _Features(self)
 
     @cached_property
     def lookup(self) -> np.ndarray:
@@ -149,15 +200,88 @@ class ConjFeatureAssignment:
         return table
 
     def matrix(self) -> np.ndarray:
-        return np.stack([self.features[p] for p in self.order])
+        return self.rows
+
+
+class _Features(Mapping):
+    """Compound -> feature row, read through the codes: its len() decodes
+    nothing, and a lookup encodes one compound."""
+
+    def __init__(self, assignment: ConjFeatureAssignment):
+        self._assignment = assignment
+
+    def __len__(self) -> int:
+        return len(self._assignment.codes)
+
+    def __iter__(self):
+        return iter(self._assignment.order)
+
+    def __getitem__(self, x: Compound) -> np.ndarray:
+        literals = self._assignment.literals
+        try:
+            code = sum(1 << literals.index(lit) for lit in x.literals)
+        except ValueError:  # a literal outside the support
+            raise KeyError(x) from None
+        position = int(self._assignment.lookup[code])
+        if position < 0:
+            raise KeyError(x)
+        return self._assignment.rows[position]
+
+
+# Cells per block of a support-row walk (one row at least, if a row holds
+# more): the walks' arrays are at most this many entries long.
+PAIR_BLOCK = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row ranges of an n_rows x n_cols table, PAIR_BLOCK cells
+    at a time."""
+    step = max(1, PAIR_BLOCK // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield np.arange(start, min(start + step, n_rows))
+
+
+def _stability_contexts(assignment: ConjFeatureAssignment
+                        ) -> tuple[np.ndarray, int, int]:
+    """(generators, admissible contexts, pairs skipped) of a support.
+
+    A context is admissible when every support element's image stays in the
+    support; a pair is skipped when its image does not.  The generators are
+    the union-irreducible admissible contexts, in support order: those that
+    are not the union of the admissible contexts strictly inside them.  A
+    full closure, which holds every nonempty set of its literals, admits
+    every context and skips no pair, and its generators are its literals.
+    Any other support counts its skipped pairs in a walk over blocks of
+    support rows, then compares each admissible context with the union of
+    those strictly inside it, again in blocks.
+    """
+    codes = assignment.codes
+    n = len(codes)
+    if n == (1 << len(assignment.literals)) - 1:
+        return np.flatnonzero((codes & (codes - 1)) == 0), n, 0
+    admissible, skipped = [], 0
+    for rows in _row_blocks(n, n):
+        images = assignment.lookup[codes[rows, None] | codes]
+        missing = np.count_nonzero(images < 0, axis=1)
+        admissible.append(rows[missing == 0])
+        skipped += int(missing.sum())
+    admissible = np.concatenate(admissible)
+    inside = codes[admissible]
+    reducible = np.zeros(len(inside), dtype=bool)
+    for rows in _row_blocks(len(inside), len(inside)):
+        own = inside[rows, None]
+        below = ((inside & ~own) == 0) & (inside != own)
+        union = np.bitwise_or.reduce(np.where(below, inside, 0), axis=1)
+        reducible[rows] = union == own[:, 0]
+    return admissible[~reducible], len(inside), skipped
 
 
 def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     """Conjunction-with-a-context must map the kernel into the kernel.
 
-    Every support element serves as a context.  For context c, the
-    substitution operator S_c sends the unit vector of p to the unit vector
-    of normalize(p AND c).  A context is skipped when any support element's
+    Every support element is a context.  For context c, the substitution
+    operator S_c sends the unit vector of p to the unit vector of
+    normalize(p AND c).  A context is skipped when any support element's
     image leaves the truncated support (the skip is reported, never silently
     ignored).  The kernel of the support -> feature map is the orthogonal
     complement of col(matrix), so S_c preserves it exactly when every column
@@ -166,29 +290,39 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     kernel threshold rank_threshold(matrix.T), whose margin is `kernel_rank`;
     a context's deviation is the largest column norm of G - B (B.T G),
     compared with the span threshold rank_threshold(matrix).
-    `pairs_checked` counts kernel vectors times checked contexts.
+
+    Only the generators are gathered (`_stability_contexts`).  Conjunction
+    is the union of codes, so S_{c OR c'} = S_{c'} S_c on the admissible
+    contexts, and those contexts are closed under union: if S_c and S_{c'}
+    keep the kernel, so does their product.  Every element of a finite
+    lattice is a join of join-irreducibles, so in exact arithmetic the
+    generators decide every admissible context, and on a full closure there
+    are 2k of them, not 4^k - 1.  With a tolerance they decide it only up to
+    conditioning: a product's residual is bounded through the map's
+    conditioning alone, so a near-threshold map can pass on its generators
+    while a composite context's residual exceeds `tol`.  `max_deviation` and
+    `violations` are read on the generators (`generators_checked`);
+    `contexts_checked` counts the admissible contexts this decides, and
+    `pairs_checked` kernel vectors times those contexts.
     """
-    order = assignment.order
+    codes = assignment.codes
     matrix = assignment.matrix()
     spec = numerics.Spectrum(matrix)
     basis = spec.u[:, :spec.kernel_rank]
-    kernel_dim = len(order) - spec.kernel_rank
+    kernel_dim = len(codes) - spec.kernel_rank
     tol = spec.span_threshold
+    generators, contexts_checked, pairs_skipped = \
+        _stability_contexts(assignment)
     worst = 0.0
     violations = []
-    missing = []
-    for c, code in enumerate(assignment.codes):
-        images = assignment.lookup[assignment.codes | code]
-        missing.append(int(np.count_nonzero(images < 0)))
-        if missing[-1]:
-            continue
-        gathered = matrix[images]  # S_c applied as a row gather
+    for c in generators:
+        gathered = matrix[assignment.lookup[codes | codes[c]]]  # S_c, gathered
         outside = gathered - basis @ (basis.T @ gathered)
         dev = float(np.max(np.linalg.norm(outside, axis=0), initial=0.0))
         worst = max(worst, dev)
         if dev > tol:
-            violations.append({"context": repr(order[c]), "residual": dev})
-    contexts_checked = missing.count(0)
+            violations.append({"context": repr(assignment.compound(c)),
+                               "residual": dev})
     return Report(
         check="kernel_stability",
         passed=not violations,
@@ -196,8 +330,9 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
         details={"kernel_dim": kernel_dim,
                  "kernel_rank": spec.kernel_margin(),
                  "contexts_checked": contexts_checked,
-                 "contexts_skipped": len(order) - contexts_checked,
-                 "pairs_skipped": sum(missing),
+                 "contexts_skipped": len(codes) - contexts_checked,
+                 "generators_checked": len(generators),
+                 "pairs_skipped": pairs_skipped,
                  "pairs_checked": kernel_dim * contexts_checked,
                  "violations": violations, "tol": tol},
     )
@@ -245,11 +380,6 @@ class FitResult:
     worst_pair: tuple[Compound, Compound, Compound]
 
 
-# Candidate pairs per block of support rows (one row at least, if a row
-# holds more): the pair walk's arrays are at most this many pairs long.
-PAIR_BLOCK = 1 << 16
-
-
 def _pair_blocks(assignment: ConjFeatureAssignment):
     """Realized pairs a <= b with their images, in np.triu_indices order.
 
@@ -258,14 +388,12 @@ def _pair_blocks(assignment: ConjFeatureAssignment):
     """
     codes = assignment.codes
     n = len(codes)
-    step = max(1, PAIR_BLOCK // n)
     cols = np.arange(n)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
+    for rows in _row_blocks(n, n):
         images = assignment.lookup[codes[rows, None] | codes]
         aa, bb = np.nonzero((cols >= rows[:, None]) & (images >= 0))
         kk = images[aa, bb]
-        yield aa + start, bb, kk, int(np.sum(n - rows)) - len(kk)
+        yield aa + rows[0], bb, kk, int(np.sum(n - rows)) - len(kk)
 
 
 def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
@@ -294,7 +422,6 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     walk takes `max_residual` over every pair, not over group means, and
     `worst_pair` names the first pair (p, q, image) that reaches it.
     """
-    order = assignment.order
     matrix = assignment.matrix()
     d = assignment.dim
     values, row_id = np.unique(matrix, axis=0, return_inverse=True)
@@ -351,7 +478,7 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
         if residual[i] > max_residual:
             max_residual, worst = float(residual[i]), (aa[i], bb[i], kk[i])
     return FitResult(operator, max_residual, gap, n_constraints, skipped,
-                     len(gi), tuple(order[i] for i in worst))
+                     len(gi), tuple(assignment.compound(i) for i in worst))
 
 
 @dataclass(frozen=True)
@@ -417,18 +544,16 @@ def possible_worlds_assignment(n_atoms: int, n_worlds: int, seed: int,
 
     Conjunction is the elementwise product and negation is 1 - x, so the
     assignment is conjunction-consistent and kernel-stable but deliberately
-    not sign-equivariant.  Atoms are synthetic relation slots.
+    not sign-equivariant.  Atoms are synthetic relation slots.  The closure
+    is held as `closure_codes`, and each row is one product over the code's
+    literal bits (bit i is atom i, bit n_atoms + i its negation), exact for
+    0/1 truth values.
     """
     rng = np.random.default_rng(seed)
     atoms = tuple(Query(0, i, 0) for i in range(n_atoms))
     truth = rng.integers(0, 2, size=(n_atoms, n_worlds)).astype(float)
-
-    def evaluate(x: Compound) -> np.ndarray:
-        prod = np.ones(n_worlds)
-        for negated, q in x.literals:
-            prod = prod * (1.0 - truth[q.rel] if negated else truth[q.rel])
-        return prod
-
-    closure = close_conjunction(atoms, depth)
-    features = {p: evaluate(p) for p in closure}
-    return ConjFeatureAssignment.build(features), atoms
+    codes = closure_codes(2 * n_atoms, depth)
+    rows = np.ones((len(codes), n_worlds))
+    for bit, value in enumerate(np.concatenate([truth, 1.0 - truth])):
+        rows[((codes >> bit) & 1).astype(bool)] *= value
+    return ConjFeatureAssignment(_literals(atoms), codes, rows), atoms

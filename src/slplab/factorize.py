@@ -35,7 +35,7 @@ import numpy as np
 from . import characters, numerics
 from .featspace import (FeatureMap, LiftedOperator, check_slp, grid_rows,
                         lift_renaming)
-from .queryspace import (GroupElementH, Query, compute_families,
+from .queryspace import (GroupElementH, LogicalFamily, Query,
                          enumerate_queries, logical_images, relation_images,
                          symmetric_group)
 from .relalg import RelationAlgebra
@@ -162,17 +162,18 @@ def _sample_block(algebra: RelationAlgebra, spec: BlockSpec, rng) -> TensorBlock
 
 
 def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
-                  seed: int) -> FactorizedMap:
+                  seed: int, families: Sequence[LogicalFamily]
+                  ) -> FactorizedMap:
     """Seeded generic build; one redraw on a measure-zero rank failure.
 
     The map is exactly logically equivariant by construction.  Whether it
     reaches full representative rank depends on the requested shape; a
     genuinely undersized shape will fail check_slp both times, and the
-    redrawn flag records that a second draw happened.
+    redrawn flag records that a second draw happened.  `families` must be
+    the partition `compute_families(algebra)`, which the caller holds.
     """
     rng = np.random.default_rng(seed)
     queries = enumerate_queries(algebra)
-    families = compute_families(algebra)
 
     def draw() -> tuple[TensorBlock, ...]:
         return tuple(_sample_block(algebra, spec, rng) for spec in blocks)

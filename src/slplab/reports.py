@@ -53,9 +53,15 @@ def _reject_nan(obj: Any, path: str = "$") -> None:
 
 
 def render_report(report: Report) -> str:
+    """The report's bytes; json.dumps refuses NaN and infinities itself, so
+    the walk that names their path runs only after it has refused."""
     doc = report.to_dict()
-    _reject_nan(doc)
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        _reject_nan(doc)
+        raise
+    return text + "\n"
 
 
 def emit_report(report: Report, path: str | Path) -> None:

@@ -99,13 +99,13 @@ def test_criterion_03_twenty_builds_and_sign_fault():
     # over 15 families needs a second term
     spec = [BlockSpec(len(families), 2, None)]
     for seed in range(20):
-        built = build_slp_map(algebra, spec, seed)
+        built = build_slp_map(algebra, spec, seed, families)
         equiv = check_logical_equivariance(built.feature_map, families,
                                            algebra)
         assert equiv.passed and equiv.max_deviation == 0.0
         rank = check_slp(built.feature_map, families)
         assert rank.passed and rank.details["rep_rank"] == len(families)
-    built = build_slp_map(algebra, spec, 0)
+    built = build_slp_map(algebra, spec, 0, families)
     block = built.blocks[0]
     term = block.terms[0]
     v_bad = term.v.copy()
@@ -127,7 +127,8 @@ def test_criterion_03_twenty_builds_and_sign_fault():
 def test_criterion_04_lift_homomorphism_and_negation_lift():
     algebra = seeded_algebra(3, 1, 0)
     families = compute_families(algebra)
-    built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], 4)
+    built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], 4,
+                          families)
     fmap = built.feature_map
     perms = symmetric_group(3)
     lifts = {p: lift_renaming(fmap, GroupElementH(p, 1), algebra)
@@ -151,7 +152,8 @@ def test_criterion_05_isotypic_projector_properties():
     for n in (2, 3, 4):
         algebra = seeded_algebra(n, 1, n)
         families = compute_families(algebra)
-        built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], n)
+        built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], n,
+                              families)
         _, props = isotypic_decompose(built)
         worst = max(props["idempotence"], props["annihilation"],
                     props["completeness_on_span"], props["commutation"])
@@ -168,7 +170,8 @@ def test_criterion_06_parity_exactness_and_fault():
     families = compute_families(algebra)
     for parity in ("+", "-", None):
         built = build_slp_map(algebra,
-                              [BlockSpec(len(families), 1, parity)], 6)
+                              [BlockSpec(len(families), 1, parity)], 6,
+                              families)
         decomp = parity_decompose(built, tol=0.0)  # raises unless exact
         assert decomp.max_cross_residual == 0.0
         for original_block, pairs in zip(built.blocks, decomp.blocks):

@@ -13,7 +13,8 @@ from slplab.cli import MAX_CELLS
 from slplab.conjunction import (BilinearOperator, Compound,
                                 ConjFeatureAssignment, _triangle_design,
                                 _triangle_tensor, atom,
-                                check_kernel_stability, close_conjunction, collapse_certificate, conj,
+                                check_kernel_stability, close_conjunction,
+                                closure_codes, collapse_certificate, conj,
                                 fit_bilinear, neg,
                                 possible_worlds_assignment,
                                 unique_witness_reduce)
@@ -132,6 +133,49 @@ def test_closure_order_at_two_atoms():
     closure = close_conjunction([b, a])
     assert [x.literals for x in closure] == expected
     assert [x.is_conj for x in closure] == [False] * 4 + [True] * 11
+
+
+def itertools_closure(atoms, depth=2):
+    """The closure built as Compound objects and sorted: the literals, then
+    from depth 2 on every combination of two or more of them."""
+    literals = sorted({(negated, q) for q in atoms
+                       for negated in (False, True)})
+    out = [Compound(False, (lit,)) for lit in literals]
+    if depth >= 2:
+        out += [Compound(True, combo) for size in range(2, len(literals) + 1)
+                for combo in itertools.combinations(literals, size)]
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_decoded_code_order_is_the_sorted_closure(k, depth):
+    # atoms out of order and on distinct slots: literal bits follow the
+    # sorted literals, not the argument order
+    atoms = [Query(k - i, 2 * i, 0) for i in range(k)]
+    expected = itertools_closure(atoms, depth)
+    assert close_conjunction(atoms, depth) == expected
+    assert len(closure_codes(2 * k, depth)) == len(expected)
+    if k:
+        assignment, _ = possible_worlds_assignment(k, 3, seed=k, depth=depth)
+        assert assignment.order == \
+            itertools_closure([Query(0, i, 0) for i in range(k)], depth)
+        assert [assignment.compound(i) for i in range(len(expected))] == \
+            list(assignment.order)
+
+
+def test_features_read_through_codes_without_decoding():
+    assignment, atoms = possible_worlds_assignment(3, 4, seed=2)
+    feats = assignment.features
+    assert len(feats) == 63 and "order" not in vars(assignment)
+    p, q = atom(atoms[0]), neg(atom(atoms[2]))
+    assert feats[conj(p, q)].tolist() == (feats[p] * feats[q]).tolist()
+    with pytest.raises(KeyError):
+        feats[atom(Query(0, 3, 0))]  # a literal outside the support
+    depth_one, _ = possible_worlds_assignment(3, 4, seed=2, depth=1)
+    assert conj(p, q) not in depth_one.features and p in depth_one.features
+    with pytest.raises(ValueError):
+        assignment.matrix()[0, 0] = 2.0  # rows are read-only
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -522,6 +566,10 @@ def test_span_check_matches_the_kernel_basis_witness(n_atoms, n_worlds):
     assert expected["passed"] and expected["kernel_dim"] > 0
 
 
+# violations on the generators, the closure's literal contexts, by row
+GENERATOR_VIOLATIONS = {2: 2, 0: 0, 3: 4, 9: 3, 36: 2}
+
+
 @pytest.mark.parametrize("n_atoms,n_worlds,row,n_violating", [
     (1, 1, 2, 3), (1, 2, 0, 0), (2, 3, 3, 7), (2, 4, 9, 7), (3, 4, 36, 3)])
 def test_span_check_matches_the_witness_on_a_perturbed_row(n_atoms, n_worlds,
@@ -533,8 +581,119 @@ def test_span_check_matches_the_witness_on_a_perturbed_row(n_atoms, n_worlds,
         0.5 * np.random.default_rng(row).standard_normal(n_worlds)
     perturbed = ConjFeatureAssignment.build(features)
     expected = kernel_basis_stability(perturbed)
-    assert span_stability(perturbed) == expected
     assert len(expected["violating"]) == n_violating
+    assert all_context_stability(perturbed)["violating"] == \
+        expected["violating"]
+    got = span_stability(perturbed)
+    violating = got.pop("violating")
+    assert got == {key: expected[key] for key in got}
+    # the generators decide the verdict; each violation they name is one
+    # of every context's
+    assert set(violating) <= set(expected["violating"])
+    assert len(violating) == GENERATOR_VIOLATIONS[row]
+
+
+def all_context_stability(assignment):
+    """The check over every context: each admissible context is gathered
+    and projected, and the skipped pairs are counted context by context."""
+    order = assignment.order
+    matrix = assignment.matrix()
+    spec = numerics.Spectrum(matrix)
+    basis = spec.u[:, :spec.kernel_rank]
+    tol = spec.span_threshold
+    worst, violating, missing = 0.0, [], []
+    for c, code in enumerate(assignment.codes):
+        images = assignment.lookup[assignment.codes | code]
+        missing.append(int(np.count_nonzero(images < 0)))
+        if missing[-1]:
+            continue
+        gathered = matrix[images]
+        outside = gathered - basis @ (basis.T @ gathered)
+        dev = float(np.max(np.linalg.norm(outside, axis=0), initial=0.0))
+        worst = max(worst, dev)
+        if dev > tol:
+            violating.append(repr(order[c]))
+    return {"passed": not violating, "max_deviation": worst,
+            "contexts_checked": missing.count(0),
+            "contexts_skipped": len(order) - missing.count(0),
+            "pairs_skipped": sum(missing), "violating": violating}
+
+
+def assert_decides_like_every_context(assignment):
+    report = check_kernel_stability(assignment)
+    expected = all_context_stability(assignment)
+    assert report.passed == expected["passed"]
+    if report.passed:
+        assert report.max_deviation == expected["max_deviation"]  # bitwise
+    else:
+        # the generators are a subset of the contexts
+        assert report.max_deviation <= expected["max_deviation"]
+    for key in ("contexts_checked", "contexts_skipped", "pairs_skipped"):
+        assert report.details[key] == expected[key], key
+    return report
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("n_atoms,n_worlds,seeds", [
+    (2, 3, 3), (2, 8, 3), (3, 4, 3), (3, 16, 3), (4, 8, 3), (5, 8, 2),
+    (6, 8, 1)])
+def test_generators_decide_like_every_context(n_atoms, n_worlds, seeds, depth):
+    for seed in range(seeds):
+        assignment, _ = possible_worlds_assignment(n_atoms, n_worlds, seed,
+                                                   depth)
+        report = assert_decides_like_every_context(assignment)
+        assert report.passed
+        # a full closure's generators are its literals; the literals alone
+        # admit no context, since a AND b leaves them
+        assert report.details["generators_checked"] == \
+            (2 * n_atoms if depth > 1 else 0)
+
+
+def test_truncated_support_checks_its_irreducible_contexts():
+    # the support A, A&B, A&B&~B, A&~B admits every context, and A&B&~B is
+    # the union of A&B and A&~B: the generators are A and two conjunctions
+    a, b = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
+    support = [a, conj(a, b), conj(a, neg(b)), conj(a, b, neg(b))]
+    worlds, _ = possible_worlds_assignment(2, 5, seed=3)
+    stable = ConjFeatureAssignment.build(
+        {x: worlds.features[x] for x in support})
+    report = assert_decides_like_every_context(stable)
+    assert report.passed and report.details["kernel_dim"] > 0
+    assert report.details["contexts_checked"] == 4
+    assert report.details["generators_checked"] == 3
+    # random rows: context A acts as the identity, so only the conjunction
+    # generators can see the violation
+    rng = np.random.default_rng(0)
+    unstable = ConjFeatureAssignment.build(
+        {x: rng.standard_normal(2) for x in support})
+    report = assert_decides_like_every_context(unstable)
+    violating = [v["context"] for v in report.details["violations"]]
+    assert violating == [repr(conj(a, b)), repr(conj(a, neg(b)))]
+    assert set(violating) <= set(all_context_stability(unstable)["violating"])
+    # with A&B&~B gone, A&B and A&~B leave the support under each other
+    partial = ConjFeatureAssignment.build(
+        {x: worlds.features[x] for x in support[:3]})
+    report = assert_decides_like_every_context(partial)
+    assert report.details["contexts_checked"] == 1
+    assert report.details["generators_checked"] == 1
+    assert report.details["pairs_skipped"] == 2
+
+
+def test_eight_atoms_check_sixteen_generators():
+    assignment, _ = possible_worlds_assignment(8, 8, seed=0)
+    n = len(assignment.codes)
+    tracemalloc.start()
+    try:
+        report = check_kernel_stability(assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and n == 65535
+    assert report.details["contexts_checked"] == n
+    assert report.details["generators_checked"] == 16
+    assert "order" not in vars(assignment)
+    # a few N x worlds arrays; one N x N table would take 34 GB
+    assert peak < 8 * n * 8 * 8, peak
 
 
 def test_kernel_stability_reports_the_kernel_rank_margin():

@@ -25,7 +25,8 @@ from slplab.relalg import EntitySet, Relation, close_unary, converse
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
-    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed)
+    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed,
+                         compute_families(algebra))
 
 
 # --------------------------------------------------------------- form audit
@@ -75,7 +76,8 @@ def per_relation_sign_faults(blocks, algebra):
 
 def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
     built = build_slp_map(algebra_3x2, [BlockSpec(4, 1, None),
-                                        BlockSpec(3, 1, None)], seed=2)
+                                        BlockSpec(3, 1, None)], seed=2,
+                          families=compute_families(algebra_3x2))
     # break the law in both terms of the second block, and once in the first
     breaks = {(0, 1): {0: 0.5}, (1, 0): {2: -0.25, 5: 0.75},
               (1, 1): {algebra_3x2.neg(3): 0.125}}
@@ -157,7 +159,8 @@ def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
 
 def test_rows_recomputed_exactly_multi_block(algebra_3):
     built = build_slp_map(algebra_3, [BlockSpec(4, 2, None),
-                                      BlockSpec(3, 1, "+")], seed=5)
+                                      BlockSpec(3, 1, "+")], seed=5,
+                          families=compute_families(algebra_3))
     assert verify_factorized_form(built).passed
     rebuilt = assemble_rows(built.blocks, algebra_3)
     assert np.array_equal(rebuilt, built.feature_map.matrix)
@@ -190,7 +193,8 @@ def test_grid_rows_equal_the_query_gather_bitwise(parity):
     for seed, algebra in enumerate(algebras_with_symmetric_relations(20, 3)):
         queries = enumerate_queries(algebra)
         built = build_slp_map(algebra, [BlockSpec(3, 2, parity),
-                                        BlockSpec(2, 1, parity)], seed)
+                                        BlockSpec(2, 1, parity)], seed,
+                              compute_families(algebra))
         for block in built.blocks:
             assert grid_block_rows(block, algebra).tobytes() == \
                 gathered_block_rows(block, queries).tobytes()

@@ -22,7 +22,8 @@ from slplab.relalg import EntitySet, close_unary
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
-    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed)
+    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed,
+                         compute_families(algebra))
 
 
 def n_families(algebra):

@@ -71,6 +71,28 @@ def test_nan_and_inf_rejected_anywhere():
                                  max_deviation=bad))
 
 
+def test_nan_walk_runs_only_after_json_refuses(monkeypatch):
+    from slplab import reports
+    walked = []
+    walk = reports._reject_nan
+    monkeypatch.setattr(reports, "_reject_nan",
+                        lambda obj, path="$": walked.append(path)
+                        or walk(obj, path))
+    clean = Report(check="demo", passed=True, details={"x": [1.0, 2]})
+    assert render_report(clean) == json.dumps(
+        clean.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert not walked
+    with pytest.raises(ValueError) as caught:
+        render_report(Report(check="demo", passed=True,
+                             details={"x": [0.0, math.nan]}))
+    assert str(caught.value) == "NaN forbidden in reports (at $.details.x[1])"
+    assert walked
+    # the walk reads values, not keys: a NaN key keeps json's own error
+    with pytest.raises(ValueError, match="Out of range float"):
+        render_report(Report(check="demo", passed=True,
+                             details={math.nan: 1.0}))
+
+
 def test_emit_failure_is_wrapped(tmp_path):
     report = Report(check="demo", passed=True)
     with pytest.raises(OSError, match="failed writing report"):
@@ -191,7 +213,9 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("collapse", "--atoms", "0", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "0", "--out", str(out_path)),
         # the first sizes over the conjunction cell budget
-        ("kernel-stability", "--atoms", "7", "--out", str(out_path)),
+        ("kernel-stability", "--atoms", "9", "--out", str(out_path)),
+        ("kernel-stability", "--atoms", "8", "--worlds", "33",
+         "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "7", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "6", "--worlds", "10", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "5", "--worlds", "10", "--out", str(out_path)),
@@ -586,9 +610,12 @@ def test_parity_cross_residual_is_zero_for_builds(capsys):
 
 def test_conjunction_cell_budget_admits_six_and_five_atoms():
     # sizes are compared, never run: the largest accepted ones take seconds
-    assert _stability_cells(6, 8) == 4095 ** 2 <= MAX_CELLS
-    assert _stability_cells(7, 8) > MAX_CELLS
-    assert _stability_cells(1, 10 ** 8) == 3 * 10 ** 8 > MAX_CELLS
+    # kernel-stability: 2 atoms generator gathers of the N x worlds features
+    assert _stability_cells(6, 8) == 12 * 4095 * 8 <= MAX_CELLS
+    assert _stability_cells(8, 8) == 16 * 65535 * 8 <= MAX_CELLS
+    assert _stability_cells(8, 32) <= MAX_CELLS < _stability_cells(8, 33)
+    assert _stability_cells(9, 7) <= MAX_CELLS < _stability_cells(9, 8)
+    assert _stability_cells(1, 10 ** 8) == 6 * 10 ** 8 > MAX_CELLS
     # fit-bilinear: the walk over P = N(N+1)/2 pairs, or the ordered-group
     # design of m^2 x worlds^2 cells, m = min(N, 2^worlds) distinct rows
     assert _fit_cells(6, 8) == 4095 * 4096 // 2 <= MAX_CELLS

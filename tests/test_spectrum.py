@@ -23,8 +23,9 @@ def seeded_map(n, seed):
     rng = np.random.default_rng(seed)
     algebra = close_unary([random_proper_relation(EntitySet.of_size(n), rng,
                                                   name="r0")])
-    dim = len(compute_families(algebra))
-    return algebra, build_slp_map(algebra, [BlockSpec(dim)], seed)
+    families = compute_families(algebra)
+    return algebra, build_slp_map(algebra, [BlockSpec(len(families))], seed,
+                                  families)
 
 
 def reference_lift(fmap, g, algebra):
