@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .relalg import (EntitySet, Relation, RelationAlgebra, close_unary,
                      compose, converse, load_relations, negate)
-from .queryspace import (GroupElementH, LogicalFamily, LogicalOp, Query,
-                         apply_logical, apply_renaming, compute_families,
-                         enumerate_queries)
+from .queryspace import (GroupElementH, LogicalOp, Query, apply_logical,
+                         apply_renaming, compute_families, enumerate_queries)
 from .featspace import (FeatureMap, KernelNotInvariantError,
                         check_logical_equivariance, check_slp,
                         lift_renaming, load_feature_map,
@@ -35,7 +34,7 @@ __all__ = [
     "__version__",
     "EntitySet", "Relation", "RelationAlgebra", "close_unary", "compose",
     "converse", "load_relations", "negate",
-    "GroupElementH", "LogicalFamily", "LogicalOp", "Query", "apply_logical",
+    "GroupElementH", "LogicalOp", "Query", "apply_logical",
     "apply_renaming", "compute_families", "enumerate_queries",
     "FeatureMap", "KernelNotInvariantError", "check_logical_equivariance",
     "check_slp", "lift_renaming", "load_feature_map",

@@ -292,13 +292,13 @@ def _cmd_families(args, seed, parser) -> Report:
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
     families = compute_families(algebra)
-    sizes = sorted({len(f.members) for f in families})
-    n_queries = sum(len(f.members) for f in families)
+    # reversal fixes the representative of a size-2 orbit
+    sizes = np.where(families[:, 2] == families[:, 0], 2, 4)
     return Report(
         check="families", passed=True, max_deviation=0.0,
-        details={"n_families": len(families), "n_queries": n_queries,
-                 "orbit_sizes": sizes,
-                 "families": families_to_json(families)},
+        details={"n_families": len(families), "n_queries": int(sizes.sum()),
+                 "orbit_sizes": np.unique(sizes).tolist(),
+                 "families": families_to_json(families, algebra)},
     )
 
 
@@ -323,6 +323,9 @@ def _cmd_verify_slp(args, seed, parser) -> Report:
         fmap, algebra = load_feature_map(args.load, args.fmt)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         parser.error(f"cannot load {args.load}: {type(exc).__name__}: {exc}")
+    n_queries = len(fmap.matrix)
+    _within_budget(n_queries ** 2, f"the N x N span projector of a loaded "
+                   f"map of N = {n_queries} queries", parser)
     families = compute_families(algebra)
     equiv = check_logical_equivariance(fmap, families, algebra, tol=args.tol)
     rank = check_slp(fmap, families)
@@ -607,8 +610,8 @@ def _cmd_audit(args, seed, parser) -> Report:
     algebra, families, built = _build(args, seed, parser)
     if not 0 <= args.family < len(families):
         parser.error(f"--family must be in [0, {len(families)})")
-    return propagation_audit(built.feature_map, families, algebra,
-                             args.family, args.eta)
+    return propagation_audit(built.feature_map, families, args.family,
+                             args.eta)
 
 
 # -------------------------------------------------------------------- parser

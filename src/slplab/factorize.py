@@ -33,11 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from . import characters, numerics
-from .featspace import (FeatureMap, LiftedOperator, check_slp, grid_rows,
-                        lift_renaming)
-from .queryspace import (GroupElementH, LogicalFamily, Query,
-                         enumerate_queries, logical_images, relation_images,
-                         symmetric_group)
+from .featspace import FeatureMap, LiftedOperator, check_slp, lift_renaming
+from .queryspace import (GroupElementH, Query, decode_queries, logical_images,
+                         relation_images, symmetric_group)
 from .relalg import RelationAlgebra
 from .reports import Report
 
@@ -109,7 +107,7 @@ class FactorizedMap:
 
 def _block_rows(block: TensorBlock, n: int, size: int) -> np.ndarray:
     """Evaluate one block on the (head, rel, tail) query grid, flattened in
-    `enumerate_queries` order; term loop order is part of the format."""
+    the one query order; term loop order is part of the format."""
     acc = np.zeros((n, size, n, block.context_dim))
     for term in block.terms:
         # (n, 1, n, d) times (size, 1, 1); dims_consistent flags factors
@@ -120,7 +118,7 @@ def _block_rows(block: TensorBlock, n: int, size: int) -> np.ndarray:
 
 def assemble_rows(blocks: Sequence[TensorBlock],
                   algebra: RelationAlgebra) -> np.ndarray:
-    """The blocks' rows side by side, in `enumerate_queries(algebra)` order."""
+    """The blocks' rows side by side, in the one query order."""
     n, size = algebra.entity_set.n, algebra.size
     return np.concatenate([_block_rows(b, n, size) for b in blocks], axis=1)
 
@@ -162,8 +160,7 @@ def _sample_block(algebra: RelationAlgebra, spec: BlockSpec, rng) -> TensorBlock
 
 
 def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
-                  seed: int, families: Sequence[LogicalFamily]
-                  ) -> FactorizedMap:
+                  seed: int, families: np.ndarray) -> FactorizedMap:
     """Seeded generic build; one redraw on a measure-zero rank failure.
 
     The map is exactly logically equivariant by construction.  Whether it
@@ -173,17 +170,17 @@ def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
     the partition `compute_families(algebra)`, which the caller holds.
     """
     rng = np.random.default_rng(seed)
-    queries = enumerate_queries(algebra)
+    n, size = algebra.entity_set.n, algebra.size
 
     def draw() -> tuple[TensorBlock, ...]:
         return tuple(_sample_block(algebra, spec, rng) for spec in blocks)
 
     built = draw()
-    fmap = FeatureMap(queries, assemble_rows(built, algebra))
+    fmap = FeatureMap(n, size, assemble_rows(built, algebra))
     redrawn = not check_slp(fmap, families).passed
     if redrawn:
         built = draw()
-        fmap = FeatureMap(queries, assemble_rows(built, algebra))
+        fmap = FeatureMap(n, size, assemble_rows(built, algebra))
     return FactorizedMap(algebra, built, fmap, redrawn)
 
 
@@ -195,7 +192,7 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
     located by (block, term, relation).
     """
     rebuilt = assemble_rows(f.blocks, f.algebra)
-    rows = grid_rows(f.feature_map, f.algebra)
+    rows = f.feature_map.matrix
     rows_equal = np.array_equal(rebuilt, rows)
     row_dev = float(np.max(np.abs(rebuilt - rows))) if rebuilt.size else 0.0
     neg = relation_images(f.algebra)[1]
@@ -380,15 +377,14 @@ def parity_decompose(f: FactorizedMap,
     u+ x v- and u- x v+ must cancel blockwise on every query, and their
     residual, assembled as one block of cross terms, is reported.
     """
-    fmap = f.feature_map
     algebra = f.algebra
-    rows = grid_rows(fmap, algebra)
+    rows = f.feature_map.matrix
     _, _, rev, _ = logical_images(algebra)  # rows follow LogicalOp order
     dev = np.max(np.abs(rows[rev] - rows), axis=1)
     worst = int(np.argmax(dev))
     if dev[worst] > tol:
-        raise ConverseInvarianceError(enumerate_queries(algebra)[worst],
-                                      float(dev[worst]))
+        query = decode_queries(worst, algebra.entity_set.n, algebra.size)
+        raise ConverseInvarianceError(Query(*query), float(dev[worst]))
 
     conv = relation_images(algebra)[2]
     blocks_out = []

@@ -9,27 +9,28 @@ acting on query coordinates descend to well-defined linear operators on the
 feature span: orthogonal matrices in the span coordinates of the map's SVD,
 whose feature-coordinate forms vanish off the span.
 
-A FeatureMap holds a read-only copy of its matrix and caches its query index
-and one thin SVD (`numerics.Spectrum`), so the rank check, the family kernel
-check's span projector and every lift of one map read a single
-factorization.
+A FeatureMap holds a read-only copy of its matrix, rows in the one query
+order of `queryspace`, and caches one thin SVD (`numerics.Spectrum`), so the
+rank check, the family kernel check's span projector and every lift of one
+map read a single factorization.  The checks take the family partition as
+the (F, 4) position array of `compute_families`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import numerics
-from .queryspace import (GroupElementH, LogicalFamily, LogicalOp, Query,
-                         apply_logical, apply_renaming, enumerate_queries,
-                         logical_images)
+from .queryspace import (GroupElementH, LogicalOp, Query, apply_renaming,
+                         decode_queries, logical_images)
 from .relalg import EntitySet, Relation, RelationAlgebra, close_unary
 from .reports import Report
 
@@ -44,37 +45,43 @@ class KernelNotInvariantError(RuntimeError):
         self.deviation = deviation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureMap:
-    """Rows of `matrix` are feature vectors, aligned with `queries`."""
+    """Feature rows of the queries over n entities and `size` closed
+    relations: row (h*size + r)*n + t of `matrix` is query (h, r, t)'s.
 
-    queries: tuple[Query, ...]
+    Rows in another order come with `queries`, the [head, rel, tail] of
+    each: they are checked against the grid and put in grid order by one
+    gather, in place of the copy the map makes of a matrix in grid order."""
+
+    n: int
+    size: int
     matrix: np.ndarray
-    _index: dict = field(init=False, repr=False, compare=False)
-    _spectrum: numerics.Spectrum | None = field(init=False, repr=False,
-                                                compare=False)
+    _spectrum: numerics.Spectrum | None = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix)   # a copy: the caches below depend on it
-        if m.ndim != 2 or m.shape[0] != len(self.queries):
-            raise ValueError("matrix shape does not match the query index")
+    def __init__(self, n: int, size: int, matrix, queries=None) -> None:
+        m = np.asarray(matrix)
+        if m.ndim != 2 or m.shape[0] != n * size * n:
+            raise ValueError("matrix shape does not match the query grid")
         if m.shape[1] < 1:
             raise ValueError("feature dimension must be at least 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite feature entries")
+        # a copy: the caches below depend on it
+        m = m.copy() if queries is None else m[_grid_order(queries, n, size)]
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_index",
-                           {q: i for i, q in enumerate(self.queries)})
-        object.__setattr__(self, "_spectrum", None)
+        for name, value in (("n", n), ("size", size), ("matrix", m),
+                            ("_spectrum", None)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
 
-    def index(self) -> dict[Query, int]:
-        """Query -> row position; the cached dict, not to be modified."""
-        return self._index
+    def index(self, head, rel, tail):
+        """Row of query (head, rel, tail), elementwise; ValueError off grid."""
+        return np.ravel_multi_index((head, rel, tail),
+                                    (self.n, self.size, self.n))
 
     def spectrum(self) -> numerics.Spectrum:
         """The matrix's SVD, computed on first use."""
@@ -84,7 +91,21 @@ class FeatureMap:
         return self._spectrum
 
     def row(self, q: Query) -> np.ndarray:
-        return self.matrix[self.index()[q]]
+        return self.matrix[self.index(*q)]
+
+
+def _grid_order(queries, n: int, size: int) -> np.ndarray:
+    """The argsort of the queries' grid positions, each position once."""
+    coords = np.asarray(queries)
+    if coords.shape[1:] != (3,) or coords.dtype.kind not in "iu":
+        raise ValueError("queries must be [head, rel, tail] integer triples")
+    # checked first: a tail of n would alias the next relation's tail 0
+    if np.any(coords < 0) or np.any(coords >= (n, size, n)):
+        raise ValueError("query coordinates off the closure's grid")
+    positions = np.ravel_multi_index(coords.T, (n, size, n))
+    if not np.array_equal(np.sort(positions), np.arange(n * size * n)):
+        raise ValueError("queries must be each query of the closure once")
+    return np.argsort(positions)
 
 
 @dataclass(frozen=True)
@@ -113,8 +134,7 @@ class LiftedOperator:
                             initial=0.0))
 
 
-def check_logical_equivariance(fmap: FeatureMap,
-                               families: Sequence[LogicalFamily],
+def check_logical_equivariance(fmap: FeatureMap, families: np.ndarray,
                                algebra: RelationAlgebra,
                                tol: float = 0.0) -> Report:
     """Negation flips features, reversal preserves them, family by family.
@@ -123,15 +143,11 @@ def check_logical_equivariance(fmap: FeatureMap,
     construction; loaded or learned maps should pass a scaled tolerance.
     `families` must be the partition `compute_families(algebra)`.
     """
-    rows = grid_rows(fmap, algebra)
-    images = logical_images(algebra)
-    _, neg, rev, _ = images  # rows follow LogicalOp order
+    rows = fmap.matrix
+    _, neg, rev, _ = logical_images(algebra)  # rows follow LogicalOp order
     row_dev = np.maximum(np.max(np.abs(rows[neg] + rows), axis=1),
                          np.max(np.abs(rows[rev] - rows), axis=1))
-    n, size = algebra.entity_set.n, algebra.size
-    reps = [(h * size + r) * n + t for h, r, t in
-            (f.representative for f in families)]
-    fam_dev = np.max(row_dev[images[:, reps]], axis=0)
+    fam_dev = np.max(row_dev[families], axis=1)
     worst = float(np.max(fam_dev, initial=0.0))
     return Report(
         check="logical_equivariance",
@@ -142,19 +158,12 @@ def check_logical_equivariance(fmap: FeatureMap,
     )
 
 
-def grid_rows(fmap: FeatureMap, algebra: RelationAlgebra) -> np.ndarray:
-    """The map's rows in `enumerate_queries(algebra)` order."""
-    return fmap.matrix[list(map(fmap.index().__getitem__,
-                                enumerate_queries(algebra)))]
-
-
 def representative_matrix(fmap: FeatureMap,
-                          families: Sequence[LogicalFamily]) -> np.ndarray:
-    idx = fmap.index()
-    return fmap.matrix[[idx[f.representative] for f in families]]
+                          families: np.ndarray) -> np.ndarray:
+    return fmap.matrix[families[:, 0]]
 
 
-def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily]) -> Report:
+def check_slp(fmap: FeatureMap, families: np.ndarray) -> Report:
     """Rank of the representative submatrix must equal the family count.
 
     Also reports the rank of the full orbit matrix (equal under equivariance),
@@ -177,51 +186,53 @@ def check_slp(fmap: FeatureMap, families: Sequence[LogicalFamily]) -> Report:
 
 
 def check_family_kernel_decomposition(fmap: FeatureMap,
-                                      families: Sequence[LogicalFamily]) -> Report:
+                                      families: np.ndarray) -> Report:
     """Restricting a kernel vector to one family must keep it in the kernel.
 
     The kernel of the query -> feature map is the orthogonal complement of
-    the range of the span projector P = U_k U_k^T, U_k = u[:, :kernel_rank].
-    A family's coordinate projector maps the kernel into itself exactly when
-    it commutes with P, that is when every entry P[i, j] with i in the family
-    and j outside it is zero.  The check zeroes the within-family entries of
-    |P|, the diagonal among them, and compares the largest remaining entry in
-    each family's rows with PROJECTOR_TOL, so an injective map passes with
-    any family list.  `failing_families` names the representative of each
-    family with a cross entry above it, in family order; `kernel_rank` holds
-    the singular values on either side of the kernel's rank decision.
+    the range of the span projector P = U_k U_k^T, U_k = u[:, :kernel_rank],
+    formed densely (N x N).  A family's coordinate projector maps the kernel
+    into itself exactly when it commutes with P, that is when every entry
+    P[i, j] with i in the family and j outside it is zero.  The check zeroes
+    the within-family entries of |P|, the diagonal among them, and compares
+    the largest remaining entry in each family's rows with PROJECTOR_TOL, so
+    an injective map passes with any family list.  `failing_families` names
+    the representative of each family with a cross entry above it, in family
+    order; `kernel_rank` holds the singular values on either side of the
+    kernel's rank decision.
     """
     spec = fmap.spectrum()
-    idx = fmap.index()
     u_k = spec.u[:, :spec.kernel_rank]
     cross = u_k @ u_k.T
     np.abs(cross, out=cross)
-    members = [[idx[q] for q in fam.members] for fam in families]
-    for rows in members:
-        cross[np.ix_(rows, rows)] = 0.0
-    leak = [float(np.max(cross[rows], initial=0.0)) for rows in members]
+    cross[families[:, :, None], families[:, None, :]] = 0.0
+    leak = np.max(np.max(cross, axis=1)[families], axis=1)
     tol = numerics.PROJECTOR_TOL
-    failing = [list(fam.representative)
-               for fam, dev in zip(families, leak) if dev > tol]
+    failing = decode_queries(families[leak > tol, 0], fmap.n, fmap.size)
     return Report(
         check="family_kernel_decomposition",
         passed=not failing,
-        max_deviation=max(leak, default=0.0),
-        details={"kernel_dim": len(fmap.queries) - spec.kernel_rank,
+        max_deviation=float(np.max(leak, initial=0.0)),
+        details={"kernel_dim": fmap.matrix.shape[0] - spec.kernel_rank,
                  "violations": len(failing), "tol": tol,
                  "kernel_rank": spec.kernel_margin(),
                  "failing_families": failing},
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_queries(n: int, size: int) -> tuple[Query, ...]:
+    """Every query in row order, for all the lifts of one map at once."""
+    return tuple(itertools.starmap(Query, itertools.product(
+        range(n), range(size), range(n))))
+
+
 def _query_permutation(fmap: FeatureMap, g: GroupElementH,
                        algebra: RelationAlgebra) -> np.ndarray:
     """index array: position i (query q) maps to position of g applied to q."""
-    idx = fmap.index()
-    out = np.empty(len(fmap.queries), dtype=int)
-    for i, q in enumerate(fmap.queries):
-        out[i] = idx[apply_renaming(g, q, algebra)]
-    return out
+    n, size = fmap.n, fmap.size
+    images = (apply_renaming(g, q, algebra) for q in _grid_queries(n, size))
+    return np.array([(h * size + r) * n + t for h, r, t in images])
 
 
 def lift_renaming(fmap: FeatureMap, g: GroupElementH,
@@ -246,10 +257,10 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     return LiftedOperator(source=g, span=rho, fmap=fmap, perm=perm)
 
 
-def propagation_audit(fmap: FeatureMap, families: Sequence[LogicalFamily],
-                      algebra: RelationAlgebra, family_index: int,
+def propagation_audit(fmap: FeatureMap, families: np.ndarray, edited: int,
                       eta: float) -> Report:
-    """First-order score responses to a rank-one edit along one representative.
+    """First-order score responses to a rank-one edit along the representative
+    of family number `edited`.
 
     The edit moves parameters by eta times the representative's feature; the
     first-order score change of any query is then eta times the inner product
@@ -258,31 +269,27 @@ def propagation_audit(fmap: FeatureMap, families: Sequence[LogicalFamily],
     reported, along with the representative Gram rank certifying that edits
     can separate families.
     """
-    fam = families[family_index]
-    rep = fam.representative
-    delta = eta * fmap.row(rep)
-    responses = {}
-    for op in LogicalOp:
-        q = apply_logical(op, rep, algebra)
-        responses[op.value] = float(np.dot(fmap.row(q), delta))
+    rows = fmap.matrix
+    members = families[edited].tolist()  # in LogicalOp order
+    delta = eta * rows[members[0]]
+    responses = {op.value: float(np.dot(rows[p], delta))
+                 for op, p in zip(LogicalOp, members)}
     base = responses["id"]
     neg_dev = abs(responses["neg"] + base)
     rev_dev = abs(responses["rev"] - base)
     negrev_dev = abs(responses["negrev"] + base)
     worst = max(neg_dev, rev_dev, negrev_dev)
-    others = {}
-    for i, other in enumerate(families):
-        if i == family_index:
-            continue
-        others[str(list(other.representative))] = float(
-            np.dot(fmap.row(other.representative), delta))
-    reps = representative_matrix(fmap, families)
-    gram_rank = numerics.gram_rank(reps)
+    reps = families[:, 0]
+    names = decode_queries(reps, fmap.n, fmap.size)
+    others = {str(q): float(np.dot(rows[p], delta))
+              for i, (q, p) in enumerate(zip(names, reps.tolist()))
+              if i != edited}
+    gram_rank = numerics.gram_rank(representative_matrix(fmap, families))
     return Report(
         check="propagation_audit",
         passed=worst == 0.0,
         max_deviation=worst,
-        details={"edited_family": list(rep), "eta": eta,
+        details={"edited_family": names[edited], "eta": eta,
                  "responses": responses, "other_family_responses": others,
                  "gram_rank": gram_rank, "n_families": len(families)},
     )
@@ -290,10 +297,10 @@ def propagation_audit(fmap: FeatureMap, families: Sequence[LogicalFamily],
 
 def save_feature_map(fmap: FeatureMap, algebra: RelationAlgebra,
                      path: str | Path, fmt: str = "json") -> None:
-    """Persist matrix + query index; base relations travel in the sidecar.
+    """Persist matrix + row queries; base relations travel in the sidecar.
 
     fmt="json" writes one file; fmt="csv" writes the matrix as CSV and the
-    index as a sidecar <path>.index.json.  The index stores entity labels and
+    rest as a sidecar <path>.index.json.  The sidecar stores entity labels and
     base relation pairs so the deterministic closure can be rebuilt on load.
     """
     # base relations are an ordered list: closure order, and with it the
@@ -304,7 +311,8 @@ def save_feature_map(fmap: FeatureMap, algebra: RelationAlgebra,
             {"name": r.name or f"r{i}", "pairs": [[h, t] for h, t in r.pairs()]}
             for i, r in enumerate(algebra.base)
         ],
-        "queries": [[q.head, q.rel, q.tail] for q in fmap.queries],
+        "queries": decode_queries(np.arange(fmap.matrix.shape[0]), fmap.n,
+                                  fmap.size),
     }
     path = Path(path)
     if fmt == "json":
@@ -343,7 +351,5 @@ def load_feature_map(path: str | Path,
                                 [(h, t) for h, t in rec["pairs"]], rec["name"])
             for rec in sidecar["base_relations"]]
     algebra = close_unary(base)
-    queries = tuple(Query(*q) for q in sidecar["queries"])
-    if sorted(queries) != list(enumerate_queries(algebra)):
-        raise ValueError("queries must be each query of the closure once")
-    return FeatureMap(queries, matrix), algebra
+    return FeatureMap(algebra.entity_set.n, algebra.size, matrix,
+                      sidecar["queries"]), algebra

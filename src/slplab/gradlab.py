@@ -170,8 +170,8 @@ def _inputs(model: ScorerModel, queries: Sequence[Query]) -> np.ndarray:
     if model.arch == "mlp":
         return encode_queries(model, queries)
     fm = model.feature_map.feature_map
-    idx = fm.index()
-    return fm.matrix[[idx[q] for q in queries]]
+    heads, rels, tails = np.array(queries, dtype=int).reshape(-1, 3).T
+    return fm.matrix[fm.index(heads, rels, tails)]
 
 
 def _forward(model: ScorerModel, params: dict, x: np.ndarray):

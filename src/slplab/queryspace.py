@@ -7,10 +7,13 @@ space into logical families whose members carry signs (+1 under identity and
 reversal, -1 under negation and negated reversal).  Entity renamings act
 separately, by permuting head and tail and optionally negating the relation.
 
+The library has one query order, (head, rel, tail): with n entities and
+`size` closed relations, (h, r, t) sits at position (h*size + r)*n + t.
 `relation_images` tabulates the group's action on the relations, and
-`logical_images` on the whole query space as positions in
-`enumerate_queries` order; the family partition, the equivariance check,
-the parity scan and every per-relation orbit computation read these tables.
+`logical_images` on the whole query space as positions in that order; the
+family partition, an (F, 4) int array, the equivariance check, the parity
+scan and every per-relation orbit computation read these tables.  Reports
+decode positions to triples (`decode_queries`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,10 @@ class LogicalOp(Enum):
     def sign(self) -> int:
         """Character value: -1 for the operations that negate the relation."""
         return -1 if self in (LogicalOp.NEG, LogicalOp.NEGREV) else 1
+
+
+# each LogicalOp's sign, in LogicalOp order: a family member's sign
+_SIGNS = np.array([op.sign for op in LogicalOp])
 
 
 def apply_logical(op: LogicalOp, q: Query, algebra: RelationAlgebra) -> Query:
@@ -107,25 +114,6 @@ def enumerate_queries(algebra: RelationAlgebra) -> tuple[Query, ...]:
         range(n), range(algebra.size), range(n))))
 
 
-@dataclass(frozen=True)
-class LogicalFamily:
-    """One orbit of the logical four-group with signs against the representative.
-
-    The representative is the lexicographic minimum of the orbit; sign(p) is
-    the character value of any group element carrying the representative to p
-    (well-defined because the only possible stabilizer element, reversal, has
-    sign +1).
-    """
-
-    representative: Query
-    members: tuple[Query, ...]
-    signs: dict[Query, int]
-
-    def __post_init__(self) -> None:
-        if len(self.members) not in (2, 4):
-            raise ValueError(f"orbit size {len(self.members)} is impossible")
-
-
 def relation_images(algebra: RelationAlgebra) -> np.ndarray:
     """Each relation's images under the four LogicalOps, shape (4, size)."""
     neg = np.asarray(algebra.negation, dtype=int)
@@ -145,36 +133,35 @@ def logical_images(algebra: RelationAlgebra) -> np.ndarray:
             * n + np.stack([t, t, h, h]))
 
 
-def compute_families(algebra: RelationAlgebra) -> tuple[LogicalFamily, ...]:
-    """Partition of the full query space into logical families.
+def compute_families(algebra: RelationAlgebra) -> np.ndarray:
+    """Partition of the query space into logical families, shape (F, 4).
 
-    A representative is the minimum of its column of `logical_images`, the
-    lexicographic minimum of its orbit.  Families come in representative
-    order, members sorted, each signed by the operation that reaches it.
+    Row j is family j's members under (id, neg, rev, negrev), so a member's
+    sign is its column's `LogicalOp.sign`: +1, -1, +1, -1.  Column 0, the
+    representative, is the lexicographic minimum of its orbit; families come
+    in representative order, and a size-2 orbit, whose representative
+    reversal fixes, repeats its two members in columns 2-3.
     """
-    queries = enumerate_queries(algebra)
     images = logical_images(algebra)
-    reps = np.flatnonzero(images.min(axis=0) == np.arange(len(queries)))
-    orbits = images[:, reps]  # [k, j]: op k applied to representative j
-    op_signs = np.array([[op.sign] for op in LogicalOp])
-    sign, family = np.zeros(len(queries), dtype=int), np.full(len(queries), -1)
-    sign[orbits], family[orbits] = op_signs, np.arange(len(reps))
+    n_queries = images.shape[1]
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n_queries))
+    families = images[:, reps].T
+    ids = np.arange(len(reps))[:, None]
+    sign, family = np.zeros(n_queries, dtype=int), np.full(n_queries, -1)
+    sign[families], family[families] = _SIGNS, ids
     # a member written twice with different values reads back only one
-    if np.any(sign[orbits] != op_signs):
+    if np.any(sign[families] != _SIGNS):
         raise AssertionError("inconsistent signs within an orbit")
-    if np.any(family < 0) or np.any(family[orbits] != np.arange(len(reps))):
+    if np.any(family < 0) or np.any(family[families] != ids):
         raise AssertionError("orbits failed to partition the query space")
-    order = np.argsort(family, kind="stable")
-    members = list(map(queries.__getitem__, order.tolist()))
-    signs = sign[order].tolist()
-    ends = np.cumsum(np.bincount(family)).tolist()
-    return tuple(LogicalFamily(queries[rep], tuple(members[a:b]),
-                               dict(zip(members[a:b], signs[a:b])))
-                 for rep, a, b in zip(reps.tolist(), [0] + ends, ends))
+    return families
 
 
-def family_index(families: Iterable[LogicalFamily]) -> dict[Query, int]:
-    return {q: i for i, fam in enumerate(families) for q in fam.members}
+def decode_queries(positions, n: int, size: int) -> list:
+    """The [head, rel, tail] lists of positions in the query order, nested
+    in the shape of `positions`: how reports and errors name queries."""
+    return np.stack(np.unravel_index(positions, (n, size, n)),
+                    axis=-1).tolist()
 
 
 def symmetric_group(n: int) -> list[tuple[int, ...]]:
@@ -187,9 +174,16 @@ def symmetric_group(n: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(n))]
 
 
-def families_to_json(families: Iterable[LogicalFamily]) -> list[dict]:
-    """The partition in its serialization shape: representative + signed members."""
-    return [{"representative": list(f.representative),
-             "members": [{"query": list(q), "sign": f.signs[q]}
-                         for q in f.members]}
-            for f in families]
+def families_to_json(families: np.ndarray,
+                     algebra: RelationAlgebra) -> list[dict]:
+    """The partition as JSON: representatives and sorted signed members."""
+    order = np.argsort(families, axis=1, kind="stable")
+    members = np.take_along_axis(families, order, axis=1)
+    fresh = np.diff(members, axis=1, prepend=-1) != 0  # size-2 orbits repeat
+    return [{"representative": queries[0],
+             "members": [{"query": q, "sign": s}
+                         for q, s, keep in zip(queries, signs, fresh_row)
+                         if keep]}
+            for queries, signs, fresh_row in zip(
+                decode_queries(members, algebra.entity_set.n, algebra.size),
+                _SIGNS[order].tolist(), fresh.tolist())]

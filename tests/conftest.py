@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from slplab import numerics
+from slplab.featspace import FeatureMap
 from slplab.relalg import EntitySet, Relation, close_unary
 
 settings.register_profile("slplab", database=None, derandomize=True,
@@ -86,6 +87,11 @@ def random_proper_relation(entity_set: EntitySet, rng: np.random.Generator,
             return Relation(entity_set, bits, name)
 
 
+def grid_map(algebra, matrix) -> FeatureMap:
+    """A feature map with `matrix` as its rows in the one query order."""
+    return FeatureMap(algebra.entity_set.n, algebra.size, matrix)
+
+
 def kernel_basis(matrix) -> np.ndarray:
     """Reference kernel of the query -> feature map, one vector per row.
 
@@ -111,10 +117,9 @@ def family_kernel_reference(fmap, families):
     m = np.array(fmap.matrix)
     basis = kernel_basis(m)
     tol = numerics.rank_threshold(m)
-    idx = fmap.index()
     failing = []
     for i, fam in enumerate(families):
-        rows = [idx[q] for q in fam.members]
+        rows = np.unique(fam)  # a size-2 orbit lists its members twice
         restricted = basis[:, rows]
         devs = np.linalg.norm(restricted @ m[rows], axis=1)
         if np.any(devs[np.any(restricted != 0.0, axis=1)] > tol):

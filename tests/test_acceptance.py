@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_proper_relation
+from conftest import grid_map, random_proper_relation
 from slplab import numerics
 from slplab.conjunction import (check_kernel_stability, collapse_certificate,
                                 conj, fit_bilinear, possible_worlds_assignment)
@@ -21,8 +21,8 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               pair_space_representation, parity_decompose,
                               relation_sign_representation,
                               verify_factorized_form)
-from slplab.featspace import (FeatureMap, check_logical_equivariance,
-                              check_slp, lift_renaming)
+from slplab.featspace import (check_logical_equivariance, check_slp,
+                              lift_renaming)
 from slplab.gradlab import (alignment_experiment, edit_step,
                             finite_difference_gradient, generate_kb, gradient,
                             make_mlp, make_slp_linear, train)
@@ -75,18 +75,22 @@ def test_criterion_02_family_partition_exhaustive():
             algebra = seeded_algebra(n, k, seed)
             queries = enumerate_queries(algebra)
             families = compute_families(algebra)
-            covered = [q for fam in families for q in fam.members]
+            # each row: the members under (id, neg, rev, negrev)
+            members = [{queries[p] for p in fam} for fam in families.tolist()]
+            covered = [q for fam in members for q in fam]
             assert sorted(covered) == sorted(queries)       # cover
             assert len(covered) == len(set(covered))        # disjoint
-            for fam in families:
-                assert len(fam.members) in (2, 4)
-                orbit = {apply_logical(op, fam.representative, algebra)
-                         for op in LogicalOp}
-                assert orbit == set(fam.members)
+            for fam, row in zip(members, families.tolist()):
+                assert len(fam) in (2, 4)
+                rep = queries[row[0]]
+                assert rep == min(fam)
+                orbit = {apply_logical(op, rep, algebra) for op in LogicalOp}
+                assert orbit == fam
                 # well-defined signs: every op reaching a member agrees
-                for op in LogicalOp:
-                    member = apply_logical(op, fam.representative, algebra)
-                    assert fam.signs[member] == op.sign
+                signs = {}
+                for op, p in zip(LogicalOp, row):
+                    assert apply_logical(op, rep, algebra) == queries[p]
+                    assert signs.setdefault(p, op.sign) == op.sign
             checked += 1
     record(2, f"{checked} algebras over |E| in 2..4, bases 1..3: cover, "
               f"disjoint, sizes in {{2,4}}, signs well-defined")
@@ -114,8 +118,7 @@ def test_criterion_03_twenty_builds_and_sign_fault():
                             (Term(term.u, v_bad, term.parity),)
                             + block.terms[1:])
     rows = assemble_rows((bad_block,), algebra)
-    broken = FactorizedMap(algebra, (bad_block,),
-                           FeatureMap(built.feature_map.queries, rows))
+    broken = FactorizedMap(algebra, (bad_block,), grid_map(algebra, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     assert any(f["relation"] in (0, algebra.neg(0))
@@ -188,10 +191,8 @@ def test_criterion_06_parity_exactness_and_fault():
     v_even[algebra.conv(0)] = 1.0
     v_even[algebra.neg(algebra.conv(0))] = -1.0
     block = TensorBlock(2, (Term(u_odd, v_even),))
-    queries = enumerate_queries(algebra)
     mismatched = FactorizedMap(
-        algebra, (block,),
-        FeatureMap(queries, assemble_rows((block,), algebra)))
+        algebra, (block,), grid_map(algebra, assemble_rows((block,), algebra)))
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0

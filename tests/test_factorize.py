@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_proper_relation
+from conftest import grid_map, random_proper_relation
 from slplab import characters, factorize
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
@@ -16,7 +16,7 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               negation_split, pair_space_representation,
                               parity_decompose, relation_sign_representation,
                               verify_factorized_form)
-from slplab.featspace import FeatureMap, check_slp, lift_renaming
+from slplab.featspace import check_slp, lift_renaming
 from slplab.numerics import PROJECTOR_TOL, projector_trace_dim, rank
 from slplab.queryspace import (GroupElementH, Query, compute_families,
                                enumerate_queries, relation_images,
@@ -51,8 +51,7 @@ def test_injected_sign_fault_located(algebra_3):
     bad_block = TensorBlock(block.context_dim,
                             (bad_term,) + block.terms[1:])
     rows = assemble_rows((bad_block,), algebra_3)
-    broken = FactorizedMap(algebra_3, (bad_block,),
-                           FeatureMap(built.feature_map.queries, rows))
+    broken = FactorizedMap(algebra_3, (bad_block,), grid_map(algebra_3, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     faults = report.details["sign_faults"]
@@ -92,7 +91,7 @@ def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
         blocks.append(TensorBlock(block.context_dim, tuple(terms)))
     rows = assemble_rows(blocks, algebra_3x2)
     broken = FactorizedMap(algebra_3x2, tuple(blocks),
-                           FeatureMap(built.feature_map.queries, rows))
+                           grid_map(algebra_3x2, rows))
     report = verify_factorized_form(broken)
     expected = per_relation_sign_faults(blocks, algebra_3x2)
     assert report.details["sign_faults"] == expected
@@ -229,10 +228,10 @@ def test_oversized_factors_fail_the_form_audit(algebra_3):
     v_long = np.append(term.v, 0.5)
     block = TensorBlock(9, (Term(u_big, v_long, term.parity),)
                         + built.blocks[0].terms[1:])
-    queries = built.feature_map.queries
+    queries = enumerate_queries(algebra_3)
     rows = assemble_rows((block,), algebra_3)
     assert rows.tobytes() == gathered_block_rows(block, queries).tobytes()
-    oversized = FactorizedMap(algebra_3, (block,), FeatureMap(queries, rows))
+    oversized = FactorizedMap(algebra_3, (block,), grid_map(algebra_3, rows))
     report = verify_factorized_form(oversized)
     assert report.details["dims_consistent"] is False
     assert report.details["rows_exact"] is True
@@ -508,17 +507,16 @@ def test_mismatched_parity_term_raises(algebra_3):
     v[algebra_3.neg(algebra_3.conv(0))] = -1.0
     term = Term(u_antisym, v)
     block = TensorBlock(4, (term,))
-    queries = enumerate_queries(algebra_3)
-    fmap = FeatureMap(queries, assemble_rows((block,), algebra_3))
+    fmap = grid_map(algebra_3, assemble_rows((block,), algebra_3))
     mismatched = FactorizedMap(algebra_3, (block,), fmap)
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0
     q = excinfo.value.query
+    assert type(q) is Query and all(type(c) is int for c in q)
     # the recorded worst query really deviates by the recorded amount
-    idx = fmap.index()
     rev_q = Query(q.tail, algebra_3.conv(q.rel), q.head)
-    dev = np.max(np.abs(fmap.matrix[idx[rev_q]] - fmap.matrix[idx[q]]))
+    dev = np.max(np.abs(fmap.row(rev_q) - fmap.row(q)))
     assert dev == excinfo.value.deviation
 
 
@@ -534,8 +532,7 @@ def mismatched_map(algebra, seed):
                        rng.uniform(-1.0, 1.0, algebra.size)),
                   Term(raw, rng.uniform(-1.0, 1.0, algebra.size))]
     block = TensorBlock(3, tuple(terms))
-    queries = enumerate_queries(algebra)
-    fmap = FeatureMap(queries, assemble_rows((block,), algebra))
+    fmap = grid_map(algebra, assemble_rows((block,), algebra))
     return FactorizedMap(algebra, (block,), fmap)
 
 
@@ -547,11 +544,10 @@ def test_converse_failure_names_first_worst_query(seed):
                            for _ in range(1 + seed % 2)])
     mismatched = mismatched_map(algebra, seed)
     fmap = mismatched.feature_map
-    idx = fmap.index()
     worst_q, worst_dev = None, -1.0
-    for q in enumerate_queries(algebra):
+    for i, q in enumerate(enumerate_queries(algebra)):
         rev_q = Query(q.tail, algebra.conv(q.rel), q.head)
-        dev = float(np.max(np.abs(fmap.row(rev_q) - fmap.matrix[idx[q]])))
+        dev = float(np.max(np.abs(fmap.row(rev_q) - fmap.matrix[i])))
         if dev > worst_dev:
             worst_q, worst_dev = q, dev
     with pytest.raises(ConverseInvarianceError) as excinfo:
@@ -566,7 +562,7 @@ def test_converse_failure_names_first_worst_query(seed):
 def test_cross_residual_is_the_direct_cross_sum(algebra_3x2, seed):
     mismatched = mismatched_map(algebra_3x2, seed)
     decomp = parity_decompose(mismatched, tol=np.inf)
-    queries = mismatched.feature_map.queries
+    queries = enumerate_queries(algebra_3x2)
     heads, rels, tails = np.array(queries).T
     cross = np.zeros((len(queries), 3))
     for pair in decomp.blocks[0]:

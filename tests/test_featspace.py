@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (family_kernel_reference, kernel_basis,
+from conftest import (family_kernel_reference, grid_map, kernel_basis,
                       random_proper_relation)
 from slplab import numerics
 from slplab.factorize import BlockSpec, build_slp_map
@@ -15,9 +15,9 @@ from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               lift_renaming,
                               load_feature_map, propagation_audit,
                               representative_matrix, save_feature_map)
-from slplab.queryspace import (GroupElementH, LogicalOp, Query, apply_logical,
-                               compute_families, enumerate_queries,
-                               family_index, symmetric_group)
+from slplab.queryspace import (GroupElementH, apply_renaming,
+                               compute_families, decode_queries,
+                               enumerate_queries, symmetric_group)
 from slplab.relalg import EntitySet, close_unary
 
 
@@ -44,14 +44,12 @@ def test_sign_fault_detected_with_exact_deviation(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, 9, 0).feature_map
     matrix = fmap.matrix.copy()
-    idx = fmap.index()
-    victim = families[0].representative
-    neg_victim = apply_logical(LogicalOp.NEG, victim, algebra_3)
-    matrix[idx[neg_victim]] = matrix[idx[victim]]  # sign violation: +phi_q
-    broken = FeatureMap(fmap.queries, matrix)
+    victim, neg_victim = families[0, :2]  # the id and neg columns
+    matrix[neg_victim] = matrix[victim]  # sign violation: +phi_q
+    broken = grid_map(algebra_3, matrix)
     report = check_logical_equivariance(broken, families, algebra_3)
     assert not report.passed
-    expected = 2.0 * float(np.max(np.abs(matrix[idx[victim]])))
+    expected = 2.0 * float(np.max(np.abs(matrix[victim])))
     assert report.max_deviation == expected
     assert report.details["families_failing"] >= 1
 
@@ -59,24 +57,19 @@ def test_sign_fault_detected_with_exact_deviation(algebra_3):
 def test_families_failing_counts_families_not_faults(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, 9, 0).feature_map
-    idx = fmap.index()
 
     def broken(*faulty):
         matrix = fmap.matrix.copy()
-        for q in faulty:
-            matrix[idx[q]] += 1.0
-        return check_logical_equivariance(FeatureMap(fmap.queries, matrix),
+        for p in faulty:
+            matrix[p] += 1.0
+        return check_logical_equivariance(grid_map(algebra_3, matrix),
                                           families, algebra_3)
 
-    a, b = [f for f in families if len(f.members) == 4][:2]
-
-    def far(fam):
-        # negated reversal: neither partner of the representative
-        return apply_logical(LogicalOp.NEGREV, fam.representative, algebra_3)
-
-    two_families = broken(far(a), far(b))
+    a, b = [f for f in families if len(set(f)) == 4][:2]
+    # column 3, the negated reversal: neither partner of the representative
+    two_families = broken(a[3], b[3])
     assert two_families.details["families_failing"] == 2
-    one_family = broken(a.representative, far(a))
+    one_family = broken(a[0], a[3])
     assert one_family.details["families_failing"] == 1
     for report in (two_families, one_family):
         assert not report.passed
@@ -90,9 +83,13 @@ def test_equivariance_report_independent_of_row_order(algebra_3):
     matrix = fmap.matrix.copy()
     matrix[5] += 0.25
     matrix[17] -= 0.5
-    grid = FeatureMap(fmap.queries, matrix)
-    perm = rng.permutation(len(fmap.queries))
-    shuffled = FeatureMap(tuple(fmap.queries[i] for i in perm), matrix[perm])
+    grid = grid_map(algebra_3, matrix)
+    queries = enumerate_queries(algebra_3)
+    perm = rng.permutation(len(queries))
+    # the load path: rows in any order, each named by its query
+    shuffled = FeatureMap(3, algebra_3.size, matrix[perm],
+                          [queries[i] for i in perm])
+    assert np.array_equal(shuffled.matrix, grid.matrix)
     expected = check_logical_equivariance(grid, families, algebra_3)
     assert not expected.passed
     assert check_logical_equivariance(shuffled, families, algebra_3) == expected
@@ -103,7 +100,7 @@ def test_random_maps_fail_equivariance_20_seeds(algebra_3):
     queries = enumerate_queries(algebra_3)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        fmap = FeatureMap(queries, rng.standard_normal((len(queries), 5)))
+        fmap = grid_map(algebra_3, rng.standard_normal((len(queries), 5)))
         report = check_logical_equivariance(fmap, families, algebra_3)
         assert not report.passed and report.max_deviation > 0.0
 
@@ -134,14 +131,11 @@ def test_duplicated_representative_rows_lose_rank(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 1).feature_map
     matrix = fmap.matrix.copy()
-    idx = fmap.index()
     fam_a, fam_b = families[0], families[1]
-    # overwrite family B with family A's rows (signs matched member-wise)
-    for q in fam_b.members:
-        partner = next(p for p in fam_a.members
-                       if fam_a.signs[p] == fam_b.signs[q])
-        matrix[idx[q]] = matrix[idx[partner]]
-    broken = FeatureMap(fmap.queries, matrix)
+    # overwrite family B with family A's rows, column by column: each
+    # column is one LogicalOp, so the signs match member-wise
+    matrix[fam_b] = matrix[fam_a]
+    broken = grid_map(algebra_3, matrix)
     report = check_slp(broken, families)
     assert not report.passed
     assert report.details["rep_rank"] == len(families) - 1
@@ -152,7 +146,7 @@ def test_duplicated_representative_rows_lose_rank(algebra_3):
 def test_zero_map_has_rank_zero(algebra_3):
     families = compute_families(algebra_3)
     queries = enumerate_queries(algebra_3)
-    fmap = FeatureMap(queries, np.zeros((len(queries), 4)))
+    fmap = grid_map(algebra_3, np.zeros((len(queries), 4)))
     report = check_slp(fmap, families)
     assert not report.passed and report.details["rep_rank"] == 0
 
@@ -174,7 +168,7 @@ def test_checks_invariant_under_recoordinatization(algebra_3):
     d = fmap.dim
     q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
     change = q_mat @ np.diag(rng.uniform(0.5, 2.0, size=d))
-    moved = FeatureMap(fmap.queries, fmap.matrix @ change)
+    moved = grid_map(algebra_3, fmap.matrix @ change)
     equiv = check_logical_equivariance(moved, families, algebra_3)
     assert equiv.passed and equiv.max_deviation == 0.0
     assert check_slp(moved, families).passed
@@ -186,13 +180,12 @@ def test_kernel_dimension_slp(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 0).feature_map
     report = check_family_kernel_decomposition(fmap, families)
-    assert report.details["kernel_dim"] == len(fmap.queries) - len(families)
+    assert report.details["kernel_dim"] == len(fmap.matrix) - len(families)
     assert kernel_basis(fmap.matrix).shape[0] == report.details["kernel_dim"]
 
 
 def test_kernel_of_injective_map_trivial():
-    queries = tuple(Query(0, r, 0) for r in range(4))
-    fmap = FeatureMap(queries, np.eye(4))
+    fmap = FeatureMap(1, 4, np.eye(4))  # queries (0, r, 0), r < 4
     assert fmap.spectrum().kernel_rank == 4
     assert kernel_basis(fmap.matrix).shape[0] == 0
 
@@ -200,7 +193,7 @@ def test_kernel_of_injective_map_trivial():
 def test_kernel_of_zero_map_is_everything(algebra_3):
     families = compute_families(algebra_3)
     queries = enumerate_queries(algebra_3)
-    fmap = FeatureMap(queries, np.zeros((len(queries), 3)))
+    fmap = grid_map(algebra_3, np.zeros((len(queries), 3)))
     report = check_family_kernel_decomposition(fmap, families)
     assert report.passed and report.details["kernel_dim"] == len(queries)
     assert kernel_basis(fmap.matrix).shape[0] == len(queries)
@@ -224,7 +217,7 @@ def test_family_kernel_decomposition_holds_for_slp(algebra_3):
     fmap = build(algebra_3, len(families), 5).feature_map
     report = check_family_kernel_decomposition(fmap, families)
     assert report.passed
-    assert report.details["kernel_dim"] == len(fmap.queries) - len(families)
+    assert report.details["kernel_dim"] == len(fmap.matrix) - len(families)
     # the margin of the kernel's rank decision, read off the cached spectrum
     margin = report.details["kernel_rank"]
     spec = fmap.spectrum()
@@ -238,27 +231,24 @@ def test_family_kernel_decomposition_detects_cross_family_dependency(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 6).feature_map
     matrix = fmap.matrix.copy()
-    idx = fmap.index()
     fam_a, fam_b = families[0], families[1]
     # give family B features proportional to family A's: equivariant, not SLP
-    for q in fam_b.members:
-        partner = next(p for p in fam_a.members
-                       if fam_a.signs[p] == fam_b.signs[q])
-        matrix[idx[q]] = 0.5 * matrix[idx[partner]]
-    broken = FeatureMap(fmap.queries, matrix)
+    matrix[fam_b] = 0.5 * matrix[fam_a]
+    broken = grid_map(algebra_3, matrix)
     report = check_family_kernel_decomposition(broken, families)
     assert not report.passed
     assert report.details["violations"] == 2
+    queries = enumerate_queries(algebra_3)
     assert report.details["failing_families"] == [
-        list(fam_a.representative), list(fam_b.representative)]
+        list(queries[fam_a[0]]), list(queries[fam_b[0]])]
     assert report.max_deviation > report.details["tol"]
     assert_checks_agree(broken, families)
 
 
 def test_empty_kernel_vacuous_pass():
-    queries = tuple(Query(0, r, 0) for r in range(3))
-    fmap = FeatureMap(queries, np.eye(3))
-    families = ()  # no families consulted when the kernel is empty
+    fmap = FeatureMap(1, 3, np.eye(3))  # queries (0, r, 0), r < 3
+    # no families consulted when the kernel is empty
+    families = np.empty((0, 4), dtype=int)
     report = check_family_kernel_decomposition(fmap, families)
     assert report.passed and report.details["kernel_dim"] == 0
 
@@ -271,7 +261,7 @@ def assert_checks_agree(fmap, families):
     assert report.details["kernel_dim"] == kernel_dim
     assert report.details["violations"] == len(failing)
     assert report.details["failing_families"] == [
-        list(families[i].representative) for i in failing]
+        decode_queries(families[i, 0], fmap.n, fmap.size) for i in failing]
     return report
 
 
@@ -293,12 +283,13 @@ def test_projector_check_agrees_with_kernel_basis_reference(n, seed, parity,
 def test_projector_check_agrees_on_a_row_summed_from_two_families(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 6).feature_map
-    idx = fmap.index()
     matrix = fmap.matrix.copy()
-    a, b, c = (families[i].representative for i in (0, 1, 2))
-    matrix[idx[c]] = matrix[idx[a]] + matrix[idx[b]]
-    report = assert_checks_agree(FeatureMap(fmap.queries, matrix), families)
-    assert report.details["failing_families"] == [list(a), list(b), list(c)]
+    a, b, c = families[:3, 0]
+    matrix[c] = matrix[a] + matrix[b]
+    report = assert_checks_agree(grid_map(algebra_3, matrix), families)
+    queries = enumerate_queries(algebra_3)
+    assert report.details["failing_families"] == [
+        list(queries[a]), list(queries[b]), list(queries[c])]
 
 
 # -------------------------------------------------------------------- lifts
@@ -306,13 +297,11 @@ def test_projector_check_agrees_on_a_row_summed_from_two_families(algebra_3):
 def test_lift_defining_property(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 7).feature_map
-    idx = fmap.index()
-    from slplab.queryspace import apply_renaming
     for g in (GroupElementH((1, 0, 2), 1), GroupElementH((2, 0, 1), -1)):
         lift = lift_renaming(fmap, g, algebra_3)
-        for q in fmap.queries:
-            target = fmap.matrix[idx[apply_renaming(g, q, algebra_3)]]
-            assert np.max(np.abs(lift.matrix @ fmap.matrix[idx[q]] - target)) \
+        for q in enumerate_queries(algebra_3):
+            target = fmap.row(apply_renaming(g, q, algebra_3))
+            assert np.max(np.abs(lift.matrix @ fmap.row(q) - target)) \
                 <= 1e-9
 
 
@@ -356,7 +345,7 @@ def test_sign_flip_between_lifts(algebra_3):
 def test_lift_rejects_non_invariant_kernel(algebra_3):
     queries = enumerate_queries(algebra_3)
     rng = np.random.default_rng(3)
-    fmap = FeatureMap(queries, rng.standard_normal((len(queries), 6)))
+    fmap = grid_map(algebra_3, rng.standard_normal((len(queries), 6)))
     with pytest.raises(KernelNotInvariantError):
         lift_renaming(fmap, GroupElementH((1, 0, 2), 1), algebra_3)
 
@@ -406,9 +395,9 @@ def test_lift_range_and_kernel_follow_span(algebra_3):
 def test_propagation_audit_signs_and_gram(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 13)
-    for family_index_ in (0, len(families) // 2):
-        report = propagation_audit(built.feature_map, families, algebra_3,
-                                   family_index_, eta=0.25)
+    for edited in (0, len(families) // 2):
+        report = propagation_audit(built.feature_map, families,
+                                   edited, eta=0.25)
         assert report.passed and report.max_deviation == 0.0
         responses = report.details["responses"]
         assert responses["neg"] == -responses["id"]
@@ -420,7 +409,7 @@ def test_propagation_audit_signs_and_gram(algebra_3):
 def test_propagation_audit_zero_step(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 14)
-    report = propagation_audit(built.feature_map, families, algebra_3, 0, 0.0)
+    report = propagation_audit(built.feature_map, families, 0, 0.0)
     assert report.passed
     assert all(v == 0.0 for v in report.details["responses"].values())
     assert all(v == 0.0
@@ -436,7 +425,7 @@ def test_save_load_round_trip_exact(tmp_path, algebra_3, fmt):
     path = tmp_path / f"map.{fmt}"
     save_feature_map(fmap, algebra_3, path, fmt)
     loaded, algebra = load_feature_map(path, fmt)
-    assert loaded.queries == fmap.queries
+    assert (loaded.n, loaded.size) == (fmap.n, fmap.size)
     assert np.array_equal(loaded.matrix, fmap.matrix)
     assert algebra.size == algebra_3.size
     assert [r.bits for r in algebra.closed] == [r.bits for r in algebra_3.closed]
@@ -447,10 +436,52 @@ def test_save_load_round_trip_exact(tmp_path, algebra_3, fmt):
 
 
 def test_feature_map_validation():
-    queries = (Query(0, 0, 0), Query(0, 0, 1))
     with pytest.raises(ValueError):
-        FeatureMap(queries, np.zeros((2, 0)))       # dim must be >= 1
+        FeatureMap(1, 2, np.zeros((2, 0)))       # dim must be >= 1
     with pytest.raises(ValueError):
-        FeatureMap(queries, np.zeros((3, 2)))       # row count mismatch
+        FeatureMap(1, 2, np.zeros((3, 2)))       # row count mismatch
     with pytest.raises(ValueError):
-        FeatureMap(queries, np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        FeatureMap(1, 2, np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+def test_rows_are_found_by_arithmetic_on_the_grid(algebra_3x2):
+    matrix = np.arange(9 * algebra_3x2.size, dtype=float)[:, None]
+    fmap = grid_map(algebra_3x2, matrix)
+    assert not hasattr(fmap, "queries")
+    for i, q in enumerate(enumerate_queries(algebra_3x2)):
+        assert fmap.index(*q) == i and fmap.row(q)[0] == i
+    heads, rels, tails = np.array(enumerate_queries(algebra_3x2)).T
+    assert np.array_equal(fmap.index(heads, rels, tails), np.arange(len(matrix)))
+    # (0, 0, 3) would alias (0, 1, 0), and (0, size, 0) would alias (1, 0, 0)
+    for q in ((0, 0, 3), (0, algebra_3x2.size, 0), (-1, 0, 0)):
+        with pytest.raises(ValueError):
+            fmap.index(*q)
+
+
+def test_rows_given_in_another_order_are_put_in_grid_order(algebra_3):
+    queries = enumerate_queries(algebra_3)
+    matrix = np.arange(len(queries), dtype=float)[:, None]
+    order = np.random.default_rng(0).permutation(len(queries))
+    fmap = FeatureMap(3, algebra_3.size, matrix[order],
+                      [list(queries[i]) for i in order])
+    assert np.array_equal(fmap.matrix, matrix)
+
+
+@pytest.mark.parametrize("bad,replaced", [
+    # each off-grid query stands in for the query at its computed position
+    ((0, 0, 3), (0, 1, 0)), ((0, 4, 0), (1, 0, 0)), ((-1, 3, 3), (0, 0, 0)),
+    ((0, 0, 0.0), (0, 0, 0)), (("0", 0, 0), (0, 0, 0)), ((0, 0), (0, 0, 0))])
+def test_queries_off_the_grid_are_rejected(algebra_3, bad, replaced):
+    queries = [list(q) for q in enumerate_queries(algebra_3)]
+    matrix = np.zeros((len(queries), 2))
+    FeatureMap(3, algebra_3.size, matrix, queries)
+    queries[queries.index(list(replaced))] = list(bad)
+    with pytest.raises(ValueError):
+        FeatureMap(3, algebra_3.size, matrix, queries)
+
+
+def test_queries_must_name_each_query_once(algebra_3):
+    queries = [list(q) for q in enumerate_queries(algebra_3)]
+    queries[1] = queries[0]
+    with pytest.raises(ValueError, match="each query"):
+        FeatureMap(3, algebra_3.size, np.zeros((len(queries), 2)), queries)

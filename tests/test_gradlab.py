@@ -11,7 +11,8 @@ from slplab.gradlab import (BLOCK_NAMES, _apply_block_update,
                             _relation_classes, alignment_experiment, edit_step, encode_queries,
                             finite_difference_gradient, generate_kb, gradient,
                             make_mlp, make_slp_linear, score, scores, train)
-from slplab.queryspace import LogicalOp, Query, apply_logical, compute_families
+from slplab.queryspace import (LogicalOp, Query, apply_logical,
+                               compute_families, enumerate_queries)
 
 
 @pytest.fixture(scope="module")
@@ -255,10 +256,11 @@ def test_scalar_model_gradient_closed_form(kb):
 
 def test_slp_gradient_is_the_feature_row(kb, slp):
     fm = slp.feature_map.feature_map
-    idx = fm.index()
+    queries = enumerate_queries(kb.algebra)
     for q, _ in kb.training_set():
         for block in BLOCK_NAMES:
-            assert np.array_equal(gradient(slp, q, block), fm.matrix[idx[q]])
+            assert np.array_equal(gradient(slp, q, block),
+                                  fm.matrix[queries.index(q)])
     q = kb.facts[0][0]
     fd = finite_difference_gradient(slp, q, "all")
     g = gradient(slp, q, "all")

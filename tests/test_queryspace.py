@@ -2,15 +2,17 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import proper_relation_strategy
-from slplab.queryspace import (GroupElementH, LogicalFamily, LogicalOp,
-                               Query, apply_logical, apply_renaming,
-                               compute_families, enumerate_queries,
-                               families_to_json, family_index, logical_images,
-                               relation_images, symmetric_group)
+from slplab.queryspace import (GroupElementH, LogicalOp, Query,
+                               apply_logical, apply_renaming,
+                               compute_families, decode_queries,
+                               enumerate_queries, families_to_json,
+                               logical_images, relation_images,
+                               symmetric_group)
 from slplab.relalg import (EntitySet, Relation, RelationAlgebra, close_unary,
                            converse)
 
@@ -40,7 +42,9 @@ def brute_orbit(q, algebra):
 
 def families_by_query(algebra):
     """The partition worked out one query at a time: each query's orbit, its
-    minimum as representative, and signs from the representative's orbit."""
+    minimum as representative, and signs from the representative's orbit.
+    One (representative, {member: sign}) pair per family, in representative
+    order."""
     def orbit(q):
         return {op: apply_logical(op, q, algebra) for op in LogicalOp}
 
@@ -53,10 +57,30 @@ def families_by_query(algebra):
         for op, p in orbit(rep).items():
             sign_sets.setdefault(p, set()).add(op.sign)
         assert all(len(signs) == 1 for signs in sign_sets.values())
-        families[rep] = LogicalFamily(
-            rep, tuple(sorted(sign_sets)),
-            {p: signs.pop() for p, signs in sign_sets.items()})
-    return tuple(families[rep] for rep in sorted(families))
+        families[rep] = {p: signs.pop() for p, signs in sign_sets.items()}
+    return [(rep, families[rep]) for rep in sorted(families)]
+
+
+def assert_partition_matches_query_by_query(algebra):
+    """The (F, 4) array against the query-by-query oracle: representatives,
+    members, signs and orbit sizes, and its JSON form too."""
+    queries = enumerate_queries(algebra)
+    families = compute_families(algebra)
+    oracle = families_by_query(algebra)
+    assert families.shape == (len(oracle), 4)
+    assert families.dtype.kind == "i"
+    for row, (rep, signs) in zip(families.tolist(), oracle):
+        members = [queries[p] for p in row]
+        assert members[0] == rep
+        assert set(members) == set(signs)
+        assert len(set(row)) == len(signs) in (2, 4)
+        for op, q in zip(LogicalOp, members):
+            assert signs[q] == op.sign
+    assert families_to_json(families, algebra) == [
+        {"representative": list(rep),
+         "members": [{"query": list(q), "sign": signs[q]}
+                     for q in sorted(signs)]}
+        for rep, signs in oracle]
 
 
 # -------------------------------------------------------------- group table
@@ -123,17 +147,19 @@ def test_orbit_matches_brute_closure(base):
 
 @given(small_bases)
 def test_families_match_query_by_query_partition(base):
-    algebra = close_unary(base)
-    assert compute_families(algebra) == families_by_query(algebra)
+    assert_partition_matches_query_by_query(close_unary(base))
 
 
 def family_of(q, algebra):
-    return next(f for f in compute_families(algebra) if q in f.members)
+    """The members of q's family, as positions in LogicalOp order."""
+    position = enumerate_queries(algebra).index(q)
+    return next(row for row in compute_families(algebra).tolist()
+                if position in row)
 
 
 def test_orbit_size_4_for_asymmetric_offdiagonal(algebra_3):
     fam = family_of(Query(0, 0, 1), algebra_3)
-    assert len(fam.members) == 4
+    assert len(set(fam)) == 4
 
 
 def test_orbit_size_2_for_symmetric_diagonal():
@@ -142,8 +168,9 @@ def test_orbit_size_2_for_symmetric_diagonal():
     algebra = close_unary([sym])
     assert converse(sym) == sym
     fam = family_of(Query(1, 0, 1), algebra)
-    assert len(fam.members) == 2
-    assert compute_families(algebra) == families_by_query(algebra)
+    # reversal fixes the representative: columns 2-3 repeat columns 0-1
+    assert len(set(fam)) == 2 and fam[2:] == fam[:2]
+    assert_partition_matches_query_by_query(algebra)
 
 
 def hand_built_algebra(negation, converse_):
@@ -171,43 +198,44 @@ def test_partition_gap_is_an_assertion():
 @given(proper_relation_strategy(4))
 def test_partition_properties(r):
     algebra = close_unary([r])
-    families = compute_families(algebra)
+    families = compute_families(algebra).tolist()
     queries = enumerate_queries(algebra)
     seen: set = set()
     for fam in families:
-        assert len(fam.members) in (2, 4)
-        assert fam.representative == min(fam.members)
-        for q in fam.members:
-            assert q not in seen
-            seen.add(q)
-    assert seen == set(queries)
-    assert sum(len(f.members) for f in families) == len(queries)
+        members = set(fam)
+        assert len(members) in (2, 4)
+        assert fam[0] == min(members)
+        assert not members & seen
+        seen |= members
+    assert seen == set(range(len(queries)))
+    assert [fam[0] for fam in families] == sorted(fam[0] for fam in families)
 
 
 @given(proper_relation_strategy(3))
 def test_signs_well_defined_all_four_elements(r):
     algebra = close_unary([r])
-    for fam in compute_families(algebra):
-        rep = fam.representative
-        for op in LogicalOp:
-            image = apply_logical(op, rep, algebra)
-            # any op carrying rep to image must agree with the recorded sign
-            assert fam.signs[image] == op.sign or \
-                any(apply_logical(other, rep, algebra) == image
-                    and other.sign == fam.signs[image] for other in LogicalOp)
-        # spelled out: every op mapping rep to the same member has equal sign
-        for p in fam.members:
+    queries = enumerate_queries(algebra)
+    for fam in compute_families(algebra).tolist():
+        rep = queries[fam[0]]
+        for op, p in zip(LogicalOp, fam):
+            assert apply_logical(op, rep, algebra) == queries[p]
+        # every op mapping rep to the same member has equal sign
+        for p in fam:
             signs = {op.sign for op in LogicalOp
-                     if apply_logical(op, rep, algebra) == p}
-            assert signs == {fam.signs[p]}
+                     if apply_logical(op, rep, algebra) == queries[p]}
+            assert len(signs) == 1
 
 
-def test_family_index_lookup(algebra_3):
-    families = compute_families(algebra_3)
-    idx = family_index(families)
-    for i, fam in enumerate(families):
-        for q in fam.members:
-            assert idx[q] == i
+@given(small_bases)
+def test_decode_queries_inverts_the_query_order(base):
+    algebra = close_unary(base)
+    queries = enumerate_queries(algebra)
+    n, size = algebra.entity_set.n, algebra.size
+    positions = np.arange(len(queries))
+    assert decode_queries(positions, n, size) == [list(q) for q in queries]
+    assert decode_queries(len(queries) - 1, n, size) == list(queries[-1])
+    assert decode_queries(positions.reshape(-1, 2), n, size) == \
+        [[list(a), list(b)] for a, b in zip(queries[::2], queries[1::2])]
 
 
 # ----------------------------------------------------------------- renaming
@@ -251,18 +279,22 @@ def test_renaming_commutes_with_logical_ops(r, perm):
        st.sampled_from([1, -1]))
 def test_renaming_preserves_families_and_relative_signs(r, perm, sign):
     algebra = close_unary([r])
-    families = compute_families(algebra)
-    idx = family_index(families)
+    queries = enumerate_queries(algebra)
+    families = compute_families(algebra).tolist()
+    owner = {queries[p]: j for j, fam in enumerate(families) for p in fam}
+    signs = {queries[p]: op.sign for fam in families
+             for op, p in zip(LogicalOp, fam)}
     g = GroupElementH(tuple(perm), sign)
     for fam in families:
-        images = {apply_renaming(g, q, algebra) for q in fam.members}
-        target_ids = {idx[p] for p in images}
+        members = {queries[p] for p in fam}
+        images = {apply_renaming(g, q, algebra) for q in members}
+        target_ids = {owner[p] for p in images}
         assert len(target_ids) == 1, "renaming must map orbits onto orbits"
         target = families[target_ids.pop()]
-        assert images == set(target.members)
+        assert images == {queries[p] for p in target}
         # relative signs within the family are preserved (global flip allowed)
-        flips = {fam.signs[q] * target.signs[apply_renaming(g, q, algebra)]
-                 for q in fam.members}
+        flips = {signs[q] * signs[apply_renaming(g, q, algebra)]
+                 for q in members}
         assert len(flips) == 1
 
 
@@ -277,7 +309,8 @@ def test_symmetric_group_materializes_small_n():
 
 def test_families_to_json_shape(algebra_2):
     families = compute_families(algebra_2)
-    doc = families_to_json(families)
+    doc = families_to_json(families, algebra_2)
+    assert len(doc) == len(families)
     assert isinstance(doc, list)
     for entry in doc:
         assert set(entry) == {"representative", "members"}

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from slplab import cli
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _build_cells, _closure_queries, _collapse_cells,
                         _families_cells, _fit_cells, _gradlab_cells,
@@ -179,6 +180,13 @@ def malformed_maps(directory, fmt):
         edit("duplicate_extra_row", queries + [queries[0]],
              matrix + [matrix[0]]),
         edit("query_not_a_triple", [queries[0][:2]] + queries[1:]),
+        # (h, r, n) and (h, size, t) sit at the positions of (h, r + 1, 0)
+        # and (h + 1, 0, t), the queries they replace
+        edit("tail_off_the_grid", [[0, 0, 3] if q == [0, 1, 0] else q
+                                   for q in queries]),
+        edit("rel_off_the_grid", [[0, len(queries) // 9, 0]
+                                  if q == [1, 0, 0] else q
+                                  for q in queries]),
     ]
     if fmt == "csv":
         no_sidecar = edit("no_sidecar")
@@ -195,6 +203,27 @@ def test_malformed_map_edits_are_the_only_fault(capsys, tmp_path):
                      "--out", str(tmp_path / f"verify-{fmt}.json")])
         capsys.readouterr()
         assert code == 0
+
+
+def test_verify_slp_charges_the_span_projector(capsys, tmp_path,
+                                               monkeypatch):
+    """The family kernel check forms the N x N span projector of the map
+    verify-slp loads, so a map whose N^2 cells are over the budget is a
+    usage error: exit 2, a message naming N, and no report."""
+    store = tmp_path / "map.json"
+    assert main(["build-slp", "--entities", "3", "--relations", "1",
+                 "--seed", "3", "--save", str(store),
+                 "--out", str(tmp_path / "build.json")]) == 0
+    n_queries = len(json.loads(store.read_text())["queries"])
+    out_path = tmp_path / "verify.json"
+    argv = ["verify-slp", "--load", str(store), "--out", str(out_path)]
+    monkeypatch.setattr(cli, "MAX_CELLS", n_queries ** 2 - 1)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and not out_path.exists()
+    assert f"N = {n_queries} queries" in err
+    monkeypatch.setattr(cli, "MAX_CELLS", n_queries ** 2)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and out_path.exists()
 
 
 def test_usage_errors_exit_two_without_reports(capsys, tmp_path):

@@ -7,15 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import kernel_basis, random_proper_relation
+from conftest import grid_map, kernel_basis, random_proper_relation
 from slplab import numerics
 from slplab.cli import main
 from slplab.factorize import BlockSpec, build_slp_map, isotypic_decompose
-from slplab.featspace import (FeatureMap, KernelNotInvariantError,
+from slplab.featspace import (KernelNotInvariantError,
                               check_family_kernel_decomposition,
                               lift_renaming, representative_matrix)
 from slplab.queryspace import (GroupElementH, apply_renaming,
-                               compute_families, symmetric_group)
+                               compute_families, enumerate_queries,
+                               symmetric_group)
 from slplab.relalg import EntitySet, close_unary
 
 
@@ -31,8 +32,9 @@ def seeded_map(n, seed):
 def reference_lift(fmap, g, algebra):
     """The per-call construction: own kernel SVD, own least-squares solve."""
     m = np.array(fmap.matrix)
-    idx = {q: i for i, q in enumerate(fmap.queries)}
-    perm = np.array([idx[apply_renaming(g, q, algebra)] for q in fmap.queries])
+    queries = enumerate_queries(algebra)
+    idx = {q: i for i, q in enumerate(queries)}
+    perm = np.array([idx[apply_renaming(g, q, algebra)] for q in queries])
     tol = numerics.rank_threshold(m)
     for v in kernel_basis(m):
         moved = np.zeros_like(v)
@@ -65,9 +67,9 @@ def test_kernel_projector_matches_per_call_reference(n, seed):
     spec = fmap.spectrum()
     u_k = spec.u[:, :spec.kernel_rank]
     ref = kernel_basis(fmap.matrix)
-    assert len(fmap.queries) - spec.kernel_rank == ref.shape[0] > 0
+    assert len(fmap.matrix) - spec.kernel_rank == ref.shape[0] > 0
     # the complement of the span projector is the reference kernel projector
-    kernel_projector = np.eye(len(fmap.queries)) - u_k @ u_k.T
+    kernel_projector = np.eye(len(fmap.matrix)) - u_k @ u_k.T
     assert np.max(np.abs(kernel_projector - ref.T @ ref)) <= 1e-10
 
 
@@ -118,10 +120,10 @@ def test_gram_rank_matches_the_rank_of_the_formed_gram():
 
 
 def test_writes_to_the_source_array_do_not_reach_the_spectrum():
-    _, built = seeded_map(3, 6)
+    algebra, built = seeded_map(3, 6)
     source = np.array(built.feature_map.matrix)
     original = source.copy()
-    fmap = FeatureMap(built.feature_map.queries, source)
+    fmap = grid_map(algebra, source)
     source[:] = 0.0
     assert np.array_equal(fmap.matrix, original)
     spec = fmap.spectrum()
