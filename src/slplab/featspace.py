@@ -12,15 +12,14 @@ whose feature-coordinate forms vanish off the span.
 A FeatureMap holds a read-only copy of its matrix, rows in the one query
 order of `queryspace`, and caches one thin SVD (`numerics.Spectrum`), so the
 rank check, the family kernel check's span projector and every lift of one
-map read a single factorization.  The checks take the family partition as
-the (F, 4) position array of `compute_families`.
+map read a single factorization.  A lift's query permutation is one
+`apply_renaming` on the (head, rel, tail) index grid.  The checks take the
+family partition as the (F, 4) position array of `compute_families`.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -220,19 +219,13 @@ def check_family_kernel_decomposition(fmap: FeatureMap,
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_queries(n: int, size: int) -> tuple[Query, ...]:
-    """Every query in row order, for all the lifts of one map at once."""
-    return tuple(itertools.starmap(Query, itertools.product(
-        range(n), range(size), range(n))))
-
-
 def _query_permutation(fmap: FeatureMap, g: GroupElementH,
                        algebra: RelationAlgebra) -> np.ndarray:
-    """index array: position i (query q) maps to position of g applied to q."""
+    """index array: position i (query q) maps to position of g applied to q,
+    from one renaming of the whole (head, rel, tail) index grid."""
     n, size = fmap.n, fmap.size
-    images = (apply_renaming(g, q, algebra) for q in _grid_queries(n, size))
-    return np.array([(h * size + r) * n + t for h, r, t in images])
+    h, r, t = apply_renaming(g, Query(*np.indices((n, size, n))), algebra)
+    return ((h * size + r) * n + t).ravel()
 
 
 def lift_renaming(fmap: FeatureMap, g: GroupElementH,
@@ -244,8 +237,12 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     coordinates, so matrix @ row(q) = row(g q).  rho is orthogonal exactly
     when the renaming preserves the kernel; otherwise no lift exists and a
     KernelNotInvariantError names g and max |rho rho^T - I| (the usual cause
-    is a non-equivariant or rank-deficient map).
+    is a non-equivariant or rank-deficient map).  A renaming of other than
+    n entities is a ValueError.
     """
+    if len(g.perm) != fmap.n:
+        raise ValueError(f"renaming of {len(g.perm)} entities on a map over "
+                         f"{fmap.n} entities")
     perm = _query_permutation(fmap, g, algebra)
     spec = fmap.spectrum()
     r = spec.span_rank

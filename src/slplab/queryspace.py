@@ -5,7 +5,9 @@ the relation and reversing the triple generate a four-element group of
 logical operations isomorphic to Z2 x Z2; its orbits partition the query
 space into logical families whose members carry signs (+1 under identity and
 reversal, -1 under negation and negated reversal).  Entity renamings act
-separately, by permuting head and tail and optionally negating the relation.
+separately, by permuting head and tail and optionally negating the relation;
+`apply_renaming` acts elementwise, on one triple of ints or on index arrays
+covering many queries at once.
 
 The library has one query order, (head, rel, tail): with n entities and
 `size` closed relations, (h, r, t) sits at position (h*size + r)*n + t.
@@ -103,8 +105,11 @@ class GroupElementH:
 
 def apply_renaming(g: GroupElementH, q: Query,
                    algebra: RelationAlgebra) -> Query:
-    rel = q.rel if g.sign == 1 else algebra.neg(q.rel)
-    return Query(g.perm[q.head], rel, g.perm[q.tail])
+    """Image of q under g, elementwise: q holds ints, or index arrays of one
+    shape (a whole grid of queries at once), and the image has its shape."""
+    perm = np.asarray(g.perm)
+    rel = q.rel if g.sign == 1 else np.asarray(algebra.negation)[q.rel]
+    return Query(perm[q.head], rel, perm[q.tail])
 
 
 def enumerate_queries(algebra: RelationAlgebra) -> tuple[Query, ...]:

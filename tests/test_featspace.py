@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (family_kernel_reference, grid_map, kernel_basis,
-                      random_proper_relation)
-from slplab import numerics
+                      proper_relation_strategy, random_proper_relation)
+from slplab import featspace, numerics
 from slplab.factorize import BlockSpec, build_slp_map
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
@@ -15,10 +16,10 @@ from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               lift_renaming,
                               load_feature_map, propagation_audit,
                               representative_matrix, save_feature_map)
-from slplab.queryspace import (GroupElementH, apply_renaming,
+from slplab.queryspace import (GroupElementH, Query, apply_renaming,
                                compute_families, decode_queries,
                                enumerate_queries, symmetric_group)
-from slplab.relalg import EntitySet, close_unary
+from slplab.relalg import EntitySet, Relation, close_unary
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
@@ -388,6 +389,80 @@ def test_lift_range_and_kernel_follow_span(algebra_3):
     # min-norm lift vanishes off the span and maps into it
     assert np.max(np.abs(lift.matrix @ off_span)) <= 1e-9
     assert np.max(np.abs(off_span @ lift.matrix)) <= 1e-9
+
+
+def test_lift_rejects_renaming_of_wrong_length(algebra_3):
+    fmap = build(algebra_3, n_families(algebra_3), 7).feature_map
+    assert (fmap.n, fmap.size, fmap.matrix.shape[0]) == (3, 4, 36)
+    # unchecked, (1, 0, 2, 3) would lift as (1, 0, 2), never reading
+    # perm[3], and the tail 3 of (0, 1, 3, 2) would alias the next
+    # relation's tail 0, overflowing the grid only on the last relation
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (1, 0)):
+        with pytest.raises(ValueError,
+                           match=f"{len(perm)} entities .* 3 entities"):
+            lift_renaming(fmap, GroupElementH(perm, 1), algebra_3)
+
+
+def per_query_permutation(fmap, g, algebra):
+    """The per-query reference: one scalar apply_renaming per grid query."""
+    n, size = fmap.n, fmap.size
+    images = (apply_renaming(g, Query(*q), algebra) for q in
+              itertools.product(range(n), range(size), range(n)))
+    return np.array([(h * size + r) * n + t for h, r, t in images])
+
+
+def assert_lift_matches_per_query(fmap, g, algebra):
+    lift = lift_renaming(fmap, g, algebra)
+    perm = per_query_permutation(fmap, g, algebra)
+    assert np.array_equal(lift.perm, perm), g
+    spec = fmap.spectrum()
+    u_r = spec.u[:, :spec.span_rank]
+    assert lift.span.tobytes() == (u_r[perm].T @ u_r).tobytes(), g
+
+
+def drawn_algebra(entities, max_relations):
+    return entities.flatmap(lambda n: st.lists(
+        proper_relation_strategy(n), min_size=1,
+        max_size=max_relations)).map(close_unary)
+
+
+@given(drawn_algebra(st.integers(2, 3), 2), st.integers(0, 2**16))
+def test_grid_lifts_match_per_query_reference_whole_group(algebra, seed):
+    fmap = build(algebra, n_families(algebra), seed).feature_map
+    for perm in symmetric_group(algebra.entity_set.n):
+        for sign in (1, -1):
+            assert_lift_matches_per_query(fmap, GroupElementH(perm, sign),
+                                          algebra)
+
+
+@settings(max_examples=15)
+@given(drawn_algebra(st.integers(4, 5), 1), st.integers(0, 2**16),
+       st.data())
+def test_grid_lifts_match_per_query_reference_sampled(algebra, seed, data):
+    fmap = build(algebra, n_families(algebra), seed).feature_map
+    n = algebra.entity_set.n
+    for perm in data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                                   max_size=3)):
+        for sign in (1, -1):
+            assert_lift_matches_per_query(
+                fmap, GroupElementH(tuple(perm), sign), algebra)
+
+
+def test_one_lift_renames_the_grid_once(monkeypatch):
+    entity_set = EntitySet.of_size(5)
+    algebra = close_unary([Relation.from_pairs(
+        entity_set, [(0, 1), (1, 2), (3, 4)], "r0")])
+    fmap = build(algebra, n_families(algebra), 0).feature_map
+    assert fmap.matrix.shape[0] >= 100
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_renaming(*args)
+
+    monkeypatch.setattr(featspace, "apply_renaming", counted)
+    lift_renaming(fmap, GroupElementH((1, 2, 0, 4, 3), -1), algebra)
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- propagation

@@ -298,6 +298,22 @@ def test_renaming_preserves_families_and_relative_signs(r, perm, sign):
         assert len(flips) == 1
 
 
+@given(small_bases, st.data())
+def test_renaming_acts_elementwise_on_index_arrays(base, data):
+    algebra = close_unary(base)
+    n, size = algebra.entity_set.n, algebra.size
+    g = GroupElementH(tuple(data.draw(st.permutations(range(n)))),
+                      data.draw(st.sampled_from([1, -1])))
+    image = apply_renaming(g, Query(*np.indices((n, size, n))), algebra)
+    assert all(a.shape == (n, size, n) for a in image)
+    for h, r, t in itertools.product(range(n), range(size), range(n)):
+        # the definition on raw tuples
+        expected = (g.perm[h], r if g.sign == 1 else algebra.negation[r],
+                    g.perm[t])
+        assert tuple(a[h, r, t] for a in image) == expected
+        assert apply_renaming(g, Query(h, r, t), algebra) == expected
+
+
 # --------------------------------------------------------------- generation
 
 def test_symmetric_group_materializes_small_n():
