@@ -106,11 +106,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write(parser, path, write, *write_args) -> None:
-    """Call `write(*write_args)`; an unwritable path is a usage error, never
-    a failed check."""
+def _write(parser, path, write, /, *args, **kwargs) -> None:
+    """Call `write(*args, **kwargs)`; an unwritable path is a usage error,
+    never a failed check."""
     try:
-        write(*write_args)
+        write(*args, **kwargs)
     except OSError as exc:
         # emit_report wraps the OSError of open() in its own
         parser.error(f"cannot write {path}: {exc.__cause__ or exc}")
@@ -222,19 +222,18 @@ def _random_algebra(args: argparse.Namespace, rng, parser):
 def _build(args: argparse.Namespace, seed: int, parser):
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
-    families = compute_families(algebra)
+    n_families = len(compute_families(algebra))
     context_dim = args.context_dim
     if context_dim is None:
         # smallest shape that can reach full representative rank
-        context_dim = len(families)
+        context_dim = n_families
     terms = args.terms
     if terms is None:
         # one raw sample spans at most |E|^2 row directions
-        terms = max(1, -(-len(families) // args.entities ** 2))
+        terms = max(1, -(-n_families // args.entities ** 2))
     parity = None if args.parity == "both" else args.parity
-    spec = BlockSpec(context_dim, terms, parity)
-    built = build_slp_map(algebra, [spec], seed, families)
-    return algebra, families, built
+    return build_slp_map(algebra, [BlockSpec(context_dim, terms, parity)],
+                         seed)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -303,12 +302,12 @@ def _cmd_families(args, seed, parser) -> Report:
 
 
 def _cmd_build_slp(args, seed, parser) -> Report:
-    algebra, families, built = _build(args, seed, parser)
-    equiv = check_logical_equivariance(built.feature_map, families, algebra)
-    rank = check_slp(built.feature_map, families)
+    built = _build(args, seed, parser)
+    equiv = check_logical_equivariance(built.feature_map)
+    rank = check_slp(built.feature_map)
     if args.save:
-        _write(parser, args.save, save_feature_map, built.feature_map, algebra,
-               args.save, args.fmt)
+        _write(parser, args.save, save_feature_map, built.feature_map,
+               path=args.save, fmt=args.fmt)
     return Report(
         check="build_slp", passed=equiv.passed and rank.passed,
         max_deviation=max(equiv.max_deviation, rank.max_deviation),
@@ -320,16 +319,15 @@ def _cmd_build_slp(args, seed, parser) -> Report:
 
 def _cmd_verify_slp(args, seed, parser) -> Report:
     try:
-        fmap, algebra = load_feature_map(args.load, args.fmt)
+        fmap = load_feature_map(args.load, args.fmt)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         parser.error(f"cannot load {args.load}: {type(exc).__name__}: {exc}")
     n_queries = len(fmap.matrix)
     _within_budget(n_queries ** 2, f"the N x N span projector of a loaded "
                    f"map of N = {n_queries} queries", parser)
-    families = compute_families(algebra)
-    equiv = check_logical_equivariance(fmap, families, algebra, tol=args.tol)
-    rank = check_slp(fmap, families)
-    blocks = check_family_kernel_decomposition(fmap, families)
+    equiv = check_logical_equivariance(fmap, tol=args.tol)
+    rank = check_slp(fmap)
+    blocks = check_family_kernel_decomposition(fmap)
     return Report(
         check="verify_slp",
         passed=equiv.passed and rank.passed and blocks.passed,
@@ -342,7 +340,7 @@ def _cmd_verify_slp(args, seed, parser) -> Report:
 
 
 def _cmd_factorize(args, seed, parser) -> Report:
-    algebra, _, built = _build(args, seed, parser)
+    built = _build(args, seed, parser)
     form = verify_factorized_form(built)
     split = negation_split(built)
     passed = form.passed and split.plus_dim == 0
@@ -360,7 +358,7 @@ def _cmd_factorize(args, seed, parser) -> Report:
 def _cmd_isotypic(args, seed, parser) -> Report:
     if args.entities > 5:
         parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
-    algebra, _, built = _build(args, seed, parser)
+    built = _build(args, seed, parser)
     details = {"tol": args.tol,
                "lift_rank": built.feature_map.spectrum().span_margin()}
     try:
@@ -382,11 +380,11 @@ def _cmd_isotypic(args, seed, parser) -> Report:
 
 
 def _cmd_parity(args, seed, parser) -> Report:
-    algebra, _, built = _build(args, seed, parser)
-    n = algebra.entity_set.n
+    built = _build(args, seed, parser)
+    n = built.feature_map.n
     # (h, t) -> (t, h) on the pair space; r -> conv r on the relations
     pair_dims = involution_dims(np.arange(n * n).reshape(n, n).T.ravel())
-    rel_dims = involution_dims(relation_images(algebra)[2])
+    rel_dims = involution_dims(relation_images(built.feature_map.algebra)[2])
     try:
         decomp = parity_decompose(built, tol=args.tol)
     except ConverseInvarianceError as exc:
@@ -607,11 +605,11 @@ def _cmd_gradlab(args, seed, parser) -> Report:
 
 
 def _cmd_audit(args, seed, parser) -> Report:
-    algebra, families, built = _build(args, seed, parser)
-    if not 0 <= args.family < len(families):
-        parser.error(f"--family must be in [0, {len(families)})")
-    return propagation_audit(built.feature_map, families, args.family,
-                             args.eta)
+    fmap = _build(args, seed, parser).feature_map
+    n_families = len(fmap.families())
+    if args.family >= n_families:
+        parser.error(f"--family must be in [0, {n_families})")
+    return propagation_audit(fmap, args.family, args.eta)
 
 
 # -------------------------------------------------------------------- parser

@@ -95,7 +95,6 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class FactorizedMap:
-    algebra: RelationAlgebra
     blocks: tuple[TensorBlock, ...]
     feature_map: FeatureMap
     redrawn: bool = False
@@ -160,28 +159,26 @@ def _sample_block(algebra: RelationAlgebra, spec: BlockSpec, rng) -> TensorBlock
 
 
 def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
-                  seed: int, families: np.ndarray) -> FactorizedMap:
+                  seed: int) -> FactorizedMap:
     """Seeded generic build; one redraw on a measure-zero rank failure.
 
     The map is exactly logically equivariant by construction.  Whether it
     reaches full representative rank depends on the requested shape; a
     genuinely undersized shape will fail check_slp both times, and the
-    redrawn flag records that a second draw happened.  `families` must be
-    the partition `compute_families(algebra)`, which the caller holds.
+    redrawn flag records that a second draw happened.
     """
     rng = np.random.default_rng(seed)
-    n, size = algebra.entity_set.n, algebra.size
 
     def draw() -> tuple[TensorBlock, ...]:
         return tuple(_sample_block(algebra, spec, rng) for spec in blocks)
 
     built = draw()
-    fmap = FeatureMap(n, size, assemble_rows(built, algebra))
-    redrawn = not check_slp(fmap, families).passed
+    fmap = FeatureMap(algebra, assemble_rows(built, algebra))
+    redrawn = not check_slp(fmap).passed
     if redrawn:
         built = draw()
-        fmap = FeatureMap(n, size, assemble_rows(built, algebra))
-    return FactorizedMap(algebra, built, fmap, redrawn)
+        fmap = FeatureMap(algebra, assemble_rows(built, algebra))
+    return FactorizedMap(built, fmap, redrawn)
 
 
 def verify_factorized_form(f: FactorizedMap) -> Report:
@@ -191,15 +188,16 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
     -v(r) is checked per term as one array identity, and failures are
     located by (block, term, relation).
     """
-    rebuilt = assemble_rows(f.blocks, f.algebra)
+    algebra = f.feature_map.algebra
+    rebuilt = assemble_rows(f.blocks, algebra)
     rows = f.feature_map.matrix
     rows_equal = np.array_equal(rebuilt, rows)
     row_dev = float(np.max(np.abs(rebuilt - rows))) if rebuilt.size else 0.0
-    neg = relation_images(f.algebra)[1]
+    neg = relation_images(algebra)[1]
     sign_faults = []
     for bi, block in enumerate(f.blocks):
         for ki, term in enumerate(block.terms):
-            v = term.v[:f.algebra.size]  # dims_consistent flags a long v
+            v = term.v[:algebra.size]  # dims_consistent flags a long v
             dev = np.abs(v[neg] + v)
             bad = np.flatnonzero(dev != 0.0)
             sign_faults += [{"block": bi, "term": ki, "relation": r,
@@ -207,9 +205,9 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
                             for r, d in zip(bad.tolist(), dev[bad].tolist())]
     worst_sign = max([0.0] + [fault["deviation"] for fault in sign_faults])
     dims_ok = all(b.terms == () or
-                  all(t.u.shape == (f.algebra.entity_set.n,
-                                    f.algebra.entity_set.n, b.context_dim)
-                      and t.v.shape == (f.algebra.size,)
+                  all(t.u.shape == (algebra.entity_set.n,
+                                    algebra.entity_set.n, b.context_dim)
+                      and t.v.shape == (algebra.size,)
                       for t in b.terms)
                   for b in f.blocks)
     passed = rows_equal and not sign_faults and dims_ok
@@ -270,9 +268,8 @@ def negation_split(f: FactorizedMap) -> NegationSplit:
     structured-linear map it is minus the identity, so the plus eigenspace
     is zero.
     """
-    n = f.algebra.entity_set.n
-    lift = lift_renaming(f.feature_map, GroupElementH(tuple(range(n)), -1),
-                         f.algebra)
+    n = f.feature_map.n
+    lift = lift_renaming(f.feature_map, GroupElementH(tuple(range(n)), -1))
     p_plus, p_minus = involution_split(lift.span)
     plus_dim = numerics.projector_trace_dim(p_plus)
     minus_dim = numerics.projector_trace_dim(p_minus)
@@ -306,12 +303,10 @@ def isotypic_decompose(f: FactorizedMap) -> tuple[list[IsotypicProjector], dict]
     annihilation, completeness against I_r, and commutation with and
     orthogonality of every lift.
     """
-    n = f.algebra.entity_set.n
-    if n > 5:
-        raise ValueError("isotypic decomposition materializes Sym(n); n <= 5 only")
+    n = f.feature_map.n
     perms = symmetric_group(n)
-    rhos = np.stack([lift_renaming(f.feature_map, GroupElementH(p, 1),
-                                   f.algebra).span for p in perms])
+    rhos = np.stack([lift_renaming(f.feature_map, GroupElementH(p, 1)).span
+                     for p in perms])
     class_sums: dict[tuple[int, ...], np.ndarray] = {}
     for perm, rho in zip(perms, rhos):
         mu = characters.cycle_type(perm)
@@ -377,7 +372,7 @@ def parity_decompose(f: FactorizedMap,
     u+ x v- and u- x v+ must cancel blockwise on every query, and their
     residual, assembled as one block of cross terms, is reported.
     """
-    algebra = f.algebra
+    algebra = f.feature_map.algebra
     rows = f.feature_map.matrix
     _, _, rev, _ = logical_images(algebra)  # rows follow LogicalOp order
     dev = np.max(np.abs(rows[rev] - rows), axis=1)

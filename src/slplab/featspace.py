@@ -9,12 +9,13 @@ acting on query coordinates descend to well-defined linear operators on the
 feature span: orthogonal matrices in the span coordinates of the map's SVD,
 whose feature-coordinate forms vanish off the span.
 
-A FeatureMap holds a read-only copy of its matrix, rows in the one query
-order of `queryspace`, and caches one thin SVD (`numerics.Spectrum`), so the
-rank check, the family kernel check's span projector and every lift of one
-map read a single factorization.  A lift's query permutation is one
-`apply_renaming` on the (head, rel, tail) index grid.  The checks take the
-family partition as the (F, 4) position array of `compute_families`.
+A FeatureMap holds the relation closure it was built on and a read-only
+copy of its matrix, rows in the one query order of `queryspace`.  It caches
+one thin SVD (`numerics.Spectrum`), so the rank check, the family kernel
+check's span projector and every lift of one map read a single
+factorization, and the closure's family partition, the (F, 4) position
+array of `compute_families`, which every check reads.  A lift's query
+permutation is one `apply_renaming` on the (head, rel, tail) index grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import numerics
 from .queryspace import (GroupElementH, LogicalOp, Query, apply_renaming,
-                         decode_queries, logical_images)
+                         compute_families, decode_queries, logical_images)
 from .relalg import EntitySet, Relation, RelationAlgebra, close_unary
 from .reports import Report
 
@@ -46,19 +47,23 @@ class KernelNotInvariantError(RuntimeError):
 
 @dataclass(frozen=True, init=False)
 class FeatureMap:
-    """Feature rows of the queries over n entities and `size` closed
-    relations: row (h*size + r)*n + t of `matrix` is query (h, r, t)'s.
+    """Feature rows of the queries over the closure `algebra`, of n entities
+    and `size` relations: row (h*size + r)*n + t of `matrix` is query
+    (h, r, t)'s.
 
     Rows in another order come with `queries`, the [head, rel, tail] of
     each: they are checked against the grid and put in grid order by one
     gather, in place of the copy the map makes of a matrix in grid order."""
 
+    algebra: RelationAlgebra = field(repr=False)
     n: int
     size: int
     matrix: np.ndarray
     _spectrum: numerics.Spectrum | None = field(repr=False, compare=False)
+    _families: np.ndarray | None = field(repr=False, compare=False)
 
-    def __init__(self, n: int, size: int, matrix, queries=None) -> None:
+    def __init__(self, algebra: RelationAlgebra, matrix, queries=None) -> None:
+        n, size = algebra.entity_set.n, algebra.size
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != n * size * n:
             raise ValueError("matrix shape does not match the query grid")
@@ -69,8 +74,9 @@ class FeatureMap:
         # a copy: the caches below depend on it
         m = m.copy() if queries is None else m[_grid_order(queries, n, size)]
         m.flags.writeable = False
-        for name, value in (("n", n), ("size", size), ("matrix", m),
-                            ("_spectrum", None)):
+        for name, value in (("algebra", algebra), ("n", n), ("size", size),
+                            ("matrix", m), ("_spectrum", None),
+                            ("_families", None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -88,6 +94,13 @@ class FeatureMap:
             object.__setattr__(self, "_spectrum",
                                numerics.Spectrum(self.matrix))
         return self._spectrum
+
+    def families(self) -> np.ndarray:
+        """The closure's (F, 4) family partition, computed on first use."""
+        if self._families is None:
+            object.__setattr__(self, "_families",
+                               compute_families(self.algebra))
+        return self._families
 
     def row(self, q: Query) -> np.ndarray:
         return self.matrix[self.index(*q)]
@@ -133,17 +146,14 @@ class LiftedOperator:
                             initial=0.0))
 
 
-def check_logical_equivariance(fmap: FeatureMap, families: np.ndarray,
-                               algebra: RelationAlgebra,
-                               tol: float = 0.0) -> Report:
+def check_logical_equivariance(fmap: FeatureMap, tol: float = 0.0) -> Report:
     """Negation flips features, reversal preserves them, family by family.
 
     `tol` defaults to exact zero, the right bound for maps built by
     construction; loaded or learned maps should pass a scaled tolerance.
-    `families` must be the partition `compute_families(algebra)`.
     """
-    rows = fmap.matrix
-    _, neg, rev, _ = logical_images(algebra)  # rows follow LogicalOp order
+    rows, families = fmap.matrix, fmap.families()
+    _, neg, rev, _ = logical_images(fmap.algebra)  # LogicalOp order
     row_dev = np.maximum(np.max(np.abs(rows[neg] + rows), axis=1),
                          np.max(np.abs(rows[rev] - rows), axis=1))
     fam_dev = np.max(row_dev[families], axis=1)
@@ -157,23 +167,22 @@ def check_logical_equivariance(fmap: FeatureMap, families: np.ndarray,
     )
 
 
-def representative_matrix(fmap: FeatureMap,
-                          families: np.ndarray) -> np.ndarray:
-    return fmap.matrix[families[:, 0]]
+def representative_matrix(fmap: FeatureMap) -> np.ndarray:
+    return fmap.matrix[fmap.families()[:, 0]]
 
 
-def check_slp(fmap: FeatureMap, families: np.ndarray) -> Report:
+def check_slp(fmap: FeatureMap) -> Report:
     """Rank of the representative submatrix must equal the family count.
 
     Also reports the rank of the full orbit matrix (equal under equivariance),
     read off the map's cached spectrum, and the singular values bracketing
     the rank decision.
     """
-    reps = representative_matrix(fmap, families)
+    reps = representative_matrix(fmap)
     sv = numerics.singular_values(reps)
     threshold = numerics.rank_threshold(reps)
     rep_rank = int(np.sum(sv > threshold))
-    n_fam = len(families)
+    n_fam = len(reps)
     return Report(
         check="slp_rank",
         passed=rep_rank == n_fam,
@@ -184,8 +193,7 @@ def check_slp(fmap: FeatureMap, families: np.ndarray) -> Report:
     )
 
 
-def check_family_kernel_decomposition(fmap: FeatureMap,
-                                      families: np.ndarray) -> Report:
+def check_family_kernel_decomposition(fmap: FeatureMap) -> Report:
     """Restricting a kernel vector to one family must keep it in the kernel.
 
     The kernel of the query -> feature map is the orthogonal complement of
@@ -194,13 +202,12 @@ def check_family_kernel_decomposition(fmap: FeatureMap,
     into itself exactly when it commutes with P, that is when every entry
     P[i, j] with i in the family and j outside it is zero.  The check zeroes
     the within-family entries of |P|, the diagonal among them, and compares
-    the largest remaining entry in each family's rows with PROJECTOR_TOL, so
-    an injective map passes with any family list.  `failing_families` names
-    the representative of each family with a cross entry above it, in family
-    order; `kernel_rank` holds the singular values on either side of the
-    kernel's rank decision.
+    the largest remaining entry in each family's rows with PROJECTOR_TOL.
+    `failing_families` names the representative of each family with a cross
+    entry above it, in family order; `kernel_rank` holds the singular values
+    on either side of the kernel's rank decision.
     """
-    spec = fmap.spectrum()
+    spec, families = fmap.spectrum(), fmap.families()
     u_k = spec.u[:, :spec.kernel_rank]
     cross = u_k @ u_k.T
     np.abs(cross, out=cross)
@@ -219,17 +226,16 @@ def check_family_kernel_decomposition(fmap: FeatureMap,
     )
 
 
-def _query_permutation(fmap: FeatureMap, g: GroupElementH,
-                       algebra: RelationAlgebra) -> np.ndarray:
+def _query_permutation(fmap: FeatureMap, g: GroupElementH) -> np.ndarray:
     """index array: position i (query q) maps to position of g applied to q,
     from one renaming of the whole (head, rel, tail) index grid."""
     n, size = fmap.n, fmap.size
-    h, r, t = apply_renaming(g, Query(*np.indices((n, size, n))), algebra)
+    h, r, t = apply_renaming(g, Query(*np.indices((n, size, n))),
+                             fmap.algebra)
     return ((h * size + r) * n + t).ravel()
 
 
-def lift_renaming(fmap: FeatureMap, g: GroupElementH,
-                  algebra: RelationAlgebra) -> LiftedOperator:
+def lift_renaming(fmap: FeatureMap, g: GroupElementH) -> LiftedOperator:
     """Descend a renaming to the feature span.
 
     With M = U_r S V_r^T on the span (r = span_rank), the lift is rho =
@@ -243,7 +249,7 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     if len(g.perm) != fmap.n:
         raise ValueError(f"renaming of {len(g.perm)} entities on a map over "
                          f"{fmap.n} entities")
-    perm = _query_permutation(fmap, g, algebra)
+    perm = _query_permutation(fmap, g)
     spec = fmap.spectrum()
     r = spec.span_rank
     u_r = spec.u[:, :r]
@@ -254,10 +260,9 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH,
     return LiftedOperator(source=g, span=rho, fmap=fmap, perm=perm)
 
 
-def propagation_audit(fmap: FeatureMap, families: np.ndarray, edited: int,
-                      eta: float) -> Report:
+def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:
     """First-order score responses to a rank-one edit along the representative
-    of family number `edited`.
+    of family number `edited`, in [0, F) for F families.
 
     The edit moves parameters by eta times the representative's feature; the
     first-order score change of any query is then eta times the inner product
@@ -266,7 +271,10 @@ def propagation_audit(fmap: FeatureMap, families: np.ndarray, edited: int,
     reported, along with the representative Gram rank certifying that edits
     can separate families.
     """
-    rows = fmap.matrix
+    rows, families = fmap.matrix, fmap.families()
+    if not 0 <= edited < len(families):
+        raise ValueError(f"edited must be in [0, {len(families)}), the "
+                         f"family count, got {edited}")
     members = families[edited].tolist()  # in LogicalOp order
     delta = eta * rows[members[0]]
     responses = {op.value: float(np.dot(rows[p], delta))
@@ -281,7 +289,7 @@ def propagation_audit(fmap: FeatureMap, families: np.ndarray, edited: int,
     others = {str(q): float(np.dot(rows[p], delta))
               for i, (q, p) in enumerate(zip(names, reps.tolist()))
               if i != edited}
-    gram_rank = numerics.gram_rank(representative_matrix(fmap, families))
+    gram_rank = numerics.gram_rank(representative_matrix(fmap))
     return Report(
         check="propagation_audit",
         passed=worst == 0.0,
@@ -292,8 +300,8 @@ def propagation_audit(fmap: FeatureMap, families: np.ndarray, edited: int,
     )
 
 
-def save_feature_map(fmap: FeatureMap, algebra: RelationAlgebra,
-                     path: str | Path, fmt: str = "json") -> None:
+def save_feature_map(fmap: FeatureMap, path: str | Path,
+                     fmt: str = "json") -> None:
     """Persist matrix + row queries; base relations travel in the sidecar.
 
     fmt="json" writes one file; fmt="csv" writes the matrix as CSV and the
@@ -303,10 +311,10 @@ def save_feature_map(fmap: FeatureMap, algebra: RelationAlgebra,
     # base relations are an ordered list: closure order, and with it the
     # relation indices stored in the queries, must survive the round trip
     sidecar = {
-        "entities": list(algebra.entity_set.labels),
+        "entities": list(fmap.algebra.entity_set.labels),
         "base_relations": [
             {"name": r.name or f"r{i}", "pairs": [[h, t] for h, t in r.pairs()]}
-            for i, r in enumerate(algebra.base)
+            for i, r in enumerate(fmap.algebra.base)
         ],
         "queries": decode_queries(np.arange(fmap.matrix.shape[0]), fmap.n,
                                   fmap.size),
@@ -328,8 +336,7 @@ def save_feature_map(fmap: FeatureMap, algebra: RelationAlgebra,
         raise ValueError(f"unknown feature-map format {fmt!r}")
 
 
-def load_feature_map(path: str | Path,
-                     fmt: str = "json") -> tuple[FeatureMap, RelationAlgebra]:
+def load_feature_map(path: str | Path, fmt: str = "json") -> FeatureMap:
     path = Path(path)
     if fmt == "json":
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -347,6 +354,4 @@ def load_feature_map(path: str | Path,
     base = [Relation.from_pairs(entity_set,
                                 [(h, t) for h, t in rec["pairs"]], rec["name"])
             for rec in sidecar["base_relations"]]
-    algebra = close_unary(base)
-    return FeatureMap(algebra.entity_set.n, algebra.size, matrix,
-                      sidecar["queries"]), algebra
+    return FeatureMap(close_unary(base), matrix, sidecar["queries"])

@@ -32,8 +32,7 @@ import numpy as np
 
 from . import numerics
 from .factorize import BlockSpec, FactorizedMap, build_slp_map
-from .queryspace import (LogicalOp, Query, apply_logical, compute_families,
-                         relation_images)
+from .queryspace import LogicalOp, Query, apply_logical, relation_images
 from .relalg import (EntitySet, RelationAlgebra, close_unary,
                      random_base_relations)
 
@@ -142,8 +141,7 @@ def make_mlp(kb: SyntheticKB, hidden: int, embed_dim: int, seed: int) -> ScorerM
 
 def make_slp_linear(kb: SyntheticKB, context_dim: int, seed: int) -> ScorerModel:
     """Linear scorer over a seeded equivariant feature build of one term."""
-    fmap = build_slp_map(kb.algebra, [BlockSpec(context_dim)], seed,
-                         compute_families(kb.algebra))
+    fmap = build_slp_map(kb.algebra, [BlockSpec(context_dim)], seed)
     rng = np.random.default_rng(seed + 1)
     d = fmap.feature_map.dim
     params = {"theta": rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=d)}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from slplab import numerics
-from slplab.featspace import FeatureMap
+from slplab.queryspace import compute_families
 from slplab.relalg import EntitySet, Relation, close_unary
 
 settings.register_profile("slplab", database=None, derandomize=True,
@@ -87,11 +87,6 @@ def random_proper_relation(entity_set: EntitySet, rng: np.random.Generator,
             return Relation(entity_set, bits, name)
 
 
-def grid_map(algebra, matrix) -> FeatureMap:
-    """A feature map with `matrix` as its rows in the one query order."""
-    return FeatureMap(algebra.entity_set.n, algebra.size, matrix)
-
-
 def kernel_basis(matrix) -> np.ndarray:
     """Reference kernel of the query -> feature map, one vector per row.
 
@@ -107,18 +102,19 @@ def kernel_basis(matrix) -> np.ndarray:
     return basis
 
 
-def family_kernel_reference(fmap, families):
+def family_kernel_reference(fmap):
     """Kernel-basis witness for check_family_kernel_decomposition.
 
-    Restricts every reference kernel vector to each family and fails the
-    family when a nonzero restriction maps to features of norm above
-    rank_threshold(m).  Returns (passed, kernel_dim, failing family indices).
+    Restricts every reference kernel vector to each family of the map's
+    closure, computed afresh, and fails the family when a nonzero
+    restriction maps to features of norm above rank_threshold(m).  Returns
+    (passed, kernel_dim, failing family indices).
     """
     m = np.array(fmap.matrix)
     basis = kernel_basis(m)
     tol = numerics.rank_threshold(m)
     failing = []
-    for i, fam in enumerate(families):
+    for i, fam in enumerate(compute_families(fmap.algebra)):
         rows = np.unique(fam)  # a size-2 orbit lists its members twice
         restricted = basis[:, rows]
         devs = np.linalg.norm(restricted @ m[rows], axis=1)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_map, random_proper_relation
+from conftest import random_proper_relation
 from slplab import numerics
 from slplab.conjunction import (check_kernel_stability, collapse_certificate,
                                 conj, fit_bilinear, possible_worlds_assignment)
@@ -21,8 +21,8 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               pair_space_representation, parity_decompose,
                               relation_sign_representation,
                               verify_factorized_form)
-from slplab.featspace import (check_logical_equivariance, check_slp,
-                              lift_renaming)
+from slplab.featspace import (FeatureMap, check_logical_equivariance,
+                              check_slp, lift_renaming)
 from slplab.gradlab import (alignment_experiment, edit_step,
                             finite_difference_gradient, generate_kb, gradient,
                             make_mlp, make_slp_linear, train)
@@ -103,13 +103,12 @@ def test_criterion_03_twenty_builds_and_sign_fault():
     # over 15 families needs a second term
     spec = [BlockSpec(len(families), 2, None)]
     for seed in range(20):
-        built = build_slp_map(algebra, spec, seed, families)
-        equiv = check_logical_equivariance(built.feature_map, families,
-                                           algebra)
+        built = build_slp_map(algebra, spec, seed)
+        equiv = check_logical_equivariance(built.feature_map)
         assert equiv.passed and equiv.max_deviation == 0.0
-        rank = check_slp(built.feature_map, families)
+        rank = check_slp(built.feature_map)
         assert rank.passed and rank.details["rep_rank"] == len(families)
-    built = build_slp_map(algebra, spec, 0, families)
+    built = build_slp_map(algebra, spec, 0)
     block = built.blocks[0]
     term = block.terms[0]
     v_bad = term.v.copy()
@@ -118,7 +117,7 @@ def test_criterion_03_twenty_builds_and_sign_fault():
                             (Term(term.u, v_bad, term.parity),)
                             + block.terms[1:])
     rows = assemble_rows((bad_block,), algebra)
-    broken = FactorizedMap(algebra, (bad_block,), grid_map(algebra, rows))
+    broken = FactorizedMap((bad_block,), FeatureMap(algebra, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     assert any(f["relation"] in (0, algebra.neg(0))
@@ -130,11 +129,10 @@ def test_criterion_03_twenty_builds_and_sign_fault():
 def test_criterion_04_lift_homomorphism_and_negation_lift():
     algebra = seeded_algebra(3, 1, 0)
     families = compute_families(algebra)
-    built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], 4,
-                          families)
+    built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], 4)
     fmap = built.feature_map
     perms = symmetric_group(3)
-    lifts = {p: lift_renaming(fmap, GroupElementH(p, 1), algebra)
+    lifts = {p: lift_renaming(fmap, GroupElementH(p, 1))
              for p in perms}
     worst = 0.0
     for p1, p2 in itertools.product(perms, perms):
@@ -143,7 +141,7 @@ def test_criterion_04_lift_homomorphism_and_negation_lift():
                                   - lifts[composed].matrix)))
         worst = max(worst, gap)
     assert worst <= 1e-9
-    neg_lift = lift_renaming(fmap, GroupElementH(tuple(range(3)), -1), algebra)
+    neg_lift = lift_renaming(fmap, GroupElementH(tuple(range(3)), -1))
     neg_gap = float(np.max(np.abs(neg_lift.matrix + np.eye(fmap.dim))))
     assert neg_gap <= 1e-9
     record(4, f"36 of 36 pairs within {worst:.2e} <= 1e-9; "
@@ -155,8 +153,7 @@ def test_criterion_05_isotypic_projector_properties():
     for n in (2, 3, 4):
         algebra = seeded_algebra(n, 1, n)
         families = compute_families(algebra)
-        built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], n,
-                              families)
+        built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], n)
         _, props = isotypic_decompose(built)
         worst = max(props["idempotence"], props["annihilation"],
                     props["completeness_on_span"], props["commutation"])
@@ -173,8 +170,7 @@ def test_criterion_06_parity_exactness_and_fault():
     families = compute_families(algebra)
     for parity in ("+", "-", None):
         built = build_slp_map(algebra,
-                              [BlockSpec(len(families), 1, parity)], 6,
-                              families)
+                              [BlockSpec(len(families), 1, parity)], 6)
         decomp = parity_decompose(built, tol=0.0)  # raises unless exact
         assert decomp.max_cross_residual == 0.0
         for original_block, pairs in zip(built.blocks, decomp.blocks):
@@ -192,7 +188,7 @@ def test_criterion_06_parity_exactness_and_fault():
     v_even[algebra.neg(algebra.conv(0))] = -1.0
     block = TensorBlock(2, (Term(u_odd, v_even),))
     mismatched = FactorizedMap(
-        algebra, (block,), grid_map(algebra, assemble_rows((block,), algebra)))
+        (block,), FeatureMap(algebra, assemble_rows((block,), algebra)))
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0

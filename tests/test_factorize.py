@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import grid_map, random_proper_relation
+from conftest import random_proper_relation
 from slplab import characters, factorize
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
@@ -16,7 +16,7 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               negation_split, pair_space_representation,
                               parity_decompose, relation_sign_representation,
                               verify_factorized_form)
-from slplab.featspace import check_slp, lift_renaming
+from slplab.featspace import FeatureMap, check_slp, lift_renaming
 from slplab.numerics import PROJECTOR_TOL, projector_trace_dim, rank
 from slplab.queryspace import (GroupElementH, Query, compute_families,
                                enumerate_queries, relation_images,
@@ -25,8 +25,7 @@ from slplab.relalg import EntitySet, Relation, close_unary, converse
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
-    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed,
-                         compute_families(algebra))
+    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed)
 
 
 # --------------------------------------------------------------- form audit
@@ -51,7 +50,7 @@ def test_injected_sign_fault_located(algebra_3):
     bad_block = TensorBlock(block.context_dim,
                             (bad_term,) + block.terms[1:])
     rows = assemble_rows((bad_block,), algebra_3)
-    broken = FactorizedMap(algebra_3, (bad_block,), grid_map(algebra_3, rows))
+    broken = FactorizedMap((bad_block,), FeatureMap(algebra_3, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     faults = report.details["sign_faults"]
@@ -75,8 +74,7 @@ def per_relation_sign_faults(blocks, algebra):
 
 def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
     built = build_slp_map(algebra_3x2, [BlockSpec(4, 1, None),
-                                        BlockSpec(3, 1, None)], seed=2,
-                          families=compute_families(algebra_3x2))
+                                        BlockSpec(3, 1, None)], seed=2)
     # break the law in both terms of the second block, and once in the first
     breaks = {(0, 1): {0: 0.5}, (1, 0): {2: -0.25, 5: 0.75},
               (1, 1): {algebra_3x2.neg(3): 0.125}}
@@ -90,8 +88,8 @@ def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
             terms.append(Term(term.u, v, term.parity))
         blocks.append(TensorBlock(block.context_dim, tuple(terms)))
     rows = assemble_rows(blocks, algebra_3x2)
-    broken = FactorizedMap(algebra_3x2, tuple(blocks),
-                           grid_map(algebra_3x2, rows))
+    broken = FactorizedMap(tuple(blocks),
+                           FeatureMap(algebra_3x2, rows))
     report = verify_factorized_form(broken)
     expected = per_relation_sign_faults(blocks, algebra_3x2)
     assert report.details["sign_faults"] == expected
@@ -158,8 +156,7 @@ def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
 
 def test_rows_recomputed_exactly_multi_block(algebra_3):
     built = build_slp_map(algebra_3, [BlockSpec(4, 2, None),
-                                      BlockSpec(3, 1, "+")], seed=5,
-                          families=compute_families(algebra_3))
+                                      BlockSpec(3, 1, "+")], seed=5)
     assert verify_factorized_form(built).passed
     rebuilt = assemble_rows(built.blocks, algebra_3)
     assert np.array_equal(rebuilt, built.feature_map.matrix)
@@ -192,8 +189,7 @@ def test_grid_rows_equal_the_query_gather_bitwise(parity):
     for seed, algebra in enumerate(algebras_with_symmetric_relations(20, 3)):
         queries = enumerate_queries(algebra)
         built = build_slp_map(algebra, [BlockSpec(3, 2, parity),
-                                        BlockSpec(2, 1, parity)], seed,
-                              compute_families(algebra))
+                                        BlockSpec(2, 1, parity)], seed)
         for block in built.blocks:
             assert grid_block_rows(block, algebra).tobytes() == \
                 gathered_block_rows(block, queries).tobytes()
@@ -231,7 +227,7 @@ def test_oversized_factors_fail_the_form_audit(algebra_3):
     queries = enumerate_queries(algebra_3)
     rows = assemble_rows((block,), algebra_3)
     assert rows.tobytes() == gathered_block_rows(block, queries).tobytes()
-    oversized = FactorizedMap(algebra_3, (block,), grid_map(algebra_3, rows))
+    oversized = FactorizedMap((block,), FeatureMap(algebra_3, rows))
     report = verify_factorized_form(oversized)
     assert report.details["dims_consistent"] is False
     assert report.details["rows_exact"] is True
@@ -310,7 +306,7 @@ def test_trivial_isotypic_piece_matches_group_average(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 2)
     perms = symmetric_group(3)
-    lifts = [lift_renaming(built.feature_map, GroupElementH(p, 1), algebra_3)
+    lifts = [lift_renaming(built.feature_map, GroupElementH(p, 1))
              for p in perms]
     avg = np.mean([l.span for l in lifts], axis=0)
     projectors, _ = isotypic_decompose(built)
@@ -325,7 +321,7 @@ def test_class_sum_projectors_match_the_element_sum():
                                                   name="r0")])
     built = build(algebra, len(compute_families(algebra)), 4)
     perms = symmetric_group(4)
-    rhos = [lift_renaming(built.feature_map, GroupElementH(p, 1), algebra).span
+    rhos = [lift_renaming(built.feature_map, GroupElementH(p, 1)).span
             for p in perms]
     projectors, props = isotypic_decompose(built)
     for proj in projectors:
@@ -507,8 +503,8 @@ def test_mismatched_parity_term_raises(algebra_3):
     v[algebra_3.neg(algebra_3.conv(0))] = -1.0
     term = Term(u_antisym, v)
     block = TensorBlock(4, (term,))
-    fmap = grid_map(algebra_3, assemble_rows((block,), algebra_3))
-    mismatched = FactorizedMap(algebra_3, (block,), fmap)
+    fmap = FeatureMap(algebra_3, assemble_rows((block,), algebra_3))
+    mismatched = FactorizedMap((block,), fmap)
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0
@@ -532,8 +528,8 @@ def mismatched_map(algebra, seed):
                        rng.uniform(-1.0, 1.0, algebra.size)),
                   Term(raw, rng.uniform(-1.0, 1.0, algebra.size))]
     block = TensorBlock(3, tuple(terms))
-    fmap = grid_map(algebra, assemble_rows((block,), algebra))
-    return FactorizedMap(algebra, (block,), fmap)
+    fmap = FeatureMap(algebra, assemble_rows((block,), algebra))
+    return FactorizedMap((block,), fmap)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -574,14 +570,13 @@ def test_cross_residual_is_the_direct_cross_sum(algebra_3x2, seed):
 
 
 def test_single_parity_builds(algebra_3):
-    families = compute_families(algebra_3)
     plus_only = build(algebra_3, 9, 4, parity="+")
     minus_only = build(algebra_3, 9, 5, parity="-")
     for built in (plus_only, minus_only):
         assert verify_factorized_form(built).passed
         assert parity_decompose(built).max_cross_residual == 0.0
     # pure-symmetric features identify (h,r,t) with (t,r,h): rank deficit
-    assert not check_slp(plus_only.feature_map, families).passed
+    assert not check_slp(plus_only.feature_map).passed
 
 
 def test_converse_fixed_relation_forces_zero_odd_factor():

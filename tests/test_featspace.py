@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (family_kernel_reference, grid_map, kernel_basis,
+from conftest import (family_kernel_reference, kernel_basis,
                       proper_relation_strategy, random_proper_relation)
-from slplab import featspace, numerics
+from slplab import cli, featspace, numerics
 from slplab.factorize import BlockSpec, build_slp_map
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
@@ -23,8 +23,7 @@ from slplab.relalg import EntitySet, Relation, close_unary
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
-    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed,
-                         compute_families(algebra))
+    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed)
 
 
 def n_families(algebra):
@@ -34,10 +33,9 @@ def n_families(algebra):
 # ------------------------------------------------------------- equivariance
 
 def test_built_maps_equivariant_exactly_20_seeds(algebra_3):
-    families = compute_families(algebra_3)
     for seed in range(20):
         fmap = build(algebra_3, n_families(algebra_3), seed).feature_map
-        report = check_logical_equivariance(fmap, families, algebra_3)
+        report = check_logical_equivariance(fmap)
         assert report.passed and report.max_deviation == 0.0
 
 
@@ -47,8 +45,8 @@ def test_sign_fault_detected_with_exact_deviation(algebra_3):
     matrix = fmap.matrix.copy()
     victim, neg_victim = families[0, :2]  # the id and neg columns
     matrix[neg_victim] = matrix[victim]  # sign violation: +phi_q
-    broken = grid_map(algebra_3, matrix)
-    report = check_logical_equivariance(broken, families, algebra_3)
+    broken = FeatureMap(algebra_3, matrix)
+    report = check_logical_equivariance(broken)
     assert not report.passed
     expected = 2.0 * float(np.max(np.abs(matrix[victim])))
     assert report.max_deviation == expected
@@ -63,8 +61,7 @@ def test_families_failing_counts_families_not_faults(algebra_3):
         matrix = fmap.matrix.copy()
         for p in faulty:
             matrix[p] += 1.0
-        return check_logical_equivariance(grid_map(algebra_3, matrix),
-                                          families, algebra_3)
+        return check_logical_equivariance(FeatureMap(algebra_3, matrix))
 
     a, b = [f for f in families if len(set(f)) == 4][:2]
     # column 3, the negated reversal: neither partner of the representative
@@ -78,31 +75,29 @@ def test_families_failing_counts_families_not_faults(algebra_3):
 
 
 def test_equivariance_report_independent_of_row_order(algebra_3):
-    families = compute_families(algebra_3)
     rng = np.random.default_rng(3)
     fmap = build(algebra_3, 9, 1).feature_map
     matrix = fmap.matrix.copy()
     matrix[5] += 0.25
     matrix[17] -= 0.5
-    grid = grid_map(algebra_3, matrix)
+    grid = FeatureMap(algebra_3, matrix)
     queries = enumerate_queries(algebra_3)
     perm = rng.permutation(len(queries))
     # the load path: rows in any order, each named by its query
-    shuffled = FeatureMap(3, algebra_3.size, matrix[perm],
+    shuffled = FeatureMap(algebra_3, matrix[perm],
                           [queries[i] for i in perm])
     assert np.array_equal(shuffled.matrix, grid.matrix)
-    expected = check_logical_equivariance(grid, families, algebra_3)
+    expected = check_logical_equivariance(grid)
     assert not expected.passed
-    assert check_logical_equivariance(shuffled, families, algebra_3) == expected
+    assert check_logical_equivariance(shuffled) == expected
 
 
 def test_random_maps_fail_equivariance_20_seeds(algebra_3):
-    families = compute_families(algebra_3)
     queries = enumerate_queries(algebra_3)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        fmap = grid_map(algebra_3, rng.standard_normal((len(queries), 5)))
-        report = check_logical_equivariance(fmap, families, algebra_3)
+        fmap = FeatureMap(algebra_3, rng.standard_normal((len(queries), 5)))
+        report = check_logical_equivariance(fmap)
         assert not report.passed and report.max_deviation > 0.0
 
 
@@ -112,7 +107,7 @@ def test_generic_build_reaches_full_rank_20_seeds(algebra_3):
     families = compute_families(algebra_3)
     for seed in range(20):
         built = build(algebra_3, len(families), seed)
-        report = check_slp(built.feature_map, families)
+        report = check_slp(built.feature_map)
         assert report.passed
         assert report.details["rep_rank"] == len(families)
         # full orbit matrix has the same rank as the representatives
@@ -123,9 +118,9 @@ def test_rank_against_numpy_oracle(algebra_3):
     families = compute_families(algebra_3)
     for seed in range(5):
         built = build(algebra_3, len(families) + 3, seed)
-        reps = representative_matrix(built.feature_map, families)
+        reps = representative_matrix(built.feature_map)
         assert np.linalg.matrix_rank(reps) == \
-            check_slp(built.feature_map, families).details["rep_rank"]
+            check_slp(built.feature_map).details["rep_rank"]
 
 
 def test_duplicated_representative_rows_lose_rank(algebra_3):
@@ -136,26 +131,25 @@ def test_duplicated_representative_rows_lose_rank(algebra_3):
     # overwrite family B with family A's rows, column by column: each
     # column is one LogicalOp, so the signs match member-wise
     matrix[fam_b] = matrix[fam_a]
-    broken = grid_map(algebra_3, matrix)
-    report = check_slp(broken, families)
+    broken = FeatureMap(algebra_3, matrix)
+    report = check_slp(broken)
     assert not report.passed
     assert report.details["rep_rank"] == len(families) - 1
     # but equivariance still holds, isolating the rank failure
-    assert check_logical_equivariance(broken, families, algebra_3).passed
+    assert check_logical_equivariance(broken).passed
 
 
 def test_zero_map_has_rank_zero(algebra_3):
-    families = compute_families(algebra_3)
     queries = enumerate_queries(algebra_3)
-    fmap = grid_map(algebra_3, np.zeros((len(queries), 4)))
-    report = check_slp(fmap, families)
+    fmap = FeatureMap(algebra_3, np.zeros((len(queries), 4)))
+    report = check_slp(fmap)
     assert not report.passed and report.details["rep_rank"] == 0
 
 
 def test_undersized_width_cannot_reach_rank(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families) - 2, 0)
-    report = check_slp(built.feature_map, families)
+    report = check_slp(built.feature_map)
     assert not report.passed
     assert built.redrawn  # the one redraw happened and could not help
 
@@ -169,10 +163,10 @@ def test_checks_invariant_under_recoordinatization(algebra_3):
     d = fmap.dim
     q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
     change = q_mat @ np.diag(rng.uniform(0.5, 2.0, size=d))
-    moved = grid_map(algebra_3, fmap.matrix @ change)
-    equiv = check_logical_equivariance(moved, families, algebra_3)
+    moved = FeatureMap(algebra_3, fmap.matrix @ change)
+    equiv = check_logical_equivariance(moved)
     assert equiv.passed and equiv.max_deviation == 0.0
-    assert check_slp(moved, families).passed
+    assert check_slp(moved).passed
 
 
 # ------------------------------------------------------------------ kernels
@@ -180,22 +174,22 @@ def test_checks_invariant_under_recoordinatization(algebra_3):
 def test_kernel_dimension_slp(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 0).feature_map
-    report = check_family_kernel_decomposition(fmap, families)
+    report = check_family_kernel_decomposition(fmap)
     assert report.details["kernel_dim"] == len(fmap.matrix) - len(families)
     assert kernel_basis(fmap.matrix).shape[0] == report.details["kernel_dim"]
 
 
-def test_kernel_of_injective_map_trivial():
-    fmap = FeatureMap(1, 4, np.eye(4))  # queries (0, r, 0), r < 4
-    assert fmap.spectrum().kernel_rank == 4
+def test_kernel_of_injective_map_trivial(algebra_2):
+    n_queries = len(enumerate_queries(algebra_2))
+    fmap = FeatureMap(algebra_2, np.eye(n_queries))
+    assert fmap.spectrum().kernel_rank == n_queries
     assert kernel_basis(fmap.matrix).shape[0] == 0
 
 
 def test_kernel_of_zero_map_is_everything(algebra_3):
-    families = compute_families(algebra_3)
     queries = enumerate_queries(algebra_3)
-    fmap = grid_map(algebra_3, np.zeros((len(queries), 3)))
-    report = check_family_kernel_decomposition(fmap, families)
+    fmap = FeatureMap(algebra_3, np.zeros((len(queries), 3)))
+    report = check_family_kernel_decomposition(fmap)
     assert report.passed and report.details["kernel_dim"] == len(queries)
     assert kernel_basis(fmap.matrix).shape[0] == len(queries)
 
@@ -216,7 +210,7 @@ def test_kernel_vectors_annihilate_features(algebra_3):
 def test_family_kernel_decomposition_holds_for_slp(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 5).feature_map
-    report = check_family_kernel_decomposition(fmap, families)
+    report = check_family_kernel_decomposition(fmap)
     assert report.passed
     assert report.details["kernel_dim"] == len(fmap.matrix) - len(families)
     # the margin of the kernel's rank decision, read off the cached spectrum
@@ -235,29 +229,29 @@ def test_family_kernel_decomposition_detects_cross_family_dependency(algebra_3):
     fam_a, fam_b = families[0], families[1]
     # give family B features proportional to family A's: equivariant, not SLP
     matrix[fam_b] = 0.5 * matrix[fam_a]
-    broken = grid_map(algebra_3, matrix)
-    report = check_family_kernel_decomposition(broken, families)
+    broken = FeatureMap(algebra_3, matrix)
+    report = check_family_kernel_decomposition(broken)
     assert not report.passed
     assert report.details["violations"] == 2
     queries = enumerate_queries(algebra_3)
     assert report.details["failing_families"] == [
         list(queries[fam_a[0]]), list(queries[fam_b[0]])]
     assert report.max_deviation > report.details["tol"]
-    assert_checks_agree(broken, families)
+    assert_checks_agree(broken)
 
 
-def test_empty_kernel_vacuous_pass():
-    fmap = FeatureMap(1, 3, np.eye(3))  # queries (0, r, 0), r < 3
-    # no families consulted when the kernel is empty
-    families = np.empty((0, 4), dtype=int)
-    report = check_family_kernel_decomposition(fmap, families)
+def test_empty_kernel_vacuous_pass(algebra_2):
+    # an injective map has no kernel vector to restrict to a family
+    fmap = FeatureMap(algebra_2, np.eye(len(enumerate_queries(algebra_2))))
+    report = check_family_kernel_decomposition(fmap)
     assert report.passed and report.details["kernel_dim"] == 0
 
 
-def assert_checks_agree(fmap, families):
+def assert_checks_agree(fmap):
     """The projector check and the kernel-basis reference agree."""
-    report = check_family_kernel_decomposition(fmap, families)
-    passed, kernel_dim, failing = family_kernel_reference(fmap, families)
+    report = check_family_kernel_decomposition(fmap)
+    passed, kernel_dim, failing = family_kernel_reference(fmap)
+    families = fmap.families()
     assert report.passed == passed
     assert report.details["kernel_dim"] == kernel_dim
     assert report.details["violations"] == len(failing)
@@ -278,7 +272,7 @@ def test_projector_check_agrees_with_kernel_basis_reference(n, seed, parity,
     families = compute_families(algebra)
     fmap = build(algebra, len(families) + extra, seed,
                  parity=parity).feature_map
-    assert_checks_agree(fmap, families)
+    assert_checks_agree(fmap)
 
 
 def test_projector_check_agrees_on_a_row_summed_from_two_families(algebra_3):
@@ -287,7 +281,7 @@ def test_projector_check_agrees_on_a_row_summed_from_two_families(algebra_3):
     matrix = fmap.matrix.copy()
     a, b, c = families[:3, 0]
     matrix[c] = matrix[a] + matrix[b]
-    report = assert_checks_agree(grid_map(algebra_3, matrix), families)
+    report = assert_checks_agree(FeatureMap(algebra_3, matrix))
     queries = enumerate_queries(algebra_3)
     assert report.details["failing_families"] == [
         list(queries[a]), list(queries[b]), list(queries[c])]
@@ -299,7 +293,7 @@ def test_lift_defining_property(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 7).feature_map
     for g in (GroupElementH((1, 0, 2), 1), GroupElementH((2, 0, 1), -1)):
-        lift = lift_renaming(fmap, g, algebra_3)
+        lift = lift_renaming(fmap, g)
         for q in enumerate_queries(algebra_3):
             target = fmap.row(apply_renaming(g, q, algebra_3))
             assert np.max(np.abs(lift.matrix @ fmap.row(q) - target)) \
@@ -310,7 +304,7 @@ def test_negation_lift_is_minus_identity_on_span(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 8).feature_map
     g = GroupElementH((0, 1, 2), -1)
-    lift = lift_renaming(fmap, g, algebra_3)
+    lift = lift_renaming(fmap, g)
     # M + I annihilates every feature row
     gap = np.max(np.abs(fmap.matrix @ (lift.matrix + np.eye(fmap.dim)).T))
     assert gap <= 1e-9
@@ -318,7 +312,7 @@ def test_negation_lift_is_minus_identity_on_span(algebra_3):
 
 def test_identity_lift_is_identity_on_span(algebra_3):
     fmap = build(algebra_3, 9, 9).feature_map
-    lift = lift_renaming(fmap, GroupElementH.identity(3), algebra_3)
+    lift = lift_renaming(fmap, GroupElementH.identity(3))
     gap = np.max(np.abs(fmap.matrix @ (lift.matrix - np.eye(fmap.dim)).T))
     assert gap <= 1e-9
 
@@ -327,7 +321,7 @@ def test_lift_homomorphism_all_144_pairs(algebra_3):
     fmap = build(algebra_3, 9, 10).feature_map
     elements = [GroupElementH(p, s) for p in symmetric_group(3)
                 for s in (1, -1)]
-    lifts = {g: lift_renaming(fmap, g, algebra_3) for g in elements}
+    lifts = {g: lift_renaming(fmap, g) for g in elements}
     for g1, g2 in itertools.product(elements, elements):
         composed = g1.compose(g2)
         gap = np.max(np.abs(lifts[g1].matrix @ lifts[g2].matrix -
@@ -338,17 +332,17 @@ def test_lift_homomorphism_all_144_pairs(algebra_3):
 def test_sign_flip_between_lifts(algebra_3):
     fmap = build(algebra_3, 9, 11).feature_map
     for perm in symmetric_group(3):
-        plus = lift_renaming(fmap, GroupElementH(perm, 1), algebra_3)
-        minus = lift_renaming(fmap, GroupElementH(perm, -1), algebra_3)
+        plus = lift_renaming(fmap, GroupElementH(perm, 1))
+        minus = lift_renaming(fmap, GroupElementH(perm, -1))
         assert np.max(np.abs(plus.matrix + minus.matrix)) <= 1e-9
 
 
 def test_lift_rejects_non_invariant_kernel(algebra_3):
     queries = enumerate_queries(algebra_3)
     rng = np.random.default_rng(3)
-    fmap = grid_map(algebra_3, rng.standard_normal((len(queries), 6)))
+    fmap = FeatureMap(algebra_3, rng.standard_normal((len(queries), 6)))
     with pytest.raises(KernelNotInvariantError):
-        lift_renaming(fmap, GroupElementH((1, 0, 2), 1), algebra_3)
+        lift_renaming(fmap, GroupElementH((1, 0, 2), 1))
 
 
 def test_span_lifts_are_orthogonal_and_compose(algebra_3):
@@ -357,7 +351,7 @@ def test_span_lifts_are_orthogonal_and_compose(algebra_3):
     r = spec.span_rank
     elements = [GroupElementH(p, s) for p in symmetric_group(3)
                 for s in (1, -1)]
-    lifts = {g: lift_renaming(fmap, g, algebra_3) for g in elements}
+    lifts = {g: lift_renaming(fmap, g) for g in elements}
     v_r, s_r = spec.vt[:r].T, spec.sv[:r]
     for g, lift in lifts.items():
         assert lift.span.shape == (r, r) and r < fmap.dim
@@ -374,7 +368,7 @@ def test_kernel_not_invariant_names_renaming_and_deviation(algebra_3):
     fmap = build(algebra_3, 4, 3).feature_map   # 4 < 9 families
     g = GroupElementH((1, 0, 2), 1)
     with pytest.raises(KernelNotInvariantError) as info:
-        lift_renaming(fmap, g, algebra_3)
+        lift_renaming(fmap, g)
     assert info.value.renaming == g
     assert info.value.deviation > numerics.PROJECTOR_TOL
 
@@ -385,7 +379,7 @@ def test_lift_range_and_kernel_follow_span(algebra_3):
     spec = fmap.spectrum()
     basis = spec.vt[:spec.span_rank]
     off_span = np.eye(fmap.dim) - basis.T @ basis
-    lift = lift_renaming(fmap, GroupElementH((1, 2, 0), -1), algebra_3)
+    lift = lift_renaming(fmap, GroupElementH((1, 2, 0), -1))
     # min-norm lift vanishes off the span and maps into it
     assert np.max(np.abs(lift.matrix @ off_span)) <= 1e-9
     assert np.max(np.abs(off_span @ lift.matrix)) <= 1e-9
@@ -400,20 +394,20 @@ def test_lift_rejects_renaming_of_wrong_length(algebra_3):
     for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (1, 0)):
         with pytest.raises(ValueError,
                            match=f"{len(perm)} entities .* 3 entities"):
-            lift_renaming(fmap, GroupElementH(perm, 1), algebra_3)
+            lift_renaming(fmap, GroupElementH(perm, 1))
 
 
-def per_query_permutation(fmap, g, algebra):
+def per_query_permutation(fmap, g):
     """The per-query reference: one scalar apply_renaming per grid query."""
     n, size = fmap.n, fmap.size
-    images = (apply_renaming(g, Query(*q), algebra) for q in
+    images = (apply_renaming(g, Query(*q), fmap.algebra) for q in
               itertools.product(range(n), range(size), range(n)))
     return np.array([(h * size + r) * n + t for h, r, t in images])
 
 
-def assert_lift_matches_per_query(fmap, g, algebra):
-    lift = lift_renaming(fmap, g, algebra)
-    perm = per_query_permutation(fmap, g, algebra)
+def assert_lift_matches_per_query(fmap, g):
+    lift = lift_renaming(fmap, g)
+    perm = per_query_permutation(fmap, g)
     assert np.array_equal(lift.perm, perm), g
     spec = fmap.spectrum()
     u_r = spec.u[:, :spec.span_rank]
@@ -431,8 +425,7 @@ def test_grid_lifts_match_per_query_reference_whole_group(algebra, seed):
     fmap = build(algebra, n_families(algebra), seed).feature_map
     for perm in symmetric_group(algebra.entity_set.n):
         for sign in (1, -1):
-            assert_lift_matches_per_query(fmap, GroupElementH(perm, sign),
-                                          algebra)
+            assert_lift_matches_per_query(fmap, GroupElementH(perm, sign))
 
 
 @settings(max_examples=15)
@@ -444,8 +437,8 @@ def test_grid_lifts_match_per_query_reference_sampled(algebra, seed, data):
     for perm in data.draw(st.lists(st.permutations(range(n)), min_size=1,
                                    max_size=3)):
         for sign in (1, -1):
-            assert_lift_matches_per_query(
-                fmap, GroupElementH(tuple(perm), sign), algebra)
+            assert_lift_matches_per_query(fmap,
+                                          GroupElementH(tuple(perm), sign))
 
 
 def test_one_lift_renames_the_grid_once(monkeypatch):
@@ -461,7 +454,43 @@ def test_one_lift_renames_the_grid_once(monkeypatch):
         return apply_renaming(*args)
 
     monkeypatch.setattr(featspace, "apply_renaming", counted)
-    lift_renaming(fmap, GroupElementH((1, 2, 0, 4, 3), -1), algebra)
+    lift_renaming(fmap, GroupElementH((1, 2, 0, 4, 3), -1))
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- partition
+
+def counted_partition(monkeypatch, *modules):
+    """Count the compute_families calls made through each module's binding."""
+    calls = []
+
+    def counted(algebra):
+        calls.append(algebra)
+        return compute_families(algebra)
+
+    for module in modules:
+        monkeypatch.setattr(module, "compute_families", counted)
+    return calls
+
+
+def test_a_map_computes_its_partition_once(monkeypatch, algebra_3):
+    # a fresh map: a build's map has already read its partition
+    fmap = FeatureMap(algebra_3, build(algebra_3, 9, 13).feature_map.matrix)
+    calls = counted_partition(monkeypatch, featspace)
+    assert check_logical_equivariance(fmap).passed
+    assert check_slp(fmap).passed
+    assert check_family_kernel_decomposition(fmap).passed
+    assert propagation_audit(fmap, 0, 0.25).passed
+    assert calls == [algebra_3]
+
+
+def test_verify_slp_computes_the_partition_once(monkeypatch, tmp_path,
+                                                 algebra_3):
+    path = tmp_path / "map.json"
+    save_feature_map(build(algebra_3, 9, 13).feature_map, path)
+    calls = counted_partition(monkeypatch, featspace, cli)
+    assert cli.main(["verify-slp", "--load", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == 1
 
 
@@ -471,8 +500,7 @@ def test_propagation_audit_signs_and_gram(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 13)
     for edited in (0, len(families) // 2):
-        report = propagation_audit(built.feature_map, families,
-                                   edited, eta=0.25)
+        report = propagation_audit(built.feature_map, edited, eta=0.25)
         assert report.passed and report.max_deviation == 0.0
         responses = report.details["responses"]
         assert responses["neg"] == -responses["id"]
@@ -484,11 +512,22 @@ def test_propagation_audit_signs_and_gram(algebra_3):
 def test_propagation_audit_zero_step(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 14)
-    report = propagation_audit(built.feature_map, families, 0, 0.0)
+    report = propagation_audit(built.feature_map, 0, 0.0)
     assert report.passed
     assert all(v == 0.0 for v in report.details["responses"].values())
     assert all(v == 0.0
                for v in report.details["other_family_responses"].values())
+
+
+def test_propagation_audit_rejects_a_family_off_the_partition(algebra_3):
+    fmap = build(algebra_3, n_families(algebra_3), 13).feature_map
+    assert len(fmap.families()) == 9
+    # -1 would audit the last family and list it among the other families
+    for edited in (-1, 9):
+        with pytest.raises(ValueError, match=r"\[0, 9\), the family count"):
+            propagation_audit(fmap, edited, 0.25)
+    assert len(propagation_audit(fmap, 8, 0.25)
+               .details["other_family_responses"]) == 8
 
 
 # ------------------------------------------------------------------ storage
@@ -498,30 +537,33 @@ def test_save_load_round_trip_exact(tmp_path, algebra_3, fmt):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families), 15).feature_map
     path = tmp_path / f"map.{fmt}"
-    save_feature_map(fmap, algebra_3, path, fmt)
-    loaded, algebra = load_feature_map(path, fmt)
+    save_feature_map(fmap, path, fmt)
+    loaded = load_feature_map(path, fmt)
+    algebra = loaded.algebra
     assert (loaded.n, loaded.size) == (fmap.n, fmap.size)
     assert np.array_equal(loaded.matrix, fmap.matrix)
     assert algebra.size == algebra_3.size
     assert [r.bits for r in algebra.closed] == [r.bits for r in algebra_3.closed]
     # the loaded map still passes the full check battery at exact tolerance
-    report = check_logical_equivariance(loaded, compute_families(algebra),
-                                        algebra)
+    report = check_logical_equivariance(loaded)
     assert report.passed and report.max_deviation == 0.0
 
 
-def test_feature_map_validation():
+def test_feature_map_validation(algebra_2):
+    n_queries = len(enumerate_queries(algebra_2))
     with pytest.raises(ValueError):
-        FeatureMap(1, 2, np.zeros((2, 0)))       # dim must be >= 1
+        FeatureMap(algebra_2, np.zeros((n_queries, 0)))  # dim must be >= 1
     with pytest.raises(ValueError):
-        FeatureMap(1, 2, np.zeros((3, 2)))       # row count mismatch
+        FeatureMap(algebra_2, np.zeros((n_queries + 1, 2)))  # row count
+    matrix = np.zeros((n_queries, 2))
+    matrix[3, 1] = np.inf
     with pytest.raises(ValueError):
-        FeatureMap(1, 2, np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        FeatureMap(algebra_2, matrix)
 
 
 def test_rows_are_found_by_arithmetic_on_the_grid(algebra_3x2):
     matrix = np.arange(9 * algebra_3x2.size, dtype=float)[:, None]
-    fmap = grid_map(algebra_3x2, matrix)
+    fmap = FeatureMap(algebra_3x2, matrix)
     assert not hasattr(fmap, "queries")
     for i, q in enumerate(enumerate_queries(algebra_3x2)):
         assert fmap.index(*q) == i and fmap.row(q)[0] == i
@@ -537,7 +579,7 @@ def test_rows_given_in_another_order_are_put_in_grid_order(algebra_3):
     queries = enumerate_queries(algebra_3)
     matrix = np.arange(len(queries), dtype=float)[:, None]
     order = np.random.default_rng(0).permutation(len(queries))
-    fmap = FeatureMap(3, algebra_3.size, matrix[order],
+    fmap = FeatureMap(algebra_3, matrix[order],
                       [list(queries[i]) for i in order])
     assert np.array_equal(fmap.matrix, matrix)
 
@@ -549,14 +591,14 @@ def test_rows_given_in_another_order_are_put_in_grid_order(algebra_3):
 def test_queries_off_the_grid_are_rejected(algebra_3, bad, replaced):
     queries = [list(q) for q in enumerate_queries(algebra_3)]
     matrix = np.zeros((len(queries), 2))
-    FeatureMap(3, algebra_3.size, matrix, queries)
+    FeatureMap(algebra_3, matrix, queries)
     queries[queries.index(list(replaced))] = list(bad)
     with pytest.raises(ValueError):
-        FeatureMap(3, algebra_3.size, matrix, queries)
+        FeatureMap(algebra_3, matrix, queries)
 
 
 def test_queries_must_name_each_query_once(algebra_3):
     queries = [list(q) for q in enumerate_queries(algebra_3)]
     queries[1] = queries[0]
     with pytest.raises(ValueError, match="each query"):
-        FeatureMap(3, algebra_3.size, np.zeros((len(queries), 2)), queries)
+        FeatureMap(algebra_3, np.zeros((len(queries), 2)), queries)

@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import grid_map, kernel_basis, random_proper_relation
+from conftest import kernel_basis, random_proper_relation
 from slplab import numerics
 from slplab.cli import main
 from slplab.factorize import BlockSpec, build_slp_map, isotypic_decompose
-from slplab.featspace import (KernelNotInvariantError,
+from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
                               lift_renaming, representative_matrix)
 from slplab.queryspace import (GroupElementH, apply_renaming,
@@ -25,8 +25,7 @@ def seeded_map(n, seed):
     algebra = close_unary([random_proper_relation(EntitySet.of_size(n), rng,
                                                   name="r0")])
     families = compute_families(algebra)
-    return algebra, build_slp_map(algebra, [BlockSpec(len(families))], seed,
-                                  families)
+    return algebra, build_slp_map(algebra, [BlockSpec(len(families))], seed)
 
 
 def reference_lift(fmap, g, algebra):
@@ -54,7 +53,7 @@ def test_cached_lifts_match_per_call_reference(n, seed):
     algebra, built = seeded_map(n, seed)
     fmap = built.feature_map
     for g in group(n):
-        lift = lift_renaming(fmap, g, algebra)
+        lift = lift_renaming(fmap, g)
         ref = reference_lift(fmap, g, algebra)
         assert np.max(np.abs(lift.matrix - ref)) <= 1e-10, g
         assert lift.residual <= 1e-10
@@ -89,10 +88,9 @@ def test_spectrum_thresholds_are_the_column_and_row_scales():
 def test_isotypic_on_a_warm_map_is_bit_identical_to_a_cold_map():
     algebra, warm = seeded_map(4, 5)
     _, cold = seeded_map(4, 5)
-    check_family_kernel_decomposition(warm.feature_map,
-                                      compute_families(algebra))
+    check_family_kernel_decomposition(warm.feature_map)
     for g in group(4)[:6]:
-        lift_renaming(warm.feature_map, g, algebra)
+        lift_renaming(warm.feature_map, g)
     warm_proj, warm_props = isotypic_decompose(warm)
     cold_proj, cold_props = isotypic_decompose(cold)
     assert warm_props == cold_props
@@ -104,8 +102,7 @@ def test_isotypic_on_a_warm_map_is_bit_identical_to_a_cold_map():
 def test_gram_rank_matches_the_rank_of_the_formed_gram():
     for n, seed in itertools.product((2, 3, 4), range(6)):
         algebra, built = seeded_map(n, seed)
-        reps = representative_matrix(built.feature_map,
-                                     compute_families(algebra))
+        reps = representative_matrix(built.feature_map)
         assert numerics.gram_rank(reps) == numerics.rank(reps @ reps.T)
     rng = np.random.default_rng(0)
     for rows, cols, k in [(5, 3, 3), (8, 8, 4), (3, 9, 2), (6, 6, 1)]:
@@ -123,7 +120,7 @@ def test_writes_to_the_source_array_do_not_reach_the_spectrum():
     algebra, built = seeded_map(3, 6)
     source = np.array(built.feature_map.matrix)
     original = source.copy()
-    fmap = grid_map(algebra, source)
+    fmap = FeatureMap(algebra, source)
     source[:] = 0.0
     assert np.array_equal(fmap.matrix, original)
     spec = fmap.spectrum()
