@@ -24,7 +24,7 @@ import numpy as np
 from slplab.cli import _at_least, _density, _positive
 from slplab.gradlab import (BLOCK_NAMES, alignment_experiment, generate_kb,
                             make_mlp, make_slp_linear, train)
-from slplab.queryspace import compute_families
+from slplab.queryspace import family_count
 
 
 def run_seed(seed: int, args: argparse.Namespace) -> dict:
@@ -35,7 +35,7 @@ def run_seed(seed: int, args: argparse.Namespace) -> dict:
     result = train(mlp, kb, epochs=args.epochs, lr=args.lr)
     trained = alignment_experiment(result.model, kb, block=args.block)
 
-    slp = make_slp_linear(kb, context_dim=len(compute_families(kb.algebra)),
+    slp = make_slp_linear(kb, context_dim=family_count(kb.algebra),
                           seed=seed)
     exact = alignment_experiment(slp, kb, block="all")
     return {

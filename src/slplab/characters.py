@@ -1,4 +1,4 @@
-"""Symmetric-group characters and small explicit irreducible representations.
+"""Symmetric-group characters and permutation matrices.
 
 Characters are computed by the Murnaghan-Nakayama rule in the beta-number
 (abacus) encoding: removing a border strip of length k from a partition is
@@ -6,12 +6,13 @@ moving one bead from position b to the empty position b - k, with sign
 (-1)^(number of beads strictly between them).  Everything here targets the
 desk scale n <= 5, where conjugacy classes are cycle types and all complex
 irreducibles are realizable over the reals, so the usual isotypic projector
-formula applies verbatim to real representations.
+formula applies verbatim to real representations.  The explicit small
+irreducibles (trivial, sign, standard) and the class-size and hook-length
+oracles that the characters are tested against live beside the tests.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -50,20 +51,6 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
 
-
-def class_size(mu: tuple[int, ...]) -> int:
-    """Number of permutations with cycle type mu: n! / prod(i^m_i * m_i!)."""
-    n = sum(mu)
-    z = 1
-    for length in set(mu):
-        m = mu.count(length)
-        z *= length ** m * math.factorial(m)
-    return math.factorial(n) // z
-
-
-def perm_sign(perm: tuple[int, ...]) -> int:
-    """Sign of a permutation: (-1)^(n - number of cycles)."""
-    return -1 if (len(perm) - len(cycle_type(perm))) % 2 else 1
 
 
 def _beta(lam: tuple[int, ...], beads: int) -> tuple[int, ...]:
@@ -109,68 +96,9 @@ def irrep_dimension(lam: tuple[int, ...]) -> int:
     return mn_character(lam, tuple([1] * sum(lam)))
 
 
-def hook_length_dimension(lam: tuple[int, ...]) -> int:
-    """Independent dimension oracle: n! over the product of hook lengths."""
-    n = sum(lam)
-    cols = [0] * (lam[0] if lam else 0)
-    for row_len in lam:
-        for j in range(row_len):
-            cols[j] += 1
-    prod = 1
-    for i, row_len in enumerate(lam):
-        for j in range(row_len):
-            prod *= (row_len - j) + (cols[j] - i) - 1
-    return math.factorial(n) // prod
-
-
-def character_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """table[lam][mu] over all partitions of n."""
-    parts = partitions(n)
-    return {lam: {mu: mn_character(lam, mu) for mu in parts} for lam in parts}
-
-
 def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
     n = len(perm)
     mat = np.zeros((n, n))
     for i, p in enumerate(perm):
         mat[p, i] = 1.0
     return mat
-
-
-def trivial_rep(perms: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
-    return [np.ones((1, 1)) for _ in perms]
-
-
-def sign_rep(perms: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
-    return [np.array([[float(perm_sign(p))]]) for p in perms]
-
-
-def standard_rep(perms: Iterable[tuple[int, ...]], n: int) -> list[np.ndarray]:
-    """The (n-1)-dimensional irreducible on the sum-zero subspace of R^n."""
-    basis = _sum_zero_basis(n)
-    return [basis.T @ permutation_matrix(p) @ basis for p in perms]
-
-
-def _sum_zero_basis(n: int) -> np.ndarray:
-    """Orthonormal columns spanning the sum-zero subspace (Helmert style)."""
-    cols = []
-    for k in range(1, n):
-        v = np.zeros(n)
-        v[:k] = 1.0
-        v[k] = -k
-        cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
-
-
-def irrep_matrices(label: str, perms: list[tuple[int, ...]],
-                   n: int) -> list[np.ndarray]:
-    """Named small irreps ('trivial', 'sign', 'standard') as matrix lists."""
-    if label == "trivial":
-        return trivial_rep(perms)
-    if label == "sign":
-        return sign_rep(perms)
-    if label == "standard":
-        if n < 2:
-            raise ValueError("standard irrep needs n >= 2")
-        return standard_rep(perms, n)
-    raise ValueError(f"unknown irrep label {label!r}")

@@ -39,7 +39,8 @@ from .featspace import (KernelNotInvariantError,
                         load_feature_map, propagation_audit, save_feature_map)
 from .gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
                       generate_kb, make_mlp, make_slp_linear, train)
-from .queryspace import compute_families, families_to_json, relation_images
+from .queryspace import (compute_families, families_to_json, family_count,
+                         relation_images)
 from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
                      negate, random_base_relations, random_relation)
 from .reports import Report, emit_report, render_report
@@ -222,7 +223,7 @@ def _random_algebra(args: argparse.Namespace, rng, parser):
 def _build(args: argparse.Namespace, seed: int, parser):
     rng = np.random.default_rng(seed)
     algebra = _random_algebra(args, rng, parser)
-    n_families = len(compute_families(algebra))
+    n_families = family_count(algebra)
     context_dim = args.context_dim
     if context_dim is None:
         # smallest shape that can reach full representative rank

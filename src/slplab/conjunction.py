@@ -1,15 +1,16 @@
 """Conjunctive compounds over atomic queries, and the collapse mechanism.
 
-A compound query has one normal form, a sorted tuple of distinct literals
-(negated, atom), which hard-codes the lattice laws: conjunction is the union
-of literal sets (associative, commutative, and idempotent, so p AND p
-normalizes to p), and negation flips the sign of one literal, so double
+A compound query is a set of distinct literals (negated, atom), held as one
+int code: each literal of a support gets one bit, and a compound's code is
+the OR of its literals' bits.  The codes hard-code the lattice laws:
+conjunction is the OR of codes (associative, commutative, and idempotent,
+so p AND p is p), and negation flips the sign of one literal, so double
 negation is eliminated.  Negation applies to literals only, so the closure
 of a set of atoms is every nonempty set of its literals and stabilizes at
-depth 2.  Inside a check, a support is an int64 code array: each literal
-gets one bit, a compound's code is the OR of its literals' bits, and the
-image of a pair is the support element whose code is the OR of theirs.
-`Compound` objects are decoded from the codes only for names in a report.
+depth 2 (`closure_codes`).  Inside a check, a support is an int64 code
+array, and the image of a pair is the support element whose code is the OR
+of theirs.  `Compound`, the sorted tuple of a code's literals, is only the
+name a report prints for a support element.
 
 Conjunction with a context is well defined on features only if it maps the
 kernel of the support -> feature map into itself, i.e. if the substituted
@@ -39,7 +40,6 @@ import numpy as np
 
 from . import numerics
 from .queryspace import Query
-from .relalg import RelationAlgebra, witnesses
 from .reports import Report
 
 
@@ -54,26 +54,6 @@ class Compound:
 
     is_conj: bool
     literals: tuple[tuple[bool, Query], ...]
-
-
-def atom(q: Query) -> Compound:
-    return Compound(False, ((False, q),))
-
-
-def neg(x: Compound) -> Compound:
-    """Flip the sign of a literal; negating twice gives the literal back."""
-    if x.is_conj:
-        raise ValueError("negation applies to literals only")
-    ((negated, q),) = x.literals
-    return Compound(False, ((not negated, q),))
-
-
-def conj(*items: Compound) -> Compound:
-    """Normalized conjunction: the sorted union of the inputs' literals."""
-    literals = tuple(sorted({lit for x in items for lit in x.literals}))
-    if not literals:
-        raise ValueError("conjunction needs at least one conjunct")
-    return Compound(len(literals) > 1, literals)
 
 
 def closure_codes(n_literals: int, depth: int = 2) -> np.ndarray:
@@ -107,32 +87,6 @@ def _decode(literals: Sequence[tuple[bool, Query]], code: int) -> Compound:
     return Compound(len(found) > 1, found)
 
 
-def close_conjunction(atoms: Sequence[Query],
-                      depth: int = 2) -> tuple[Compound, ...]:
-    """Normal-form closure of the atoms under negation and conjunction,
-    decoded from `closure_codes`: level 1 holds the literals (atoms and
-    negated atoms), level 2 all conjunctions of two or more distinct
-    literals."""
-    literals = _literals(atoms)
-    return tuple(_decode(literals, code)
-                 for code in closure_codes(len(literals), depth).tolist())
-
-
-def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
-                          head: int, tail: int) -> tuple[Compound | None, int]:
-    """Rewrite a composed query as a conjunction when the witness is unique.
-
-    (head, r;s, tail) holds through a middle entity b; with exactly one such
-    b the composition collapses to (head, r, b) AND (b, s, tail).  Returns
-    (compound, witness count); the compound is None unless the count is 1.
-    """
-    mids = witnesses(algebra.closed[rel_r], algebra.closed[rel_s], head, tail)
-    if len(mids) != 1:
-        return None, len(mids)
-    b = next(iter(mids))
-    return conj(atom(Query(head, rel_r, b)), atom(Query(b, rel_s, tail))), 1
-
-
 @dataclass(frozen=True, eq=False)
 class ConjFeatureAssignment:
     """Feature rows over a support of normal-form compounds, held as codes.
@@ -154,25 +108,6 @@ class ConjFeatureAssignment:
         if len(self.literals) > 25:
             raise ValueError("a support holds at most 25 distinct literals")
         self.rows.flags.writeable = False
-
-    @classmethod
-    def build(cls, features: Mapping) -> "ConjFeatureAssignment":
-        """The assignment of a hand-built {Compound: vector} support."""
-        if not features:
-            raise ValueError("empty assignment")
-        dims = {np.asarray(v).shape for v in features.values()}
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
-            raise ValueError("features must be vectors of one common dimension")
-        clean = {k: np.asarray(v, dtype=float) for k, v in features.items()}
-        for k, v in clean.items():
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite feature for {k}")
-        order = sorted(clean)
-        literals = tuple(sorted({lit for x in order for lit in x.literals}))
-        bits = {lit: 1 << i for i, lit in enumerate(literals)}
-        codes = np.array([sum(bits[lit] for lit in x.literals) for x in order],
-                         dtype=np.int64)
-        return cls(literals, codes, np.stack([clean[x] for x in order]))
 
     @property
     def dim(self) -> int:
@@ -338,7 +273,7 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearOperator:
     """Symmetric-in-inputs bilinear map, stored as a (d, d, d) tensor."""
 

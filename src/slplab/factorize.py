@@ -50,7 +50,7 @@ class ConverseInvarianceError(RuntimeError):
         self.deviation = deviation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Term:
     """One rank-one factor pair: u indexed (head, tail, component), v by relation.
 
@@ -246,7 +246,7 @@ def involution_dims(perm: np.ndarray) -> tuple[int, int]:
     return (len(perm) + fixed) // 2, (len(perm) - fixed) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegationSplit:
     """Central sign-flip eigensplit of the feature span.
 
@@ -283,7 +283,7 @@ def negation_split(f: FactorizedMap) -> NegationSplit:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotypicProjector:
     """One irrep's projector, r x r in the span coordinates of the lifts."""
 
@@ -464,8 +464,8 @@ def commutant_hom_dimension(source_mats: Sequence[np.ndarray],
     rows and columns makes it block-diagonal with one block per component.
     A block-diagonal matrix's singular values are the union of its blocks',
     so the rank is the sum of the block ranks, each from one SVD at the
-    threshold of `numerics.rank` on the whole system (REL_TOL times its
-    largest row norm).  A column that no row touches is free.
+    rank threshold of the whole system (`numerics.rank_threshold`: REL_TOL
+    times its largest row norm).  A column that no row touches is free.
     """
     dv = source_mats[0].shape[0]
     dc = target_mats[0].shape[0]

@@ -45,7 +45,7 @@ class KernelNotInvariantError(RuntimeError):
         self.deviation = deviation
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FeatureMap:
     """Feature rows of the queries over the closure `algebra`, of n entities
     and `size` relations: row (h*size + r)*n + t of `matrix` is query
@@ -59,8 +59,8 @@ class FeatureMap:
     n: int
     size: int
     matrix: np.ndarray
-    _spectrum: numerics.Spectrum | None = field(repr=False, compare=False)
-    _families: np.ndarray | None = field(repr=False, compare=False)
+    _spectrum: numerics.Spectrum | None = field(repr=False)
+    _families: np.ndarray | None = field(repr=False)
 
     def __init__(self, algebra: RelationAlgebra, matrix, queries=None) -> None:
         n, size = algebra.entity_set.n, algebra.size
@@ -102,9 +102,6 @@ class FeatureMap:
                                compute_families(self.algebra))
         return self._families
 
-    def row(self, q: Query) -> np.ndarray:
-        return self.matrix[self.index(*q)]
-
 
 def _grid_order(queries, n: int, size: int) -> np.ndarray:
     """The argsort of the queries' grid positions, each position once."""
@@ -120,7 +117,7 @@ def _grid_order(queries, n: int, size: int) -> np.ndarray:
     return np.argsort(positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedOperator:
     """A renaming on the feature span: the orthogonal r x r `span` matrix in
     span coordinates, and `matrix`, the same operator on feature coordinates

@@ -94,7 +94,7 @@ def _relation_classes(algebra: RelationAlgebra) -> tuple[int, dict[int, tuple[in
     return len(reps), dict(enumerate(codes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScorerModel:
     """Immutable parameter bundle; training returns a new instance."""
 
@@ -366,19 +366,3 @@ def edit_step(model: ScorerModel, q: Query, eta: float,
         family_queries={k: tuple(v) for k, v in family.items()},
         exact_delta=exact, first_order_delta=first,
     )
-
-
-def finite_difference_gradient(model: ScorerModel, q: Query,
-                               block: str) -> np.ndarray:
-    """Central-difference oracle over the block's flattened parameters."""
-    step = numerics.FD_STEP
-    g = gradient(model, q, block)
-    out = np.zeros_like(g)
-    unit = np.zeros_like(g)
-    for i in range(g.size):
-        unit[:] = 0.0
-        unit[i] = 1.0
-        plus = _apply_block_update(model, step * unit, block)
-        minus = _apply_block_update(model, -step * unit, block)
-        out[i] = (score(plus, q) - score(minus, q)) / (2.0 * step)
-    return out

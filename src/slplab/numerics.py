@@ -1,7 +1,7 @@
 """Shared tolerances and dense linear-algebra helpers.
 
 The constants below are the package's numerical tolerances, and no rank,
-kernel, projector or finite-difference helper takes another.  All rank and
+kernel or projector helper takes another.  All rank and
 kernel decisions go through this module: singular values are
 compared against REL_TOL times a reference scale of the matrix under
 inspection.  The scale is the largest Euclidean row norm of the matrix that
@@ -10,7 +10,7 @@ thin SVD (`Spectrum`).  Its kernel is the null space of the transposed map,
 so its rank is decided at the largest column norm; see `Spectrum` for the
 two thresholds a feature map uses.  Projector identities, the family
 kernel check's cross-family projector entries among them, are checked to
-PROJECTOR_TOL and finite-difference gradients step by FD_STEP.
+PROJECTOR_TOL.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 
 REL_TOL = 1e-9          # relative rank / null-space threshold
 PROJECTOR_TOL = 1e-8    # idempotence / annihilation / completeness checks
-FD_STEP = 1e-5          # central finite-difference step
-FD_RTOL = 1e-5          # finite-difference relative error bound
 
 
 def row_scale(matrix: np.ndarray) -> float:
@@ -47,12 +45,6 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.zeros(0)
     return np.linalg.svd(m, compute_uv=False)
-
-
-def rank(matrix: np.ndarray) -> int:
-    """Numerical rank at the package-wide relative threshold."""
-    sv = singular_values(matrix)
-    return int(np.sum(sv > rank_threshold(matrix)))
 
 
 def gram_rank(matrix: np.ndarray) -> int:

@@ -14,7 +14,8 @@ The library has one query order, (head, rel, tail): with n entities and
 `relation_images` tabulates the group's action on the relations, and
 `logical_images` on the whole query space as positions in that order; the
 family partition, an (F, 4) int array, the equivariance check, the parity
-scan and every per-relation orbit computation read these tables.  Reports
+scan and every per-relation orbit computation read these tables, and
+`family_count` counts the families from `relation_images` alone.  Reports
 decode positions to triples (`decode_queries`).
 """
 
@@ -43,10 +44,6 @@ class LogicalOp(Enum):
     NEG = "neg"
     REV = "rev"
     NEGREV = "negrev"
-
-    def __mul__(self, other: "LogicalOp") -> "LogicalOp":
-        ops = list(LogicalOp)  # composition XORs the position bits
-        return ops[ops.index(self) ^ ops.index(other)]
 
     @property
     def sign(self) -> int:
@@ -87,21 +84,6 @@ class GroupElementH:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
-    @classmethod
-    def identity(cls, n: int) -> "GroupElementH":
-        return cls(tuple(range(n)), 1)
-
-    def compose(self, other: "GroupElementH") -> "GroupElementH":
-        """self after other."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        return GroupElementH(perm, self.sign * other.sign)
-
-    def inverse(self) -> "GroupElementH":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return GroupElementH(tuple(inv), self.sign)
-
 
 def apply_renaming(g: GroupElementH, q: Query,
                    algebra: RelationAlgebra) -> Query:
@@ -110,13 +92,6 @@ def apply_renaming(g: GroupElementH, q: Query,
     perm = np.asarray(g.perm)
     rel = q.rel if g.sign == 1 else np.asarray(algebra.negation)[q.rel]
     return Query(perm[q.head], rel, perm[q.tail])
-
-
-def enumerate_queries(algebra: RelationAlgebra) -> tuple[Query, ...]:
-    """All queries over the closed relation set, ordered by (head, rel, tail)."""
-    n = algebra.entity_set.n
-    return tuple(itertools.starmap(Query, itertools.product(
-        range(n), range(algebra.size), range(n))))
 
 
 def relation_images(algebra: RelationAlgebra) -> np.ndarray:
@@ -129,8 +104,8 @@ def relation_images(algebra: RelationAlgebra) -> np.ndarray:
 def logical_images(algebra: RelationAlgebra) -> np.ndarray:
     """Positions of every query's four logical images, shape (4, N).
 
-    Entry [k, i] is the position of the k-th LogicalOp applied to query i in
-    `enumerate_queries(algebra)`, where (h, r, t) sits at (h*size + r)*n + t.
+    Entry [k, i] is the position of the k-th LogicalOp applied to the query
+    at position i, where (h, r, t) sits at (h*size + r)*n + t.
     """
     n, size = algebra.entity_set.n, algebra.size
     h, r, t = np.indices((n, size, n)).reshape(3, -1)  # rev swaps h, t
@@ -160,6 +135,18 @@ def compute_families(algebra: RelationAlgebra) -> np.ndarray:
     if np.any(family < 0) or np.any(family[families] != ids):
         raise AssertionError("orbits failed to partition the query space")
     return families
+
+
+def family_count(algebra: RelationAlgebra) -> int:
+    """len(compute_families(algebra)), counted by Burnside's lemma.
+
+    The orbit count is the mean fixed-point count of the four LogicalOps.
+    The identity fixes all n*size*n queries and negation none; reversal and
+    negated reversal fix (h, r, t) exactly when h = t and they fix r.
+    """
+    n, images = algebra.entity_set.n, relation_images(algebra)
+    fixed = np.count_nonzero(images[2:] == images[0])
+    return n * (n * algebra.size + int(fixed)) // 4
 
 
 def decode_queries(positions, n: int, size: int) -> list:

@@ -5,14 +5,13 @@ Python int: bit h*n + t is set iff the pair (h, t) is in the relation.  The
 unary operations are complement and converse (transpose); composition is the
 boolean matrix product.  Closing a base set under the unary operations gives
 at most 4 relations per base element, since complement and converse commute
-and are involutions.
+and are involutions.  Relations are stored only as a saved feature map's
+base relations, in its sidecar (`featspace.save_feature_map`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
 
@@ -35,12 +34,6 @@ class EntitySet:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown entity label {label!r}") from None
 
     def pair_bit(self, head: int, tail: int) -> int:
         return head * self.n + tail
@@ -87,14 +80,6 @@ class Relation:
         """Bitset of tails related to `head`."""
         n = self.entity_set.n
         return (self.bits >> (head * n)) & ((1 << n) - 1)
-
-    def column(self, tail: int) -> int:
-        """Bitset of heads related to `tail`."""
-        n = self.entity_set.n
-        col = 0
-        for h in range(n):
-            col |= ((self.bits >> (h * n + tail)) & 1) << h
-        return col
 
     def is_empty(self) -> bool:
         return self.bits == 0
@@ -143,14 +128,6 @@ def compose(r: Relation, s: Relation) -> Relation:
                 acc |= s.row(b)
         bits |= acc << (h * n)
     return Relation(r.entity_set, bits)
-
-
-def witnesses(r: Relation, s: Relation, head: int, tail: int) -> set[int]:
-    """All middle entities b with (head, b) in r and (b, tail) in s."""
-    _require_same_entities(r, s)
-    n = r.entity_set.n
-    mask = r.row(head) & s.column(tail)
-    return {b for b in range(n) if mask >> b & 1}
 
 
 @dataclass(frozen=True)
@@ -250,37 +227,3 @@ def random_base_relations(entity_set: EntitySet, rng, count: int,
                              "adjust density or entity count")
         relations.append(rel)
     return relations
-
-
-def load_relations(source: str | Path | dict) -> tuple[EntitySet, list[Relation]]:
-    """Read {"entities": [...], "relations": {name: [[h, t], ...]}} JSON.
-
-    Pair entries are entity labels; unknown labels are rejected.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    if not isinstance(doc, dict) or "entities" not in doc or "relations" not in doc:
-        raise ValueError("expected keys 'entities' and 'relations'")
-    entity_set = EntitySet(tuple(str(x) for x in doc["entities"]))
-    relations = []
-    for name, pairs in doc["relations"].items():
-        idx_pairs = []
-        for entry in pairs:
-            if len(entry) != 2:
-                raise ValueError(f"relation {name!r}: pair {entry!r} is not binary")
-            h, t = entry
-            idx_pairs.append((entity_set.index(str(h)), entity_set.index(str(t))))
-        relations.append(Relation.from_pairs(entity_set, idx_pairs, name))
-    return entity_set, relations
-
-
-def dump_relations(entity_set: EntitySet, relations: Iterable[Relation]) -> dict:
-    doc: dict = {"entities": list(entity_set.labels), "relations": {}}
-    for i, r in enumerate(relations):
-        name = r.name or f"r{i}"
-        doc["relations"][name] = [[entity_set.labels[h], entity_set.labels[t]]
-                                  for h, t in r.pairs()]
-    return doc

@@ -3,6 +3,7 @@
 Serialized shape: {"check": str, "pass": bool, "max_deviation": float,
 "details": {...}, "provenance": {...}?}, pretty-printed with sorted keys and
 a trailing newline.  NaN anywhere in a report is a hard error, never emitted.
+The module only writes reports; a reader parses them as plain JSON.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ class Report:
         if self.provenance is not None:
             doc["provenance"] = self.provenance
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Report":
-        return cls(check=doc["check"], passed=bool(doc["pass"]),
-                   max_deviation=float(doc["max_deviation"]),
-                   details=doc.get("details", {}),
-                   provenance=doc.get("provenance"))
 
 
 def _reject_nan(obj: Any, path: str = "$") -> None:
@@ -71,18 +65,3 @@ def emit_report(report: Report, path: str | Path) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
-
-
-def parse_report(source: str | Path) -> Report:
-    p = Path(source)
-    try:
-        # report text longer than the OS path limit raises here, not just
-        # "no such file" — either way it is not a path
-        is_file = p.exists()
-    except (OSError, ValueError):
-        is_file = False
-    if is_file:
-        text = p.read_text(encoding="utf-8")
-    else:
-        text = str(source)
-    return Report.from_dict(json.loads(text))

@@ -1,10 +1,17 @@
+"""Fixtures and the independent oracles that more than one test module
+compares the library against."""
+
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
 from slplab import numerics
-from slplab.queryspace import compute_families
-from slplab.relalg import EntitySet, Relation, close_unary
+from slplab.characters import cycle_type, permutation_matrix
+from slplab.gradlab import _apply_block_update, gradient, score
+from slplab.queryspace import GroupElementH, Query, compute_families
+from slplab.relalg import EntitySet, Relation, RelationAlgebra, close_unary
 
 settings.register_profile("slplab", database=None, derandomize=True,
                           deadline=None, max_examples=60)
@@ -121,3 +128,86 @@ def family_kernel_reference(fmap):
         if np.any(devs[np.any(restricted != 0.0, axis=1)] > tol):
             failing.append(i)
     return not failing, basis.shape[0], failing
+
+
+def rank(matrix: np.ndarray) -> int:
+    """Numerical rank at the package-wide relative threshold."""
+    sv = numerics.singular_values(matrix)
+    return int(np.sum(sv > numerics.rank_threshold(matrix)))
+
+
+# ------------------------------------------------------------------ queries
+
+def enumerate_queries(algebra: RelationAlgebra) -> tuple[Query, ...]:
+    """All queries over the closed relation set, ordered by (head, rel, tail)."""
+    n = algebra.entity_set.n
+    return tuple(itertools.starmap(Query, itertools.product(
+        range(n), range(algebra.size), range(n))))
+
+
+def compose_renamings(g: GroupElementH, h: GroupElementH) -> GroupElementH:
+    """g after h."""
+    perm = tuple(g.perm[h.perm[i]] for i in range(len(g.perm)))
+    return GroupElementH(perm, g.sign * h.sign)
+
+
+def witnesses(r: Relation, s: Relation, head: int, tail: int) -> set[int]:
+    """All middle entities b with (head, b) in r and (b, tail) in s."""
+    if r.entity_set != s.entity_set:
+        raise ValueError("relations live on different entity sets")
+    n = r.entity_set.n
+    mask = r.row(head) & _column(s, tail)
+    return {b for b in range(n) if mask >> b & 1}
+
+
+def _column(relation: Relation, tail: int) -> int:
+    """Bitset of heads related to `tail`."""
+    n = relation.entity_set.n
+    col = 0
+    for h in range(n):
+        col |= ((relation.bits >> (h * n + tail)) & 1) << h
+    return col
+
+
+# ---------------------------------------------------------------- Sym(n)
+
+def perm_sign(perm: tuple[int, ...]) -> int:
+    """Sign of a permutation: (-1)^(n - number of cycles)."""
+    return -1 if (len(perm) - len(cycle_type(perm))) % 2 else 1
+
+
+def standard_rep(perms, n: int) -> list[np.ndarray]:
+    """The (n-1)-dimensional irreducible on the sum-zero subspace of R^n."""
+    basis = _sum_zero_basis(n)
+    return [basis.T @ permutation_matrix(p) @ basis for p in perms]
+
+
+def _sum_zero_basis(n: int) -> np.ndarray:
+    """Orthonormal columns spanning the sum-zero subspace (Helmert style)."""
+    cols = []
+    for k in range(1, n):
+        v = np.zeros(n)
+        v[:k] = 1.0
+        v[k] = -k
+        cols.append(v / np.linalg.norm(v))
+    return np.stack(cols, axis=1)
+
+
+# ------------------------------------------------------------------ gradlab
+
+FD_STEP = 1e-5  # central finite-difference step
+
+
+def finite_difference_gradient(model, q: Query, block: str) -> np.ndarray:
+    """Central-difference oracle over the block's flattened parameters."""
+    step = FD_STEP
+    g = gradient(model, q, block)
+    out = np.zeros_like(g)
+    unit = np.zeros_like(g)
+    for i in range(g.size):
+        unit[:] = 0.0
+        unit[i] = 1.0
+        plus = _apply_block_update(model, step * unit, block)
+        minus = _apply_block_update(model, -step * unit, block)
+        out[i] = (score(plus, q) - score(minus, q)) / (2.0 * step)
+    return out

@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_proper_relation
+from conftest import (compose_renamings, enumerate_queries,
+                      finite_difference_gradient, random_proper_relation)
 from slplab import numerics
 from slplab.conjunction import (check_kernel_stability, collapse_certificate,
-                                conj, fit_bilinear, possible_worlds_assignment)
+                                fit_bilinear, possible_worlds_assignment)
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock, assemble_rows,
                               build_slp_map, hom_dimension_check,
@@ -23,12 +24,10 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               verify_factorized_form)
 from slplab.featspace import (FeatureMap, check_logical_equivariance,
                               check_slp, lift_renaming)
-from slplab.gradlab import (alignment_experiment, edit_step,
-                            finite_difference_gradient, generate_kb, gradient,
-                            make_mlp, make_slp_linear, train)
+from slplab.gradlab import (alignment_experiment, edit_step, generate_kb,
+                            gradient, make_mlp, make_slp_linear, train)
 from slplab.queryspace import (GroupElementH, LogicalOp, Query, apply_logical,
-                               compute_families, enumerate_queries,
-                               symmetric_group)
+                               compute_families, symmetric_group)
 from slplab.relalg import (EntitySet, Relation, all_relations, close_unary,
                            compose, converse, negate, random_relation)
 
@@ -136,7 +135,8 @@ def test_criterion_04_lift_homomorphism_and_negation_lift():
              for p in perms}
     worst = 0.0
     for p1, p2 in itertools.product(perms, perms):
-        composed = GroupElementH(p1, 1).compose(GroupElementH(p2, 1)).perm
+        composed = compose_renamings(GroupElementH(p1, 1),
+                                     GroupElementH(p2, 1)).perm
         gap = float(np.max(np.abs(lifts[p1].matrix @ lifts[p2].matrix
                                   - lifts[composed].matrix)))
         worst = max(worst, gap)

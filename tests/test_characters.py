@@ -12,12 +12,48 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slplab.characters import (character_table, class_size, cycle_type,
-                               hook_length_dimension, irrep_dimension,
-                               irrep_matrices, mn_character, partitions,
-                               perm_sign, permutation_matrix, sign_rep,
-                               standard_rep, trivial_rep)
+from conftest import perm_sign, standard_rep
+from slplab.characters import (cycle_type, irrep_dimension, mn_character,
+                               partitions, permutation_matrix)
 from slplab.queryspace import symmetric_group
+
+
+def class_size(mu: tuple[int, ...]) -> int:
+    """Number of permutations with cycle type mu: n! / prod(i^m_i * m_i!)."""
+    n = sum(mu)
+    z = 1
+    for length in set(mu):
+        m = mu.count(length)
+        z *= length ** m * math.factorial(m)
+    return math.factorial(n) // z
+
+
+def hook_length_dimension(lam: tuple[int, ...]) -> int:
+    """Independent dimension oracle: n! over the product of hook lengths."""
+    n = sum(lam)
+    cols = [0] * (lam[0] if lam else 0)
+    for row_len in lam:
+        for j in range(row_len):
+            cols[j] += 1
+    prod = 1
+    for i, row_len in enumerate(lam):
+        for j in range(row_len):
+            prod *= (row_len - j) + (cols[j] - i) - 1
+    return math.factorial(n) // prod
+
+
+def trivial_rep(perms) -> list[np.ndarray]:
+    return [np.ones((1, 1)) for _ in perms]
+
+
+def sign_rep(perms) -> list[np.ndarray]:
+    return [np.array([[float(perm_sign(p))]]) for p in perms]
+
+
+# the small irreps realized as matrices, by label
+IRREPS = {"trivial": lambda perms, n: trivial_rep(perms),
+          "sign": lambda perms, n: sign_rep(perms),
+          "standard": standard_rep}
 
 # rows: partition; columns: cycle type. Classical tables.
 S3_TABLE = {
@@ -88,8 +124,9 @@ def test_mn_characters_match_frozen_s4_table():
 
 def test_character_table_shape_and_orthogonality():
     for n in (3, 4, 5):
-        table = character_table(n)
         parts = partitions(n)
+        table = {lam: {mu: mn_character(lam, mu) for mu in parts}
+                 for lam in parts}
         cts = sorted({cycle_type(p) for p in symmetric_group(n)})
         order = math.factorial(n)
         for lam, mu in itertools.product(parts, parts):
@@ -125,7 +162,7 @@ def test_permutation_matrix_is_representation():
 def test_irrep_matrices_are_homomorphisms(label, dim_by_n):
     for n in (3, 4):
         perms = symmetric_group(n)
-        mats = dict(zip(perms, irrep_matrices(label, perms, n)))
+        mats = dict(zip(perms, IRREPS[label](perms, n)))
         assert mats[perms[0]].shape == (dim_by_n(n), dim_by_n(n))
         for p, q in itertools.product(perms, perms):
             composed = tuple(p[q[i]] for i in range(n))
@@ -141,7 +178,7 @@ def test_irrep_traces_match_characters():
     for n, mapping in label_to_partition.items():
         perms = symmetric_group(n)
         for label, lam in mapping.items():
-            for p, mat in zip(perms, irrep_matrices(label, perms, n)):
+            for p, mat in zip(perms, IRREPS[label](perms, n)):
                 assert np.isclose(np.trace(mat),
                                   mn_character(lam, cycle_type(p)), atol=1e-12)
 

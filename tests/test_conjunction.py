@@ -3,23 +3,91 @@
 import itertools
 import math
 import tracemalloc
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import witnesses
 from slplab import conjunction, numerics
 from slplab.cli import MAX_CELLS
 from slplab.conjunction import (BilinearOperator, Compound,
-                                ConjFeatureAssignment, _triangle_design,
-                                _triangle_tensor, atom,
-                                check_kernel_stability, close_conjunction,
-                                closure_codes, collapse_certificate, conj,
-                                fit_bilinear, neg,
-                                possible_worlds_assignment,
-                                unique_witness_reduce)
+                                ConjFeatureAssignment, _decode, _literals,
+                                _triangle_design, _triangle_tensor,
+                                check_kernel_stability, closure_codes,
+                                collapse_certificate, fit_bilinear,
+                                possible_worlds_assignment)
 from slplab.queryspace import Query
-from slplab.relalg import EntitySet, Relation, close_unary
+from slplab.relalg import EntitySet, Relation, RelationAlgebra, close_unary
+
+
+# ------------------------------------------- Compound oracles of the codes
+
+def atom(q: Query) -> Compound:
+    return Compound(False, ((False, q),))
+
+
+def neg(x: Compound) -> Compound:
+    """Flip the sign of a literal; negating twice gives the literal back."""
+    if x.is_conj:
+        raise ValueError("negation applies to literals only")
+    ((negated, q),) = x.literals
+    return Compound(False, ((not negated, q),))
+
+
+def conj(*items: Compound) -> Compound:
+    """Normalized conjunction: the sorted union of the inputs' literals."""
+    literals = tuple(sorted({lit for x in items for lit in x.literals}))
+    if not literals:
+        raise ValueError("conjunction needs at least one conjunct")
+    return Compound(len(literals) > 1, literals)
+
+
+def close_conjunction(atoms: Sequence[Query],
+                      depth: int = 2) -> tuple[Compound, ...]:
+    """Normal-form closure of the atoms under negation and conjunction,
+    decoded from `closure_codes`: level 1 holds the literals (atoms and
+    negated atoms), level 2 all conjunctions of two or more distinct
+    literals."""
+    literals = _literals(atoms)
+    return tuple(_decode(literals, code)
+                 for code in closure_codes(len(literals), depth).tolist())
+
+
+def unique_witness_reduce(algebra: RelationAlgebra, rel_r: int, rel_s: int,
+                          head: int, tail: int) -> tuple[Compound | None, int]:
+    """Rewrite a composed query as a conjunction when the witness is unique.
+
+    (head, r;s, tail) holds through a middle entity b; with exactly one such
+    b the composition collapses to (head, r, b) AND (b, s, tail).  Returns
+    (compound, witness count); the compound is None unless the count is 1.
+    """
+    mids = witnesses(algebra.closed[rel_r], algebra.closed[rel_s], head, tail)
+    if len(mids) != 1:
+        return None, len(mids)
+    b = next(iter(mids))
+    return conj(atom(Query(head, rel_r, b)), atom(Query(b, rel_s, tail))), 1
+
+
+def build_assignment(features: Mapping) -> ConjFeatureAssignment:
+    """The assignment of a hand-built {Compound: vector} support."""
+    if not features:
+        raise ValueError("empty assignment")
+    dims = {np.asarray(v).shape for v in features.values()}
+    if len(dims) != 1 or len(next(iter(dims))) != 1:
+        raise ValueError("features must be vectors of one common dimension")
+    clean = {k: np.asarray(v, dtype=float) for k, v in features.items()}
+    for k, v in clean.items():
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"non-finite feature for {k}")
+    order = sorted(clean)
+    literals = tuple(sorted({lit for x in order for lit in x.literals}))
+    bits = {lit: 1 << i for i, lit in enumerate(literals)}
+    codes = np.array([sum(bits[lit] for lit in x.literals) for x in order],
+                     dtype=np.int64)
+    return ConjFeatureAssignment(literals, codes,
+                                 np.stack([clean[x] for x in order]))
 
 
 def literal_strategy(n_atoms: int = 3):
@@ -181,7 +249,7 @@ def test_features_read_through_codes_without_decoding():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pair_images_match_the_closure_index(k):
     closure = close_conjunction([Query(0, i, 0) for i in range(k)])
-    assignment = ConjFeatureAssignment.build({x: np.ones(1) for x in closure})
+    assignment = build_assignment({x: np.ones(1) for x in closure})
     order = list(assignment.order)
     assert order == list(closure)
     n = len(order)
@@ -195,8 +263,7 @@ def test_pair_images_match_the_closure_index(k):
 
 def test_pair_images_outside_the_support_are_minus_one():
     p, q = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
-    assignment = ConjFeatureAssignment.build(
-        {x: np.ones(1) for x in (p, q, neg(p))})
+    assignment = build_assignment({x: np.ones(1) for x in (p, q, neg(p))})
     assert assignment.order == (p, q, neg(p))
     a, b = np.array([0, 0, 0, 1]), np.array([0, 1, 2, 1])
     images = assignment.lookup[assignment.codes[a] | assignment.codes[b]]
@@ -207,8 +274,7 @@ def test_pair_images_outside_the_support_are_minus_one():
 @settings(max_examples=40)
 def test_lookup_matches_conj_on_truncated_supports(keep):
     closure = close_conjunction([Query(0, i, 0) for i in range(3)])
-    assignment = ConjFeatureAssignment.build(
-        {closure[i]: np.ones(1) for i in keep})
+    assignment = build_assignment({closure[i]: np.ones(1) for i in keep})
     order = list(assignment.order)
     for i, j in itertools.product(range(len(order)), repeat=2):
         image = conj(order[i], order[j])
@@ -298,8 +364,7 @@ def test_uniqueness_gap_matches_per_pair_predictions():
     # disagree on realized pairs and the gap is far from round-off
     closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
     rng = np.random.default_rng(4)
-    assignment = ConjFeatureAssignment.build(
-        {x: rng.standard_normal(3) for x in closure})
+    assignment = build_assignment({x: rng.standard_normal(3) for x in closure})
     result = fit_bilinear(assignment)
     feats, order = assignment.features, assignment.order
     pairs = list(itertools.combinations_with_replacement(order, 2))
@@ -364,7 +429,7 @@ def shared_row_assignment():
     only reach each group's mean target.
     """
     closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
-    return ConjFeatureAssignment.build(
+    return build_assignment(
         {x: np.eye(3)[i % 3] for i, x in enumerate(closure)})
 
 
@@ -423,8 +488,7 @@ def test_worst_pair_is_the_first_pair_at_the_maximum():
     # random features: every pair's residual differs well beyond round-off
     closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
     rng = np.random.default_rng(11)
-    assignment = ConjFeatureAssignment.build(
-        {x: rng.standard_normal(4) for x in closure})
+    assignment = build_assignment({x: rng.standard_normal(4) for x in closure})
     result = fit_bilinear(assignment)
     assert_matches_reference(result, assignment)
     *_, residuals, (ii, jj, kk) = reference_fit(assignment)
@@ -484,7 +548,7 @@ def test_adversarial_assignment_violates_stability():
     support = {p: np.array([1.0, 0.0]),
                neg(p): np.array([1.0, 0.0]),
                conj(p, neg(p)): np.array([0.0, 1.0])}
-    assignment = ConjFeatureAssignment.build(support)
+    assignment = build_assignment(support)
     report = check_kernel_stability(assignment)
     assert not report.passed
     assert report.details["kernel_dim"] == 1
@@ -497,7 +561,7 @@ def test_trivial_kernel_is_vacuously_stable():
     support = {p: np.array([1.0, 0.0, 0.0]),
                neg(p): np.array([0.0, 1.0, 0.0]),
                conj(p, neg(p)): np.array([0.0, 0.0, 1.0])}
-    report = check_kernel_stability(ConjFeatureAssignment.build(support))
+    report = check_kernel_stability(build_assignment(support))
     assert report.passed
     assert report.details["kernel_dim"] == 0
 
@@ -505,7 +569,7 @@ def test_trivial_kernel_is_vacuously_stable():
 def test_contexts_outside_support_are_skipped_not_ignored():
     p, q = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
     support = {p: np.array([1.0, 0.0]), q: np.array([0.0, 1.0])}
-    report = check_kernel_stability(ConjFeatureAssignment.build(support))
+    report = check_kernel_stability(build_assignment(support))
     # p AND q falls outside the support, so both contexts are skipped
     assert report.details["contexts_skipped"] == 2
     assert report.details["contexts_checked"] == 0
@@ -515,7 +579,7 @@ def test_contexts_outside_support_are_skipped_not_ignored():
     # send (1, 0, 0) outside the span
     support = {p: np.array([1.0, 0.0]), q: np.array([1.0, 0.0]),
                neg(p): np.array([0.0, 1.0])}
-    report = check_kernel_stability(ConjFeatureAssignment.build(support))
+    report = check_kernel_stability(build_assignment(support))
     assert report.details["kernel_dim"] == 1
     assert report.details["contexts_skipped"] == 3
     assert report.details["pairs_skipped"] == 6
@@ -579,7 +643,7 @@ def test_span_check_matches_the_witness_on_a_perturbed_row(n_atoms, n_worlds,
     moved = assignment.order[row]
     features[moved] = features[moved] + \
         0.5 * np.random.default_rng(row).standard_normal(n_worlds)
-    perturbed = ConjFeatureAssignment.build(features)
+    perturbed = build_assignment(features)
     expected = kernel_basis_stability(perturbed)
     assert len(expected["violating"]) == n_violating
     assert all_context_stability(perturbed)["violating"] == \
@@ -655,8 +719,7 @@ def test_truncated_support_checks_its_irreducible_contexts():
     a, b = atom(Query(0, 0, 0)), atom(Query(0, 1, 0))
     support = [a, conj(a, b), conj(a, neg(b)), conj(a, b, neg(b))]
     worlds, _ = possible_worlds_assignment(2, 5, seed=3)
-    stable = ConjFeatureAssignment.build(
-        {x: worlds.features[x] for x in support})
+    stable = build_assignment({x: worlds.features[x] for x in support})
     report = assert_decides_like_every_context(stable)
     assert report.passed and report.details["kernel_dim"] > 0
     assert report.details["contexts_checked"] == 4
@@ -664,15 +727,13 @@ def test_truncated_support_checks_its_irreducible_contexts():
     # random rows: context A acts as the identity, so only the conjunction
     # generators can see the violation
     rng = np.random.default_rng(0)
-    unstable = ConjFeatureAssignment.build(
-        {x: rng.standard_normal(2) for x in support})
+    unstable = build_assignment({x: rng.standard_normal(2) for x in support})
     report = assert_decides_like_every_context(unstable)
     violating = [v["context"] for v in report.details["violations"]]
     assert violating == [repr(conj(a, b)), repr(conj(a, neg(b)))]
     assert set(violating) <= set(all_context_stability(unstable)["violating"])
     # with A&B&~B gone, A&B and A&~B leave the support under each other
-    partial = ConjFeatureAssignment.build(
-        {x: worlds.features[x] for x in support[:3]})
+    partial = build_assignment({x: worlds.features[x] for x in support[:3]})
     report = assert_decides_like_every_context(partial)
     assert report.details["contexts_checked"] == 1
     assert report.details["generators_checked"] == 1
@@ -712,14 +773,13 @@ def test_kernel_stability_reports_the_kernel_rank_margin():
 def test_assignment_validation():
     p = atom(Query(0, 0, 0))
     with pytest.raises(ValueError):
-        ConjFeatureAssignment.build({})
+        build_assignment({})
     with pytest.raises(ValueError):
-        ConjFeatureAssignment.build({p: np.array([1.0]),
-                                     neg(p): np.array([1.0, 2.0])})
+        build_assignment({p: np.array([1.0]), neg(p): np.array([1.0, 2.0])})
     with pytest.raises(ValueError):
-        ConjFeatureAssignment.build({p: np.array([np.nan, 0.0])})
+        build_assignment({p: np.array([np.nan, 0.0])})
     with pytest.raises(ValueError):
-        ConjFeatureAssignment.build({p: np.eye(2)})
+        build_assignment({p: np.eye(2)})
 
 
 def test_assignment_rejects_more_than_25_literals():
@@ -727,9 +787,8 @@ def test_assignment_rejects_more_than_25_literals():
     literals = atoms + [neg(x) for x in atoms]
     assert len(literals) == 26
     with pytest.raises(ValueError, match="25"):
-        ConjFeatureAssignment.build({x: np.ones(1) for x in literals})
-    assignment = ConjFeatureAssignment.build(
-        {x: np.ones(1) for x in literals[:25]})
+        build_assignment({x: np.ones(1) for x in literals})
+    assignment = build_assignment({x: np.ones(1) for x in literals[:25]})
     # the 25th literal takes the top bit, so the lookup table would hold
     # exactly the CLI's cell budget; it is not built here (268 MB)
     assert int(np.bitwise_or.reduce(assignment.codes)) + 1 == 2 ** 25 \

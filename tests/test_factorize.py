@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_proper_relation
+from conftest import (enumerate_queries, perm_sign, random_proper_relation,
+                      rank, standard_rep)
 from slplab import characters, factorize
 from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               FactorizedMap, Term, TensorBlock,
@@ -17,10 +18,9 @@ from slplab.factorize import (BlockSpec, ConverseInvarianceError,
                               parity_decompose, relation_sign_representation,
                               verify_factorized_form)
 from slplab.featspace import FeatureMap, check_slp, lift_renaming
-from slplab.numerics import PROJECTOR_TOL, projector_trace_dim, rank
+from slplab.numerics import PROJECTOR_TOL, projector_trace_dim
 from slplab.queryspace import (GroupElementH, Query, compute_families,
-                               enumerate_queries, relation_images,
-                               symmetric_group)
+                               relation_images, symmetric_group)
 from slplab.relalg import EntitySet, Relation, close_unary, converse
 
 
@@ -512,7 +512,8 @@ def test_mismatched_parity_term_raises(algebra_3):
     assert type(q) is Query and all(type(c) is int for c in q)
     # the recorded worst query really deviates by the recorded amount
     rev_q = Query(q.tail, algebra_3.conv(q.rel), q.head)
-    dev = np.max(np.abs(fmap.row(rev_q) - fmap.row(q)))
+    dev = np.max(np.abs(fmap.matrix[fmap.index(*rev_q)]
+                        - fmap.matrix[fmap.index(*q)]))
     assert dev == excinfo.value.deviation
 
 
@@ -543,7 +544,8 @@ def test_converse_failure_names_first_worst_query(seed):
     worst_q, worst_dev = None, -1.0
     for i, q in enumerate(enumerate_queries(algebra)):
         rev_q = Query(q.tail, algebra.conv(q.rel), q.head)
-        dev = float(np.max(np.abs(fmap.row(rev_q) - fmap.matrix[i])))
+        dev = float(np.max(np.abs(fmap.matrix[fmap.index(*rev_q)]
+                                 - fmap.matrix[i])))
         if dev > worst_dev:
             worst_q, worst_dev = q, dev
     with pytest.raises(ConverseInvarianceError) as excinfo:
@@ -604,7 +606,7 @@ def dense_commutant_hom_dim(source_mats, target_mats):
 
 def _signed_permutation_rep(perms):
     """e_i -> sgn(g) e_g(i): a signed-permutation representation."""
-    return [characters.perm_sign(p) * characters.permutation_matrix(p)
+    return [perm_sign(p) * characters.permutation_matrix(p)
             for p in perms]
 
 
@@ -628,7 +630,7 @@ def _hom_witness_cases():
                   (f"signed{n}-signed{n}", signed, signed),
                   (f"signed{n}-pair{n}", signed, pair_rep)]
     perms3 = symmetric_group(3)
-    std = characters.irrep_matrices("standard", perms3, 3)
+    std = standard_rep(perms3, 3)
     perm3 = [characters.permutation_matrix(p) for p in perms3]
     pair3 = pair_space_representation(3, perms3)
     cases += [("standard-standard", std, std),
@@ -678,9 +680,7 @@ def test_constraint_triples_are_the_dense_nonzeros_bitwise(source, target):
 
 
 def test_standard_rep_self_hom_is_one():
-    from slplab.characters import irrep_matrices
-    perms = symmetric_group(3)
-    std = irrep_matrices("standard", perms, 3)
+    std = standard_rep(symmetric_group(3), 3)
     assert commutant_hom_dimension(std, std) == 1
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (family_kernel_reference, kernel_basis,
+from conftest import (compose_renamings, enumerate_queries,
+                      family_kernel_reference, kernel_basis,
                       proper_relation_strategy, random_proper_relation)
 from slplab import cli, featspace, numerics
 from slplab.factorize import BlockSpec, build_slp_map
@@ -18,7 +19,7 @@ from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               representative_matrix, save_feature_map)
 from slplab.queryspace import (GroupElementH, Query, apply_renaming,
                                compute_families, decode_queries,
-                               enumerate_queries, symmetric_group)
+                               symmetric_group)
 from slplab.relalg import EntitySet, Relation, close_unary
 
 
@@ -295,9 +296,9 @@ def test_lift_defining_property(algebra_3):
     for g in (GroupElementH((1, 0, 2), 1), GroupElementH((2, 0, 1), -1)):
         lift = lift_renaming(fmap, g)
         for q in enumerate_queries(algebra_3):
-            target = fmap.row(apply_renaming(g, q, algebra_3))
-            assert np.max(np.abs(lift.matrix @ fmap.row(q) - target)) \
-                <= 1e-9
+            target = fmap.matrix[fmap.index(*apply_renaming(g, q, algebra_3))]
+            row = fmap.matrix[fmap.index(*q)]
+            assert np.max(np.abs(lift.matrix @ row - target)) <= 1e-9
 
 
 def test_negation_lift_is_minus_identity_on_span(algebra_3):
@@ -312,7 +313,7 @@ def test_negation_lift_is_minus_identity_on_span(algebra_3):
 
 def test_identity_lift_is_identity_on_span(algebra_3):
     fmap = build(algebra_3, 9, 9).feature_map
-    lift = lift_renaming(fmap, GroupElementH.identity(3))
+    lift = lift_renaming(fmap, GroupElementH((0, 1, 2)))
     gap = np.max(np.abs(fmap.matrix @ (lift.matrix - np.eye(fmap.dim)).T))
     assert gap <= 1e-9
 
@@ -323,7 +324,7 @@ def test_lift_homomorphism_all_144_pairs(algebra_3):
                 for s in (1, -1)]
     lifts = {g: lift_renaming(fmap, g) for g in elements}
     for g1, g2 in itertools.product(elements, elements):
-        composed = g1.compose(g2)
+        composed = compose_renamings(g1, g2)
         gap = np.max(np.abs(lifts[g1].matrix @ lifts[g2].matrix -
                             lifts[composed].matrix))
         assert gap <= 1e-9
@@ -360,7 +361,7 @@ def test_span_lifts_are_orthogonal_and_compose(algebra_3):
         assert np.max(np.abs(lift.matrix - ambient)) <= 1e-12
     for g1, g2 in itertools.product(elements, elements):
         gap = np.max(np.abs(lifts[g1].span @ lifts[g2].span
-                            - lifts[g1.compose(g2)].span))
+                            - lifts[compose_renamings(g1, g2)].span))
         assert gap <= 1e-12
 
 
@@ -494,6 +495,37 @@ def test_verify_slp_computes_the_partition_once(monkeypatch, tmp_path,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["build-slp", "--entities", "3", "--relations", "2"], 1),
+    (["factorize", "--entities", "3", "--relations", "2"], 1),
+    (["parity", "--entities", "3", "--relations", "2"], 1),
+    (["audit", "--entities", "3", "--relations", "2"], 1),
+    (["isotypic", "--entities", "3", "--relations", "1"], 1),
+    # width 3 cannot reach full rank, so the build redraws: a second map
+    (["build-slp", "--entities", "4", "--relations", "2", "--context-dim",
+      "3", "--seed", "5"], 2),
+], ids=["build-slp", "factorize", "parity", "audit", "isotypic", "redraw"])
+def test_build_commands_compute_the_partition_once_per_map(
+        monkeypatch, tmp_path, argv, expected):
+    # the default width and term count are counted, not partitioned
+    calls = counted_partition(monkeypatch, featspace, cli)
+    cli.main(argv + ["--out", str(tmp_path / "report.json")])
+    assert len(calls) == expected
+
+
+# ---------------------------------------------------------------- equality
+
+def test_array_holders_compare_by_identity(algebra_3):
+    matrix = build(algebra_3, 9, 13).feature_map.matrix
+    fmap, twin = FeatureMap(algebra_3, matrix), FeatureMap(algebra_3, matrix)
+    lift = lift_renaming(fmap, GroupElementH((1, 0, 2)))
+    other = lift_renaming(fmap, GroupElementH((1, 0, 2)))
+    for value, copy in ((fmap, twin), (lift, other)):
+        assert value != copy and not value == copy
+        assert value == value and hash(value) == hash(value)
+        assert len({value, copy}) == 2
+
+
 # -------------------------------------------------------------- propagation
 
 def test_propagation_audit_signs_and_gram(algebra_3):
@@ -566,7 +598,7 @@ def test_rows_are_found_by_arithmetic_on_the_grid(algebra_3x2):
     fmap = FeatureMap(algebra_3x2, matrix)
     assert not hasattr(fmap, "queries")
     for i, q in enumerate(enumerate_queries(algebra_3x2)):
-        assert fmap.index(*q) == i and fmap.row(q)[0] == i
+        assert fmap.index(*q) == i and fmap.matrix[i, 0] == i
     heads, rels, tails = np.array(enumerate_queries(algebra_3x2)).T
     assert np.array_equal(fmap.index(heads, rels, tails), np.arange(len(matrix)))
     # (0, 0, 3) would alias (0, 1, 0), and (0, size, 0) would alias (1, 0, 0)

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import enumerate_queries, finite_difference_gradient
 from slplab import numerics
 from slplab.gradlab import (BLOCK_NAMES, _apply_block_update,
                             _relation_classes, alignment_experiment, edit_step, encode_queries,
-                            finite_difference_gradient, generate_kb, gradient,
+                            generate_kb, gradient,
                             make_mlp, make_slp_linear, score, scores, train)
 from slplab.queryspace import (LogicalOp, Query, apply_logical,
-                               compute_families, enumerate_queries)
+                               compute_families)
 
 
 @pytest.fixture(scope="module")

@@ -5,18 +5,15 @@ Python sets of pairs; the algebraic laws are checked exhaustively at |E| = 3
 and property-based at other sizes.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (brute_compose, brute_converse, brute_negate, pairs_of,
                       proper_relation_strategy, relation_from_set,
-                      relation_strategy)
+                      relation_strategy, witnesses)
 from slplab.relalg import (EntitySet, Relation, all_relations, close_unary,
-                           compose, converse, dump_relations, load_relations,
-                           negate, random_relation, witnesses)
+                           compose, converse, negate, random_relation)
 
 
 # ------------------------------------------------------------------- oracles
@@ -126,30 +123,6 @@ def test_closure_of_symmetric_diagonal_free_relation_has_size_4():
     algebra = close_unary([r])
     assert algebra.size == 2
     assert algebra.conv(0) == 0 and algebra.conv(1) == 1
-
-
-# --------------------------------------------------------------------- io
-
-def test_load_dump_round_trip(tmp_path):
-    doc = {"entities": ["a", "b", "c"],
-           "relations": {"likes": [["a", "b"], ["b", "c"]],
-                         "near": [["c", "a"]]}}
-    entity_set, rels = load_relations(doc)
-    assert entity_set.labels == ("a", "b", "c")
-    assert pairs_of(rels[0]) == {(0, 1), (1, 2)}
-    round_trip = dump_relations(entity_set, rels)
-    assert round_trip == doc
-    path = tmp_path / "rels.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    entity_set2, rels2 = load_relations(path)
-    assert entity_set2 == entity_set and rels2 == rels
-
-
-def test_load_relations_rejects_unknown_labels():
-    with pytest.raises(KeyError):
-        load_relations({"entities": ["a"], "relations": {"r": [["a", "z"]]}})
-    with pytest.raises(ValueError):
-        load_relations({"entities": ["a"], "relations": {"r": [["a"]]}})
 
 
 def test_from_pairs_rejects_out_of_range():

@@ -22,7 +22,7 @@ from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _laws_cells, _stability_cells, _term_cells,
                         build_parser, main)
 from slplab.conjunction import PAIR_BLOCK
-from slplab.reports import Report, emit_report, parse_report, render_report
+from slplab.reports import Report, emit_report, render_report
 
 
 # ------------------------------------------------------------------- reports
@@ -31,7 +31,7 @@ def test_report_round_trip_through_text():
     report = Report(check="demo", passed=True, max_deviation=0.25,
                     details={"worst": [1, 2, 3], "label": "x"},
                     provenance={"seed": 7})
-    assert parse_report(render_report(report)) == report
+    assert json.loads(render_report(report)) == report.to_dict()
 
 
 def test_report_round_trip_through_file(tmp_path):
@@ -39,7 +39,7 @@ def test_report_round_trip_through_file(tmp_path):
                     details={"note": "failing on purpose"})
     path = tmp_path / "report.json"
     emit_report(report, path)
-    assert parse_report(path) == report
+    assert json.loads(path.read_text(encoding="utf-8")) == report.to_dict()
 
 
 def test_render_is_deterministic_and_newline_terminated():
@@ -112,11 +112,11 @@ def test_passing_check_exits_zero_and_prints_report(capsys):
     code, out, _ = run_cli(capsys, "relalg-laws", "--entities", "3",
                            "--exhaustive", "--pairs", "50", "--triples", "20")
     assert code == 0
-    report = parse_report(out)
-    assert report.check == "relalg_laws" and report.passed
-    assert report.details["unary_relations_checked"] == 512
-    assert report.provenance["seed"] == 0
-    assert set(report.provenance) == {"config_hash", "seed", "version"}
+    report = json.loads(out)
+    assert report["check"] == "relalg_laws" and report["pass"]
+    assert report["details"]["unary_relations_checked"] == 512
+    assert report["provenance"]["seed"] == 0
+    assert set(report["provenance"]) == {"config_hash", "seed", "version"}
 
 
 def test_failing_check_exits_one_but_still_reports(capsys, tmp_path):
@@ -132,9 +132,9 @@ def test_failing_check_exits_one_but_still_reports(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "verify-slp", "--load", str(store),
                          "--out", str(out_path))
     assert code == 1
-    report = parse_report(out_path)
-    assert not report.passed
-    assert report.max_deviation > 0.1
+    report = json.loads(out_path.read_text())
+    assert not report["pass"]
+    assert report["max_deviation"] > 0.1
 
 
 def malformed_maps(directory, fmt):
@@ -520,7 +520,7 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "families", "--entities", "3",
                            "--relations", "1")
     assert code == 0
-    assert parse_report(out).provenance["seed"] == 42
+    assert json.loads(out)["provenance"]["seed"] == 42
 
 
 def test_explicit_seed_beats_environment(capsys, monkeypatch):
@@ -528,7 +528,7 @@ def test_explicit_seed_beats_environment(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "families", "--entities", "3",
                            "--relations", "1", "--seed", "5")
     assert code == 0
-    assert parse_report(out).provenance["seed"] == 5
+    assert json.loads(out)["provenance"]["seed"] == 5
 
 
 def test_garbage_environment_seed_is_a_usage_error(capsys, monkeypatch):
@@ -562,16 +562,16 @@ def test_families_report_holds_the_partition(capsys, tmp_path):
                            "--out", str(out_path))
     assert code == 0
     assert out == ""  # the report file is the one product
-    report = parse_report(out_path)
-    partition = report.details["families"]
-    assert report.details["n_families"] == len(partition)
+    report = json.loads(out_path.read_text())
+    partition = report["details"]["families"]
+    assert report["details"]["n_families"] == len(partition)
     for family in partition:
         members = [m["query"] for m in family["members"]]
         assert family["representative"] in members
         signs = {m["sign"] for m in family["members"]}
         assert signs == {1, -1}
     total = sum(len(f["members"]) for f in partition)
-    assert total == report.details["n_queries"]
+    assert total == report["details"]["n_queries"]
 
 
 def test_build_then_verify_round_trip(capsys, tmp_path):
@@ -581,22 +581,22 @@ def test_build_then_verify_round_trip(capsys, tmp_path):
                                "--relations", "1", "--seed", "1",
                                "--fmt", fmt, "--save", str(store))
         assert code == 0
-        built = parse_report(out)
-        assert built.details["equivariance"]["max_deviation"] == 0.0
+        built = json.loads(out)
+        assert built["details"]["equivariance"]["max_deviation"] == 0.0
         code, out, _ = run_cli(capsys, "verify-slp", "--load", str(store),
                                "--fmt", fmt)
         assert code == 0
-        verified = parse_report(out)
-        assert verified.details["slp_rank"]["pass"] is True
-        assert verified.details["kernel_decomposition"]["pass"] is True
+        verified = json.loads(out)
+        assert verified["details"]["slp_rank"]["pass"] is True
+        assert verified["details"]["kernel_decomposition"]["pass"] is True
 
 
 def test_factorize_reports_pure_minus_split(capsys):
     code, out, _ = run_cli(capsys, "factorize", "--entities", "3",
                            "--relations", "1", "--seed", "2")
     assert code == 0
-    report = parse_report(out)
-    split = report.details["negation_split"]
+    report = json.loads(out)
+    split = report["details"]["negation_split"]
     assert split["plus_dim"] == 0
     assert split["minus_dim"] == split["span_dim"] > 0
 
@@ -605,10 +605,10 @@ def test_isotypic_image_dims_fill_the_span(capsys):
     code, out, _ = run_cli(capsys, "isotypic", "--entities", "3",
                            "--relations", "1", "--seed", "0")
     assert code == 0
-    report = parse_report(out)
-    dims = [entry["image_dim"] for entry in report.details["irreps"]]
-    assert sum(dims) == report.details["properties"]["span_dim"]
-    assert report.max_deviation <= 1e-8
+    report = json.loads(out)
+    dims = [entry["image_dim"] for entry in report["details"]["irreps"]]
+    assert sum(dims) == report["details"]["properties"]["span_dim"]
+    assert report["max_deviation"] <= 1e-8
 
 
 @pytest.mark.parametrize("context_dim", ["1", "2", "4"])
@@ -618,22 +618,22 @@ def test_isotypic_on_a_narrow_map_names_the_renaming(capsys, context_dim):
                              "--relations", "1", "--context-dim",
                              context_dim, "--seed", "1")
     assert code == 1 and "Traceback" not in err
-    report = parse_report(out)
-    assert report.passed is False
-    renaming = report.details["renaming"]
+    report = json.loads(out)
+    assert report["pass"] is False
+    renaming = report["details"]["renaming"]
     assert sorted(renaming["perm"]) == [0, 1, 2]
     assert renaming["perm"] != [0, 1, 2] and renaming["sign"] == 1
-    assert report.max_deviation > 1e-8
+    assert report["max_deviation"] > 1e-8
 
 
 def test_parity_cross_residual_is_zero_for_builds(capsys):
     code, out, _ = run_cli(capsys, "parity", "--entities", "3",
                            "--relations", "1", "--seed", "4")
     assert code == 0
-    report = parse_report(out)
-    assert report.max_deviation == 0.0
+    report = json.loads(out)
+    assert report["max_deviation"] == 0.0
     n = 3
-    assert report.details["pair_space_dims"] == \
+    assert report["details"]["pair_space_dims"] == \
         [n * (n + 1) // 2, n * (n - 1) // 2]
 
 
@@ -824,21 +824,21 @@ def test_kernel_stability_and_fit_bilinear(capsys):
         code, out, _ = run_cli(capsys, cmd, "--atoms", "2", "--worlds", "4",
                                "--seed", "0")
         assert code == 0, cmd
-        report = parse_report(out)
-        assert report.passed
+        report = json.loads(out)
+        assert report["pass"]
 
 
 def test_collapse_unit_atom_certificate(capsys):
     code, out, _ = run_cli(capsys, "collapse", "--atoms", "1", "--dim", "4",
                            "--seed", "7")
     assert code == 0
-    report = parse_report(out)
-    assert report.details["verdict"] == "infeasible"
-    assert abs(report.details["residual_sq"] - 2.0) <= 1e-6
+    report = json.loads(out)
+    assert report["details"]["verdict"] == "infeasible"
+    assert abs(report["details"]["residual_sq"] - 2.0) <= 1e-6
     code, out, _ = run_cli(capsys, "collapse", "--atoms", "1", "--dim", "4",
                            "--seed", "7", "--no-neg-equiv")
     assert code == 0
-    assert parse_report(out).details["verdict"] == "feasible"
+    assert json.loads(out)["details"]["verdict"] == "feasible"
 
 
 def test_audit_subcommand_runs(capsys):
@@ -846,7 +846,7 @@ def test_audit_subcommand_runs(capsys):
                            "--relations", "1", "--family", "1",
                            "--eta", "0.2", "--seed", "0")
     assert code == 0
-    assert parse_report(out).passed
+    assert json.loads(out)["pass"]
 
 
 # ------------------------------------------------------------------ gradlab
@@ -870,11 +870,11 @@ def test_gradlab_slp_linear_is_exactly_antialigned(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "gradlab", "--config", str(config),
                            "--seed", "0", "--histogram", str(histogram))
     assert code == 0
-    report = parse_report(out)
-    assert report.details["alignment"]["mean"] == -1.0
-    assert report.details["alignment"]["excluded"] == 0
-    neg = report.details["edit_step"]["exact"]["neg"]
-    base = report.details["edit_step"]["exact"]["id"]
+    report = json.loads(out)
+    assert report["details"]["alignment"]["mean"] == -1.0
+    assert report["details"]["alignment"]["excluded"] == 0
+    neg = report["details"]["edit_step"]["exact"]["neg"]
+    base = report["details"]["edit_step"]["exact"]["id"]
     assert neg == -base
     lines = histogram.read_text().strip().split("\n")
     assert lines[0] == "bin_lo,bin_hi,count"
@@ -886,9 +886,9 @@ def test_gradlab_mlp_reports_measurement(capsys, tmp_path):
                           lr=0.5, block="emb")
     code, out, _ = run_cli(capsys, "gradlab", "--config", str(config))
     assert code == 0
-    report = parse_report(out)
-    assert report.details["accuracy"] >= 0.5
-    cosines = report.details["alignment"]["cosines"]
+    report = json.loads(out)
+    assert report["details"]["accuracy"] >= 0.5
+    cosines = report["details"]["alignment"]["cosines"]
     assert all(-1.0 <= c <= 1.0 for c in cosines)
 
 
@@ -915,7 +915,7 @@ def test_gradlab_seed_conflict_rejected(capsys, tmp_path):
     assert code == 2
     code, out, _ = run_cli(capsys, "gradlab", "--config", str(config))
     assert code == 0
-    assert parse_report(out).provenance["seed"] == 3
+    assert json.loads(out)["provenance"]["seed"] == 3
 
 
 def test_gradlab_divergence_reports_failure(capsys, tmp_path):
@@ -924,8 +924,8 @@ def test_gradlab_divergence_reports_failure(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gradlab", "--config", str(config),
                                "--seed", "0")
     assert code == 1
-    report = parse_report(out)
-    assert "diverged" in report.details["error"]
+    report = json.loads(out)
+    assert "diverged" in report["details"]["error"]
 
 
 # ------------------------------------------------------------ real process
@@ -937,6 +937,6 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
          "--relations", "1", "--seed", "0", "--out", str(out_path)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = parse_report(out_path)
-    assert report.check == "families" and report.passed
+    report = json.loads(out_path.read_text())
+    assert report["check"] == "families" and report["pass"]
     assert proc.stdout == ""  # the report goes to --out only

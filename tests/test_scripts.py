@@ -25,7 +25,6 @@ def test_sweeps_reject_fewer_than_one_seed(capsys, name, seeds):
     assert "--seeds" in capsys.readouterr().err
 
 
-
 @pytest.mark.parametrize("flag, value", [
     ("--entities", "1"), ("--hidden", "0"), ("--embed-dim", "0"),
     ("--epochs", "0"), ("--density", "1.5"), ("--lr", "nan")])
@@ -35,3 +34,13 @@ def test_alignment_sweep_rejects_out_of_range_sizes(capsys, flag, value):
         load_script("alignment_sweep").main(["--seeds", "1", flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_mb, expected", [("100000", 0), ("1", 1)])
+def test_peak_rss_bounds_the_command(capsys, tmp_path, max_mb, expected):
+    # the test process itself holds far more than 1 MB
+    code = load_script("peak_rss").main(
+        ["--max-mb", max_mb, "collapse", "--atoms", "1", "--dim", "2",
+         "--out", str(tmp_path / "report.json")])
+    assert code == expected
+    assert capsys.readouterr().out.startswith("exit 0, peak RSS ")

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import kernel_basis, random_proper_relation
+from conftest import (enumerate_queries, kernel_basis, random_proper_relation,
+                      rank)
 from slplab import numerics
 from slplab.cli import main
 from slplab.factorize import BlockSpec, build_slp_map, isotypic_decompose
@@ -15,8 +16,7 @@ from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
                               lift_renaming, representative_matrix)
 from slplab.queryspace import (GroupElementH, apply_renaming,
-                               compute_families, enumerate_queries,
-                               symmetric_group)
+                               compute_families, symmetric_group)
 from slplab.relalg import EntitySet, close_unary
 
 
@@ -103,17 +103,17 @@ def test_gram_rank_matches_the_rank_of_the_formed_gram():
     for n, seed in itertools.product((2, 3, 4), range(6)):
         algebra, built = seeded_map(n, seed)
         reps = representative_matrix(built.feature_map)
-        assert numerics.gram_rank(reps) == numerics.rank(reps @ reps.T)
+        assert numerics.gram_rank(reps) == rank(reps @ reps.T)
     rng = np.random.default_rng(0)
     for rows, cols, k in [(5, 3, 3), (8, 8, 4), (3, 9, 2), (6, 6, 1)]:
         m = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
-        assert numerics.gram_rank(m) == numerics.rank(m @ m.T) == k
+        assert numerics.gram_rank(m) == rank(m @ m.T) == k
         # one large row lifts the threshold over the Gram's other directions
         m[0] *= 1e6
-        assert numerics.gram_rank(m) == numerics.rank(m @ m.T)
+        assert numerics.gram_rank(m) == rank(m @ m.T)
     for shape in [(0, 3), (3, 0), (4, 2)]:
         m = np.zeros(shape)
-        assert numerics.gram_rank(m) == numerics.rank(m @ m.T) == 0
+        assert numerics.gram_rank(m) == rank(m @ m.T) == 0
 
 
 def test_writes_to_the_source_array_do_not_reach_the_spectrum():
