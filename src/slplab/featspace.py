@@ -297,12 +297,43 @@ def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:
     )
 
 
+# entries whose text one block holds at once: bounds a save's memory
+_BLOCK_ENTRIES = 2 ** 16
+
+
+def _row_texts(matrix: np.ndarray):
+    """The repr texts of each row's entries, row by row, formatted a block
+    of rows at a time."""
+    step = max(1, _BLOCK_ENTRIES // matrix.shape[1])
+    for start in range(0, len(matrix), step):
+        # a block's arrays are freed when _block_texts returns, and its rows
+        # are lists: a row of the array that the caller still held would
+        # keep the whole block alive while the next one is formatted
+        yield from _block_texts(matrix[start:start + step]).tolist()
+
+
+def _block_texts(block: np.ndarray) -> np.ndarray:
+    """The repr text of each entry of `block`, as an object array.
+
+    A sign-linked map repeats each magnitude up to sign, so each distinct
+    magnitude is formatted once: repr(-x) == "-" + repr(x) for every finite
+    float, -0.0 included.
+    """
+    mags, inverse = np.unique(np.abs(block).ravel(), return_inverse=True)
+    texts = list(map(repr, mags.tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    inverse += len(texts) * np.signbit(block).ravel()
+    return table[inverse].reshape(block.shape)
+
+
 def save_feature_map(fmap: FeatureMap, path: str | Path,
                      fmt: str = "json") -> None:
     """Persist matrix + row queries; base relations travel in the sidecar.
 
-    fmt="json" writes one file; fmt="csv" writes the matrix as CSV and the
-    rest as a sidecar <path>.index.json.  The sidecar stores entity labels and
+    fmt="json" writes one file, json.dumps(doc, sort_keys=True) + "\n";
+    fmt="csv" writes the matrix as excel-dialect CSV rows ending in "\r\n"
+    and the rest as a sidecar <path>.index.json.  Every float is written as
+    its repr, its shortest exact form.  The sidecar stores entity labels and
     base relation pairs so the deterministic closure can be rebuilt on load.
     """
     # base relations are an ordered list: closure order, and with it the
@@ -318,15 +349,21 @@ def save_feature_map(fmap: FeatureMap, path: str | Path,
     }
     path = Path(path)
     if fmt == "json":
-        doc = dict(sidecar)
-        doc["matrix"] = fmap.matrix.tolist()
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+        # json.dumps lays out the document; the matrix is written in the
+        # place of a stand-in value, a block of rows at a time
+        head, _, tail = json.dumps({**sidecar, "matrix": 0},
+                                   sort_keys=True).partition('"matrix": 0')
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head + '"matrix": [')
+            fh.writelines(f"{', ' if i else ''}[{', '.join(row)}]"
+                          for i, row in enumerate(_row_texts(fmap.matrix)))
+            fh.write("]" + tail + "\n")
     elif fmt == "csv":
+        # repr never holds a delimiter, quote or line break, so csv.writer
+        # would quote nothing
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in fmap.matrix:
-                # repr of a Python float is its shortest exact form
-                writer.writerow([repr(float(x)) for x in row])
+            fh.writelines(",".join(row) + "\r\n" for row in
+                          _row_texts(fmap.matrix.astype(float, copy=False)))
         Path(f"{path}.index.json").write_text(
             json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
     else:
@@ -341,7 +378,7 @@ def load_feature_map(path: str | Path, fmt: str = "json") -> FeatureMap:
         sidecar = doc
     elif fmt == "csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            matrix = np.asarray([[float(x) for x in row]
+            matrix = np.asarray([np.fromiter(map(float, row), float, len(row))
                                  for row in csv.reader(fh)], dtype=float)
         sidecar = json.loads(Path(f"{path}.index.json").read_text(encoding="utf-8"))
     else:

@@ -1,6 +1,9 @@
 """Feature-map checks: equivariance, rank, kernels, lifts, propagation."""
 
+import csv
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,6 +582,99 @@ def test_save_load_round_trip_exact(tmp_path, algebra_3, fmt):
     # the loaded map still passes the full check battery at exact tolerance
     report = check_logical_equivariance(loaded)
     assert report.passed and report.max_deviation == 0.0
+
+
+def reference_save(fmap, path, fmt):
+    """The byte format that save_feature_map keeps: json.dumps of the whole
+    document, or csv.writer over repr(float(x)) plus a json sidecar."""
+    sidecar = {
+        "entities": list(fmap.algebra.entity_set.labels),
+        "base_relations": [
+            {"name": r.name or f"r{i}", "pairs": [[h, t] for h, t in r.pairs()]}
+            for i, r in enumerate(fmap.algebra.base)],
+        "queries": decode_queries(np.arange(len(fmap.matrix)), fmap.n,
+                                  fmap.size),
+    }
+    if fmt == "json":
+        doc = {**sidecar, "matrix": fmap.matrix.tolist()}
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in fmap.matrix:
+            writer.writerow([repr(float(x)) for x in row])
+    Path(f"{path}.index.json").write_text(
+        json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def assert_saved_as_reference(fmap, directory):
+    for fmt in ("json", "csv"):
+        saved, expected = directory / f"saved.{fmt}", directory / f"ref.{fmt}"
+        save_feature_map(fmap, saved, fmt)
+        reference_save(fmap, expected, fmt)
+        assert saved.read_bytes() == expected.read_bytes(), fmt
+        if fmt == "csv":
+            assert (Path(f"{saved}.index.json").read_bytes()
+                    == Path(f"{expected}.index.json").read_bytes())
+        loaded = load_feature_map(saved, fmt)
+        # bit for bit, so that -0.0 counts
+        assert np.array_equal(loaded.matrix.view(np.int64),
+                              fmap.matrix.astype(float).view(np.int64)), fmt
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("parity", [None, "+", "-"])
+@pytest.mark.parametrize("width", ["families", 1])
+def test_saved_built_maps_match_the_reference_writer(tmp_path, n, parity,
+                                                     width):
+    rng = np.random.default_rng(n)
+    algebra = close_unary([random_proper_relation(EntitySet.of_size(n), rng,
+                                                  name="r0")])
+    dim = n_families(algebra) if width == "families" else width
+    fmap = build(algebra, dim, n, parity=parity).feature_map
+    assert_saved_as_reference(fmap, tmp_path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_saved_random_map_matches_the_reference_writer(tmp_path, algebra_3x2,
+                                                       dtype):
+    n_queries = 9 * algebra_3x2.size
+    rng = np.random.default_rng(4)
+    matrix = (10 * rng.standard_normal((n_queries, 5))).astype(dtype)
+    fmap = FeatureMap(algebra_3x2, matrix)
+    assert not check_logical_equivariance(fmap).passed
+    assert_saved_as_reference(fmap, tmp_path)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-320, 1e-05, 1e+16, 1.2345678901234568e+17]
+
+
+def edge_matrix(n_queries, width):
+    """The edge floats and their negations, in a seeded order."""
+    values = np.array(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+    return np.random.default_rng(0).choice(values, (n_queries, width))
+
+
+@pytest.mark.parametrize("block_entries", [featspace._BLOCK_ENTRIES, 7, 1])
+def test_saved_edge_floats_match_the_reference_writer(tmp_path, monkeypatch,
+                                                      algebra_2,
+                                                      block_entries):
+    # 7 entries make blocks of one and of two rows, with a short last one
+    monkeypatch.setattr(featspace, "_BLOCK_ENTRIES", block_entries)
+    n_queries = 4 * algebra_2.size
+    for width in (1, 3, 8):
+        matrix = edge_matrix(n_queries, width)
+        assert set(map(repr, matrix.ravel().tolist())) >= {"-0.0", "0.0"}
+        assert_saved_as_reference(FeatureMap(algebra_2, matrix), tmp_path)
+
+
+def test_saved_map_over_many_blocks_matches_the_reference_writer(
+        tmp_path, monkeypatch, algebra_3x2):
+    fmap = build(algebra_3x2, 18, 2).feature_map
+    monkeypatch.setattr(featspace, "_BLOCK_ENTRIES", 100)
+    assert fmap.matrix.size > 10 * featspace._BLOCK_ENTRIES
+    assert_saved_as_reference(fmap, tmp_path)
 
 
 def test_feature_map_validation(algebra_2):

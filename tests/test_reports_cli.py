@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -138,8 +139,13 @@ def test_failing_check_exits_one_but_still_reports(capsys, tmp_path):
 
 
 def malformed_maps(directory, fmt):
-    """A rewritten intact map, and maps each broken in one way that makes
-    them unreadable."""
+    """Rewritten maps that read as the intact map does, the unedited rewrite
+    first, and maps each broken in one way that makes them unreadable.
+
+    The CSV edits pin the acceptance set of csv.reader and float: a cell
+    with an underscore between digits, a quoted cell and a cell with spaces
+    around it read as before; a blank line, an empty file, a trailing comma
+    and a '#' cell are unreadable."""
     directory.mkdir()
     good = directory / f"good.{fmt}"
     assert main(["build-slp", "--entities", "3", "--relations", "1",
@@ -188,21 +194,51 @@ def malformed_maps(directory, fmt):
                                   if q == [1, 0, 0] else q
                                   for q in queries]),
     ]
+    accepted = [edit("intact")]
     if fmt == "csv":
         no_sidecar = edit("no_sidecar")
         Path(f"{no_sidecar}.index.json").unlink()
         maps.append(no_sidecar)
-    return edit("intact"), maps
+
+        def rewrite(name, change):
+            path = edit(name)
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(change(lines)))
+            return path
+
+        def first_cell(lines, cell):
+            head, rest = lines[0].split(",", 1)
+            return [f"{cell(head)},{rest}"] + lines[1:]
+
+        middle = len(matrix) // 2
+        maps += [
+            rewrite("blank_line", lambda ls: ls[:middle] + ["\n"] + ls[middle:]),
+            rewrite("empty", lambda ls: []),
+            rewrite("trailing_comma",
+                    lambda ls: [ls[0].rstrip("\n") + ",\n"] + ls[1:]),
+            rewrite("hash_cell", lambda ls: first_cell(ls, lambda c: "#")),
+        ]
+        digits = re.compile(r"(\d)(\d)")
+        assert digits.search(repr(matrix[0][0]))
+        accepted += [
+            rewrite("underscore", lambda ls: first_cell(
+                ls, lambda c: digits.sub(r"\1_\2", c, count=1))),
+            rewrite("quoted", lambda ls: first_cell(ls, lambda c: f'"{c}"')),
+            rewrite("spaced", lambda ls: first_cell(ls, lambda c: f" {c} ")),
+        ]
+    return accepted, maps
 
 
 def test_malformed_map_edits_are_the_only_fault(capsys, tmp_path):
-    """The rewriting itself breaks nothing: an unedited rewrite passes."""
+    """The rewriting itself breaks nothing: an unedited rewrite passes, and
+    so does each rewrite that reads as the intact map."""
     for fmt in ("json", "csv"):
-        intact, _ = malformed_maps(tmp_path / fmt, fmt)
-        code = main(["verify-slp", "--load", str(intact), "--fmt", fmt,
-                     "--out", str(tmp_path / f"verify-{fmt}.json")])
-        capsys.readouterr()
-        assert code == 0
+        accepted, _ = malformed_maps(tmp_path / fmt, fmt)
+        for path in accepted:
+            code = main(["verify-slp", "--load", str(path), "--fmt", fmt,
+                         "--out", str(tmp_path / f"verify-{fmt}.json")])
+            assert capsys.readouterr().err == "", path
+            assert code == 0, path
 
 
 def test_verify_slp_charges_the_span_projector(capsys, tmp_path,
@@ -355,7 +391,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
     cases.append(("verify-slp", "--load", str(too_deep),
                   "--out", str(out_path)))
     for fmt in ("json", "csv"):
-        intact, malformed = malformed_maps(tmp_path / fmt, fmt)
+        (intact, *_), malformed = malformed_maps(tmp_path / fmt, fmt)
         for path in malformed:
             cases.append(("verify-slp", "--load", str(path), "--fmt", fmt,
                           "--out", str(out_path)))
@@ -364,7 +400,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
                           "--tol", tol, "--out", str(out_path)))
     for argv in cases:
         code = main(list(argv))
-        capsys.readouterr()
+        assert "Warning" not in capsys.readouterr().err, argv
         assert code == 2, argv
         assert not out_path.exists(), argv
         assert not missing_dir.exists(), argv

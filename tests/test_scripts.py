@@ -1,6 +1,7 @@
-"""Argument checks of the experiment scripts under scripts/."""
+"""Checks of the scripts under scripts/: arguments, bounds and the ladder."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,26 @@ def test_peak_rss_bounds_the_command(capsys, tmp_path, max_mb, expected):
          "--out", str(tmp_path / "report.json")])
     assert code == expected
     assert capsys.readouterr().out.startswith("exit 0, peak RSS ")
+
+
+def test_report_ladder_slice_is_deterministic(capsys, tmp_path):
+    # the failing and usage-error calls, then every call of the first seed
+    ladder = load_script("report_ladder")
+    calls = ladder.CALLS[:36]
+    assert {argv[0] for argv, _ in calls} >= {
+        "relalg-laws", "families", "build-slp", "verify-slp", "factorize",
+        "isotypic", "parity", "kernel-stability", "fit-bilinear", "collapse",
+        "gradlab", "audit"}
+    first = ladder.run_ladder(calls, tmp_path / "a")
+    # relative paths: a second directory writes the same bytes
+    second = ladder.run_ladder(calls, tmp_path / "b")
+    assert first == second
+    assert ladder.compare(first, second) == []
+    codes = [entry["exit"] for entry in first["calls"]]
+    assert {0, 1, 2} <= set(codes)
+    saved = [entry["files"] for entry in first["calls"]
+             if entry["argv"][0] == "build-slp" and entry["files"]]
+    assert len(saved) == 7 and all(None not in f.values() for f in saved)
+    moved = json.loads(json.dumps(second))
+    moved["calls"][5]["report"] = "0" * 64
+    assert ladder.compare(first, moved) == [" ".join(calls[5][0])]
