@@ -8,11 +8,16 @@ bytes only when the paths are relative.  For each call the manifest records
 the exit code and the SHA-256 of the report (stdout), of stderr and of each
 file the call writes (saved maps, their sidecars, histograms).  The ladder
 covers every subcommand, a json and a csv save of each map shape of the
-`many-maps` benchmark workload with `verify-slp` on each save, a failing
-build (exit 1) and usage errors (exit 2).
+`many-maps` benchmark workload with `verify-slp` on each save, `fit-bilinear`
+at each shape of the `conjunction` workload and at depth 1 (so on
+assignments with and without a repeated world), a failing build (exit 1)
+and usage errors (exit 2).  The manifest also keeps each report's parsed
+JSON, so that a comparison can say where two reports differ.
 
 `--compare A B` names each call whose entry differs between two manifests,
-and each call that only one of them holds; it exits 1 when there is one.
+and under it what differs: the exit code, stderr, each written file, and
+each JSON leaf path of the report (`$.details.max_residual`); it also names
+each call that only one manifest holds, and exits 1 when there is one.
 Run the ladder on two commits on one machine and compare the manifests to
 show that a change leaves every report and saved map byte-identical.
 
@@ -89,6 +94,14 @@ def _calls():
         hist = f"hist-{seed}.csv"
         calls.append(_call("gradlab", "--config", GRADLAB_CONFIG, *s,
                            "--histogram", hist, writes=(hist,)))
+    # the conjunction workload's fit shapes; 3 atoms x 4 worlds is above
+    for seed in SEEDS:
+        for atoms, worlds in ((4, 8), (4, 16), (3, 8)):
+            calls.append(_call("fit-bilinear", "--atoms", atoms, "--worlds",
+                               worlds, "--seed", seed))
+    # seed 1 draws four distinct worlds, so no class merges
+    calls.append(_call("fit-bilinear", "--atoms", 4, "--worlds", 4,
+                       "--depth", 1, "--seed", 1))
     # saves over sizes, widths and parities
     shapes = ((None, "both", "json"), (1, "+", "csv"), (3, "-", "json"))
     for n in range(2, 7):
@@ -125,9 +138,11 @@ def run_ladder(calls, workdir) -> dict:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 code = slplab_main(list(argv))
+            report = out.getvalue()
             entries.append({
                 "argv": list(argv), "exit": code,
-                "report": _digest(out.getvalue().encode("utf-8")),
+                "report": _digest(report.encode("utf-8")),
+                "report_json": json.loads(report) if report else None,
                 "stderr": _digest(err.getvalue().encode("utf-8")),
                 "files": {name: _digest(Path(name).read_bytes())
                           if Path(name).exists() else None
@@ -138,13 +153,47 @@ def run_ladder(calls, workdir) -> dict:
             "calls": entries}
 
 
+def _by_call(manifest: dict) -> dict:
+    return {" ".join(e["argv"]): e for e in manifest["calls"]}
+
+
 def compare(old: dict, new: dict) -> list[str]:
     """The argv of each call whose entry differs or is in one manifest only."""
-    def keyed(manifest):
-        return {" ".join(e["argv"]): e for e in manifest["calls"]}
-
-    a, b = keyed(old), keyed(new)
+    a, b = _by_call(old), _by_call(new)
     return [key for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
+
+
+_ABSENT = object()
+
+
+def leaf_paths(old, new, path="$") -> list[str]:
+    """The JSON leaf paths at which two parsed documents differ; a path
+    present in one document only, or a list whose length changed, counts
+    as one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [leaf for key in sorted(old.keys() | new.keys())
+                for leaf in leaf_paths(old.get(key, _ABSENT),
+                                       new.get(key, _ABSENT),
+                                       f"{path}.{key}")]
+    if isinstance(old, list) and isinstance(new, list) and \
+            len(old) == len(new):
+        return [leaf for i, (a, b) in enumerate(zip(old, new))
+                for leaf in leaf_paths(a, b, f"{path}[{i}]")]
+    return [] if type(old) is type(new) and old == new else [path]
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    """What differs between two manifest entries of one call: the exit
+    code, stderr, each written file by name, and each leaf path of the
+    report, or `report` when only its bytes differ."""
+    found = [field for field in ("exit", "stderr") if old[field] != new[field]]
+    found += [f"file {name}" for name in sorted(old["files"].keys() |
+                                                 new["files"].keys())
+              if old["files"].get(name) != new["files"].get(name)]
+    if old["report"] != new["report"]:
+        found += leaf_paths(old.get("report_json"),
+                            new.get("report_json")) or ["report"]
+    return found
 
 
 def main(argv=None) -> int:
@@ -154,14 +203,21 @@ def main(argv=None) -> int:
     parser.add_argument("--manifest", type=Path, default=None,
                         help="write the manifest here (default: stdout)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
-                        help="name the calls that differ between manifests")
+                        help="name the calls that differ between manifests, "
+                             "and what differs in each")
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(p.read_text(encoding="utf-8"))
                     for p in args.compare)
         differ = compare(old, new)
+        a, b = _by_call(old), _by_call(new)
         for key in differ:
             print(f"differs: {key}")
+            if key in a and key in b:
+                for found in differences(a[key], b[key]):
+                    print(f"    {found}")
+            else:
+                print(f"    only in {'A' if key in a else 'B'}")
         print(f"{len(differ)} of {len(new['calls'])} calls differ")
         return int(bool(differ))
     manifest = run_ladder(CALLS, args.workdir)

@@ -16,6 +16,7 @@ declares against the cell budget, resolves the seed, and writes the report.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -144,7 +145,7 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # 2 relations); larger sizes exit 2 before any draw or other work.  It also
 # bounds the Python objects of a closure's queries and of a build's raw
 # samples, the terms a build keeps, all of them together, and the work of
-# kernel-stability's generator gathers and of fit-bilinear's pair walk.
+# kernel-stability's generator gathers and of fit-bilinear's one pair walk.
 MAX_CELLS = 1 << 25
 
 
@@ -321,7 +322,8 @@ def _cmd_build_slp(args, seed, parser) -> Report:
 def _cmd_verify_slp(args, seed, parser) -> Report:
     try:
         fmap = load_feature_map(args.load, args.fmt)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
+            csv.Error) as exc:
         parser.error(f"cannot load {args.load}: {type(exc).__name__}: {exc}")
     n_queries = len(fmap.matrix)
     _within_budget(n_queries ** 2, f"the N x N span projector of a loaded "
@@ -423,11 +425,15 @@ def _fit_cells(atoms: int, worlds: int) -> int:
     """The largest array fit_bilinear builds, or its pair walk if larger.
 
     Its arrays: one block of at most max(N, PAIR_BLOCK) candidate pairs,
-    gathered one world at a time; the (m^2, worlds) group sums and
-    predictions of its m <= min(N, 2^worlds) distinct feature rows; the
-    ordered-group full design of at most m^2 x worlds^2 cells; and the
-    worlds^2 x worlds coefficients of the full fit.  Work, not an array:
-    each of its two walks visits the P = N(N+1)/2 pairs.
+    merged with the table of distinct (row, row, image row) triples, which
+    on the worlds model, where an image row is the product of its pair's
+    rows, holds at most m^2 of them for its m <= min(N, 2^worlds) distinct
+    feature rows; the (m^2, worlds) group sums and predictions; the
+    m x worlds x worlds test of equal world columns; the ordered-group full
+    design of at most m^2 x worlds^2 cells; and the worlds^2 x worlds
+    coefficients of the full fit.  Merging repeated worlds only shrinks
+    the sums, predictions, design and coefficients.  Work, not an array:
+    its one walk visits the P = N(N+1)/2 pairs.
     """
     n = _support_size(atoms)
     m = min(n, 2 ** min(worlds, 64))

@@ -331,89 +331,147 @@ def _pair_blocks(assignment: ConjFeatureAssignment):
         yield aa + rows[0], bb, kk, int(np.sum(n - rows)) - len(kk)
 
 
+def _merge_keys(keys: np.ndarray, counts: np.ndarray, firsts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per distinct key, in key order: its summed count and its
+    least first position."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    return (keys[starts], np.add.reduceat(counts[order], starts),
+            np.minimum.reduceat(firsts[order], starts))
+
+
+def _world_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(class of each world, first world of each class): worlds whose
+    feature columns are exactly equal share a class, numbered in order of
+    first occurrence.  A column holding NaN equals no other."""
+    d = values.shape[1]
+    same = (values[:, :, None] == values[:, None, :]).all(axis=0)
+    first = np.argmax(same | np.eye(d, dtype=bool), axis=1)
+    classes = np.flatnonzero(first == np.arange(d))
+    return np.searchsorted(classes, first), classes
+
+
 def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     """Least-squares symmetric bilinear operator matching realized pairs.
 
     Constraints run over unordered support pairs (p, q) whose normalized
     conjunction stays in the support (p = q included, which encodes
     idempotence), each asking F(u, v) = w for the features u, v of p, q
-    and w of their image.  Pairs whose feature rows are equal give equal
-    design rows, so the solve runs over groups of pairs, never over pairs:
-    the rows of `matrix` get ids from np.unique, and one walk over the
-    pairs in blocks of support rows (`PAIR_BLOCK`) sums each group's count
-    c and targets into direct-address arrays over the m^2 ordered row-id
-    pairs.  A group enters as one design row and target mean, both scaled
-    by sqrt(c); that changes the pair objective only by a constant, so the
-    normal equations, and with them the minimum-norm solution, are the
-    pairs' own (weighted least squares).
+    and w of their image.  The rows of `matrix` get ids from np.unique, and
+    one walk over the pairs in blocks of support rows (`PAIR_BLOCK`) counts
+    each distinct (row of p, row of q, row of the image) triple, keeping
+    its first pair in walk order; every block's triples merge into one
+    table, whose size follows the distinct rows, never the pairs.  Pairs
+    whose rows are equal give equal design rows, so the solve runs over
+    groups of pairs: a group enters as one design row and target mean,
+    both scaled by sqrt(c) for its c pairs, which changes the pair
+    objective only by a constant, so the normal equations, and with them
+    the minimum-norm solution, are the pairs' own (weighted least squares).
+
+    Worlds whose feature columns are equal (`_world_classes`, k worlds to
+    a class) give equal design columns and equal targets, so both fits run
+    in class coordinates: one output per class, and one unknown per class
+    pair whose column is scaled by the square root of the summed squared
+    coefficients of the member unknowns it stands for, sqrt(k_a k_b), or
+    sqrt(k (2k - 1)) for a diagonal triangle unknown, whose k diagonal and
+    k(k-1)/2 off-diagonal members enter with coefficients 1 and 2.  That
+    scaling keeps the minimum-norm solution, which spreads a class entry M
+    over its members in proportion to their coefficients: M / (k_a k_b) on
+    each member pair, or M / (k (2k - 1)) on each member's diagonal and
+    twice that on each member pair.  With no repeated world every class
+    has one world and every scale is 1.
 
     The triangle design is symmetric in u and v, so the symmetric fit
     groups unordered row-id pairs (`n_groups`).  An independent second fit
-    over all d*d coefficients sees u v^T, which is not symmetric, so it
-    groups ordered ones.  The operator is only determined on the realized
-    span, so `uniqueness_gap` compares the two fits there: both are read
-    through the triangle design, the second after symmetrizing, on every
-    distinct triangle row, which is the maximum over all pairs.  A second
-    walk takes `max_residual` over every pair, not over group means, and
-    `worst_pair` names the first pair (p, q, image) that reaches it.
+    over all class pairs sees u v^T, which is not symmetric, so it groups
+    ordered ones.  The operator is only determined on the realized span,
+    so `uniqueness_gap` compares the two fits there: both are read through
+    the triangle design, the second after symmetrizing, on every distinct
+    triangle row, which is the maximum over all pairs.  Pairs of one
+    triple share their fit and their target, so `max_residual` is the
+    largest triple residual, over every pair, not over group means, and
+    `worst_pair` names the first pair (p, q, image) in walk order that
+    reaches it.
     """
-    matrix = assignment.matrix()
-    d = assignment.dim
-    values, row_id = np.unique(matrix, axis=0, return_inverse=True)
+    codes = assignment.codes
+    n = len(codes)
+    values, row_id = np.unique(assignment.matrix(), axis=0,
+                               return_inverse=True)
     row_id = row_id.reshape(-1)
     m = len(values)
-    columns = np.ascontiguousarray(matrix.T)  # one gather per world
-    counts = np.zeros(m * m, dtype=np.int64)
-    sums = np.zeros((d, m * m))
-    n_constraints = skipped = 0
+    # a triple's key is below m^3, inside int64 for m < 2^21 distinct rows,
+    # far more than a walk of at least m^2 / 2 pairs can visit
+    keys = counts = firsts = np.zeros(0, dtype=np.int64)
+    skipped = 0
     for aa, bb, kk, missed in _pair_blocks(assignment):
-        keys = row_id[aa] * m + row_id[bb]
-        counts += np.bincount(keys, minlength=m * m)
-        for total, column in zip(sums, columns):
-            total += np.bincount(keys, weights=column[kk], minlength=m * m)
-        n_constraints += len(kk)
+        keys, counts, firsts = _merge_keys(
+            np.concatenate([keys, (row_id[aa] * m + row_id[bb]) * m +
+                            row_id[kk]]),
+            np.concatenate([counts, np.ones(len(kk), dtype=np.int64)]),
+            np.concatenate([firsts, aa * n + bb]))
         skipped += missed
+    n_constraints = int(counts.sum())
     if not n_constraints:
         raise ValueError("no realized conjunction pairs inside the support")
-    counts = counts.reshape(m, m)
-    sums = sums.T.reshape(m, m, d)
+    pair, image_row = np.divmod(keys, m)
 
-    gi, gj = np.nonzero(np.triu(counts + counts.T))
+    world_class, first_world = _world_classes(values)
+    values = values[:, first_world]
+    size = np.bincount(world_class).astype(float)
+    c = len(size)
+    group_counts = np.zeros(m * m, dtype=np.int64)
+    np.add.at(group_counts, pair, counts)
+    sums = np.zeros((m * m, c))
+    np.add.at(sums, pair, counts[:, None] * values[image_row])
+    group_counts = group_counts.reshape(m, m)
+    sums = sums.reshape(m, m, c)
+
+    gi, gj = np.nonzero(np.triu(group_counts + group_counts.T))
     off = gi != gj  # an off-diagonal group gathers both orders
-    weight = np.sqrt(counts[gi, gj] + off * counts[gj, gi])[:, None]
+    weight = np.sqrt(group_counts[gi, gj] + off * group_counts[gj, gi])[:, None]
     target_sums = sums[gi, gj] + off[:, None] * sums[gj, gi]
     design = _triangle_design(values[gi][:, :, None] * values[gj][:, None, :])
-    x = numerics.minnorm_lstsq(design * weight, target_sums / weight)
-    operator = BilinearOperator(_triangle_tensor(x, d))
+    rows_idx, cols_idx = np.triu_indices(c)
+    scale = np.sqrt(np.where(rows_idx == cols_idx,
+                             size[rows_idx] * (2.0 * size[rows_idx] - 1.0),
+                             size[rows_idx] * size[cols_idx]))
+    x = numerics.minnorm_lstsq(design * weight * scale,
+                               target_sums / weight) * scale[:, None]
     predicted = design @ x
 
-    oi, oj = np.nonzero(counts)
-    weight_full = np.sqrt(counts[oi, oj])[:, None]
-    outer = (values[oi][:, :, None] * values[oj][:, None, :]).reshape(-1, d * d)
+    oi, oj = np.nonzero(group_counts)
+    weight_full = np.sqrt(group_counts[oi, oj])[:, None]
+    outer = (values[oi][:, :, None] * values[oj][:, None, :]).reshape(-1, c * c)
     outer *= weight_full
-    x_full = numerics.minnorm_lstsq(outer, sums[oi, oj] / weight_full)
-    tensor_full = x_full.T.reshape(d, d, d)
-    rows_idx, cols_idx = np.triu_indices(d)
+    scale_full = np.sqrt(np.outer(size, size)).reshape(-1)
+    x_full = numerics.minnorm_lstsq(outer * scale_full,
+                                    sums[oi, oj] / weight_full)
+    tensor_full = (x_full * scale_full[:, None]).T.reshape(c, c, c)
     x_other = (tensor_full[:, rows_idx, cols_idx] +
                tensor_full[:, cols_idx, rows_idx]).T / 2.0
     gap = float(np.max(np.abs(predicted - design @ x_other)))
 
-    table = np.zeros((d, m, m))
-    table[:, gi, gj] = predicted.T
-    table[:, gj, gi] = predicted.T
-    table = table.reshape(d, m * m)
-    max_residual, worst = -1.0, (0, 0, 0)
-    for aa, bb, kk, _ in _pair_blocks(assignment):  # each holds (a, a)
-        keys = row_id[aa] * m + row_id[bb]
-        residual = np.zeros(len(kk))
-        for fitted, column in zip(table, columns):
-            np.maximum(residual, np.abs(fitted[keys] - column[kk]),
-                       out=residual)
-        i = int(np.argmax(residual))
-        if residual[i] > max_residual:
-            max_residual, worst = float(residual[i]), (aa[i], bb[i], kk[i])
-    return FitResult(operator, max_residual, gap, n_constraints, skipped,
-                     len(gi), tuple(assignment.compound(i) for i in worst))
+    table = np.zeros((m, m, c))
+    table[gi, gj] = predicted
+    table[gj, gi] = predicted
+    residual = np.max(np.abs(table.reshape(m * m, c)[pair] -
+                             values[image_row]), axis=1)
+    max_residual = float(np.max(residual))
+    a, b = divmod(int(np.min(firsts[residual == max_residual])), n)
+    worst = (a, b, int(assignment.lookup[codes[a] | codes[b]]))
+
+    k = size[world_class]  # each world's class size
+    diagonal = 1.0 / (k * (2.0 * k - 1.0))
+    share = np.where(world_class[:, None] == world_class,
+                     2.0 * diagonal[:, None], 1.0 / np.outer(k, k))
+    np.fill_diagonal(share, diagonal)
+    tensor = _triangle_tensor(x, c)[np.ix_(world_class, world_class,
+                                           world_class)] * share
+    return FitResult(BilinearOperator(tensor), max_residual, gap,
+                     n_constraints, skipped, len(gi),
+                     tuple(assignment.compound(i) for i in worst))
 
 
 @dataclass(frozen=True)

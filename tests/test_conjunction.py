@@ -499,6 +499,66 @@ def test_worst_pair_is_the_first_pair_at_the_maximum():
     assert result.n_groups == result.n_constraints
 
 
+def with_worlds(assignment, layout):
+    """The assignment whose world j holds the feature column layout[j]."""
+    return ConjFeatureAssignment(assignment.literals, assignment.codes,
+                                 assignment.rows[:, list(layout)])
+
+
+def random_assignment(dim, seed):
+    closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
+    rng = np.random.default_rng(seed)
+    return build_assignment({x: rng.standard_normal(dim) for x in closure})
+
+
+@pytest.mark.parametrize("layout", [
+    (0, 1, 2),            # class sizes 1, 1, 1
+    (0, 1, 1),            # 1, 2
+    (0, 0, 0),            # 3
+    (0, 1, 1, 2, 2, 2),   # 1, 2, 3
+    (2, 0, 2, 1, 0, 2),   # 3, 2, 1, interleaved
+])
+def test_merged_worlds_fit_matches_ungrouped_reference(layout):
+    # equal columns make the design rank deficient, so the class weights
+    # decide which minimum-norm solution the merged fit expands to
+    assignment = with_worlds(random_assignment(3, seed=len(layout)), layout)
+    result = fit_bilinear(assignment)
+    assert_matches_reference(result, assignment)
+    *_, residuals, (ii, jj, kk) = reference_fit(assignment)
+    first = int(np.argmax(residuals))
+    order = assignment.order
+    assert result.worst_pair == (order[ii[first]], order[jj[first]],
+                                 order[kk[first]])
+    # worlds of one class get one output
+    tensor = result.operator.tensor
+    for j, column in enumerate(layout):
+        assert np.array_equal(tensor[j], tensor[layout.index(column)])
+
+
+def test_merged_worlds_keep_the_conflicting_targets_residual():
+    assignment = with_worlds(shared_row_assignment(), (0, 1, 2, 2))
+    result = fit_bilinear(assignment)
+    assert_matches_reference(result, assignment)
+    assert result.max_residual > 0.5
+    assert result.n_groups == 6
+
+
+def test_fit_walks_the_pairs_once(monkeypatch):
+    walks = []
+    walk = conjunction._pair_blocks
+
+    def counted(assignment):
+        walks.append(assignment)
+        return walk(assignment)
+
+    monkeypatch.setattr(conjunction, "_pair_blocks", counted)
+    # blocks of 4 support rows: one walk, several blocks
+    monkeypatch.setattr(conjunction, "PAIR_BLOCK", 4 * 63)
+    assignment = possible_worlds_assignment(3, 6, seed=4)[0]
+    assert_matches_reference(fit_bilinear(assignment), assignment)
+    assert walks == [assignment]
+
+
 @pytest.mark.parametrize("make", [
     lambda: possible_worlds_assignment(3, 6, seed=4)[0],
     lambda: possible_worlds_assignment(3, 4, seed=5, depth=1)[0],

@@ -144,8 +144,8 @@ def malformed_maps(directory, fmt):
 
     The CSV edits pin the acceptance set of csv.reader and float: a cell
     with an underscore between digits, a quoted cell and a cell with spaces
-    around it read as before; a blank line, an empty file, a trailing comma
-    and a '#' cell are unreadable."""
+    around it read as before; a blank line, an empty file, a trailing comma,
+    a '#' cell and a cell past csv's field size limit are unreadable."""
     directory.mkdir()
     good = directory / f"good.{fmt}"
     assert main(["build-slp", "--entities", "3", "--relations", "1",
@@ -217,6 +217,9 @@ def malformed_maps(directory, fmt):
             rewrite("trailing_comma",
                     lambda ls: [ls[0].rstrip("\n") + ",\n"] + ls[1:]),
             rewrite("hash_cell", lambda ls: first_cell(ls, lambda c: "#")),
+            # csv.reader raises csv.Error past its 131,072-character limit
+            rewrite("long_cell",
+                    lambda ls: first_cell(ls, lambda c: "1" * 140_000)),
         ]
         digits = re.compile(r"(\d)(\d)")
         assert digits.search(repr(matrix[0][0]))

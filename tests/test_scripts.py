@@ -68,3 +68,26 @@ def test_report_ladder_slice_is_deterministic(capsys, tmp_path):
     moved = json.loads(json.dumps(second))
     moved["calls"][5]["report"] = "0" * 64
     assert ladder.compare(first, moved) == [" ".join(calls[5][0])]
+
+
+def test_report_ladder_names_what_differs_in_a_call():
+    ladder = load_script("report_ladder")
+    old = {"pass": True, "details": {"worst": {"p": "a", "r": 1.0},
+                                     "dims": [1, 2], "n": 3, "kept": [4]}}
+    new = {"pass": True, "details": {"worst": {"p": "b", "r": 1.0},
+                                     "dims": [1, 2, 3], "n": 3.0,
+                                     "kept": [4], "extra": None}}
+    # a list of another length, a key in one document only, and an int
+    # that became a float each count as one leaf
+    leaves = ["$.details.dims", "$.details.extra", "$.details.n",
+              "$.details.worst.p"]
+    assert ladder.leaf_paths(old, new) == leaves
+    entry = {"argv": ["fit-bilinear"], "exit": 0, "report": "a",
+             "report_json": old, "stderr": "e", "files": {"m.json": "h"}}
+    moved = dict(entry, exit=1, report="b", report_json=new,
+                 files={"m.json": "g"})
+    assert ladder.differences(entry, moved) == ["exit", "file m.json",
+                                                *leaves]
+    # equal documents in different bytes
+    assert ladder.differences(entry, dict(entry, report="b")) == ["report"]
+    assert ladder.differences(entry, dict(entry)) == []
