@@ -3,10 +3,12 @@
 Characters are computed by the Murnaghan-Nakayama rule in the beta-number
 (abacus) encoding: removing a border strip of length k from a partition is
 moving one bead from position b to the empty position b - k, with sign
-(-1)^(number of beads strictly between them).  Everything here targets the
-desk scale n <= 5, where conjugacy classes are cycle types and all complex
-irreducibles are realizable over the reals, so the usual isotypic projector
-formula applies verbatim to real representations.  The explicit small
+(-1)^(number of beads strictly between them).  For every n the conjugacy
+classes of Sym(n) are its cycle types and every complex irreducible is
+realizable over the rationals (James, The Representation Theory of the
+Symmetric Groups, LNM 682), so the usual isotypic projector formula applies
+verbatim to real representations.  The commands stop at n <= 5 only
+because they materialize the group.  The explicit small
 irreducibles (trivial, sign, standard) and the class-size and hook-length
 oracles that the characters are tested against live beside the tests.
 """

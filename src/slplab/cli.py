@@ -201,6 +201,22 @@ def _build_cells(entities: int, relations: int, context_dim, terms) -> int:
                _term_cells(entities, relations, context_dim, terms))
 
 
+def _isotypic_cells(entities: int, relations: int, context_dim,
+                    terms) -> int:
+    """The build's cells or, if more, 3 n! w^2: the n! stacked lifts of the
+    span, r x r each for r <= w, and the two stacks of that size that the
+    check of their orthogonality holds beside them.  The span rank r is at
+    most the width and at most the family count, which is at most
+    n(n+1) relations, so w is the smaller of the two.  n! alone is over the
+    budget from 11 entities on, so the factorial is capped there.
+    """
+    width = (_closure_queries(entities, relations) // 2
+             if context_dim is None else context_dim)
+    w = min(width, entities * (entities + 1) * relations)
+    return max(_build_cells(entities, relations, context_dim, terms),
+               3 * math.factorial(min(entities, 11)) * w * w)
+
+
 def _families_cells(entities: int, relations: int) -> int:
     """The Python objects of every query, which outweigh its four entries
     of the (4, N) table of logical images."""
@@ -636,10 +652,11 @@ def _command(subs, name: str, run, help: str, size=None):
     return sub
 
 
-def _build_command(subs, name: str, run, help: str):
-    """A subcommand that builds a feature map from the shared build flags."""
+def _build_command(subs, name: str, run, help: str, cells=_build_cells):
+    """A subcommand that builds a feature map from the shared build flags,
+    charged `cells` of them (the build's own, by default)."""
     sub = _command(subs, name, run, help, size=(
-        _build_cells, ("entities", "relations", "context_dim", "terms")))
+        cells, ("entities", "relations", "context_dim", "terms")))
     sub.add_argument("--entities", type=_at_least(2), default=3,
                      help="the N x width feature matrix of N = entities^2 * "
                           "4 * relations queries, and at least "
@@ -710,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "factorized-form audit + negation split")
 
     sub = _build_command(subs, "isotypic", _cmd_isotypic,
-                         "isotypic projector properties")
+                         "isotypic projector properties",
+                         cells=_isotypic_cells)
     sub.add_argument("--tol", type=_tolerance, default=numerics.PROJECTOR_TOL)
 
     sub = _build_command(subs, "parity", _cmd_parity,

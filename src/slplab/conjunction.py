@@ -283,21 +283,25 @@ class BilinearOperator:
         return np.einsum("cab,a,b->c", self.tensor, u, v)
 
 
-def _triangle_design(outer: np.ndarray) -> np.ndarray:
+def _triangle_design(outer: np.ndarray, triangle) -> np.ndarray:
     """Rows of the least-squares system for a symmetric bilinear unknown.
 
-    Unknowns are the upper-triangle tensor entries T[c, a, b] with a <= b;
-    given outer products u v^T, the coefficient of T[., a, b] in F(u, v) is
-    u_a v_b + u_b v_a off the diagonal and u_a v_a on it.
+    Unknowns are the upper-triangle tensor entries T[c, a, b] with a <= b,
+    at the positions `triangle`, the np.triu_indices of the d x d outer
+    products; given outer products u v^T, the coefficient of T[., a, b] in
+    F(u, v) is u_a v_b + u_b v_a off the diagonal and u_a v_a on it.
     """
-    rows_idx, cols_idx = np.triu_indices(outer.shape[1])
+    rows_idx, cols_idx = triangle
     design = outer[:, rows_idx, cols_idx] + outer[:, cols_idx, rows_idx]
     design[:, rows_idx == cols_idx] /= 2.0
     return design
 
 
-def _triangle_tensor(x: np.ndarray, d: int) -> np.ndarray:
-    rows_idx, cols_idx = np.triu_indices(d)
+def _triangle_tensor(x: np.ndarray, triangle) -> np.ndarray:
+    """The symmetric d x d x d tensor of the upper-triangle unknowns x, one
+    row per position of `triangle` and one column per output."""
+    rows_idx, cols_idx = triangle
+    d = x.shape[1]
     tensor = np.zeros((d, d, d))
     tensor[:, rows_idx, cols_idx] = x.T
     tensor[:, cols_idx, rows_idx] = x.T
@@ -432,8 +436,9 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     off = gi != gj  # an off-diagonal group gathers both orders
     weight = np.sqrt(group_counts[gi, gj] + off * group_counts[gj, gi])[:, None]
     target_sums = sums[gi, gj] + off[:, None] * sums[gj, gi]
-    design = _triangle_design(values[gi][:, :, None] * values[gj][:, None, :])
-    rows_idx, cols_idx = np.triu_indices(c)
+    triangle = rows_idx, cols_idx = np.triu_indices(c)
+    design = _triangle_design(values[gi][:, :, None] * values[gj][:, None, :],
+                              triangle)
     scale = np.sqrt(np.where(rows_idx == cols_idx,
                              size[rows_idx] * (2.0 * size[rows_idx] - 1.0),
                              size[rows_idx] * size[cols_idx]))
@@ -467,8 +472,8 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     share = np.where(world_class[:, None] == world_class,
                      2.0 * diagonal[:, None], 1.0 / np.outer(k, k))
     np.fill_diagonal(share, diagonal)
-    tensor = _triangle_tensor(x, c)[np.ix_(world_class, world_class,
-                                           world_class)] * share
+    tensor = _triangle_tensor(x, triangle)[
+        np.ix_(world_class, world_class, world_class)] * share
     return FitResult(BilinearOperator(tensor), max_residual, gap,
                      n_constraints, skipped, len(gi),
                      tuple(assignment.compound(i) for i in worst))
@@ -512,7 +517,8 @@ def collapse_certificate(atom_features: Sequence[np.ndarray],
     if any(u.shape != (d,) for u in feats):
         raise ValueError("atom features must share one dimension")
     us = np.stack(feats)
-    design_rows = _triangle_design(us[:, :, None] * us[:, None, :])
+    design_rows = _triangle_design(us[:, :, None] * us[:, None, :],
+                                   np.triu_indices(d))
     targets = us
     if enforce_neg_equiv:
         design_rows = np.concatenate([design_rows, design_rows], axis=0)

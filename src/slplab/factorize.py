@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import characters, numerics
-from .featspace import FeatureMap, LiftedOperator, check_slp, lift_renaming
+from .featspace import FeatureMap, LiftedOperator, lift_renaming
 from .queryspace import (GroupElementH, Query, decode_queries, logical_images,
                          relation_images, symmetric_group)
 from .relalg import RelationAlgebra
@@ -163,8 +163,10 @@ def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
     """Seeded generic build; one redraw on a measure-zero rank failure.
 
     The map is exactly logically equivariant by construction.  Whether it
-    reaches full representative rank depends on the requested shape; a
-    genuinely undersized shape will fail check_slp both times, and the
+    reaches full representative rank depends on the requested shape.  The
+    rank is read off the map's cached representative spectrum, the one
+    `check_slp` reads, and the whole map is not decomposed.  A genuinely
+    undersized shape falls short of the family count both times, and the
     redrawn flag records that a second draw happened.
     """
     rng = np.random.default_rng(seed)
@@ -174,7 +176,7 @@ def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
 
     built = draw()
     fmap = FeatureMap(algebra, assemble_rows(built, algebra))
-    redrawn = not check_slp(fmap).passed
+    redrawn = fmap.rep_spectrum().span_rank != len(fmap.families())
     if redrawn:
         built = draw()
         fmap = FeatureMap(algebra, assemble_rows(built, algebra))

@@ -11,10 +11,12 @@ whose feature-coordinate forms vanish off the span.
 
 A FeatureMap holds the relation closure it was built on and a read-only
 copy of its matrix, rows in the one query order of `queryspace`.  It caches
-one thin SVD (`numerics.Spectrum`), so the rank check, the family kernel
-check's span projector and every lift of one map read a single
-factorization, and the closure's family partition, the (F, 4) position
-array of `compute_families`, which every check reads.  A lift's query
+the closure's family partition, the (F, 4) position array of
+`compute_families`, which every check reads, and two thin SVDs
+(`numerics.Spectrum`), each computed on first use: one of the whole map,
+which the family kernel check's span projector and every lift read, and
+one of its representative rows, one per family, which the SLP rank check,
+the build's redraw decision and the audit's Gram rank read.  A lift's query
 permutation is one `apply_renaming` on the (head, rel, tail) index grid.
 """
 
@@ -60,6 +62,7 @@ class FeatureMap:
     size: int
     matrix: np.ndarray
     _spectrum: numerics.Spectrum | None = field(repr=False)
+    _rep_spectrum: numerics.Spectrum | None = field(repr=False)
     _families: np.ndarray | None = field(repr=False)
 
     def __init__(self, algebra: RelationAlgebra, matrix, queries=None) -> None:
@@ -76,7 +79,7 @@ class FeatureMap:
         m.flags.writeable = False
         for name, value in (("algebra", algebra), ("n", n), ("size", size),
                             ("matrix", m), ("_spectrum", None),
-                            ("_families", None)):
+                            ("_rep_spectrum", None), ("_families", None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -94,6 +97,14 @@ class FeatureMap:
             object.__setattr__(self, "_spectrum",
                                numerics.Spectrum(self.matrix))
         return self._spectrum
+
+    def rep_spectrum(self) -> numerics.Spectrum:
+        """The SVD of the representative rows, one per family in family
+        order, computed on first use."""
+        if self._rep_spectrum is None:
+            object.__setattr__(self, "_rep_spectrum", numerics.Spectrum(
+                self.matrix[self.families()[:, 0]]))
+        return self._rep_spectrum
 
     def families(self) -> np.ndarray:
         """The closure's (F, 4) family partition, computed on first use."""
@@ -164,29 +175,23 @@ def check_logical_equivariance(fmap: FeatureMap, tol: float = 0.0) -> Report:
     )
 
 
-def representative_matrix(fmap: FeatureMap) -> np.ndarray:
-    return fmap.matrix[fmap.families()[:, 0]]
-
-
 def check_slp(fmap: FeatureMap) -> Report:
-    """Rank of the representative submatrix must equal the family count.
+    """Rank of the representative rows must equal the family count.
 
-    Also reports the rank of the full orbit matrix (equal under equivariance),
-    read off the map's cached spectrum, and the singular values bracketing
-    the rank decision.
+    The rank is the span rank of the map's cached representative spectrum,
+    decided at their own row scale.  Also reports the rank of the full
+    orbit matrix (equal under equivariance), read off the map's cached
+    spectrum, and the singular values bracketing the rank decision.
     """
-    reps = representative_matrix(fmap)
-    sv = numerics.singular_values(reps)
-    threshold = numerics.rank_threshold(reps)
-    rep_rank = int(np.sum(sv > threshold))
-    n_fam = len(reps)
+    reps = fmap.rep_spectrum()
+    n_fam = len(reps.matrix)
     return Report(
         check="slp_rank",
-        passed=rep_rank == n_fam,
-        max_deviation=float(n_fam - rep_rank),
-        details={"rep_rank": rep_rank, "n_families": n_fam,
+        passed=reps.span_rank == n_fam,
+        max_deviation=float(n_fam - reps.span_rank),
+        details={"rep_rank": reps.span_rank, "n_families": n_fam,
                  "full_rank": fmap.spectrum().span_rank,
-                 **numerics.rank_margin(sv, threshold)},
+                 **reps.span_margin()},
     )
 
 
@@ -286,14 +291,14 @@ def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:
     others = {str(q): float(np.dot(rows[p], delta))
               for i, (q, p) in enumerate(zip(names, reps.tolist()))
               if i != edited}
-    gram_rank = numerics.gram_rank(representative_matrix(fmap))
     return Report(
         check="propagation_audit",
         passed=worst == 0.0,
         max_deviation=worst,
         details={"edited_family": names[edited], "eta": eta,
                  "responses": responses, "other_family_responses": others,
-                 "gram_rank": gram_rank, "n_families": len(families)},
+                 "gram_rank": fmap.rep_spectrum().gram_rank(),
+                 "n_families": len(families)},
     )
 
 

@@ -5,10 +5,13 @@ kernel or projector helper takes another.  All rank and
 kernel decisions go through this module: singular values are
 compared against REL_TOL times a reference scale of the matrix under
 inspection.  The scale is the largest Euclidean row norm of the matrix that
-is decomposed (`rank_threshold`).  A feature map is decomposed once, by one
-thin SVD (`Spectrum`).  Its kernel is the null space of the transposed map,
-so its rank is decided at the largest column norm; see `Spectrum` for the
-two thresholds a feature map uses.  Projector identities, the family
+is decomposed (`rank_threshold`).  Every whole matrix is decomposed once,
+by one thin SVD (`Spectrum`), which every rank read of that matrix shares:
+a feature map's and, apart from it, its representative rows', whose span
+rank decides the SLP rank check and whose factors give the rank of their
+Gram matrix (`Spectrum.gram_rank`).  A map's kernel is the null space of
+the transposed map, so its rank is decided at the largest column norm; see
+`Spectrum` for the two thresholds.  Projector identities, the family
 kernel check's cross-family projector entries among them, are checked to
 PROJECTOR_TOL.
 """
@@ -38,28 +41,6 @@ def rank_threshold(matrix: np.ndarray) -> float:
 def scaled_threshold(scale: float) -> float:
     """The rank threshold of a matrix whose largest row norm is `scale`."""
     return REL_TOL * max(scale, 1e-300)
-
-
-def singular_values(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def gram_rank(matrix: np.ndarray) -> int:
-    """`rank(matrix @ matrix.T)`, without forming the Gram matrix.
-
-    With the thin SVD matrix = U S V^T the Gram is U S^2 U^T, so its
-    singular values are S^2 and, U having orthonormal columns, its row
-    norms are those of U S^2.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0
-    u, sv, _ = np.linalg.svd(m, full_matrices=False)
-    gram_sv = sv * sv
-    return int(np.sum(gram_sv > scaled_threshold(row_scale(u * gram_sv))))
 
 
 def rank_margin(sv: np.ndarray, threshold: float) -> dict:
@@ -110,6 +91,17 @@ class Spectrum:
 
     def kernel_margin(self) -> dict:
         return rank_margin(self.sv, self.kernel_threshold)
+
+    def gram_rank(self) -> int:
+        """`rank(m @ m.T)`, without forming the Gram matrix.
+
+        With m = U S V^T the Gram is U S^2 U^T, so its singular values are
+        S^2 and, U having orthonormal columns, its row norms are those of
+        U S^2.
+        """
+        gram_sv = self.sv * self.sv
+        return int(np.sum(
+            gram_sv > scaled_threshold(row_scale(self.u * gram_sv))))
 
 
 def projector_trace_dim(matrix: np.ndarray) -> int:

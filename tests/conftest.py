@@ -132,7 +132,7 @@ def family_kernel_reference(fmap):
 
 def rank(matrix: np.ndarray) -> int:
     """Numerical rank at the package-wide relative threshold."""
-    sv = numerics.singular_values(matrix)
+    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     return int(np.sum(sv > numerics.rank_threshold(matrix)))
 
 

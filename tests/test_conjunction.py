@@ -407,18 +407,18 @@ def reference_fit(assignment):
     ws = matrix[kk]
     d = assignment.dim
     outer = matrix[ii][:, :, None] * matrix[jj][:, None, :]
-    design = _triangle_design(outer)
+    triangle = rows_idx, cols_idx = np.triu_indices(d)
+    design = _triangle_design(outer, triangle)
     x = numerics.minnorm_lstsq(design, ws)
     predicted = design @ x
     residuals = np.max(np.abs(predicted - ws), axis=1)
     x_full = numerics.minnorm_lstsq(outer.reshape(len(ii), d * d), ws)
     tensor_full = x_full.T.reshape(d, d, d)
-    rows_idx, cols_idx = np.triu_indices(d)
     x_other = (tensor_full[:, rows_idx, cols_idx] +
                tensor_full[:, cols_idx, rows_idx]).T / 2.0
     gap = float(np.max(np.abs(predicted - design @ x_other)))
-    return (_triangle_tensor(x, d), float(np.max(residuals)), gap, len(ii),
-            len(aa) - len(ii), residuals, (ii, jj, kk))
+    return (_triangle_tensor(x, triangle), float(np.max(residuals)), gap,
+            len(ii), len(aa) - len(ii), residuals, (ii, jj, kk))
 
 
 def shared_row_assignment():

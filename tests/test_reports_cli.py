@@ -20,8 +20,8 @@ from slplab import cli
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _build_cells, _closure_queries, _collapse_cells,
                         _families_cells, _fit_cells, _gradlab_cells,
-                        _laws_cells, _stability_cells, _term_cells,
-                        build_parser, main)
+                        _isotypic_cells, _laws_cells, _stability_cells,
+                        _term_cells, build_parser, main)
 from slplab.conjunction import PAIR_BLOCK
 from slplab.reports import Report, emit_report, render_report
 
@@ -263,6 +263,25 @@ def test_verify_slp_charges_the_span_projector(capsys, tmp_path,
     monkeypatch.setattr(cli, "MAX_CELLS", n_queries ** 2)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and out_path.exists()
+
+
+def test_isotypic_is_charged_its_stacked_lifts(capsys, tmp_path):
+    """At n = 5 the 120 stacked lifts of the span, not the build, set the
+    charge: 3 * 5! * w^2 cells for w = min(width, 30 * relations), so 10
+    relations are admitted and 11 are a usage error, though the build of
+    either size fits the budget many times over."""
+    assert _isotypic_cells(5, 10, None, None) == 3 * 120 * 300 ** 2 \
+        <= MAX_CELLS < _isotypic_cells(5, 11, None, None) == 3 * 120 * 330 ** 2
+    assert 20 * _build_cells(5, 11, None, None) < MAX_CELLS
+    # a narrow width bounds the span rank below the family count
+    assert _isotypic_cells(5, 11, 100, None) == 3 * 120 * 100 ** 2
+    out_path = tmp_path / "iso.json"
+    code, _, err = run_cli(capsys, "isotypic", "--entities", "5",
+                           "--relations", "11", "--out", str(out_path))
+    assert code == 2 and not out_path.exists()
+    assert "--entities 5 --relations 11 needs more than" in err
+    # every factorial past 10 entities is over the budget on its own
+    assert _isotypic_cells(10 ** 9, 1, 1, 1) > MAX_CELLS
 
 
 def test_usage_errors_exit_two_without_reports(capsys, tmp_path):

@@ -1,5 +1,6 @@
-"""The cached spectrum: one thin SVD per feature map, read by the rank check,
-the family kernel check and lifts."""
+"""The cached spectra: one thin SVD per feature map, read by the family
+kernel check and lifts, and one of its representative rows, read by the
+rank check, the build's redraw and the audit's Gram rank."""
 
 import itertools
 import json
@@ -13,8 +14,8 @@ from slplab import numerics
 from slplab.cli import main
 from slplab.factorize import BlockSpec, build_slp_map, isotypic_decompose
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
-                              check_family_kernel_decomposition,
-                              lift_renaming, representative_matrix)
+                              check_family_kernel_decomposition, check_slp,
+                              lift_renaming, propagation_audit)
 from slplab.queryspace import (GroupElementH, apply_renaming,
                                compute_families, symmetric_group)
 from slplab.relalg import EntitySet, close_unary
@@ -102,18 +103,19 @@ def test_isotypic_on_a_warm_map_is_bit_identical_to_a_cold_map():
 def test_gram_rank_matches_the_rank_of_the_formed_gram():
     for n, seed in itertools.product((2, 3, 4), range(6)):
         algebra, built = seeded_map(n, seed)
-        reps = representative_matrix(built.feature_map)
-        assert numerics.gram_rank(reps) == rank(reps @ reps.T)
+        fmap = built.feature_map
+        reps = fmap.matrix[fmap.families()[:, 0]]
+        assert fmap.rep_spectrum().gram_rank() == rank(reps @ reps.T)
     rng = np.random.default_rng(0)
     for rows, cols, k in [(5, 3, 3), (8, 8, 4), (3, 9, 2), (6, 6, 1)]:
         m = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
-        assert numerics.gram_rank(m) == rank(m @ m.T) == k
+        assert numerics.Spectrum(m).gram_rank() == rank(m @ m.T) == k
         # one large row lifts the threshold over the Gram's other directions
         m[0] *= 1e6
-        assert numerics.gram_rank(m) == rank(m @ m.T)
+        assert numerics.Spectrum(m).gram_rank() == rank(m @ m.T)
     for shape in [(0, 3), (3, 0), (4, 2)]:
         m = np.zeros(shape)
-        assert numerics.gram_rank(m) == rank(m @ m.T) == 0
+        assert numerics.Spectrum(m).gram_rank() == rank(m @ m.T) == 0
 
 
 def test_writes_to_the_source_array_do_not_reach_the_spectrum():
@@ -143,3 +145,65 @@ def test_reports_carry_the_lift_rank_margin(capsys, command):
                            "largest_rejected_sv"}
     assert margin["smallest_kept_sv"] > margin["threshold"] \
         >= margin["largest_rejected_sv"]
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """The matrices of every `numerics.Spectrum` made while it is active."""
+    made = []
+
+    class Counted(numerics.Spectrum):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            made.append(self.matrix)
+
+    monkeypatch.setattr(numerics, "Spectrum", Counted)
+    return made
+
+
+@pytest.mark.parametrize("command,whole", [
+    ("parity", False), ("audit", False), ("build-slp", True),
+    ("factorize", True)])
+def test_each_command_decomposes_each_matrix_once(capsys, spectra, command,
+                                                  whole):
+    # `families` draws the closure the build commands draw at one seed
+    assert main(["families", "--seed", "3"]) == 0
+    counts = json.loads(capsys.readouterr().out)["details"]
+    assert main([command, "--seed", "3"]) == 0
+    # the representative rows, and the whole map only where a check reads it
+    assert [len(m) for m in spectra] == [counts["n_families"]] + (
+        [counts["n_queries"]] if whole else [])
+
+
+def test_verify_slp_decomposes_the_map_and_its_representatives_once(
+        capsys, spectra, tmp_path):
+    path = tmp_path / "m.json"
+    assert main(["build-slp", "--seed", "3", "--save", str(path)]) == 0
+    spectra.clear()
+    assert main(["verify-slp", "--load", str(path)]) == 0
+    assert len(spectra) == 2 and spectra[0].shape != spectra[1].shape
+
+
+def test_the_build_decides_its_redraw_without_the_whole_map_spectrum():
+    algebra, built = seeded_map(4, 7)
+    fmap = built.feature_map
+    assert fmap._spectrum is None
+    reps = fmap.rep_spectrum()
+    assert reps.span_rank == len(fmap.families())
+    assert np.array_equal(reps.matrix, fmap.matrix[fmap.families()[:, 0]])
+    # an undersized width is redrawn once, still without the whole map's
+    narrow = build_slp_map(algebra, [BlockSpec(2)], 7)
+    assert narrow.redrawn and narrow.feature_map._spectrum is None
+
+
+def test_the_rank_check_and_the_audit_read_one_representative_spectrum():
+    _, built = seeded_map(3, 8)
+    fmap = built.feature_map
+    reps = fmap.rep_spectrum()
+    report = check_slp(fmap)
+    assert report.details["rep_rank"] == reps.span_rank
+    assert {k: report.details[k] for k in reps.span_margin()} \
+        == reps.span_margin()
+    audit = propagation_audit(fmap, 0, 0.5)
+    assert audit.details["gram_rank"] == reps.gram_rank()
+    assert fmap.rep_spectrum() is reps
