@@ -10,8 +10,9 @@ file the call writes (saved maps, their sidecars, histograms).  The ladder
 covers every subcommand, a json and a csv save of each map shape of the
 `many-maps` benchmark workload with `verify-slp` on each save, `fit-bilinear`
 at each shape of the `conjunction` workload and at depth 1 (so on
-assignments with and without a repeated world), a failing build (exit 1)
-and usage errors (exit 2).  The manifest also keeps each report's parsed
+assignments with and without a repeated world), `isotypic` at each shape of
+the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
+fails, a failing build (exit 1) and usage errors (exit 2).  The manifest also keeps each report's parsed
 JSON, so that a comparison can say where two reports differ.
 
 `--compare A B` names each call whose entry differs between two manifests,
@@ -81,6 +82,10 @@ def _calls():
             _call("kernel-stability", "--atoms", 3, "--worlds", 4, *s),
             _call("fit-bilinear", "--atoms", 3, "--worlds", 4, *s),
             _call("isotypic", "--entities", 3, "--relations", 1, *s),
+            # the sym-lift workload's Sym(4) and Sym(5) shapes
+            _call("isotypic", "--entities", 4, "--relations", 2, *s),
+            _call("isotypic", "--entities", 5, "--relations", 1, *s),
+            _call("isotypic", "--entities", 5, "--relations", 2, *s),
             _call("parity", "--entities", 3, "--relations", 1,
                   "--parity", "-", *s),
             _call("audit", "--entities", 3, "--relations", 1,
@@ -102,6 +107,11 @@ def _calls():
     # seed 1 draws four distinct worlds, so no class merges
     calls.append(_call("fit-bilinear", "--atoms", 4, "--worlds", 4,
                        "--depth", 1, "--seed", 1))
+    # the shape of the isotypic peak-RSS bound in CI, and a report that
+    # fails its tolerance, which names its failing property
+    calls += [_call("isotypic", "--entities", 5, "--relations", 6),
+              _call("isotypic", "--entities", 4, "--relations", 2,
+                    "--tol", "1e-30")]
     # saves over sizes, widths and parities
     shapes = ((None, "both", "json"), (1, "+", "csv"), (3, "-", "json"))
     for n in range(2, 7):

@@ -203,10 +203,14 @@ def _build_cells(entities: int, relations: int, context_dim, terms) -> int:
 
 def _isotypic_cells(entities: int, relations: int, context_dim,
                     terms) -> int:
-    """The build's cells or, if more, 3 n! w^2: the n! stacked lifts of the
-    span, r x r each for r <= w, and the two stacks of that size that the
-    check of their orthogonality holds beside them.  The span rank r is at
-    most the width and at most the family count, which is at most
+    """The build's cells or, if more, 3 n! w^2: the n! lifts of the span,
+    r x r each for r <= w, which the check holds once, with room for two
+    more stacks of that size.  Each lift's orthogonality comes from the
+    lift itself and its commutators come a bounded stack at a time, so
+    nothing else of that size is held: at n = 5 and 10 relations the peak
+    RSS is 155 MB, against 259 MB with three stacks (Python 3.11, NumPy
+    2.4, one OpenBLAS thread).  The span rank r is
+    at most the width and at most the family count, which is at most
     n(n+1) relations, so w is the smaller of the two.  n! alone is over the
     budget from 11 entities on, so the factorial is capped there.
     """
@@ -381,20 +385,23 @@ def _cmd_isotypic(args, seed, parser) -> Report:
     details = {"tol": args.tol,
                "lift_rank": built.feature_map.spectrum().span_margin()}
     try:
-        projectors, props = isotypic_decompose(built)
+        projectors, props, offenders = isotypic_decompose(built)
     except KernelNotInvariantError as exc:
         g = exc.renaming
         details.update(error="renaming does not preserve the kernel",
                        renaming={"perm": list(g.perm), "sign": g.sign})
         return Report(check="isotypic", passed=False,
                       max_deviation=exc.deviation, details=details)
-    worst = max(props[k] for k in ("idempotence", "annihilation",
-                                   "completeness_on_span", "commutation",
-                                   "orthogonality"))
+    # the first property at the maximum names the failure
+    name = max(offenders, key=props.__getitem__)
+    worst = props[name]
     details.update(properties=props, irreps=[
         {"partition": list(p.irrep), "dim": p.irrep_dim,
          "image_dim": p.image_dim} for p in projectors])
-    return Report(check="isotypic", passed=worst <= args.tol,
+    passed = worst <= args.tol
+    if not passed:
+        details.update(failing_property=name, offender=offenders[name])
+    return Report(check="isotypic", passed=passed,
                   max_deviation=worst, details=details)
 
 

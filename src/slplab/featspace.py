@@ -16,8 +16,10 @@ the closure's family partition, the (F, 4) position array of
 (`numerics.Spectrum`), each computed on first use: one of the whole map,
 which the family kernel check's span projector and every lift read, and
 one of its representative rows, one per family, which the SLP rank check,
-the build's redraw decision and the audit's Gram rank read.  A lift's query
-permutation is one `apply_renaming` on the (head, rel, tail) index grid.
+the build's redraw decision and the audit's Gram rank read.  It also caches
+the flat (head, rel, tail) index arrays of its query grid, so a lift's query
+permutation is one `apply_renaming` on arrays that every lift of the map
+shares.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class FeatureMap:
     _spectrum: numerics.Spectrum | None = field(repr=False)
     _rep_spectrum: numerics.Spectrum | None = field(repr=False)
     _families: np.ndarray | None = field(repr=False)
+    _grid: Query | None = field(repr=False)
 
     def __init__(self, algebra: RelationAlgebra, matrix, queries=None) -> None:
         n, size = algebra.entity_set.n, algebra.size
@@ -79,7 +82,8 @@ class FeatureMap:
         m.flags.writeable = False
         for name, value in (("algebra", algebra), ("n", n), ("size", size),
                             ("matrix", m), ("_spectrum", None),
-                            ("_rep_spectrum", None), ("_families", None)):
+                            ("_rep_spectrum", None), ("_families", None),
+                            ("_grid", None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -113,6 +117,15 @@ class FeatureMap:
                                compute_families(self.algebra))
         return self._families
 
+    def query_grid(self) -> Query:
+        """The head, rel and tail of every query as flat read-only index
+        arrays in the query order, computed on first use."""
+        if self._grid is None:
+            grid = np.indices((self.n, self.size, self.n)).reshape(3, -1)
+            grid.flags.writeable = False
+            object.__setattr__(self, "_grid", Query(*grid))
+        return self._grid
+
 
 def _grid_order(queries, n: int, size: int) -> np.ndarray:
     """The argsort of the queries' grid positions, each position once."""
@@ -131,12 +144,14 @@ def _grid_order(queries, n: int, size: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LiftedOperator:
     """A renaming on the feature span: the orthogonal r x r `span` matrix in
-    span coordinates, and `matrix`, the same operator on feature coordinates
+    span coordinates, its `deviation` max |span span^T - I| from
+    orthogonality, and `matrix`, the same operator on feature coordinates
     (zero off the span).  `matrix` and `residual`, max |M matrix^T - M[perm]|
     over the map M, are computed on first read."""
 
     source: GroupElementH
     span: np.ndarray
+    deviation: float
     fmap: FeatureMap = field(repr=False)
     perm: np.ndarray = field(repr=False)
 
@@ -230,11 +245,9 @@ def check_family_kernel_decomposition(fmap: FeatureMap) -> Report:
 
 def _query_permutation(fmap: FeatureMap, g: GroupElementH) -> np.ndarray:
     """index array: position i (query q) maps to position of g applied to q,
-    from one renaming of the whole (head, rel, tail) index grid."""
-    n, size = fmap.n, fmap.size
-    h, r, t = apply_renaming(g, Query(*np.indices((n, size, n))),
-                             fmap.algebra)
-    return ((h * size + r) * n + t).ravel()
+    from one renaming of the map's cached (head, rel, tail) index grid."""
+    h, r, t = apply_renaming(g, fmap.query_grid(), fmap.algebra)
+    return (h * fmap.size + r) * fmap.n + t
 
 
 def lift_renaming(fmap: FeatureMap, g: GroupElementH) -> LiftedOperator:
@@ -243,10 +256,11 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH) -> LiftedOperator:
     With M = U_r S V_r^T on the span (r = span_rank), the lift is rho =
     U_r[perm]^T U_r in span coordinates and V_r S rho S^-1 V_r^T on feature
     coordinates, so matrix @ row(q) = row(g q).  rho is orthogonal exactly
-    when the renaming preserves the kernel; otherwise no lift exists and a
-    KernelNotInvariantError names g and max |rho rho^T - I| (the usual cause
-    is a non-equivariant or rank-deficient map).  A renaming of other than
-    n entities is a ValueError.
+    when the renaming preserves the kernel; the lift keeps max |rho rho^T -
+    I| as its `deviation`, and above PROJECTOR_TOL no lift exists and a
+    KernelNotInvariantError names g and the deviation (the usual cause is a
+    non-equivariant or rank-deficient map).  A renaming of other than n
+    entities is a ValueError.
     """
     if len(g.perm) != fmap.n:
         raise ValueError(f"renaming of {len(g.perm)} entities on a map over "
@@ -256,10 +270,13 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH) -> LiftedOperator:
     r = spec.span_rank
     u_r = spec.u[:, :r]
     rho = u_r[perm].T @ u_r
-    deviation = float(np.max(np.abs(rho @ rho.T - np.eye(r)), initial=0.0))
+    gram = rho @ rho.T
+    gram.reshape(-1)[::r + 1] -= 1.0  # minus the identity, in place
+    deviation = float(np.abs(gram, out=gram).max(initial=0.0))
     if deviation > numerics.PROJECTOR_TOL:
         raise KernelNotInvariantError(g, deviation)
-    return LiftedOperator(source=g, span=rho, fmap=fmap, perm=perm)
+    return LiftedOperator(source=g, span=rho, deviation=deviation, fmap=fmap,
+                          perm=perm)
 
 
 def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:

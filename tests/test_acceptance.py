@@ -154,7 +154,7 @@ def test_criterion_05_isotypic_projector_properties():
         algebra = seeded_algebra(n, 1, n)
         families = compute_families(algebra)
         built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], n)
-        _, props = isotypic_decompose(built)
+        _, props, _ = isotypic_decompose(built)
         worst = max(props["idempotence"], props["annihilation"],
                     props["completeness_on_span"], props["commutation"])
         assert worst <= 1e-8, (n, props)

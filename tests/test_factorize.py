@@ -294,7 +294,7 @@ def test_isotypic_projector_properties(n):
     algebra = close_unary([base])
     families = compute_families(algebra)
     built = build(algebra, len(families), seed=n)
-    projectors, props = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built)
     assert props["idempotence"] <= PROJECTOR_TOL
     assert props["annihilation"] <= PROJECTOR_TOL
     assert props["completeness_on_span"] <= PROJECTOR_TOL
@@ -309,7 +309,7 @@ def test_trivial_isotypic_piece_matches_group_average(algebra_3):
     lifts = [lift_renaming(built.feature_map, GroupElementH(p, 1))
              for p in perms]
     avg = np.mean([l.span for l in lifts], axis=0)
-    projectors, _ = isotypic_decompose(built)
+    projectors, _, _ = isotypic_decompose(built)
     trivial = next(p for p in projectors if p.irrep == (3,))
     assert np.max(np.abs(trivial.matrix - avg)) <= 1e-9
 
@@ -323,7 +323,7 @@ def test_class_sum_projectors_match_the_element_sum():
     perms = symmetric_group(4)
     rhos = [lift_renaming(built.feature_map, GroupElementH(p, 1)).span
             for p in perms]
-    projectors, props = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built)
     for proj in projectors:
         ref = sum(characters.mn_character(proj.irrep, characters.cycle_type(p))
                   * rho for p, rho in zip(perms, rhos)) * proj.irrep_dim / 24
@@ -334,13 +334,99 @@ def test_class_sum_projectors_match_the_element_sum():
 def test_isotypic_on_a_wide_map_stays_in_span_coordinates(algebra_3):
     """Eleven features beyond the span of 9: every projector is 9 x 9."""
     built = build(algebra_3, 20, 1)
-    projectors, props = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built)
     assert props["span_dim"] == 9
     assert all(p.matrix.shape == (9, 9) for p in projectors)
     assert sum(p.image_dim for p in projectors) == 9
     assert max(props[k] for k in ("idempotence", "annihilation",
                                   "completeness_on_span", "commutation",
                                   "orthogonality")) <= PROJECTOR_TOL
+
+
+def stacked_isotypic_reference(built):
+    """Projectors and properties from the stacked formulas: one stack of
+    every lift, class sums started from 0.0, the orthogonality of the whole
+    stack, one commutator per lift and the full k x k product table."""
+    perms = symmetric_group(built.feature_map.n)
+    rhos = np.stack([lift_renaming(built.feature_map, GroupElementH(p, 1)).span
+                     for p in perms])
+    class_sums = {}
+    for perm, rho in zip(perms, rhos):
+        mu = characters.cycle_type(perm)
+        class_sums[mu] = class_sums.get(mu, 0.0) + rho
+    mats = np.stack([
+        (characters.irrep_dimension(lam) / len(perms)) * sum(
+            characters.mn_character(lam, mu) * c
+            for mu, c in class_sums.items())
+        for lam in characters.partitions(built.feature_map.n)])
+
+    def worst(dev):
+        return float(np.max(np.abs(dev), initial=0.0))
+
+    eye = np.eye(rhos.shape[1])
+    pairs = mats[:, None] @ mats[None]
+    return mats, {
+        "idempotence": worst(pairs[np.diag_indices(len(mats))] - mats),
+        "annihilation": worst(pairs[np.triu_indices(len(mats), 1)]),
+        "completeness_on_span": worst(mats.sum(axis=0) - eye),
+        "commutation": max(worst(mats @ rho - rho @ mats) for rho in rhos),
+        "orthogonality": worst(rhos @ rhos.transpose(0, 2, 1) - eye)}
+
+
+def isotypic_map(n, seed, extra_width=0):
+    rng = np.random.default_rng(seed)
+    algebra = close_unary([random_proper_relation(EntitySet.of_size(n), rng,
+                                                  name="r0")])
+    return build(algebra, len(compute_families(algebra)) + extra_width, seed)
+
+
+@pytest.mark.parametrize("n,seed,extra_width,step",
+                         [(3, 0, 0, None), (3, 1, 4, None), (4, 2, 0, None),
+                          (4, 4, 3, None), (4, 2, 0, 5), (5, 5, 0, None),
+                          (5, 5, 3, None), (5, 5, 0, 7), (5, 5, 0, 1)])
+def test_isotypic_properties_equal_the_stacked_formulas(monkeypatch, n, seed,
+                                                        extra_width, step):
+    """`step` lifts per stack of commutators, if given: 24 = 4 * 5 + 4 and
+    120 = 17 * 7 + 1 leave a short last stack."""
+    built = isotypic_map(n, seed, extra_width)
+    if step is not None:
+        r = built.feature_map.spectrum().span_rank
+        k = len(characters.partitions(n))
+        monkeypatch.setattr(factorize, "_COMMUTATOR_CELLS", step * k * r * r)
+    projectors, props, _ = isotypic_decompose(built)
+    mats, ref = stacked_isotypic_reference(built)
+    assert np.array_equal(np.stack([p.matrix for p in projectors]), mats)
+    assert {k: props[k] for k in ref} == ref
+    r = props["span_dim"]
+    for perm in symmetric_group(n):
+        lift = lift_renaming(built.feature_map, GroupElementH(perm, 1))
+        assert lift.deviation == np.max(np.abs(lift.span @ lift.span.T
+                                               - np.eye(r)), initial=0.0)
+
+
+def test_isotypic_offenders_sit_at_each_maximum():
+    built = isotypic_map(4, 2)
+    projectors, props, offenders = isotypic_decompose(built)
+    mats = {str(list(p.irrep)): p.matrix for p in projectors}
+
+    def rho(renaming):
+        return lift_renaming(built.feature_map,
+                             GroupElementH(tuple(renaming["perm"]),
+                                           renaming["sign"])).span
+
+    def worst(dev):
+        return float(np.max(np.abs(dev)))
+
+    idem = mats[str(offenders["idempotence"]["irrep"])]
+    assert worst(idem @ idem - idem) == props["idempotence"]
+    a, b = (mats[str(lam)] for lam in offenders["annihilation"]["irreps"])
+    assert worst(a @ b) == props["annihilation"]
+    assert offenders["completeness_on_span"] == {}
+    proj = mats[str(offenders["commutation"]["irrep"])]
+    g = rho(offenders["commutation"]["renaming"])
+    assert worst(proj @ g - g @ proj) == props["commutation"]
+    g = rho(offenders["orthogonality"]["renaming"])
+    assert worst(g @ g.T - np.eye(len(g))) == props["orthogonality"]
 
 
 def test_isotypic_rejects_large_groups():

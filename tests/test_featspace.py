@@ -375,6 +375,11 @@ def test_kernel_not_invariant_names_renaming_and_deviation(algebra_3):
         lift_renaming(fmap, g)
     assert info.value.renaming == g
     assert info.value.deviation > numerics.PROJECTOR_TOL
+    spec = fmap.spectrum()
+    u_r = spec.u[:, :spec.span_rank]
+    rho = u_r[per_query_permutation(fmap, g)].T @ u_r
+    assert info.value.deviation == np.max(np.abs(rho @ rho.T
+                                                 - np.eye(len(rho))))
 
 
 def test_lift_range_and_kernel_follow_span(algebra_3):
@@ -459,7 +464,12 @@ def test_one_lift_renames_the_grid_once(monkeypatch):
 
     monkeypatch.setattr(featspace, "apply_renaming", counted)
     lift_renaming(fmap, GroupElementH((1, 2, 0, 4, 3), -1))
-    assert len(calls) == 1
+    lift_renaming(fmap, GroupElementH((4, 2, 0, 1, 3), 1))
+    assert len(calls) == 2
+    # both renamed the one grid the map caches, which no caller can write
+    grid = fmap.query_grid()
+    assert calls[0][1] is calls[1][1] is grid
+    assert not any(a.flags.writeable for a in grid)
 
 
 # ---------------------------------------------------------------- partition

@@ -669,6 +669,47 @@ def test_isotypic_image_dims_fill_the_span(capsys):
     assert report["max_deviation"] <= 1e-8
 
 
+@pytest.mark.parametrize("entities,relations", [("3", "1"), ("4", "2")])
+def test_failing_isotypic_names_its_property_and_offender(capsys, entities,
+                                                         relations):
+    """At --tol 1e-30 rounding fails the check: the report names the
+    property at max_deviation and what set it; the passing report of the
+    same map differs from it only in those fields, the verdict and --tol."""
+    argv = ("isotypic", "--entities", entities, "--relations", relations,
+            "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    passing = json.loads(out)
+    assert "failing_property" not in passing["details"]
+    assert "offender" not in passing["details"]
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-30")
+    assert code == 1
+    report = json.loads(out)
+    details = report["details"]
+    name = details.pop("failing_property")
+    offender = details.pop("offender")
+    props = details["properties"]
+    assert props[name] == report["max_deviation"] > 1e-30
+    assert all(props[k] <= props[name] for k in (
+        "idempotence", "annihilation", "completeness_on_span",
+        "commutation", "orthogonality"))
+    irreps = [entry["partition"] for entry in details["irreps"]]
+    expected = {"idempotence": {"irrep"}, "annihilation": {"irreps"},
+                "completeness_on_span": set(),
+                "commutation": {"irrep", "renaming"},
+                "orthogonality": {"renaming"}}[name]
+    assert set(offender) == expected
+    for lam in [offender.get("irrep")] + offender.get("irreps", []):
+        assert lam is None or lam in irreps
+    if "renaming" in offender:
+        assert sorted(offender["renaming"]["perm"]) == \
+            list(range(int(entities)))
+    # the provenance hashes the --tol given
+    details["tol"] = passing["details"]["tol"]
+    assert {**report, "pass": True, "details": details,
+            "provenance": passing["provenance"]} == passing
+
+
 @pytest.mark.parametrize("context_dim", ["1", "2", "4"])
 def test_isotypic_on_a_narrow_map_names_the_renaming(capsys, context_dim):
     """Below 9 features at n = 3 the span is not renaming-invariant."""

@@ -50,7 +50,7 @@ def test_peak_rss_bounds_the_command(capsys, tmp_path, max_mb, expected):
 def test_report_ladder_slice_is_deterministic(capsys, tmp_path):
     # the failing and usage-error calls, then every call of the first seed
     ladder = load_script("report_ladder")
-    calls = ladder.CALLS[:36]
+    calls = ladder.CALLS[:39]
     assert {argv[0] for argv, _ in calls} >= {
         "relalg-laws", "families", "build-slp", "verify-slp", "factorize",
         "isotypic", "parity", "kernel-stability", "fit-bilinear", "collapse",
