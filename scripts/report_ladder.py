@@ -12,8 +12,10 @@ covers every subcommand, a json and a csv save of each map shape of the
 at each shape of the `conjunction` workload and at depth 1 (so on
 assignments with and without a repeated world), `isotypic` at each shape of
 the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
-fails, a failing build (exit 1) and usage errors (exit 2).  The manifest also keeps each report's parsed
-JSON, so that a comparison can say where two reports differ.
+fails, `factorize` at each single parity and `factorize` and `parity` at
+three raw samples, a failing build (exit 1) and usage errors (exit 2).  The
+manifest also keeps each report's parsed JSON, so that a comparison can say
+where two reports differ.
 
 `--compare A B` names each call whose entry differs between two manifests,
 and under it what differs: the exit code, stderr, each written file, and
@@ -121,6 +123,12 @@ def _calls():
                     f"grid-{n}-{r}-{width}-{parity}.{fmt}", fmt,
                     "--entities", n, "--relations", r, "--parity", parity,
                     *(("--context-dim", width) if width else ()))
+    # factorized forms of one parity each, and of three raw samples
+    size = ("--entities", 3, "--relations", 1)
+    calls += [_call("factorize", *size, "--parity", "+"),
+              _call("factorize", *size, "--parity", "-"),
+              _call("factorize", *size, "--terms", 3),
+              _call("parity", *size, "--terms", 3)]
     return tuple(calls)
 
 

@@ -36,8 +36,10 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     return result
 
 
+@lru_cache(maxsize=None)
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of a permutation, sorted descending."""
+    """Cycle lengths of a permutation, sorted descending; each permutation
+    is walked once per process."""
     n = len(perm)
     seen = [False] * n
     lengths = []
@@ -52,7 +54,6 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
 
 
 def _beta(lam: tuple[int, ...], beads: int) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from . import __version__, numerics
 from .conjunction import (PAIR_BLOCK, check_kernel_stability,
                           collapse_certificate, fit_bilinear,
                           possible_worlds_assignment)
-from .factorize import (BlockSpec, ConverseInvarianceError, build_slp_map,
+from .factorize import (ConverseInvarianceError, build_slp_map,
                         involution_dims, isotypic_decompose, negation_split,
                         parity_decompose, verify_factorized_form)
 from .featspace import (KernelNotInvariantError,
@@ -254,8 +254,7 @@ def _build(args: argparse.Namespace, seed: int, parser):
         # one raw sample spans at most |E|^2 row directions
         terms = max(1, -(-n_families // args.entities ** 2))
     parity = None if args.parity == "both" else args.parity
-    return build_slp_map(algebra, [BlockSpec(context_dim, terms, parity)],
-                         seed)
+    return build_slp_map(algebra, context_dim, terms, parity, seed)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -373,7 +372,7 @@ def _cmd_factorize(args, seed, parser) -> Report:
                  "negation_split": {"plus_dim": split.plus_dim,
                                     "minus_dim": split.minus_dim,
                                     "span_dim": split.span_dim},
-                 "lift_rank": built.feature_map.spectrum().span_margin(),
+                 "lift_rank": built.feature_map.spectrum.span_margin(),
                  "redrawn": built.redrawn},
     )
 
@@ -383,7 +382,7 @@ def _cmd_isotypic(args, seed, parser) -> Report:
         parser.error("isotypic decomposition materializes Sym(n); --entities <= 5")
     built = _build(args, seed, parser)
     details = {"tol": args.tol,
-               "lift_rank": built.feature_map.spectrum().span_margin()}
+               "lift_rank": built.feature_map.spectrum.span_margin()}
     try:
         projectors, props, offenders = isotypic_decompose(built)
     except KernelNotInvariantError as exc:
@@ -424,7 +423,7 @@ def _cmd_parity(args, seed, parser) -> Report:
         max_deviation=decomp.max_cross_residual,
         details={"tol": args.tol,
                  "cross_residual": decomp.max_cross_residual,
-                 "n_term_pairs": sum(len(b) for b in decomp.blocks),
+                 "n_term_pairs": len(decomp.pairs),
                  "pair_space_dims": list(pair_dims),
                  "relation_space_dims": list(rel_dims)},
     )
@@ -636,7 +635,7 @@ def _cmd_gradlab(args, seed, parser) -> Report:
 
 def _cmd_audit(args, seed, parser) -> Report:
     fmap = _build(args, seed, parser).feature_map
-    n_families = len(fmap.families())
+    n_families = len(fmap.families)
     if args.family >= n_families:
         parser.error(f"--family must be in [0, {n_families})")
     return propagation_audit(fmap, args.family, args.eta)

@@ -1,9 +1,11 @@
 """Context-relation tensor factorization of equivariant feature maps.
 
-Every feature row decomposes blockwise as sum_k u_k(h,t) * v_k(r), with the
-relation factors v_k flipping sign under relation complement.  Because the
-sign group has only one-dimensional real irreducibles, each relation factor
-is a single vector over the closed relations.
+Every feature row decomposes as sum_k u_k(h,t) * v_k(r) over one context
+space, with the relation factors v_k flipping sign under relation complement.
+Terms over several context spaces side by side are the terms of one space
+with zero-padded context factors, so a factorized map is one tuple of terms.
+Because the sign group has only one-dimensional real irreducibles, each
+relation factor is a single vector over the closed relations.
 
 Reversal invariance forces matched parity between the two factors: u may be
 symmetric in (h,t) while v is converse-even, or antisymmetric while v is
@@ -74,28 +76,10 @@ class Term:
 
 
 @dataclass(frozen=True)
-class TensorBlock:
-    context_dim: int
-    terms: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        for t in self.terms:
-            if t.u.shape[2] != self.context_dim:
-                raise ValueError("term context dimension mismatch")
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Requested block shape: m raw samples, optional parity constraint."""
-
-    context_dim: int
-    m: int = 1
-    parity: str | None = None
-
-
-@dataclass(frozen=True)
 class FactorizedMap:
-    blocks: tuple[TensorBlock, ...]
+    """The terms of a map over one context space, and the map they sum to."""
+
+    terms: tuple[Term, ...]
     feature_map: FeatureMap
     redrawn: bool = False
 
@@ -104,22 +88,26 @@ class FactorizedMap:
         return self.feature_map.dim
 
 
-def _block_rows(block: TensorBlock, n: int, size: int) -> np.ndarray:
-    """Evaluate one block on the (head, rel, tail) query grid, flattened in
-    the one query order; term loop order is part of the format."""
-    acc = np.zeros((n, size, n, block.context_dim))
-    for term in block.terms:
+def assemble_rows(terms: Sequence[Term], algebra: RelationAlgebra,
+                  context_dim: int) -> np.ndarray:
+    """The terms' sum on the (head, rel, tail) query grid, one row per query
+    in the one query order; the terms are summed in order, which is part of
+    the format.  A term over another context dimension is a ValueError."""
+    n, size = algebra.entity_set.n, algebra.size
+    acc = np.zeros((n, size, n, context_dim))
+    for term in terms:
+        if term.u.shape[2] != context_dim:
+            raise ValueError("term context dimension mismatch")
         # (n, 1, n, d) times (size, 1, 1); dims_consistent flags factors
         # longer than the grid
         acc += term.u[:n, None, :n] * term.v[:size, None, None]
-    return acc.reshape(n * size * n, block.context_dim)
+    return acc.reshape(n * size * n, context_dim)
 
 
-def assemble_rows(blocks: Sequence[TensorBlock],
-                  algebra: RelationAlgebra) -> np.ndarray:
-    """The blocks' rows side by side, in the one query order."""
-    n, size = algebra.entity_set.n, algebra.size
-    return np.concatenate([_block_rows(b, n, size) for b in blocks], axis=1)
+def _halves(x: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd parts (x + x')/2 and (x - x')/2 of x, given its
+    image x' under an involution."""
+    return (x + image) / 2.0, (x - image) / 2.0
 
 
 def _sample_v(images: np.ndarray, parity: str, rng) -> np.ndarray:
@@ -143,44 +131,41 @@ def _sample_v(images: np.ndarray, parity: str, rng) -> np.ndarray:
     return v
 
 
-def _sample_block(algebra: RelationAlgebra, spec: BlockSpec, rng) -> TensorBlock:
-    n = algebra.entity_set.n
-    images = relation_images(algebra)
-    terms: list[Term] = []
-    for _ in range(spec.m):
-        raw = rng.uniform(-1.0, 1.0, size=(n, n, spec.context_dim))
-        u_plus = (raw + raw.transpose(1, 0, 2)) / 2.0
-        u_minus = (raw - raw.transpose(1, 0, 2)) / 2.0
-        if spec.parity in (None, "+"):
-            terms.append(Term(u_plus, _sample_v(images, "+", rng), "+"))
-        if spec.parity in (None, "-"):
-            terms.append(Term(u_minus, _sample_v(images, "-", rng), "-"))
-    return TensorBlock(spec.context_dim, tuple(terms))
+def build_slp_map(algebra: RelationAlgebra, context_dim: int, terms: int,
+                  parity: str | None, seed: int) -> FactorizedMap:
+    """Seeded generic build of `terms` raw samples over a context space of
+    `context_dim`; one redraw on a measure-zero rank failure.
 
-
-def build_slp_map(algebra: RelationAlgebra, blocks: Sequence[BlockSpec],
-                  seed: int) -> FactorizedMap:
-    """Seeded generic build; one redraw on a measure-zero rank failure.
-
-    The map is exactly logically equivariant by construction.  Whether it
-    reaches full representative rank depends on the requested shape.  The
-    rank is read off the map's cached representative spectrum, the one
-    `check_slp` reads, and the whole map is not decomposed.  A genuinely
-    undersized shape falls short of the family count both times, and the
-    redrawn flag records that a second draw happened.
+    Each raw sample gives the matched pair (u+ x v+) + (u- x v-), or only
+    the component of `parity` if it is '+' or '-'.  The map is exactly
+    logically equivariant by construction.  Whether it reaches full
+    representative rank depends on the requested shape.  The rank is read
+    off the map's cached representative spectrum, the one `check_slp`
+    reads, and the whole map is not decomposed.  A genuinely undersized
+    shape falls short of the family count both times, and the redrawn flag
+    records that a second draw happened.
     """
     rng = np.random.default_rng(seed)
+    n = algebra.entity_set.n
+    images = relation_images(algebra)
 
-    def draw() -> tuple[TensorBlock, ...]:
-        return tuple(_sample_block(algebra, spec, rng) for spec in blocks)
+    def draw() -> tuple[tuple[Term, ...], FeatureMap]:
+        drawn: list[Term] = []
+        for _ in range(terms):
+            raw = rng.uniform(-1.0, 1.0, size=(n, n, context_dim))
+            u_plus, u_minus = _halves(raw, raw.transpose(1, 0, 2))
+            if parity in (None, "+"):
+                drawn.append(Term(u_plus, _sample_v(images, "+", rng), "+"))
+            if parity in (None, "-"):
+                drawn.append(Term(u_minus, _sample_v(images, "-", rng), "-"))
+        return tuple(drawn), FeatureMap(
+            algebra, assemble_rows(drawn, algebra, context_dim))
 
-    built = draw()
-    fmap = FeatureMap(algebra, assemble_rows(built, algebra))
-    redrawn = fmap.rep_spectrum().span_rank != len(fmap.families())
+    drawn, fmap = draw()
+    redrawn = fmap.rep_spectrum.span_rank != len(fmap.families)
     if redrawn:
-        built = draw()
-        fmap = FeatureMap(algebra, assemble_rows(built, algebra))
-    return FactorizedMap(built, fmap, redrawn)
+        drawn, fmap = draw()
+    return FactorizedMap(drawn, fmap, redrawn)
 
 
 def verify_factorized_form(f: FactorizedMap) -> Report:
@@ -188,30 +173,25 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
 
     Row agreement is exact (same assembly path); the sign law v(not r) =
     -v(r) is checked per term as one array identity, and failures are
-    located by (block, term, relation).
+    located by (term, relation).
     """
     algebra = f.feature_map.algebra
-    rebuilt = assemble_rows(f.blocks, algebra)
+    rebuilt = assemble_rows(f.terms, algebra, f.dim)
     rows = f.feature_map.matrix
     rows_equal = np.array_equal(rebuilt, rows)
     row_dev = float(np.max(np.abs(rebuilt - rows))) if rebuilt.size else 0.0
     neg = relation_images(algebra)[1]
+    shape = (algebra.entity_set.n, algebra.entity_set.n, f.dim)
     sign_faults = []
-    for bi, block in enumerate(f.blocks):
-        for ki, term in enumerate(block.terms):
-            v = term.v[:algebra.size]  # dims_consistent flags a long v
-            dev = np.abs(v[neg] + v)
-            bad = np.flatnonzero(dev != 0.0)
-            sign_faults += [{"block": bi, "term": ki, "relation": r,
-                             "deviation": d}
-                            for r, d in zip(bad.tolist(), dev[bad].tolist())]
+    dims_ok = True
+    for ki, term in enumerate(f.terms):
+        v = term.v[:algebra.size]  # dims_consistent flags a long v
+        dev = np.abs(v[neg] + v)
+        bad = np.flatnonzero(dev != 0.0)
+        sign_faults += [{"term": ki, "relation": r, "deviation": d}
+                        for r, d in zip(bad.tolist(), dev[bad].tolist())]
+        dims_ok &= term.u.shape == shape and term.v.shape == (algebra.size,)
     worst_sign = max([0.0] + [fault["deviation"] for fault in sign_faults])
-    dims_ok = all(b.terms == () or
-                  all(t.u.shape == (algebra.entity_set.n,
-                                    algebra.entity_set.n, b.context_dim)
-                      and t.v.shape == (algebra.size,)
-                      for t in b.terms)
-                  for b in f.blocks)
     passed = rows_equal and not sign_faults and dims_ok
     return Report(
         check="factorized_form",
@@ -219,8 +199,7 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
         max_deviation=max(row_dev, worst_sign),
         details={"rows_exact": bool(rows_equal), "row_deviation": row_dev,
                  "sign_faults": sign_faults, "dims_consistent": dims_ok,
-                 "n_blocks": len(f.blocks),
-                 "n_terms": sum(len(b.terms) for b in f.blocks)},
+                 "n_terms": len(f.terms)},
     )
 
 
@@ -405,7 +384,7 @@ class ParityTermPair:
 
 @dataclass(frozen=True)
 class ParityDecomposition:
-    blocks: tuple[tuple[ParityTermPair, ...], ...]
+    pairs: tuple[ParityTermPair, ...]
     max_cross_residual: float
 
 
@@ -416,8 +395,8 @@ def parity_decompose(f: FactorizedMap,
     Requires reversal invariance of the assembled map (checked first; the
     first query with the largest deviation is reported otherwise).  Each term
     (u, v) splits into (u+, v+) and (u-, v-); the cross-parity components
-    u+ x v- and u- x v+ must cancel blockwise on every query, and their
-    residual, assembled as one block of cross terms, is reported.
+    u+ x v- and u- x v+ must cancel on every query, and the largest entry
+    of their sum, assembled as the rows are, is reported.
     """
     algebra = f.feature_map.algebra
     rows = f.feature_map.matrix
@@ -429,26 +408,16 @@ def parity_decompose(f: FactorizedMap,
         raise ConverseInvarianceError(Query(*query), float(dev[worst]))
 
     conv = relation_images(algebra)[2]
-    blocks_out = []
-    max_cross = 0.0
-    for block in f.blocks:
-        pairs = []
-        cross_terms = []
-        for term in block.terms:
-            u_plus = (term.u + term.u.transpose(1, 0, 2)) / 2.0
-            u_minus = (term.u - term.u.transpose(1, 0, 2)) / 2.0
-            v_conv = term.v[conv]
-            v_plus = (term.v + v_conv) / 2.0
-            v_minus = (term.v - v_conv) / 2.0
-            pairs.append(ParityTermPair(Term(u_plus, v_plus, "+"),
-                                        Term(u_minus, v_minus, "-")))
-            cross_terms += [Term(u_plus, v_minus), Term(u_minus, v_plus)]
-        cross = _block_rows(TensorBlock(block.context_dim, tuple(cross_terms)),
-                            algebra.entity_set.n, algebra.size)
-        if cross.size:
-            max_cross = max(max_cross, float(np.max(np.abs(cross))))
-        blocks_out.append(tuple(pairs))
-    return ParityDecomposition(tuple(blocks_out), max_cross)
+    pairs, cross_terms = [], []
+    for term in f.terms:
+        u_plus, u_minus = _halves(term.u, term.u.transpose(1, 0, 2))
+        v_plus, v_minus = _halves(term.v, term.v[conv])
+        pairs.append(ParityTermPair(Term(u_plus, v_plus, "+"),
+                                    Term(u_minus, v_minus, "-")))
+        cross_terms += [Term(u_plus, v_minus), Term(u_minus, v_plus)]
+    cross = assemble_rows(cross_terms, algebra, f.dim)
+    return ParityDecomposition(tuple(pairs),
+                               float(np.max(np.abs(cross), initial=0.0)))
 
 
 def _constraint_triples(mv: np.ndarray, mc: np.ndarray

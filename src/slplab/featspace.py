@@ -63,10 +63,6 @@ class FeatureMap:
     n: int
     size: int
     matrix: np.ndarray
-    _spectrum: numerics.Spectrum | None = field(repr=False)
-    _rep_spectrum: numerics.Spectrum | None = field(repr=False)
-    _families: np.ndarray | None = field(repr=False)
-    _grid: Query | None = field(repr=False)
 
     def __init__(self, algebra: RelationAlgebra, matrix, queries=None) -> None:
         n, size = algebra.entity_set.n, algebra.size
@@ -81,9 +77,7 @@ class FeatureMap:
         m = m.copy() if queries is None else m[_grid_order(queries, n, size)]
         m.flags.writeable = False
         for name, value in (("algebra", algebra), ("n", n), ("size", size),
-                            ("matrix", m), ("_spectrum", None),
-                            ("_rep_spectrum", None), ("_families", None),
-                            ("_grid", None)):
+                            ("matrix", m)):
             object.__setattr__(self, name, value)
 
     @property
@@ -95,36 +89,29 @@ class FeatureMap:
         return np.ravel_multi_index((head, rel, tail),
                                     (self.n, self.size, self.n))
 
+    @cached_property
     def spectrum(self) -> numerics.Spectrum:
-        """The matrix's SVD, computed on first use."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum",
-                               numerics.Spectrum(self.matrix))
-        return self._spectrum
+        """The matrix's SVD, computed on first read."""
+        return numerics.Spectrum(self.matrix)
 
+    @cached_property
     def rep_spectrum(self) -> numerics.Spectrum:
         """The SVD of the representative rows, one per family in family
-        order, computed on first use."""
-        if self._rep_spectrum is None:
-            object.__setattr__(self, "_rep_spectrum", numerics.Spectrum(
-                self.matrix[self.families()[:, 0]]))
-        return self._rep_spectrum
+        order, computed on first read."""
+        return numerics.Spectrum(self.matrix[self.families[:, 0]])
 
+    @cached_property
     def families(self) -> np.ndarray:
-        """The closure's (F, 4) family partition, computed on first use."""
-        if self._families is None:
-            object.__setattr__(self, "_families",
-                               compute_families(self.algebra))
-        return self._families
+        """The closure's (F, 4) family partition, computed on first read."""
+        return compute_families(self.algebra)
 
+    @cached_property
     def query_grid(self) -> Query:
         """The head, rel and tail of every query as flat read-only index
-        arrays in the query order, computed on first use."""
-        if self._grid is None:
-            grid = np.indices((self.n, self.size, self.n)).reshape(3, -1)
-            grid.flags.writeable = False
-            object.__setattr__(self, "_grid", Query(*grid))
-        return self._grid
+        arrays in the query order, computed on first read."""
+        grid = np.indices((self.n, self.size, self.n)).reshape(3, -1)
+        grid.flags.writeable = False
+        return Query(*grid)
 
 
 def _grid_order(queries, n: int, size: int) -> np.ndarray:
@@ -157,7 +144,7 @@ class LiftedOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        spec = self.fmap.spectrum()
+        spec = self.fmap.spectrum
         r = spec.span_rank
         v_rt, s_r = spec.vt[:r], spec.sv[:r]
         return (v_rt.T * s_r) @ self.span @ (v_rt / s_r[:, None])
@@ -175,7 +162,7 @@ def check_logical_equivariance(fmap: FeatureMap, tol: float = 0.0) -> Report:
     `tol` defaults to exact zero, the right bound for maps built by
     construction; loaded or learned maps should pass a scaled tolerance.
     """
-    rows, families = fmap.matrix, fmap.families()
+    rows, families = fmap.matrix, fmap.families
     _, neg, rev, _ = logical_images(fmap.algebra)  # LogicalOp order
     row_dev = np.maximum(np.max(np.abs(rows[neg] + rows), axis=1),
                          np.max(np.abs(rows[rev] - rows), axis=1))
@@ -198,14 +185,14 @@ def check_slp(fmap: FeatureMap) -> Report:
     orbit matrix (equal under equivariance), read off the map's cached
     spectrum, and the singular values bracketing the rank decision.
     """
-    reps = fmap.rep_spectrum()
+    reps = fmap.rep_spectrum
     n_fam = len(reps.matrix)
     return Report(
         check="slp_rank",
         passed=reps.span_rank == n_fam,
         max_deviation=float(n_fam - reps.span_rank),
         details={"rep_rank": reps.span_rank, "n_families": n_fam,
-                 "full_rank": fmap.spectrum().span_rank,
+                 "full_rank": fmap.spectrum.span_rank,
                  **reps.span_margin()},
     )
 
@@ -224,7 +211,7 @@ def check_family_kernel_decomposition(fmap: FeatureMap) -> Report:
     entry above it, in family order; `kernel_rank` holds the singular values
     on either side of the kernel's rank decision.
     """
-    spec, families = fmap.spectrum(), fmap.families()
+    spec, families = fmap.spectrum, fmap.families
     u_k = spec.u[:, :spec.kernel_rank]
     cross = u_k @ u_k.T
     np.abs(cross, out=cross)
@@ -246,7 +233,7 @@ def check_family_kernel_decomposition(fmap: FeatureMap) -> Report:
 def _query_permutation(fmap: FeatureMap, g: GroupElementH) -> np.ndarray:
     """index array: position i (query q) maps to position of g applied to q,
     from one renaming of the map's cached (head, rel, tail) index grid."""
-    h, r, t = apply_renaming(g, fmap.query_grid(), fmap.algebra)
+    h, r, t = apply_renaming(g, fmap.query_grid, fmap.algebra)
     return (h * fmap.size + r) * fmap.n + t
 
 
@@ -266,7 +253,7 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH) -> LiftedOperator:
         raise ValueError(f"renaming of {len(g.perm)} entities on a map over "
                          f"{fmap.n} entities")
     perm = _query_permutation(fmap, g)
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     r = spec.span_rank
     u_r = spec.u[:, :r]
     rho = u_r[perm].T @ u_r
@@ -290,7 +277,7 @@ def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:
     reported, along with the representative Gram rank certifying that edits
     can separate families.
     """
-    rows, families = fmap.matrix, fmap.families()
+    rows, families = fmap.matrix, fmap.families
     if not 0 <= edited < len(families):
         raise ValueError(f"edited must be in [0, {len(families)}), the "
                          f"family count, got {edited}")
@@ -314,7 +301,7 @@ def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:
         max_deviation=worst,
         details={"edited_family": names[edited], "eta": eta,
                  "responses": responses, "other_family_responses": others,
-                 "gram_rank": fmap.rep_spectrum().gram_rank(),
+                 "gram_rank": fmap.rep_spectrum.gram_rank(),
                  "n_families": len(families)},
     )
 

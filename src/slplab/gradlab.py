@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from .factorize import BlockSpec, FactorizedMap, build_slp_map
+from .factorize import FactorizedMap, build_slp_map
 from .queryspace import LogicalOp, Query, apply_logical, relation_images
 from .relalg import (EntitySet, RelationAlgebra, close_unary,
                      random_base_relations)
@@ -140,8 +140,9 @@ def make_mlp(kb: SyntheticKB, hidden: int, embed_dim: int, seed: int) -> ScorerM
 
 
 def make_slp_linear(kb: SyntheticKB, context_dim: int, seed: int) -> ScorerModel:
-    """Linear scorer over a seeded equivariant feature build of one term."""
-    fmap = build_slp_map(kb.algebra, [BlockSpec(context_dim)], seed)
+    """Linear scorer over a seeded equivariant feature build of one raw
+    sample."""
+    fmap = build_slp_map(kb.algebra, context_dim, 1, None, seed)
     rng = np.random.default_rng(seed + 1)
     d = fmap.feature_map.dim
     params = {"theta": rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=d)}

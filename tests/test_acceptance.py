@@ -15,9 +15,9 @@ from conftest import (compose_renamings, enumerate_queries,
 from slplab import numerics
 from slplab.conjunction import (check_kernel_stability, collapse_certificate,
                                 fit_bilinear, possible_worlds_assignment)
-from slplab.factorize import (BlockSpec, ConverseInvarianceError,
-                              FactorizedMap, Term, TensorBlock, assemble_rows,
-                              build_slp_map, hom_dimension_check,
+from slplab.factorize import (ConverseInvarianceError, FactorizedMap, Term,
+                              assemble_rows, build_slp_map,
+                              hom_dimension_check,
                               involution_dims, isotypic_decompose,
                               pair_space_representation, parity_decompose,
                               relation_sign_representation,
@@ -100,23 +100,20 @@ def test_criterion_03_twenty_builds_and_sign_fault():
     families = compute_families(algebra)
     # one raw sample spans at most |E|^2 = 9 row directions, so full rank
     # over 15 families needs a second term
-    spec = [BlockSpec(len(families), 2, None)]
+    shape = (len(families), 2, None)
     for seed in range(20):
-        built = build_slp_map(algebra, spec, seed)
+        built = build_slp_map(algebra, *shape, seed)
         equiv = check_logical_equivariance(built.feature_map)
         assert equiv.passed and equiv.max_deviation == 0.0
         rank = check_slp(built.feature_map)
         assert rank.passed and rank.details["rep_rank"] == len(families)
-    built = build_slp_map(algebra, spec, 0)
-    block = built.blocks[0]
-    term = block.terms[0]
+    built = build_slp_map(algebra, *shape, 0)
+    term = built.terms[0]
     v_bad = term.v.copy()
     v_bad[algebra.neg(0)] = v_bad[0]
-    bad_block = TensorBlock(block.context_dim,
-                            (Term(term.u, v_bad, term.parity),)
-                            + block.terms[1:])
-    rows = assemble_rows((bad_block,), algebra)
-    broken = FactorizedMap((bad_block,), FeatureMap(algebra, rows))
+    bad_terms = (Term(term.u, v_bad, term.parity),) + built.terms[1:]
+    rows = assemble_rows(bad_terms, algebra, built.dim)
+    broken = FactorizedMap(bad_terms, FeatureMap(algebra, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     assert any(f["relation"] in (0, algebra.neg(0))
@@ -128,7 +125,7 @@ def test_criterion_03_twenty_builds_and_sign_fault():
 def test_criterion_04_lift_homomorphism_and_negation_lift():
     algebra = seeded_algebra(3, 1, 0)
     families = compute_families(algebra)
-    built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], 4)
+    built = build_slp_map(algebra, len(families), 1, None, 4)
     fmap = built.feature_map
     perms = symmetric_group(3)
     lifts = {p: lift_renaming(fmap, GroupElementH(p, 1))
@@ -153,7 +150,7 @@ def test_criterion_05_isotypic_projector_properties():
     for n in (2, 3, 4):
         algebra = seeded_algebra(n, 1, n)
         families = compute_families(algebra)
-        built = build_slp_map(algebra, [BlockSpec(len(families), 1, None)], n)
+        built = build_slp_map(algebra, len(families), 1, None, n)
         _, props, _ = isotypic_decompose(built)
         worst = max(props["idempotence"], props["annihilation"],
                     props["completeness_on_span"], props["commutation"])
@@ -169,16 +166,14 @@ def test_criterion_06_parity_exactness_and_fault():
     algebra = seeded_algebra(3, 1, 1)
     families = compute_families(algebra)
     for parity in ("+", "-", None):
-        built = build_slp_map(algebra,
-                              [BlockSpec(len(families), 1, parity)], 6)
+        built = build_slp_map(algebra, len(families), 1, parity, 6)
         decomp = parity_decompose(built, tol=0.0)  # raises unless exact
         assert decomp.max_cross_residual == 0.0
-        for original_block, pairs in zip(built.blocks, decomp.blocks):
-            terms = tuple(t for pair in pairs for t in (pair.plus, pair.minus))
-            rebuilt = assemble_rows((TensorBlock(original_block.context_dim,
-                                                 terms),), algebra)
-            original = assemble_rows((original_block,), algebra)
-            assert np.array_equal(rebuilt, original)
+        terms = tuple(t for pair in decomp.pairs
+                      for t in (pair.plus, pair.minus))
+        rebuilt = assemble_rows(terms, algebra, built.dim)
+        original = assemble_rows(built.terms, algebra, built.dim)
+        assert np.array_equal(rebuilt, original)
     rng = np.random.default_rng(2)
     raw = rng.uniform(-1.0, 1.0, size=(3, 3, 2))
     u_odd = (raw - raw.transpose(1, 0, 2)) / 2.0
@@ -186,9 +181,9 @@ def test_criterion_06_parity_exactness_and_fault():
     v_even[0], v_even[algebra.neg(0)] = 1.0, -1.0
     v_even[algebra.conv(0)] = 1.0
     v_even[algebra.neg(algebra.conv(0))] = -1.0
-    block = TensorBlock(2, (Term(u_odd, v_even),))
+    terms = (Term(u_odd, v_even),)
     mismatched = FactorizedMap(
-        (block,), FeatureMap(algebra, assemble_rows((block,), algebra)))
+        terms, FeatureMap(algebra, assemble_rows(terms, algebra, 2)))
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0

@@ -8,8 +8,7 @@ import pytest
 from conftest import (enumerate_queries, perm_sign, random_proper_relation,
                       rank, standard_rep)
 from slplab import characters, factorize
-from slplab.factorize import (BlockSpec, ConverseInvarianceError,
-                              FactorizedMap, Term, TensorBlock,
+from slplab.factorize import (ConverseInvarianceError, FactorizedMap, Term,
                               assemble_rows, build_slp_map,
                               character_hom_dim, commutant_hom_dimension,
                               hom_dimension_check, involution_dims,
@@ -25,7 +24,7 @@ from slplab.relalg import EntitySet, Relation, close_unary, converse
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
-    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed)
+    return build_slp_map(algebra, dim, terms, parity, seed)
 
 
 # --------------------------------------------------------------- form audit
@@ -41,59 +40,52 @@ def test_verify_passes_on_builds(algebra_3):
 
 def test_injected_sign_fault_located(algebra_3):
     built = build(algebra_3, 9, 0)
-    block = built.blocks[0]
-    term = block.terms[0]
+    term = built.terms[0]
     v_bad = term.v.copy()
     r = 0
     v_bad[algebra_3.neg(r)] = v_bad[r]  # break v(not r) = -v(r)
-    bad_term = Term(term.u, v_bad, term.parity)
-    bad_block = TensorBlock(block.context_dim,
-                            (bad_term,) + block.terms[1:])
-    rows = assemble_rows((bad_block,), algebra_3)
-    broken = FactorizedMap((bad_block,), FeatureMap(algebra_3, rows))
+    bad_terms = (Term(term.u, v_bad, term.parity),) + built.terms[1:]
+    rows = assemble_rows(bad_terms, algebra_3, 9)
+    broken = FactorizedMap(bad_terms, FeatureMap(algebra_3, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     faults = report.details["sign_faults"]
     assert faults, "fault must be reported"
-    located = {(f["block"], f["term"], f["relation"]) for f in faults}
+    located = {(f["term"], f["relation"]) for f in faults}
     # both members of the complement pair show the violation
-    assert (0, 0, r) in located and (0, 0, algebra_3.neg(r)) in located
+    assert (0, r) in located and (0, algebra_3.neg(r)) in located
     expected = abs(2.0 * term.v[r])
     assert any(np.isclose(f["deviation"], expected) for f in faults)
 
 
-def per_relation_sign_faults(blocks, algebra):
+def per_relation_sign_faults(terms, algebra):
     """The sign audit one relation at a time, the oracle for its order."""
-    return [{"block": bi, "term": ki, "relation": r,
+    return [{"term": ki, "relation": r,
              "deviation": float(abs(term.v[algebra.neg(r)] + term.v[r]))}
-            for bi, block in enumerate(blocks)
-            for ki, term in enumerate(block.terms)
+            for ki, term in enumerate(terms)
             for r in range(algebra.size)
             if abs(term.v[algebra.neg(r)] + term.v[r]) != 0.0]
 
 
 def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
-    built = build_slp_map(algebra_3x2, [BlockSpec(4, 1, None),
-                                        BlockSpec(3, 1, None)], seed=2)
-    # break the law in both terms of the second block, and once in the first
-    breaks = {(0, 1): {0: 0.5}, (1, 0): {2: -0.25, 5: 0.75},
-              (1, 1): {algebra_3x2.neg(3): 0.125}}
-    blocks = []
-    for bi, block in enumerate(built.blocks):
-        terms = []
-        for ki, term in enumerate(block.terms):
-            v = term.v.copy()
-            for r, delta in breaks.get((bi, ki), {}).items():
-                v[r] += delta
-            terms.append(Term(term.u, v, term.parity))
-        blocks.append(TensorBlock(block.context_dim, tuple(terms)))
-    rows = assemble_rows(blocks, algebra_3x2)
-    broken = FactorizedMap(tuple(blocks),
-                           FeatureMap(algebra_3x2, rows))
+    built = build(algebra_3x2, 4, 2, terms=2)
+    assert len(built.terms) == 4
+    # break the law in both terms of the second raw sample, and once in
+    # the first
+    breaks = {1: {0: 0.5}, 2: {2: -0.25, 5: 0.75},
+              3: {algebra_3x2.neg(3): 0.125}}
+    terms = []
+    for ki, term in enumerate(built.terms):
+        v = term.v.copy()
+        for r, delta in breaks.get(ki, {}).items():
+            v[r] += delta
+        terms.append(Term(term.u, v, term.parity))
+    rows = assemble_rows(terms, algebra_3x2, 4)
+    broken = FactorizedMap(tuple(terms), FeatureMap(algebra_3x2, rows))
     report = verify_factorized_form(broken)
-    expected = per_relation_sign_faults(blocks, algebra_3x2)
+    expected = per_relation_sign_faults(terms, algebra_3x2)
     assert report.details["sign_faults"] == expected
-    assert {(f["block"], f["term"]) for f in expected} == set(breaks)
+    assert {f["term"] for f in expected} == set(breaks)
     assert len(expected) == 2 * sum(map(len, breaks.values()))
     assert report.max_deviation == max(f["deviation"] for f in expected)
     assert not report.passed
@@ -154,33 +146,28 @@ def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
     assert (signed_zeros > 0) == (parity == "-")
 
 
-def test_rows_recomputed_exactly_multi_block(algebra_3):
-    built = build_slp_map(algebra_3, [BlockSpec(4, 2, None),
-                                      BlockSpec(3, 1, "+")], seed=5)
-    assert verify_factorized_form(built).passed
-    rebuilt = assemble_rows(built.blocks, algebra_3)
-    assert np.array_equal(rebuilt, built.feature_map.matrix)
+def test_rows_recomputed_exactly_from_many_terms(algebra_3):
+    for built in (build(algebra_3, 4, 5, terms=2),
+                  build(algebra_3, 3, 5, terms=3, parity="+")):
+        assert verify_factorized_form(built).passed
+        rebuilt = assemble_rows(built.terms, algebra_3, built.dim)
+        assert np.array_equal(rebuilt, built.feature_map.matrix)
 
 
-def gathered_block_rows(block, queries):
-    """Reference: the block gathered through per-query index arrays, term by
+def gathered_rows(terms, queries, context_dim):
+    """Reference: the terms gathered through per-query index arrays, term by
     term in order, as rows were assembled before the grid form."""
     heads, rels, tails = np.array(queries, dtype=int).reshape(-1, 3).T
-    acc = np.zeros((len(queries), block.context_dim))
-    for term in block.terms:
+    acc = np.zeros((len(queries), context_dim))
+    for term in terms:
         acc += term.u[heads, tails, :] * term.v[rels][:, None]
     return acc
 
 
-def grid_block_rows(block, algebra):
-    return factorize._block_rows(block, algebra.entity_set.n, algebra.size)
-
-
-def cross_block(pairs, context_dim):
-    """The cross-parity terms of one block, in `parity_decompose` order."""
-    return TensorBlock(context_dim, tuple(
-        t for p in pairs for t in (Term(p.plus.u, p.minus.v),
-                                   Term(p.minus.u, p.plus.v))))
+def cross_terms(pairs):
+    """The cross-parity terms, in `parity_decompose` order."""
+    return tuple(t for p in pairs for t in (Term(p.plus.u, p.minus.v),
+                                            Term(p.minus.u, p.plus.v)))
 
 
 @pytest.mark.parametrize("parity", ["+", "-", None])
@@ -188,29 +175,24 @@ def test_grid_rows_equal_the_query_gather_bitwise(parity):
     checked = 0
     for seed, algebra in enumerate(algebras_with_symmetric_relations(20, 3)):
         queries = enumerate_queries(algebra)
-        built = build_slp_map(algebra, [BlockSpec(3, 2, parity),
-                                        BlockSpec(2, 1, parity)], seed)
-        for block in built.blocks:
-            assert grid_block_rows(block, algebra).tobytes() == \
-                gathered_block_rows(block, queries).tobytes()
-            checked += 1
-        assert assemble_rows(built.blocks, algebra).tobytes() == \
-            np.concatenate([gathered_block_rows(b, queries)
-                            for b in built.blocks], axis=1).tobytes()
-    assert checked == 40
+        built = build(algebra, 3, seed, terms=2, parity=parity)
+        gathered = gathered_rows(built.terms, queries, 3).tobytes()
+        assert assemble_rows(built.terms, algebra, 3).tobytes() == gathered
+        assert built.feature_map.matrix.tobytes() == gathered
+        checked += len(built.terms)
+    assert checked == 20 * (4 if parity is None else 2)
 
 
-def test_grid_rows_of_an_empty_block_and_a_cross_block(algebra_3x2):
+def test_grid_rows_of_no_terms_and_of_the_cross_terms(algebra_3x2):
     queries = enumerate_queries(algebra_3x2)
-    empty = TensorBlock(4, ())
-    assert grid_block_rows(empty, algebra_3x2).tobytes() == \
-        gathered_block_rows(empty, queries).tobytes()
+    assert assemble_rows((), algebra_3x2, 4).tobytes() == \
+        gathered_rows((), queries, 4).tobytes()
     for seed in range(4):
         mismatched = mismatched_map(algebra_3x2, seed)
         decomp = parity_decompose(mismatched, tol=np.inf)
-        cross = cross_block(decomp.blocks[0], 3)
-        rows = grid_block_rows(cross, algebra_3x2)
-        assert rows.tobytes() == gathered_block_rows(cross, queries).tobytes()
+        cross = cross_terms(decomp.pairs)
+        rows = assemble_rows(cross, algebra_3x2, 3)
+        assert rows.tobytes() == gathered_rows(cross, queries, 3).tobytes()
         assert decomp.max_cross_residual == float(np.max(np.abs(rows)))
 
 
@@ -218,31 +200,31 @@ def test_oversized_factors_fail_the_form_audit(algebra_3):
     """A u over n + 1 entities and a v one relation too long are read on
     the grid's corner, as the gather read them, and flagged, not raised."""
     built = build(algebra_3, 9, 0)
-    term = built.blocks[0].terms[0]
+    term = built.terms[0]
     u_big = np.zeros((4, 4, 9))
     u_big[:3, :3] = term.u
     v_long = np.append(term.v, 0.5)
-    block = TensorBlock(9, (Term(u_big, v_long, term.parity),)
-                        + built.blocks[0].terms[1:])
+    terms = (Term(u_big, v_long, term.parity),) + built.terms[1:]
     queries = enumerate_queries(algebra_3)
-    rows = assemble_rows((block,), algebra_3)
-    assert rows.tobytes() == gathered_block_rows(block, queries).tobytes()
-    oversized = FactorizedMap((block,), FeatureMap(algebra_3, rows))
+    rows = assemble_rows(terms, algebra_3, 9)
+    assert rows.tobytes() == gathered_rows(terms, queries, 9).tobytes()
+    oversized = FactorizedMap(terms, FeatureMap(algebra_3, rows))
     report = verify_factorized_form(oversized)
     assert report.details["dims_consistent"] is False
     assert report.details["rows_exact"] is True
     assert report.passed is False
 
 
-def test_term_validation():
+def test_term_validation(algebra_3):
     with pytest.raises(ValueError):
         Term(np.zeros((2, 3, 4)), np.zeros(4))
     with pytest.raises(ValueError):
         Term(np.zeros((2, 2, 4)), np.zeros((4, 1)))
     with pytest.raises(ValueError):
         Term(np.zeros((2, 2, 4)), np.zeros(4), "x")
-    with pytest.raises(ValueError):
-        TensorBlock(3, (Term(np.zeros((2, 2, 4)), np.zeros(4)),))
+    with pytest.raises(ValueError, match="context dimension"):
+        assemble_rows((Term(np.zeros((3, 3, 4)), np.zeros(algebra_3.size)),),
+                      algebra_3, 3)
 
 
 # ------------------------------------------------------------ negation split
@@ -380,6 +362,15 @@ def isotypic_map(n, seed, extra_width=0):
     return build(algebra, len(compute_families(algebra)) + extra_width, seed)
 
 
+def test_two_sym5_decompositions_walk_each_permutation_once():
+    maps = [isotypic_map(5, 5), isotypic_map(5, 5, 3)]
+    characters.cycle_type.cache_clear()
+    for built in maps:
+        isotypic_decompose(built)
+    # each of the 120 elements of Sym(5) walked once, in the first call
+    assert characters.cycle_type.cache_info().misses <= 120
+
+
 @pytest.mark.parametrize("n,seed,extra_width,step",
                          [(3, 0, 0, None), (3, 1, 4, None), (4, 2, 0, None),
                           (4, 4, 3, None), (4, 2, 0, 5), (5, 5, 0, None),
@@ -390,7 +381,7 @@ def test_isotypic_properties_equal_the_stacked_formulas(monkeypatch, n, seed,
     120 = 17 * 7 + 1 leave a short last stack."""
     built = isotypic_map(n, seed, extra_width)
     if step is not None:
-        r = built.feature_map.spectrum().span_rank
+        r = built.feature_map.spectrum.span_rank
         k = len(characters.partitions(n))
         monkeypatch.setattr(factorize, "_COMMUTATOR_CELLS", step * k * r * r)
     projectors, props, _ = isotypic_decompose(built)
@@ -565,15 +556,13 @@ def test_parity_decompose_round_trip(algebra_3):
     built = build(algebra_3, 9, 3)
     decomp = parity_decompose(built)
     assert decomp.max_cross_residual == 0.0
-    for original_block, pairs in zip(built.blocks, decomp.blocks):
-        terms = tuple(t for pair in pairs for t in (pair.plus, pair.minus))
-        rebuilt_block = TensorBlock(original_block.context_dim, terms)
-        rebuilt = assemble_rows((rebuilt_block,), algebra_3)
-        original = assemble_rows((original_block,), algebra_3)
-        assert np.max(np.abs(rebuilt - original)) <= 1e-12
-        for pair in pairs:
-            assert np.array_equal(pair.plus.u, pair.plus.u.transpose(1, 0, 2))
-            assert np.array_equal(pair.minus.u, -pair.minus.u.transpose(1, 0, 2))
+    terms = tuple(t for pair in decomp.pairs for t in (pair.plus, pair.minus))
+    rebuilt = assemble_rows(terms, algebra_3, 9)
+    original = assemble_rows(built.terms, algebra_3, 9)
+    assert np.max(np.abs(rebuilt - original)) <= 1e-12
+    for pair in decomp.pairs:
+        assert np.array_equal(pair.plus.u, pair.plus.u.transpose(1, 0, 2))
+        assert np.array_equal(pair.minus.u, -pair.minus.u.transpose(1, 0, 2))
 
 
 def test_mismatched_parity_term_raises(algebra_3):
@@ -587,10 +576,9 @@ def test_mismatched_parity_term_raises(algebra_3):
     v[algebra_3.neg(0)] = -1.0
     v[algebra_3.conv(0)] = 1.0
     v[algebra_3.neg(algebra_3.conv(0))] = -1.0
-    term = Term(u_antisym, v)
-    block = TensorBlock(4, (term,))
-    fmap = FeatureMap(algebra_3, assemble_rows((block,), algebra_3))
-    mismatched = FactorizedMap((block,), fmap)
+    terms = (Term(u_antisym, v),)
+    fmap = FeatureMap(algebra_3, assemble_rows(terms, algebra_3, 4))
+    mismatched = FactorizedMap(terms, fmap)
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0
@@ -614,9 +602,8 @@ def mismatched_map(algebra, seed):
         terms += [Term(raw - raw.transpose(1, 0, 2),
                        rng.uniform(-1.0, 1.0, algebra.size)),
                   Term(raw, rng.uniform(-1.0, 1.0, algebra.size))]
-    block = TensorBlock(3, tuple(terms))
-    fmap = FeatureMap(algebra, assemble_rows((block,), algebra))
-    return FactorizedMap((block,), fmap)
+    fmap = FeatureMap(algebra, assemble_rows(terms, algebra, 3))
+    return FactorizedMap(tuple(terms), fmap)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -649,7 +636,7 @@ def test_cross_residual_is_the_direct_cross_sum(algebra_3x2, seed):
     queries = enumerate_queries(algebra_3x2)
     heads, rels, tails = np.array(queries).T
     cross = np.zeros((len(queries), 3))
-    for pair in decomp.blocks[0]:
+    for pair in decomp.pairs:
         cross += pair.plus.u[heads, tails] * pair.minus.v[rels][:, None]
         cross += pair.minus.u[heads, tails] * pair.plus.v[rels][:, None]
     # summed in this order, term by term, the residual is bitwise the same
@@ -672,9 +659,8 @@ def test_converse_fixed_relation_forces_zero_odd_factor():
     sym = Relation.from_pairs(entity_set, [(0, 1), (1, 0)], "sym")
     algebra = close_unary([sym])
     built = build(algebra, 6, 0, parity="-")
-    for block in built.blocks:
-        for term in block.terms:
-            assert np.array_equal(term.v, np.zeros(algebra.size))
+    for term in built.terms:
+        assert np.array_equal(term.v, np.zeros(algebra.size))
 
 
 # ------------------------------------------------------------------ Hom law

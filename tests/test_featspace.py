@@ -13,7 +13,7 @@ from conftest import (compose_renamings, enumerate_queries,
                       family_kernel_reference, kernel_basis,
                       proper_relation_strategy, random_proper_relation)
 from slplab import cli, featspace, numerics
-from slplab.factorize import BlockSpec, build_slp_map
+from slplab.factorize import build_slp_map
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition,
                               check_logical_equivariance, check_slp,
@@ -27,7 +27,7 @@ from slplab.relalg import EntitySet, Relation, close_unary
 
 
 def build(algebra, dim, seed, terms=1, parity=None):
-    return build_slp_map(algebra, [BlockSpec(dim, terms, parity)], seed)
+    return build_slp_map(algebra, dim, terms, parity, seed)
 
 
 def n_families(algebra):
@@ -186,7 +186,7 @@ def test_kernel_dimension_slp(algebra_3):
 def test_kernel_of_injective_map_trivial(algebra_2):
     n_queries = len(enumerate_queries(algebra_2))
     fmap = FeatureMap(algebra_2, np.eye(n_queries))
-    assert fmap.spectrum().kernel_rank == n_queries
+    assert fmap.spectrum.kernel_rank == n_queries
     assert kernel_basis(fmap.matrix).shape[0] == 0
 
 
@@ -206,7 +206,7 @@ def test_kernel_vectors_annihilate_features(algebra_3):
         assert np.linalg.norm(fmap.matrix.T @ v) <= tol
     # the span projector fixes every feature column, so its complement, the
     # kernel the family check reads, annihilates the features too
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     u_k = spec.u[:, :spec.kernel_rank]
     assert np.max(np.abs(fmap.matrix - u_k @ (u_k.T @ fmap.matrix))) <= tol
 
@@ -219,7 +219,7 @@ def test_family_kernel_decomposition_holds_for_slp(algebra_3):
     assert report.details["kernel_dim"] == len(fmap.matrix) - len(families)
     # the margin of the kernel's rank decision, read off the cached spectrum
     margin = report.details["kernel_rank"]
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     assert margin == numerics.rank_margin(spec.sv, spec.kernel_threshold)
     assert margin["smallest_kept_sv"] > margin["threshold"] \
         >= margin["largest_rejected_sv"]
@@ -255,7 +255,7 @@ def assert_checks_agree(fmap):
     """The projector check and the kernel-basis reference agree."""
     report = check_family_kernel_decomposition(fmap)
     passed, kernel_dim, failing = family_kernel_reference(fmap)
-    families = fmap.families()
+    families = fmap.families
     assert report.passed == passed
     assert report.details["kernel_dim"] == kernel_dim
     assert report.details["violations"] == len(failing)
@@ -351,7 +351,7 @@ def test_lift_rejects_non_invariant_kernel(algebra_3):
 
 def test_span_lifts_are_orthogonal_and_compose(algebra_3):
     fmap = build(algebra_3, 13, 10).feature_map
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     r = spec.span_rank
     elements = [GroupElementH(p, s) for p in symmetric_group(3)
                 for s in (1, -1)]
@@ -375,7 +375,7 @@ def test_kernel_not_invariant_names_renaming_and_deviation(algebra_3):
         lift_renaming(fmap, g)
     assert info.value.renaming == g
     assert info.value.deviation > numerics.PROJECTOR_TOL
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     u_r = spec.u[:, :spec.span_rank]
     rho = u_r[per_query_permutation(fmap, g)].T @ u_r
     assert info.value.deviation == np.max(np.abs(rho @ rho.T
@@ -385,7 +385,7 @@ def test_kernel_not_invariant_names_renaming_and_deviation(algebra_3):
 def test_lift_range_and_kernel_follow_span(algebra_3):
     families = compute_families(algebra_3)
     fmap = build(algebra_3, len(families) + 4, 12).feature_map
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     basis = spec.vt[:spec.span_rank]
     off_span = np.eye(fmap.dim) - basis.T @ basis
     lift = lift_renaming(fmap, GroupElementH((1, 2, 0), -1))
@@ -418,7 +418,7 @@ def assert_lift_matches_per_query(fmap, g):
     lift = lift_renaming(fmap, g)
     perm = per_query_permutation(fmap, g)
     assert np.array_equal(lift.perm, perm), g
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     u_r = spec.u[:, :spec.span_rank]
     assert lift.span.tobytes() == (u_r[perm].T @ u_r).tobytes(), g
 
@@ -467,7 +467,7 @@ def test_one_lift_renames_the_grid_once(monkeypatch):
     lift_renaming(fmap, GroupElementH((4, 2, 0, 1, 3), 1))
     assert len(calls) == 2
     # both renamed the one grid the map caches, which no caller can write
-    grid = fmap.query_grid()
+    grid = fmap.query_grid
     assert calls[0][1] is calls[1][1] is grid
     assert not any(a.flags.writeable for a in grid)
 
@@ -566,7 +566,7 @@ def test_propagation_audit_zero_step(algebra_3):
 
 def test_propagation_audit_rejects_a_family_off_the_partition(algebra_3):
     fmap = build(algebra_3, n_families(algebra_3), 13).feature_map
-    assert len(fmap.families()) == 9
+    assert len(fmap.families) == 9
     # -1 would audit the last family and list it among the other families
     for edited in (-1, 9):
         with pytest.raises(ValueError, match=r"\[0, 9\), the family count"):

@@ -12,7 +12,7 @@ from conftest import (enumerate_queries, kernel_basis, random_proper_relation,
                       rank)
 from slplab import numerics
 from slplab.cli import main
-from slplab.factorize import BlockSpec, build_slp_map, isotypic_decompose
+from slplab.factorize import build_slp_map, isotypic_decompose
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition, check_slp,
                               lift_renaming, propagation_audit)
@@ -26,7 +26,7 @@ def seeded_map(n, seed):
     algebra = close_unary([random_proper_relation(EntitySet.of_size(n), rng,
                                                   name="r0")])
     families = compute_families(algebra)
-    return algebra, build_slp_map(algebra, [BlockSpec(len(families))], seed)
+    return algebra, build_slp_map(algebra, len(families), 1, None, seed)
 
 
 def reference_lift(fmap, g, algebra):
@@ -64,7 +64,7 @@ def test_cached_lifts_match_per_call_reference(n, seed):
 def test_kernel_projector_matches_per_call_reference(n, seed):
     _, built = seeded_map(n, seed)
     fmap = built.feature_map
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     u_k = spec.u[:, :spec.kernel_rank]
     ref = kernel_basis(fmap.matrix)
     assert len(fmap.matrix) - spec.kernel_rank == ref.shape[0] > 0
@@ -76,14 +76,14 @@ def test_kernel_projector_matches_per_call_reference(n, seed):
 def test_spectrum_thresholds_are_the_column_and_row_scales():
     _, built = seeded_map(3, 3)
     m = built.feature_map.matrix
-    spec = built.feature_map.spectrum()
+    spec = built.feature_map.spectrum
     assert spec.kernel_threshold == numerics.rank_threshold(m.T)
     assert spec.span_threshold == numerics.rank_threshold(m)
     # thin factors: no left basis beyond min(m.shape) columns
     k = min(m.shape)
     assert spec.u.shape == (m.shape[0], k) and spec.vt.shape == (k, m.shape[1])
     assert spec.kernel_rank <= k and spec.span_rank <= k
-    assert built.feature_map.spectrum() is spec
+    assert built.feature_map.spectrum is spec
 
 
 def test_isotypic_on_a_warm_map_is_bit_identical_to_a_cold_map():
@@ -104,8 +104,8 @@ def test_gram_rank_matches_the_rank_of_the_formed_gram():
     for n, seed in itertools.product((2, 3, 4), range(6)):
         algebra, built = seeded_map(n, seed)
         fmap = built.feature_map
-        reps = fmap.matrix[fmap.families()[:, 0]]
-        assert fmap.rep_spectrum().gram_rank() == rank(reps @ reps.T)
+        reps = fmap.matrix[fmap.families[:, 0]]
+        assert fmap.rep_spectrum.gram_rank() == rank(reps @ reps.T)
     rng = np.random.default_rng(0)
     for rows, cols, k in [(5, 3, 3), (8, 8, 4), (3, 9, 2), (6, 6, 1)]:
         m = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
@@ -125,7 +125,7 @@ def test_writes_to_the_source_array_do_not_reach_the_spectrum():
     fmap = FeatureMap(algebra, source)
     source[:] = 0.0
     assert np.array_equal(fmap.matrix, original)
-    spec = fmap.spectrum()
+    spec = fmap.spectrum
     assert np.array_equal(spec.sv, np.linalg.svd(original)[1])
     assert kernel_basis(original).shape[0] \
         == original.shape[0] - spec.kernel_rank
@@ -187,23 +187,23 @@ def test_verify_slp_decomposes_the_map_and_its_representatives_once(
 def test_the_build_decides_its_redraw_without_the_whole_map_spectrum():
     algebra, built = seeded_map(4, 7)
     fmap = built.feature_map
-    assert fmap._spectrum is None
-    reps = fmap.rep_spectrum()
-    assert reps.span_rank == len(fmap.families())
-    assert np.array_equal(reps.matrix, fmap.matrix[fmap.families()[:, 0]])
+    assert "spectrum" not in vars(fmap)
+    reps = fmap.rep_spectrum
+    assert reps.span_rank == len(fmap.families)
+    assert np.array_equal(reps.matrix, fmap.matrix[fmap.families[:, 0]])
     # an undersized width is redrawn once, still without the whole map's
-    narrow = build_slp_map(algebra, [BlockSpec(2)], 7)
-    assert narrow.redrawn and narrow.feature_map._spectrum is None
+    narrow = build_slp_map(algebra, 2, 1, None, 7)
+    assert narrow.redrawn and "spectrum" not in vars(narrow.feature_map)
 
 
 def test_the_rank_check_and_the_audit_read_one_representative_spectrum():
     _, built = seeded_map(3, 8)
     fmap = built.feature_map
-    reps = fmap.rep_spectrum()
+    reps = fmap.rep_spectrum
     report = check_slp(fmap)
     assert report.details["rep_rank"] == reps.span_rank
     assert {k: report.details[k] for k in reps.span_margin()} \
         == reps.span_margin()
     audit = propagation_audit(fmap, 0, 0.5)
     assert audit.details["gram_rank"] == reps.gram_rank()
-    assert fmap.rep_spectrum() is reps
+    assert fmap.rep_spectrum is reps
