@@ -13,9 +13,13 @@ at each shape of the `conjunction` workload and at depth 1 (so on
 assignments with and without a repeated world), `isotypic` at each shape of
 the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
 fails, `factorize` at each single parity and `factorize` and `parity` at
-three raw samples, a failing build (exit 1) and usage errors (exit 2).  The
-manifest also keeps each report's parsed JSON, so that a comparison can say
-where two reports differ.
+three raw samples, closures whose base relations coincide (a second base
+relation equal to the first or to its complement, converse or complemented
+converse, so a saved map's base list holds a duplicate image), a failing
+build (exit 1) and usage errors (exit 2).  The manifest also keeps each
+report's parsed JSON, so that a comparison can say where two reports
+differ, and the Python, NumPy and BLAS it was made with: the promise of
+byte-identical reports holds for one build of the three.
 
 `--compare A B` names each call whose entry differs between two manifests,
 and under it what differs: the exit code, stderr, each written file, and
@@ -39,13 +43,18 @@ import platform
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# slplab pins the BLAS to one thread, which it can do only before NumPy
+# is first imported
 from slplab.cli import main as slplab_main
+
+import numpy as np
 
 # the map shapes (entities, relations) that the many-maps workload saves
 MAP_SHAPES = ((5, 3), (6, 2), (6, 3))
 SEEDS = range(7)
+# seeds at 2 entities and 2 relations where r1 is r0 (20), its complement
+# (1), its converse (11) and its complemented converse (38)
+COINCIDENT_SEEDS = (20, 1, 11, 38)
 GRADLAB_CONFIG = "gradlab.json"
 
 
@@ -129,6 +138,12 @@ def _calls():
               _call("factorize", *size, "--parity", "-"),
               _call("factorize", *size, "--terms", 3),
               _call("parity", *size, "--terms", 3)]
+    # closures that deduplicate a base relation's image
+    for seed in COINCIDENT_SEEDS:
+        size = ("--entities", 2, "--relations", 2, "--seed", seed)
+        calls += [_call("families", *size), _call("factorize", *size),
+                  _call("parity", *size)]
+        calls += _save_and_verify(f"coincident-{seed}.json", "json", *size)
     return tuple(calls)
 
 
@@ -137,6 +152,17 @@ CALLS = _calls()
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def blas() -> dict | None:
+    """The name and version of NumPy's BLAS, or None where NumPy cannot
+    report its configuration as data (before 1.26)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return None
+    found = config.get("Build Dependencies", {}).get("blas", {})
+    return {"name": found.get("name"), "version": found.get("version")}
 
 
 def run_ladder(calls, workdir) -> dict:
@@ -168,7 +194,7 @@ def run_ladder(calls, workdir) -> dict:
     finally:
         os.chdir(start)
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "calls": entries}
+            "blas": blas(), "calls": entries}
 
 
 def _by_call(manifest: dict) -> dict:

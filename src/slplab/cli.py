@@ -40,8 +40,7 @@ from .featspace import (KernelNotInvariantError,
                         load_feature_map, propagation_audit, save_feature_map)
 from .gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
                       generate_kb, make_mlp, make_slp_linear, train)
-from .queryspace import (compute_families, families_to_json, family_count,
-                         relation_images)
+from .queryspace import compute_families, families_to_json, family_count
 from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
                      negate, random_base_relations, random_relation)
 from .reports import Report, emit_report, render_report
@@ -156,7 +155,7 @@ def _within_budget(cells: int, flags: str, parser) -> None:
 
 def _closure_queries(entities: int, relations: int) -> int:
     """N = entities^2 * 4 * relations: a closure holds at most four
-    relations per base relation, as close_unary asserts."""
+    relations per base relation, its orbit under complement and converse."""
     return entities ** 2 * 4 * relations
 
 
@@ -409,7 +408,7 @@ def _cmd_parity(args, seed, parser) -> Report:
     n = built.feature_map.n
     # (h, t) -> (t, h) on the pair space; r -> conv r on the relations
     pair_dims = involution_dims(np.arange(n * n).reshape(n, n).T.ravel())
-    rel_dims = involution_dims(relation_images(built.feature_map.algebra)[2])
+    rel_dims = involution_dims(built.feature_map.algebra.images[2])
     try:
         decomp = parity_decompose(built, tol=args.tol)
     except ConverseInvarianceError as exc:

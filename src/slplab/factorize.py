@@ -37,7 +37,7 @@ import numpy as np
 from . import characters, numerics
 from .featspace import FeatureMap, LiftedOperator, lift_renaming
 from .queryspace import (GroupElementH, Query, decode_queries, logical_images,
-                         relation_images, symmetric_group)
+                         symmetric_group)
 from .relalg import RelationAlgebra
 from .reports import Report
 
@@ -54,25 +54,16 @@ class ConverseInvarianceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Term:
-    """One rank-one factor pair: u indexed (head, tail, component), v by relation.
-
-    parity '+' promises u symmetric / v converse-even, '-' antisymmetric /
-    converse-odd; None promises nothing (hand-built terms only — the builder
-    always emits tagged terms, and verification treats promises as claims to
-    check, not facts).
-    """
+    """One rank-one factor pair: u indexed (head, tail, component), v by relation."""
 
     u: np.ndarray
     v: np.ndarray
-    parity: str | None = None
 
     def __post_init__(self) -> None:
         if self.u.ndim != 3 or self.u.shape[0] != self.u.shape[1]:
             raise ValueError("u must have shape (n, n, context_dim)")
         if self.v.ndim != 1:
             raise ValueError("v must be a vector over the closed relations")
-        if self.parity not in (None, "+", "-"):
-            raise ValueError("parity must be '+', '-' or None")
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,8 @@ def _halves(x: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_v(images: np.ndarray, parity: str, rng) -> np.ndarray:
     """Relation factor with v(not r) = -v(r) and v(conv r) = (parity) v(r).
 
-    `images` is the algebra's `relation_images`.  Each orbit, represented by
+    `images` is the closure's (4, size) table of relation images, rows in
+    `LogicalOp` order (`RelationAlgebra.images`).  Each orbit, represented by
     its smallest relation, takes one uniform draw in representative order.
     A converse-fixed relation with parity '-' forces its whole orbit to
     zero; that is the correct degenerate case, not an error.
@@ -137,17 +129,18 @@ def build_slp_map(algebra: RelationAlgebra, context_dim: int, terms: int,
     `context_dim`; one redraw on a measure-zero rank failure.
 
     Each raw sample gives the matched pair (u+ x v+) + (u- x v-), or only
-    the component of `parity` if it is '+' or '-'.  The map is exactly
-    logically equivariant by construction.  Whether it reaches full
-    representative rank depends on the requested shape.  The rank is read
-    off the map's cached representative spectrum, the one `check_slp`
-    reads, and the whole map is not decomposed.  A genuinely undersized
-    shape falls short of the family count both times, and the redrawn flag
-    records that a second draw happened.
+    the component of `parity` if it is '+' or '-'; any other parity is a
+    ValueError.  The map is exactly logically equivariant by construction.
+    Whether it reaches full representative rank depends on the requested
+    shape.  The rank is read off the map's cached representative spectrum,
+    the one `check_slp` reads, and the whole map is not decomposed.  A
+    genuinely undersized shape falls short of the family count both times,
+    and the redrawn flag records that a second draw happened.
     """
+    if parity not in (None, "+", "-"):
+        raise ValueError(f"parity must be '+', '-' or None, not {parity!r}")
     rng = np.random.default_rng(seed)
-    n = algebra.entity_set.n
-    images = relation_images(algebra)
+    n, images = algebra.entity_set.n, algebra.images
 
     def draw() -> tuple[tuple[Term, ...], FeatureMap]:
         drawn: list[Term] = []
@@ -155,9 +148,9 @@ def build_slp_map(algebra: RelationAlgebra, context_dim: int, terms: int,
             raw = rng.uniform(-1.0, 1.0, size=(n, n, context_dim))
             u_plus, u_minus = _halves(raw, raw.transpose(1, 0, 2))
             if parity in (None, "+"):
-                drawn.append(Term(u_plus, _sample_v(images, "+", rng), "+"))
+                drawn.append(Term(u_plus, _sample_v(images, "+", rng)))
             if parity in (None, "-"):
-                drawn.append(Term(u_minus, _sample_v(images, "-", rng), "-"))
+                drawn.append(Term(u_minus, _sample_v(images, "-", rng)))
         return tuple(drawn), FeatureMap(
             algebra, assemble_rows(drawn, algebra, context_dim))
 
@@ -180,7 +173,7 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
     rows = f.feature_map.matrix
     rows_equal = np.array_equal(rebuilt, rows)
     row_dev = float(np.max(np.abs(rebuilt - rows))) if rebuilt.size else 0.0
-    neg = relation_images(algebra)[1]
+    neg = algebra.images[1]
     shape = (algebra.entity_set.n, algebra.entity_set.n, f.dim)
     sign_faults = []
     dims_ok = True
@@ -373,7 +366,7 @@ def pair_space_representation(n: int,
 def relation_sign_representation(algebra: RelationAlgebra) -> list[np.ndarray]:
     """The two-element sign action on the relation space: identity and complement."""
     return [np.eye(algebra.size),
-            characters.permutation_matrix(algebra.negation)]
+            characters.permutation_matrix(algebra.images[1])]
 
 
 @dataclass(frozen=True)
@@ -407,13 +400,13 @@ def parity_decompose(f: FactorizedMap,
         query = decode_queries(worst, algebra.entity_set.n, algebra.size)
         raise ConverseInvarianceError(Query(*query), float(dev[worst]))
 
-    conv = relation_images(algebra)[2]
+    conv = algebra.images[2]
     pairs, cross_terms = [], []
     for term in f.terms:
         u_plus, u_minus = _halves(term.u, term.u.transpose(1, 0, 2))
         v_plus, v_minus = _halves(term.v, term.v[conv])
-        pairs.append(ParityTermPair(Term(u_plus, v_plus, "+"),
-                                    Term(u_minus, v_minus, "-")))
+        pairs.append(ParityTermPair(Term(u_plus, v_plus),
+                                    Term(u_minus, v_minus)))
         cross_terms += [Term(u_plus, v_minus), Term(u_minus, v_plus)]
     cross = assemble_rows(cross_terms, algebra, f.dim)
     return ParityDecomposition(tuple(pairs),

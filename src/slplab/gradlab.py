@@ -32,7 +32,7 @@ import numpy as np
 
 from . import numerics
 from .factorize import FactorizedMap, build_slp_map
-from .queryspace import LogicalOp, Query, apply_logical, relation_images
+from .queryspace import LogicalOp, Query, apply_logical
 from .relalg import (EntitySet, RelationAlgebra, close_unary,
                      random_base_relations)
 
@@ -69,6 +69,7 @@ def generate_kb(entity_count: int, base_relations: int, density: float,
     relations = random_base_relations(EntitySet.of_size(entity_count), rng,
                                       base_relations, density)
     algebra = close_unary(relations)
+    neg = algebra.images[1].tolist()
     facts = []
     partners = []
     for r_idx, rel in enumerate(relations):
@@ -77,7 +78,7 @@ def generate_kb(entity_count: int, base_relations: int, density: float,
                 label = int(rel.contains(h, t))
                 q = Query(h, r_idx, t)
                 facts.append((q, label))
-                partners.append((Query(h, algebra.neg(r_idx), t), 1 - label))
+                partners.append((Query(h, neg[r_idx], t), 1 - label))
     return SyntheticKB(algebra, tuple(facts), tuple(partners))
 
 
@@ -87,7 +88,7 @@ def _relation_classes(algebra: RelationAlgebra) -> tuple[int, dict[int, tuple[in
     Returns the class count and each relation's (class id, negation flag).
     """
     r = np.arange(algebra.size)
-    rep = np.minimum(r, relation_images(algebra)[1])
+    rep = np.minimum(r, algebra.images[1])
     reps = np.unique(rep)
     flags = (rep != r).astype(int)
     codes = zip(np.searchsorted(reps, rep).tolist(), flags.tolist())

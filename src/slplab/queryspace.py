@@ -11,12 +11,13 @@ covering many queries at once.
 
 The library has one query order, (head, rel, tail): with n entities and
 `size` closed relations, (h, r, t) sits at position (h*size + r)*n + t.
-`relation_images` tabulates the group's action on the relations, and
-`logical_images` on the whole query space as positions in that order; the
-family partition, an (F, 4) int array, the equivariance check, the parity
-scan and every per-relation orbit computation read these tables, and
-`family_count` counts the families from `relation_images` alone.  Reports
-decode positions to triples (`decode_queries`).
+The closure holds the group's action on the relations (`images` of
+`relalg.RelationAlgebra`, rows in `LogicalOp` order), and `logical_images`
+extends it to the whole query space as positions in that order; the family
+partition, an (F, 4) int array, the equivariance check, the parity scan and
+every per-relation orbit computation read these tables, and `family_count`
+counts the families from the closure's table alone.  Reports decode
+positions to triples (`decode_queries`).
 """
 
 from __future__ import annotations
@@ -53,17 +54,18 @@ class LogicalOp(Enum):
 
 # each LogicalOp's sign, in LogicalOp order: a family member's sign
 _SIGNS = np.array([op.sign for op in LogicalOp])
+# each LogicalOp's row of the closure's table of relation images
+_ROWS = {op: k for k, op in enumerate(LogicalOp)}
 
 
 def apply_logical(op: LogicalOp, q: Query, algebra: RelationAlgebra) -> Query:
     """Image of q under one of the four logical operations."""
     if op is LogicalOp.ID:
         return q
+    rel = int(algebra.images[_ROWS[op], q.rel])
     if op is LogicalOp.NEG:
-        return Query(q.head, algebra.neg(q.rel), q.tail)
-    if op is LogicalOp.REV:
-        return Query(q.tail, algebra.conv(q.rel), q.head)
-    return Query(q.tail, algebra.neg(algebra.conv(q.rel)), q.head)
+        return Query(q.head, rel, q.tail)
+    return Query(q.tail, rel, q.head)
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,8 @@ def apply_renaming(g: GroupElementH, q: Query,
     """Image of q under g, elementwise: q holds ints, or index arrays of one
     shape (a whole grid of queries at once), and the image has its shape."""
     perm = np.asarray(g.perm)
-    rel = q.rel if g.sign == 1 else np.asarray(algebra.negation)[q.rel]
+    rel = q.rel if g.sign == 1 else algebra.images[1][q.rel]
     return Query(perm[q.head], rel, perm[q.tail])
-
-
-def relation_images(algebra: RelationAlgebra) -> np.ndarray:
-    """Each relation's images under the four LogicalOps, shape (4, size)."""
-    neg = np.asarray(algebra.negation, dtype=int)
-    conv = np.asarray(algebra.converse_, dtype=int)
-    return np.stack([np.arange(algebra.size), neg, conv, neg[conv]])
 
 
 def logical_images(algebra: RelationAlgebra) -> np.ndarray:
@@ -109,7 +104,7 @@ def logical_images(algebra: RelationAlgebra) -> np.ndarray:
     """
     n, size = algebra.entity_set.n, algebra.size
     h, r, t = np.indices((n, size, n)).reshape(3, -1)  # rev swaps h, t
-    return ((np.stack([h, h, t, t]) * size + relation_images(algebra)[:, r])
+    return ((np.stack([h, h, t, t]) * size + algebra.images[:, r])
             * n + np.stack([t, t, h, h]))
 
 
@@ -144,7 +139,7 @@ def family_count(algebra: RelationAlgebra) -> int:
     The identity fixes all n*size*n queries and negation none; reversal and
     negated reversal fix (h, r, t) exactly when h = t and they fix r.
     """
-    n, images = algebra.entity_set.n, relation_images(algebra)
+    n, images = algebra.entity_set.n, algebra.images
     fixed = np.count_nonzero(images[2:] == images[0])
     return n * (n * algebra.size + int(fixed)) // 4
 

@@ -3,16 +3,22 @@
 A relation on n entities is a subset of the n*n ordered pairs, packed into a
 Python int: bit h*n + t is set iff the pair (h, t) is in the relation.  The
 unary operations are complement and converse (transpose); composition is the
-boolean matrix product.  Closing a base set under the unary operations gives
-at most 4 relations per base element, since complement and converse commute
-and are involutions.  Relations are stored only as a saved feature map's
-base relations, in its sidecar (`featspace.save_feature_map`).
+boolean matrix product.  Complement and converse commute and are
+involutions, so they generate a four-element group, and closing a base set
+under them gives each base relation's orbit: at most 4 relations per base
+element.  The closure holds the group's action as one (4, size) table of
+relation indices (`RelationAlgebra.images`), which the query families, the
+factorized builds and the parity split read.  Relations are stored only as
+a saved feature map's base relations, in its sidecar
+(`featspace.save_feature_map`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,34 +136,30 @@ def compose(r: Relation, s: Relation) -> Relation:
     return Relation(r.entity_set, bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationAlgebra:
     """A base set of relations closed under complement and converse.
 
-    `closed` lists the distinct relations in deterministic closure order
-    (base relations first); `negation[i]` and `converse_[i]` index the
-    complement and transpose partners of `closed[i]`.
+    `closed` lists the distinct relations in closure order: the base
+    relations, then each one's complement and converse, then each one's
+    complemented converse, each where it is new.  `images` is the group's
+    action, a read-only (4, size) int array: row k holds each relation's
+    index under identity, complement, converse and complemented converse,
+    the order of `queryspace.LogicalOp`.
     """
 
     entity_set: EntitySet
     base: tuple[Relation, ...]
     closed: tuple[Relation, ...]
-    negation: tuple[int, ...]
-    converse_: tuple[int, ...]
+    images: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.closed)
 
-    def neg(self, i: int) -> int:
-        return self.negation[i]
-
-    def conv(self, i: int) -> int:
-        return self.converse_[i]
-
 
 def close_unary(base: Iterable[Relation]) -> RelationAlgebra:
-    """Close `base` under complement and converse (fixed point, BFS order)."""
+    """Close `base` under complement and converse, in breadth-first order."""
     base = tuple(base)
     if not base:
         raise ValueError("base relation set must be nonempty")
@@ -175,23 +177,19 @@ def close_unary(base: Iterable[Relation]) -> RelationAlgebra:
             closed.append(r)
         return index[r.bits]
 
-    for r in base:
-        add(r)
-    frontier = list(closed)
-    while frontier:
-        nxt: list[Relation] = []
-        for r in frontier:
-            for image in (negate(r), converse(r)):
-                if image.bits not in index:
-                    add(image)
-                    nxt.append(image)
-        frontier = nxt
-
-    negation = tuple(index[r.bits ^ entity_set.full_mask()] for r in closed)
-    converse_ = tuple(index[converse(r).bits] for r in closed)
-    if len(closed) > 4 * len(base):
-        raise AssertionError("closure exceeded the 4x base bound")
-    return RelationAlgebra(entity_set, base, tuple(closed), negation, converse_)
+    # each base relation's orbit, its columns in LogicalOp order
+    orbits = np.empty((len(base), 4), dtype=int)
+    orbits[:, 0] = [add(r) for r in base]
+    for i, r in enumerate(base):
+        orbits[i, 1:3] = add(negate(r)), add(converse(r))
+    orbits[:, 3] = [add(converse(negate(r))) for r in base]
+    # bit 1 of an op complements and bit 2 takes the converse, so op k
+    # sends g(r) to (k ^ g)(r)
+    ops = np.arange(4)
+    images = np.empty((4, len(closed)), dtype=int)
+    images[:, orbits] = orbits[:, ops[:, None] ^ ops].transpose(1, 0, 2)
+    images.flags.writeable = False
+    return RelationAlgebra(entity_set, base, tuple(closed), images)
 
 
 def all_relations(entity_set: EntitySet) -> Iterator[Relation]:

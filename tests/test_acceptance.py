@@ -110,13 +110,13 @@ def test_criterion_03_twenty_builds_and_sign_fault():
     built = build_slp_map(algebra, *shape, 0)
     term = built.terms[0]
     v_bad = term.v.copy()
-    v_bad[algebra.neg(0)] = v_bad[0]
-    bad_terms = (Term(term.u, v_bad, term.parity),) + built.terms[1:]
+    v_bad[algebra.images[1, 0]] = v_bad[0]
+    bad_terms = (Term(term.u, v_bad),) + built.terms[1:]
     rows = assemble_rows(bad_terms, algebra, built.dim)
     broken = FactorizedMap(bad_terms, FeatureMap(algebra, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
-    assert any(f["relation"] in (0, algebra.neg(0))
+    assert any(f["relation"] in (0, algebra.images[1, 0])
                for f in report.details["sign_faults"])
     record(3, f"20 seeded builds: equivariance deviation 0.0, rank "
               f"{len(families)} = family count; injected sign fault detected")
@@ -178,9 +178,7 @@ def test_criterion_06_parity_exactness_and_fault():
     raw = rng.uniform(-1.0, 1.0, size=(3, 3, 2))
     u_odd = (raw - raw.transpose(1, 0, 2)) / 2.0
     v_even = np.zeros(algebra.size)
-    v_even[0], v_even[algebra.neg(0)] = 1.0, -1.0
-    v_even[algebra.conv(0)] = 1.0
-    v_even[algebra.neg(algebra.conv(0))] = -1.0
+    v_even[algebra.images[:, 0]] = 1.0, -1.0, 1.0, -1.0
     terms = (Term(u_odd, v_even),)
     mismatched = FactorizedMap(
         terms, FeatureMap(algebra, assemble_rows(terms, algebra, 2)))

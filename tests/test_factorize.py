@@ -19,7 +19,7 @@ from slplab.factorize import (ConverseInvarianceError, FactorizedMap, Term,
 from slplab.featspace import FeatureMap, check_slp, lift_renaming
 from slplab.numerics import PROJECTOR_TOL, projector_trace_dim
 from slplab.queryspace import (GroupElementH, Query, compute_families,
-                               relation_images, symmetric_group)
+                               symmetric_group)
 from slplab.relalg import EntitySet, Relation, close_unary, converse
 
 
@@ -43,8 +43,8 @@ def test_injected_sign_fault_located(algebra_3):
     term = built.terms[0]
     v_bad = term.v.copy()
     r = 0
-    v_bad[algebra_3.neg(r)] = v_bad[r]  # break v(not r) = -v(r)
-    bad_terms = (Term(term.u, v_bad, term.parity),) + built.terms[1:]
+    v_bad[algebra_3.images[1, r]] = v_bad[r]  # break v(not r) = -v(r)
+    bad_terms = (Term(term.u, v_bad),) + built.terms[1:]
     rows = assemble_rows(bad_terms, algebra_3, 9)
     broken = FactorizedMap(bad_terms, FeatureMap(algebra_3, rows))
     report = verify_factorized_form(broken)
@@ -53,7 +53,7 @@ def test_injected_sign_fault_located(algebra_3):
     assert faults, "fault must be reported"
     located = {(f["term"], f["relation"]) for f in faults}
     # both members of the complement pair show the violation
-    assert (0, r) in located and (0, algebra_3.neg(r)) in located
+    assert (0, r) in located and (0, algebra_3.images[1, r]) in located
     expected = abs(2.0 * term.v[r])
     assert any(np.isclose(f["deviation"], expected) for f in faults)
 
@@ -61,10 +61,10 @@ def test_injected_sign_fault_located(algebra_3):
 def per_relation_sign_faults(terms, algebra):
     """The sign audit one relation at a time, the oracle for its order."""
     return [{"term": ki, "relation": r,
-             "deviation": float(abs(term.v[algebra.neg(r)] + term.v[r]))}
+             "deviation": float(abs(term.v[algebra.images[1, r]] + term.v[r]))}
             for ki, term in enumerate(terms)
             for r in range(algebra.size)
-            if abs(term.v[algebra.neg(r)] + term.v[r]) != 0.0]
+            if abs(term.v[algebra.images[1, r]] + term.v[r]) != 0.0]
 
 
 def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
@@ -73,13 +73,13 @@ def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
     # break the law in both terms of the second raw sample, and once in
     # the first
     breaks = {1: {0: 0.5}, 2: {2: -0.25, 5: 0.75},
-              3: {algebra_3x2.neg(3): 0.125}}
+              3: {algebra_3x2.images[1, 3]: 0.125}}
     terms = []
     for ki, term in enumerate(built.terms):
         v = term.v.copy()
         for r, delta in breaks.get(ki, {}).items():
             v[r] += delta
-        terms.append(Term(term.u, v, term.parity))
+        terms.append(Term(term.u, v))
     rows = assemble_rows(terms, algebra_3x2, 4)
     broken = FactorizedMap(tuple(terms), FeatureMap(algebra_3x2, rows))
     report = verify_factorized_form(broken)
@@ -101,7 +101,7 @@ def walked_v(algebra, parity, rng):
         if assigned[i]:
             continue
         value = rng.uniform(-1.0, 1.0)
-        if algebra.conv(i) == i and parity == "-":
+        if algebra.images[2, i] == i and parity == "-":
             value = 0.0
         pending = [(i, value)]
         while pending:
@@ -111,8 +111,8 @@ def walked_v(algebra, parity, rng):
                 continue
             v[j] = val
             assigned[j] = True
-            pending.append((algebra.neg(j), -val))
-            pending.append((algebra.conv(j), conv_sign * val))
+            pending.append((algebra.images[1, j], -val))
+            pending.append((algebra.images[2, j], conv_sign * val))
     return v
 
 
@@ -133,7 +133,7 @@ def algebras_with_symmetric_relations(count, seed):
 def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
     fixed = signed_zeros = 0
     for seed, algebra in enumerate(algebras_with_symmetric_relations(150, 7)):
-        images = relation_images(algebra)
+        images = algebra.images
         fixed += int(np.sum(images[2] == np.arange(algebra.size)))
         rng, walk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
@@ -204,7 +204,7 @@ def test_oversized_factors_fail_the_form_audit(algebra_3):
     u_big = np.zeros((4, 4, 9))
     u_big[:3, :3] = term.u
     v_long = np.append(term.v, 0.5)
-    terms = (Term(u_big, v_long, term.parity),) + built.terms[1:]
+    terms = (Term(u_big, v_long),) + built.terms[1:]
     queries = enumerate_queries(algebra_3)
     rows = assemble_rows(terms, algebra_3, 9)
     assert rows.tobytes() == gathered_rows(terms, queries, 9).tobytes()
@@ -220,11 +220,16 @@ def test_term_validation(algebra_3):
         Term(np.zeros((2, 3, 4)), np.zeros(4))
     with pytest.raises(ValueError):
         Term(np.zeros((2, 2, 4)), np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        Term(np.zeros((2, 2, 4)), np.zeros(4), "x")
     with pytest.raises(ValueError, match="context dimension"):
         assemble_rows((Term(np.zeros((3, 3, 4)), np.zeros(algebra_3.size)),),
                       algebra_3, 3)
+
+
+@pytest.mark.parametrize("parity", ["both", "", 0])
+def test_build_rejects_an_unknown_parity(algebra_3, parity):
+    # it drew no term and returned an all-zero map, redrawn
+    with pytest.raises(ValueError, match=repr(parity)):
+        build_slp_map(algebra_3, 9, 1, parity, 0)
 
 
 # ------------------------------------------------------------ negation split
@@ -447,7 +452,7 @@ def pair_swap_matrix(n):
 
 def relation_converse_matrix(algebra):
     """Reference: the involution e_r -> e_(conv r) on the relation space."""
-    return characters.permutation_matrix(algebra.converse_)
+    return characters.permutation_matrix(algebra.images[2])
 
 
 def pair_swap_perm(n):
@@ -480,8 +485,8 @@ def test_permutation_matrices_equal_the_entrywise_construction():
             size = algebra.size
             neg_ref, conv_ref = np.zeros((size, size)), np.zeros((size, size))
             for r in range(size):
-                neg_ref[algebra.neg(r), r] = 1.0
-                conv_ref[algebra.conv(r), r] = 1.0
+                neg_ref[algebra.images[1, r], r] = 1.0
+                conv_ref[algebra.images[2, r], r] = 1.0
             eye, neg = relation_sign_representation(algebra)
             assert np.array_equal(eye, np.eye(size))
             assert np.array_equal(neg, neg_ref)
@@ -506,7 +511,7 @@ def test_pair_swap_split_dims_formula(n, expected):
     algebra = close_unary([Relation.from_pairs(EntitySet.of_size(n),
                                                [(0, 1)], "r0")])
     pair_dims = involution_dims(pair_swap_perm(n))
-    rel_dims = involution_dims(relation_images(algebra)[2])
+    rel_dims = involution_dims(algebra.images[2])
     assert pair_dims == expected
     assert pair_dims == (n * (n + 1) // 2, n * (n - 1) // 2)
     assert sum(rel_dims) == algebra.size
@@ -523,7 +528,7 @@ def test_involution_dims_equal_the_projector_trace_dims():
             trace_dims(pair_swap_matrix(n))
     fixed = 0
     for algebra in algebras_with_symmetric_relations(40, 11):
-        conv = relation_images(algebra)[2]
+        conv = algebra.images[2]
         fixed += int(np.sum(conv == np.arange(algebra.size)))
         assert involution_dims(conv) == \
             trace_dims(relation_converse_matrix(algebra))
@@ -548,7 +553,7 @@ def test_swap_and_converse_matrices_are_involutions():
                                                [(0, 1), (1, 2)], "r0")])
     conv = relation_converse_matrix(algebra)
     assert np.array_equal(conv @ conv, np.eye(algebra.size))
-    images = relation_images(algebra)[2]
+    images = algebra.images[2]
     assert np.array_equal(images[images], np.arange(algebra.size))
 
 
@@ -572,10 +577,7 @@ def test_mismatched_parity_term_raises(algebra_3):
     u_antisym = (raw - raw.transpose(1, 0, 2)) / 2.0
     # v is converse-even: the mismatch (u odd, v even) breaks rev-invariance
     v = np.zeros(algebra_3.size)
-    v[0] = 1.0
-    v[algebra_3.neg(0)] = -1.0
-    v[algebra_3.conv(0)] = 1.0
-    v[algebra_3.neg(algebra_3.conv(0))] = -1.0
+    v[algebra_3.images[:, 0]] = 1.0, -1.0, 1.0, -1.0
     terms = (Term(u_antisym, v),)
     fmap = FeatureMap(algebra_3, assemble_rows(terms, algebra_3, 4))
     mismatched = FactorizedMap(terms, fmap)
@@ -585,7 +587,7 @@ def test_mismatched_parity_term_raises(algebra_3):
     q = excinfo.value.query
     assert type(q) is Query and all(type(c) is int for c in q)
     # the recorded worst query really deviates by the recorded amount
-    rev_q = Query(q.tail, algebra_3.conv(q.rel), q.head)
+    rev_q = Query(q.tail, algebra_3.images[2, q.rel], q.head)
     dev = np.max(np.abs(fmap.matrix[fmap.index(*rev_q)]
                         - fmap.matrix[fmap.index(*q)]))
     assert dev == excinfo.value.deviation
@@ -616,7 +618,7 @@ def test_converse_failure_names_first_worst_query(seed):
     fmap = mismatched.feature_map
     worst_q, worst_dev = None, -1.0
     for i, q in enumerate(enumerate_queries(algebra)):
-        rev_q = Query(q.tail, algebra.conv(q.rel), q.head)
+        rev_q = Query(q.tail, algebra.images[2, q.rel], q.head)
         dev = float(np.max(np.abs(fmap.matrix[fmap.index(*rev_q)]
                                  - fmap.matrix[i])))
         if dev > worst_dev:

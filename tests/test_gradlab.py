@@ -42,7 +42,7 @@ def test_kb_counts_and_labels(kb):
     base = kb.algebra.closed[0]
     for (q, label), (p, partner_label) in zip(kb.facts, kb.partners):
         assert label == int(base.contains(q.head, q.tail))
-        assert p.rel == kb.algebra.neg(q.rel)
+        assert p.rel == kb.algebra.images[1, q.rel]
         assert (p.head, p.tail) == (q.head, q.tail)
         assert partner_label == 1 - label
 
@@ -107,7 +107,7 @@ def test_converse_relations_are_encodable(kb, mlp):
     assert set(mlp.rel_coding) == set(range(kb.algebra.size))
     for r, (cls, flag) in mlp.rel_coding.items():
         assert 0 <= cls < mlp.n_classes and flag in (0, 1)
-        cls_neg, flag_neg = mlp.rel_coding[kb.algebra.neg(r)]
+        cls_neg, flag_neg = mlp.rel_coding[kb.algebra.images[1, r]]
         assert cls_neg == cls and flag_neg == 1 - flag
 
 
@@ -116,7 +116,7 @@ def test_relation_classes_number_pairs_by_first_appearance():
         algebra = generate_kb(3, 1 + seed % 3, 0.5, seed).algebra
         reps, coding = [], {}
         for r in range(algebra.size):
-            rep = min(r, algebra.neg(r))
+            rep = min(r, algebra.images[1, r])
             if rep not in reps:
                 reps.append(rep)
             coding[r] = (reps.index(rep), 0 if r == rep else 1)

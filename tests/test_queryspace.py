@@ -11,8 +11,7 @@ from slplab.queryspace import (GroupElementH, LogicalOp, Query,
                                apply_logical, apply_renaming,
                                compute_families, decode_queries,
                                families_to_json, family_count,
-                               logical_images, relation_images,
-                               symmetric_group)
+                               logical_images, symmetric_group)
 from slplab.relalg import (EntitySet, Relation, RelationAlgebra, close_unary,
                            converse)
 
@@ -23,11 +22,13 @@ small_bases = st.integers(2, 4).flatmap(
 
 def brute_orbit(q, algebra):
     """Independent closure of {q} under negation and reversal on raw tuples."""
+    _, negation, conversion, _ = algebra.images.tolist()
+
     def neg(p):
-        return Query(p.head, algebra.neg(p.rel), p.tail)
+        return Query(p.head, negation[p.rel], p.tail)
 
     def rev(p):
-        return Query(p.tail, algebra.conv(p.rel), p.head)
+        return Query(p.tail, conversion[p.rel], p.head)
 
     seen = {q}
     frontier = [q]
@@ -124,7 +125,7 @@ def test_logical_images_match_apply_logical(base):
 @given(small_bases)
 def test_relation_images_match_apply_logical(base):
     algebra = close_unary(base)
-    images = relation_images(algebra)
+    images = algebra.images
     assert images.shape == (4, algebra.size)
     assert images.dtype.kind == "i"
     for r in range(algebra.size):
@@ -168,13 +169,14 @@ def test_orbit_size_2_for_symmetric_diagonal():
     assert_partition_matches_query_by_query(algebra)
 
 
-def hand_built_algebra(negation, converse_):
-    """One entity and hand-set partner tables; only their lengths and
-    entries matter to the query space."""
+def hand_built_algebra(negation, conversion):
+    """One entity and a table of images from hand-set partner tables; only
+    their lengths and entries matter to the query space."""
     entity_set = EntitySet.of_size(1)
     r = Relation(entity_set, 1)
-    return RelationAlgebra(entity_set, (r,), (r,) * len(negation),
-                           tuple(negation), tuple(converse_))
+    neg, conv = np.array(negation), np.array(conversion)
+    images = np.stack([np.arange(len(neg)), neg, conv, neg[conv]])
+    return RelationAlgebra(entity_set, (r,), (r,) * len(negation), images)
 
 
 def test_sign_clash_is_an_assertion():
@@ -306,7 +308,7 @@ def test_renaming_acts_elementwise_on_index_arrays(base, data):
     assert all(a.shape == (n, size, n) for a in image)
     for h, r, t in itertools.product(range(n), range(size), range(n)):
         # the definition on raw tuples
-        expected = (g.perm[h], r if g.sign == 1 else algebra.negation[r],
+        expected = (g.perm[h], r if g.sign == 1 else algebra.images[1, r],
                     g.perm[t])
         assert tuple(a[h, r, t] for a in image) == expected
         assert apply_renaming(g, Query(h, r, t), algebra) == expected

@@ -2,8 +2,12 @@
 
 Every bitset operation is checked against an independent reimplementation on
 Python sets of pairs; the algebraic laws are checked exhaustively at |E| = 3
-and property-based at other sizes.
+and property-based at other sizes.  The closure is checked against a
+breadth-first fixed point and the table of images it derives from partner
+tuples.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -108,12 +112,13 @@ def test_closure_size_bound_and_idempotence(rels):
 @given(proper_relation_strategy(3))
 def test_neg_conv_tables_are_involutions(r):
     algebra = close_unary([r])
+    _, neg, conv, _ = algebra.images
     for i in range(algebra.size):
-        assert algebra.neg(algebra.neg(i)) == i
-        assert algebra.conv(algebra.conv(i)) == i
-        assert algebra.neg(i) != i
+        assert neg[neg[i]] == i
+        assert conv[conv[i]] == i
+        assert neg[i] != i
         # proven side fact: converse never equals complement
-        assert algebra.conv(i) != algebra.neg(i)
+        assert conv[i] != neg[i]
 
 
 def test_closure_of_symmetric_diagonal_free_relation_has_size_4():
@@ -122,7 +127,79 @@ def test_closure_of_symmetric_diagonal_free_relation_has_size_4():
     r = Relation.from_pairs(entity_set, [(0, 1), (1, 0)], "sym")
     algebra = close_unary([r])
     assert algebra.size == 2
-    assert algebra.conv(0) == 0 and algebra.conv(1) == 1
+    assert algebra.images[2].tolist() == [0, 1]
+
+
+def reference_closure(base):
+    """The closure as a breadth-first fixed point under complement and
+    converse, and its (4, size) image table derived from the complement and
+    converse partner tuples: (closed relations, table)."""
+    entity_set = base[0].entity_set
+    closed, index = [], {}
+
+    def add(r):
+        if r.bits not in index:
+            index[r.bits] = len(closed)
+            closed.append(r)
+        return index[r.bits]
+
+    for r in base:
+        add(r)
+    frontier = list(closed)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for image in (negate(r), converse(r)):
+                if image.bits not in index:
+                    add(image)
+                    nxt.append(image)
+        frontier = nxt
+    neg = np.array([index[r.bits ^ entity_set.full_mask()] for r in closed])
+    conv = np.array([index[converse(r).bits] for r in closed])
+    return closed, np.stack([np.arange(len(closed)), neg, conv, neg[conv]])
+
+
+def assert_closure_matches_reference(base):
+    algebra = close_unary(base)
+    closed, images = reference_closure(base)
+    assert [r.bits for r in algebra.closed] == [r.bits for r in closed]
+    assert algebra.images.dtype == images.dtype
+    assert np.array_equal(algebra.images, images)
+    assert algebra.size <= 4 * len(base)
+
+
+def test_closure_matches_reference_on_every_small_base():
+    # every base of 1-3 relations on 2 entities, empty and full included,
+    # so every coincidence between base relations and their images occurs
+    relations = list(all_relations(EntitySet.of_size(2)))
+    seen = 0
+    for count in (1, 2, 3):
+        for base in itertools.product(relations, repeat=count):
+            assert_closure_matches_reference(base)
+            seen += 1
+    assert seen == 16 + 16 ** 2 + 16 ** 3 == 4368
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closure_matches_reference_with_forced_coincidences(n):
+    # base relations drawn freely or as an image of an earlier one
+    rng = np.random.default_rng(n)
+    entity_set = EntitySet.of_size(n)
+    images = (lambda r: r, negate, converse, lambda r: converse(negate(r)))
+    for _ in range(200):
+        base = [random_relation(entity_set, rng)]
+        for _ in range(int(rng.integers(0, 5))):
+            if rng.random() < 0.5:
+                base.append(random_relation(entity_set, rng))
+            else:
+                earlier = base[int(rng.integers(len(base)))]
+                base.append(images[int(rng.integers(4))](earlier))
+        assert_closure_matches_reference(base)
+
+
+def test_closure_images_are_read_only(algebra_3):
+    with pytest.raises(ValueError, match="read-only"):
+        algebra_3.images[0, 0] = 1
 
 
 def test_from_pairs_rejects_out_of_range():

@@ -1039,3 +1039,20 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     report = json.loads(out_path.read_text())
     assert report["check"] == "families" and report["pass"]
     assert proc.stdout == ""  # the report goes to --out only
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("imports, expected", [
+    ("import slplab", "1"), ("import numpy, slplab", "2")])
+def test_package_pins_the_blas_to_one_thread_before_numpy(imports, expected):
+    # a threaded BLAS moves the last bits of some report values; once NumPy
+    # is imported its BLAS is set up, and the package leaves it alone
+    show = f"import os; print(*(os.environ[v] for v in {BLAS_THREADS!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{imports}; {show}"],
+        env=dict(os.environ, **dict.fromkeys(BLAS_THREADS, "2")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected] * len(BLAS_THREADS)
