@@ -13,7 +13,9 @@ at each shape of the `conjunction` workload and at depth 1 (so on
 assignments with and without a repeated world), `isotypic` at each shape of
 the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
 fails, `factorize` at each single parity and `factorize` and `parity` at
-three raw samples, closures whose base relations coincide (a second base
+three raw samples, builds of 20 raw samples at width 1000 that span three
+draw blocks (`factorize` at each parity, `parity`, and a csv save with
+`verify-slp` of it), closures whose base relations coincide (a second base
 relation equal to the first or to its complement, converse or complemented
 converse, so a saved map's base list holds a duplicate image), a failing
 build (exit 1) and usage errors (exit 2).  The manifest also keeps each
@@ -132,6 +134,13 @@ def _calls():
                     f"grid-{n}-{r}-{width}-{parity}.{fmt}", fmt,
                     "--entities", n, "--relations", r, "--parity", parity,
                     *(("--context-dim", width) if width else ()))
+    # builds whose raw samples span three draw blocks of 7, 7 and 6
+    wide = ("--entities", 3, "--relations", 1, "--context-dim", 1000,
+            "--terms", 20, "--seed", 3)
+    calls += [_call("factorize", *wide, "--parity", parity)
+              for parity in ("both", "+", "-")]
+    calls.append(_call("parity", *wide))
+    calls += _save_and_verify("wide.csv", "csv", *wide)
     # factorized forms of one parity each, and of three raw samples
     size = ("--entities", 3, "--relations", 1)
     calls += [_call("factorize", *size, "--parity", "+"),

@@ -166,17 +166,19 @@ def _closure_queries(entities: int, relations: int) -> int:
 # 634-715 bytes and 0.75-1.14 KB, so 2 KB of 8-byte cells.
 QUERY_OBJECT_CELLS = 256
 
-# Cells charged per raw sample of a build, at least: its two Term objects
-# and four array headers, held twice while a redraw keeps two draws.  At 2
-# entities, 1 relation and width 1 under Python 3.11 that is 1,650 bytes
-# with tracemalloc and about 1.9 KB of peak RSS, so 2 KB of 8-byte cells.
+# Cells charged per raw sample of a build, at least: 2 KB of 8-byte cells,
+# sized for two Python term objects per sample.  The stacked factors hold
+# less: at 2 entities, 1 relation and width 1 under Python 3.11 the traced
+# peak is about 110 bytes per sample in the build and 140 in the form
+# audit, so the charge overstates it, and the limits it sets are kept.
 SAMPLE_OBJECT_CELLS = 256
 
 
 def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
-    """The kept factors: per raw sample, two entities x entities x width u
-    factors, or, if more, its Python objects plus the v factors of up to
-    4 * relations cells of its two terms, both held twice during a redraw.
+    """The kept factors: per raw sample, its two entities x entities x
+    width rows of the stacked u factors, or, if more, SAMPLE_OBJECT_CELLS
+    plus its two rows of up to 4 * relations cells of the stacked v
+    factors, charged twice: the form audit holds one more array of v's size.
 
     A default term count is at most 2 * relations, since a closure holds at
     most N/2 families, and is charged as that many.
@@ -363,7 +365,7 @@ def _cmd_verify_slp(args, seed, parser) -> Report:
 def _cmd_factorize(args, seed, parser) -> Report:
     built = _build(args, seed, parser)
     form = verify_factorized_form(built)
-    split = negation_split(built)
+    split = negation_split(built.feature_map)
     passed = form.passed and split.plus_dim == 0
     return Report(
         check="factorize", passed=passed, max_deviation=form.max_deviation,
@@ -383,7 +385,7 @@ def _cmd_isotypic(args, seed, parser) -> Report:
     details = {"tol": args.tol,
                "lift_rank": built.feature_map.spectrum.span_margin()}
     try:
-        projectors, props, offenders = isotypic_decompose(built)
+        projectors, props, offenders = isotypic_decompose(built.feature_map)
     except KernelNotInvariantError as exc:
         g = exc.renaming
         details.update(error="renaming does not preserve the kernel",
@@ -422,7 +424,7 @@ def _cmd_parity(args, seed, parser) -> Report:
         max_deviation=decomp.max_cross_residual,
         details={"tol": args.tol,
                  "cross_residual": decomp.max_cross_residual,
-                 "n_term_pairs": len(decomp.pairs),
+                 "n_term_pairs": len(decomp.u_plus),
                  "pair_space_dims": list(pair_dims),
                  "relation_space_dims": list(rel_dims)},
     )

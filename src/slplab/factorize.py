@@ -3,9 +3,11 @@
 Every feature row decomposes as sum_k u_k(h,t) * v_k(r) over one context
 space, with the relation factors v_k flipping sign under relation complement.
 Terms over several context spaces side by side are the terms of one space
-with zero-padded context factors, so a factorized map is one tuple of terms.
-Because the sign group has only one-dimensional real irreducibles, each
-relation factor is a single vector over the closed relations.
+with zero-padded context factors, so a factorized map is two stacked factor
+arrays: u of shape (terms, n, n, context_dim) and v of shape (terms,
+relations).  Because the sign group has only one-dimensional real
+irreducibles, each relation factor is a single vector over the closed
+relations.
 
 Reversal invariance forces matched parity between the two factors: u may be
 symmetric in (h,t) while v is converse-even, or antisymmetric while v is
@@ -13,7 +15,8 @@ converse-odd, and a generic equivariant map is a sum of one component of each
 parity.  The builder therefore realizes an unconstrained term as a matched
 pair (u+ x v+) + (u- x v-) derived from one raw sample; each stored term is
 then exactly (bitwise) equivariant, and parity-constrained builds keep a
-single component.
+single component.  Raw samples are drawn a block at a time and their
+components written straight into the stacked arrays.
 
 On the feature span, entity renamings lift to orthogonal r x r matrices in
 the span coordinates of the map's SVD (`featspace.lift_renaming`), forming a
@@ -53,24 +56,13 @@ class ConverseInvarianceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class Term:
-    """One rank-one factor pair: u indexed (head, tail, component), v by relation."""
+class FactorizedMap:
+    """The stacked factors of a map over one context space, and the map
+    they sum to: term k is u[k], indexed (head, tail, component), times
+    v[k], indexed by relation."""
 
     u: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.u.ndim != 3 or self.u.shape[0] != self.u.shape[1]:
-            raise ValueError("u must have shape (n, n, context_dim)")
-        if self.v.ndim != 1:
-            raise ValueError("v must be a vector over the closed relations")
-
-
-@dataclass(frozen=True)
-class FactorizedMap:
-    """The terms of a map over one context space, and the map they sum to."""
-
-    terms: tuple[Term, ...]
     feature_map: FeatureMap
     redrawn: bool = False
 
@@ -79,48 +71,43 @@ class FactorizedMap:
         return self.feature_map.dim
 
 
-def assemble_rows(terms: Sequence[Term], algebra: RelationAlgebra,
-                  context_dim: int) -> np.ndarray:
+def assemble_rows(u: np.ndarray, v: np.ndarray,
+                  algebra: RelationAlgebra) -> np.ndarray:
     """The terms' sum on the (head, rel, tail) query grid, one row per query
-    in the one query order; the terms are summed in order, which is part of
-    the format.  A term over another context dimension is a ValueError."""
+    in the one query order; u is (terms, n, n, context_dim) and v is
+    (terms, relations), and any other shape is a ValueError.  The terms are
+    summed in order, which is part of the format."""
+    if u.ndim != 4 or u.shape[1] != u.shape[2]:
+        raise ValueError("u must have shape (terms, n, n, context_dim)")
+    if v.ndim != 2 or len(v) != len(u):
+        raise ValueError("v must have shape (terms, relations)")
+    return _grid_sum(zip(u, v), algebra, u.shape[3])
+
+
+def _grid_sum(terms, algebra: RelationAlgebra, width: int) -> np.ndarray:
+    """Sum (u_k, v_k) pairs on the query grid, in the order given."""
     n, size = algebra.entity_set.n, algebra.size
-    acc = np.zeros((n, size, n, context_dim))
-    for term in terms:
-        if term.u.shape[2] != context_dim:
-            raise ValueError("term context dimension mismatch")
+    acc = np.zeros((n, size, n, width))
+    for u, v in terms:
         # (n, 1, n, d) times (size, 1, 1); dims_consistent flags factors
         # longer than the grid
-        acc += term.u[:n, None, :n] * term.v[:size, None, None]
-    return acc.reshape(n * size * n, context_dim)
+        acc += u[:n, None, :n] * v[:size, None, None]
+    return acc.reshape(n * size * n, width)
 
 
 def _halves(x: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd parts (x + x')/2 and (x - x')/2 of x, given its
-    image x' under an involution."""
-    return (x + image) / 2.0, (x - image) / 2.0
+    image x' under an involution as an array of its own, which becomes the
+    even part: no third array of that size is made."""
+    odd = x - image
+    odd /= 2.0
+    image += x
+    image /= 2.0
+    return image, odd
 
 
-def _sample_v(images: np.ndarray, parity: str, rng) -> np.ndarray:
-    """Relation factor with v(not r) = -v(r) and v(conv r) = (parity) v(r).
-
-    `images` is the closure's (4, size) table of relation images, rows in
-    `LogicalOp` order (`RelationAlgebra.images`).  Each orbit, represented by
-    its smallest relation, takes one uniform draw in representative order.
-    A converse-fixed relation with parity '-' forces its whole orbit to
-    zero; that is the correct degenerate case, not an error.
-    """
-    conv_sign = 1.0 if parity == "+" else -1.0
-    reps = np.flatnonzero(images.min(axis=0) == np.arange(images.shape[1]))
-    value = rng.uniform(-1.0, 1.0, size=len(reps))
-    if parity == "-":
-        value[images[2, reps] == reps] = 0.0
-    v = np.empty(images.shape[1])
-    # a converse-fixed orbit is written twice; the id and neg rows go last,
-    # so a zeroed one reads +0.0 at the representative, -0.0 at its complement
-    for row, sign in ((2, conv_sign), (3, -conv_sign), (0, 1.0), (1, -1.0)):
-        v[images[row, reps]] = sign * value
-    return v
+# cells of raw samples drawn by one RNG call: bounds a build's draw buffer
+_BLOCK_CELLS = 2 ** 16
 
 
 def build_slp_map(algebra: RelationAlgebra, context_dim: int, terms: int,
@@ -130,61 +117,92 @@ def build_slp_map(algebra: RelationAlgebra, context_dim: int, terms: int,
 
     Each raw sample gives the matched pair (u+ x v+) + (u- x v-), or only
     the component of `parity` if it is '+' or '-'; any other parity is a
-    ValueError.  The map is exactly logically equivariant by construction.
-    Whether it reaches full representative rank depends on the requested
-    shape.  The rank is read off the map's cached representative spectrum,
-    the one `check_slp` reads, and the whole map is not decomposed.  A
-    genuinely undersized shape falls short of the family count both times,
-    and the redrawn flag records that a second draw happened.
+    ValueError.  A sample draws its raw context factor, then one value per
+    relation orbit for each component's v, with v(not r) = -v(r) and
+    v(conv r) = +-v(r), so a converse-fixed orbit of v- is zero.  One RNG
+    call draws a block of at most _BLOCK_CELLS values, at least one sample.
+
+    The map is exactly logically equivariant by construction.  Whether it
+    reaches full representative rank depends on the requested shape.  The
+    rank is read off the map's cached representative spectrum, the one
+    `check_slp` reads, and the whole map is not decomposed.  A genuinely
+    undersized shape falls short of the family count both times, and the
+    redrawn flag records that a second draw happened.
     """
     if parity not in (None, "+", "-"):
         raise ValueError(f"parity must be '+', '-' or None, not {parity!r}")
     rng = np.random.default_rng(seed)
     n, images = algebra.entity_set.n, algebra.images
+    # the converse sign of each component a sample keeps, in draw order
+    signs = [sign for name, sign in (("+", 1.0), ("-", -1.0))
+             if parity in (None, name)]
+    k = len(signs)
+    # each orbit is drawn at its smallest relation
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(algebra.size))
+    conv_fixed = images[2, reps] == reps
+    cells = n * n * context_dim
+    sample = cells + k * len(reps)
+    step = max(1, _BLOCK_CELLS // sample)
+    u = np.empty((k * terms, n, n, context_dim))
+    v = np.empty((k * terms, algebra.size))
 
-    def draw() -> tuple[tuple[Term, ...], FeatureMap]:
-        drawn: list[Term] = []
-        for _ in range(terms):
-            raw = rng.uniform(-1.0, 1.0, size=(n, n, context_dim))
-            u_plus, u_minus = _halves(raw, raw.transpose(1, 0, 2))
-            if parity in (None, "+"):
-                drawn.append(Term(u_plus, _sample_v(images, "+", rng)))
-            if parity in (None, "-"):
-                drawn.append(Term(u_minus, _sample_v(images, "-", rng)))
-        return tuple(drawn), FeatureMap(
-            algebra, assemble_rows(drawn, algebra, context_dim))
+    def draw() -> FeatureMap:
+        for start in range(0, terms, step):
+            stop = min(start + step, terms)
+            block = rng.uniform(-1.0, 1.0, size=(stop - start, sample))
+            raw = block[:, :cells].reshape(-1, n, n, context_dim)
+            values = block[:, cells:].reshape(-1, k, len(reps))
+            for j, conv_sign in enumerate(signs):
+                # term-major: sample i's components are terms k i + j
+                rows = slice(k * start + j, k * stop, k)
+                out = u[rows]
+                halve = np.add if conv_sign > 0 else np.subtract
+                halve(raw, raw.transpose(0, 2, 1, 3), out=out)
+                out /= 2.0
+                value = values[:, j]
+                if conv_sign < 0:
+                    value[:, conv_fixed] = 0.0
+                # a converse-fixed orbit is written twice; the id and neg
+                # rows go last, so a zeroed one reads +0.0 at the
+                # representative, -0.0 at its complement
+                for row, sign in ((2, conv_sign), (3, -conv_sign),
+                                  (0, 1.0), (1, -1.0)):
+                    v[rows, images[row, reps]] = sign * value
+        return FeatureMap(algebra, assemble_rows(u, v, algebra))
 
-    drawn, fmap = draw()
+    fmap = draw()
     redrawn = fmap.rep_spectrum.span_rank != len(fmap.families)
     if redrawn:
-        drawn, fmap = draw()
-    return FactorizedMap(drawn, fmap, redrawn)
+        # the first map's rows are its own, so the factors are drawn over
+        fmap = draw()
+    return FactorizedMap(u, v, fmap, redrawn)
 
 
 def verify_factorized_form(f: FactorizedMap) -> Report:
     """Recompute rows from factors and audit the negation sign flip.
 
     Row agreement is exact (same assembly path); the sign law v(not r) =
-    -v(r) is checked per term as one array identity, and failures are
-    located by (term, relation).
+    -v(r) is checked as one array identity over every term, and failures
+    are located by (term, relation), in term-major order.
     """
     algebra = f.feature_map.algebra
-    rebuilt = assemble_rows(f.terms, algebra, f.dim)
+    rebuilt = assemble_rows(f.u, f.v, algebra)
     rows = f.feature_map.matrix
     rows_equal = np.array_equal(rebuilt, rows)
     row_dev = float(np.max(np.abs(rebuilt - rows))) if rebuilt.size else 0.0
-    neg = algebra.images[1]
-    shape = (algebra.entity_set.n, algebra.entity_set.n, f.dim)
-    sign_faults = []
-    dims_ok = True
-    for ki, term in enumerate(f.terms):
-        v = term.v[:algebra.size]  # dims_consistent flags a long v
-        dev = np.abs(v[neg] + v)
-        bad = np.flatnonzero(dev != 0.0)
-        sign_faults += [{"term": ki, "relation": r, "deviation": d}
-                        for r, d in zip(bad.tolist(), dev[bad].tolist())]
-        dims_ok &= term.u.shape == shape and term.v.shape == (algebra.size,)
+    v = f.v[:, :algebra.size]  # dims_consistent flags a long v
+    # in place: one array the size of v
+    dev = v[:, algebra.images[1]]
+    dev += v
+    np.abs(dev, out=dev)
+    bad = np.nonzero(dev != 0.0)
+    sign_faults = [{"term": k, "relation": r, "deviation": d}
+                   for k, r, d in zip(*(i.tolist() for i in bad),
+                                      dev[bad].tolist())]
     worst_sign = max([0.0] + [fault["deviation"] for fault in sign_faults])
+    n = algebra.entity_set.n
+    dims_ok = (f.u.shape[1:] == (n, n, f.dim)
+               and f.v.shape[1:] == (algebra.size,))
     passed = rows_equal and not sign_faults and dims_ok
     return Report(
         check="factorized_form",
@@ -192,7 +210,7 @@ def verify_factorized_form(f: FactorizedMap) -> Report:
         max_deviation=max(row_dev, worst_sign),
         details={"rows_exact": bool(rows_equal), "row_deviation": row_dev,
                  "sign_faults": sign_faults, "dims_consistent": dims_ok,
-                 "n_terms": len(f.terms)},
+                 "n_terms": len(f.u)},
     )
 
 
@@ -235,15 +253,14 @@ class NegationSplit:
     lift: LiftedOperator
 
 
-def negation_split(f: FactorizedMap) -> NegationSplit:
+def negation_split(fmap: FeatureMap) -> NegationSplit:
     """Split the feature span by the lifted relation-complement operator.
 
     In span coordinates the lift is an orthogonal involution; on a
     structured-linear map it is minus the identity, so the plus eigenspace
     is zero.
     """
-    n = f.feature_map.n
-    lift = lift_renaming(f.feature_map, GroupElementH(tuple(range(n)), -1))
+    lift = lift_renaming(fmap, GroupElementH(tuple(range(fmap.n)), -1))
     p_plus, p_minus = involution_split(lift.span)
     plus_dim = numerics.projector_trace_dim(p_plus)
     minus_dim = numerics.projector_trace_dim(p_minus)
@@ -273,7 +290,7 @@ class IsotypicProjector:
 _COMMUTATOR_CELLS = 2 ** 14
 
 
-def isotypic_decompose(f: FactorizedMap
+def isotypic_decompose(fmap: FeatureMap
                        ) -> tuple[list[IsotypicProjector], dict, dict]:
     """Isotypic pieces of the renaming action lifted to the feature span.
 
@@ -288,12 +305,12 @@ def isotypic_decompose(f: FactorizedMap
     properties, the irreps and the renaming at its maximum (the first one
     in irrep and group order), as JSON.
     """
-    n = f.feature_map.n
+    n = fmap.n
     perms = symmetric_group(n)
     spans, deviations = [], []
     class_sums: dict[tuple[int, ...], np.ndarray] = {}
     for perm in perms:
-        lift = lift_renaming(f.feature_map, GroupElementH(perm, 1))
+        lift = lift_renaming(fmap, GroupElementH(perm, 1))
         spans.append(lift.span)
         deviations.append(lift.deviation)
         mu = characters.cycle_type(perm)
@@ -369,15 +386,16 @@ def relation_sign_representation(algebra: RelationAlgebra) -> list[np.ndarray]:
             characters.permutation_matrix(algebra.images[1])]
 
 
-@dataclass(frozen=True)
-class ParityTermPair:
-    plus: Term
-    minus: Term
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityDecomposition:
-    pairs: tuple[ParityTermPair, ...]
+    """The matched-parity halves of every term, stacked as the terms are:
+    u_plus and u_minus are (terms, n, n, context_dim), v_plus and v_minus
+    (terms, relations)."""
+
+    u_plus: np.ndarray
+    u_minus: np.ndarray
+    v_plus: np.ndarray
+    v_minus: np.ndarray
     max_cross_residual: float
 
 
@@ -389,7 +407,7 @@ def parity_decompose(f: FactorizedMap,
     first query with the largest deviation is reported otherwise).  Each term
     (u, v) splits into (u+, v+) and (u-, v-); the cross-parity components
     u+ x v- and u- x v+ must cancel on every query, and the largest entry
-    of their sum, assembled as the rows are, is reported.
+    of their sum, assembled as the rows are, term by term, is reported.
     """
     algebra = f.feature_map.algebra
     rows = f.feature_map.matrix
@@ -400,16 +418,13 @@ def parity_decompose(f: FactorizedMap,
         query = decode_queries(worst, algebra.entity_set.n, algebra.size)
         raise ConverseInvarianceError(Query(*query), float(dev[worst]))
 
-    conv = algebra.images[2]
-    pairs, cross_terms = [], []
-    for term in f.terms:
-        u_plus, u_minus = _halves(term.u, term.u.transpose(1, 0, 2))
-        v_plus, v_minus = _halves(term.v, term.v[conv])
-        pairs.append(ParityTermPair(Term(u_plus, v_plus),
-                                    Term(u_minus, v_minus)))
-        cross_terms += [Term(u_plus, v_minus), Term(u_minus, v_plus)]
-    cross = assemble_rows(cross_terms, algebra, f.dim)
-    return ParityDecomposition(tuple(pairs),
+    u_plus, u_minus = _halves(f.u, f.u.transpose(0, 2, 1, 3).copy())
+    v_plus, v_minus = _halves(f.v, f.v[:, algebra.images[2]])
+    cross = _grid_sum(((u, v) for k in range(len(f.u))
+                       for u, v in ((u_plus[k], v_minus[k]),
+                                    (u_minus[k], v_plus[k]))),
+                      algebra, f.u.shape[3])
+    return ParityDecomposition(u_plus, u_minus, v_plus, v_minus,
                                float(np.max(np.abs(cross), initial=0.0)))
 
 

@@ -15,7 +15,7 @@ from conftest import (compose_renamings, enumerate_queries,
 from slplab import numerics
 from slplab.conjunction import (check_kernel_stability, collapse_certificate,
                                 fit_bilinear, possible_worlds_assignment)
-from slplab.factorize import (ConverseInvarianceError, FactorizedMap, Term,
+from slplab.factorize import (ConverseInvarianceError, FactorizedMap,
                               assemble_rows, build_slp_map,
                               hom_dimension_check,
                               involution_dims, isotypic_decompose,
@@ -108,12 +108,10 @@ def test_criterion_03_twenty_builds_and_sign_fault():
         rank = check_slp(built.feature_map)
         assert rank.passed and rank.details["rep_rank"] == len(families)
     built = build_slp_map(algebra, *shape, 0)
-    term = built.terms[0]
-    v_bad = term.v.copy()
-    v_bad[algebra.images[1, 0]] = v_bad[0]
-    bad_terms = (Term(term.u, v_bad),) + built.terms[1:]
-    rows = assemble_rows(bad_terms, algebra, built.dim)
-    broken = FactorizedMap(bad_terms, FeatureMap(algebra, rows))
+    v_bad = built.v.copy()
+    v_bad[0, algebra.images[1, 0]] = v_bad[0, 0]
+    rows = assemble_rows(built.u, v_bad, algebra)
+    broken = FactorizedMap(built.u, v_bad, FeatureMap(algebra, rows))
     report = verify_factorized_form(broken)
     assert not report.passed
     assert any(f["relation"] in (0, algebra.images[1, 0])
@@ -151,7 +149,7 @@ def test_criterion_05_isotypic_projector_properties():
         algebra = seeded_algebra(n, 1, n)
         families = compute_families(algebra)
         built = build_slp_map(algebra, len(families), 1, None, n)
-        _, props, _ = isotypic_decompose(built)
+        _, props, _ = isotypic_decompose(built.feature_map)
         worst = max(props["idempotence"], props["annihilation"],
                     props["completeness_on_span"], props["commutation"])
         assert worst <= 1e-8, (n, props)
@@ -169,19 +167,21 @@ def test_criterion_06_parity_exactness_and_fault():
         built = build_slp_map(algebra, len(families), 1, parity, 6)
         decomp = parity_decompose(built, tol=0.0)  # raises unless exact
         assert decomp.max_cross_residual == 0.0
-        terms = tuple(t for pair in decomp.pairs
-                      for t in (pair.plus, pair.minus))
-        rebuilt = assemble_rows(terms, algebra, built.dim)
-        original = assemble_rows(built.terms, algebra, built.dim)
+        # the halves of each term, term by term
+        u = np.stack([decomp.u_plus, decomp.u_minus], axis=1)
+        v = np.stack([decomp.v_plus, decomp.v_minus], axis=1)
+        rebuilt = assemble_rows(u.reshape(-1, *built.u.shape[1:]),
+                                v.reshape(-1, algebra.size), algebra)
+        original = assemble_rows(built.u, built.v, algebra)
         assert np.array_equal(rebuilt, original)
     rng = np.random.default_rng(2)
     raw = rng.uniform(-1.0, 1.0, size=(3, 3, 2))
     u_odd = (raw - raw.transpose(1, 0, 2)) / 2.0
     v_even = np.zeros(algebra.size)
     v_even[algebra.images[:, 0]] = 1.0, -1.0, 1.0, -1.0
-    terms = (Term(u_odd, v_even),)
     mismatched = FactorizedMap(
-        terms, FeatureMap(algebra, assemble_rows(terms, algebra, 2)))
+        u_odd[None], v_even[None],
+        FeatureMap(algebra, assemble_rows(u_odd[None], v_even[None], algebra)))
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0

@@ -8,7 +8,7 @@ import pytest
 from conftest import (enumerate_queries, perm_sign, random_proper_relation,
                       rank, standard_rep)
 from slplab import characters, factorize
-from slplab.factorize import (ConverseInvarianceError, FactorizedMap, Term,
+from slplab.factorize import (ConverseInvarianceError, FactorizedMap,
                               assemble_rows, build_slp_map,
                               character_hom_dim, commutant_hom_dimension,
                               hom_dimension_check, involution_dims,
@@ -38,15 +38,22 @@ def test_verify_passes_on_builds(algebra_3):
         assert report.details["sign_faults"] == []
 
 
+def with_factors(u, v, algebra):
+    """The factorized map that the factors sum to."""
+    return FactorizedMap(u, v, FeatureMap(algebra, assemble_rows(u, v, algebra)))
+
+
+def interleaved(a, b):
+    """a[0], b[0], a[1], b[1], ...: two stacks of terms, term by term."""
+    return np.stack([a, b], axis=1).reshape(-1, *a.shape[1:])
+
+
 def test_injected_sign_fault_located(algebra_3):
     built = build(algebra_3, 9, 0)
-    term = built.terms[0]
-    v_bad = term.v.copy()
+    v_bad = built.v.copy()
     r = 0
-    v_bad[algebra_3.images[1, r]] = v_bad[r]  # break v(not r) = -v(r)
-    bad_terms = (Term(term.u, v_bad),) + built.terms[1:]
-    rows = assemble_rows(bad_terms, algebra_3, 9)
-    broken = FactorizedMap(bad_terms, FeatureMap(algebra_3, rows))
+    v_bad[0, algebra_3.images[1, r]] = v_bad[0, r]  # break v(not r) = -v(r)
+    broken = with_factors(built.u, v_bad, algebra_3)
     report = verify_factorized_form(broken)
     assert not report.passed
     faults = report.details["sign_faults"]
@@ -54,36 +61,34 @@ def test_injected_sign_fault_located(algebra_3):
     located = {(f["term"], f["relation"]) for f in faults}
     # both members of the complement pair show the violation
     assert (0, r) in located and (0, algebra_3.images[1, r]) in located
-    expected = abs(2.0 * term.v[r])
+    expected = abs(2.0 * built.v[0, r])
     assert any(np.isclose(f["deviation"], expected) for f in faults)
 
 
-def per_relation_sign_faults(terms, algebra):
-    """The sign audit one relation at a time, the oracle for its order."""
+def per_relation_sign_faults(v, algebra):
+    """The sign audit one term and relation at a time, the oracle for its
+    order."""
     return [{"term": ki, "relation": r,
-             "deviation": float(abs(term.v[algebra.images[1, r]] + term.v[r]))}
-            for ki, term in enumerate(terms)
+             "deviation": float(abs(vk[algebra.images[1, r]] + vk[r]))}
+            for ki, vk in enumerate(v)
             for r in range(algebra.size)
-            if abs(term.v[algebra.images[1, r]] + term.v[r]) != 0.0]
+            if abs(vk[algebra.images[1, r]] + vk[r]) != 0.0]
 
 
 def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
     built = build(algebra_3x2, 4, 2, terms=2)
-    assert len(built.terms) == 4
+    assert len(built.u) == len(built.v) == 4
     # break the law in both terms of the second raw sample, and once in
     # the first
     breaks = {1: {0: 0.5}, 2: {2: -0.25, 5: 0.75},
               3: {algebra_3x2.images[1, 3]: 0.125}}
-    terms = []
-    for ki, term in enumerate(built.terms):
-        v = term.v.copy()
-        for r, delta in breaks.get(ki, {}).items():
-            v[r] += delta
-        terms.append(Term(term.u, v))
-    rows = assemble_rows(terms, algebra_3x2, 4)
-    broken = FactorizedMap(tuple(terms), FeatureMap(algebra_3x2, rows))
+    v = built.v.copy()
+    for ki, row in breaks.items():
+        for r, delta in row.items():
+            v[ki, r] += delta
+    broken = with_factors(built.u, v, algebra_3x2)
     report = verify_factorized_form(broken)
-    expected = per_relation_sign_faults(terms, algebra_3x2)
+    expected = per_relation_sign_faults(v, algebra_3x2)
     assert report.details["sign_faults"] == expected
     assert {f["term"] for f in expected} == set(breaks)
     assert len(expected) == 2 * sum(map(len, breaks.values()))
@@ -91,8 +96,65 @@ def test_sign_faults_pinned_against_a_per_relation_loop(algebra_3x2):
     assert not report.passed
 
 
+def sampled_v(images, parity, rng):
+    """One relation factor as the per-sample builder drew it: one uniform
+    call for every orbit, in order of its smallest relation, whose value is
+    written over the orbit through the four rows of `images`."""
+    conv_sign = 1.0 if parity == "+" else -1.0
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(images.shape[1]))
+    value = rng.uniform(-1.0, 1.0, size=len(reps))
+    if parity == "-":
+        value[images[2, reps] == reps] = 0.0
+    v = np.empty(images.shape[1])
+    # a converse-fixed orbit is written twice; the id and neg rows go last,
+    # so a zeroed one reads +0.0 at the representative, -0.0 at its complement
+    for row, sign in ((2, conv_sign), (3, -conv_sign), (0, 1.0), (1, -1.0)):
+        v[images[row, reps]] = sign * value
+    return v
+
+
+def reference_build(algebra, context_dim, terms, parity, seed):
+    """The per-sample builder that `build_slp_map` replaced: one RNG call
+    for each raw sample's context factor and one for each of its relation
+    factors, one term at a time.  Returns (u, v, matrix, redrawn)."""
+    rng = np.random.default_rng(seed)
+    n, images = algebra.entity_set.n, algebra.images
+
+    def draw():
+        us, vs = [], []
+        for _ in range(terms):
+            raw = rng.uniform(-1.0, 1.0, size=(n, n, context_dim))
+            image = raw.transpose(1, 0, 2)
+            if parity in (None, "+"):
+                us.append((raw + image) / 2.0)
+                vs.append(sampled_v(images, "+", rng))
+            if parity in (None, "-"):
+                us.append((raw - image) / 2.0)
+                vs.append(sampled_v(images, "-", rng))
+        u = np.array(us).reshape(-1, n, n, context_dim)
+        v = np.array(vs).reshape(-1, algebra.size)
+        return u, v, FeatureMap(algebra, assemble_rows(u, v, algebra))
+
+    u, v, fmap = draw()
+    redrawn = fmap.rep_spectrum.span_rank != len(fmap.families)
+    if redrawn:
+        u, v, fmap = draw()
+    return u, v, fmap.matrix, redrawn
+
+
+def assert_built_as_the_reference(algebra, context_dim, terms, parity, seed):
+    built = build_slp_map(algebra, context_dim, terms, parity, seed)
+    u, v, matrix, redrawn = reference_build(algebra, context_dim, terms,
+                                            parity, seed)
+    assert built.u.shape == u.shape and built.u.tobytes() == u.tobytes()
+    assert built.v.shape == v.shape and built.v.tobytes() == v.tobytes()
+    assert built.feature_map.matrix.tobytes() == matrix.tobytes()
+    assert built.redrawn is redrawn
+    return built
+
+
 def walked_v(algebra, parity, rng):
-    """The orbit walk `_sample_v` replaced: one draw and one stack walk per
+    """The orbit walk `sampled_v` replaced: one draw and one stack walk per
     orbit, in order of the orbit's smallest relation."""
     conv_sign = 1.0 if parity == "+" else -1.0
     v = np.zeros(algebra.size)
@@ -130,14 +192,14 @@ def algebras_with_symmetric_relations(count, seed):
 
 
 @pytest.mark.parametrize("parity", ["+", "-"])
-def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
+def test_sampled_v_matches_the_orbit_walk_bit_for_bit(parity):
     fixed = signed_zeros = 0
     for seed, algebra in enumerate(algebras_with_symmetric_relations(150, 7)):
         images = algebra.images
         fixed += int(np.sum(images[2] == np.arange(algebra.size)))
         rng, walk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            v = factorize._sample_v(images, parity, rng)
+            v = sampled_v(images, parity, rng)
             assert v.tobytes() == walked_v(algebra, parity, walk_rng).tobytes()
             signed_zeros += int(np.sum(np.signbit(v) & (v == 0.0)))
         # both consumed the same number of draws
@@ -146,28 +208,102 @@ def test_sample_v_matches_the_orbit_walk_bit_for_bit(parity):
     assert (signed_zeros > 0) == (parity == "-")
 
 
+def test_one_uniform_call_draws_what_consecutive_calls_draw():
+    sizes = ((2, 3), (5,), (1, 4), (0,), (3, 1))
+    for seed in range(50):
+        one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = one.uniform(-1.0, 1.0, size=sum(np.prod(s) for s in sizes))
+        parts = np.concatenate([many.uniform(-1.0, 1.0, size=s).ravel()
+                                for s in sizes])
+        assert block.tobytes() == parts.tobytes()
+        assert one.random() == many.random()
+
+
+@pytest.mark.parametrize("parity", [None, "+", "-"])
+def test_builds_equal_the_per_sample_reference_bitwise(parity):
+    redrawn = 0
+    for seed, algebra in enumerate(algebras_with_symmetric_relations(12, 5)):
+        n_families = len(compute_families(algebra))
+        for width, terms in ((n_families, 1), (3, 2), (1, 1)):
+            built = assert_built_as_the_reference(algebra, width, terms,
+                                                  parity, seed)
+            redrawn += built.redrawn
+    # width 1 falls short of the family count, so it draws twice
+    assert redrawn >= 12
+
+
+@pytest.mark.parametrize("parity", [None, "+", "-"])
+@pytest.mark.parametrize("step", [0, 1, 2, 3])
+def test_builds_over_several_draw_blocks_equal_the_reference(
+        monkeypatch, algebra_3x2, parity, step):
+    """Blocks of `step` samples (one sample for 0) over 7 samples, so a
+    last block is short, at the family count's width and at an undersized
+    width 2, which is redrawn."""
+    images = algebra_3x2.images
+    orbits = int(np.sum(images.min(axis=0) == np.arange(algebra_3x2.size)))
+    n_families = len(compute_families(algebra_3x2))
+    for width, redrawn in ((n_families, False), (2, True)):
+        sample = 9 * width + (2 if parity is None else 1) * orbits
+        # one cell short of step + 1 samples
+        monkeypatch.setattr(factorize, "_BLOCK_CELLS",
+                            max(1, (step + 1) * sample - 1))
+        for seed in range(3):
+            built = assert_built_as_the_reference(algebra_3x2, width, 7,
+                                                  parity, seed)
+            # a single parity falls short of full rank at any width
+            assert built.redrawn is (redrawn or parity is not None)
+
+
+def test_build_draws_one_uniform_block_per_step(monkeypatch):
+    """20 samples of 9,000 context values and one orbit value each: blocks
+    of 7, 7 and 6 samples under 2^16 cells."""
+    algebra = close_unary([Relation.from_pairs(EntitySet.of_size(3),
+                                               [(0, 1)], "r0")])
+    sizes = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def uniform(self, low, high, size):
+            sizes.append(size)
+            return self.rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    for parity in (None, "+", "-"):
+        sizes.clear()
+        built = build_slp_map(algebra, 1000, 20, parity, 3)
+        # one orbit: r0, its complement, converse and complemented converse
+        sample = 9000 + (2 if parity is None else 1)
+        assert sizes == [(7, sample), (7, sample), (6, sample)] * \
+            (1 + built.redrawn)
+        assert 7 * sample <= factorize._BLOCK_CELLS < 8 * sample
+
+
 def test_rows_recomputed_exactly_from_many_terms(algebra_3):
     for built in (build(algebra_3, 4, 5, terms=2),
                   build(algebra_3, 3, 5, terms=3, parity="+")):
         assert verify_factorized_form(built).passed
-        rebuilt = assemble_rows(built.terms, algebra_3, built.dim)
+        rebuilt = assemble_rows(built.u, built.v, algebra_3)
         assert np.array_equal(rebuilt, built.feature_map.matrix)
 
 
-def gathered_rows(terms, queries, context_dim):
+def gathered_rows(u, v, queries):
     """Reference: the terms gathered through per-query index arrays, term by
     term in order, as rows were assembled before the grid form."""
     heads, rels, tails = np.array(queries, dtype=int).reshape(-1, 3).T
-    acc = np.zeros((len(queries), context_dim))
-    for term in terms:
-        acc += term.u[heads, tails, :] * term.v[rels][:, None]
+    acc = np.zeros((len(queries), u.shape[3]))
+    for uk, vk in zip(u, v):
+        acc += uk[heads, tails, :] * vk[rels][:, None]
     return acc
 
 
-def cross_terms(pairs):
-    """The cross-parity terms, in `parity_decompose` order."""
-    return tuple(t for p in pairs for t in (Term(p.plus.u, p.minus.v),
-                                            Term(p.minus.u, p.plus.v)))
+def cross_terms(decomp):
+    """The cross-parity terms (u+, v-), (u-, v+) of each term, in
+    `parity_decompose` order."""
+    return (interleaved(decomp.u_plus, decomp.u_minus),
+            interleaved(decomp.v_minus, decomp.v_plus))
 
 
 @pytest.mark.parametrize("parity", ["+", "-", None])
@@ -176,23 +312,26 @@ def test_grid_rows_equal_the_query_gather_bitwise(parity):
     for seed, algebra in enumerate(algebras_with_symmetric_relations(20, 3)):
         queries = enumerate_queries(algebra)
         built = build(algebra, 3, seed, terms=2, parity=parity)
-        gathered = gathered_rows(built.terms, queries, 3).tobytes()
-        assert assemble_rows(built.terms, algebra, 3).tobytes() == gathered
+        gathered = gathered_rows(built.u, built.v, queries).tobytes()
+        assert assemble_rows(built.u, built.v, algebra).tobytes() == gathered
         assert built.feature_map.matrix.tobytes() == gathered
-        checked += len(built.terms)
+        checked += len(built.u)
     assert checked == 20 * (4 if parity is None else 2)
 
 
 def test_grid_rows_of_no_terms_and_of_the_cross_terms(algebra_3x2):
     queries = enumerate_queries(algebra_3x2)
-    assert assemble_rows((), algebra_3x2, 4).tobytes() == \
-        gathered_rows((), queries, 4).tobytes()
+    n = algebra_3x2.entity_set.n
+    u, v = np.zeros((0, n, n, 4)), np.zeros((0, algebra_3x2.size))
+    assert assemble_rows(u, v, algebra_3x2).tobytes() == \
+        gathered_rows(u, v, queries).tobytes()
+    assert assemble_rows(u, v, algebra_3x2).shape == (len(queries), 4)
     for seed in range(4):
         mismatched = mismatched_map(algebra_3x2, seed)
         decomp = parity_decompose(mismatched, tol=np.inf)
-        cross = cross_terms(decomp.pairs)
-        rows = assemble_rows(cross, algebra_3x2, 3)
-        assert rows.tobytes() == gathered_rows(cross, queries, 3).tobytes()
+        cross = cross_terms(decomp)
+        rows = assemble_rows(*cross, algebra_3x2)
+        assert rows.tobytes() == gathered_rows(*cross, queries).tobytes()
         assert decomp.max_cross_residual == float(np.max(np.abs(rows)))
 
 
@@ -200,29 +339,33 @@ def test_oversized_factors_fail_the_form_audit(algebra_3):
     """A u over n + 1 entities and a v one relation too long are read on
     the grid's corner, as the gather read them, and flagged, not raised."""
     built = build(algebra_3, 9, 0)
-    term = built.terms[0]
-    u_big = np.zeros((4, 4, 9))
-    u_big[:3, :3] = term.u
-    v_long = np.append(term.v, 0.5)
-    terms = (Term(u_big, v_long),) + built.terms[1:]
+    k = len(built.u)
+    u_big = np.zeros((k, 4, 4, 9))
+    u_big[:, :3, :3] = built.u
+    v_long = np.concatenate([built.v, np.full((k, 1), 0.5)], axis=1)
     queries = enumerate_queries(algebra_3)
-    rows = assemble_rows(terms, algebra_3, 9)
-    assert rows.tobytes() == gathered_rows(terms, queries, 9).tobytes()
-    oversized = FactorizedMap(terms, FeatureMap(algebra_3, rows))
-    report = verify_factorized_form(oversized)
-    assert report.details["dims_consistent"] is False
-    assert report.details["rows_exact"] is True
-    assert report.passed is False
+    for u, v in ((u_big, built.v), (built.u, v_long), (u_big, v_long)):
+        rows = assemble_rows(u, v, algebra_3)
+        assert rows.tobytes() == gathered_rows(u, v, queries).tobytes()
+        assert rows.tobytes() == built.feature_map.matrix.tobytes()
+        report = verify_factorized_form(with_factors(u, v, algebra_3))
+        assert report.details["dims_consistent"] is False
+        assert report.details["rows_exact"] is True
+        assert report.passed is False
+    assert verify_factorized_form(
+        with_factors(built.u, built.v, algebra_3)).passed
 
 
-def test_term_validation(algebra_3):
-    with pytest.raises(ValueError):
-        Term(np.zeros((2, 3, 4)), np.zeros(4))
-    with pytest.raises(ValueError):
-        Term(np.zeros((2, 2, 4)), np.zeros((4, 1)))
-    with pytest.raises(ValueError, match="context dimension"):
-        assemble_rows((Term(np.zeros((3, 3, 4)), np.zeros(algebra_3.size)),),
-                      algebra_3, 3)
+def test_factor_validation(algebra_3):
+    v = np.zeros((2, algebra_3.size))
+    for bad_u in (np.zeros((2, 3, 4)), np.zeros((2, 2, 3, 4))):
+        with pytest.raises(ValueError, match="u must"):
+            assemble_rows(bad_u, v, algebra_3)
+    u = np.zeros((2, 3, 3, 4))
+    for bad_v in (np.zeros(algebra_3.size), np.zeros((3, algebra_3.size)),
+                  np.zeros((2, algebra_3.size, 1))):
+        with pytest.raises(ValueError, match="v must"):
+            assemble_rows(u, bad_v, algebra_3)
 
 
 @pytest.mark.parametrize("parity", ["both", "", 0])
@@ -237,7 +380,7 @@ def test_build_rejects_an_unknown_parity(algebra_3, parity):
 def test_negation_split_is_minus_identity_sector(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 1)
-    split = negation_split(built)
+    split = negation_split(built.feature_map)
     assert split.plus_dim == 0
     assert split.minus_dim == len(families)
     assert split.span_dim == len(families)
@@ -252,7 +395,7 @@ def test_negation_split_on_a_wide_map_is_r_by_r(algebra_3):
     """Four features beyond the span: the projectors stay 9 x 9, not 13 x 13."""
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families) + 4, 1)
-    split = negation_split(built)
+    split = negation_split(built.feature_map)
     assert built.dim == split.span_dim + 4
     assert split.minus_projector.shape == (split.span_dim, split.span_dim)
     assert np.max(np.abs(split.minus_projector
@@ -281,7 +424,7 @@ def test_isotypic_projector_properties(n):
     algebra = close_unary([base])
     families = compute_families(algebra)
     built = build(algebra, len(families), seed=n)
-    projectors, props, _ = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built.feature_map)
     assert props["idempotence"] <= PROJECTOR_TOL
     assert props["annihilation"] <= PROJECTOR_TOL
     assert props["completeness_on_span"] <= PROJECTOR_TOL
@@ -296,7 +439,7 @@ def test_trivial_isotypic_piece_matches_group_average(algebra_3):
     lifts = [lift_renaming(built.feature_map, GroupElementH(p, 1))
              for p in perms]
     avg = np.mean([l.span for l in lifts], axis=0)
-    projectors, _, _ = isotypic_decompose(built)
+    projectors, _, _ = isotypic_decompose(built.feature_map)
     trivial = next(p for p in projectors if p.irrep == (3,))
     assert np.max(np.abs(trivial.matrix - avg)) <= 1e-9
 
@@ -310,7 +453,7 @@ def test_class_sum_projectors_match_the_element_sum():
     perms = symmetric_group(4)
     rhos = [lift_renaming(built.feature_map, GroupElementH(p, 1)).span
             for p in perms]
-    projectors, props, _ = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built.feature_map)
     for proj in projectors:
         ref = sum(characters.mn_character(proj.irrep, characters.cycle_type(p))
                   * rho for p, rho in zip(perms, rhos)) * proj.irrep_dim / 24
@@ -321,7 +464,7 @@ def test_class_sum_projectors_match_the_element_sum():
 def test_isotypic_on_a_wide_map_stays_in_span_coordinates(algebra_3):
     """Eleven features beyond the span of 9: every projector is 9 x 9."""
     built = build(algebra_3, 20, 1)
-    projectors, props, _ = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built.feature_map)
     assert props["span_dim"] == 9
     assert all(p.matrix.shape == (9, 9) for p in projectors)
     assert sum(p.image_dim for p in projectors) == 9
@@ -371,7 +514,7 @@ def test_two_sym5_decompositions_walk_each_permutation_once():
     maps = [isotypic_map(5, 5), isotypic_map(5, 5, 3)]
     characters.cycle_type.cache_clear()
     for built in maps:
-        isotypic_decompose(built)
+        isotypic_decompose(built.feature_map)
     # each of the 120 elements of Sym(5) walked once, in the first call
     assert characters.cycle_type.cache_info().misses <= 120
 
@@ -389,7 +532,7 @@ def test_isotypic_properties_equal_the_stacked_formulas(monkeypatch, n, seed,
         r = built.feature_map.spectrum.span_rank
         k = len(characters.partitions(n))
         monkeypatch.setattr(factorize, "_COMMUTATOR_CELLS", step * k * r * r)
-    projectors, props, _ = isotypic_decompose(built)
+    projectors, props, _ = isotypic_decompose(built.feature_map)
     mats, ref = stacked_isotypic_reference(built)
     assert np.array_equal(np.stack([p.matrix for p in projectors]), mats)
     assert {k: props[k] for k in ref} == ref
@@ -402,7 +545,7 @@ def test_isotypic_properties_equal_the_stacked_formulas(monkeypatch, n, seed,
 
 def test_isotypic_offenders_sit_at_each_maximum():
     built = isotypic_map(4, 2)
-    projectors, props, offenders = isotypic_decompose(built)
+    projectors, props, offenders = isotypic_decompose(built.feature_map)
     mats = {str(list(p.irrep)): p.matrix for p in projectors}
 
     def rho(renaming):
@@ -431,7 +574,7 @@ def test_isotypic_rejects_large_groups():
     algebra = close_unary([base])
     built = build(algebra, 4, 0)
     with pytest.raises(ValueError):
-        isotypic_decompose(built)
+        isotypic_decompose(built.feature_map)
 
 
 def test_pair_space_rep_is_permutation_homomorphism():
@@ -561,13 +704,32 @@ def test_parity_decompose_round_trip(algebra_3):
     built = build(algebra_3, 9, 3)
     decomp = parity_decompose(built)
     assert decomp.max_cross_residual == 0.0
-    terms = tuple(t for pair in decomp.pairs for t in (pair.plus, pair.minus))
-    rebuilt = assemble_rows(terms, algebra_3, 9)
-    original = assemble_rows(built.terms, algebra_3, 9)
+    rebuilt = assemble_rows(interleaved(decomp.u_plus, decomp.u_minus),
+                            interleaved(decomp.v_plus, decomp.v_minus),
+                            algebra_3)
+    original = assemble_rows(built.u, built.v, algebra_3)
     assert np.max(np.abs(rebuilt - original)) <= 1e-12
-    for pair in decomp.pairs:
-        assert np.array_equal(pair.plus.u, pair.plus.u.transpose(1, 0, 2))
-        assert np.array_equal(pair.minus.u, -pair.minus.u.transpose(1, 0, 2))
+    assert len(decomp.u_plus) == len(decomp.v_minus) == len(built.u)
+    swap = (0, 2, 1, 3)
+    assert np.array_equal(decomp.u_plus, decomp.u_plus.transpose(swap))
+    assert np.array_equal(decomp.u_minus, -decomp.u_minus.transpose(swap))
+    conv = algebra_3.images[2]
+    assert np.array_equal(decomp.v_plus, decomp.v_plus[:, conv])
+    assert np.array_equal(decomp.v_minus, -decomp.v_minus[:, conv])
+
+
+def test_parity_halves_equal_the_per_term_halves(algebra_3x2):
+    """Each term's halves, as the per-term split formed them, bitwise."""
+    mismatched = mismatched_map(algebra_3x2, 5)
+    decomp = parity_decompose(mismatched, tol=np.inf)
+    conv = algebra_3x2.images[2]
+    for k, (u, v) in enumerate(zip(mismatched.u, mismatched.v)):
+        u_image, v_image = u.transpose(1, 0, 2), v[conv]
+        for got, want in ((decomp.u_plus[k], (u + u_image) / 2.0),
+                          (decomp.u_minus[k], (u - u_image) / 2.0),
+                          (decomp.v_plus[k], (v + v_image) / 2.0),
+                          (decomp.v_minus[k], (v - v_image) / 2.0)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_mismatched_parity_term_raises(algebra_3):
@@ -578,9 +740,8 @@ def test_mismatched_parity_term_raises(algebra_3):
     # v is converse-even: the mismatch (u odd, v even) breaks rev-invariance
     v = np.zeros(algebra_3.size)
     v[algebra_3.images[:, 0]] = 1.0, -1.0, 1.0, -1.0
-    terms = (Term(u_antisym, v),)
-    fmap = FeatureMap(algebra_3, assemble_rows(terms, algebra_3, 4))
-    mismatched = FactorizedMap(terms, fmap)
+    mismatched = with_factors(u_antisym[None], v[None], algebra_3)
+    fmap = mismatched.feature_map
     with pytest.raises(ConverseInvarianceError) as excinfo:
         parity_decompose(mismatched)
     assert excinfo.value.deviation > 0.0
@@ -598,14 +759,13 @@ def mismatched_map(algebra, seed):
     relation factor that is a random mix of both converse parities."""
     rng = np.random.default_rng(seed)
     n = algebra.entity_set.n
-    terms = []
+    u, v = [], []
     for _ in range(3):
         raw = rng.uniform(-1.0, 1.0, size=(n, n, 3))
-        terms += [Term(raw - raw.transpose(1, 0, 2),
-                       rng.uniform(-1.0, 1.0, algebra.size)),
-                  Term(raw, rng.uniform(-1.0, 1.0, algebra.size))]
-    fmap = FeatureMap(algebra, assemble_rows(terms, algebra, 3))
-    return FactorizedMap(tuple(terms), fmap)
+        u += [raw - raw.transpose(1, 0, 2), raw]
+        v += [rng.uniform(-1.0, 1.0, algebra.size),
+              rng.uniform(-1.0, 1.0, algebra.size)]
+    return with_factors(np.array(u), np.array(v), algebra)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -638,9 +798,9 @@ def test_cross_residual_is_the_direct_cross_sum(algebra_3x2, seed):
     queries = enumerate_queries(algebra_3x2)
     heads, rels, tails = np.array(queries).T
     cross = np.zeros((len(queries), 3))
-    for pair in decomp.pairs:
-        cross += pair.plus.u[heads, tails] * pair.minus.v[rels][:, None]
-        cross += pair.minus.u[heads, tails] * pair.plus.v[rels][:, None]
+    for k in range(len(mismatched.u)):
+        cross += decomp.u_plus[k][heads, tails] * decomp.v_minus[k][rels][:, None]
+        cross += decomp.u_minus[k][heads, tails] * decomp.v_plus[k][rels][:, None]
     # summed in this order, term by term, the residual is bitwise the same
     assert decomp.max_cross_residual == float(np.max(np.abs(cross)))
     assert decomp.max_cross_residual > 0.1
@@ -661,8 +821,8 @@ def test_converse_fixed_relation_forces_zero_odd_factor():
     sym = Relation.from_pairs(entity_set, [(0, 1), (1, 0)], "sym")
     algebra = close_unary([sym])
     built = build(algebra, 6, 0, parity="-")
-    for term in built.terms:
-        assert np.array_equal(term.v, np.zeros(algebra.size))
+    assert built.v.shape == (1, algebra.size)
+    assert np.array_equal(built.v, np.zeros_like(built.v))
 
 
 # ------------------------------------------------------------------ Hom law

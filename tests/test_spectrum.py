@@ -92,8 +92,8 @@ def test_isotypic_on_a_warm_map_is_bit_identical_to_a_cold_map():
     check_family_kernel_decomposition(warm.feature_map)
     for g in group(4)[:6]:
         lift_renaming(warm.feature_map, g)
-    warm_proj, warm_props, warm_names = isotypic_decompose(warm)
-    cold_proj, cold_props, cold_names = isotypic_decompose(cold)
+    warm_proj, warm_props, warm_names = isotypic_decompose(warm.feature_map)
+    cold_proj, cold_props, cold_names = isotypic_decompose(cold.feature_map)
     assert warm_props == cold_props and warm_names == cold_names
     for a, b in zip(warm_proj, cold_proj):
         assert a.irrep == b.irrep and a.image_dim == b.image_dim
