@@ -9,8 +9,9 @@ the exit code and the SHA-256 of the report (stdout), of stderr and of each
 file the call writes (saved maps, their sidecars, histograms).  The ladder
 covers every subcommand, a json and a csv save of each map shape of the
 `many-maps` benchmark workload with `verify-slp` on each save, `fit-bilinear`
-at each shape of the `conjunction` workload and at depth 1 (so on
-assignments with and without a repeated world), `isotypic` at each shape of
+at each shape of the `conjunction` workload, at 5 and 6 atoms, and at
+depth 1 (so on assignments with and without a repeated world, and on both
+the product-law and the pair-walk path), `isotypic` at each shape of
 the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
 fails, `factorize` at each single parity and `factorize` and `parity` at
 three raw samples, builds of 20 raw samples at width 1000 that span three
@@ -153,6 +154,12 @@ def _calls():
         calls += [_call("families", *size), _call("factorize", *size),
                   _call("parity", *size)]
         calls += _save_and_verify(f"coincident-{seed}.json", "json", *size)
+    # fits past the conjunction workload's shapes: two that hold the product
+    # law, one of them over two packed bytes a row, and a depth-1 walk
+    calls += [_call("fit-bilinear", "--atoms", 5, "--worlds", 9),
+              _call("fit-bilinear", "--atoms", 6, "--worlds", 8),
+              _call("fit-bilinear", "--atoms", 5, "--worlds", 8,
+                    "--depth", 1)]
     return tuple(calls)
 
 

@@ -138,13 +138,13 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # ---------------------------------------------------------------- cell budget
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
-# 268 MB.  It admits kernel-stability at 8 atoms and fit-bilinear at 6
-# atoms, both at 8 worlds, collapse up to --dim 406 at 1 atom,
+# 268 MB.  It admits kernel-stability and fit-bilinear at 8 atoms, both
+# at 8 worlds, collapse up to --dim 406 at 1 atom,
 # default-width builds at 32 entities and families at 128 entities (both at
 # 2 relations); larger sizes exit 2 before any draw or other work.  It also
 # bounds the Python objects of a closure's queries and of a build's raw
 # samples, the terms a build keeps, all of them together, and the work of
-# kernel-stability's generator gathers and of fit-bilinear's one pair walk.
+# kernel-stability's generator gathers and of fit-bilinear's prefix counts.
 MAX_CELLS = 1 << 25
 
 
@@ -445,22 +445,25 @@ def _stability_cells(atoms: int, worlds: int) -> int:
 
 
 def _fit_cells(atoms: int, worlds: int) -> int:
-    """The largest array fit_bilinear builds, or its pair walk if larger.
+    """The largest array fit_bilinear builds, or its work if larger.
 
-    Its arrays: one block of at most max(N, PAIR_BLOCK) candidate pairs,
-    merged with the table of distinct (row, row, image row) triples, which
-    on the worlds model, where an image row is the product of its pair's
-    rows, holds at most m^2 of them for its m <= min(N, 2^worlds) distinct
-    feature rows; the (m^2, worlds) group sums and predictions; the
-    m x worlds x worlds test of equal world columns; the ordered-group full
-    design of at most m^2 x worlds^2 cells; and the worlds^2 x worlds
-    coefficients of the full fit.  Merging repeated worlds only shrinks
-    the sums, predictions, design and coefficients.  Work, not an array:
-    its one walk visits the P = N(N+1)/2 pairs.
+    At depth >= 2 the worlds model holds the product law, so the fit never
+    walks the pairs.  Its arrays: the N x worlds features and the
+    N + 1-entry image table; one block of at most max(m, PAIR_BLOCK)
+    prefix counts; the m x m count table; the (m^2, worlds) group sums and
+    predictions; the m x worlds x worlds test of equal world columns; the
+    ordered-group full design of at most m^2 x worlds^2 cells; and the
+    worlds^2 x worlds coefficients of the full fit, for its
+    m <= min(N, 2^worlds) distinct feature rows.  Merging repeated worlds
+    only shrinks the sums, predictions, design and coefficients.  Work, not
+    an array: the model's build and the law check each take 2 atoms passes
+    over the N x worlds features, and the prefix counts visit N x m cells.
+    At depth 1 the support is the 2 atoms literals, and their pair walk is
+    far smaller than that.
     """
     n = _support_size(atoms)
     m = min(n, 2 ** min(worlds, 64))
-    return max(n * (n + 1) // 2, max(n, PAIR_BLOCK),
+    return max(2 * atoms * n * worlds, n * m, PAIR_BLOCK,
                m * m * worlds ** 2, worlds ** 3)
 
 
@@ -756,10 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
                    "symmetric bilinear fit on a worlds model",
                    size=(_fit_cells, ("atoms", "worlds")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 6 at 8 worlds: the N(N+1)/2 pairs it "
-                          "walks, and its design of at most m^2 x worlds^2 "
-                          "cells for m <= min(N, 2^worlds) distinct feature "
-                          f"rows, must fit in {MAX_CELLS} cells")
+                     help="at most 8 at 8 worlds: 2 atoms passes over the "
+                          "N x worlds features, the N x m prefix counts, and "
+                          "its design of at most m^2 x worlds^2 cells, for "
+                          "m <= min(N, 2^worlds) distinct feature rows, must "
+                          f"fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -20,9 +20,14 @@ S_{c OR c'} = S_{c'} S_c, so the check gathers only the generator contexts,
 the union-irreducible ones, which on a full closure are the 2k literals.
 Then conjunction is a symmetric bilinear operator F with
 F(feature(p), feature(q)) = feature(p AND q) on realized pairs.  Fitting F
-is a linear least-squares problem; idempotence makes F(u, u) = u for every
-literal feature u, and if negation also flips feature signs then F(u, u)
-must simultaneously equal u and -u, which is impossible unless u = 0.  The
+is a linear least-squares problem over groups of pairs with equal rows.
+Where the rows obey the product law, each the AND of its literals' 0/1
+rows, a pair's image row follows from its two rows, so the groups are
+counted from the distinct rows alone (`_law_groups`); any other support
+walks its pairs once (`_walk_groups`).  Idempotence makes F(u, u) = u for
+every literal feature u, and if negation also flips feature signs then
+F(u, u) must simultaneously equal u and -u, which is impossible unless
+u = 0.  The
 collapse certificate measures exactly that obstruction: the minimum total
 squared violation is 2 * sum of squared feature norms, attained at F = 0.
 A possible-worlds assignment (0/1 truth values per world, conjunction =
@@ -346,6 +351,109 @@ def _merge_keys(keys: np.ndarray, counts: np.ndarray, firsts: np.ndarray
             np.minimum.reduceat(firsts[order], starts))
 
 
+def _walk_groups(assignment: ConjFeatureAssignment
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                            int]:
+    """(distinct rows, keys, counts, firsts, pairs skipped) of the distinct
+    (row of p, row of q, row of the image) triples of the pairs p <= q.
+
+    The rows get ids from np.unique, and one walk over the pairs in blocks
+    of support rows (`_pair_blocks`) counts the triples.  A triple's key is
+    (id(p) m + id(q)) m + id(image), in key order, with its count of pairs
+    and the walk position a n + b of its first pair (a, b).  Every block's
+    triples merge into one table, whose size follows the m distinct rows,
+    never the pairs.
+    """
+    n = len(assignment.codes)
+    values, row_id = np.unique(assignment.matrix(), axis=0,
+                               return_inverse=True)
+    row_id = row_id.reshape(-1)
+    m = len(values)
+    # a triple's key is below m^3, inside int64 for m < 2^21 distinct rows,
+    # far more than a walk of at least m^2 / 2 pairs can visit
+    keys = counts = firsts = np.zeros(0, dtype=np.int64)
+    skipped = 0
+    for aa, bb, kk, missed in _pair_blocks(assignment):
+        keys, counts, firsts = _merge_keys(
+            np.concatenate([keys, (row_id[aa] * m + row_id[bb]) * m +
+                            row_id[kk]]),
+            np.concatenate([counts, np.ones(len(kk), dtype=np.int64)]),
+            np.concatenate([firsts, aa * n + bb]))
+        skipped += missed
+    return values, keys, counts, firsts, skipped
+
+
+def _product_law(assignment: ConjFeatureAssignment) -> np.ndarray | None:
+    """The rows packed into bits (np.packbits) when the product law holds,
+    else None.
+
+    The law holds when the support is a full closure, every nonempty set of
+    its k literals exactly once, every entry is +0.0 or 1.0 (bitwise, so
+    -0.0 breaks it), and every row is the AND of its literals' rows.  Then
+    every pair's image is in the support and its row is the AND of the
+    pair's rows, so a pair's image row follows from its two rows alone.
+    The check takes k passes over the packed rows.
+    """
+    codes, rows = assignment.codes, assignment.rows
+    k = len(assignment.literals)
+    lookup = assignment.lookup
+    if (len(codes) != (1 << k) - 1 or len(lookup) != len(codes) + 1
+            or not (lookup[1:] >= 0).all() or rows.dtype != np.float64):
+        return None
+    ones = rows == 1.0
+    if not (ones | ((rows == 0.0) & ~np.signbit(rows))).all():
+        return None
+    # one row's bytes must be contiguous for `_law_groups` to view them
+    packed = np.ascontiguousarray(np.packbits(ones, axis=1))
+    product = np.full_like(packed, 0xFF)  # every code has a bit, so the
+    for bit in range(k):                  # padding bits end up 0
+        product[(codes >> bit & 1) == 1] &= packed[lookup[1 << bit]]
+    return packed if np.array_equal(product, packed) else None
+
+
+def _law_groups(assignment: ConjFeatureAssignment, packed: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                           int]:
+    """`_walk_groups`'s table, bit for bit, without the walk, for a support
+    that holds the product law (`_product_law`, whose packed rows it takes).
+
+    The packed rows sort as their 0/1 rows do, so np.unique over them
+    gives the same distinct rows, ids and order.  Every pair p <= q is
+    realized and its image row follows from its rows, so a triple is a
+    pair (i, j) of row ids with count #{a <= b : id(a) = i, id(b) = j},
+    summed from prefix counts of the ids over blocks of support rows
+    (`PAIR_BLOCK` cells).  A group's first pair in walk order starts at the
+    first row a of id i, and ends at the first row b >= a of id j, one
+    searchsorted over the rows in id-major order; its image is
+    lookup[codes[a] | codes[b]].
+    """
+    codes = assignment.codes
+    n = len(codes)
+    _, first, row_id = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1),
+        return_index=True, return_inverse=True)
+    m = len(first)
+    counts = np.zeros((m, m), dtype=np.int64)
+    seen = np.zeros(m, dtype=np.int64)  # rows of each id before the block
+    for rows in _row_blocks(n, m):
+        ids = row_id[rows]
+        below = np.zeros((len(rows), m), dtype=np.int64)
+        below[np.arange(len(rows)), ids] = 1
+        below = np.cumsum(below, axis=0) + seen  # #{a <= b : id(a) = i}
+        seen = below[-1]
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        counts[:, ids[order][starts]] += \
+            np.add.reduceat(below[order], starts).T
+    gi, gj = np.nonzero(counts)
+    id_major = np.sort(row_id * n + np.arange(n))
+    a = first[gi]
+    b = id_major[np.searchsorted(id_major, gj * n + a)] - gj * n
+    image_id = row_id[assignment.lookup[codes[a] | codes[b]]]
+    return (assignment.rows[first], (gi * m + gj) * m + image_id,
+            counts[gi, gj], a * n + b, 0)
+
+
 def _world_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(class of each world, first world of each class): worlds whose
     feature columns are exactly equal share a class, numbered in order of
@@ -363,16 +471,21 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     Constraints run over unordered support pairs (p, q) whose normalized
     conjunction stays in the support (p = q included, which encodes
     idempotence), each asking F(u, v) = w for the features u, v of p, q
-    and w of their image.  The rows of `matrix` get ids from np.unique, and
-    one walk over the pairs in blocks of support rows (`PAIR_BLOCK`) counts
-    each distinct (row of p, row of q, row of the image) triple, keeping
-    its first pair in walk order; every block's triples merge into one
-    table, whose size follows the distinct rows, never the pairs.  Pairs
-    whose rows are equal give equal design rows, so the solve runs over
-    groups of pairs: a group enters as one design row and target mean,
-    both scaled by sqrt(c) for its c pairs, which changes the pair
-    objective only by a constant, so the normal equations, and with them
-    the minimum-norm solution, are the pairs' own (weighted least squares).
+    and w of their image.  The pairs are counted in a table of distinct
+    (row of p, row of q, row of the image) triples, each with its first
+    pair in walk order, whose size follows the distinct rows, never the
+    pairs.  On a support that holds the product law (`_product_law`: a
+    full closure of 0/1 rows, each the AND of its literals' rows), which
+    the check takes O(N k worlds) to decide for k literals, the table comes
+    from prefix counts of the distinct rows (`_law_groups`), and no pair is
+    visited; any other support, such as a depth-1 one, walks the pairs once
+    in blocks of support rows (`_walk_groups`).  Both give the same table,
+    bit for bit, where both apply.  Pairs whose rows are equal give equal
+    design rows, so the solve runs over groups of pairs: a group enters as
+    one design row and target mean, both scaled by sqrt(c) for its c pairs,
+    which changes the pair objective only by a constant, so the normal
+    equations, and with them the minimum-norm solution, are the pairs' own
+    (weighted least squares).
 
     Worlds whose feature columns are equal (`_world_classes`, k worlds to
     a class) give equal design columns and equal targets, so both fits run
@@ -401,21 +514,11 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     """
     codes = assignment.codes
     n = len(codes)
-    values, row_id = np.unique(assignment.matrix(), axis=0,
-                               return_inverse=True)
-    row_id = row_id.reshape(-1)
+    packed = _product_law(assignment)
+    values, keys, counts, firsts, skipped = (
+        _walk_groups(assignment) if packed is None
+        else _law_groups(assignment, packed))
     m = len(values)
-    # a triple's key is below m^3, inside int64 for m < 2^21 distinct rows,
-    # far more than a walk of at least m^2 / 2 pairs can visit
-    keys = counts = firsts = np.zeros(0, dtype=np.int64)
-    skipped = 0
-    for aa, bb, kk, missed in _pair_blocks(assignment):
-        keys, counts, firsts = _merge_keys(
-            np.concatenate([keys, (row_id[aa] * m + row_id[bb]) * m +
-                            row_id[kk]]),
-            np.concatenate([counts, np.ones(len(kk), dtype=np.int64)]),
-            np.concatenate([firsts, aa * n + bb]))
-        skipped += missed
     n_constraints = int(counts.sum())
     if not n_constraints:
         raise ValueError("no realized conjunction pairs inside the support")

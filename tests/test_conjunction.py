@@ -543,7 +543,8 @@ def test_merged_worlds_keep_the_conflicting_targets_residual():
     assert result.n_groups == 6
 
 
-def test_fit_walks_the_pairs_once(monkeypatch):
+def counted_walks(monkeypatch) -> list:
+    """The assignments `_pair_blocks` walks from here on."""
     walks = []
     walk = conjunction._pair_blocks
 
@@ -552,9 +553,115 @@ def test_fit_walks_the_pairs_once(monkeypatch):
         return walk(assignment)
 
     monkeypatch.setattr(conjunction, "_pair_blocks", counted)
-    # blocks of 4 support rows: one walk, several blocks
-    monkeypatch.setattr(conjunction, "PAIR_BLOCK", 4 * 63)
+    return walks
+
+
+def test_law_fit_never_walks_the_pairs(monkeypatch):
+    walks, row_sorts = counted_walks(monkeypatch), []
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        if kwargs.get("axis") is not None or len(args) > 4:
+            row_sorts.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
     assignment = possible_worlds_assignment(3, 6, seed=4)[0]
+    result = fit_bilinear(assignment)
+    assert walks == [] and row_sorts == []
+    assert_matches_reference(result, assignment)
+
+
+def test_fit_walks_a_non_law_support_once(monkeypatch):
+    walks = counted_walks(monkeypatch)
+    # blocks of 4 support rows: one walk, several blocks
+    monkeypatch.setattr(conjunction, "PAIR_BLOCK", 4 * 15)
+    assignment = shared_row_assignment()
+    assert_matches_reference(fit_bilinear(assignment), assignment)
+    assert walks == [assignment]
+
+
+def law_groups(assignment):
+    packed = conjunction._product_law(assignment)
+    assert packed is not None
+    return conjunction._law_groups(assignment, packed)
+
+
+def assert_same_groups(found, expected):
+    """(values, keys, counts, firsts) bit for bit, and 0 pairs skipped."""
+    for name, x, y in zip(("values", "keys", "counts", "firsts"),
+                          found, expected):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert found[4] == expected[4] == 0
+
+
+@pytest.mark.parametrize("n_atoms,n_worlds,seed", [
+    (1, 1, 0), (1, 3, 1), (2, 2, 2), (2, 16, 3), (3, 5, 4), (3, 9, 5),
+    (4, 8, 6), (4, 17, 7), (5, 12, 8), (6, 8, 9),
+])
+def test_law_groups_equal_the_walk_bitwise(n_atoms, n_worlds, seed):
+    # above 8 worlds a row packs into several bytes; 2 atoms at 16 worlds
+    # and 1 atom at 3 have at most 4 and 2 distinct world columns
+    assignment, _ = possible_worlds_assignment(n_atoms, n_worlds, seed)
+    assert_same_groups(law_groups(assignment),
+                       conjunction._walk_groups(assignment))
+
+
+def test_law_groups_equal_the_walk_on_repeated_worlds():
+    assignment = with_worlds(possible_worlds_assignment(3, 5, seed=1)[0],
+                             (0, 1, 1, 4, 0, 2, 3, 3, 4, 1))
+    assert_same_groups(law_groups(assignment),
+                       conjunction._walk_groups(assignment))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 5])
+def test_law_groups_in_small_blocks(rows_per_block, monkeypatch):
+    assignment, _ = possible_worlds_assignment(3, 10, seed=2)
+    whole = law_groups(assignment)
+    # blocks of rows_per_block support rows; the last block is shorter
+    monkeypatch.setattr(conjunction, "PAIR_BLOCK",
+                        rows_per_block * len(whole[0]))
+    assert len(assignment.codes) % 5
+    assert_same_groups(law_groups(assignment), whole)
+    assert_same_groups(law_groups(assignment),
+                       conjunction._walk_groups(assignment))
+
+
+def break_law(kind: str) -> ConjFeatureAssignment:
+    """A worlds model altered so that the product law fails in one way."""
+    assignment, _ = possible_worlds_assignment(
+        3, 6, seed=4, depth=1 if kind == "depth 1" else 2)
+    literals = assignment.literals
+    codes, rows = assignment.codes.copy(), assignment.rows.copy()
+    zeros = np.argwhere(rows == 0.0)
+    if kind == "half":
+        rows[0, 0] = 0.5
+    elif kind == "negative zero":
+        rows[tuple(zeros[0])] = -0.0
+    elif kind == "not a product":
+        # a conjunction's 0 is some literal's 0, so a 1 there breaks it
+        conjunctions = (codes & (codes - 1)) != 0
+        rows[tuple(zeros[conjunctions[zeros[:, 0]]][0])] = 1.0
+    elif kind == "truncated":
+        codes, rows = codes[:-1], rows[:-1]
+    elif kind == "a repeated code":
+        codes[-1], rows[-1] = codes[0], rows[0]
+    elif kind == "an unused literal":
+        literals += ((True, Query(0, 9, 0)),)
+    elif kind == "the last literal dropped":
+        codes &= (1 << (len(literals) - 1)) - 1  # repeats codes, and 0
+    return ConjFeatureAssignment(literals, codes, rows)
+
+
+@pytest.mark.parametrize("kind", ["half", "negative zero", "not a product",
+                                  "truncated", "a repeated code",
+                                  "an unused literal",
+                                  "the last literal dropped", "depth 1"])
+def test_fit_walks_a_support_that_breaks_the_law(kind, monkeypatch):
+    assignment = break_law(kind)
+    assert conjunction._product_law(assignment) is None
+    walks = counted_walks(monkeypatch)
     assert_matches_reference(fit_bilinear(assignment), assignment)
     assert walks == [assignment]
 
@@ -578,17 +685,23 @@ def test_pair_blocks_do_not_change_the_fit(make, monkeypatch):
 
 
 def test_fit_forms_no_pair_sized_array():
-    assignment, _ = possible_worlds_assignment(5, 8, seed=0)
-    assignment.lookup
-    tracemalloc.start()
-    try:
-        result = fit_bilinear(assignment)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.n_constraints == 1023 * 1024 // 2
-    # one P x worlds float64 array of its P pairs alone takes 33.5 MB
-    assert peak < result.n_constraints * 8 * 8 / 4, peak
+    # at 5 atoms, a quarter of one P x worlds float64 array of its P pairs
+    # (33.5 MB); at 8 atoms, where one byte per pair takes 2.1 GB, four
+    # times the N x worlds features
+    for n_atoms, bound in ((5, 1023 * 1024 // 2 * 8 * 8 / 4),
+                           (8, 4 * 65535 * 8 * 8)):
+        assignment, _ = possible_worlds_assignment(n_atoms, 8, seed=0)
+        assignment.lookup
+        tracemalloc.start()
+        try:
+            result = fit_bilinear(assignment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(assignment.codes)
+        assert n == 4 ** n_atoms - 1
+        assert result.n_constraints == n * (n + 1) // 2
+        assert peak < bound, (n_atoms, peak)
 
 
 # ----------------------------------------------------------- kernel stability

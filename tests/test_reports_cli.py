@@ -303,7 +303,7 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("kernel-stability", "--atoms", "9", "--out", str(out_path)),
         ("kernel-stability", "--atoms", "8", "--worlds", "33",
          "--out", str(out_path)),
-        ("fit-bilinear", "--atoms", "7", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "9", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "6", "--worlds", "10", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "5", "--worlds", "10", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "4", "--worlds", "23", "--out", str(out_path)),
@@ -736,7 +736,7 @@ def test_parity_cross_residual_is_zero_for_builds(capsys):
         [n * (n + 1) // 2, n * (n - 1) // 2]
 
 
-def test_conjunction_cell_budget_admits_six_and_five_atoms():
+def test_conjunction_cell_budget_admits_eight_atoms():
     # sizes are compared, never run: the largest accepted ones take seconds
     # kernel-stability: 2 atoms generator gathers of the N x worlds features
     assert _stability_cells(6, 8) == 12 * 4095 * 8 <= MAX_CELLS
@@ -744,23 +744,46 @@ def test_conjunction_cell_budget_admits_six_and_five_atoms():
     assert _stability_cells(8, 32) <= MAX_CELLS < _stability_cells(8, 33)
     assert _stability_cells(9, 7) <= MAX_CELLS < _stability_cells(9, 8)
     assert _stability_cells(1, 10 ** 8) == 6 * 10 ** 8 > MAX_CELLS
-    # fit-bilinear: the walk over P = N(N+1)/2 pairs, or the ordered-group
-    # design of m^2 x worlds^2 cells, m = min(N, 2^worlds) distinct rows
-    assert _fit_cells(6, 8) == 4095 * 4096 // 2 <= MAX_CELLS
+    # fit-bilinear: 2 atoms passes over the N x worlds features, the N x m
+    # prefix counts, or the ordered-group design of m^2 x worlds^2 cells,
+    # m = min(N, 2^worlds) distinct rows; never the N(N+1)/2 pairs
+    assert _fit_cells(6, 8) == 256 ** 2 * 64 <= MAX_CELLS
+    assert _fit_cells(8, 8) == 65535 * 256 <= MAX_CELLS
+    assert _fit_cells(8, 9) == 65535 * 512 <= MAX_CELLS
+    assert _fit_cells(9, 8) == 262143 * 256 > MAX_CELLS
+    assert _fit_cells(9, 7) == 262143 * 128 <= MAX_CELLS
+    assert _fit_cells(10, 1) == 20 * 1048575 <= MAX_CELLS
+    assert _fit_cells(10, 2) > MAX_CELLS
     assert _fit_cells(6, 9) == 512 ** 2 * 81 <= MAX_CELLS
     assert _fit_cells(6, 10) == 1024 ** 2 * 100 > MAX_CELLS
-    assert _fit_cells(7, 8) == 16383 * 16384 // 2 > MAX_CELLS
     assert _fit_cells(5, 9) == 512 ** 2 * 81 <= MAX_CELLS
     assert _fit_cells(5, 10) == 1023 ** 2 * 100 > MAX_CELLS
     assert _fit_cells(5, 16) == 1023 ** 2 * 256 > MAX_CELLS
     assert _fit_cells(4, 22) == 255 ** 2 * 22 ** 2 <= MAX_CELLS
     assert _fit_cells(4, 23) > MAX_CELLS
-    # one pair block, never less: PAIR_BLOCK candidate pairs
+    # one prefix-count block, never less: PAIR_BLOCK cells
     assert _fit_cells(2, 4) == PAIR_BLOCK
     assert _fit_cells(1, 322) == 322 ** 3 <= MAX_CELLS
     assert _fit_cells(1, 400) == 400 ** 3 > MAX_CELLS
     assert _fit_cells(1, 10 ** 8) > MAX_CELLS
     assert _stability_cells(10 ** 9, 1) > MAX_CELLS
+
+
+def test_fit_bilinear_runs_at_eight_atoms_and_refuses_nine(capsys,
+                                                          tmp_path):
+    # the product law counts the 65535 x 65536 / 2 pairs without a walk
+    code, out, _ = run_cli(capsys, "fit-bilinear", "--atoms", "8",
+                           "--worlds", "8", "--seed", "0")
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["n_constraints"] == 65535 * 65536 // 2
+    assert details["n_pairs_skipped"] == 0
+    # the first shape over the charge at 8 worlds: exit 2, no report
+    out_path = tmp_path / "fit9.json"
+    code, out, err = run_cli(capsys, "fit-bilinear", "--atoms", "9",
+                             "--worlds", "8", "--out", str(out_path))
+    assert code == 2 and not out and "cell budget" in err
+    assert not out_path.exists()
 
 
 def test_collapse_cell_budget_admits_dim_406_at_one_atom():
