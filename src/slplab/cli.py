@@ -204,14 +204,14 @@ def _build_cells(entities: int, relations: int, context_dim, terms) -> int:
 
 def _isotypic_cells(entities: int, relations: int, context_dim,
                     terms) -> int:
-    """The build's cells or, if more, 3 n! w^2: the n! lifts of the span,
-    r x r each for r <= w, which the check holds once, with room for two
-    more stacks of that size.  Each lift's orthogonality comes from the
-    lift itself and its commutators come a bounded stack at a time, so
-    nothing else of that size is held: at n = 5 and 10 relations the peak
-    RSS is 155 MB, against 259 MB with three stacks (Python 3.11, NumPy
-    2.4, one OpenBLAS thread).  The span rank r is
-    at most the width and at most the family count, which is at most
+    """The build's cells or, if more, 3 n! w^2, room for three stacks of
+    the n! lifts of the span, r x r each for r <= w.  The check holds far
+    less: it adds each lift into its class sum as it comes and keeps only
+    the class sums, the projectors and the lifts of the generators (0 1)
+    and the n-cycle, whose commutation with the projectors it checks.  At
+    n = 5 and 10 relations the peak RSS is 100 MB against the charge's
+    259 MB (Python 3.11, NumPy 2.4, one OpenBLAS thread).  The span rank r
+    is at most the width and at most the family count, which is at most
     n(n+1) relations, so w is the smaller of the two.  n! alone is over the
     budget from 11 entities on, so the factorial is capped there.
     """

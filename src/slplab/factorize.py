@@ -284,35 +284,36 @@ class IsotypicProjector:
     image_dim: int
 
 
-# cells of one stack of commutators: 128 KB, so that the stack, its
-# operands and the second product stay in cache (on a 2-core x86, stacks
-# of 2^17 cells ran Sym(4) maps about 1.5 times slower than 2^14)
-_COMMUTATOR_CELLS = 2 ** 14
-
-
 def isotypic_decompose(fmap: FeatureMap
                        ) -> tuple[list[IsotypicProjector], dict, dict]:
     """Isotypic pieces of the renaming action lifted to the feature span.
 
     In span coordinates every lift rho(g) is orthogonal.  Each irrep's r x r
     projector is (dim / |G|) sum_mu chi(mu) C_mu over the class sums C_mu of
-    the lifts (Serre, Linear Representations of Finite Groups, 2.6).  Also
-    returns a property dict of max deviations: idempotence, mutual
-    annihilation, completeness against I_r, commutation with every lift and
-    orthogonality of every lift, the largest of the lifts' own `deviation`.
-    Commutators are formed for a stack of lifts at a time, of at most
-    _COMMUTATOR_CELLS cells.  The third value names, for each of the five
+    the lifts (Serre, Linear Representations of Finite Groups, 2.6).  Each
+    lift is added into its class sum as it comes; only the lifts of the
+    generators (0 1) and the n-cycle (i -> i + 1 mod n), one element at
+    n = 2, are kept.  Also returns a property dict of max deviations:
+    idempotence, mutual annihilation, completeness against I_r, commutation
+    with the generators (0 1) and the n-cycle, which stands for every lift
+    because a matrix that commutes with the generators commutes with every
+    product of them, and orthogonality of every lift, the largest of the
+    lifts' own `deviation`.  The third value names, for each of the five
     properties, the irreps and the renaming at its maximum (the first one
-    in irrep and group order), as JSON.
+    in irrep and group order; the commutation renaming is always a
+    generator), as JSON.
     """
     n = fmap.n
     perms = symmetric_group(n)
-    spans, deviations = [], []
+    swap, cycle = (1, 0, *range(2, n)), tuple((i + 1) % n for i in range(n))
+    generators: dict[tuple[int, ...], np.ndarray] = {}  # in group order
+    deviations = []
     class_sums: dict[tuple[int, ...], np.ndarray] = {}
     for perm in perms:
         lift = lift_renaming(fmap, GroupElementH(perm, 1))
-        spans.append(lift.span)
         deviations.append(lift.deviation)
+        if perm in (swap, cycle):
+            generators[perm] = lift.span
         mu = characters.cycle_type(perm)
         if mu not in class_sums:
             class_sums[mu] = np.zeros_like(lift.span)
@@ -326,7 +327,8 @@ def isotypic_decompose(fmap: FeatureMap
                                             numerics.projector_trace_dim(proj)))
 
     mats = np.stack([p.matrix for p in projectors])
-    k, r = len(mats), len(spans[0])
+    gens = np.stack(list(generators.values()))
+    k, r = mats.shape[:2]
 
     def worst(dev: np.ndarray) -> np.ndarray:
         """max |dev| over each trailing r x r matrix, overwriting dev."""
@@ -334,18 +336,13 @@ def isotypic_decompose(fmap: FeatureMap
         # one flat axis: numpy reduces it far faster than two
         return dev.reshape(*dev.shape[:-2], r * r).max(axis=-1, initial=0.0)
 
-    step = max(1, _COMMUTATOR_CELLS // (k * r * r or 1))
-    commutation = np.empty((k, len(spans)))
-    for start in range(0, len(spans), step):
-        chunk = np.stack(spans[start:start + step])
-        dev = mats[:, None] @ chunk
-        dev -= chunk @ mats[:, None]
-        commutation[:, start:start + len(chunk)] = worst(dev)
+    commutators = mats[:, None] @ gens
+    commutators -= gens @ mats[:, None]
     upper = np.triu_indices(k, 1)
     tables = {"idempotence": worst(mats @ mats - mats),
               "annihilation": worst(mats[upper[0]] @ mats[upper[1]]),
               "completeness_on_span": worst(mats.sum(axis=0) - np.eye(r)),
-              "commutation": commutation,
+              "commutation": worst(commutators),
               "orthogonality": np.array(deviations)}
     props = {name: float(np.max(table, initial=0.0))
              for name, table in tables.items()}
@@ -356,7 +353,7 @@ def isotypic_decompose(fmap: FeatureMap
     pairs = [[irreps[i], irreps[j]] for i, j in zip(*upper)]
     first = {name: int(np.argmax(table))  # each table's first maximum
              for name, table in tables.items() if table.size}
-    at_irrep, at_perm = divmod(first["commutation"], len(perms))
+    at_irrep, at_gen = divmod(first["commutation"], len(gens))
 
     def renaming(perm) -> dict:
         return {"perm": list(perm), "sign": 1}
@@ -367,7 +364,7 @@ def isotypic_decompose(fmap: FeatureMap
         else {},
         "completeness_on_span": {},
         "commutation": {"irrep": irreps[at_irrep],
-                        "renaming": renaming(perms[at_perm])},
+                        "renaming": renaming(list(generators)[at_gen])},
         "orthogonality": {"renaming": renaming(perms[first["orthogonality"]])}}
     return projectors, props, offenders
 

@@ -1,13 +1,14 @@
 """Fixtures and the independent oracles that more than one test module
 compares the library against."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from slplab import numerics
+from slplab import factorize, numerics
 from slplab.characters import cycle_type, permutation_matrix
 from slplab.gradlab import _apply_block_update, gradient, score
 from slplab.queryspace import GroupElementH, Query, compute_families
@@ -180,6 +181,33 @@ def standard_rep(perms, n: int) -> list[np.ndarray]:
     """The (n-1)-dimensional irreducible on the sum-zero subspace of R^n."""
     basis = _sum_zero_basis(n)
     return [basis.T @ permutation_matrix(p) @ basis for p in perms]
+
+
+def sym_generators(n):
+    """(0 1) and the n-cycle i -> i + 1 mod n, which generate Sym(n)."""
+    return [(1, 0, *range(2, n)), tuple((i + 1) % n for i in range(n))]
+
+
+def conjugate_lift_at(monkeypatch, fault):
+    """Make factorize.lift_renaming return the lift of `fault` in a random
+    orthonormal basis, Q rho Q^T: still orthogonal and of the same trace,
+    but no longer part of a representation.  Returns the list of renamings
+    lifted, in call order."""
+    lift_renaming, calls = factorize.lift_renaming, []
+
+    def lift(fmap, g):
+        calls.append(g)
+        lifted = lift_renaming(fmap, g)
+        if g.perm != fault:
+            return lifted
+        r = len(lifted.span)
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((r, r)))[0]
+        span = q @ lifted.span @ q.T
+        return dataclasses.replace(lifted, span=span, deviation=float(
+            np.max(np.abs(span @ span.T - np.eye(r)), initial=0.0)))
+
+    monkeypatch.setattr(factorize, "lift_renaming", lift)
+    return calls
 
 
 def _sum_zero_basis(n: int) -> np.ndarray:

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (enumerate_queries, perm_sign, random_proper_relation,
-                      rank, standard_rep)
+from conftest import (conjugate_lift_at, enumerate_queries, perm_sign,
+                      random_proper_relation, rank, standard_rep,
+                      sym_generators)
 from slplab import characters, factorize
 from slplab.factorize import (ConverseInvarianceError, FactorizedMap,
                               assemble_rows, build_slp_map,
@@ -476,10 +477,13 @@ def test_isotypic_on_a_wide_map_stays_in_span_coordinates(algebra_3):
 def stacked_isotypic_reference(built):
     """Projectors and properties from the stacked formulas: one stack of
     every lift, class sums started from 0.0, the orthogonality of the whole
-    stack, one commutator per lift and the full k x k product table."""
+    stack, one commutator per generator and the full k x k product table.
+    Also returns commutation with every lift, as an oracle for the
+    generators' value."""
     perms = symmetric_group(built.feature_map.n)
-    rhos = np.stack([lift_renaming(built.feature_map, GroupElementH(p, 1)).span
-                     for p in perms])
+    rhos = np.stack([
+        factorize.lift_renaming(built.feature_map, GroupElementH(p, 1)).span
+        for p in perms])
     class_sums = {}
     for perm, rho in zip(perms, rhos):
         mu = characters.cycle_type(perm)
@@ -493,14 +497,20 @@ def stacked_isotypic_reference(built):
     def worst(dev):
         return float(np.max(np.abs(dev), initial=0.0))
 
+    def commutation(rho):
+        return worst(mats @ rho - rho @ mats)
+
     eye = np.eye(rhos.shape[1])
     pairs = mats[:, None] @ mats[None]
+    generators = set(sym_generators(built.feature_map.n))
     return mats, {
         "idempotence": worst(pairs[np.diag_indices(len(mats))] - mats),
         "annihilation": worst(pairs[np.triu_indices(len(mats), 1)]),
         "completeness_on_span": worst(mats.sum(axis=0) - eye),
-        "commutation": max(worst(mats @ rho - rho @ mats) for rho in rhos),
-        "orthogonality": worst(rhos @ rhos.transpose(0, 2, 1) - eye)}
+        "commutation": max(commutation(rho) for perm, rho in zip(perms, rhos)
+                           if perm in generators),
+        "orthogonality": worst(rhos @ rhos.transpose(0, 2, 1) - eye)
+    }, max(commutation(rho) for rho in rhos)
 
 
 def isotypic_map(n, seed, extra_width=0):
@@ -519,23 +529,29 @@ def test_two_sym5_decompositions_walk_each_permutation_once():
     assert characters.cycle_type.cache_info().misses <= 120
 
 
-@pytest.mark.parametrize("n,seed,extra_width,step",
+@pytest.mark.parametrize("n,seed,extra_width,fault",
                          [(3, 0, 0, None), (3, 1, 4, None), (4, 2, 0, None),
-                          (4, 4, 3, None), (4, 2, 0, 5), (5, 5, 0, None),
-                          (5, 5, 3, None), (5, 5, 0, 7), (5, 5, 0, 1)])
+                          (4, 4, 3, None), (5, 5, 0, None), (5, 5, 3, None),
+                          (4, 2, 0, (1, 2, 0, 3)), (5, 5, 0, (1, 2, 0, 3, 4))])
 def test_isotypic_properties_equal_the_stacked_formulas(monkeypatch, n, seed,
-                                                        extra_width, step):
-    """`step` lifts per stack of commutators, if given: 24 = 4 * 5 + 4 and
-    120 = 17 * 7 + 1 leave a short last stack."""
+                                                        extra_width, fault):
+    """`fault`, if given, is a 3-cycle, not a generator, whose lift is
+    conjugated: the generators still see that its class sum is wrong."""
     built = isotypic_map(n, seed, extra_width)
-    if step is not None:
-        r = built.feature_map.spectrum.span_rank
-        k = len(characters.partitions(n))
-        monkeypatch.setattr(factorize, "_COMMUTATOR_CELLS", step * k * r * r)
-    projectors, props, _ = isotypic_decompose(built.feature_map)
-    mats, ref = stacked_isotypic_reference(built)
+    calls = conjugate_lift_at(monkeypatch, fault)
+    projectors, props, offenders = isotypic_decompose(built.feature_map)
+    assert len(calls) == len(symmetric_group(n))  # one lift per element
+    mats, ref, everywhere = stacked_isotypic_reference(built)
     assert np.array_equal(np.stack([p.matrix for p in projectors]), mats)
     assert {k: props[k] for k in ref} == ref
+    # the generators' commutators are among every lift's, bit for bit
+    assert props["commutation"] <= everywhere
+    if fault is None:
+        assert everywhere <= PROJECTOR_TOL
+    else:
+        assert props["commutation"] > PROJECTOR_TOL
+    renaming = offenders["commutation"]["renaming"]
+    assert tuple(renaming["perm"]) in sym_generators(n)
     r = props["span_dim"]
     for perm in symmetric_group(n):
         lift = lift_renaming(built.feature_map, GroupElementH(perm, 1))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import conjugate_lift_at, sym_generators
 from slplab import cli
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _build_cells, _closure_queries, _collapse_cells,
@@ -708,6 +709,22 @@ def test_failing_isotypic_names_its_property_and_offender(capsys, entities,
     details["tol"] = passing["details"]["tol"]
     assert {**report, "pass": True, "details": details,
             "provenance": passing["provenance"]} == passing
+
+
+def test_isotypic_sees_a_fault_at_a_non_generator(capsys, monkeypatch):
+    """The lift of the 3-cycle (0 1 2), not a generator, is replaced by an
+    orthogonal matrix of the same trace, so only its class sum is wrong:
+    commutation with the generators fails the report and names one."""
+    conjugate_lift_at(monkeypatch, (1, 2, 0, 3))
+    code, out, _ = run_cli(capsys, "isotypic", "--entities", "4",
+                           "--relations", "1", "--seed", "2")
+    assert code == 1
+    details = json.loads(out)["details"]
+    tol = details["tol"]
+    props = details["properties"]
+    assert props["commutation"] > tol >= props["orthogonality"]
+    assert details["failing_property"] == "commutation"
+    assert tuple(details["offender"]["renaming"]["perm"]) in sym_generators(4)
 
 
 @pytest.mark.parametrize("context_dim", ["1", "2", "4"])
