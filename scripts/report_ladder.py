@@ -18,11 +18,12 @@ three raw samples, builds of 20 raw samples at width 1000 that span three
 draw blocks (`factorize` at each parity, `parity`, and a csv save with
 `verify-slp` of it), closures whose base relations coincide (a second base
 relation equal to the first or to its complement, converse or complemented
-converse, so a saved map's base list holds a duplicate image), a failing
-build (exit 1) and usage errors (exit 2).  The manifest also keeps each
-report's parsed JSON, so that a comparison can say where two reports
-differ, and the Python, NumPy and BLAS it was made with: the promise of
-byte-identical reports holds for one build of the three.
+converse, so a saved map's base list holds a duplicate image), `gradlab`
+on draws whose base relations repeat, both conjunction checks at 12 atoms
+and depth 1, a failing build (exit 1) and usage errors (exit 2).  The
+manifest also keeps each report's parsed JSON, so that a comparison can say
+where two reports differ, and the Python, NumPy and BLAS it was made with:
+the promise of byte-identical reports holds for one build of the three.
 
 `--compare A B` names each call whose entry differs between two manifests,
 and under it what differs: the exit code, stderr, each written file, and
@@ -59,6 +60,9 @@ SEEDS = range(7)
 # (1), its converse (11) and its complemented converse (38)
 COINCIDENT_SEEDS = (20, 1, 11, 38)
 GRADLAB_CONFIG = "gradlab.json"
+# gradlab at 2 entities, with (seed, relations) whose base relations
+# repeat: seed 20 draws r1 equal to r0, seed 61 three equal ones
+COINCIDENT_GRADLAB = ((20, 2), (61, 3))
 
 
 def _call(*argv, writes=()):
@@ -154,12 +158,18 @@ def _calls():
         calls += [_call("families", *size), _call("factorize", *size),
                   _call("parity", *size)]
         calls += _save_and_verify(f"coincident-{seed}.json", "json", *size)
+    calls += [_call("gradlab", "--config", f"gradlab-2-{relations}.json",
+                    "--seed", seed)
+              for seed, relations in COINCIDENT_GRADLAB]
     # fits past the conjunction workload's shapes: two that hold the product
     # law, one of them over two packed bytes a row, and a depth-1 walk
     calls += [_call("fit-bilinear", "--atoms", 5, "--worlds", 9),
               _call("fit-bilinear", "--atoms", 6, "--worlds", 8),
               _call("fit-bilinear", "--atoms", 5, "--worlds", 8,
                     "--depth", 1)]
+    # both conjunction checks at the largest depth-1 shape the budget admits
+    calls += [_call(command, "--atoms", 12, "--depth", 1, "--worlds", 8)
+              for command in ("fit-bilinear", "kernel-stability")]
     return tuple(calls)
 
 
@@ -189,6 +199,10 @@ def run_ladder(calls, workdir) -> dict:
               "arch": "slp_linear", "hidden": 9, "epochs": 5, "lr": 0.1,
               "eta": 0.1, "block": "all"}
     (workdir / GRADLAB_CONFIG).write_text(json.dumps(config, sort_keys=True))
+    for _, relations in COINCIDENT_GRADLAB:
+        coincident = {**config, "entity_count": 2, "relations": relations}
+        (workdir / f"gradlab-2-{relations}.json").write_text(
+            json.dumps(coincident, sort_keys=True))
     entries = []
     start = Path.cwd()
     os.chdir(workdir)

@@ -138,8 +138,8 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # ---------------------------------------------------------------- cell budget
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
-# 268 MB.  It admits kernel-stability and fit-bilinear at 8 atoms, both
-# at 8 worlds, collapse up to --dim 406 at 1 atom,
+# 268 MB.  It admits kernel-stability and fit-bilinear at 8 atoms and 8
+# worlds (12 atoms at depth 1), collapse up to --dim 406 at 1 atom,
 # default-width builds at 32 entities and families at 128 entities (both at
 # 2 relations); larger sizes exit 2 before any draw or other work.  It also
 # bounds the Python objects of a closure's queries and of a build's raw
@@ -430,26 +430,26 @@ def _cmd_parity(args, seed, parser) -> Report:
     )
 
 
-def _support_size(atoms: int) -> int:
-    """N = 4^atoms - 1 compounds in the depth-2 closure, which bounds every
-    depth; past 31 atoms every count is over budget, so the power is capped."""
-    return 4 ** min(atoms, 32) - 1
+def _support_size(atoms: int, depth: int) -> int:
+    """N compounds: 2 atoms literals at depth 1, else all 4^atoms - 1 literal
+    sets; past 31 atoms every count is over budget, so the power is capped."""
+    return 2 * atoms if depth == 1 else 4 ** min(atoms, 32) - 1
 
 
-def _stability_cells(atoms: int, worlds: int) -> int:
-    """Work: the full closure's 2 atoms generator contexts each gather the
-    N x worlds features.  Its arrays are no larger: the features, one
-    gather, and the 2^(2 atoms) = N + 1-entry image table."""
-    n = _support_size(atoms)
-    return max(2 * atoms * n * worlds, n + 1)
+def _stability_cells(atoms: int, worlds: int, depth: int) -> int:
+    """Work: at most 2 atoms generator contexts each gather the N x worlds
+    features.  Its arrays are no larger: the features, one gather, and the
+    2^(2 atoms)-entry image table, indexed by literal code at any depth."""
+    n = _support_size(atoms, depth)
+    return max(2 * atoms * n * worlds, 4 ** min(atoms, 32))
 
 
-def _fit_cells(atoms: int, worlds: int) -> int:
+def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
     """The largest array fit_bilinear builds, or its work if larger.
 
     At depth >= 2 the worlds model holds the product law, so the fit never
     walks the pairs.  Its arrays: the N x worlds features and the
-    N + 1-entry image table; one block of at most max(m, PAIR_BLOCK)
+    2^(2 atoms)-entry image table; one block of at most max(m, PAIR_BLOCK)
     prefix counts; the m x m count table; the (m^2, worlds) group sums and
     predictions; the m x worlds x worlds test of equal world columns; the
     ordered-group full design of at most m^2 x worlds^2 cells; and the
@@ -458,13 +458,13 @@ def _fit_cells(atoms: int, worlds: int) -> int:
     only shrinks the sums, predictions, design and coefficients.  Work, not
     an array: the model's build and the law check each take 2 atoms passes
     over the N x worlds features, and the prefix counts visit N x m cells.
-    At depth 1 the support is the 2 atoms literals, and their pair walk is
-    far smaller than that.
+    At depth 1 the support is the N = 2 atoms literals, and their pair walk
+    is far smaller than the image table, indexed by literal code.
     """
-    n = _support_size(atoms)
+    n = _support_size(atoms, depth)
     m = min(n, 2 ** min(worlds, 64))
     return max(2 * atoms * n * worlds, n * m, PAIR_BLOCK,
-               m * m * worlds ** 2, worlds ** 3)
+               m * m * worlds ** 2, worlds ** 3, 4 ** min(atoms, 32))
 
 
 def _cmd_kernel_stability(args, seed, parser) -> Report:
@@ -747,23 +747,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(subs, "kernel-stability", _cmd_kernel_stability,
                    "conjunction kernel stability on a worlds model",
-                   size=(_stability_cells, ("atoms", "worlds")))
+                   size=(_stability_cells, ("atoms", "worlds", "depth")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 8 at 8 worlds: 2 atoms gathers of the "
-                          "N x worlds features, of N = 4^atoms - 1 compounds, "
-                          f"must fit in {MAX_CELLS} cells")
+                     help="at most 8 at 8 worlds, 12 at depth 1: 2 atoms "
+                          "gathers of the N x worlds features, N = 4^atoms - "
+                          "1 (2 atoms at depth 1), and the 4^atoms-entry "
+                          f"image table must fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
 
     sub = _command(subs, "fit-bilinear", _cmd_fit_bilinear,
                    "symmetric bilinear fit on a worlds model",
-                   size=(_fit_cells, ("atoms", "worlds")))
+                   size=(_fit_cells, ("atoms", "worlds", "depth")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 8 at 8 worlds: 2 atoms passes over the "
-                          "N x worlds features, the N x m prefix counts, and "
-                          "its design of at most m^2 x worlds^2 cells, for "
-                          "m <= min(N, 2^worlds) distinct feature rows, must "
-                          f"fit in {MAX_CELLS} cells")
+                     help="at most 8 at 8 worlds, 12 at depth 1: 2 atoms "
+                          "passes over the N x worlds features, the N x m "
+                          "prefix counts, the m^2 x worlds^2 design, for m <= "
+                          "min(N, 2^worlds) distinct rows, and the "
+                          f"4^atoms-entry image table must fit in {MAX_CELLS} "
+                          "cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -4,10 +4,10 @@ Every feature row decomposes as sum_k u_k(h,t) * v_k(r) over one context
 space, with the relation factors v_k flipping sign under relation complement.
 Terms over several context spaces side by side are the terms of one space
 with zero-padded context factors, so a factorized map is two stacked factor
-arrays: u of shape (terms, n, n, context_dim) and v of shape (terms,
-relations).  Because the sign group has only one-dimensional real
-irreducibles, each relation factor is a single vector over the closed
-relations.
+arrays, u of shape (terms, n, n, context_dim) and v of shape (terms,
+relations), whose rows are one matrix product of the two.  Because the sign
+group has only one-dimensional real irreducibles, each relation factor is a
+single vector over the closed relations.
 
 Reversal invariance forces matched parity between the two factors: u may be
 symmetric in (h,t) while v is converse-even, or antisymmetric while v is
@@ -75,24 +75,19 @@ def assemble_rows(u: np.ndarray, v: np.ndarray,
                   algebra: RelationAlgebra) -> np.ndarray:
     """The terms' sum on the (head, rel, tail) query grid, one row per query
     in the one query order; u is (terms, n, n, context_dim) and v is
-    (terms, relations), and any other shape is a ValueError.  The terms are
-    summed in order, which is part of the format."""
+    (terms, relations), and any other shape is a ValueError.  The sum is
+    one matrix product over the terms, in an order the BLAS picks, so term
+    order is not part of the format; factors longer than the grid are read
+    on its corner, which dims_consistent flags."""
     if u.ndim != 4 or u.shape[1] != u.shape[2]:
         raise ValueError("u must have shape (terms, n, n, context_dim)")
     if v.ndim != 2 or len(v) != len(u):
         raise ValueError("v must have shape (terms, relations)")
-    return _grid_sum(zip(u, v), algebra, u.shape[3])
-
-
-def _grid_sum(terms, algebra: RelationAlgebra, width: int) -> np.ndarray:
-    """Sum (u_k, v_k) pairs on the query grid, in the order given."""
-    n, size = algebra.entity_set.n, algebra.size
-    acc = np.zeros((n, size, n, width))
-    for u, v in terms:
-        # (n, 1, n, d) times (size, 1, 1); dims_consistent flags factors
-        # longer than the grid
-        acc += u[:n, None, :n] * v[:size, None, None]
-    return acc.reshape(n * size * n, width)
+    n, size, width = algebra.entity_set.n, algebra.size, u.shape[3]
+    # row r is sum_k v_k(r) u_k, laid out (head, tail, component)
+    grid = v[:, :size].T @ u[:, :n, :n].reshape(len(u), n * n * width)
+    return grid.reshape(size, n, n, width).transpose(1, 0, 2, 3).reshape(
+        n * size * n, width)
 
 
 def _halves(x: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +399,7 @@ def parity_decompose(f: FactorizedMap,
     first query with the largest deviation is reported otherwise).  Each term
     (u, v) splits into (u+, v+) and (u-, v-); the cross-parity components
     u+ x v- and u- x v+ must cancel on every query, and the largest entry
-    of their sum, assembled as the rows are, term by term, is reported.
+    of their sum, each assembled as the rows are, is reported.
     """
     algebra = f.feature_map.algebra
     rows = f.feature_map.matrix
@@ -417,10 +412,8 @@ def parity_decompose(f: FactorizedMap,
 
     u_plus, u_minus = _halves(f.u, f.u.transpose(0, 2, 1, 3).copy())
     v_plus, v_minus = _halves(f.v, f.v[:, algebra.images[2]])
-    cross = _grid_sum(((u, v) for k in range(len(f.u))
-                       for u, v in ((u_plus[k], v_minus[k]),
-                                    (u_minus[k], v_plus[k]))),
-                      algebra, f.u.shape[3])
+    cross = assemble_rows(u_plus, v_minus, algebra)
+    cross += assemble_rows(u_minus, v_plus, algebra)
     return ParityDecomposition(u_plus, u_minus, v_plus, v_minus,
                                float(np.max(np.abs(cross), initial=0.0)))
 

@@ -58,7 +58,9 @@ class SyntheticKB:
 
 def generate_kb(entity_count: int, base_relations: int, density: float,
                 seed: int) -> SyntheticKB:
-    """Random bitset relations; degenerate draws get one redraw, then error."""
+    """Random bitset relations; degenerate draws get one redraw, then error.
+    Facts name a base relation by its closure index, found by its bits, so
+    a base relation drawn twice is labeled once."""
     if entity_count < 2:
         raise ValueError("need at least two entities")
     if base_relations < 1:
@@ -70,9 +72,11 @@ def generate_kb(entity_count: int, base_relations: int, density: float,
                                       base_relations, density)
     algebra = close_unary(relations)
     neg = algebra.images[1].tolist()
+    index = {rel.bits: i for i, rel in enumerate(algebra.closed)}
     facts = []
     partners = []
-    for r_idx, rel in enumerate(relations):
+    for r_idx in dict.fromkeys(index[rel.bits] for rel in relations):
+        rel = algebra.closed[r_idx]
         for h in range(entity_count):
             for t in range(entity_count):
                 label = int(rel.contains(h, t))

@@ -17,7 +17,8 @@ from slplab.factorize import (ConverseInvarianceError, FactorizedMap,
                               negation_split, pair_space_representation,
                               parity_decompose, relation_sign_representation,
                               verify_factorized_form)
-from slplab.featspace import FeatureMap, check_slp, lift_renaming
+from slplab.featspace import (FeatureMap, check_logical_equivariance,
+                              check_slp, lift_renaming)
 from slplab.numerics import PROJECTOR_TOL, projector_trace_dim
 from slplab.queryspace import (GroupElementH, Query, compute_families,
                                symmetric_group)
@@ -300,11 +301,29 @@ def gathered_rows(u, v, queries):
     return acc
 
 
+def assert_near_the_gather(rows, u, v, queries):
+    """`rows` within the recursive-summation bound of the gather: each sum
+    of K products, in any order, is within K eps times the sum of their
+    magnitudes of the gather's (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1, with room for the gather's own rounding)."""
+    bound = len(u) * np.finfo(float).eps * \
+        gathered_rows(np.abs(u), np.abs(v), queries)
+    assert np.all(np.abs(rows - gathered_rows(u, v, queries)) <= bound)
+
+
 def cross_terms(decomp):
-    """The cross-parity terms (u+, v-), (u-, v+) of each term, in
-    `parity_decompose` order."""
+    """The cross-parity terms (u+, v-), (u-, v+) of each term, interleaved
+    term by term."""
     return (interleaved(decomp.u_plus, decomp.u_minus),
             interleaved(decomp.v_minus, decomp.v_plus))
+
+
+def integer_valued(built, scale=8.0):
+    """The build's factors scaled and rounded to small integers.  Rounding
+    is odd and commutes with the transpose, so the sign law and each
+    term's converse parity survive, and every sum of their products is
+    exact in any order."""
+    return np.round(built.u * scale), np.round(built.v * scale)
 
 
 @pytest.mark.parametrize("parity", ["+", "-", None])
@@ -313,9 +332,14 @@ def test_grid_rows_equal_the_query_gather_bitwise(parity):
     for seed, algebra in enumerate(algebras_with_symmetric_relations(20, 3)):
         queries = enumerate_queries(algebra)
         built = build(algebra, 3, seed, terms=2, parity=parity)
-        gathered = gathered_rows(built.u, built.v, queries).tobytes()
-        assert assemble_rows(built.u, built.v, algebra).tobytes() == gathered
-        assert built.feature_map.matrix.tobytes() == gathered
+        u, v = integer_valued(built)
+        assert assemble_rows(u, v, algebra).tobytes() == \
+            gathered_rows(u, v, queries).tobytes()
+        # uniform draws sum in the product's order, near the gather's
+        assert_near_the_gather(built.feature_map.matrix, built.u, built.v,
+                               queries)
+        assert built.feature_map.matrix.tobytes() == \
+            assemble_rows(built.u, built.v, algebra).tobytes()
         checked += len(built.u)
     assert checked == 20 * (4 if parity is None else 2)
 
@@ -328,33 +352,60 @@ def test_grid_rows_of_no_terms_and_of_the_cross_terms(algebra_3x2):
         gathered_rows(u, v, queries).tobytes()
     assert assemble_rows(u, v, algebra_3x2).shape == (len(queries), 4)
     for seed in range(4):
-        mismatched = mismatched_map(algebra_3x2, seed)
-        decomp = parity_decompose(mismatched, tol=np.inf)
-        cross = cross_terms(decomp)
-        rows = assemble_rows(*cross, algebra_3x2)
-        assert rows.tobytes() == gathered_rows(*cross, queries).tobytes()
-        assert decomp.max_cross_residual == float(np.max(np.abs(rows)))
+        for integers in (True, False):
+            decomp = parity_decompose(
+                mismatched_map(algebra_3x2, seed, integers), tol=np.inf)
+            cross = cross_terms(decomp)
+            rows = assemble_rows(*cross, algebra_3x2)
+            if integers:
+                assert rows.tobytes() == \
+                    gathered_rows(*cross, queries).tobytes()
+                assert decomp.max_cross_residual == float(np.max(np.abs(rows)))
+            else:
+                assert_near_the_gather(rows, *cross, queries)
 
 
 def test_oversized_factors_fail_the_form_audit(algebra_3):
     """A u over n + 1 entities and a v one relation too long are read on
     the grid's corner, as the gather read them, and flagged, not raised."""
     built = build(algebra_3, 9, 0)
-    k = len(built.u)
+    u, v = integer_valued(built)
+    k = len(u)
     u_big = np.zeros((k, 4, 4, 9))
-    u_big[:, :3, :3] = built.u
-    v_long = np.concatenate([built.v, np.full((k, 1), 0.5)], axis=1)
+    u_big[:, :3, :3] = u
+    v_long = np.concatenate([v, np.full((k, 1), 0.5)], axis=1)
     queries = enumerate_queries(algebra_3)
-    for u, v in ((u_big, built.v), (built.u, v_long), (u_big, v_long)):
-        rows = assemble_rows(u, v, algebra_3)
-        assert rows.tobytes() == gathered_rows(u, v, queries).tobytes()
-        assert rows.tobytes() == built.feature_map.matrix.tobytes()
-        report = verify_factorized_form(with_factors(u, v, algebra_3))
+    exact = assemble_rows(u, v, algebra_3).tobytes()
+    for big_u, long_v in ((u_big, v), (u, v_long), (u_big, v_long)):
+        rows = assemble_rows(big_u, long_v, algebra_3)
+        assert rows.tobytes() == gathered_rows(big_u, long_v,
+                                               queries).tobytes()
+        assert rows.tobytes() == exact
+        report = verify_factorized_form(with_factors(big_u, long_v,
+                                                     algebra_3))
         assert report.details["dims_consistent"] is False
         assert report.details["rows_exact"] is True
         assert report.passed is False
-    assert verify_factorized_form(
-        with_factors(built.u, built.v, algebra_3)).passed
+    assert verify_factorized_form(with_factors(u, v, algebra_3)).passed
+    assert verify_factorized_form(built).passed
+
+
+@pytest.mark.parametrize("parity", ["+", "-", None])
+@pytest.mark.parametrize("width, terms", [(1, 600), (1500, 2)])
+def test_builds_past_the_blas_blocks_stay_exact(parity, width, terms):
+    """600 raw samples at width 1 sum over more terms than one BLAS block
+    of the product's inner dimension holds, and width 1500 makes its
+    columns wider than one; equivariance, the cross residual and the form
+    audit stay exact."""
+    algebra = close_unary([Relation.from_pairs(EntitySet.of_size(3),
+                                               [(0, 1), (1, 1)], "r0")])
+    built = build(algebra, width, 4, terms=terms, parity=parity)
+    assert len(built.u) == terms * (2 if parity is None else 1)
+    equivariance = check_logical_equivariance(built.feature_map)
+    assert equivariance.passed and equivariance.max_deviation == 0.0
+    assert parity_decompose(built).max_cross_residual == 0.0
+    report = verify_factorized_form(built)
+    assert report.passed and report.details["rows_exact"] is True
 
 
 def test_factor_validation(algebra_3):
@@ -367,6 +418,11 @@ def test_factor_validation(algebra_3):
                   np.zeros((2, algebra_3.size, 1))):
         with pytest.raises(ValueError, match="v must"):
             assemble_rows(u, bad_v, algebra_3)
+    # factors shorter than the grid cannot cover it; a one-relation v is
+    # not spread over every relation
+    for short_u, short_v in ((np.zeros((2, 2, 2, 4)), v), (u, v[:, :1])):
+        with pytest.raises(ValueError):
+            assemble_rows(short_u, short_v, algebra_3)
 
 
 @pytest.mark.parametrize("parity", ["both", "", 0])
@@ -770,17 +826,24 @@ def test_mismatched_parity_term_raises(algebra_3):
     assert dev == excinfo.value.deviation
 
 
-def mismatched_map(algebra, seed):
+def mismatched_map(algebra, seed, integers=False):
     """Reversal-breaking map: an antisymmetric context factor paired with a
-    relation factor that is a random mix of both converse parities."""
+    relation factor that is a random mix of both converse parities; with
+    `integers`, the factors are small integers, so every sum of their
+    halves' products is exact in any order."""
     rng = np.random.default_rng(seed)
     n = algebra.entity_set.n
+
+    def draw(*shape):
+        if integers:
+            return rng.integers(-4, 5, size=shape).astype(float)
+        return rng.uniform(-1.0, 1.0, size=shape)
+
     u, v = [], []
     for _ in range(3):
-        raw = rng.uniform(-1.0, 1.0, size=(n, n, 3))
+        raw = draw(n, n, 3)
         u += [raw - raw.transpose(1, 0, 2), raw]
-        v += [rng.uniform(-1.0, 1.0, algebra.size),
-              rng.uniform(-1.0, 1.0, algebra.size)]
+        v += [draw(algebra.size), draw(algebra.size)]
     return with_factors(np.array(u), np.array(v), algebra)
 
 
@@ -809,17 +872,18 @@ def test_converse_failure_names_first_worst_query(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cross_residual_is_the_direct_cross_sum(algebra_3x2, seed):
-    mismatched = mismatched_map(algebra_3x2, seed)
-    decomp = parity_decompose(mismatched, tol=np.inf)
     queries = enumerate_queries(algebra_3x2)
-    heads, rels, tails = np.array(queries).T
-    cross = np.zeros((len(queries), 3))
-    for k in range(len(mismatched.u)):
-        cross += decomp.u_plus[k][heads, tails] * decomp.v_minus[k][rels][:, None]
-        cross += decomp.u_minus[k][heads, tails] * decomp.v_plus[k][rels][:, None]
-    # summed in this order, term by term, the residual is bitwise the same
-    assert decomp.max_cross_residual == float(np.max(np.abs(cross)))
-    assert decomp.max_cross_residual > 0.1
+    for integers in (True, False):
+        decomp = parity_decompose(
+            mismatched_map(algebra_3x2, seed, integers), tol=np.inf)
+        cross = cross_terms(decomp)
+        direct = float(np.max(np.abs(gathered_rows(*cross, queries))))
+        # halves of small integers sum exactly in any order; uniform draws
+        # within the bound of `assert_near_the_gather`
+        bound = 0.0 if integers else len(cross[0]) * np.finfo(float).eps * \
+            float(np.max(gathered_rows(*map(np.abs, cross), queries)))
+        assert abs(decomp.max_cross_residual - direct) <= bound
+        assert decomp.max_cross_residual > 0.1
 
 
 def test_single_parity_builds(algebra_3):

@@ -54,6 +54,28 @@ def test_kb_multiple_relations_counted():
     assert rels == {0, 1}
 
 
+@pytest.mark.parametrize("entities, relations", [(2, 2), (2, 3), (3, 2),
+                                                  (3, 3)])
+def test_kb_labels_follow_the_closure_on_coincident_draws(entities,
+                                                          relations):
+    """Seeds whose base relations repeat: each label is read on the closed
+    relation its query names, and a repeat is labeled once."""
+    repeats = 0
+    for seed in range(300):
+        try:
+            kb = generate_kb(entities, relations, 0.5, seed)
+        except ValueError:  # a degenerate draw, redrawn and degenerate again
+            continue
+        closed = kb.algebra.closed
+        for q, label in kb.training_set():
+            assert label == int(closed[q.rel].contains(q.head, q.tail))
+        distinct = len({rel.bits for rel in kb.algebra.base})
+        assert len(kb.facts) == distinct * entities ** 2
+        assert {q.rel for q, _ in kb.facts} == set(range(distinct))
+        repeats += distinct < relations
+    assert repeats > 0
+
+
 def test_kb_draw_is_deterministic():
     def draw(seed):
         kb = generate_kb(4, 2, 0.5, seed=seed)

@@ -508,6 +508,7 @@ CLI_ARGVS = st.one_of(
              _option("--tol", _TOLS), _option("--seed", _SEEDS)),
     _command("fit-bilinear", _option("--atoms", _SIZES),
              _option("--worlds", range(-1, 5)),
+             _option("--depth", _SIZES),
              _option("--tol", _TOLS), _option("--seed", _SEEDS)),
     _command("audit", _option("--entities", _SIZES),
              _option("--family", range(-1, 12)),
@@ -533,6 +534,11 @@ def stored_map(tmp_path_factory):
 # a symmetric closure makes every '-' factor zero, so the span is empty
 @example(argv=("factorize", "--entities", "2", "--relations", "1",
                "--parity", "-", "--seed", "0"))
+# three equal base relations, whose closure holds two relations
+@example(argv=("gradlab", "--config", json.dumps({
+    "entity_count": 2, "relations": 3, "hidden": 9, "arch": "slp_linear",
+    "density": 0.5, "epochs": 3, "lr": 0.1, "eta": 0.1, "block": "all"}),
+    "--seed", "61"))
 @settings(max_examples=300)
 def test_exit_code_contract_over_argument_ranges(stored_map, argv):
     with tempfile.TemporaryDirectory() as scratch, \
@@ -756,34 +762,65 @@ def test_parity_cross_residual_is_zero_for_builds(capsys):
 def test_conjunction_cell_budget_admits_eight_atoms():
     # sizes are compared, never run: the largest accepted ones take seconds
     # kernel-stability: 2 atoms generator gathers of the N x worlds features
-    assert _stability_cells(6, 8) == 12 * 4095 * 8 <= MAX_CELLS
-    assert _stability_cells(8, 8) == 16 * 65535 * 8 <= MAX_CELLS
-    assert _stability_cells(8, 32) <= MAX_CELLS < _stability_cells(8, 33)
-    assert _stability_cells(9, 7) <= MAX_CELLS < _stability_cells(9, 8)
-    assert _stability_cells(1, 10 ** 8) == 6 * 10 ** 8 > MAX_CELLS
+    assert _stability_cells(6, 8, 2) == 12 * 4095 * 8 <= MAX_CELLS
+    assert _stability_cells(8, 8, 2) == 16 * 65535 * 8 <= MAX_CELLS
+    assert _stability_cells(8, 32, 2) <= MAX_CELLS < \
+        _stability_cells(8, 33, 2)
+    assert _stability_cells(9, 7, 2) <= MAX_CELLS < \
+        _stability_cells(9, 8, 2)
+    assert _stability_cells(1, 10 ** 8, 2) == 6 * 10 ** 8 > MAX_CELLS
     # fit-bilinear: 2 atoms passes over the N x worlds features, the N x m
     # prefix counts, or the ordered-group design of m^2 x worlds^2 cells,
     # m = min(N, 2^worlds) distinct rows; never the N(N+1)/2 pairs
-    assert _fit_cells(6, 8) == 256 ** 2 * 64 <= MAX_CELLS
-    assert _fit_cells(8, 8) == 65535 * 256 <= MAX_CELLS
-    assert _fit_cells(8, 9) == 65535 * 512 <= MAX_CELLS
-    assert _fit_cells(9, 8) == 262143 * 256 > MAX_CELLS
-    assert _fit_cells(9, 7) == 262143 * 128 <= MAX_CELLS
-    assert _fit_cells(10, 1) == 20 * 1048575 <= MAX_CELLS
-    assert _fit_cells(10, 2) > MAX_CELLS
-    assert _fit_cells(6, 9) == 512 ** 2 * 81 <= MAX_CELLS
-    assert _fit_cells(6, 10) == 1024 ** 2 * 100 > MAX_CELLS
-    assert _fit_cells(5, 9) == 512 ** 2 * 81 <= MAX_CELLS
-    assert _fit_cells(5, 10) == 1023 ** 2 * 100 > MAX_CELLS
-    assert _fit_cells(5, 16) == 1023 ** 2 * 256 > MAX_CELLS
-    assert _fit_cells(4, 22) == 255 ** 2 * 22 ** 2 <= MAX_CELLS
-    assert _fit_cells(4, 23) > MAX_CELLS
+    assert _fit_cells(6, 8, 2) == 256 ** 2 * 64 <= MAX_CELLS
+    assert _fit_cells(8, 8, 2) == 65535 * 256 <= MAX_CELLS
+    assert _fit_cells(8, 9, 2) == 65535 * 512 <= MAX_CELLS
+    assert _fit_cells(9, 8, 2) == 262143 * 256 > MAX_CELLS
+    assert _fit_cells(9, 7, 2) == 262143 * 128 <= MAX_CELLS
+    assert _fit_cells(10, 1, 2) == 20 * 1048575 <= MAX_CELLS
+    assert _fit_cells(10, 2, 2) > MAX_CELLS
+    assert _fit_cells(6, 9, 2) == 512 ** 2 * 81 <= MAX_CELLS
+    assert _fit_cells(6, 10, 2) == 1024 ** 2 * 100 > MAX_CELLS
+    assert _fit_cells(5, 9, 2) == 512 ** 2 * 81 <= MAX_CELLS
+    assert _fit_cells(5, 10, 2) == 1023 ** 2 * 100 > MAX_CELLS
+    assert _fit_cells(5, 16, 2) == 1023 ** 2 * 256 > MAX_CELLS
+    assert _fit_cells(4, 22, 2) == 255 ** 2 * 22 ** 2 <= MAX_CELLS
+    assert _fit_cells(4, 23, 2) > MAX_CELLS
     # one prefix-count block, never less: PAIR_BLOCK cells
-    assert _fit_cells(2, 4) == PAIR_BLOCK
-    assert _fit_cells(1, 322) == 322 ** 3 <= MAX_CELLS
-    assert _fit_cells(1, 400) == 400 ** 3 > MAX_CELLS
-    assert _fit_cells(1, 10 ** 8) > MAX_CELLS
-    assert _stability_cells(10 ** 9, 1) > MAX_CELLS
+    assert _fit_cells(2, 4, 2) == PAIR_BLOCK
+    assert _fit_cells(1, 322, 2) == 322 ** 3 <= MAX_CELLS
+    assert _fit_cells(1, 400, 2) == 400 ** 3 > MAX_CELLS
+    assert _fit_cells(1, 10 ** 8, 2) > MAX_CELLS
+    assert _stability_cells(10 ** 9, 1, 2) > MAX_CELLS
+    # depth >= 2 closes to the same support as depth 2
+    assert _fit_cells(8, 8, 3) == _fit_cells(8, 8, 2)
+    assert _stability_cells(8, 8, 5) == _stability_cells(8, 8, 2)
+
+
+def test_conjunction_cell_budget_charges_depth_one_its_literals():
+    # depth 1: the 2 atoms literals, and the 4^atoms-entry image table
+    # indexed by literal code, which outweighs them
+    for cells in (_stability_cells, _fit_cells):
+        assert cells(12, 8, 1) == 4 ** 12 <= MAX_CELLS < cells(12, 8, 2)
+        assert cells(13, 1, 1) == 4 ** 13 > MAX_CELLS
+    assert _stability_cells(2, 100, 1) == 2 * 2 * 4 * 100
+    assert _fit_cells(5, 8, 1) == PAIR_BLOCK
+    assert _fit_cells(1, 322, 1) == 322 ** 3 <= MAX_CELLS
+    assert _stability_cells(10 ** 9, 1, 1) > MAX_CELLS
+
+
+@pytest.mark.parametrize("command", ["fit-bilinear", "kernel-stability"])
+def test_conjunction_at_depth_one_runs_at_twelve_atoms_and_refuses_13(
+        capsys, tmp_path, command):
+    code, out, _ = run_cli(capsys, command, "--atoms", "12", "--depth", "1",
+                           "--worlds", "8", "--seed", "0")
+    assert code == 0 and json.loads(out)["pass"] is True
+    # 26 literals: the image table is over the charge, exit 2, no report
+    out_path = tmp_path / "depth1.json"
+    code, out, err = run_cli(capsys, command, "--atoms", "13", "--depth",
+                             "1", "--out", str(out_path))
+    assert code == 2 and not out and "cell budget" in err
+    assert not out_path.exists()
 
 
 def test_fit_bilinear_runs_at_eight_atoms_and_refuses_nine(capsys,
