@@ -20,7 +20,9 @@ draw blocks (`factorize` at each parity, `parity`, and a csv save with
 relation equal to the first or to its complement, converse or complemented
 converse, so a saved map's base list holds a duplicate image), `gradlab`
 on draws whose base relations repeat, both conjunction checks at 12 atoms
-and depth 1, a failing build (exit 1) and usage errors (exit 2).  The
+and depth 1, `collapse` at 1,000 and 100,000 dims and at more atoms than
+dims, a failing build (exit 1) and usage errors (exit 2), among them a
+`parity` split over the cell budget.  The
 manifest also keeps each report's parsed JSON, so that a comparison can say
 where two reports differ, and the Python, NumPy and BLAS it was made with:
 the promise of byte-identical reports holds for one build of the three.
@@ -170,6 +172,16 @@ def _calls():
     # both conjunction checks at the largest depth-1 shape the budget admits
     calls += [_call(command, "--atoms", 12, "--depth", 1, "--worlds", 8)
               for command in ("fit-bilinear", "kernel-stability")]
+    # collapse certificates at wide dims, with and without the flag, and
+    # with more atoms than dims
+    calls += [_call("collapse", "--atoms", 1, "--dim", 1000),
+              _call("collapse", "--atoms", 8, "--dim", 3),
+              _call("collapse", "--atoms", 3, "--dim", 100000),
+              _call("collapse", "--atoms", 2, "--dim", 1000,
+                    "--no-neg-equiv")]
+    # a parity split over the budget that a build of its shape fits: exit 2
+    calls.append(_call("parity", "--entities", 4, "--relations", 100,
+                       "--context-dim", 1, "--terms", 18078))
     return tuple(calls)
 
 

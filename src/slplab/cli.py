@@ -139,11 +139,12 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
 # 268 MB.  It admits kernel-stability and fit-bilinear at 8 atoms and 8
-# worlds (12 atoms at depth 1), collapse up to --dim 406 at 1 atom,
-# default-width builds at 32 entities and families at 128 entities (both at
-# 2 relations); larger sizes exit 2 before any draw or other work.  It also
-# bounds the Python objects of a closure's queries and of a build's raw
-# samples, the terms a build keeps, all of them together, and the work of
+# worlds (12 atoms at depth 1), collapse up to --dim 3,728,262 at 1 atom
+# and 246,707 at 8, default-width builds at 32 entities and families at 128
+# entities (both at 2 relations); larger sizes exit 2 before any draw or
+# other work.  It also bounds the Python objects of a closure's queries, of
+# a build's raw samples and of collapse's atoms, the terms a build keeps,
+# all of them together, every array collapse holds at once, and the work of
 # kernel-stability's generator gathers and of fit-bilinear's prefix counts.
 MAX_CELLS = 1 << 25
 
@@ -174,11 +175,14 @@ QUERY_OBJECT_CELLS = 256
 SAMPLE_OBJECT_CELLS = 256
 
 
-def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
+def _term_cells(entities: int, relations: int, context_dim, terms,
+                u_arrays: int = 1, v_arrays: int = 2) -> int:
     """The kept factors: per raw sample, its two entities x entities x
     width rows of the stacked u factors, or, if more, SAMPLE_OBJECT_CELLS
     plus its two rows of up to 4 * relations cells of the stacked v
-    factors, charged twice: the form audit holds one more array of v's size.
+    factors, each charged for the `u_arrays` and `v_arrays` of its size
+    held at once.  A build holds u once and v twice: the form audit holds
+    one more array of v's size.
 
     A default term count is at most 2 * relations, since a closure holds at
     most N/2 families, and is charged as that many.
@@ -187,8 +191,8 @@ def _term_cells(entities: int, relations: int, context_dim, terms) -> int:
     width = n // 2 if context_dim is None else context_dim
     if terms is None:
         terms = 2 * relations
-    return terms * max(2 * entities ** 2 * width,
-                       SAMPLE_OBJECT_CELLS + 16 * relations)
+    return terms * max(u_arrays * 2 * entities ** 2 * width,
+                       SAMPLE_OBJECT_CELLS + v_arrays * 8 * relations)
 
 
 def _build_cells(entities: int, relations: int, context_dim, terms) -> int:
@@ -200,6 +204,14 @@ def _build_cells(entities: int, relations: int, context_dim, terms) -> int:
     width = n // 2 if context_dim is None else context_dim
     return max(n * max(width, QUERY_OBJECT_CELLS),
                _term_cells(entities, relations, context_dim, terms))
+
+
+def _parity_cells(entities: int, relations: int, context_dim,
+                  terms) -> int:
+    """The build's cells or, if more, the kept factors three times over:
+    the parity split holds u and v and both halves of each."""
+    return max(_build_cells(entities, relations, context_dim, terms),
+               _term_cells(entities, relations, context_dim, terms, 3, 3))
 
 
 def _isotypic_cells(entities: int, relations: int, context_dim,
@@ -496,12 +508,24 @@ def _cmd_fit_bilinear(args, seed, parser) -> Report:
     )
 
 
+# Cells charged per atom of `collapse`: its feature's row view, its norm in
+# the report and the norm's JSON text.  At dim 1 under Python 3.11 the peak
+# RSS grows by about 350 bytes per atom, 44 cells.
+ATOM_OBJECT_CELLS = 64
+
+
 def _collapse_cells(atoms: int, dim: int) -> int:
-    """The 2 atoms x P design of P = dim(dim+1)/2 unknowns per output, or the
-    P x dim solution if larger; the atoms x dim^2 outer products are never
-    larger than the design."""
-    p = dim * (dim + 1) // 2
-    return max(2 * atoms * p, p * dim)
+    """Every array the certificate holds at once, for m = 2 atoms rows and
+    P = k(k+1)/2 unknowns, k = min(atoms, dim): per dim, the features and
+    their stack, the m targets, and lstsq's max(m, P)-row right-hand side,
+    2 min(m, P)-row work (as measured) and P-row solution and its copy, or,
+    after the solve, the solution, fit and residual; plus each atom's
+    objects, its k^2 outer products, and the m x P design twice."""
+    m = 2 * atoms
+    k = min(atoms, dim)
+    p = k * (k + 1) // 2
+    return (dim * (3 * m + p + max(m, p + min(m, p)))
+            + atoms * (ATOM_OBJECT_CELLS + k * k) + 2 * m * p)
 
 
 def _cmd_collapse(args, seed, parser) -> Report:
@@ -742,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol", type=_tolerance, default=numerics.PROJECTOR_TOL)
 
     sub = _build_command(subs, "parity", _cmd_parity,
-                         "matched-parity decomposition audit")
+                         "matched-parity decomposition audit",
+                         cells=_parity_cells)
     sub.add_argument("--tol", type=_tolerance, default=0.0)
 
     sub = _command(subs, "kernel-stability", _cmd_kernel_stability,
@@ -773,11 +798,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = _command(subs, "collapse", _cmd_collapse,
                    "idempotence-vs-sign-flip certificate",
                    size=(_collapse_cells, ("atoms", "dim")))
-    sub.add_argument("--atoms", type=_at_least(1), default=1)
+    sub.add_argument("--atoms", type=_at_least(1), default=1,
+                     help="at most 435,771 at dim 1")
     sub.add_argument("--dim", type=_at_least(1), default=4,
-                     help="at most 406 at 1 atom: the largest of the design "
-                          "and the dim^2(dim+1)/2 solution must fit in "
-                          f"{MAX_CELLS} cells")
+                     help="at most 3,728,262 at 1 atom and 246,707 at 8: "
+                          "every array of dim cells held at once must fit "
+                          f"in {MAX_CELLS} cells")
     sub.add_argument("--neg-equiv", action=argparse.BooleanOptionalAction,
                      default=True)
     sub.add_argument("--tolerance", type=_tolerance, default=1e-8)

@@ -608,10 +608,11 @@ def collapse_certificate(atom_features: Sequence[np.ndarray],
     """Minimum violation of {F(u,u) = u} (+ {F(-u,-u) = -u} under the flag).
 
     Bilinearity makes F(-u,-u) = F(u,u), so the flagged system wants F(u,u)
-    to equal both u and -u; the best compromise is F(u,u) = 0 with squared
-    residual 2|u|^2 per atom, and the least-squares solve reproduces that
-    analytic floor.  Without the flag the system is feasible for any features
-    a diagonal operator can fix, e.g. 0/1 truth vectors.
+    to be u and -u at once; the best compromise F(u,u) = 0 leaves 2|u|^2 per
+    atom, the floor the solve reproduces.  Unflagged, any features a diagonal
+    operator fixes, e.g. 0/1 truth vectors, are feasible.  The design reads
+    u = Q r, for Q an orthonormal basis of the atoms' span, by r alone:
+    u^T F_c u = r^T (Q^T F_c Q) r, and Q^T F_c Q is any symmetric matrix.
     """
     feats = [np.asarray(u, dtype=float) for u in atom_features]
     if not feats:
@@ -620,8 +621,9 @@ def collapse_certificate(atom_features: Sequence[np.ndarray],
     if any(u.shape != (d,) for u in feats):
         raise ValueError("atom features must share one dimension")
     us = np.stack(feats)
-    design_rows = _triangle_design(us[:, :, None] * us[:, None, :],
-                                   np.triu_indices(d))
+    r = np.linalg.qr(us.T, mode="r").T
+    design_rows = _triangle_design(r[:, :, None] * r[:, None, :],
+                                   np.triu_indices(r.shape[1]))
     targets = us
     if enforce_neg_equiv:
         design_rows = np.concatenate([design_rows, design_rows], axis=0)

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import characters, numerics
-from .featspace import FeatureMap, LiftedOperator, lift_renaming
+from .featspace import FeatureMap, lift_renaming
 from .queryspace import (GroupElementH, Query, decode_queries, logical_images,
                          symmetric_group)
 from .relalg import RelationAlgebra
@@ -245,7 +245,6 @@ class NegationSplit:
     plus_dim: int
     minus_dim: int
     span_dim: int
-    lift: LiftedOperator
 
 
 def negation_split(fmap: FeatureMap) -> NegationSplit:
@@ -265,7 +264,7 @@ def negation_split(fmap: FeatureMap) -> NegationSplit:
     return NegationSplit(
         plus_projector=p_plus, minus_projector=p_minus,
         plus_dim=plus_dim, minus_dim=minus_dim,
-        span_dim=span_dim, lift=lift,
+        span_dim=span_dim,
     )
 
 

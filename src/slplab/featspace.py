@@ -132,11 +132,10 @@ def _grid_order(queries, n: int, size: int) -> np.ndarray:
 class LiftedOperator:
     """A renaming on the feature span: the orthogonal r x r `span` matrix in
     span coordinates, its `deviation` max |span span^T - I| from
-    orthogonality, and `matrix`, the same operator on feature coordinates
-    (zero off the span).  `matrix` and `residual`, max |M matrix^T - M[perm]|
-    over the map M, are computed on first read."""
+    orthogonality, the renaming's query permutation `perm`, and `matrix`,
+    the same operator on feature coordinates (zero off the span), computed
+    on first read."""
 
-    source: GroupElementH
     span: np.ndarray
     deviation: float
     fmap: FeatureMap = field(repr=False)
@@ -148,12 +147,6 @@ class LiftedOperator:
         r = spec.span_rank
         v_rt, s_r = spec.vt[:r], spec.sv[:r]
         return (v_rt.T * s_r) @ self.span @ (v_rt / s_r[:, None])
-
-    @cached_property
-    def residual(self) -> float:
-        m = self.fmap.matrix
-        return float(np.max(np.abs(m @ self.matrix.T - m[self.perm]),
-                            initial=0.0))
 
 
 def check_logical_equivariance(fmap: FeatureMap, tol: float = 0.0) -> Report:
@@ -262,8 +255,7 @@ def lift_renaming(fmap: FeatureMap, g: GroupElementH) -> LiftedOperator:
     deviation = float(np.abs(gram, out=gram).max(initial=0.0))
     if deviation > numerics.PROJECTOR_TOL:
         raise KernelNotInvariantError(g, deviation)
-    return LiftedOperator(source=g, span=rho, deviation=deviation, fmap=fmap,
-                          perm=perm)
+    return LiftedOperator(span=rho, deviation=deviation, fmap=fmap, perm=perm)
 
 
 def propagation_audit(fmap: FeatureMap, edited: int, eta: float) -> Report:

@@ -1028,6 +1028,74 @@ def test_generic_features_feasible_without_flag():
     assert cert.residual <= 1e-9
 
 
+def full_dim_residual_sq(feats, enforce_neg_equiv):
+    """The certificate's residual from the design on all dim(dim+1)/2
+    entries of each F_c: the coefficient of F_c[a, b], a <= b, in
+    u^T F_c u is u_a u_b, twice over off the diagonal."""
+    us = np.stack(feats)
+    a, b = np.triu_indices(us.shape[1])
+    design = us[:, a] * us[:, b] * np.where(a == b, 1.0, 2.0)
+    targets = us
+    if enforce_neg_equiv:
+        design = np.concatenate([design, design])
+        targets = np.concatenate([us, -us])
+    x = numerics.minnorm_lstsq(design, targets)
+    return float(np.sum((design @ x - targets) ** 2))
+
+
+def near_parallel_pairs():
+    rng = np.random.default_rng(11)
+    for dim in (3, 10):
+        u, w = rng.standard_normal((2, dim))
+        for exponent in range(4, 15):
+            yield [u, u + 10.0 ** -exponent * w]
+
+
+def collapse_feature_sets():
+    rng = np.random.default_rng(5)
+    for n_atoms in range(1, 9):
+        for dim in (*range(1, 13), 50):
+            feats = rng.standard_normal((n_atoms, dim))
+            feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+            yield list(feats)
+    u, v = rng.standard_normal((2, 6))
+    yield [u, u, v]                      # a repeated atom
+    yield [u, v, u, v, 2.0 * u]          # repeats spanning two dims
+    yield list(rng.standard_normal((8, 3)))   # more atoms than dims
+    yield list(rng.integers(0, 2, size=(5, 4)).astype(float))
+
+
+def verdict_of(residual_sq, tolerance=1e-8):
+    return "feasible" if math.sqrt(residual_sq) <= tolerance else "infeasible"
+
+
+@pytest.mark.parametrize("enforce_neg_equiv", [True, False])
+def test_span_design_matches_the_full_dim_design(enforce_neg_equiv):
+    for feats in collapse_feature_sets():
+        cert = collapse_certificate(feats, enforce_neg_equiv)
+        ref = full_dim_residual_sq(feats, enforce_neg_equiv)
+        scale = max(1.0, 2.0 * sum(float(u @ u) for u in feats))
+        assert abs(cert.residual_sq - ref) <= 1e-12 * scale, feats
+        assert cert.verdict == verdict_of(ref)
+
+
+@pytest.mark.parametrize("enforce_neg_equiv", [True, False])
+def test_near_parallel_atoms_keep_the_exact_residual(enforce_neg_equiv):
+    # pairs of atoms 1e-4 to 1e-14 apart: the exact residual is the floor
+    # 2 sum |u|^2 under the flag and 0 without it.  Under the flag the
+    # full-dim design's fit drifts from the floor as the two rows near each
+    # other, by 4e-5 at 1e-14 apart, so there it witnesses only the verdict.
+    for feats in near_parallel_pairs():
+        cert = collapse_certificate(feats, enforce_neg_equiv)
+        ref = full_dim_residual_sq(feats, enforce_neg_equiv)
+        floor = 2.0 * sum(float(u @ u) for u in feats)
+        exact = floor if enforce_neg_equiv else 0.0
+        assert abs(cert.residual_sq - exact) <= 1e-12 * max(1.0, floor)
+        assert cert.verdict == verdict_of(ref)
+        if not enforce_neg_equiv:
+            assert ref <= 1e-12
+
+
 def test_collapse_validation():
     with pytest.raises(ValueError):
         collapse_certificate([])

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from slplab import cli
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _build_cells, _closure_queries, _collapse_cells,
                         _families_cells, _fit_cells, _gradlab_cells,
-                        _isotypic_cells, _laws_cells, _stability_cells,
-                        _term_cells, build_parser, main)
+                        _isotypic_cells, _laws_cells, _parity_cells,
+                        _stability_cells, _term_cells, build_parser, main)
 from slplab.conjunction import PAIR_BLOCK
 from slplab.reports import Report, emit_report, render_report
 
@@ -309,7 +310,13 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("fit-bilinear", "--atoms", "5", "--worlds", "10", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "4", "--worlds", "23", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "1", "--worlds", "400", "--out", str(out_path)),
-        ("collapse", "--atoms", "1", "--dim", "407", "--out", str(out_path)),
+        # one dim past the collapse limits at 1 and 8 atoms, and 2^22 atoms
+        ("collapse", "--atoms", "1", "--dim", str(collapse_dim_limit(1) + 1),
+         "--out", str(out_path)),
+        ("collapse", "--atoms", "8", "--dim", str(collapse_dim_limit(8) + 1),
+         "--out", str(out_path)),
+        ("collapse", "--atoms", str(2 ** 22), "--dim", "1",
+         "--out", str(out_path)),
         # 2^25 relations held at once
         ("relalg-laws", "--entities", "5", "--exhaustive",
          "--out", str(out_path)),
@@ -840,12 +847,52 @@ def test_fit_bilinear_runs_at_eight_atoms_and_refuses_nine(capsys,
     assert not out_path.exists()
 
 
-def test_collapse_cell_budget_admits_dim_406_at_one_atom():
-    # never run: --dim 406 alone takes seconds and half a gigabyte
-    assert _collapse_cells(1, 406) == 406 ** 2 * 407 // 2 <= MAX_CELLS
-    assert _collapse_cells(1, 407) > MAX_CELLS
-    assert _collapse_cells(2 ** 22, 2) == 2 * 2 ** 22 * 3 <= MAX_CELLS
-    assert _collapse_cells(2 ** 22, 3) == 2 * 2 ** 22 * 6 > MAX_CELLS
+def largest_within_budget(cells) -> int:
+    """The largest n >= 1 whose cells(n), growing with n, fit the budget."""
+    lo, hi = 1, 2
+    while cells(hi) <= MAX_CELLS:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cells(mid) <= MAX_CELLS else (lo, mid)
+    return lo
+
+
+def collapse_dim_limit(atoms: int) -> int:
+    return largest_within_budget(lambda dim: _collapse_cells(atoms, dim))
+
+
+def test_collapse_cell_budget_is_linear_in_dim():
+    # never run at the limits here: CI runs them under peak RSS bounds
+    assert collapse_dim_limit(1) == 3728262
+    assert collapse_dim_limit(8) == 246707
+    for atoms in (1, 8):
+        dim = collapse_dim_limit(atoms)
+        assert _collapse_cells(atoms, dim) <= MAX_CELLS
+        assert _collapse_cells(atoms, dim + 1) > MAX_CELLS
+    # 9 cells per dim at 1 atom, and 136 at 8 atoms once dim >= 8
+    assert _collapse_cells(1, 2000) - _collapse_cells(1, 1000) == 9 * 1000
+    assert _collapse_cells(8, 2000) - _collapse_cells(8, 1000) == 136 * 1000
+    # every atom is charged its objects: 2^22 atoms are over at any dim
+    assert largest_within_budget(lambda a: _collapse_cells(a, 1)) == 435771
+    assert _collapse_cells(2 ** 22, 1) > MAX_CELLS
+
+
+@pytest.mark.parametrize("atoms,dim,flag", [(1, 100000, "--neg-equiv"),
+                                            (8, 20000, "--neg-equiv"),
+                                            (8, 20000, "--no-neg-equiv"),
+                                            (3000, 2, "--neg-equiv")])
+def test_collapse_traced_peak_is_within_its_charge(capsys, atoms, dim, flag):
+    # lstsq's LAPACK work is not traced, so this bounds the NumPy arrays
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "collapse", "--atoms", str(atoms),
+                               "--dim", str(dim), flag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"]
+    assert peak <= 8 * _collapse_cells(atoms, dim), peak
 
 
 def test_relalg_laws_cell_budget_admits_31_entities_at_the_defaults():
@@ -915,6 +962,28 @@ def test_kept_terms_share_the_build_budget():
     assert _term_cells(2, 1, 1, 10 ** 9) > MAX_CELLS
     # the admitted maximum's objects fit the budget's 268 MB
     assert 123361 * 1650 < MAX_CELLS * 8
+
+
+def test_parity_is_charged_both_halves_of_its_factors(capsys, tmp_path):
+    # the split holds u and v and both halves of each: the build's charge
+    # admits this shape, which peaked at 378 MB against factorize's 273 MB
+    assert _build_cells(4, 100, 1, 18078) <= MAX_CELLS
+    assert _parity_cells(4, 100, 1, 18078) > MAX_CELLS
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(capsys, "parity", "--entities", "4",
+                             "--relations", "100", "--context-dim", "1",
+                             "--terms", "18078", "--out", str(out_path))
+    assert code == 2 and not out and "cell budget" in err
+    assert not out_path.exists()
+    # default terms at 5 entities and width 1: 830 relations, not 1,016
+    assert _parity_cells(5, 830, 1, None) <= MAX_CELLS
+    assert _parity_cells(5, 831, 1, None) > MAX_CELLS
+    assert _build_cells(5, 1016, 1, None) <= MAX_CELLS
+    # u-dominated shapes too: 10,922 terms at 4 entities, a third of the
+    # 32,768 a build takes, at which parity peaked at 428 MB
+    assert _parity_cells(4, 1, None, 10922) <= MAX_CELLS
+    assert _parity_cells(4, 1, None, 10923) > MAX_CELLS
+    assert _build_cells(4, 1, None, 32768) <= MAX_CELLS
 
 
 def test_old_term_maximum_exits_two_before_any_draw(capsys, tmp_path):

@@ -57,7 +57,8 @@ def test_cached_lifts_match_per_call_reference(n, seed):
         lift = lift_renaming(fmap, g)
         ref = reference_lift(fmap, g, algebra)
         assert np.max(np.abs(lift.matrix - ref)) <= 1e-10, g
-        assert lift.residual <= 1e-10
+        m = fmap.matrix
+        assert np.max(np.abs(m @ lift.matrix.T - m[lift.perm])) <= 1e-10
 
 
 @pytest.mark.parametrize("n,seed", [(3, 2), (4, 2)])
