@@ -9,8 +9,9 @@ the exit code and the SHA-256 of the report (stdout), of stderr and of each
 file the call writes (saved maps, their sidecars, histograms).  The ladder
 covers every subcommand, a json and a csv save of each map shape of the
 `many-maps` benchmark workload with `verify-slp` on each save, `fit-bilinear`
-at each shape of the `conjunction` workload, at 5 and 6 atoms, and at
-depth 1 (so on assignments with and without a repeated world, and on both
+at each shape of the `conjunction` workload, at 5 and 6 atoms, at 5
+atoms and 16 worlds, and at depth 1 (so on assignments with and without
+a repeated world, and on both
 the product-law and the pair-walk path), `isotypic` at each shape of
 the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
 fails, `factorize` at each single parity and `factorize` and `parity` at
@@ -169,6 +170,9 @@ def _calls():
               _call("fit-bilinear", "--atoms", 6, "--worlds", 8),
               _call("fit-bilinear", "--atoms", 5, "--worlds", 8,
                     "--depth", 1)]
+    # a wide fit that the budget admits only since each design is
+    # compressed to m min(m, c) rows
+    calls.append(_call("fit-bilinear", "--atoms", 5, "--worlds", 16))
     # both conjunction checks at the largest depth-1 shape the budget admits
     calls += [_call(command, "--atoms", 12, "--depth", 1, "--worlds", 8)
               for command in ("fit-bilinear", "kernel-stability")]

@@ -139,13 +139,15 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
 # 268 MB.  It admits kernel-stability and fit-bilinear at 8 atoms and 8
-# worlds (12 atoms at depth 1), collapse up to --dim 3,728,262 at 1 atom
-# and 246,707 at 8, default-width builds at 32 entities and families at 128
-# entities (both at 2 relations); larger sizes exit 2 before any draw or
-# other work.  It also bounds the Python objects of a closure's queries, of
-# a build's raw samples and of collapse's atoms, the terms a build keeps,
-# all of them together, every array collapse holds at once, and the work of
-# kernel-stability's generator gathers and of fit-bilinear's prefix counts.
+# worlds (12 atoms at depth 1), fit-bilinear at 5 atoms and 28 worlds,
+# collapse up to --dim 3,728,262 at 1 atom and 246,707 at 8, default-width
+# builds at 32 entities and families at 128 entities (both at 2
+# relations); larger sizes exit 2 before any draw or other work.  It also
+# bounds the Python objects of a closure's queries, of a build's raw
+# samples and of collapse's atoms, the terms a build keeps, all of them
+# together, every array collapse or fit-bilinear's fit holds at once, and
+# the work of kernel-stability's generator gathers and of fit-bilinear's
+# prefix counts.
 MAX_CELLS = 1 << 25
 
 
@@ -457,26 +459,34 @@ def _stability_cells(atoms: int, worlds: int, depth: int) -> int:
 
 
 def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
-    """The largest array fit_bilinear builds, or its work if larger.
+    """The arrays fit_bilinear holds at once, or its work if larger.
 
-    At depth >= 2 the worlds model holds the product law, so the fit never
-    walks the pairs.  Its arrays: the N x worlds features and the
-    2^(2 atoms)-entry image table; one block of at most max(m, PAIR_BLOCK)
-    prefix counts; the m x m count table; the (m^2, worlds) group sums and
-    predictions; the m x worlds x worlds test of equal world columns; the
-    ordered-group full design of at most m^2 x worlds^2 cells; and the
-    worlds^2 x worlds coefficients of the full fit, for its
-    m <= min(N, 2^worlds) distinct feature rows.  Merging repeated worlds
-    only shrinks the sums, predictions, design and coefficients.  Work, not
-    an array: the model's build and the law check each take 2 atoms passes
-    over the N x worlds features, and the prefix counts visit N x m cells.
-    At depth 1 the support is the N = 2 atoms literals, and their pair walk
-    is far smaller than the image table, indexed by literal code.
+    A worlds-model row is 0 or the indicator of a partial truth assignment,
+    and a class of equal world columns is one truth assignment of the
+    atoms, so the fit sees m <= min(N, 2^worlds, 3^atoms) distinct rows
+    and c <= min(worlds, 2^atoms) classes.  At depth >= 2 the worlds model
+    holds the product law, so the fit never walks the pairs.  Its fit
+    holds, at once, 10 tables of m x m x c cells (the group sums, the
+    weighted blocks and their QR factor, the target table, the pair tables
+    and their temporaries), 3 copies of the m min(m, c) x c^2 ordered
+    design, whose rows the QR compressed, and the operator's worlds^3
+    entries with a few worlds x worlds tables, the class shares and their
+    temporaries.  Its other arrays are no larger than these or than the
+    charge's other terms: the N x worlds features, the 2^(2 atoms)-entry
+    image table, one block of at most max(m, PAIR_BLOCK) prefix counts,
+    and the m x worlds x worlds boolean test of equal world columns.  Work,
+    not an array: the model's build and the law check each take 2 atoms
+    passes over the N x worlds features, and the prefix counts visit N x m
+    cells.  At depth 1 the support is the N = 2 atoms literals, and their
+    pair walk is far smaller than the image table, indexed by literal code.
     """
     n = _support_size(atoms, depth)
-    m = min(n, 2 ** min(worlds, 64))
-    return max(2 * atoms * n * worlds, n * m, PAIR_BLOCK,
-               m * m * worlds ** 2, worlds ** 3, 4 ** min(atoms, 32))
+    m = min(n, 2 ** min(worlds, 64), 3 ** min(atoms, 32))
+    c = min(worlds, 2 ** min(atoms, 32))
+    fit = (10 * m * m * c + 3 * m * min(m, c) * c * c + worlds ** 3
+           + 4 * worlds ** 2)
+    return max(2 * atoms * n * worlds, n * m, PAIR_BLOCK, fit,
+               4 ** min(atoms, 32))
 
 
 def _cmd_kernel_stability(args, seed, parser) -> Report:
@@ -785,12 +795,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "symmetric bilinear fit on a worlds model",
                    size=(_fit_cells, ("atoms", "worlds", "depth")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 8 at 8 worlds, 12 at depth 1: 2 atoms "
-                          "passes over the N x worlds features, the N x m "
-                          "prefix counts, the m^2 x worlds^2 design, for m <= "
-                          "min(N, 2^worlds) distinct rows, and the "
-                          f"4^atoms-entry image table must fit in {MAX_CELLS} "
-                          "cells")
+                     help="at most 8 at 8 worlds, 5 at 16 to 28 worlds, 12 at "
+                          "depth 1: 2 atoms passes over the N x worlds "
+                          "features, the N x m prefix counts, the fit's "
+                          "m x m x c tables and m min(m, c) x c^2 design, for "
+                          "m <= min(N, 2^worlds, 3^atoms) distinct rows and "
+                          "c <= min(worlds, 2^atoms) classes, the worlds^3 "
+                          "operator, and the 4^atoms-entry image table must "
+                          f"fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

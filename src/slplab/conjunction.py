@@ -24,12 +24,15 @@ is a linear least-squares problem over groups of pairs with equal rows.
 Where the rows obey the product law, each the AND of its literals' 0/1
 rows, a pair's image row follows from its two rows, so the groups are
 counted from the distinct rows alone (`_law_groups`); any other support
-walks its pairs once (`_walk_groups`).  Idempotence makes F(u, u) = u for
-every literal feature u, and if negation also flips feature signs then
-F(u, u) must simultaneously equal u and -u, which is impossible unless
-u = 0.  The
-collapse certificate measures exactly that obstruction: the minimum total
-squared violation is 2 * sum of squared feature norms, attained at F = 0.
+walks its pairs once (`_walk_groups`).  The groups that share a first row
+form a block of the design that is linear in the weighted second rows, so
+one QR per block compresses it before the solve: each of the two fits runs
+on m min(m, c) rows, for m distinct rows and c classes of equal worlds.
+Idempotence makes F(u, u) = u for every literal feature u, and if negation
+also flips feature signs then F(u, u) must simultaneously equal u and -u,
+which is impossible unless u = 0.  The collapse certificate measures
+exactly that obstruction: the minimum total squared violation is
+2 * sum of squared feature norms, attained at F = 0.
 A possible-worlds assignment (0/1 truth values per world, conjunction =
 elementwise product, negation = 1 - x) satisfies consistency without sign
 equivariance and keeps the feasible regime honest.
@@ -481,11 +484,11 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     visited; any other support, such as a depth-1 one, walks the pairs once
     in blocks of support rows (`_walk_groups`).  Both give the same table,
     bit for bit, where both apply.  Pairs whose rows are equal give equal
-    design rows, so the solve runs over groups of pairs: a group enters as
-    one design row and target mean, both scaled by sqrt(c) for its c pairs,
-    which changes the pair objective only by a constant, so the normal
-    equations, and with them the minimum-norm solution, are the pairs' own
-    (weighted least squares).
+    design rows, so the solve runs over groups of pairs: the c pairs of an
+    ordered row pair (i, j) enter as one design row and target mean, both
+    scaled by sqrt(c), which changes the pair objective only by a constant,
+    so the normal equations, and with them the minimum-norm solution, are
+    the pairs' own (weighted least squares).
 
     Worlds whose feature columns are equal (`_world_classes`, k worlds to
     a class) give equal design columns and equal targets, so both fits run
@@ -500,17 +503,28 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     twice that on each member pair.  With no repeated world every class
     has one world and every scale is 1.
 
-    The triangle design is symmetric in u and v, so the symmetric fit
-    groups unordered row-id pairs (`n_groups`).  An independent second fit
-    over all class pairs sees u v^T, which is not symmetric, so it groups
-    ordered ones.  The operator is only determined on the realized span,
-    so `uniqueness_gap` compares the two fits there: both are read through
-    the triangle design, the second after symmetrizing, on every distinct
-    triangle row, which is the maximum over all pairs.  Pairs of one
-    triple share their fit and their target, so `max_residual` is the
-    largest triple residual, over every pair, not over group means, and
-    `worst_pair` names the first pair (p, q, image) in walk order that
-    reaches it.
+    The symmetric fit reads F through the triangle design, which is
+    symmetric in u and v, so its groups (i, j) and (j, i) share a design
+    row and count as one unordered group (`n_groups`).  An independent
+    second fit over all class pairs sees u v^T, which is not symmetric.
+    Neither design is formed a row per group.  Group (i, j) has the row
+    w_ij tri(v_i v_j^T) in the first and w_ij v_i v_j^T in the second, for
+    w_ij = sqrt(c_ij), 0 where no pair lies: block i of either design is
+    linear in the weighted rows W_i V, W_i = diag(w_i.).  One batched QR,
+    W_i V = Q_i R_i, turns block i into the min(m, c) rows read from R_i's
+    rows in place of the v_j, with targets Q_i^T T_i.  An orthogonal change
+    of a block's rows keeps its least-squares problem, and with it the
+    minimum-norm solution (Golub & Van Loan, Matrix Computations, 5.3), so
+    each solve runs on m min(m, c) rows, for m distinct rows and c classes.
+
+    Every pair's prediction is read from the pair table V X_o V^T, one
+    m x m table per output o.  The operator is only determined on the
+    realized span, so `uniqueness_gap` compares the two fits there: the
+    largest entry, over the realized groups, of the table of their
+    difference, the second fit symmetrized.  Pairs of one triple share
+    their fit and their target, so `max_residual` is the largest triple
+    residual, over every pair, not over group means, and `worst_pair`
+    names the first pair (p, q, image) in walk order that reaches it.
     """
     codes = assignment.codes
     n = len(codes)
@@ -533,39 +547,32 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     sums = np.zeros((m * m, c))
     np.add.at(sums, pair, counts[:, None] * values[image_row])
     group_counts = group_counts.reshape(m, m)
-    sums = sums.reshape(m, m, c)
-
-    gi, gj = np.nonzero(np.triu(group_counts + group_counts.T))
-    off = gi != gj  # an off-diagonal group gathers both orders
-    weight = np.sqrt(group_counts[gi, gj] + off * group_counts[gj, gi])[:, None]
-    target_sums = sums[gi, gj] + off[:, None] * sums[gj, gi]
-    triangle = rows_idx, cols_idx = np.triu_indices(c)
-    design = _triangle_design(values[gi][:, :, None] * values[gj][:, None, :],
-                              triangle)
+    weight = np.sqrt(group_counts)[:, :, None]
+    q, r = np.linalg.qr(weight * values)  # block i: W_i V = Q_i R_i
+    # an absent pair has weight 0 and sums 0, and its target row is 0
+    targets = (q.transpose(0, 2, 1) @ (
+        sums.reshape(m, m, c) / np.maximum(weight, 1.0))).reshape(-1, c)
+    outer = (values[:, None, :, None] * r[:, :, None, :]).reshape(-1, c, c)
+    columns = np.arange(c)  # np.triu_indices(c), without its overhead
+    triangle = rows_idx, cols_idx = np.nonzero(columns[:, None] <= columns)
     scale = np.sqrt(np.where(rows_idx == cols_idx,
                              size[rows_idx] * (2.0 * size[rows_idx] - 1.0),
                              size[rows_idx] * size[cols_idx]))
-    x = numerics.minnorm_lstsq(design * weight * scale,
-                               target_sums / weight) * scale[:, None]
-    predicted = design @ x
-
-    oi, oj = np.nonzero(group_counts)
-    weight_full = np.sqrt(group_counts[oi, oj])[:, None]
-    outer = (values[oi][:, :, None] * values[oj][:, None, :]).reshape(-1, c * c)
-    outer *= weight_full
+    x = numerics.minnorm_lstsq(_triangle_design(outer, triangle) * scale,
+                               targets) * scale[:, None]
     scale_full = np.sqrt(np.outer(size, size)).reshape(-1)
-    x_full = numerics.minnorm_lstsq(outer * scale_full,
-                                    sums[oi, oj] / weight_full)
+    x_full = numerics.minnorm_lstsq(outer.reshape(-1, c * c) * scale_full,
+                                    targets)
+    tensor_class = _triangle_tensor(x, triangle)
     tensor_full = (x_full * scale_full[:, None]).T.reshape(c, c, c)
-    x_other = (tensor_full[:, rows_idx, cols_idx] +
-               tensor_full[:, cols_idx, rows_idx]).T / 2.0
-    gap = float(np.max(np.abs(predicted - design @ x_other)))
+    other = (tensor_full + tensor_full.transpose(0, 2, 1)) / 2.0
 
-    table = np.zeros((m, m, c))
-    table[gi, gj] = predicted
-    table[gj, gi] = predicted
-    residual = np.max(np.abs(table.reshape(m * m, c)[pair] -
-                             values[image_row]), axis=1)
+    # the pair tables V X_o V^T, one m x m table per output o
+    realized = (group_counts + group_counts.T) > 0
+    gap = float(np.max(np.abs((values @ (tensor_class - other) @ values.T
+                               ).reshape(c, m * m)[:, realized.reshape(-1)])))
+    table = (values @ tensor_class @ values.T).reshape(c, m * m)
+    residual = np.max(np.abs(table[:, pair].T - values[image_row]), axis=1)
     max_residual = float(np.max(residual))
     a, b = divmod(int(np.min(firsts[residual == max_residual])), n)
     worst = (a, b, int(assignment.lookup[codes[a] | codes[b]]))
@@ -575,10 +582,13 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     share = np.where(world_class[:, None] == world_class,
                      2.0 * diagonal[:, None], 1.0 / np.outer(k, k))
     np.fill_diagonal(share, diagonal)
-    tensor = _triangle_tensor(x, triangle)[
-        np.ix_(world_class, world_class, world_class)] * share
+    tensor = tensor_class[np.ix_(world_class, world_class, world_class)]
+    tensor *= share
+    # the symmetric table holds each off-diagonal group twice
+    n_groups = (np.count_nonzero(realized) +
+                np.count_nonzero(realized.diagonal())) // 2
     return FitResult(BilinearOperator(tensor), max_residual, gap,
-                     n_constraints, skipped, len(gi),
+                     n_constraints, skipped, int(n_groups),
                      tuple(assignment.compound(i) for i in worst))
 
 

@@ -543,6 +543,54 @@ def test_merged_worlds_keep_the_conflicting_targets_residual():
     assert result.n_groups == 6
 
 
+def few_rows_assignment():
+    """Two atoms' 15 compounds on three random rows of 7 worlds: fewer
+    distinct rows than world classes, so a block's QR keeps all m rows."""
+    closure = close_conjunction([Query(0, 0, 0), Query(0, 1, 0)])
+    rows = np.random.default_rng(3).standard_normal((3, 7))
+    return build_assignment({x: rows[i % 3] for i, x in enumerate(closure)})
+
+
+def test_fewer_rows_than_classes_match_ungrouped_reference():
+    assignment = few_rows_assignment()
+    result = fit_bilinear(assignment)
+    assert_matches_reference(result, assignment)
+    *_, residuals, (ii, jj, kk) = reference_fit(assignment)
+    first = int(np.argmax(residuals))
+    order = assignment.order
+    assert result.worst_pair == (order[ii[first]], order[jj[first]],
+                                 order[kk[first]])
+    assert result.max_residual > 0.5 and result.n_groups == 6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: possible_worlds_assignment(4, 16, seed=7)[0],
+    lambda: possible_worlds_assignment(3, 8, seed=2, depth=1)[0],
+    lambda: with_worlds(random_assignment(3, seed=5), (0, 1, 1, 2, 2, 2)),
+    shared_row_assignment,
+    few_rows_assignment,
+])
+def test_fit_solves_two_designs_of_m_min_m_c_rows(make, monkeypatch):
+    # one row per group would give 1,431 and 1,612 rows at 4 atoms, 16
+    # worlds and seed 7, where m min(m, c) is 53 x 11 = 583
+    assignment = make()
+    shapes = []
+    solve = numerics.minnorm_lstsq
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(numerics, "minnorm_lstsq", recorded)
+    fit_bilinear(assignment)
+    rows = np.unique(assignment.matrix(), axis=0)
+    m, c = len(rows), len(np.unique(rows.T, axis=0))
+    # unknowns: the c(c+1)/2 triangle entries, then the c^2 ordered ones
+    assert [cols for _, cols in shapes] == [c * (c + 1) // 2, c * c]
+    assert all(n_rows <= m * min(m, c) for n_rows, _ in shapes), (m, c,
+                                                                   shapes)
+
+
 def counted_walks(monkeypatch) -> list:
     """The assignments `_pair_blocks` walks from here on."""
     walks = []

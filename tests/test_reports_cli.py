@@ -307,8 +307,11 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "9", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "6", "--worlds", "10", "--out", str(out_path)),
-        ("fit-bilinear", "--atoms", "5", "--worlds", "10", "--out", str(out_path)),
-        ("fit-bilinear", "--atoms", "4", "--worlds", "23", "--out", str(out_path)),
+        # one world past the fit-bilinear limits at 5 and 4 atoms
+        ("fit-bilinear", "--atoms", "5", "--worlds", str(fit_worlds_limit(5) + 1),
+         "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "4", "--worlds", str(fit_worlds_limit(4) + 1),
+         "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "1", "--worlds", "400", "--out", str(out_path)),
         # one dim past the collapse limits at 1 and 8 atoms, and 2^22 atoms
         ("collapse", "--atoms", "1", "--dim", str(collapse_dim_limit(1) + 1),
@@ -777,26 +780,36 @@ def test_conjunction_cell_budget_admits_eight_atoms():
         _stability_cells(9, 8, 2)
     assert _stability_cells(1, 10 ** 8, 2) == 6 * 10 ** 8 > MAX_CELLS
     # fit-bilinear: 2 atoms passes over the N x worlds features, the N x m
-    # prefix counts, or the ordered-group design of m^2 x worlds^2 cells,
-    # m = min(N, 2^worlds) distinct rows; never the N(N+1)/2 pairs
-    assert _fit_cells(6, 8, 2) == 256 ** 2 * 64 <= MAX_CELLS
+    # prefix counts, or the compressed fit's arrays, for m = min(N,
+    # 2^worlds, 3^atoms) distinct rows and c = min(worlds, 2^atoms) classes:
+    # 10 m^2 c cells, 3 m min(m, c) c^2 and worlds^3 + 4 worlds^2; never
+    # the N(N+1)/2 pairs, nor one design row per row pair
+    def fit(m, c, worlds):
+        return (10 * m * m * c + 3 * m * min(m, c) * c * c + worlds ** 3
+                + 4 * worlds ** 2)
+
+    assert _fit_cells(6, 8, 2) == fit(256, 8, 8) <= MAX_CELLS
     assert _fit_cells(8, 8, 2) == 65535 * 256 <= MAX_CELLS
     assert _fit_cells(8, 9, 2) == 65535 * 512 <= MAX_CELLS
     assert _fit_cells(9, 8, 2) == 262143 * 256 > MAX_CELLS
     assert _fit_cells(9, 7, 2) == 262143 * 128 <= MAX_CELLS
     assert _fit_cells(10, 1, 2) == 20 * 1048575 <= MAX_CELLS
     assert _fit_cells(10, 2, 2) > MAX_CELLS
-    assert _fit_cells(6, 9, 2) == 512 ** 2 * 81 <= MAX_CELLS
-    assert _fit_cells(6, 10, 2) == 1024 ** 2 * 100 > MAX_CELLS
-    assert _fit_cells(5, 9, 2) == 512 ** 2 * 81 <= MAX_CELLS
-    assert _fit_cells(5, 10, 2) == 1023 ** 2 * 100 > MAX_CELLS
-    assert _fit_cells(5, 16, 2) == 1023 ** 2 * 256 > MAX_CELLS
-    assert _fit_cells(4, 22, 2) == 255 ** 2 * 22 ** 2 <= MAX_CELLS
-    assert _fit_cells(4, 23, 2) > MAX_CELLS
+    assert _fit_cells(6, 9, 2) == fit(512, 9, 9) <= MAX_CELLS
+    assert _fit_cells(6, 10, 2) == fit(729, 10, 10) > MAX_CELLS
+    assert _fit_cells(5, 16, 2) == fit(243, 16, 16) <= MAX_CELLS
+    assert _fit_cells(5, 28, 2) == fit(243, 28, 28) <= MAX_CELLS
+    assert _fit_cells(5, 29, 2) > MAX_CELLS
+    assert _fit_cells(4, 23, 2) == fit(81, 16, 23) <= MAX_CELLS
+    # past 2^atoms worlds only the operator's worlds^3 entries grow
+    assert _fit_cells(4, 200, 2) - _fit_cells(4, 100, 2) == \
+        200 ** 3 - 100 ** 3 + 4 * (200 ** 2 - 100 ** 2)
+    assert [fit_worlds_limit(atoms) for atoms in range(1, 11)] == \
+        [321, 321, 320, 314, 28, 9, 9, 9, 7, 1]
     # one prefix-count block, never less: PAIR_BLOCK cells
     assert _fit_cells(2, 4, 2) == PAIR_BLOCK
-    assert _fit_cells(1, 322, 2) == 322 ** 3 <= MAX_CELLS
-    assert _fit_cells(1, 400, 2) == 400 ** 3 > MAX_CELLS
+    assert _fit_cells(1, 321, 2) == fit(3, 2, 321) <= MAX_CELLS
+    assert _fit_cells(1, 322, 2) > MAX_CELLS
     assert _fit_cells(1, 10 ** 8, 2) > MAX_CELLS
     assert _stability_cells(10 ** 9, 1, 2) > MAX_CELLS
     # depth >= 2 closes to the same support as depth 2
@@ -812,7 +825,7 @@ def test_conjunction_cell_budget_charges_depth_one_its_literals():
         assert cells(13, 1, 1) == 4 ** 13 > MAX_CELLS
     assert _stability_cells(2, 100, 1) == 2 * 2 * 4 * 100
     assert _fit_cells(5, 8, 1) == PAIR_BLOCK
-    assert _fit_cells(1, 322, 1) == 322 ** 3 <= MAX_CELLS
+    assert _fit_cells(1, 321, 1) <= MAX_CELLS < _fit_cells(1, 322, 1)
     assert _stability_cells(10 ** 9, 1, 1) > MAX_CELLS
 
 
@@ -862,6 +875,10 @@ def collapse_dim_limit(atoms: int) -> int:
     return largest_within_budget(lambda dim: _collapse_cells(atoms, dim))
 
 
+def fit_worlds_limit(atoms: int) -> int:
+    return largest_within_budget(lambda worlds: _fit_cells(atoms, worlds, 2))
+
+
 def test_collapse_cell_budget_is_linear_in_dim():
     # never run at the limits here: CI runs them under peak RSS bounds
     assert collapse_dim_limit(1) == 3728262
@@ -893,6 +910,23 @@ def test_collapse_traced_peak_is_within_its_charge(capsys, atoms, dim, flag):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["pass"]
     assert peak <= 8 * _collapse_cells(atoms, dim), peak
+
+
+@pytest.mark.parametrize("atoms,worlds", [(5, 16), (5, 28), (4, 40), (3, 32),
+                                          (2, 150)])
+def test_fit_traced_peak_is_within_its_charge(capsys, atoms, worlds):
+    # the compressed fit's tables at 4 and 5 atoms, up to the 5-atom limit;
+    # m and c at their bounds at 3 atoms and 32 worlds; and the operator's
+    # worlds^3 entries at 2 atoms.  lstsq's LAPACK work is not traced
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "fit-bilinear", "--atoms", str(atoms),
+                               "--worlds", str(worlds), "--seed", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"]
+    assert peak <= 8 * _fit_cells(atoms, worlds, 2), peak
 
 
 def test_relalg_laws_cell_budget_admits_31_entities_at_the_defaults():
