@@ -22,7 +22,8 @@ relation equal to the first or to its complement, converse or complemented
 converse, so a saved map's base list holds a duplicate image), `gradlab`
 on draws whose base relations repeat, both conjunction checks at 12 atoms
 and depth 1, `collapse` at 1,000 and 100,000 dims and at more atoms than
-dims, a failing build (exit 1) and usage errors (exit 2), among them a
+dims, `relalg-laws` over every relation on 4 entities and at 31 entities,
+a failing build (exit 1) and usage errors (exit 2), among them a
 `parity` split over the cell budget.  The
 manifest also keeps each report's parsed JSON, so that a comparison can say
 where two reports differ, and the Python, NumPy and BLAS it was made with:
@@ -183,6 +184,11 @@ def _calls():
               _call("collapse", "--atoms", 3, "--dim", 100000),
               _call("collapse", "--atoms", 2, "--dim", 1000,
                     "--no-neg-equiv")]
+    # the laws over all 65,536 relations on 4 entities, and at the
+    # largest entity count the default counts admit
+    calls += [_call("relalg-laws", "--entities", 4, "--exhaustive"),
+              _call("relalg-laws", "--entities", 31, "--pairs", 200,
+                    "--triples", 20)]
     # a parity split over the budget that a build of its shape fits: exit 2
     calls.append(_call("parity", "--entities", 4, "--relations", 100,
                        "--context-dim", 1, "--terms", 18078))

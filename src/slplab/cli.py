@@ -41,8 +41,8 @@ from .featspace import (KernelNotInvariantError,
 from .gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
                       generate_kb, make_mlp, make_slp_linear, train)
 from .queryspace import compute_families, families_to_json, family_count
-from .relalg import (EntitySet, all_relations, close_unary, compose, converse,
-                     negate, random_base_relations, random_relation)
+from .relalg import (EntitySet, Relation, all_relations, close_unary, compose,
+                     converse, negate, random_base_relations, random_relation)
 from .reports import Report, emit_report, render_report
 
 
@@ -276,7 +276,7 @@ def _build(args: argparse.Namespace, seed: int, parser):
 
 def _laws_cells(entities: int, exhaustive: bool, pairs: int,
                 triples: int) -> int:
-    """One cell per relation bit drawn or held: entities^2 bits for each
+    """One cell per relation entry drawn or held: entities^2 for each
     unary relation, pair and triple member.  --exhaustive holds all
     2^(entities^2) relations at once, which admits at most 4 entities;
     the power is capped past the budget."""
@@ -284,40 +284,35 @@ def _laws_cells(entities: int, exhaustive: bool, pairs: int,
     return entities ** 2 * (unary + 2 * pairs + 3 * triples)
 
 
+def _mismatches(lhs: Relation, rhs: Relation) -> int:
+    """How many relations of two equal-shaped stacks differ."""
+    return int(np.any(lhs.matrix != rhs.matrix, axis=(-2, -1)).sum())
+
+
 def _cmd_relalg_laws(args, seed, parser) -> Report:
     entity_set = EntitySet.of_size(args.entities)
     rng = np.random.default_rng(seed)
-    failures = {"double_negation": 0, "double_converse": 0,
-                "negate_converse_commute": 0, "converse_of_composition": 0,
-                "associativity": 0}
-    if args.exhaustive:
-        unary_pool = list(all_relations(entity_set))
-    else:
-        unary_pool = [random_relation(entity_set, rng)
-                      for _ in range(args.pairs)]
-    for r in unary_pool:
-        if negate(negate(r)) != r:
-            failures["double_negation"] += 1
-        if converse(converse(r)) != r:
-            failures["double_converse"] += 1
-        if negate(converse(r)) != converse(negate(r)):
-            failures["negate_converse_commute"] += 1
-    for _ in range(args.pairs):
-        r = random_relation(entity_set, rng)
-        s = random_relation(entity_set, rng)
-        if converse(compose(r, s)) != compose(converse(s), converse(r)):
-            failures["converse_of_composition"] += 1
-    for _ in range(args.triples):
-        r = random_relation(entity_set, rng)
-        s = random_relation(entity_set, rng)
-        t = random_relation(entity_set, rng)
-        if compose(compose(r, s), t) != compose(r, compose(s, t)):
-            failures["associativity"] += 1
+    unary = (all_relations(entity_set) if args.exhaustive
+             else random_relation(entity_set, rng, shape=(args.pairs,)))
+    pair = random_relation(entity_set, rng, shape=(args.pairs, 2))
+    r, s = pair[:, 0], pair[:, 1]
+    triple = random_relation(entity_set, rng, shape=(args.triples, 3))
+    a, b, c = triple[:, 0], triple[:, 1], triple[:, 2]
+    failures = {
+        "double_negation": _mismatches(negate(negate(unary)), unary),
+        "double_converse": _mismatches(converse(converse(unary)), unary),
+        "negate_converse_commute": _mismatches(negate(converse(unary)),
+                                               converse(negate(unary))),
+        "converse_of_composition": _mismatches(
+            converse(compose(r, s)), compose(converse(s), converse(r))),
+        "associativity": _mismatches(compose(compose(a, b), c),
+                                     compose(a, compose(b, c))),
+    }
     total = sum(failures.values())
     return Report(
         check="relalg_laws", passed=total == 0, max_deviation=float(total),
         details={"entities": args.entities, "exhaustive": bool(args.exhaustive),
-                 "unary_relations_checked": len(unary_pool),
+                 "unary_relations_checked": len(unary.matrix),
                  "pairs": args.pairs, "triples": args.triples,
                  "failures": failures},
     )
@@ -735,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                    size=(_laws_cells, ("entities", "exhaustive", "pairs",
                                        "triples")))
     sub.add_argument("--entities", type=_at_least(1), default=3,
-                     help="at most 31 at the default counts: entities^2 bits "
+                     help="at most 31 at the default counts: entities^2 cells "
                           "per unary relation, two per pair and three per "
                           f"triple must fit in {MAX_CELLS} cells")
     sub.add_argument("--exhaustive", action="store_true",

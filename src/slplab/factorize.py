@@ -73,21 +73,26 @@ class FactorizedMap:
 
 def assemble_rows(u: np.ndarray, v: np.ndarray,
                   algebra: RelationAlgebra) -> np.ndarray:
-    """The terms' sum on the (head, rel, tail) query grid, one row per query
-    in the one query order; u is (terms, n, n, context_dim) and v is
-    (terms, relations), and any other shape is a ValueError.  The sum is
-    one matrix product over the terms, in an order the BLAS picks, so term
-    order is not part of the format; factors longer than the grid are read
-    on its corner, which dims_consistent flags."""
+    """`_term_sum` in the one query order, (head, rel, tail), a row each."""
+    grid = _term_sum(u, v, algebra)
+    size, n, _, width = grid.shape
+    return grid.transpose(1, 0, 2, 3).reshape(n * size * n, width)
+
+
+def _term_sum(u: np.ndarray, v: np.ndarray,
+              algebra: RelationAlgebra) -> np.ndarray:
+    """The terms' sum v.T @ u, indexed (rel, head, tail, component), for u
+    of shape (terms, n, n, context_dim) and v of (terms, relations); any
+    other shape is a ValueError.  The BLAS picks the order of the sum, so
+    term order is not part of the format; factors longer than the grid are
+    read on its corner, which dims_consistent flags."""
     if u.ndim != 4 or u.shape[1] != u.shape[2]:
         raise ValueError("u must have shape (terms, n, n, context_dim)")
     if v.ndim != 2 or len(v) != len(u):
         raise ValueError("v must have shape (terms, relations)")
     n, size, width = algebra.entity_set.n, algebra.size, u.shape[3]
-    # row r is sum_k v_k(r) u_k, laid out (head, tail, component)
     grid = v[:, :size].T @ u[:, :n, :n].reshape(len(u), n * n * width)
-    return grid.reshape(size, n, n, width).transpose(1, 0, 2, 3).reshape(
-        n * size * n, width)
+    return grid.reshape(size, n, n, width)
 
 
 def _halves(x: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +403,7 @@ def parity_decompose(f: FactorizedMap,
     first query with the largest deviation is reported otherwise).  Each term
     (u, v) splits into (u+, v+) and (u-, v-); the cross-parity components
     u+ x v- and u- x v+ must cancel on every query, and the largest entry
-    of their sum, each assembled as the rows are, is reported.
+    of their summed term sums is reported; a max needs no query order.
     """
     algebra = f.feature_map.algebra
     rows = f.feature_map.matrix
@@ -411,8 +416,8 @@ def parity_decompose(f: FactorizedMap,
 
     u_plus, u_minus = _halves(f.u, f.u.transpose(0, 2, 1, 3).copy())
     v_plus, v_minus = _halves(f.v, f.v[:, algebra.images[2]])
-    cross = assemble_rows(u_plus, v_minus, algebra)
-    cross += assemble_rows(u_minus, v_plus, algebra)
+    cross = _term_sum(u_plus, v_minus, algebra)
+    cross += _term_sum(u_minus, v_plus, algebra)
     return ParityDecomposition(u_plus, u_minus, v_plus, v_minus,
                                float(np.max(np.abs(cross), initial=0.0)))
 

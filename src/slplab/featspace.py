@@ -386,7 +386,6 @@ def load_feature_map(path: str | Path, fmt: str = "json") -> FeatureMap:
         raise ValueError(f"unknown feature-map format {fmt!r}")
 
     entity_set = EntitySet(tuple(sidecar["entities"]))
-    base = [Relation.from_pairs(entity_set,
-                                [(h, t) for h, t in rec["pairs"]], rec["name"])
+    base = [Relation.from_pairs(entity_set, rec["pairs"], rec["name"])
             for rec in sidecar["base_relations"]]
     return FeatureMap(close_unary(base), matrix, sidecar["queries"])

@@ -1,6 +1,6 @@
 """Desk-scale gradient alignment experiments.
 
-A synthetic knowledge base labels queries straight from relation bitsets;
+A synthetic knowledge base labels queries straight from relation matrices;
 each labeled fact is paired with its negation (complement relation, flipped
 label).  Two scorers are compared:
 
@@ -58,8 +58,8 @@ class SyntheticKB:
 
 def generate_kb(entity_count: int, base_relations: int, density: float,
                 seed: int) -> SyntheticKB:
-    """Random bitset relations; degenerate draws get one redraw, then error.
-    Facts name a base relation by its closure index, found by its bits, so
+    """Random relations; degenerate draws get one redraw, then error.
+    Facts name a base relation by its closure index, found by the relation, so
     a base relation drawn twice is labeled once."""
     if entity_count < 2:
         raise ValueError("need at least two entities")
@@ -72,17 +72,13 @@ def generate_kb(entity_count: int, base_relations: int, density: float,
                                       base_relations, density)
     algebra = close_unary(relations)
     neg = algebra.images[1].tolist()
-    index = {rel.bits: i for i, rel in enumerate(algebra.closed)}
+    index = {rel: i for i, rel in enumerate(algebra.closed)}
     facts = []
     partners = []
-    for r_idx in dict.fromkeys(index[rel.bits] for rel in relations):
-        rel = algebra.closed[r_idx]
-        for h in range(entity_count):
-            for t in range(entity_count):
-                label = int(rel.contains(h, t))
-                q = Query(h, r_idx, t)
-                facts.append((q, label))
-                partners.append((Query(h, neg[r_idx], t), 1 - label))
+    for r_idx in dict.fromkeys(index[rel] for rel in relations):
+        for (h, t), held in np.ndenumerate(algebra.closed[r_idx].matrix):
+            facts.append((Query(h, r_idx, t), int(held)))
+            partners.append((Query(h, neg[r_idx], t), 1 - int(held)))
     return SyntheticKB(algebra, tuple(facts), tuple(partners))
 
 

@@ -1,21 +1,23 @@
 """Binary-relation algebra over a small fixed entity set.
 
-A relation on n entities is a subset of the n*n ordered pairs, packed into a
-Python int: bit h*n + t is set iff the pair (h, t) is in the relation.  The
-unary operations are complement and converse (transpose); composition is the
-boolean matrix product.  Complement and converse commute and are
-involutions, so they generate a four-element group, and closing a base set
-under them gives each base relation's orbit: at most 4 relations per base
-element.  The closure holds the group's action as one (4, size) table of
-relation indices (`RelationAlgebra.images`), which the query families, the
-factorized builds and the parity split read.  Relations are stored only as
-a saved feature map's base relations, in its sidecar
-(`featspace.save_feature_map`).
+A relation on n entities is a boolean (n, n) matrix, true at [h, t] iff
+(h, t) is in the relation, and a stack of relations is a (..., n, n) one.
+Complement is logical NOT, converse the transpose and composition the
+boolean matrix product (Schmidt & Stroehlein, Relations and Graphs, 1993),
+each one array expression, on one relation or elementwise over a stack.
+Complement and converse commute and are involutions, so they generate a
+four-element group, and closing a base set under them gives each base
+relation's orbit: at most 4 relations per base element.  The closure holds
+the group's action as one (4, size) table of relation indices
+(`RelationAlgebra.images`), which the query families, the factorized builds
+and the parity split read.  Relations are stored only as a saved feature
+map's base relations, in its sidecar (`featspace.save_feature_map`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -41,99 +43,87 @@ class EntitySet:
     def n(self) -> int:
         return len(self.labels)
 
-    def pair_bit(self, head: int, tail: int) -> int:
-        return head * self.n + tail
 
-    def full_mask(self) -> int:
-        return (1 << (self.n * self.n)) - 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """Immutable bitset relation; `name` is metadata and ignored by equality."""
+    """A relation, or a stack of them: `matrix`, of shape (..., n, n).
+
+    Indexing indexes the stack's leading axes.  A read-only matrix is held
+    as it is, so converses and stack members are views; any other is held
+    as a read-only copy.  `name` is metadata, ignored by equality and hash.
+    """
 
     entity_set: EntitySet
-    bits: int
-    name: str | None = field(default=None, compare=False)
+    matrix: np.ndarray
+    name: str | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits <= self.entity_set.full_mask():
-            raise ValueError("bits outside the n*n range")
+        matrix, n = np.asarray(self.matrix), self.entity_set.n
+        if matrix.dtype != bool or matrix.shape[-2:] != (n, n):
+            raise ValueError("matrix must be boolean of shape (..., n, n)")
+        if matrix.flags.writeable:
+            matrix = matrix.copy()
+            matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Relation)
+                and self.entity_set == other.entity_set
+                and np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self) -> int:
+        return hash((self.entity_set, self.matrix.tobytes()))
+
+    def __getitem__(self, index) -> "Relation":
+        return Relation(self.entity_set, self.matrix[index])
 
     @classmethod
     def from_pairs(cls, entity_set: EntitySet,
                    pairs: Iterable[tuple[int, int]],
                    name: str | None = None) -> "Relation":
-        bits = 0
+        """From (head, tail) pairs of integer indices in range: a float or a
+        string is a TypeError, another length or range a ValueError."""
         n = entity_set.n
+        matrix = np.zeros((n, n), dtype=bool)
         for h, t in pairs:
+            h, t = operator.index(h), operator.index(t)
             if not (0 <= h < n and 0 <= t < n):
                 raise ValueError(f"pair ({h}, {t}) outside entity range")
-            bits |= 1 << (h * n + t)
-        return cls(entity_set, bits, name)
-
-    def contains(self, head: int, tail: int) -> bool:
-        return bool(self.bits >> self.entity_set.pair_bit(head, tail) & 1)
+            matrix[h, t] = True
+        return cls(entity_set, matrix, name)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        n = self.entity_set.n
-        for h in range(n):
-            for t in range(n):
-                if self.bits >> (h * n + t) & 1:
-                    yield (h, t)
-
-    def row(self, head: int) -> int:
-        """Bitset of tails related to `head`."""
-        n = self.entity_set.n
-        return (self.bits >> (head * n)) & ((1 << n) - 1)
+        """The relation's pairs, in (head, tail) order."""
+        return map(tuple, np.argwhere(self.matrix).tolist())
 
     def is_empty(self) -> bool:
-        return self.bits == 0
+        return not self.matrix.any()
 
     def is_full(self) -> bool:
-        return self.bits == self.entity_set.full_mask()
-
-
-def _require_same_entities(r: Relation, s: Relation) -> None:
-    if r.entity_set != s.entity_set:
-        raise ValueError("relations live on different entity sets")
+        return bool(self.matrix.all())
 
 
 def negate(r: Relation) -> Relation:
-    """Complement within the universal relation."""
+    """Complement within the universal relation: logical NOT."""
     name = None if r.name is None else f"not({r.name})"
-    return Relation(r.entity_set, r.bits ^ r.entity_set.full_mask(), name)
+    return Relation(r.entity_set, ~r.matrix, name)
 
 
 def converse(r: Relation) -> Relation:
-    """Transpose: (t, h) for every (h, t)."""
-    n = r.entity_set.n
-    bits = 0
-    for h in range(n):
-        for t in range(n):
-            if r.bits >> (h * n + t) & 1:
-                bits |= 1 << (t * n + h)
+    """Transpose, a view: (t, h) for every (h, t)."""
     name = None if r.name is None else f"conv({r.name})"
-    return Relation(r.entity_set, bits, name)
+    return Relation(r.entity_set, r.matrix.swapaxes(-1, -2), name)
 
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Boolean matrix product: (h, t) iff some b has (h, b) in r, (b, t) in s.
 
-    Every intermediate b is visited (no early exit), keeping the cost profile
-    independent of the data.
+    Stacks broadcast as in `np.matmul`.  NumPy's boolean product stops at the
+    first witness b, so its cost depends on the data.
     """
-    _require_same_entities(r, s)
-    n = r.entity_set.n
-    bits = 0
-    for h in range(n):
-        row_r = r.row(h)
-        acc = 0
-        for b in range(n):
-            if row_r >> b & 1:
-                acc |= s.row(b)
-        bits |= acc << (h * n)
-    return Relation(r.entity_set, bits)
+    if r.entity_set != s.entity_set:
+        raise ValueError("relations live on different entity sets")
+    return Relation(r.entity_set, r.matrix @ s.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,18 +154,18 @@ def close_unary(base: Iterable[Relation]) -> RelationAlgebra:
     if not base:
         raise ValueError("base relation set must be nonempty")
     entity_set = base[0].entity_set
-    for r in base[1:]:
-        if r.entity_set != entity_set:
-            raise ValueError("base relations on mixed entity sets")
+    if any(r.entity_set != entity_set for r in base):
+        raise ValueError("base relations on mixed entity sets")
 
     closed: list[Relation] = []
-    index: dict[int, int] = {}
+    index: dict[bytes, int] = {}
 
     def add(r: Relation) -> int:
-        if r.bits not in index:
-            index[r.bits] = len(closed)
+        key = r.matrix.tobytes()
+        if key not in index:
+            index[key] = len(closed)
             closed.append(r)
-        return index[r.bits]
+        return index[key]
 
     # each base relation's orbit, its columns in LogicalOp order
     orbits = np.empty((len(base), 4), dtype=int)
@@ -192,20 +182,32 @@ def close_unary(base: Iterable[Relation]) -> RelationAlgebra:
     return RelationAlgebra(entity_set, base, tuple(closed), images)
 
 
-def all_relations(entity_set: EntitySet) -> Iterator[Relation]:
-    """Every relation on the entity set; 2**(n*n) of them, small n only."""
-    for bits in range(entity_set.full_mask() + 1):
-        yield Relation(entity_set, bits)
+def all_relations(entity_set: EntitySet) -> Relation:
+    """All 2**(n*n) relations, one stack in bit-code order: relation c holds
+    (h, t) iff bit h*n + t of c is set.  Small n only."""
+    n = entity_set.n
+    # np.indices varies its last axis fastest, so reversed, row p is bit p
+    bits = np.indices((2,) * (n * n), dtype=bool).reshape(n * n, -1)[::-1]
+    return Relation(entity_set, bits.T.reshape(-1, n, n))
+
+
+# cells drawn by one RNG call: bounds a stack's float64 draw buffer
+_BLOCK_CELLS = 2 ** 16
 
 
 def random_relation(entity_set: EntitySet, rng, density: float = 0.5,
-                    name: str | None = None) -> Relation:
+                    name: str | None = None, shape: tuple[int, ...] = ()
+                    ) -> Relation:
+    """One seeded relation, or a stack of leading shape `shape`: each cell
+    is rng.random() < density in C order, drawn _BLOCK_CELLS at a time, so a
+    stack holds the relations that one draw per relation would."""
     n = entity_set.n
-    bits = 0
-    for p in range(n * n):
-        if rng.random() < density:
-            bits |= 1 << p
-    return Relation(entity_set, bits, name)
+    matrix = np.empty((*shape, n, n), dtype=bool)
+    cells = matrix.reshape(-1)
+    for start in range(0, cells.size, _BLOCK_CELLS):
+        block = cells[start:start + _BLOCK_CELLS]
+        np.less(rng.random(block.size), density, out=block)
+    return Relation(entity_set, matrix, name)
 
 
 def random_base_relations(entity_set: EntitySet, rng, count: int,

@@ -19,16 +19,23 @@ settings.register_profile("slplab", database=None, derandomize=True,
 settings.load_profile("slplab")
 
 
+def relation_from_code(n: int, code: int) -> Relation:
+    """The relation on n entities holding (h, t) iff bit h*n + t of `code`
+    is set: the bit-code order of `all_relations`."""
+    cells = [code >> p & 1 for p in range(n * n)]
+    return Relation(EntitySet.of_size(n), np.array(cells, bool).reshape(n, n))
+
+
 def relation_strategy(n: int):
-    """Arbitrary relation over n entities, encoded by its bitset."""
+    """Arbitrary relation over n entities, drawn by its bit code."""
     return st.integers(min_value=0, max_value=(1 << (n * n)) - 1).map(
-        lambda bits: Relation(EntitySet.of_size(n), bits))
+        lambda code: relation_from_code(n, code))
 
 
 def proper_relation_strategy(n: int):
     """Neither empty nor full, so the unary closure has four distinct images."""
     return st.integers(min_value=1, max_value=(1 << (n * n)) - 2).map(
-        lambda bits: Relation(EntitySet.of_size(n), bits))
+        lambda code: relation_from_code(n, code))
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +65,7 @@ def algebra_2():
 
 
 def pairs_of(relation: Relation) -> set[tuple[int, int]]:
-    """Set-semantics view, the independent oracle for bitset operations."""
+    """Set-semantics view, the independent oracle for the matrix operations."""
     return set(relation.pairs())
 
 
@@ -87,12 +94,9 @@ def random_proper_relation(entity_set: EntitySet, rng: np.random.Generator,
     """Rejection-sample a relation that is neither empty nor full."""
     n = entity_set.n
     while True:
-        bits = 0
-        for p in range(n * n):
-            if rng.random() < density:
-                bits |= 1 << p
-        if 0 < bits < (1 << (n * n)) - 1:
-            return Relation(entity_set, bits, name)
+        draw = rng.random((n, n)) < density
+        if 0 < draw.sum() < n * n:
+            return Relation(entity_set, draw, name)
 
 
 def kernel_basis(matrix) -> np.ndarray:
@@ -156,18 +160,9 @@ def witnesses(r: Relation, s: Relation, head: int, tail: int) -> set[int]:
     """All middle entities b with (head, b) in r and (b, tail) in s."""
     if r.entity_set != s.entity_set:
         raise ValueError("relations live on different entity sets")
-    n = r.entity_set.n
-    mask = r.row(head) & _column(s, tail)
-    return {b for b in range(n) if mask >> b & 1}
-
-
-def _column(relation: Relation, tail: int) -> int:
-    """Bitset of heads related to `tail`."""
-    n = relation.entity_set.n
-    col = 0
-    for h in range(n):
-        col |= ((relation.bits >> (h * n + tail)) & 1) << h
-    return col
+    rs, ss = pairs_of(r), pairs_of(s)
+    return {b for b in range(r.entity_set.n)
+            if (head, b) in rs and (b, tail) in ss}
 
 
 # ---------------------------------------------------------------- Sym(n)

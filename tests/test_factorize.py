@@ -187,8 +187,8 @@ def algebras_with_symmetric_relations(count, seed):
         entity_set = EntitySet.of_size(int(rng.integers(2, 5)))
         base = [random_proper_relation(entity_set, rng)
                 for _ in range(int(rng.integers(1, 3)))]
-        symmetric = base[0].bits | converse(base[0]).bits
-        if symmetric != entity_set.full_mask():
+        symmetric = base[0].matrix | converse(base[0]).matrix
+        if not symmetric.all():
             base.append(Relation(entity_set, symmetric))
         yield close_unary(base)
 

@@ -41,7 +41,7 @@ def test_kb_counts_and_labels(kb):
     assert kb.training_set() == kb.facts + kb.partners
     base = kb.algebra.closed[0]
     for (q, label), (p, partner_label) in zip(kb.facts, kb.partners):
-        assert label == int(base.contains(q.head, q.tail))
+        assert label == int(base.matrix[q.head, q.tail])
         assert p.rel == kb.algebra.images[1, q.rel]
         assert (p.head, p.tail) == (q.head, q.tail)
         assert partner_label == 1 - label
@@ -68,8 +68,8 @@ def test_kb_labels_follow_the_closure_on_coincident_draws(entities,
             continue
         closed = kb.algebra.closed
         for q, label in kb.training_set():
-            assert label == int(closed[q.rel].contains(q.head, q.tail))
-        distinct = len({rel.bits for rel in kb.algebra.base})
+            assert label == int(closed[q.rel].matrix[q.head, q.tail])
+        distinct = len(set(kb.algebra.base))
         assert len(kb.facts) == distinct * entities ** 2
         assert {q.rel for q, _ in kb.facts} == set(range(distinct))
         repeats += distinct < relations

@@ -173,7 +173,7 @@ def hand_built_algebra(negation, conversion):
     """One entity and a table of images from hand-set partner tables; only
     their lengths and entries matter to the query space."""
     entity_set = EntitySet.of_size(1)
-    r = Relation(entity_set, 1)
+    r = Relation.from_pairs(entity_set, [(0, 0)])
     neg, conv = np.array(negation), np.array(conversion)
     images = np.stack([np.arange(len(neg)), neg, conv, neg[conv]])
     return RelationAlgebra(entity_set, (r,), (r,) * len(negation), images)
@@ -212,7 +212,7 @@ def _maybe_symmetric(r: Relation, symmetric: bool) -> Relation:
     """r, or r joined to its converse: a converse-fixed relation."""
     if not symmetric:
         return r
-    return Relation(r.entity_set, r.bits | converse(r).bits, r.name)
+    return Relation(r.entity_set, r.matrix | converse(r).matrix, r.name)
 
 
 @given(st.integers(2, 6).flatmap(lambda n: st.lists(

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import conjugate_lift_at, sym_generators
-from slplab import cli
+from slplab import cli, relalg
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _build_cells, _closure_queries, _collapse_cells,
                         _families_cells, _fit_cells, _gradlab_cells,
@@ -147,7 +147,12 @@ def malformed_maps(directory, fmt):
     The CSV edits pin the acceptance set of csv.reader and float: a cell
     with an underscore between digits, a quoted cell and a cell with spaces
     around it read as before; a blank line, an empty file, a trailing comma,
-    a '#' cell and a cell past csv's field size limit are unreadable."""
+    a '#' cell and a cell past csv's field size limit are unreadable.
+
+    The base-relation edits pin what a pair of the sidecar may be: two
+    integer indices in range, where a bool reads as 0 or 1 and a repeated
+    pair once; a negative or too large index, a float (even 1.0), a string,
+    a triple or a number in place of the pair list are unreadable."""
     directory.mkdir()
     good = directory / f"good.{fmt}"
     assert main(["build-slp", "--entities", "3", "--relations", "1",
@@ -161,9 +166,14 @@ def malformed_maps(directory, fmt):
         matrix = [[float(x) for x in line.split(",")]
                   for line in good.read_text().splitlines()]
     queries = sidecar["queries"]
+    (relation,) = sidecar["base_relations"]
+    pairs = relation["pairs"]
+    assert pairs[0] != [1, 1] and [1, 1] in pairs
 
-    def edit(name, queries=queries, matrix=matrix, drop=None):
+    def edit(name, queries=queries, matrix=matrix, drop=None, pairs=None):
         doc = {k: v for k, v in sidecar.items() if k != drop}
+        if pairs is not None:
+            doc["base_relations"] = [{**relation, "pairs": pairs}]
         if drop != "queries":
             doc["queries"] = queries
         path = directory / f"{name}.{fmt}"
@@ -195,8 +205,15 @@ def malformed_maps(directory, fmt):
         edit("rel_off_the_grid", [[0, len(queries) // 9, 0]
                                   if q == [1, 0, 0] else q
                                   for q in queries]),
+        edit("pairs_not_a_list", pairs=5),
     ]
-    accepted = [edit("intact")]
+    maps += [edit(f"pair_{i}", pairs=[bad] + pairs[1:]) for i, bad in
+             enumerate(([-1, 0], [3, 0], [1.5, 0], [1.0, 0], ["a", 0],
+                        [0, 0, 0]))]
+    accepted = [edit("intact"),
+                edit("bool_head", pairs=[[True, 1] if p == [1, 1] else p
+                                         for p in pairs]),
+                edit("repeated_pair", pairs=pairs + [pairs[0]])]
     if fmt == "csv":
         no_sidecar = edit("no_sidecar")
         Path(f"{no_sidecar}.index.json").unlink()
@@ -927,6 +944,86 @@ def test_fit_traced_peak_is_within_its_charge(capsys, atoms, worlds):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["pass"]
     assert peak <= 8 * _fit_cells(atoms, worlds, 2), peak
+
+
+@pytest.mark.parametrize("argv", [("--entities", "3"),
+                                  ("--entities", "31"),
+                                  ("--entities", "4", "--exhaustive")])
+def test_relalg_laws_traced_peak_is_within_its_charge(capsys, argv):
+    # the default counts, at both ends of the entities they admit, and
+    # the largest stack --exhaustive admits
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "relalg-laws", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"]
+    assert peak <= 8 * _laws_cells(int(argv[1]), "--exhaustive" in argv,
+                                   10000, 1000), peak
+
+
+def _broken_converse(r):
+    """converse, except that cell (0, 0) flips on each relation holding
+    (0, 1) and (1, 1)."""
+    matrix = relalg.converse(r).matrix.copy()
+    matrix[..., 0, 0] ^= r.matrix[..., 0, 1] & r.matrix[..., 1, 1]
+    return relalg.Relation(r.entity_set, matrix)
+
+
+def _broken_compose(r, s):
+    """compose, except that cell (2, 0) flips where r holds (1, 2) and s
+    holds (0, 0)."""
+    matrix = relalg.compose(r, s).matrix.copy()
+    matrix[..., 2, 0] ^= r.matrix[..., 1, 2] & s.matrix[..., 0, 0]
+    return relalg.Relation(r.entity_set, matrix)
+
+
+def test_relalg_laws_counts_each_failing_relation(capsys, tmp_path,
+                                                 monkeypatch):
+    """With converse and compose wrong on a known part of each stack, the
+    five failure counts are those of one law check per drawn relation,
+    over the draws of one random_relation call each; the check exits 1
+    and still writes its report."""
+    monkeypatch.setattr(cli, "converse", _broken_converse)
+    monkeypatch.setattr(cli, "compose", _broken_compose)
+    neg, conv, comp = relalg.negate, _broken_converse, _broken_compose
+    pairs, triples, seed = 300, 200, 5
+    rng = np.random.default_rng(seed)
+    entity_set = relalg.EntitySet.of_size(3)
+
+    def draw():
+        return relalg.random_relation(entity_set, rng)
+
+    unary = [draw() for _ in range(pairs)]
+    expected = {
+        "double_negation": sum(neg(neg(r)) != r for r in unary),
+        "double_converse": sum(conv(conv(r)) != r for r in unary),
+        "negate_converse_commute": sum(neg(conv(r)) != conv(neg(r))
+                                       for r in unary),
+        "converse_of_composition": 0, "associativity": 0}
+    for _ in range(pairs):
+        r, s = draw(), draw()
+        expected["converse_of_composition"] += (
+            conv(comp(r, s)) != comp(conv(s), conv(r)))
+    for _ in range(triples):
+        r, s, t = draw(), draw(), draw()
+        expected["associativity"] += comp(comp(r, s), t) != comp(r, comp(s, t))
+    out_path = tmp_path / "laws.json"
+    code, _, _ = run_cli(capsys, "relalg-laws", "--entities", "3",
+                         "--pairs", str(pairs), "--triples", str(triples),
+                         "--seed", str(seed), "--out", str(out_path))
+    assert code == 1
+    report = json.loads(out_path.read_text())
+    assert not report["pass"]
+    assert report["details"]["failures"] == expected
+    assert report["max_deviation"] == sum(expected.values())
+    # each broken law fails on some relations of its stack, not on all
+    assert expected["double_negation"] == 0
+    for law in ("double_converse", "negate_converse_commute"):
+        assert 0 < expected[law] < pairs, law
+    assert 0 < expected["converse_of_composition"] < pairs
+    assert 0 < expected["associativity"] < triples
 
 
 def test_relalg_laws_cell_budget_admits_31_entities_at_the_defaults():
