@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     worst_oracle = 0.0
     feats = assignment.features
     for p, q in itertools.combinations_with_replacement(assignment.order, 2):
-        predicted = fit.operator.apply(feats[p], feats[q])
+        predicted = fit.apply(feats[p], feats[q])
         worst_oracle = max(worst_oracle,
                            float(np.max(np.abs(predicted
                                                - feats[p] * feats[q]))))

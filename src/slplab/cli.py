@@ -145,7 +145,7 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # relations); larger sizes exit 2 before any draw or other work.  It also
 # bounds the Python objects of a closure's queries, of a build's raw
 # samples and of collapse's atoms, the terms a build keeps, all of them
-# together, every array collapse or fit-bilinear's fit holds at once, and
+# together, every array collapse or fit-bilinear holds at once, and
 # the work of kernel-stability's generator gathers and of fit-bilinear's
 # prefix counts.
 MAX_CELLS = 1 << 25
@@ -463,24 +463,21 @@ def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
     holds the product law, so the fit never walks the pairs.  Its fit
     holds, at once, 10 tables of m x m x c cells (the group sums, the
     weighted blocks and their QR factor, the target table, the pair tables
-    and their temporaries), 3 copies of the m min(m, c) x c^2 ordered
-    design, whose rows the QR compressed, and the operator's worlds^3
-    entries with a few worlds x worlds tables, the class shares and their
-    temporaries.  Its other arrays are no larger than these or than the
-    charge's other terms: the N x worlds features, the 2^(2 atoms)-entry
-    image table, one block of at most max(m, PAIR_BLOCK) prefix counts,
-    and the m x worlds x worlds boolean test of equal world columns.  Work,
-    not an array: the model's build and the law check each take 2 atoms
-    passes over the N x worlds features, and the prefix counts visit N x m
-    cells.  At depth 1 the support is the N = 2 atoms literals, and their
-    pair walk is far smaller than the image table, indexed by literal code.
+    and their temporaries) and 3 copies of the m min(m, c) x c^2 ordered
+    design, whose rows the QR compressed.  Per world, the features, truth
+    draws, law-check masks and world-class sort trace 13 cells at 1 atom
+    (16 at 2 atoms and depth 1), charged 24.  The image table and one block
+    of at most max(m, PAIR_BLOCK) prefix counts are charged too.  Work:
+    the model's build and the law check each take 2 atoms passes over the
+    N x worlds features, and the prefix counts visit N x m cells.  At
+    depth 1 the support is the N = 2 atoms literals, and their pair walk is
+    far smaller than the image table, indexed by literal code.
     """
     n = _support_size(atoms, depth)
     m = min(n, 2 ** min(worlds, 64), 3 ** min(atoms, 32))
     c = min(worlds, 2 ** min(atoms, 32))
-    fit = (10 * m * m * c + 3 * m * min(m, c) * c * c + worlds ** 3
-           + 4 * worlds ** 2)
-    return max(2 * atoms * n * worlds, n * m, PAIR_BLOCK, fit,
+    fit = 10 * m * m * c + 3 * m * min(m, c) * c * c
+    return max(2 * atoms * n * worlds, 24 * worlds, n * m, PAIR_BLOCK, fit,
                4 ** min(atoms, 32))
 
 
@@ -792,12 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--atoms", type=_at_least(1), default=3,
                      help="at most 8 at 8 worlds, 5 at 16 to 28 worlds, 12 at "
                           "depth 1: 2 atoms passes over the N x worlds "
-                          "features, the N x m prefix counts, the fit's "
-                          "m x m x c tables and m min(m, c) x c^2 design, for "
-                          "m <= min(N, 2^worlds, 3^atoms) distinct rows and "
-                          "c <= min(worlds, 2^atoms) classes, the worlds^3 "
-                          "operator, and the 4^atoms-entry image table must "
-                          f"fit in {MAX_CELLS} cells")
+                          "features, 24 cells a world, the fit's tables and "
+                          "the 4^atoms-entry image table must fit in "
+                          f"{MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -281,16 +281,6 @@ def check_kernel_stability(assignment: ConjFeatureAssignment) -> Report:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BilinearOperator:
-    """Symmetric-in-inputs bilinear map, stored as a (d, d, d) tensor."""
-
-    tensor: np.ndarray
-
-    def apply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("cab,a,b->c", self.tensor, u, v)
-
-
 def _triangle_design(outer: np.ndarray, triangle) -> np.ndarray:
     """Rows of the least-squares system for a symmetric bilinear unknown.
 
@@ -316,15 +306,31 @@ def _triangle_tensor(x: np.ndarray, triangle) -> np.ndarray:
     return tensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    operator: BilinearOperator
+    """A bilinear fit, its operator kept as class tensor and world classes."""
+
+    tensor: np.ndarray
+    world_class: np.ndarray
     max_residual: float
     uniqueness_gap: float
     n_constraints: int
     n_pairs_skipped: int
     n_groups: int
     worst_pair: tuple[Compound, Compound, Compound]
+
+    def apply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """F(u, v) in O(worlds + c^3), through class sums U, V: class pair
+        (a, b) weighs U_a V_b / (k_a k_b), and (a, a) weighs (2 U_a V_a -
+        sum_{x in a} u_x v_x) / (k_a (2 k_a - 1)), as the minimum-norm fit
+        spreads each class entry (`fit_bilinear`)."""
+        c, world_class = len(self.tensor), self.world_class
+        k = np.bincount(world_class, minlength=c).astype(float)
+        su, sv = np.bincount(world_class, u, c), np.bincount(world_class, v, c)
+        weight = np.outer(su, sv) / np.outer(k, k)
+        np.fill_diagonal(weight, (2.0 * su * sv - np.bincount(
+            world_class, u * v, c)) / (k * (2.0 * k - 1.0)))
+        return np.einsum("oab,ab->o", self.tensor, weight)[world_class]
 
 
 def _pair_blocks(assignment: ConjFeatureAssignment):
@@ -365,11 +371,14 @@ def _walk_groups(assignment: ConjFeatureAssignment
     (id(p) m + id(q)) m + id(image), in key order, with its count of pairs
     and the walk position a n + b of its first pair (a, b).  Every block's
     triples merge into one table, whose size follows the m distinct rows,
-    never the pairs.
+    never the pairs.  np.unique reads one column per class of equal world
+    columns (`_world_classes`), as a repeat never decides a row order.
     """
     n = len(assignment.codes)
-    values, row_id = np.unique(assignment.matrix(), axis=0,
-                               return_inverse=True)
+    _, first_world = _world_classes(assignment.rows)
+    _, first, row_id = np.unique(assignment.rows[:, first_world], axis=0,
+                                 return_index=True, return_inverse=True)
+    values = assignment.rows[first]
     row_id = row_id.reshape(-1)
     m = len(values)
     # a triple's key is below m^3, inside int64 for m < 2^21 distinct rows,
@@ -460,11 +469,14 @@ def _law_groups(assignment: ConjFeatureAssignment, packed: np.ndarray
 def _world_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(class of each world, first world of each class): worlds whose
     feature columns are exactly equal share a class, numbered in order of
-    first occurrence.  A column holding NaN equals no other."""
-    d = values.shape[1]
-    same = (values[:, :, None] == values[:, None, :]).all(axis=0)
-    first = np.argmax(same | np.eye(d, dtype=bool), axis=1)
-    classes = np.flatnonzero(first == np.arange(d))
+    first occurrence.  One stable sort puts equal columns in a run; like ==,
+    it takes -0.0 for 0.0, and a column holding NaN equals no other."""
+    order = np.lexsort(values)
+    columns = values[:, order]
+    starts = np.r_[True, (columns[:, 1:] != columns[:, :-1]).any(axis=0)]
+    first = np.empty_like(order)  # each world's first equal world
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    classes = np.flatnonzero(first == np.arange(len(first)))
     return np.searchsorted(classes, first), classes
 
 
@@ -563,31 +575,24 @@ def fit_bilinear(assignment: ConjFeatureAssignment) -> FitResult:
     scale_full = np.sqrt(np.outer(size, size)).reshape(-1)
     x_full = numerics.minnorm_lstsq(outer.reshape(-1, c * c) * scale_full,
                                     targets)
-    tensor_class = _triangle_tensor(x, triangle)
+    tensor = _triangle_tensor(x, triangle)
     tensor_full = (x_full * scale_full[:, None]).T.reshape(c, c, c)
     other = (tensor_full + tensor_full.transpose(0, 2, 1)) / 2.0
 
     # the pair tables V X_o V^T, one m x m table per output o
     realized = (group_counts + group_counts.T) > 0
-    gap = float(np.max(np.abs((values @ (tensor_class - other) @ values.T
+    gap = float(np.max(np.abs((values @ (tensor - other) @ values.T
                                ).reshape(c, m * m)[:, realized.reshape(-1)])))
-    table = (values @ tensor_class @ values.T).reshape(c, m * m)
+    table = (values @ tensor @ values.T).reshape(c, m * m)
     residual = np.max(np.abs(table[:, pair].T - values[image_row]), axis=1)
     max_residual = float(np.max(residual))
     a, b = divmod(int(np.min(firsts[residual == max_residual])), n)
     worst = (a, b, int(assignment.lookup[codes[a] | codes[b]]))
 
-    k = size[world_class]  # each world's class size
-    diagonal = 1.0 / (k * (2.0 * k - 1.0))
-    share = np.where(world_class[:, None] == world_class,
-                     2.0 * diagonal[:, None], 1.0 / np.outer(k, k))
-    np.fill_diagonal(share, diagonal)
-    tensor = tensor_class[np.ix_(world_class, world_class, world_class)]
-    tensor *= share
     # the symmetric table holds each off-diagonal group twice
     n_groups = (np.count_nonzero(realized) +
                 np.count_nonzero(realized.diagonal())) // 2
-    return FitResult(BilinearOperator(tensor), max_residual, gap,
+    return FitResult(tensor, world_class, max_residual, gap,
                      n_constraints, skipped, int(n_groups),
                      tuple(assignment.compound(i) for i in worst))
 

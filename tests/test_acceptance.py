@@ -230,7 +230,7 @@ def test_criterion_08_possible_worlds_feasible_regime():
             feats = assignment.features
             order = assignment.order
             for p, q in itertools.combinations_with_replacement(order, 2):
-                predicted = fit.operator.apply(feats[p], feats[q])
+                predicted = fit.apply(feats[p], feats[q])
                 oracle = feats[p] * feats[q]
                 assert np.max(np.abs(predicted - oracle)) <= 1e-9
             stability = check_kernel_stability(assignment)

@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import witnesses
 from slplab import conjunction, numerics
 from slplab.cli import MAX_CELLS
-from slplab.conjunction import (BilinearOperator, Compound,
-                                ConjFeatureAssignment, _decode, _literals,
-                                _triangle_design, _triangle_tensor,
+from slplab.conjunction import (Compound, ConjFeatureAssignment, _decode,
+                                _literals, _triangle_design, _triangle_tensor,
                                 check_kernel_stability, closure_codes,
                                 collapse_certificate, fit_bilinear,
                                 possible_worlds_assignment)
@@ -338,6 +337,28 @@ def test_possible_worlds_features_are_products():
         assert np.array_equal(feats[neg(p)], 1.0 - feats[p])
 
 
+def dense_tensor(result) -> np.ndarray:
+    """A fit's operator as a dense worlds^3 tensor, output world first.
+
+    Each class entry is spread over its member worlds as the minimum-norm
+    solution spreads it: 1 / (k_a k_b) of it on each world pair of two
+    classes of k_a and k_b worlds, and within a class of k worlds,
+    1 / (k (2k - 1)) of it on each world's diagonal and twice that on each
+    pair of distinct worlds.
+    """
+    world_class = result.world_class
+    k = np.bincount(world_class)[world_class].astype(float)
+    diagonal = 1.0 / (k * (2.0 * k - 1.0))
+    share = np.where(world_class[:, None] == world_class,
+                     2.0 * diagonal[:, None], 1.0 / np.outer(k, k))
+    np.fill_diagonal(share, diagonal)
+    return result.tensor[np.ix_(world_class, world_class, world_class)] * share
+
+
+def apply_dense(tensor, u, v):
+    return np.einsum("cab,a,b->c", tensor, u, v)
+
+
 @pytest.mark.parametrize("n_atoms,n_worlds", [(2, 2), (2, 4), (3, 4), (4, 8)])
 def test_bilinear_fit_reaches_machine_residual(n_atoms, n_worlds):
     assignment, _ = possible_worlds_assignment(n_atoms, n_worlds,
@@ -355,7 +376,7 @@ def test_fitted_operator_matches_elementwise_product_oracle():
     result = fit_bilinear(assignment)
     feats = assignment.features
     for p, q in itertools.combinations_with_replacement(assignment.order, 2):
-        predicted = result.operator.apply(feats[p], feats[q])
+        predicted = result.apply(feats[p], feats[q])
         assert np.max(np.abs(predicted - feats[p] * feats[q])) <= 1e-9
 
 
@@ -372,9 +393,9 @@ def test_uniqueness_gap_matches_per_pair_predictions():
     design_full = np.stack([np.outer(feats[p], feats[q]).ravel()
                             for p, q in pairs])
     tensor = numerics.minnorm_lstsq(design_full, targets).T.reshape(3, 3, 3)
-    other = BilinearOperator((tensor + tensor.transpose(0, 2, 1)) / 2.0)
-    gap = max(np.max(np.abs(result.operator.apply(feats[p], feats[q]) -
-                            other.apply(feats[p], feats[q])))
+    other = (tensor + tensor.transpose(0, 2, 1)) / 2.0
+    gap = max(np.max(np.abs(result.apply(feats[p], feats[q]) -
+                            apply_dense(other, feats[p], feats[q])))
               for p, q in pairs)
     assert gap > 1e-3
     assert abs(result.uniqueness_gap - gap) <= 1e-12 * max(1.0, gap)
@@ -382,12 +403,12 @@ def test_uniqueness_gap_matches_per_pair_predictions():
 
 def test_fitted_operator_is_symmetric():
     assignment, _ = possible_worlds_assignment(2, 4, seed=1)
-    tensor = fit_bilinear(assignment).operator.tensor
+    result = fit_bilinear(assignment)
+    tensor = dense_tensor(result)
     assert np.array_equal(tensor, tensor.transpose(0, 2, 1))
     rng = np.random.default_rng(0)
     u, v = rng.normal(size=4), rng.normal(size=4)
-    op = fit_bilinear(assignment).operator
-    assert np.allclose(op.apply(u, v), op.apply(v, u))
+    assert np.allclose(result.apply(u, v), result.apply(v, u))
 
 
 # ------------------------------------------- grouped fit vs. one row per pair
@@ -436,7 +457,7 @@ def shared_row_assignment():
 def assert_matches_reference(result, assignment):
     tensor, res, gap, n_constraints, skipped, _, _ = reference_fit(assignment)
     scale = max(1.0, float(np.max(np.abs(tensor))))
-    assert np.max(np.abs(result.operator.tensor - tensor)) <= 1e-10 * scale
+    assert np.max(np.abs(dense_tensor(result) - tensor)) <= 1e-10 * scale
     assert abs(result.max_residual - res) <= 1e-10 * max(1.0, res)
     assert abs(result.uniqueness_gap - gap) <= 1e-10 * max(1.0, gap)
     assert result.n_constraints == n_constraints
@@ -473,13 +494,13 @@ def test_grouped_fit_reaches_each_groups_mean_target():
     assert len(conflicting) >= 3, conflicting
     eye = np.eye(3)
     for (i, j), targets in groups.items():
-        fitted = result.operator.apply(eye[i], eye[j])
+        fitted = result.apply(eye[i], eye[j])
         assert np.max(np.abs(fitted - np.mean(targets, axis=0))) <= 1e-12
     # the conflicting targets leave a residual, and its first pair is named
     assert result.max_residual > 0.5
     p, q, image = result.worst_pair
     assert order.index(p) <= order.index(q) and image == conj(p, q)
-    own = np.max(np.abs(result.operator.apply(feats[p], feats[q]) -
+    own = np.max(np.abs(result.apply(feats[p], feats[q]) -
                         feats[image]))
     assert abs(own - result.max_residual) <= 1e-12
 
@@ -530,7 +551,7 @@ def test_merged_worlds_fit_matches_ungrouped_reference(layout):
     assert result.worst_pair == (order[ii[first]], order[jj[first]],
                                  order[kk[first]])
     # worlds of one class get one output
-    tensor = result.operator.tensor
+    tensor = dense_tensor(result)
     for j, column in enumerate(layout):
         assert np.array_equal(tensor[j], tensor[layout.index(column)])
 
@@ -541,6 +562,48 @@ def test_merged_worlds_keep_the_conflicting_targets_residual():
     assert_matches_reference(result, assignment)
     assert result.max_residual > 0.5
     assert result.n_groups == 6
+
+
+def test_world_classes_follow_columnwise_equality():
+    # the oracle compares every pair of columns with ==, so -0.0 equals 0.0
+    # and a column holding NaN equals no other, itself included
+    rng = np.random.default_rng(2)
+    pool = np.array([0.0, -0.0, 1.0, np.nan, 2.5])
+    for _ in range(300):
+        columns = pool[rng.integers(0, 5, size=(rng.integers(1, 4), 5))]
+        values = columns[:, rng.integers(0, 5, size=rng.integers(1, 12))]
+        d = values.shape[1]
+        first = [next(i for i in range(d)
+                      if i == j or (values[:, i] == values[:, j]).all())
+                 for j in range(d)]
+        classes = sorted(set(first))
+        world_class, firsts = conjunction._world_classes(values)
+        assert world_class.tolist() == [classes.index(f) for f in first]
+        assert firsts.tolist() == classes
+
+
+@pytest.mark.parametrize("make", [
+    lambda: possible_worlds_assignment(2, 12, seed=3)[0],
+    lambda: possible_worlds_assignment(3, 20, seed=1, depth=1)[0],
+    lambda: with_worlds(random_assignment(3, seed=5), (2, 0, 2, 1, 0, 2)),
+    lambda: with_worlds(shared_row_assignment(), (0, 1, 2, 2)),
+])
+def test_apply_matches_the_dense_expansion_on_repeated_worlds(make):
+    # class sums against the worlds^3 tensor: on the support's rows and on
+    # random vectors, whose within-class entries differ
+    assignment = make()
+    result = fit_bilinear(assignment)
+    d = assignment.dim
+    assert len(result.tensor) < d
+    tensor = dense_tensor(result)
+    rows = assignment.matrix()
+    rng = np.random.default_rng(0)
+    inputs = [(rows[a], rows[b]) for a, b in zip(*np.triu_indices(len(rows)))]
+    inputs += [tuple(rng.standard_normal((2, d))) for _ in range(20)]
+    for u, v in inputs:
+        dense = apply_dense(tensor, u, v)
+        gap = np.max(np.abs(result.apply(u, v) - dense))
+        assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(dense)))), gap
 
 
 def few_rows_assignment():
@@ -726,7 +789,7 @@ def test_pair_blocks_do_not_change_the_fit(make, monkeypatch):
     monkeypatch.setattr(conjunction, "PAIR_BLOCK", 4 * n)
     assert n % 4
     blocked = fit_bilinear(make())
-    assert np.array_equal(blocked.operator.tensor, one_block.operator.tensor)
+    assert np.array_equal(dense_tensor(blocked), dense_tensor(one_block))
     for field in ("max_residual", "uniqueness_gap", "n_constraints",
                   "n_pairs_skipped", "n_groups", "worst_pair"):
         assert getattr(blocked, field) == getattr(one_block, field), field

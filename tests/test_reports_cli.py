@@ -324,12 +324,13 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "9", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "6", "--worlds", "10", "--out", str(out_path)),
-        # one world past the fit-bilinear limits at 5 and 4 atoms
+        # one world past the fit-bilinear limits at 5, 4 and 1 atoms
         ("fit-bilinear", "--atoms", "5", "--worlds", str(fit_worlds_limit(5) + 1),
          "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "4", "--worlds", str(fit_worlds_limit(4) + 1),
          "--out", str(out_path)),
-        ("fit-bilinear", "--atoms", "1", "--worlds", "400", "--out", str(out_path)),
+        ("fit-bilinear", "--atoms", "1", "--worlds", str(fit_worlds_limit(1) + 1),
+         "--out", str(out_path)),
         # one dim past the collapse limits at 1 and 8 atoms, and 2^22 atoms
         ("collapse", "--atoms", "1", "--dim", str(collapse_dim_limit(1) + 1),
          "--out", str(out_path)),
@@ -796,37 +797,40 @@ def test_conjunction_cell_budget_admits_eight_atoms():
     assert _stability_cells(9, 7, 2) <= MAX_CELLS < \
         _stability_cells(9, 8, 2)
     assert _stability_cells(1, 10 ** 8, 2) == 6 * 10 ** 8 > MAX_CELLS
-    # fit-bilinear: 2 atoms passes over the N x worlds features, the N x m
-    # prefix counts, or the compressed fit's arrays, for m = min(N,
-    # 2^worlds, 3^atoms) distinct rows and c = min(worlds, 2^atoms) classes:
-    # 10 m^2 c cells, 3 m min(m, c) c^2 and worlds^3 + 4 worlds^2; never
-    # the N(N+1)/2 pairs, nor one design row per row pair
-    def fit(m, c, worlds):
-        return (10 * m * m * c + 3 * m * min(m, c) * c * c + worlds ** 3
-                + 4 * worlds ** 2)
+    # fit-bilinear: 2 atoms passes over the N x worlds features, 24 cells a
+    # world, the N x m prefix counts, or the compressed fit's arrays, for
+    # m = min(N, 2^worlds, 3^atoms) distinct rows and c = min(worlds,
+    # 2^atoms) classes: 10 m^2 c cells and 3 m min(m, c) c^2; never the
+    # N(N+1)/2 pairs, one design row per row pair, nor worlds^3 cells
+    def fit(m, c):
+        return 10 * m * m * c + 3 * m * min(m, c) * c * c
 
-    assert _fit_cells(6, 8, 2) == fit(256, 8, 8) <= MAX_CELLS
+    assert _fit_cells(6, 8, 2) == fit(256, 8) <= MAX_CELLS
     assert _fit_cells(8, 8, 2) == 65535 * 256 <= MAX_CELLS
     assert _fit_cells(8, 9, 2) == 65535 * 512 <= MAX_CELLS
     assert _fit_cells(9, 8, 2) == 262143 * 256 > MAX_CELLS
     assert _fit_cells(9, 7, 2) == 262143 * 128 <= MAX_CELLS
     assert _fit_cells(10, 1, 2) == 20 * 1048575 <= MAX_CELLS
     assert _fit_cells(10, 2, 2) > MAX_CELLS
-    assert _fit_cells(6, 9, 2) == fit(512, 9, 9) <= MAX_CELLS
-    assert _fit_cells(6, 10, 2) == fit(729, 10, 10) > MAX_CELLS
-    assert _fit_cells(5, 16, 2) == fit(243, 16, 16) <= MAX_CELLS
-    assert _fit_cells(5, 28, 2) == fit(243, 28, 28) <= MAX_CELLS
+    assert _fit_cells(6, 9, 2) == fit(512, 9) <= MAX_CELLS
+    assert _fit_cells(6, 10, 2) == fit(729, 10) > MAX_CELLS
+    assert _fit_cells(5, 16, 2) == fit(243, 16) <= MAX_CELLS
+    assert _fit_cells(5, 28, 2) == fit(243, 28) <= MAX_CELLS
     assert _fit_cells(5, 29, 2) > MAX_CELLS
-    assert _fit_cells(4, 23, 2) == fit(81, 16, 23) <= MAX_CELLS
-    # past 2^atoms worlds only the operator's worlds^3 entries grow
-    assert _fit_cells(4, 200, 2) - _fit_cells(4, 100, 2) == \
-        200 ** 3 - 100 ** 3 + 4 * (200 ** 2 - 100 ** 2)
+    assert _fit_cells(4, 23, 2) == fit(81, 16) <= MAX_CELLS
+    # past 2^atoms worlds the fit's arrays stop growing, and only the
+    # per-world terms grow: the passes over the features from 2 atoms on,
+    # the 24 cells a world at 1 atom
+    assert _fit_cells(4, 4000, 2) - _fit_cells(4, 2000, 2) == \
+        2 * 4 * 255 * 2000
+    assert _fit_cells(1, 200000, 2) - _fit_cells(1, 100000, 2) == \
+        24 * 100000
     assert [fit_worlds_limit(atoms) for atoms in range(1, 11)] == \
-        [321, 321, 320, 314, 28, 9, 9, 9, 7, 1]
+        [1398101, 559240, 88768, 16448, 28, 9, 9, 9, 7, 1]
     # one prefix-count block, never less: PAIR_BLOCK cells
     assert _fit_cells(2, 4, 2) == PAIR_BLOCK
-    assert _fit_cells(1, 321, 2) == fit(3, 2, 321) <= MAX_CELLS
-    assert _fit_cells(1, 322, 2) > MAX_CELLS
+    assert _fit_cells(1, 1398101, 2) == 24 * 1398101 <= MAX_CELLS
+    assert _fit_cells(1, 1398102, 2) > MAX_CELLS
     assert _fit_cells(1, 10 ** 8, 2) > MAX_CELLS
     assert _stability_cells(10 ** 9, 1, 2) > MAX_CELLS
     # depth >= 2 closes to the same support as depth 2
@@ -842,7 +846,7 @@ def test_conjunction_cell_budget_charges_depth_one_its_literals():
         assert cells(13, 1, 1) == 4 ** 13 > MAX_CELLS
     assert _stability_cells(2, 100, 1) == 2 * 2 * 4 * 100
     assert _fit_cells(5, 8, 1) == PAIR_BLOCK
-    assert _fit_cells(1, 321, 1) <= MAX_CELLS < _fit_cells(1, 322, 1)
+    assert _fit_cells(1, 1398101, 1) <= MAX_CELLS < _fit_cells(1, 1398102, 1)
     assert _stability_cells(10 ** 9, 1, 1) > MAX_CELLS
 
 
@@ -877,6 +881,21 @@ def test_fit_bilinear_runs_at_eight_atoms_and_refuses_nine(capsys,
     assert not out_path.exists()
 
 
+def test_fit_bilinear_passes_at_its_residual_and_fails_below_it(capsys):
+    # the pass bound is max_residual <= --tol: a --tol equal to a run's
+    # nonzero residual passes, and half of it fails with the report written
+    argv = ("fit-bilinear", "--atoms", "3", "--worlds", "8", "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    residual = json.loads(out)["details"]["max_residual"]
+    assert code == 0 and 0.0 < residual <= 1e-9
+    code, out, _ = run_cli(capsys, *argv, "--tol", repr(residual))
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out, _ = run_cli(capsys, *argv, "--tol", repr(residual / 2))
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["details"]["max_residual"] == residual
+
+
 def largest_within_budget(cells) -> int:
     """The largest n >= 1 whose cells(n), growing with n, fit the budget."""
     lo, hi = 1, 2
@@ -894,6 +913,19 @@ def collapse_dim_limit(atoms: int) -> int:
 
 def fit_worlds_limit(atoms: int) -> int:
     return largest_within_budget(lambda worlds: _fit_cells(atoms, worlds, 2))
+
+
+def test_readme_quotes_the_fit_worlds_limits():
+    # the fit-bilinear worlds limits in the README are the charge's own
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    found = re.search(r"`--worlds` up to ([\d,]+) at 1 atom, ([\d,]+) at 2, "
+                      r"([\d,]+) at 3, ([\d,]+) at 4, ([\d,]+) at 5 and "
+                      r"([\d,]+) from 6 to 8 atoms", text)
+    assert found, "README.md no longer quotes the fit-bilinear worlds limits"
+    quoted = [int(x.replace(",", "")) for x in found.groups()]
+    assert quoted[:5] == [fit_worlds_limit(atoms) for atoms in range(1, 6)]
+    assert [quoted[5]] * 3 == [fit_worlds_limit(atoms) for atoms in (6, 7, 8)]
 
 
 def test_collapse_cell_budget_is_linear_in_dim():
@@ -930,11 +962,14 @@ def test_collapse_traced_peak_is_within_its_charge(capsys, atoms, dim, flag):
 
 
 @pytest.mark.parametrize("atoms,worlds", [(5, 16), (5, 28), (4, 40), (3, 32),
-                                          (2, 150)])
+                                          (2, 150), (3, fit_worlds_limit(3)),
+                                          (1, fit_worlds_limit(1))])
 def test_fit_traced_peak_is_within_its_charge(capsys, atoms, worlds):
     # the compressed fit's tables at 4 and 5 atoms, up to the 5-atom limit;
-    # m and c at their bounds at 3 atoms and 32 worlds; and the operator's
-    # worlds^3 entries at 2 atoms.  lstsq's LAPACK work is not traced
+    # m and c at their bounds at 3 atoms and 32 worlds; and the largest
+    # admitted worlds at 3 atoms, where the passes over the features are
+    # charged, and at 1 atom, where the 24 cells a world are.  lstsq's
+    # LAPACK work is not traced
     tracemalloc.start()
     try:
         code, out, _ = run_cli(capsys, "fit-bilinear", "--atoms", str(atoms),
@@ -944,6 +979,22 @@ def test_fit_traced_peak_is_within_its_charge(capsys, atoms, worlds):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["pass"]
     assert peak <= 8 * _fit_cells(atoms, worlds, 2), peak
+
+
+def test_depth_one_fit_traced_peak_is_within_its_charge(capsys):
+    # the largest admitted worlds at 1 atom and depth 1: the walk numbers
+    # its rows from one column per class of equal worlds, not every world
+    worlds = largest_within_budget(lambda w: _fit_cells(1, w, 1))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "fit-bilinear", "--atoms", "1",
+                               "--depth", "1", "--worlds", str(worlds),
+                               "--seed", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"]
+    assert peak <= 8 * _fit_cells(1, worlds, 1), peak
 
 
 @pytest.mark.parametrize("argv", [("--entities", "3"),
