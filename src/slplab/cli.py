@@ -138,16 +138,15 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # ---------------------------------------------------------------- cell budget
 
 # Cell budget of the largest array one command builds: 2^25 float64s,
-# 268 MB.  It admits kernel-stability and fit-bilinear at 8 atoms and 8
-# worlds (12 atoms at depth 1), fit-bilinear at 5 atoms and 28 worlds,
-# collapse up to --dim 3,728,262 at 1 atom and 246,707 at 8, default-width
-# builds at 32 entities and families at 128 entities (both at 2
-# relations); larger sizes exit 2 before any draw or other work.  It also
-# bounds the Python objects of a closure's queries, of a build's raw
-# samples and of collapse's atoms, the terms a build keeps, all of them
-# together, every array collapse or fit-bilinear holds at once, and
-# the work of kernel-stability's generator gathers and of fit-bilinear's
-# prefix counts.
+# 268 MB.  It admits kernel-stability at 9 atoms and fit-bilinear at 8
+# atoms, both at 8 worlds (12 atoms at depth 1), fit-bilinear at 5 atoms
+# and 28 worlds, collapse up to --dim 3,728,262 at 1 atom and 246,707 at
+# 8, default-width builds at 32 entities and families at 128 entities
+# (both at 2 relations); larger sizes exit 2 before any draw or other
+# work.  It also bounds the Python objects of a closure's queries, of a
+# build's raw samples and of collapse's atoms, the terms a build keeps, all
+# of them together, every array collapse, kernel-stability or fit-bilinear
+# holds at once, and the work of fit-bilinear's prefix counts.
 MAX_CELLS = 1 << 25
 
 
@@ -445,12 +444,25 @@ def _support_size(atoms: int, depth: int) -> int:
     return 2 * atoms if depth == 1 else 4 ** min(atoms, 32) - 1
 
 
+# Cells charged for the Python objects of one kernel-stability run, its
+# parser, contexts and report: about 500 cells traced under Python 3.11,
+# past the first run's imports.
+STABILITY_OBJECT_CELLS = 4096
+
+
 def _stability_cells(atoms: int, worlds: int, depth: int) -> int:
-    """Work: at most 2 atoms generator contexts each gather the N x worlds
-    features.  Its arrays are no larger: the features, one gather, and the
-    2^(2 atoms)-entry image table, indexed by literal code at any depth."""
+    """The arrays check_kernel_stability holds at once, summed: five N x
+    worlds arrays (the features, and one generator's gather, its
+    projection onto the span, its residual and the squares of the
+    residual's column norms), the SVD's two factors, min(N, worlds) (N +
+    worlds) cells, three N-long index arrays (the support's codes and one
+    gather's image codes and rows), the 2^(2 atoms)-entry image table,
+    indexed by literal code at any depth, and STABILITY_OBJECT_CELLS.  The
+    2 atoms generator gathers are work, one at a time, and not charged."""
     n = _support_size(atoms, depth)
-    return max(2 * atoms * n * worlds, 4 ** min(atoms, 32))
+    k = min(n, worlds)
+    return (5 * n * worlds + k * (n + worlds) + 3 * n + 4 ** min(atoms, 32)
+            + STABILITY_OBJECT_CELLS)
 
 
 def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
@@ -776,10 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "conjunction kernel stability on a worlds model",
                    size=(_stability_cells, ("atoms", "worlds", "depth")))
     sub.add_argument("--atoms", type=_at_least(1), default=3,
-                     help="at most 8 at 8 worlds, 12 at depth 1: 2 atoms "
-                          "gathers of the N x worlds features, N = 4^atoms - "
-                          "1 (2 atoms at depth 1), and the 4^atoms-entry "
-                          f"image table must fit in {MAX_CELLS} cells")
+                     help="at most 9 at 8 worlds, 12 at depth 1: six N x "
+                          "worlds arrays, N = 4^atoms - 1 (2 atoms at depth "
+                          "1), and the 4^atoms-entry image table must fit "
+                          f"in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
 

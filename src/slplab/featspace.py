@@ -13,11 +13,16 @@ A FeatureMap holds the relation closure it was built on and a read-only
 copy of its matrix, rows in the one query order of `queryspace`.  It caches
 the closure's family partition, the (F, 4) position array of
 `compute_families`, which every check reads, and two thin SVDs
-(`numerics.Spectrum`), each computed on first use: one of the whole map,
-which the family kernel check's span projector and every lift read, and
-one of its representative rows, one per family, which the SLP rank check,
-the build's redraw decision and the audit's Gram rank read.  It also caches
-the flat (head, rel, tail) index arrays of its query grid, so a lift's query
+(`numerics.Spectrum`), each computed on first use: one of its
+representative rows, one per family, which the SLP rank check, the build's
+redraw decision and the audit's Gram rank read, and one of the whole map,
+which `check_slp`'s full rank, the family kernel check's span projector and
+every lift read.  The whole map's is derived from the representative rows'
+without a second decomposition when the map is their exact signed copy
+with four distinct members per family, as every map built by construction
+is; any other map, a loaded one off its signed copy or a closure with a
+family that reversal fixes, is decomposed itself.  It also caches the flat
+(head, rel, tail) index arrays of its query grid, so a lift's query
 permutation is one `apply_renaming` on arrays that every lift of the map
 shares.
 """
@@ -91,8 +96,32 @@ class FeatureMap:
 
     @cached_property
     def spectrum(self) -> numerics.Spectrum:
-        """The matrix's SVD, computed on first read."""
-        return numerics.Spectrum(self.matrix)
+        """The matrix's SVD, computed on first read.
+
+        Derived when every family has four distinct members whose rows are
+        exactly +R, -R, +R, -R for its representative row R, compared one
+        member column at a time.  The matrix is then E @ reps, with E the
+        N x F signed family incidence, whose columns are orthogonal with
+        norm 2, so with reps = U S V^T from `rep_spectrum`,
+        M = (E U / 2) (2 S) V^T is a thin SVD of M (Golub & Van Loan §2.4):
+        sv = 2 S and u = E U / 2, both exact, and vt = V^T.  u then has
+        min(F, dim) columns, not min(N, dim): the singular values past F
+        are zero.  The rank thresholds are read off the whole matrix either
+        way.  Any other map is decomposed itself.
+        """
+        m, families = self.matrix, self.families
+        reps = m[families[:, 0]]
+        # members in LogicalOp order, of signs +1, -1, +1, -1
+        if len(m) != 4 * len(families) or not all(
+                np.array_equal(m[families[:, j]], -reps if j % 2 else reps)
+                for j in (1, 2, 3)):
+            return numerics.Spectrum(m)
+        rep = self.rep_spectrum
+        half = rep.u / 2
+        u = np.empty((len(m), half.shape[1]))
+        u[families[:, 0::2]] = half[:, None]
+        u[families[:, 1::2]] = -half[:, None]
+        return numerics.Spectrum(m, (u, 2 * rep.sv, rep.vt))
 
     @cached_property
     def rep_spectrum(self) -> numerics.Spectrum:

@@ -5,15 +5,17 @@ kernel or projector helper takes another.  All rank and
 kernel decisions go through this module: singular values are
 compared against REL_TOL times a reference scale of the matrix under
 inspection.  The scale is the largest Euclidean row norm of the matrix that
-is decomposed (`rank_threshold`).  Every whole matrix is decomposed once,
-by one thin SVD (`Spectrum`), which every rank read of that matrix shares:
-a feature map's and, apart from it, its representative rows', whose span
-rank decides the SLP rank check and whose factors give the rank of their
-Gram matrix (`Spectrum.gram_rank`).  A map's kernel is the null space of
-the transposed map, so its rank is decided at the largest column norm; see
-`Spectrum` for the two thresholds.  Projector identities, the family
-kernel check's cross-family projector entries among them, are checked to
-PROJECTOR_TOL.
+is decomposed (`rank_threshold`).  Every matrix has one thin SVD
+(`Spectrum`), which every rank read of that matrix shares.  A feature
+map's representative rows, one per family, are decomposed: their span rank
+decides the SLP rank check and their factors give the rank of their Gram
+matrix (`Spectrum.gram_rank`).  The whole map is decomposed only when it is
+not an exact signed copy of those rows; when it is, its factors are derived
+from theirs and handed to `Spectrum` (see `featspace.FeatureMap.spectrum`).
+A map's kernel is the null space of the transposed map, so its rank is
+decided at the largest column norm; see `Spectrum` for the two thresholds.
+Projector identities, the family kernel check's cross-family projector
+entries among them, are checked to PROJECTOR_TOL.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ class Spectrum:
     """One thin SVD m = u @ diag(sv) @ vt, read by every spectral consumer.
 
     The factors come from a single np.linalg.svd(m, full_matrices=False), so
-    u has min(m.shape) columns; every reader takes a leading slice of them.
-    Two thresholds decide the rank, the same two that the per-caller SVDs
-    used:
+    u has min(m.shape) columns, unless the caller passes `factors`, a thin
+    SVD (u, sv, vt) of m that it derived exactly, with sv in descending
+    order; u may then have fewer columns, as long as the singular values
+    it leaves out are zero.  Every reader takes a leading slice of u.
+    Two thresholds, both read off m itself, decide the rank, the same two
+    that the per-caller SVDs used:
 
     - `kernel_threshold` is rank_threshold(m.T), REL_TOL times the largest
       column norm of m.  It decides `kernel_rank`; the null space of m.T is
@@ -75,10 +80,12 @@ class Spectrum:
     them.
     """
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray,
+                 factors: tuple[np.ndarray, ...] | None = None) -> None:
         self.matrix = np.asarray(matrix, dtype=float)
-        self.u, self.sv, self.vt = np.linalg.svd(self.matrix,
-                                                 full_matrices=False)
+        if factors is None:
+            factors = np.linalg.svd(self.matrix, full_matrices=False)
+        self.u, self.sv, self.vt = factors
         for factor in (self.u, self.sv, self.vt):
             factor.flags.writeable = False
         self.kernel_threshold = rank_threshold(self.matrix.T)

@@ -244,6 +244,27 @@ def test_family_kernel_decomposition_detects_cross_family_dependency(algebra_3):
     assert_checks_agree(broken)
 
 
+def test_family_kernel_check_fails_just_above_its_tolerance(algebra_3):
+    # one representative row takes eps times another family's: the largest
+    # cross-family leak, about 0.19 eps, lies between PROJECTOR_TOL and ten
+    # times it at eps = 1e-7, and below PROJECTOR_TOL at its 1e-8 twin
+    families = compute_families(algebra_3)
+    fmap = build(algebra_3, len(families), 5).feature_map
+
+    def mixed(eps):
+        matrix = np.array(fmap.matrix)
+        matrix[families[2, 0]] += eps * matrix[families[5, 0]]
+        return check_family_kernel_decomposition(FeatureMap(algebra_3,
+                                                            matrix))
+
+    tol = numerics.PROJECTOR_TOL
+    above, below = mixed(1e-7), mixed(1e-8)
+    assert tol < above.max_deviation < 10 * tol and not above.passed
+    assert decode_queries(families[2, 0], 3, algebra_3.size) \
+        in above.details["failing_families"]
+    assert tol / 10 < below.max_deviation <= tol and below.passed
+
+
 def test_empty_kernel_vacuous_pass(algebra_2):
     # an injective map has no kernel vector to restrict to a family
     fmap = FeatureMap(algebra_2, np.eye(len(enumerate_queries(algebra_2))))

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import conjugate_lift_at, sym_generators
-from slplab import cli, relalg
+from slplab import cli, numerics, relalg
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
-                        _build_cells, _closure_queries, _collapse_cells,
+                        STABILITY_OBJECT_CELLS, _build_cells,
+                        _closure_queries, _collapse_cells,
                         _families_cells, _fit_cells, _gradlab_cells,
                         _isotypic_cells, _laws_cells, _parity_cells,
                         _stability_cells, _term_cells, build_parser, main)
@@ -319,9 +320,11 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
         ("collapse", "--atoms", "0", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "0", "--out", str(out_path)),
         # the first sizes over the conjunction cell budget
-        ("kernel-stability", "--atoms", "9", "--out", str(out_path)),
-        ("kernel-stability", "--atoms", "8", "--worlds", "33",
+        ("kernel-stability", "--atoms", "10", "--out", str(out_path)),
+        ("kernel-stability", "--atoms", "8", "--worlds", "85",
          "--out", str(out_path)),
+        ("kernel-stability", "--atoms", "1", "--worlds",
+         str(stability_worlds_limit(1) + 1), "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "9", "--out", str(out_path)),
         ("fit-bilinear", "--atoms", "6", "--worlds", "10", "--out", str(out_path)),
         # one world past the fit-bilinear limits at 5, 4 and 1 atoms
@@ -789,14 +792,24 @@ def test_parity_cross_residual_is_zero_for_builds(capsys):
 
 def test_conjunction_cell_budget_admits_eight_atoms():
     # sizes are compared, never run: the largest accepted ones take seconds
-    # kernel-stability: 2 atoms generator gathers of the N x worlds features
-    assert _stability_cells(6, 8, 2) == 12 * 4095 * 8 <= MAX_CELLS
-    assert _stability_cells(8, 8, 2) == 16 * 65535 * 8 <= MAX_CELLS
-    assert _stability_cells(8, 32, 2) <= MAX_CELLS < \
-        _stability_cells(8, 33, 2)
-    assert _stability_cells(9, 7, 2) <= MAX_CELLS < \
-        _stability_cells(9, 8, 2)
-    assert _stability_cells(1, 10 ** 8, 2) == 6 * 10 ** 8 > MAX_CELLS
+    # kernel-stability: the arrays it holds, summed; five N x worlds
+    # arrays, the SVD's factors, three N-long index arrays, the image table
+    # and the run's objects
+    def held(n, worlds, table):
+        return (5 * n * worlds + min(n, worlds) * (n + worlds) + 3 * n
+                + table + STABILITY_OBJECT_CELLS)
+
+    assert _stability_cells(6, 8, 2) == held(4095, 8, 4 ** 6) <= MAX_CELLS
+    assert _stability_cells(1, 10, 2) == held(3, 10, 4)
+    assert [stability_worlds_limit(atoms) for atoms in range(1, 11)] == \
+        [1863906, 372778, 88746, 21885, 5294, 1296, 339, 84, 20, 4]
+    assert _stability_cells(11, 1, 2) > MAX_CELLS
+    # 18 cells a world at 1 atom, 6 N past N worlds
+    assert _stability_cells(1, 2000, 2) - _stability_cells(1, 1000, 2) == \
+        18 * 1000
+    assert _stability_cells(3, 2000, 2) - _stability_cells(3, 1000, 2) == \
+        6 * 63 * 1000
+    assert _stability_cells(1, 10 ** 8, 2) > MAX_CELLS
     # fit-bilinear: 2 atoms passes over the N x worlds features, 24 cells a
     # world, the N x m prefix counts, or the compressed fit's arrays, for
     # m = min(N, 2^worlds, 3^atoms) distinct rows and c = min(worlds,
@@ -841,10 +854,14 @@ def test_conjunction_cell_budget_admits_eight_atoms():
 def test_conjunction_cell_budget_charges_depth_one_its_literals():
     # depth 1: the 2 atoms literals, and the 4^atoms-entry image table
     # indexed by literal code, which outweighs them
-    for cells in (_stability_cells, _fit_cells):
-        assert cells(12, 8, 1) == 4 ** 12 <= MAX_CELLS < cells(12, 8, 2)
-        assert cells(13, 1, 1) == 4 ** 13 > MAX_CELLS
-    assert _stability_cells(2, 100, 1) == 2 * 2 * 4 * 100
+    assert _fit_cells(12, 8, 1) == 4 ** 12 <= MAX_CELLS < _fit_cells(12, 8, 2)
+    assert _fit_cells(13, 1, 1) == 4 ** 13 > MAX_CELLS
+    assert _stability_cells(12, 8, 1) == 4 ** 12 + 5 * 24 * 8 + 8 * 32 \
+        + 3 * 24 + STABILITY_OBJECT_CELLS <= MAX_CELLS < \
+        _stability_cells(12, 8, 2)
+    assert _stability_cells(13, 1, 1) > 4 ** 13 > MAX_CELLS
+    assert _stability_cells(2, 100, 1) == 5 * 4 * 100 + 4 * 104 + 3 * 4 \
+        + 16 + STABILITY_OBJECT_CELLS
     assert _fit_cells(5, 8, 1) == PAIR_BLOCK
     assert _fit_cells(1, 1398101, 1) <= MAX_CELLS < _fit_cells(1, 1398102, 1)
     assert _stability_cells(10 ** 9, 1, 1) > MAX_CELLS
@@ -896,6 +913,24 @@ def test_fit_bilinear_passes_at_its_residual_and_fails_below_it(capsys):
     assert report["details"]["max_residual"] == residual
 
 
+def test_isotypic_passes_at_its_deviation_and_fails_below_it(capsys):
+    # the pass bound is the worst property <= --tol: a --tol equal to a
+    # run's nonzero deviation passes, and half of it fails, naming the
+    # property at the maximum
+    argv = ("isotypic", "--entities", "3", "--relations", "1", "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    worst = json.loads(out)["max_deviation"]
+    assert code == 0 and 0.0 < worst <= numerics.PROJECTOR_TOL
+    code, out, _ = run_cli(capsys, *argv, "--tol", repr(worst))
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out, _ = run_cli(capsys, *argv, "--tol", repr(worst / 2))
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["max_deviation"] == worst
+    details = report["details"]
+    assert details["properties"][details["failing_property"]] == worst
+
+
 def largest_within_budget(cells) -> int:
     """The largest n >= 1 whose cells(n), growing with n, fit the budget."""
     lo, hi = 1, 2
@@ -913,6 +948,44 @@ def collapse_dim_limit(atoms: int) -> int:
 
 def fit_worlds_limit(atoms: int) -> int:
     return largest_within_budget(lambda worlds: _fit_cells(atoms, worlds, 2))
+
+
+def stability_worlds_limit(atoms: int) -> int:
+    return largest_within_budget(
+        lambda worlds: _stability_cells(atoms, worlds, 2))
+
+
+def test_readme_quotes_the_stability_worlds_limits():
+    # the kernel-stability worlds limits in the README are the charge's own
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    found = re.search(r"`kernel-stability` takes `--worlds` up to ([\d,]+) "
+                      r"at 1 atom, ([\d,]+) at 2, ([\d,]+) at 3, ([\d,]+) at "
+                      r"8, ([\d,]+) at 9 and ([\d,]+) at 10", text)
+    assert found, "README.md no longer quotes the kernel-stability limits"
+    quoted = [int(x.replace(",", "")) for x in found.groups()]
+    assert quoted == [stability_worlds_limit(atoms)
+                      for atoms in (1, 2, 3, 8, 9, 10)]
+
+
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_stability_traced_peak_is_within_its_charge(capsys, atoms):
+    # the largest admitted worlds at 1 and 2 atoms, where the N x worlds
+    # arrays are largest against the rest; a first small run does the
+    # imports that the first command of a process makes
+    assert run_cli(capsys, "kernel-stability", "--atoms", "1", "--worlds",
+                   "4")[0] == 0
+    worlds = stability_worlds_limit(atoms)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "kernel-stability", "--atoms",
+                               str(atoms), "--worlds", str(worlds), "--seed",
+                               "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"]
+    assert peak <= 8 * _stability_cells(atoms, worlds, 2), peak
 
 
 def test_readme_quotes_the_fit_worlds_limits():

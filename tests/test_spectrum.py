@@ -1,6 +1,7 @@
-"""The cached spectra: one thin SVD per feature map, read by the family
-kernel check and lifts, and one of its representative rows, read by the
-rank check, the build's redraw and the audit's Gram rank."""
+"""The cached spectra: one thin SVD of a feature map's representative rows,
+read by the rank check, the build's redraw and the audit's Gram rank, and
+one of the whole map, read by the family kernel check and lifts, which is
+derived from the representative rows' on an exact signed copy of them."""
 
 import itertools
 import json
@@ -15,10 +16,11 @@ from slplab.cli import main
 from slplab.factorize import build_slp_map, isotypic_decompose
 from slplab.featspace import (FeatureMap, KernelNotInvariantError,
                               check_family_kernel_decomposition, check_slp,
-                              lift_renaming, propagation_audit)
+                              lift_renaming, load_feature_map,
+                              propagation_audit, save_feature_map)
 from slplab.queryspace import (GroupElementH, apply_renaming,
                                compute_families, symmetric_group)
-from slplab.relalg import EntitySet, close_unary
+from slplab.relalg import EntitySet, Relation, close_unary
 
 
 def seeded_map(n, seed):
@@ -127,7 +129,9 @@ def test_writes_to_the_source_array_do_not_reach_the_spectrum():
     source[:] = 0.0
     assert np.array_equal(fmap.matrix, original)
     spec = fmap.spectrum
-    assert np.array_equal(spec.sv, np.linalg.svd(original)[1])
+    # derived from the original's representative rows, bit for bit
+    reps = original[fmap.families[:, 0]]
+    assert np.array_equal(spec.sv, 2 * np.linalg.svd(reps)[1])
     assert kernel_basis(original).shape[0] \
         == original.shape[0] - spec.kernel_rank
     with pytest.raises(ValueError):
@@ -150,13 +154,15 @@ def test_reports_carry_the_lift_rank_margin(capsys, command):
 
 @pytest.fixture
 def spectra(monkeypatch):
-    """The matrices of every `numerics.Spectrum` made while it is active."""
+    """How each `numerics.Spectrum` made while it is active got its factors,
+    "svd" or "derived", and the row count of its matrix."""
     made = []
 
     class Counted(numerics.Spectrum):
-        def __init__(self, matrix):
-            super().__init__(matrix)
-            made.append(self.matrix)
+        def __init__(self, matrix, factors=None):
+            super().__init__(matrix, factors)
+            made.append(("svd" if factors is None else "derived",
+                         len(self.matrix)))
 
     monkeypatch.setattr(numerics, "Spectrum", Counted)
     return made
@@ -164,25 +170,31 @@ def spectra(monkeypatch):
 
 @pytest.mark.parametrize("command,whole", [
     ("parity", False), ("audit", False), ("build-slp", True),
-    ("factorize", True)])
+    ("factorize", True), ("isotypic", True)])
 def test_each_command_decomposes_each_matrix_once(capsys, spectra, command,
                                                   whole):
     # `families` draws the closure the build commands draw at one seed
     assert main(["families", "--seed", "3"]) == 0
     counts = json.loads(capsys.readouterr().out)["details"]
+    n_fam, n_queries = counts["n_families"], counts["n_queries"]
+    assert n_queries == 4 * n_fam
     assert main([command, "--seed", "3"]) == 0
-    # the representative rows, and the whole map only where a check reads it
-    assert [len(m) for m in spectra] == [counts["n_families"]] + (
-        [counts["n_queries"]] if whole else [])
+    # the representative rows are decomposed; the whole map, read only
+    # where a check reads it, is their exact signed copy, so its factors
+    # are derived from theirs
+    assert spectra == [("svd", n_fam)] + (
+        [("derived", n_queries)] if whole else [])
 
 
-def test_verify_slp_decomposes_the_map_and_its_representatives_once(
+def test_verify_slp_decomposes_only_the_representatives_of_an_exact_map(
         capsys, spectra, tmp_path):
     path = tmp_path / "m.json"
     assert main(["build-slp", "--seed", "3", "--save", str(path)]) == 0
+    n_fam = json.loads(capsys.readouterr().out)["details"]["slp_rank"][
+        "details"]["n_families"]
     spectra.clear()
     assert main(["verify-slp", "--load", str(path)]) == 0
-    assert len(spectra) == 2 and spectra[0].shape != spectra[1].shape
+    assert spectra == [("svd", n_fam), ("derived", 4 * n_fam)]
 
 
 def test_the_build_decides_its_redraw_without_the_whole_map_spectrum():
@@ -208,3 +220,94 @@ def test_the_rank_check_and_the_audit_read_one_representative_spectrum():
     audit = propagation_audit(fmap, 0, 0.5)
     assert audit.details["gram_rank"] == reps.gram_rank()
     assert fmap.rep_spectrum is reps
+
+
+def assert_spectra_agree(derived, dense):
+    """Equal ranks and thresholds, margins within 1e-13 of the largest
+    singular value, and span and kernel projectors within PROJECTOR_TOL."""
+    assert derived.span_threshold == dense.span_threshold
+    assert derived.kernel_threshold == dense.kernel_threshold
+    assert derived.span_rank == dense.span_rank
+    assert derived.kernel_rank == dense.kernel_rank
+    scale = 1e-13 * dense.sv[0]
+    for margin in ("span_margin", "kernel_margin"):
+        got, ref = getattr(derived, margin)(), getattr(dense, margin)()
+        assert all(abs(got[k] - ref[k]) <= scale for k in ref), (got, ref)
+    for rank_ in (dense.span_rank, dense.kernel_rank):
+        got, ref = derived.u[:, :rank_], dense.u[:, :rank_]
+        assert np.max(np.abs(got @ got.T - ref @ ref.T),
+                      initial=0.0) <= numerics.PROJECTOR_TOL
+    r = dense.span_rank
+    assert np.max(np.abs(derived.vt[:r].T @ derived.vt[:r]
+                         - dense.vt[:r].T @ dense.vt[:r]),
+                  initial=0.0) <= numerics.PROJECTOR_TOL
+
+
+def test_the_derived_spectrum_agrees_with_the_dense_reference(spectra):
+    derived = 0
+    rng = np.random.default_rng(37)
+    for n, relations, _ in itertools.product(range(2, 7), range(1, 4),
+                                             range(2)):
+        for parity in (None, "+", "-"):
+            entity_set = EntitySet.of_size(n)
+            algebra = close_unary([
+                random_proper_relation(entity_set, rng, name=f"r{i}")
+                for i in range(relations)])
+            n_fam = len(compute_families(algebra))
+            if 4 * n_fam != algebra.size * n * n:
+                continue  # a reversal-fixed family: the dense path
+            widths = {1, 2, n_fam // 2, n_fam - 1, n_fam, n_fam + 1,
+                      3 * n_fam // 2, 2 * n_fam} - {0}
+            for width in sorted(widths):
+                seed = int(rng.integers(2 ** 31))
+                fmap = build_slp_map(algebra, width, 2, parity,
+                                     seed).feature_map
+                fmap.rep_spectrum  # a redraw leaves it unread
+                spectra.clear()
+                spec = fmap.spectrum
+                assert spectra == [("derived", len(fmap.matrix))]
+                assert spec.u.shape == (len(fmap.matrix), min(n_fam, width))
+                assert_spectra_agree(spec, numerics.Spectrum(fmap.matrix))
+                derived += 1
+    assert derived >= 500
+
+
+def dense_spectrum(fmap, spectra):
+    """The map's spectrum, asserted to decompose the whole map itself."""
+    spectra.clear()
+    spec = fmap.spectrum
+    assert spectra == [("svd", len(fmap.matrix))]
+    assert spec.u.shape == (len(fmap.matrix), min(fmap.matrix.shape))
+    return spec
+
+
+def test_a_map_one_ulp_off_its_signed_copy_is_decomposed_itself(spectra):
+    algebra, built = seeded_map(4, 9)
+    matrix = np.array(built.feature_map.matrix)
+    assert len(matrix) == 4 * len(built.feature_map.families)
+    q = built.feature_map.families[3, 2]
+    matrix[q, 0] = np.nextafter(matrix[q, 0], np.inf)
+    dense_spectrum(FeatureMap(algebra, matrix), spectra)
+
+
+def test_a_map_with_a_reversal_fixed_family_is_decomposed_itself(spectra):
+    # a symmetric relation: reversal fixes each (h, r, h)
+    entity_set = EntitySet.of_size(3)
+    symmetric = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=bool)
+    algebra = close_unary([Relation(entity_set, symmetric, "r0")])
+    families = compute_families(algebra)
+    assert 4 * len(families) > algebra.size * 9
+    fmap = build_slp_map(algebra, len(families), 2, None, 0).feature_map
+    spec = dense_spectrum(fmap, spectra)
+    assert check_slp(fmap).passed and spec.span_rank == len(families)
+
+
+def test_a_loaded_map_off_its_signed_copy_is_decomposed_itself(
+        spectra, tmp_path):
+    algebra, built = seeded_map(3, 10)
+    matrix = np.array(built.feature_map.matrix)
+    assert len(matrix) == 4 * len(built.feature_map.families)
+    matrix[built.feature_map.families[0, 1]] *= 1 + 1e-12
+    path = tmp_path / "m.json"
+    save_feature_map(FeatureMap(algebra, matrix), path)
+    dense_spectrum(load_feature_map(path), spectra)
