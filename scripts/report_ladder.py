@@ -14,7 +14,7 @@ atoms and 16 worlds, and at depth 1 (so on assignments with and without
 a repeated world, and on both
 the product-law and the pair-walk path), `isotypic` at each shape of
 the `sym-lift` workload, at n = 5 with 6 relations and at a `--tol` that it
-fails, `factorize` at each single parity and `factorize` and `parity` at
+fails, `families` at 32 entities and 2 relations (8,192 members), `factorize` at each single parity and `factorize` and `parity` at
 three raw samples, builds of 20 raw samples at width 1000 that span three
 draw blocks (`factorize` at each parity, `parity`, and a csv save with
 `verify-slp` of it), closures whose base relations coincide (a second base
@@ -134,6 +134,8 @@ def _calls():
     calls += [_call("isotypic", "--entities", 5, "--relations", 6),
               _call("isotypic", "--entities", 4, "--relations", 2,
                     "--tol", "1e-30")]
+    # a families report of 8,192 members, which its template writes
+    calls.append(_call("families", "--entities", 32, "--relations", 2))
     # saves over sizes, widths and parities
     shapes = ((None, "both", "json"), (1, "+", "csv"), (3, "-", "json"))
     for n in range(2, 7):

@@ -40,10 +40,10 @@ from .featspace import (KernelNotInvariantError,
                         load_feature_map, propagation_audit, save_feature_map)
 from .gradlab import (BLOCK_NAMES, alignment_experiment, edit_step,
                       generate_kb, make_mlp, make_slp_linear, train)
-from .queryspace import compute_families, families_to_json, family_count
+from .queryspace import compute_families, families_text, family_count
 from .relalg import (EntitySet, Relation, all_relations, close_unary, compose,
                      converse, negate, random_base_relations, random_relation)
-from .reports import Report, emit_report, render_report
+from .reports import Layout, Report, emit_report, render_report
 
 
 # ------------------------------------------------------------- argument types
@@ -141,7 +141,7 @@ def _finish(report: Report, args: argparse.Namespace, seed: int,
 # 268 MB.  It admits kernel-stability at 9 atoms and fit-bilinear at 8
 # atoms, both at 8 worlds (12 atoms at depth 1), fit-bilinear at 5 atoms
 # and 28 worlds, collapse up to --dim 3,728,262 at 1 atom and 246,707 at
-# 8, default-width builds at 32 entities and families at 128 entities
+# 8, default-width builds at 32 entities and families at 256 entities
 # (both at 2 relations); larger sizes exit 2 before any draw or other
 # work.  It also bounds the Python objects of a closure's queries, of a
 # build's raw samples and of collapse's atoms, the terms a build keeps, all
@@ -161,12 +161,12 @@ def _closure_queries(entities: int, relations: int) -> int:
     return entities ** 2 * 4 * relations
 
 
-# Cells charged per query of a closure, at least: its query and family
-# objects and, in `families`, its entry of the report.  `families` at 32 to
-# 128 entities and 2 relations under Python 3.11 holds 1,704-1,787 bytes per
-# query with tracemalloc and 1.87-2.15 KB of peak RSS, a width-1 build
-# 634-715 bytes and 0.75-1.14 KB, so 2 KB of 8-byte cells.
-QUERY_OBJECT_CELLS = 256
+# Cells charged per query of a closure, at least: its logical images and
+# family arrays and, in `families`, its text in the report, held as blocks
+# and once joined.  At 64 to 256 entities and 2 relations under Python 3.11
+# `families` traces 347-350 bytes per query with tracemalloc and a width-1
+# build 109, so 512 bytes, 1.46 times what `families` holds.
+QUERY_OBJECT_CELLS = 64
 
 # Cells charged per raw sample of a build, at least: 2 KB of 8-byte cells,
 # sized for two Python term objects per sample.  The stacked factors hold
@@ -236,8 +236,8 @@ def _isotypic_cells(entities: int, relations: int, context_dim,
 
 
 def _families_cells(entities: int, relations: int) -> int:
-    """The Python objects of every query, which outweigh its four entries
-    of the (4, N) table of logical images."""
+    """Every query's charge: its report text outweighs its four entries of
+    the (4, N) table of logical images."""
     return QUERY_OBJECT_CELLS * _closure_queries(entities, relations)
 
 
@@ -327,7 +327,8 @@ def _cmd_families(args, seed, parser) -> Report:
         check="families", passed=True, max_deviation=0.0,
         details={"n_families": len(families), "n_queries": int(sizes.sum()),
                  "orbit_sizes": np.unique(sizes).tolist(),
-                 "families": families_to_json(families, algebra)},
+                 "families": Layout(functools.partial(
+                     families_text, families, algebra))},
     )
 
 
@@ -466,7 +467,8 @@ def _stability_cells(atoms: int, worlds: int, depth: int) -> int:
 
 
 def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
-    """The arrays fit_bilinear holds at once, or its work if larger.
+    """The arrays fit_bilinear holds at once, or its work if larger, plus
+    the 4^atoms-entry image table, which is held beside either.
 
     A worlds-model row is 0 or the indicator of a partial truth assignment,
     and a class of equal world columns is one truth assignment of the
@@ -478,8 +480,8 @@ def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
     and their temporaries) and 3 copies of the m min(m, c) x c^2 ordered
     design, whose rows the QR compressed.  Per world, the features, truth
     draws, law-check masks and world-class sort trace 13 cells at 1 atom
-    (16 at 2 atoms and depth 1), charged 24.  The image table and one block
-    of at most max(m, PAIR_BLOCK) prefix counts are charged too.  Work:
+    (16 at 2 atoms and depth 1), charged 24.  One block of at most max(m,
+    PAIR_BLOCK) prefix counts is charged too.  Work:
     the model's build and the law check each take 2 atoms passes over the
     N x worlds features, and the prefix counts visit N x m cells.  At
     depth 1 the support is the N = 2 atoms literals, and their pair walk is
@@ -489,8 +491,8 @@ def _fit_cells(atoms: int, worlds: int, depth: int) -> int:
     m = min(n, 2 ** min(worlds, 64), 3 ** min(atoms, 32))
     c = min(worlds, 2 ** min(atoms, 32))
     fit = 10 * m * m * c + 3 * m * min(m, c) * c * c
-    return max(2 * atoms * n * worlds, 24 * worlds, n * m, PAIR_BLOCK, fit,
-               4 ** min(atoms, 32))
+    return (max(2 * atoms * n * worlds, 24 * worlds, n * m, PAIR_BLOCK, fit)
+            + 4 ** min(atoms, 32))
 
 
 def _cmd_kernel_stability(args, seed, parser) -> Report:
@@ -709,7 +711,8 @@ def _build_command(subs, name: str, run, help: str, cells=_build_cells):
                      help="the N x width feature matrix of N = entities^2 * "
                           "4 * relations queries, and at least "
                           f"{QUERY_OBJECT_CELLS} cells per query, must fit "
-                          f"in {MAX_CELLS} cells")
+                          f"in {MAX_CELLS} cells: at width 1, at most 256 "
+                          "entities at 2 relations and 362 at 1")
     sub.add_argument("--relations", type=_at_least(1), default=2,
                      help="number of random base relations")
     sub.add_argument("--density", type=_density, default=0.5)
@@ -752,7 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "logical family partition as JSON",
                    size=(_families_cells, ("entities", "relations")))
     sub.add_argument("--entities", type=_at_least(2), default=3,
-                     help=f"{QUERY_OBJECT_CELLS} cells per query, of N = "
+                     help="at most 256 at 2 relations and 362 at 1: "
+                          f"{QUERY_OBJECT_CELLS} cells per query, of N = "
                           "entities^2 * 4 * relations, must fit in "
                           f"{MAX_CELLS} cells")
     sub.add_argument("--relations", type=_at_least(1), default=2)
@@ -801,9 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--atoms", type=_at_least(1), default=3,
                      help="at most 8 at 8 worlds, 5 at 16 to 28 worlds, 12 at "
                           "depth 1: 2 atoms passes over the N x worlds "
-                          "features, 24 cells a world, the fit's tables and "
-                          "the 4^atoms-entry image table must fit in "
-                          f"{MAX_CELLS} cells")
+                          "features, 24 cells a world or the fit's tables, "
+                          "and beside them the 4^atoms-entry image table, "
+                          f"must fit in {MAX_CELLS} cells")
     sub.add_argument("--worlds", type=_at_least(1), default=8)
     sub.add_argument("--depth", type=_at_least(1), default=2)
     sub.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -17,15 +17,18 @@ extends it to the whole query space as positions in that order; the family
 partition, an (F, 4) int array, the equivariance check, the parity scan and
 every per-relation orbit computation read these tables, and `family_count`
 counts the families from the closure's table alone.  Reports decode
-positions to triples (`decode_queries`).
+positions to triples (`decode_queries`), and the `families` report writes
+the partition's text straight from the (F, 4) array (`families_text`).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -161,16 +164,50 @@ def symmetric_group(n: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(n))]
 
 
-def families_to_json(families: np.ndarray,
-                     algebra: RelationAlgebra) -> list[dict]:
-    """The partition as JSON: representatives and sorted signed members."""
-    order = np.argsort(families, axis=1, kind="stable")
-    members = np.take_along_axis(families, order, axis=1)
-    fresh = np.diff(members, axis=1, prepend=-1) != 0  # size-2 orbits repeat
-    return [{"representative": queries[0],
-             "members": [{"query": q, "sign": s}
-                         for q, s, keep in zip(queries, signs, fresh_row)
-                         if keep]}
-            for queries, signs, fresh_row in zip(
-                decode_queries(members, algebra.entity_set.n, algebra.size),
-                _SIGNS[order].tolist(), fresh.tolist())]
+# families formatted per block of text: bounds the rows held as Python ints
+_FAMILY_BLOCK = 2 ** 12
+
+
+def _family_template(slots: tuple[int, ...], indent: str) -> str:
+    """One family's text under json.dumps(indent=2, sort_keys=True), as an
+    item of a list whose items' lines start with `indent`: a str.format
+    template over the head, rel, tail and sign of each of the family's
+    sorted members, that writes the members at `slots`, and member 0,
+    the representative."""
+    members = [{"query": [f"<{4 * s + i}>" for i in range(3)],
+                "sign": f"<{4 * s + 3}>"} for s in slots]
+    doc = {"members": members, "representative": ["<0>", "<1>", "<2>"]}
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = re.sub(r'"<(\d+)>"', r"{\1}",
+                  text.replace("{", "{{").replace("}", "}}"))
+    return indent + text.replace("\n", "\n" + indent)
+
+
+def families_text(families: np.ndarray, algebra: RelationAlgebra,
+                  indent: str = "") -> Iterator[str]:
+    """The partition's JSON text, in blocks, from its "[" to its "]".
+
+    It is json.dumps(indent=2, sort_keys=True) of the list holding, per
+    family, {"members": [{"query": [h, r, t], "sign": s}, ...],
+    "representative": [h, r, t]}, members in query order and each written
+    once, laid out as the value of a line that starts with `indent`.  No
+    dict is built per family: a block's fields are one int array, and each
+    family is formatted into one of two fixed templates.
+    """
+    n, size = algebra.entity_set.n, algebra.size
+    four, two = (_family_template(slots, indent + "  ").format
+                 for slots in ((0, 1, 2, 3), (0, 2)))
+    yield "[\n"
+    for start in range(0, len(families), _FAMILY_BLOCK):
+        block = families[start:start + _FAMILY_BLOCK]
+        order = np.argsort(block, axis=1, kind="stable")
+        members = np.take_along_axis(block, order, axis=1)
+        fields = np.stack([*np.unravel_index(members, (n, size, n)),
+                           _SIGNS[order]], axis=-1).reshape(len(block), 16)
+        # reversal fixes a size-2 orbit's representative; sorted, its
+        # members read a, a, b, b
+        fixed = (block[:, 2] == block[:, 0]).tolist()
+        text = ",\n".join([(two if k else four)(*row)
+                           for row, k in zip(fields.tolist(), fixed)])
+        yield text if start == 0 else ",\n" + text
+    yield "\n" + indent + "]"

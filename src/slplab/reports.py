@@ -4,6 +4,12 @@ Serialized shape: {"check": str, "pass": bool, "max_deviation": float,
 "details": {...}, "provenance": {...}?}, pretty-printed with sorted keys and
 a trailing newline.  NaN anywhere in a report is a hard error, never emitted.
 The module only writes reports; a reader parses them as plain JSON.
+
+A large value can write its own text: a `Layout` in the report stands in
+for it.  json.dumps lays out the document around a stand-in string, and the
+layout's text goes in its place, indented as that line is, so a list of
+many thousand entries is written from its arrays with no object per entry
+and the bytes stay those of json.dumps over the whole document.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 
 @dataclass
@@ -35,6 +41,24 @@ class Report:
         return doc
 
 
+class Layout:
+    """A report value written by `write(indent)`: its text, in pieces, as
+    json.dumps(indent=2, sort_keys=True) lays it out as the value of a
+    line that starts with `indent`.  A plain class, not a dataclass: every
+    import of the package would pay for the generated methods."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[str], Iterable[str]]) -> None:
+        self.write = write
+
+
+# what json.dumps writes in a Layout's place; json escapes the NULs, so a
+# report string holding them would read back the same, and is refused
+_STAND_IN = "\0layout\0"
+_STAND_IN_TEXT = json.dumps(_STAND_IN)
+
+
 def _reject_nan(obj: Any, path: str = "$") -> None:
     if isinstance(obj, float) and not math.isfinite(obj):
         raise ValueError(f"NaN forbidden in reports (at {path})")
@@ -48,14 +72,36 @@ def _reject_nan(obj: Any, path: str = "$") -> None:
 
 def render_report(report: Report) -> str:
     """The report's bytes; json.dumps refuses NaN and infinities itself, so
-    the walk that names their path runs only after it has refused."""
+    the walk that names their path runs only after it has refused.  Each
+    Layout's text is spliced in where json.dumps wrote its stand-in."""
     doc = report.to_dict()
+    layouts = []
+
+    def stand_in(value):
+        if not isinstance(value, Layout):
+            raise TypeError(f"Object of type {type(value).__name__} is not "
+                            "JSON serializable")
+        layouts.append(value)
+        return _STAND_IN
+
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                          default=stand_in)
     except ValueError:
         _reject_nan(doc)
         raise
-    return text + "\n"
+    if not layouts:
+        return text + "\n"
+    parts = text.split(_STAND_IN_TEXT)
+    if len(parts) != len(layouts) + 1:
+        raise ValueError("a report string equals the layout stand-in")
+    pieces = [parts[0]]
+    for layout, before, after in zip(layouts, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        pieces += layout.write(line[:len(line) - len(line.lstrip(" "))])
+        pieces.append(after)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def emit_report(report: Report, path: str | Path) -> None:

@@ -11,7 +11,8 @@ from hypothesis import settings, strategies as st
 from slplab import factorize, numerics
 from slplab.characters import cycle_type, permutation_matrix
 from slplab.gradlab import _apply_block_update, gradient, score
-from slplab.queryspace import GroupElementH, Query, compute_families
+from slplab.queryspace import (GroupElementH, LogicalOp, Query,
+                               compute_families, decode_queries)
 from slplab.relalg import EntitySet, Relation, RelationAlgebra, close_unary
 
 settings.register_profile("slplab", database=None, derandomize=True,
@@ -148,6 +149,24 @@ def enumerate_queries(algebra: RelationAlgebra) -> tuple[Query, ...]:
     n = algebra.entity_set.n
     return tuple(itertools.starmap(Query, itertools.product(
         range(n), range(algebra.size), range(n))))
+
+
+def families_to_json(families: np.ndarray,
+                     algebra: RelationAlgebra) -> list[dict]:
+    """The partition as JSON, one dict per family and per member: the
+    reference document for `queryspace.families_text`, representatives and
+    sorted signed members, a size-2 orbit's repeated members written once."""
+    signs = np.array([op.sign for op in LogicalOp])
+    order = np.argsort(families, axis=1, kind="stable")
+    members = np.take_along_axis(families, order, axis=1)
+    fresh = np.diff(members, axis=1, prepend=-1) != 0  # size-2 orbits repeat
+    return [{"representative": queries[0],
+             "members": [{"query": q, "sign": s}
+                         for q, s, keep in zip(queries, row_signs, fresh_row)
+                         if keep]}
+            for queries, row_signs, fresh_row in zip(
+                decode_queries(members, algebra.entity_set.n, algebra.size),
+                signs[order].tolist(), fresh.tolist())]
 
 
 def compose_renamings(g: GroupElementH, h: GroupElementH) -> GroupElementH:

@@ -1054,6 +1054,28 @@ def test_kernel_stability_reports_the_kernel_rank_margin():
         len(assignment.order) - int(np.sum(sv > threshold))
 
 
+def test_kernel_stability_fails_just_above_its_tolerance():
+    # one entry of a full-column-rank worlds model moved by delta: the
+    # generators that gather its row leave the span by about 34 delta / tol
+    # times the threshold, so 1e-7 fails between tol and 100 tol, and its
+    # twin at 1e-9 passes with a nonzero residual under tol
+    assignment, _ = possible_worlds_assignment(3, 8, seed=0)
+    for delta, passed in ((1e-7, False), (1e-9, True)):
+        rows = assignment.rows.copy()
+        rows[5, 0] += delta
+        report = check_kernel_stability(
+            ConjFeatureAssignment(assignment.literals, assignment.codes, rows))
+        tol = report.details["tol"]
+        assert report.passed is passed
+        assert bool(report.details["violations"]) is not passed
+        if passed:
+            assert 0.0 < report.max_deviation <= tol
+        else:
+            assert tol < report.max_deviation < 100 * tol
+            assert all(tol < v["residual"] < 100 * tol
+                       for v in report.details["violations"])
+
+
 def test_assignment_validation():
     p = atom(Query(0, 0, 0))
     with pytest.raises(ValueError):

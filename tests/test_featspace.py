@@ -575,6 +575,25 @@ def test_propagation_audit_signs_and_gram(algebra_3):
         assert report.details["gram_rank"] == len(families)
 
 
+def test_propagation_audit_fails_one_ulp_off_a_signed_copy(algebra_3):
+    # the within-family bound is exact: a negated member one ulp off -R
+    # gives a nonzero deviation far below any float tolerance, and fails;
+    # its twin, the exact signed copy, passes at 0.0
+    fmap = build(algebra_3, n_families(algebra_3), 13).feature_map
+    family = fmap.families[0].tolist()
+    assert len(set(family)) == 4
+    assert propagation_audit(fmap, 0, 0.25).max_deviation == 0.0
+    matrix = fmap.matrix.copy()
+    neg = family[1]
+    matrix[neg, 0] = np.nextafter(matrix[neg, 0], np.inf)
+    report = propagation_audit(FeatureMap(fmap.algebra, matrix), 0, 0.25)
+    assert not report.passed
+    assert 0.0 < report.max_deviation <= 1e-12
+    responses = report.details["responses"]
+    assert responses["neg"] != -responses["id"]
+    assert responses["rev"] == responses["id"]
+
+
 def test_propagation_audit_zero_step(algebra_3):
     families = compute_families(algebra_3)
     built = build(algebra_3, len(families), 14)

@@ -1,16 +1,18 @@
 """Logical four-group orbits, signs, and the renaming action."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import enumerate_queries, proper_relation_strategy
+from conftest import (enumerate_queries, families_to_json,
+                      proper_relation_strategy)
 from slplab.queryspace import (GroupElementH, LogicalOp, Query,
                                apply_logical, apply_renaming,
                                compute_families, decode_queries,
-                               families_to_json, family_count,
+                               families_text, family_count,
                                logical_images, symmetric_group)
 from slplab.relalg import (EntitySet, Relation, RelationAlgebra, close_unary,
                            converse)
@@ -64,7 +66,7 @@ def families_by_query(algebra):
 
 def assert_partition_matches_query_by_query(algebra):
     """The (F, 4) array against the query-by-query oracle: representatives,
-    members, signs and orbit sizes, and its JSON form too."""
+    members, signs and orbit sizes, and its JSON form and text too."""
     queries = enumerate_queries(algebra)
     families = compute_families(algebra)
     oracle = families_by_query(algebra)
@@ -77,11 +79,14 @@ def assert_partition_matches_query_by_query(algebra):
         assert len(set(row)) == len(signs) in (2, 4)
         for op, q in zip(LogicalOp, members):
             assert signs[q] == op.sign
-    assert families_to_json(families, algebra) == [
+    doc = families_to_json(families, algebra)
+    assert doc == [
         {"representative": list(rep),
          "members": [{"query": list(q), "sign": signs[q]}
                      for q in sorted(signs)]}
         for rep, signs in oracle]
+    assert "".join(families_text(families, algebra)) == json.dumps(
+        doc, indent=2, sort_keys=True)
 
 
 # -------------------------------------------------------------- group table

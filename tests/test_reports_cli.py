@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import conjugate_lift_at, sym_generators
+from conftest import (conjugate_lift_at, families_to_json,
+                      relation_from_code, sym_generators)
 from slplab import cli, numerics, relalg
 from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         STABILITY_OBJECT_CELLS, _build_cells,
@@ -26,7 +27,8 @@ from slplab.cli import (MAX_CELLS, QUERY_OBJECT_CELLS, SAMPLE_OBJECT_CELLS,
                         _isotypic_cells, _laws_cells, _parity_cells,
                         _stability_cells, _term_cells, build_parser, main)
 from slplab.conjunction import PAIR_BLOCK
-from slplab.reports import Report, emit_report, render_report
+from slplab.queryspace import compute_families
+from slplab.reports import Layout, Report, emit_report, render_report
 
 
 # ------------------------------------------------------------------- reports
@@ -96,6 +98,32 @@ def test_nan_walk_runs_only_after_json_refuses(monkeypatch):
     with pytest.raises(ValueError, match="Out of range float"):
         render_report(Report(check="demo", passed=True,
                              details={math.nan: 1.0}))
+
+
+def test_layout_text_replaces_its_stand_in_at_any_depth():
+    value = {"b": [1, 2.5], "a": "x"}
+
+    def write(indent):
+        text = json.dumps(value, indent=2, sort_keys=True)
+        return [text.replace("\n", "\n" + indent)]
+
+    def report(value):
+        return Report(check="demo", passed=True, details={
+            "v": value, "deep": [0, {"w": value}, value]})
+
+    assert render_report(report(Layout(write))) == json.dumps(
+        report(value).to_dict(), indent=2, sort_keys=True) + "\n"
+    # NaN is still refused with its path, and other objects by json
+    with pytest.raises(ValueError, match=r"details\.x"):
+        render_report(Report(check="demo", passed=True,
+                             details={"v": Layout(write), "x": math.nan}))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        render_report(Report(check="demo", passed=True,
+                             details={"v": object()}))
+    # a string that json writes as the stand-in's text is refused
+    with pytest.raises(ValueError, match="stand-in"):
+        render_report(Report(check="demo", passed=True,
+                             details={"v": Layout(write), "s": "\0layout\0"}))
 
 
 def test_emit_failure_is_wrapped(tmp_path):
@@ -393,17 +421,17 @@ def test_usage_errors_exit_two_without_reports(capsys, tmp_path):
          "--context-dim", "932068", "--out", str(out_path)),
         ("parity", "--entities", "33", "--out", str(out_path)),
         ("audit", "--entities", "33", "--out", str(out_path)),
-        ("families", "--entities", "129", "--out", str(out_path)),
-        ("families", "--entities", "182", "--relations", "1",
+        ("families", "--entities", "257", "--out", str(out_path)),
+        ("families", "--entities", "363", "--relations", "1",
          "--out", str(out_path)),
         ("families", "--entities", "1024", "--out", str(out_path)),
         ("families", "--entities", "100000", "--out", str(out_path)),
-        # the Python objects of each query share the budget
+        # each query's charge shares the budget
         ("build-slp", "--entities", "1024", "--relations", "8",
          "--context-dim", "1", "--out", str(out_path)),
         ("build-slp", "--entities", "5", "--relations", "3000",
          "--context-dim", "1", "--out", str(out_path)),
-        ("build-slp", "--entities", "129", "--context-dim", "1",
+        ("build-slp", "--entities", "257", "--context-dim", "1",
          "--out", str(out_path)),
         # the v factors of the default terms: the first relation count
         # over the budget at 3 entities and width 1
@@ -670,6 +698,45 @@ def test_families_report_holds_the_partition(capsys, tmp_path):
     assert total == report["details"]["n_queries"]
 
 
+@st.composite
+def drawn_closures(draw):
+    """The closure of 1 to 3 base relations on 2 to 7 entities, each drawn
+    by its bit code and, when a drawn flag says so, joined with its
+    converse, so that some families are size-2 orbits."""
+    n = draw(st.integers(2, 7))
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = relation_from_code(n, draw(st.integers(0, (1 << n * n) - 1)))
+        if draw(st.booleans()):
+            r = relalg.Relation(r.entity_set, r.matrix | r.matrix.T)
+        base.append(r)
+    return relalg.close_unary(base)
+
+
+@given(algebra=drawn_closures())
+def test_families_report_is_json_dumps_of_the_reference(algebra):
+    # the partition is written straight from the (F, 4) array; the bytes,
+    # to a file and to stdout, are json.dumps of the document that holds
+    # one dict per family and member in its place
+    argv = ["families", "--entities", str(algebra.entity_set.n),
+            "--relations", str(len(algebra.base))]
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(cli, "_random_algebra", lambda *_: algebra)
+        out_path = Path(tmp) / "families.json"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        written = out_path.read_text(encoding="utf-8")
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+    assert sink.getvalue() == written
+    doc = json.loads(written)
+    doc["details"]["families"] = families_to_json(compute_families(algebra),
+                                                  algebra)
+    assert written == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc["details"]["n_families"] == len(doc["details"]["families"])
+
+
 def test_build_then_verify_round_trip(capsys, tmp_path):
     for fmt in ("json", "csv"):
         store = tmp_path / f"map.{fmt}"
@@ -815,22 +882,24 @@ def test_conjunction_cell_budget_admits_eight_atoms():
     # m = min(N, 2^worlds, 3^atoms) distinct rows and c = min(worlds,
     # 2^atoms) classes: 10 m^2 c cells and 3 m min(m, c) c^2; never the
     # N(N+1)/2 pairs, one design row per row pair, nor worlds^3 cells
+    # ... and, beside any of them, the 4^atoms-entry image table
     def fit(m, c):
         return 10 * m * m * c + 3 * m * min(m, c) * c * c
 
-    assert _fit_cells(6, 8, 2) == fit(256, 8) <= MAX_CELLS
-    assert _fit_cells(8, 8, 2) == 65535 * 256 <= MAX_CELLS
-    assert _fit_cells(8, 9, 2) == 65535 * 512 <= MAX_CELLS
-    assert _fit_cells(9, 8, 2) == 262143 * 256 > MAX_CELLS
-    assert _fit_cells(9, 7, 2) == 262143 * 128 <= MAX_CELLS
-    assert _fit_cells(10, 1, 2) == 20 * 1048575 <= MAX_CELLS
+    assert _fit_cells(6, 8, 2) == fit(256, 8) + 4 ** 6 <= MAX_CELLS
+    assert _fit_cells(8, 8, 2) == 65535 * 256 + 4 ** 8 <= MAX_CELLS
+    assert _fit_cells(8, 9, 2) == 65535 * 512 + 4 ** 8 > MAX_CELLS
+    assert _fit_cells(9, 8, 2) == 262143 * 256 + 4 ** 9 > MAX_CELLS
+    assert _fit_cells(9, 7, 2) == 262143 * 128 + 4 ** 9 > MAX_CELLS
+    assert _fit_cells(9, 6, 2) == 262143 * 108 + 4 ** 9 <= MAX_CELLS
+    assert _fit_cells(10, 1, 2) == 20 * 1048575 + 4 ** 10 <= MAX_CELLS
     assert _fit_cells(10, 2, 2) > MAX_CELLS
-    assert _fit_cells(6, 9, 2) == fit(512, 9) <= MAX_CELLS
-    assert _fit_cells(6, 10, 2) == fit(729, 10) > MAX_CELLS
-    assert _fit_cells(5, 16, 2) == fit(243, 16) <= MAX_CELLS
-    assert _fit_cells(5, 28, 2) == fit(243, 28) <= MAX_CELLS
+    assert _fit_cells(6, 9, 2) == fit(512, 9) + 4 ** 6 <= MAX_CELLS
+    assert _fit_cells(6, 10, 2) == fit(729, 10) + 4 ** 6 > MAX_CELLS
+    assert _fit_cells(5, 16, 2) == fit(243, 16) + 4 ** 5 <= MAX_CELLS
+    assert _fit_cells(5, 28, 2) == fit(243, 28) + 4 ** 5 <= MAX_CELLS
     assert _fit_cells(5, 29, 2) > MAX_CELLS
-    assert _fit_cells(4, 23, 2) == fit(81, 16) <= MAX_CELLS
+    assert _fit_cells(4, 23, 2) == fit(81, 16) + 4 ** 4 <= MAX_CELLS
     # past 2^atoms worlds the fit's arrays stop growing, and only the
     # per-world terms grow: the passes over the features from 2 atoms on,
     # the 24 cells a world at 1 atom
@@ -839,10 +908,10 @@ def test_conjunction_cell_budget_admits_eight_atoms():
     assert _fit_cells(1, 200000, 2) - _fit_cells(1, 100000, 2) == \
         24 * 100000
     assert [fit_worlds_limit(atoms) for atoms in range(1, 11)] == \
-        [1398101, 559240, 88768, 16448, 28, 9, 9, 9, 7, 1]
+        [1398101, 559240, 88768, 16448, 28, 9, 9, 8, 6, 1]
     # one prefix-count block, never less: PAIR_BLOCK cells
-    assert _fit_cells(2, 4, 2) == PAIR_BLOCK
-    assert _fit_cells(1, 1398101, 2) == 24 * 1398101 <= MAX_CELLS
+    assert _fit_cells(2, 4, 2) == PAIR_BLOCK + 4 ** 2
+    assert _fit_cells(1, 1398101, 2) == 24 * 1398101 + 4 <= MAX_CELLS
     assert _fit_cells(1, 1398102, 2) > MAX_CELLS
     assert _fit_cells(1, 10 ** 8, 2) > MAX_CELLS
     assert _stability_cells(10 ** 9, 1, 2) > MAX_CELLS
@@ -852,17 +921,18 @@ def test_conjunction_cell_budget_admits_eight_atoms():
 
 
 def test_conjunction_cell_budget_charges_depth_one_its_literals():
-    # depth 1: the 2 atoms literals, and the 4^atoms-entry image table
-    # indexed by literal code, which outweighs them
-    assert _fit_cells(12, 8, 1) == 4 ** 12 <= MAX_CELLS < _fit_cells(12, 8, 2)
-    assert _fit_cells(13, 1, 1) == 4 ** 13 > MAX_CELLS
+    # depth 1: the 2 atoms literals, and beside them the 4^atoms-entry
+    # image table indexed by literal code, which outweighs them
+    assert _fit_cells(12, 8, 1) == 4 ** 12 + 10 * 24 * 24 * 8 \
+        + 3 * 24 * 8 * 8 * 8 <= MAX_CELLS < _fit_cells(12, 8, 2)
+    assert _fit_cells(13, 1, 1) == 4 ** 13 + PAIR_BLOCK > MAX_CELLS
     assert _stability_cells(12, 8, 1) == 4 ** 12 + 5 * 24 * 8 + 8 * 32 \
         + 3 * 24 + STABILITY_OBJECT_CELLS <= MAX_CELLS < \
         _stability_cells(12, 8, 2)
     assert _stability_cells(13, 1, 1) > 4 ** 13 > MAX_CELLS
     assert _stability_cells(2, 100, 1) == 5 * 4 * 100 + 4 * 104 + 3 * 4 \
         + 16 + STABILITY_OBJECT_CELLS
-    assert _fit_cells(5, 8, 1) == PAIR_BLOCK
+    assert _fit_cells(5, 8, 1) == PAIR_BLOCK + 4 ** 5
     assert _fit_cells(1, 1398101, 1) <= MAX_CELLS < _fit_cells(1, 1398102, 1)
     assert _stability_cells(10 ** 9, 1, 1) > MAX_CELLS
 
@@ -993,12 +1063,14 @@ def test_readme_quotes_the_fit_worlds_limits():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = " ".join(readme.read_text(encoding="utf-8").split())
     found = re.search(r"`--worlds` up to ([\d,]+) at 1 atom, ([\d,]+) at 2, "
-                      r"([\d,]+) at 3, ([\d,]+) at 4, ([\d,]+) at 5 and "
-                      r"([\d,]+) from 6 to 8 atoms", text)
+                      r"([\d,]+) at 3, ([\d,]+) at 4, ([\d,]+) at 5, "
+                      r"([\d,]+) at 6 and 7, ([\d,]+) at 8 and ([\d,]+) at "
+                      r"9 atoms", text)
     assert found, "README.md no longer quotes the fit-bilinear worlds limits"
     quoted = [int(x.replace(",", "")) for x in found.groups()]
     assert quoted[:5] == [fit_worlds_limit(atoms) for atoms in range(1, 6)]
-    assert [quoted[5]] * 3 == [fit_worlds_limit(atoms) for atoms in (6, 7, 8)]
+    assert [quoted[5]] * 2 == [fit_worlds_limit(atoms) for atoms in (6, 7)]
+    assert quoted[6:] == [fit_worlds_limit(atoms) for atoms in (8, 9)]
 
 
 def test_collapse_cell_budget_is_linear_in_dim():
@@ -1068,6 +1140,48 @@ def test_depth_one_fit_traced_peak_is_within_its_charge(capsys):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["pass"]
     assert peak <= 8 * _fit_cells(1, worlds, 1), peak
+
+
+def test_twelve_atom_depth_one_fit_traced_peak_is_within_its_charge(capsys):
+    # the 2^24-entry image table is charged beside the fit's arrays: when
+    # it was charged in their max, it alone was the charge, and the run
+    # traced the fit's blocks over it
+    assert run_cli(capsys, "fit-bilinear", "--atoms", "1", "--worlds",
+                   "4")[0] == 0
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "fit-bilinear", "--atoms", "12",
+                               "--depth", "1", "--worlds", "8", "--seed", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"]
+    assert 8 * 4 ** 12 < peak <= 8 * _fit_cells(12, 8, 1), peak
+
+
+@pytest.mark.parametrize("command,extra,cells,exit_code", [
+    ("families", (), _families_cells(256, 2), 0),
+    # width 1 cannot reach full rank here, so the build exits 1
+    ("build-slp", ("--context-dim", "1"), _build_cells(256, 2, 1, None), 1),
+], ids=["families", "build-slp"])
+def test_query_charge_bounds_the_traced_peak_at_the_largest_closure(
+        capsys, tmp_path, command, extra, cells, exit_code):
+    # 256 entities at 2 relations, the largest closure either admits; the
+    # report goes to a file, so no captured copy of it is traced
+    argv = [command, "--entities", "256", "--relations", "2", *extra]
+    assert cells == MAX_CELLS
+    assert run_cli(capsys, command, "--entities", "3", "--relations", "1",
+                   *extra)[0] in (0, 1)
+    out_path = tmp_path / "largest.json"
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == exit_code and out_path.exists()
+    assert peak <= 8 * cells, peak
 
 
 @pytest.mark.parametrize("argv", [("--entities", "3"),
@@ -1150,6 +1264,25 @@ def test_relalg_laws_counts_each_failing_relation(capsys, tmp_path,
     assert 0 < expected["associativity"] < triples
 
 
+def test_relalg_laws_fails_on_one_failing_relation(capsys, monkeypatch):
+    # one relation per unary stack and one pair, under a converse wrong on a
+    # known part of the relations: a draw that fails no law passes, and a
+    # draw whose stacks fail exactly one relation fails the check
+    monkeypatch.setattr(cli, "converse", _broken_converse)
+    totals = []
+    for seed in range(8):
+        code, out, _ = run_cli(capsys, "relalg-laws", "--entities", "3",
+                               "--pairs", "1", "--triples", "0", "--seed",
+                               str(seed))
+        report = json.loads(out)
+        total = sum(report["details"]["failures"].values())
+        assert report["max_deviation"] == total
+        assert report["pass"] is (total == 0)
+        assert code == (0 if total == 0 else 1)
+        totals.append(total)
+    assert 0 in totals and 1 in totals
+
+
 def test_relalg_laws_cell_budget_admits_31_entities_at_the_defaults():
     # never run: 32 entities at the default counts took about a minute
     defaults = (10000, 1000)
@@ -1174,18 +1307,20 @@ def test_build_and_families_cell_budget_bound_the_closure():
     assert _build_cells(33, 2, None, None) > MAX_CELLS
     assert _build_cells(45, 1, None, None) == 8100 * 4050 <= MAX_CELLS
     assert _build_cells(46, 1, None, None) > MAX_CELLS
-    # each query's Python objects, when more than its row of features
-    assert _build_cells(128, 2, 1, None) == 131072 * QUERY_OBJECT_CELLS \
+    # each query's charge, when more than its row of features
+    assert _build_cells(256, 2, 1, None) == 524288 * QUERY_OBJECT_CELLS \
         == MAX_CELLS
-    assert _build_cells(129, 2, 1, None) > MAX_CELLS
+    assert _build_cells(257, 2, 1, None) > MAX_CELLS
+    assert _build_cells(362, 1, 1, None) <= MAX_CELLS \
+        < _build_cells(363, 1, 1, None)
     assert _build_cells(1024, 8, 1, None) > MAX_CELLS
     assert _build_cells(5, 3000, 1, None) > MAX_CELLS
-    assert _families_cells(128, 2) == QUERY_OBJECT_CELLS * 128 ** 2 * 8 \
+    assert _families_cells(256, 2) == QUERY_OBJECT_CELLS * 256 ** 2 * 8 \
         == MAX_CELLS
-    assert _families_cells(129, 2) > MAX_CELLS
-    assert _families_cells(181, 1) <= MAX_CELLS < _families_cells(182, 1)
+    assert _families_cells(257, 2) > MAX_CELLS
+    assert _families_cells(362, 1) <= MAX_CELLS < _families_cells(363, 1)
     # the largest benchmark build is far inside the budget
-    assert _build_cells(6, 3, None, None) == 432 * QUERY_OBJECT_CELLS
+    assert _build_cells(6, 3, None, None) == 432 * 216
 
 
 def test_kept_terms_share_the_build_budget():
@@ -1339,6 +1474,24 @@ def test_collapse_unit_atom_certificate(capsys):
                            "--seed", "7", "--no-neg-equiv")
     assert code == 0
     assert json.loads(out)["details"]["verdict"] == "feasible"
+
+
+def test_collapse_passes_at_its_residual_and_fails_below_it(capsys):
+    # without the negation constraint the bound is residual <= --tolerance:
+    # a --tolerance equal to a run's nonzero residual passes, and half of it
+    # fails with the report written
+    argv = ("collapse", "--atoms", "3", "--dim", "4", "--no-neg-equiv")
+    code, out, _ = run_cli(capsys, *argv)
+    residual = json.loads(out)["details"]["residual"]
+    assert code == 0 and 0.0 < residual <= 1e-8
+    code, out, _ = run_cli(capsys, *argv, "--tolerance", repr(residual))
+    report = json.loads(out)
+    assert code == 0 and report["details"]["verdict"] == "feasible"
+    code, out, _ = run_cli(capsys, *argv, "--tolerance", repr(residual / 2))
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["details"]["verdict"] == "infeasible"
+    assert report["details"]["residual"] == residual
 
 
 def test_audit_subcommand_runs(capsys):
